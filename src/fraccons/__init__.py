@@ -43,7 +43,6 @@ from .tfde import (
     GridFunction,
     SolverError,
     TFDEProblem,
-    TimeTermField,
     exact_linear_separable,
     exact_rl_power_mode,
     exact_rl_separable,

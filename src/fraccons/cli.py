@@ -1,7 +1,11 @@
 """Command-line interface: solve, verify, catalog, selftest.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 solver failure,
-4 conservation-check (or selftest) failure.
+Exit codes, each failure with a one-line message on stderr:
+  0 success;
+  2 configuration/validation error;
+  3 solver failure, or a special-function series that did not converge;
+  4 conservation-check (or selftest) failure, including a non-finite
+    residual inside the checked window.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .specialfn import ConvergenceError
 from .fracops import Kind, FractionalSpec, TimeGrid
 from .tfde import (
     Diffusivity,
@@ -159,22 +164,22 @@ def _spec(cfg: ScenarioConfig) -> FractionalSpec:
 def _solution(cfg: ScenarioConfig, n_steps: int) -> GridFunction:
     spec = _spec(cfg)
     diffu = _diffusivity(cfg)
-    tgrid = TimeGrid(cfg.T, n_steps)
+    grid = TimeGrid(cfg.T, n_steps)
     n_x = cfg.n_x if cfg.n_x is not None else n_steps
     x = np.linspace(cfg.x_lo, cfg.x_hi, n_x + 1)
     src = cfg.source
     p = src.get("params", {})
     sid = src["id"]
     if sid == "exact_linear":
-        return exact_linear_separable(spec, float(p.get("lam", 1.0)), tgrid, x)
+        return exact_linear_separable(spec, float(p.get("lam", 1.0)), grid, x)
     if sid == "exact_stationary":
         return exact_stationary_caputo(diffu, float(p.get("a", 0.1)),
-                                       float(p.get("b", 1.0)), tgrid, x)
+                                       float(p.get("b", 1.0)), grid, x)
     if sid == "exact_rl_power":
-        return exact_rl_power_mode(cfg.alpha, float(p.get("c", 1.0)), tgrid, x)
+        return exact_rl_power_mode(cfg.alpha, float(p.get("c", 1.0)), grid, x)
     if sid == "exact_rl_separable":
         return exact_rl_separable(diffu, cfg.alpha, float(p.get("a", 0.1)),
-                                  float(p.get("b", 1.0)), tgrid, x)
+                                  float(p.get("b", 1.0)), grid, x)
     # numerical solver: separable-compatible initial data, optionally perturbed
     a = float(p.get("a", 0.1))
     b = float(p.get("b", 1.0))
@@ -198,7 +203,7 @@ def _solution(cfg: ScenarioConfig, n_steps: int) -> GridFunction:
             initial_velocity=(lambda xx: np.zeros_like(xx)) if spec.n == 2 else None,
             boundary_lo=lambda t: float(profile(np.array([cfg.x_lo]))[0]),
             boundary_hi=lambda t: float(profile(np.array([cfg.x_hi]))[0]))
-    return solve_nonlinear(problem, tgrid, n_x)
+    return solve_nonlinear(problem, grid, n_x)
 
 
 def _maybe_sub(cfg: ScenarioConfig):
@@ -244,9 +249,9 @@ def run_solve(cfg: ScenarioConfig, out: Optional[str]) -> int:
     u = _solution(cfg, cfg.grids[-1])
     if out:
         u.to_csv(out)
-        print(f"wrote solution field ({u.tgrid.n_steps}x{u.x.size - 1} cells) to {out}")
+        print(f"wrote solution field ({u.grid.n_steps}x{u.x.size - 1} cells) to {out}")
     else:
-        print(f"solved: {u.tgrid.n_steps} time steps, {u.x.size - 1} space cells")
+        print(f"solved: {u.grid.n_steps} time steps, {u.x.size - 1} space cells")
     return 0
 
 
@@ -258,7 +263,8 @@ def run_verify(cfg: ScenarioConfig, out: Optional[str]) -> int:
         u = _solution(cfg, n)
         for vid in sorted(cfg.vectors):
             cv = _vector_eval(cfg, vid, u)
-            rep = divergence_residual(cv, u, cfg.exclude_frac)
+            comps = cv.components(u)
+            rep = divergence_residual(cv, u, cfg.exclude_frac, comps)
             nested = gi > 0 and cfg.grids[gi] == 2 * cfg.grids[gi - 1]
             if nested and (vid, "div") in last and rep.linf > 0:
                 rep.convergence_ratio = last[(vid, "div")] / rep.linf
@@ -266,7 +272,7 @@ def run_verify(cfg: ScenarioConfig, out: Optional[str]) -> int:
                     worst_ratio_ok = False
             last[(vid, "div")] = rep.linf
             rows.append(rep.csv_row())
-            fb = flux_balance(cv, u, cfg.exclude_frac)
+            fb = flux_balance(cv, u, cfg.exclude_frac, comps)
             fb.provenance = f"{vid}[flux]"
             rows.append(fb.csv_row())
     text = _report_text(rows)
@@ -357,6 +363,12 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    except ConvergenceError as exc:
+        print(f"series did not converge: {exc}", file=sys.stderr)
+        return 3
+    except FloatingPointError as exc:
+        print(f"non-finite residual: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

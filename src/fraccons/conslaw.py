@@ -19,7 +19,7 @@ from .fracops import (
     Kind,
     FractionalSpec,
     TimeSeries,
-    caputo_left_derivative,
+    _finite,
     diff1,
     f_modified_integral,
     j_integral,
@@ -30,7 +30,7 @@ from .fracops import (
     rl_right_derivative,
     time_derivative,
 )
-from .tfde import Diffusivity, GridFunction
+from .tfde import Diffusivity, GridFunction, _equation_residual
 from .symcat import AdjointSubstitution, Symmetry, characteristic
 
 __all__ = [
@@ -50,48 +50,16 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# grid-field kernel plumbing
+# grid-field helpers
 # ---------------------------------------------------------------------------
 
-def _col_apply(u: GridFunction, kernel: Callable[[TimeSeries], TimeSeries]) -> np.ndarray:
-    """Apply a TimeSeries kernel column-wise and stack the sample values."""
-    return np.column_stack([kernel(u.column(j)).values for j in range(u.x.size)])
-
-
-def _finite(vals: np.ndarray) -> np.ndarray:
-    out = np.array(vals, dtype=float, copy=True)
-    out[~np.isfinite(out)] = 0.0
-    return out
-
-
-def _j_field(f: GridFunction, g: GridFunction, alpha: float) -> np.ndarray:
-    """J(f, g) column by column; zero columns are skipped."""
-    out = np.zeros_like(f.values)
-    for j in range(f.x.size):
-        fc = f.column(j)
-        gc = g.column(j)
-        if (not fc.singular and not np.any(fc.values)) or \
-           (not gc.singular and not np.any(_finite(gc.values))):
-            continue
-        out[:, j] = j_integral(fc, gc, alpha).values
-    return out
-
-
 def _pole_integral(u: GridFunction, mu: float) -> np.ndarray:
-    """(I^mu (u/(T-.)))(t) column-wise; metadata-free samples are used."""
-    def op(ts: TimeSeries) -> TimeSeries:
-        if ts.singular:
-            ts = TimeSeries(ts.grid, _finite(ts.values))
-        return left_integral_endpoint_pole(ts, mu)
-    return _col_apply(u, op)
+    """(I^mu (u/(T-.)))(t) on the whole field; metadata-free samples are used."""
+    return left_integral_endpoint_pole(TimeSeries(u.grid, _finite(u.values)), mu).values
 
 
 def _ux(u: GridFunction) -> np.ndarray:
     return u.dx_field().values
-
-
-def _ut(u: GridFunction, order: int = 1) -> GridFunction:
-    return u.map_time_kernel(lambda ts: time_derivative(ts, order))
 
 
 # ---------------------------------------------------------------------------
@@ -101,23 +69,14 @@ def _ut(u: GridFunction, order: int = 1) -> GridFunction:
 def formal_lagrangian(u: GridFunction, v: GridFunction, diffusivity: Diffusivity,
                       spec: FractionalSpec) -> GridFunction:
     """L = v [D^alpha_t u - k'(u) u_x^2 - k(u) u_xx]."""
-    if spec.kind is Kind.RIEMANN_LIOUVILLE:
-        frac = _col_apply(u, lambda ts: rl_left_derivative(ts, spec.alpha))
-    else:
-        frac = _col_apply(u, lambda ts: caputo_left_derivative(ts, spec.alpha))
-    from .fracops import diff2
-
-    uv = _finite(u.values)
-    ux = diff1(uv, u.hx, axis=1)
-    uxx = diff2(uv, u.hx, axis=1)
-    bracket = frac - diffusivity.k_prime(uv) * ux ** 2 - diffusivity.k(uv) * uxx
+    bracket = _equation_residual(u, spec, diffusivity)
     with np.errstate(invalid="ignore"):
         vals = v.values * bracket
-    return GridFunction(u.tgrid, u.x, vals)
+    return GridFunction(u.grid, u.x, vals)
 
 
 def _sym_coeff_fields(sym: Symmetry, u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
-    t = u.tgrid.nodes()[:, None]
+    t = u.grid.nodes()[:, None]
     x = u.x[None, :]
     with np.errstate(invalid="ignore"):
         xi0 = np.broadcast_to(sym.xi0(t, x, u.values), u.values.shape)
@@ -140,7 +99,7 @@ def noether_t(sym: Symmetry, u: GridFunction, sub: AdjointSubstitution,
     alpha = spec.alpha
     n = spec.n
     W = characteristic(sym, u)
-    v = sub.field(u.tgrid, u.x)
+    v = sub.field(u.grid, u.x)
     L = formal_lagrangian(u, v, diffusivity, spec)
     xi0, _ = _sym_coeff_fields(sym, u)
     with np.errstate(invalid="ignore"):
@@ -148,35 +107,35 @@ def noether_t(sym: Symmetry, u: GridFunction, sub: AdjointSubstitution,
     out[xi0 == 0.0] = 0.0
     if spec.kind is Kind.RIEMANN_LIOUVILLE:
         if n == 1:
-            A = _col_apply(W, lambda ts: left_frac_integral(ts, 1.0 - alpha))
-            vt = sub.dt_field(u.tgrid, u.x)
+            A = left_frac_integral(W, 1.0 - alpha).values
+            vt = sub.dt_field(u.grid, u.x)
             with np.errstate(invalid="ignore"):
                 out = out + v.values * A
-            out = out + _j_field(W, vt, alpha)
+            out = out + j_integral(W, vt, alpha).values
         else:
-            A = _col_apply(W, lambda ts: rl_left_derivative(ts, alpha - 1.0))
-            B = _col_apply(W, lambda ts: left_frac_integral(ts, 2.0 - alpha))
-            vt = sub.dt_field(u.tgrid, u.x)
-            vtt = sub.dtt_field(u.tgrid, u.x)
+            A = rl_left_derivative(W, alpha - 1.0).values
+            B = left_frac_integral(W, 2.0 - alpha).values
+            vt = sub.dt_field(u.grid, u.x)
+            vtt = sub.dtt_field(u.grid, u.x)
             with np.errstate(invalid="ignore"):
                 out = out + v.values * A - vt.values * B
-            out = out - _j_field(W, vtt, alpha)
+            out = out - j_integral(W, vtt, alpha).values
     else:
         if n == 1:
-            A = _col_apply(v, lambda ts: right_frac_integral(ts, 1.0 - alpha))
-            Wt = _ut(W)
+            A = right_frac_integral(v, 1.0 - alpha).values
+            Wt = time_derivative(W)
             with np.errstate(invalid="ignore"):
                 out = out + W.values * A
-            out = out - _j_field(Wt, v, alpha)
+            out = out - j_integral(Wt, v, alpha).values
         else:
-            A = _col_apply(v, lambda ts: rl_right_derivative(ts, alpha - 1.0))
-            B = _col_apply(v, lambda ts: right_frac_integral(ts, 2.0 - alpha))
-            Wt = _ut(W)
-            Wtt = _ut(W, 2)
+            A = rl_right_derivative(v, alpha - 1.0).values
+            B = right_frac_integral(v, 2.0 - alpha).values
+            Wt = time_derivative(W)
+            Wtt = time_derivative(W, 2)
             with np.errstate(invalid="ignore"):
                 out = out + W.values * A + Wt.values * B
-            out = out - _j_field(Wtt, v, alpha)
-    return GridFunction(u.tgrid, u.x, out)
+            out = out - j_integral(Wtt, v, alpha).values
+    return GridFunction(u.grid, u.x, out)
 
 
 def noether_x(sym: Symmetry, u: GridFunction, sub: AdjointSubstitution,
@@ -187,7 +146,7 @@ def noether_x(sym: Symmetry, u: GridFunction, sub: AdjointSubstitution,
     C^x = v_x W - v W_x.
     """
     W = characteristic(sym, u)
-    v = sub.field(u.tgrid, u.x)
+    v = sub.field(u.grid, u.x)
     L = formal_lagrangian(u, v, diffusivity, spec)
     _, xi1 = _sym_coeff_fields(sym, u)
     uv = _finite(u.values)
@@ -200,7 +159,7 @@ def noether_x(sym: Symmetry, u: GridFunction, sub: AdjointSubstitution,
         out = xi1 * L.values
         out[xi1 == 0.0] = 0.0
         out = out + W.values * (vx * k - v.values * kp * ux) - Wx * v.values * k
-    return GridFunction(u.tgrid, u.x, out)
+    return GridFunction(u.grid, u.x, out)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +245,9 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
 
         def fn(u: GridFunction):
             if n == 1:
-                ct = _col_apply(u, lambda ts: left_frac_integral(ts, 1.0 - alpha))
+                ct = left_frac_integral(u, 1.0 - alpha).values
             else:
-                ct = _col_apply(u, lambda ts: rl_left_derivative(ts, alpha - 1.0))
+                ct = rl_left_derivative(u, alpha - 1.0).values
             cx = -diffusivity.k(_finite(u.values)) * _ux(u)
             return ct, cx
 
@@ -298,8 +257,7 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
         check(spec.kind is Kind.CAPUTO, "requires the Caputo kind")
 
         def fn(u: GridFunction):
-            du = _ut(u, n)
-            ct = _col_apply(du, lambda ts: left_frac_integral(ts, n + 1.0 - alpha))
+            ct = left_frac_integral(time_derivative(u, n), n + 1.0 - alpha).values
             cx = -diffusivity.k(_finite(u.values)) * _ux(u)
             return ct, cx
 
@@ -311,16 +269,16 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
 
         def fn(u: GridFunction):
             x = u.x[None, :]
-            t = u.tgrid.nodes()[:, None]
+            t = u.grid.nodes()[:, None]
             uv = _finite(u.values)
             k = diffusivity.k(uv)
             ux = _ux(u)
-            i1 = _col_apply(u, lambda ts: left_frac_integral(ts, 1.0 - alpha))
+            i1 = left_frac_integral(u, 1.0 - alpha).values
             if provenance == "NL_RL_sub":
                 ct = x * i1
                 cx = diffusivity.K(uv) - x * k * ux
             else:
-                i2 = _col_apply(u, lambda ts: left_frac_integral(ts, 2.0 - alpha))
+                i2 = left_frac_integral(u, 2.0 - alpha).values
                 core = t * i1 - i2
                 if provenance == "NL_RL_sub_t1":
                     ct = core
@@ -339,22 +297,22 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
 
         def fn(u: GridFunction):
             x = u.x[None, :]
-            t = u.tgrid.nodes()[:, None]
+            t = u.grid.nodes()[:, None]
             uv = _finite(u.values)
             k = diffusivity.k(uv)
             K = diffusivity.K(uv)
             ux = _ux(u)
-            d = _col_apply(u, lambda ts: rl_left_derivative(ts, alpha - 1.0))
+            d = rl_left_derivative(u, alpha - 1.0).values
             if idx == "1":
                 return d, -k * ux
-            i2 = _col_apply(u, lambda ts: left_frac_integral(ts, 2.0 - alpha))
+            i2 = left_frac_integral(u, 2.0 - alpha).values
             if idx == "2":
                 return t * d - i2, -t * k * ux
             if idx == "3":
                 return x * d, K - x * k * ux
             if idx == "4":
                 return t * x * d - x * i2, t * K - t * x * k * ux
-            i3 = _col_apply(u, lambda ts: left_frac_integral(ts, 3.0 - alpha))
+            i3 = left_frac_integral(u, 3.0 - alpha).values
             if idx == "5":
                 return t ** 2 * d - 2.0 * t * i2 + 2.0 * i3, -t ** 2 * k * ux
             cx = t ** 2 * K - t ** 2 * x * k * ux
@@ -374,7 +332,7 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
 
         def fn(u: GridFunction):
             x = u.x[None, :]
-            t = u.tgrid.nodes()
+            t = u.grid.nodes()
             s = (T - t)[:, None]
             uv = _finite(u.values)
             k = diffusivity.k(uv)
@@ -387,7 +345,7 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
                 if idx == "1":
                     return core, -s ** (alpha - 1.0) * k * ux
                 return x * core, s ** (alpha - 1.0) * (K - x * k * ux)
-            ut = _ut(u)
+            ut = time_derivative(u)
             core = s ** (alpha - 1.0) * _pole_integral(ut, 2.0 - alpha)
             if idx == "2":
                 return core, -s ** (alpha - 2.0) * k * ux
@@ -403,20 +361,20 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
 
         def fn(u: GridFunction):
             x = u.x[None, :]
-            t = u.tgrid.nodes()
+            t = u.grid.nodes()
             s = (T - t)[:, None]
             uv = _finite(u.values)
             k = diffusivity.k(uv)
             K = diffusivity.K(uv)
             ux = _ux(u)
             if idx in ("1", "4"):
-                utt = _ut(u, 2)
+                utt = time_derivative(u, 2)
                 core = s ** (alpha - 2.0) * _pole_integral(utt, 3.0 - alpha)
                 if idx == "1":
                     return core, -s ** (alpha - 3.0) * k * ux
                 return x * core, s ** (alpha - 3.0) * (K - x * k * ux)
             ut0 = _as_x_array(_need(initial_velocity, "initial data u_t(0, x)"), u.x)
-            ut = _ut(u)
+            ut = time_derivative(u)
             pp = np.array([phi_psi_wave(tt, alpha, T) for tt in t])
             phi = pp[:, 0][:, None]
             psi = pp[:, 1][:, None]
@@ -425,8 +383,7 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
                 if idx == "2":
                     return core, -s ** (alpha - 2.0) * k * ux
                 return x * core, s ** (alpha - 2.0) * (K - x * k * ux)
-            fint = _col_apply(ut, lambda ts: f_modified_integral(
-                TimeSeries(ts.grid, _finite(ts.values)) if ts.singular else ts, alpha))
+            fint = f_modified_integral(ut, alpha).values
             core = ut0[None, :] * psi + s ** alpha * fint
             if idx == "3":
                 return core, -s ** (alpha - 1.0) * k * ux
@@ -448,36 +405,36 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
 
             sym = _sym({"X3": "X3_lin"}.get(sym_tag, sym_tag), alpha, h=h)
             W = characteristic(sym, u)
-            v = sub.field(u.tgrid, u.x)
+            v = sub.field(u.grid, u.x)
             vx = _finite(v.dx_field().values)
             Wx = W.dx_field().values
             with np.errstate(invalid="ignore"):
                 cx = vx * W.values - v.values * Wx
             if spec.kind is Kind.RIEMANN_LIOUVILLE:
                 if n == 1:
-                    A = _col_apply(W, lambda ts: left_frac_integral(ts, 1.0 - alpha))
+                    A = left_frac_integral(W, 1.0 - alpha).values
                     with np.errstate(invalid="ignore"):
                         ct = v.values * A
-                    ct = ct + _j_field(W, sub.dt_field(u.tgrid, u.x), alpha)
+                    ct = ct + j_integral(W, sub.dt_field(u.grid, u.x), alpha).values
                 else:
-                    A = _col_apply(W, lambda ts: rl_left_derivative(ts, alpha - 1.0))
-                    B = _col_apply(W, lambda ts: left_frac_integral(ts, 2.0 - alpha))
-                    vt = sub.dt_field(u.tgrid, u.x)
+                    A = rl_left_derivative(W, alpha - 1.0).values
+                    B = left_frac_integral(W, 2.0 - alpha).values
+                    vt = sub.dt_field(u.grid, u.x)
                     with np.errstate(invalid="ignore"):
                         ct = v.values * A - vt.values * B
-                    ct = ct - _j_field(W, sub.dtt_field(u.tgrid, u.x), alpha)
+                    ct = ct - j_integral(W, sub.dtt_field(u.grid, u.x), alpha).values
             else:
                 if n == 1:
-                    A = _col_apply(v, lambda ts: right_frac_integral(ts, 1.0 - alpha))
+                    A = right_frac_integral(v, 1.0 - alpha).values
                     with np.errstate(invalid="ignore"):
                         ct = W.values * A
-                    ct = ct - _j_field(_ut(W), v, alpha)
+                    ct = ct - j_integral(time_derivative(W), v, alpha).values
                 else:
-                    A = _col_apply(v, lambda ts: rl_right_derivative(ts, alpha - 1.0))
-                    B = _col_apply(v, lambda ts: right_frac_integral(ts, 2.0 - alpha))
+                    A = rl_right_derivative(v, alpha - 1.0).values
+                    B = right_frac_integral(v, 2.0 - alpha).values
                     with np.errstate(invalid="ignore"):
-                        ct = W.values * A + _ut(W).values * B
-                    ct = ct - _j_field(_ut(W, 2), v, alpha)
+                        ct = W.values * A + time_derivative(W).values * B
+                    ct = ct - j_integral(time_derivative(W, 2), v, alpha).values
             return ct, cx
 
         return ConservedVectorEval(provenance, spec, fn)
@@ -585,7 +542,9 @@ def _time_window(n_nodes: int, exclude_frac: float) -> tuple[int, int]:
 
 
 def divergence_residual(cv: ConservedVectorEval, u: GridFunction,
-                        exclude_frac: float = 0.05) -> ResidualReport:
+                        exclude_frac: float = 0.05,
+                        components: Optional[tuple[np.ndarray, np.ndarray]] = None,
+                        ) -> ResidualReport:
     """Pointwise residual D_t C^t + D_x C^x on the interior region.
 
     Norms exclude ``exclude_frac`` of the time nodes at each end (initial and
@@ -593,11 +552,12 @@ def divergence_residual(cv: ConservedVectorEval, u: GridFunction,
     three space columns at each side: the one-sided edge stencils leave a
     kink in the discretization error that spreads one column per repeated
     differentiation, and the divergence stencil amplifies it by 1/h.
+    ``components`` is ``cv.components(u)`` when the caller has it already.
     """
-    ct, cx = cv.components(u)
+    ct, cx = cv.components(u) if components is None else components
     with np.errstate(invalid="ignore"):
-        res = diff1(ct, u.tgrid.h, axis=0) + diff1(cx, u.hx, axis=1)
-    lo, hi = _time_window(u.tgrid.n_steps + 1, exclude_frac)
+        res = diff1(ct, u.grid.h, axis=0) + diff1(cx, u.hx, axis=1)
+    lo, hi = _time_window(u.grid.n_steps + 1, exclude_frac)
     window = res[lo:hi, 3:-3]
     if not np.isfinite(window).all():
         raise FloatingPointError(f"{cv.provenance}: non-finite residual inside the window")
@@ -605,23 +565,27 @@ def divergence_residual(cv: ConservedVectorEval, u: GridFunction,
     l2 = float(np.sqrt(np.mean(window ** 2)))
     excluded = 2 * lo
     return ResidualReport(cv.provenance, cv.spec.kind.value, cv.spec.alpha,
-                          u.tgrid.n_steps, u.x.size - 1, linf, l2, excluded,
+                          u.grid.n_steps, u.x.size - 1, linf, l2, excluded,
                           residual=res)
 
 
 def flux_balance(cv: ConservedVectorEval, u: GridFunction,
-                 exclude_frac: float = 0.05) -> ResidualReport:
-    """Integrated residual d/dt (integral of C^t dx) + [C^x] at the space ends."""
-    ct, cx = cv.components(u)
+                 exclude_frac: float = 0.05,
+                 components: Optional[tuple[np.ndarray, np.ndarray]] = None) -> ResidualReport:
+    """Integrated residual d/dt (integral of C^t dx) + [C^x] at the space ends.
+
+    ``components`` is ``cv.components(u)`` when the caller has it already.
+    """
+    ct, cx = cv.components(u) if components is None else components
     mass = np.trapezoid(_finite(ct), dx=u.hx, axis=1)
     with np.errstate(invalid="ignore"):
-        bal = diff1(mass, u.tgrid.h) + (cx[:, -1] - cx[:, 0])
-    lo, hi = _time_window(u.tgrid.n_steps + 1, exclude_frac)
+        bal = diff1(mass, u.grid.h) + (cx[:, -1] - cx[:, 0])
+    lo, hi = _time_window(u.grid.n_steps + 1, exclude_frac)
     window = bal[lo:hi]
     if not np.isfinite(window).all():
         raise FloatingPointError(f"{cv.provenance}: non-finite balance inside the window")
     linf = float(np.max(np.abs(window)))
     l2 = float(np.sqrt(np.mean(window ** 2)))
     return ResidualReport(cv.provenance, cv.spec.kind.value, cv.spec.alpha,
-                          u.tgrid.n_steps, u.x.size - 1, linf, l2, 2 * lo,
+                          u.grid.n_steps, u.x.size - 1, linf, l2, 2 * lo,
                           residual=bal)

@@ -6,12 +6,16 @@ are exact (to roundoff) on piecewise-linear inputs. Known algebraic
 singularities of the data at either end of the time interval are carried
 as explicit power-law terms and handled by exact power rules, since a
 piecewise-linear interpolant cannot resolve them.
+
+Every kernel acts on axis 0 of the whole sample array, so a space-time
+field with a trailing space axis is processed in one call.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +40,10 @@ __all__ = [
     "diff1",
     "diff2",
 ]
+
+# matrices kept per weight builder; a full selftest builds at most 9 distinct
+# ones per builder, a verify call fewer (counts per workload in CHANGES.md)
+_CACHE_SIZE = 16
 
 
 class Kind(enum.Enum):
@@ -83,15 +91,41 @@ class TimeGrid:
         return np.linspace(0.0, self.T, self.n_steps + 1)
 
 
-@dataclass(frozen=True)
-class SingularTerm:
-    """Algebraic term coeff * t^power (anchor 'start') or coeff * (T-t)^power ('end')."""
+def _finite(vals: np.ndarray) -> np.ndarray:
+    """Copy of vals with non-finite entries replaced by zero."""
+    return np.where(np.isfinite(vals), vals, 0.0)
 
-    coeff: float
+
+def _scaled(col: np.ndarray, coeff) -> np.ndarray:
+    """col (one value per node) times coeff (a float or an (m,) array).
+
+    Zero coefficients give exact zeros, also where col is infinite.
+    """
+    c = np.asarray(coeff)
+    with np.errstate(invalid="ignore"):
+        return np.where(c != 0.0, np.multiply.outer(col, c), 0.0)
+
+
+def _along_time(col: np.ndarray, ndim: int) -> np.ndarray:
+    """View of a per-node vector that broadcasts against ndim-dimensional samples."""
+    return col.reshape(col.shape + (1,) * (ndim - 1))
+
+
+@dataclass(frozen=True, eq=False)
+class SingularTerm:
+    """Algebraic term coeff * t^power (anchor 'start') or coeff * (T-t)^power ('end').
+
+    ``coeff`` is a float, or an (m,) array holding one coefficient per space
+    column of a field.
+    """
+
+    coeff: float | np.ndarray
     power: float
     anchor: str = "start"
 
     def __post_init__(self) -> None:
+        c = np.asarray(self.coeff, dtype=float)
+        object.__setattr__(self, "coeff", float(c) if c.ndim == 0 else c)
         if self.anchor not in ("start", "end"):
             raise ValueError("anchor must be 'start' or 'end'")
         if self.power <= -1.0:
@@ -101,18 +135,19 @@ class SingularTerm:
         t = grid.nodes()
         s = t if self.anchor == "start" else grid.T - t
         with np.errstate(divide="ignore"):
-            vals = self.coeff * np.power(s, self.power)
-        if self.power == 0.0:
-            vals = np.full_like(t, self.coeff)
-        return vals
+            return _scaled(np.power(s, self.power), self.coeff)
 
 
 @dataclass(frozen=True)
 class TimeSeries:
     """Sampled f(t) on a TimeGrid, with optional explicit power-law terms.
 
-    values are samples of the full function; the node at a singular term's
-    anchor may be non-finite when the term's power is negative.
+    ``values`` has shape (n_steps+1,), or (n_steps+1, m) for a field with a
+    trailing space axis; every kernel acts on axis 0. The values are samples
+    of the full function; the node at a singular term's anchor may be
+    non-finite when the term's power is negative. Term coefficients are
+    floats for 1-D values and (m,) arrays otherwise; all-zero terms are
+    dropped.
     """
 
     grid: TimeGrid
@@ -122,16 +157,41 @@ class TimeSeries:
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        if v.shape != (self.grid.n_steps + 1,):
-            raise ValueError("values length must equal node count")
+        if v.ndim not in (1, 2) or v.shape[0] != self.grid.n_steps + 1:
+            raise ValueError("values must have one row per grid node")
         interior_ok = np.isfinite(v[1:-1]).all()
         if not interior_ok:
             raise ValueError("values must be finite at interior nodes")
+        space = v.shape[1:]
+        terms = []
+        for term in self.singular:
+            if np.ndim(term.coeff) == 0 and space:
+                term = SingularTerm(np.full(space, term.coeff), term.power, term.anchor)
+            if np.shape(term.coeff) != space:
+                raise ValueError("term coefficients must match the space axis of the values")
+            if np.any(term.coeff):
+                terms.append(term)
+        object.__setattr__(self, "singular", tuple(terms))
 
     @classmethod
     def from_function(cls, grid: TimeGrid, fn, singular: tuple[SingularTerm, ...] = ()) -> "TimeSeries":
         with np.errstate(divide="ignore"):
             return cls(grid, np.asarray(fn(grid.nodes()), dtype=float), singular)
+
+    @classmethod
+    def from_parts(cls, grid: TimeGrid, reg: np.ndarray, singular=(), **fields):
+        """Series whose values are ``reg`` plus the samples of the terms ``singular``.
+
+        Where terms are infinite at their anchor, the value is the signed
+        infinity of the most singular one. ``fields`` holds the further
+        constructor arguments of a subclass.
+        """
+        vals = np.array(reg, dtype=float)
+        for term in sorted(singular, key=lambda s: -s.power):
+            s = term.sample(grid)
+            with np.errstate(invalid="ignore"):
+                vals = np.where(np.isfinite(s), vals + s, s)
+        return cls(grid=grid, values=vals, singular=tuple(singular), **fields)
 
     def regular_part(self) -> np.ndarray:
         """Samples of the function minus all declared power-law terms.
@@ -140,17 +200,14 @@ class TimeSeries:
         taken to vanish (the term dominates there by assumption).
         """
         reg = self.values.copy()
-        bad = np.zeros(reg.shape, dtype=bool)
+        bad = ~np.isfinite(reg)
         for term in self.singular:
             s = term.sample(self.grid)
-            bad |= ~np.isfinite(s)
-            reg = reg - np.where(np.isfinite(s), s, 0.0)
+            ok = np.isfinite(s)
+            reg -= np.where(ok, s, 0.0)
+            bad |= ~ok
         reg[bad] = 0.0
-        reg[~np.isfinite(reg)] = 0.0
         return reg
-
-    def total_values(self) -> np.ndarray:
-        return self.values
 
 
 def _require_same_grid(a: TimeSeries, b: TimeSeries) -> None:
@@ -158,24 +215,22 @@ def _require_same_grid(a: TimeSeries, b: TimeSeries) -> None:
         raise ValueError("time series are defined on different grids")
 
 
+def _read_only(mat: np.ndarray) -> np.ndarray:
+    mat.setflags(write=False)
+    return mat
+
+
 # ---------------------------------------------------------------------------
 # piecewise-linear product-integration weights
 # ---------------------------------------------------------------------------
 
-_PL_CACHE: dict = {}
-
-
+@lru_cache(maxsize=_CACHE_SIZE)
 def _pl_weight_matrix(n_steps: int, mu: float, h: float) -> np.ndarray:
     """Lower-triangular W with (I^mu f)(t_i) = sum_j W[i,j] f_j, exact for piecewise-linear f."""
-    key = ("pl", n_steps, mu, h)
-    mat = _PL_CACHE.get(key)
-    if mat is not None:
-        return mat
     n = n_steps
     W = np.zeros((n + 1, n + 1))
     k = np.arange(0, n + 2, dtype=float)
     kp = k ** (mu + 1.0)
-    i_idx = np.arange(1, n + 1, dtype=float)
     scale = h ** mu / gamma(mu + 2.0)
     # interior lags share the same second-difference weights
     d = kp[2:] - 2.0 * kp[1:-1] + kp[:-2]  # d[k-1] = (k+1)^{mu+1} - 2k^{mu+1} + (k-1)^{mu+1}
@@ -186,18 +241,10 @@ def _pl_weight_matrix(n_steps: int, mu: float, h: float) -> np.ndarray:
             lags = np.arange(1, i)
             W[i, i - lags] = d[lags - 1]
     W *= scale
-    _PL_CACHE[key] = W
-    return W
+    return _read_only(W)
 
 
-def _integral_of_start_power(coeff: float, p: float, mu: float, grid: TimeGrid) -> tuple[np.ndarray, SingularTerm]:
-    """Exact I^mu of coeff * t^p: power rule."""
-    c2 = coeff * gamma(p + 1.0) * reciprocal_gamma(p + mu + 1.0)
-    term = SingularTerm(c2, p + mu, "start")
-    return term.sample(grid), term
-
-
-def _integral_of_end_power(coeff: float, p: float, mu: float, grid: TimeGrid,
+def _integral_of_end_power(coeff, p: float, mu: float, grid: TimeGrid,
                            ctl: SeriesControl = DEFAULT_SERIES_CONTROL) -> np.ndarray:
     """Exact samples of I^mu applied to coeff * (T - t)^p.
 
@@ -208,14 +255,14 @@ def _integral_of_end_power(coeff: float, p: float, mu: float, grid: TimeGrid,
     """
     t = grid.nodes()
     T = grid.T
-    out = np.zeros_like(t)
+    col = np.zeros_like(t)
     tt = t[1:-1]
     c = T - tt
     fvals = _hyp2f1_vec(mu + 1.0 + p, mu, mu + 1.0, tt / T, ctl)
-    out[1:-1] = coeff / gamma(mu + 1.0) * tt ** mu * c ** (p + mu) * T ** (-mu) * fvals
+    col[1:-1] = tt ** mu * c ** (p + mu) * T ** (-mu) * fvals / gamma(mu + 1.0)
     # at t = T the kernel and the pole coalesce; elementary closed form
-    out[-1] = coeff * T ** (mu + p) / ((mu + p) * gamma(mu)) if mu + p > 0 else np.inf * np.sign(coeff)
-    return out
+    col[-1] = T ** (mu + p) / ((mu + p) * gamma(mu)) if mu + p > 0 else np.inf
+    return _scaled(col, coeff)
 
 
 def _reverse(f: TimeSeries) -> TimeSeries:
@@ -233,19 +280,14 @@ def left_frac_integral(f: TimeSeries, mu: float) -> TimeSeries:
     vals = W @ f.regular_part()
     out_terms: list[SingularTerm] = []
     for term in f.singular:
-        if term.coeff == 0.0:
-            continue
+        p = term.power
         if term.anchor == "start":
-            add, new_term = _integral_of_start_power(term.coeff, term.power, mu, grid)
-            bad = ~np.isfinite(add)
-            vals += np.where(bad, 0.0, add)
-            if bad.any():
-                vals[bad] = np.inf * np.sign(new_term.coeff)
-            if new_term.coeff != 0.0:
-                out_terms.append(new_term)
+            # power rule: I^mu t^p = Gamma(p+1)/Gamma(p+mu+1) t^{p+mu}
+            c2 = term.coeff * gamma(p + 1.0) * reciprocal_gamma(p + mu + 1.0)
+            out_terms.append(SingularTerm(c2, p + mu, "start"))
         else:
-            vals += _integral_of_end_power(term.coeff, term.power, mu, grid)
-    return TimeSeries(grid, vals, tuple(out_terms))
+            vals += _integral_of_end_power(term.coeff, p, mu, grid)
+    return TimeSeries.from_parts(grid, vals, out_terms)
 
 
 def right_frac_integral(f: TimeSeries, mu: float) -> TimeSeries:
@@ -284,27 +326,20 @@ def _falling(p: float, n: int) -> float:
     return out
 
 
-def _diff_terms(terms: tuple[SingularTerm, ...], n: int, grid: TimeGrid) -> tuple[np.ndarray, tuple[SingularTerm, ...]]:
-    """Analytic n-th derivative samples of power terms, plus resulting terms."""
-    t = grid.nodes()
-    vals = np.zeros_like(t)
+def _diff_terms(terms: tuple[SingularTerm, ...], n: int) -> tuple[SingularTerm, ...]:
+    """Analytic n-th time derivatives of power terms."""
     out: list[SingularTerm] = []
     for term in terms:
         c = term.coeff * _falling(term.power, n) * ((-1.0) ** n if term.anchor == "end" else 1.0)
-        if c == 0.0:
+        if not np.any(c):
             continue
         p = term.power - n
         if p <= -1.0:
             raise ValueError(
                 f"derivative of singular term t^{term.power} has non-integrable order {p}"
             )
-        new = SingularTerm(c, p, term.anchor)
-        s = new.sample(grid)
-        bad = ~np.isfinite(s)
-        vals += np.where(bad, 0.0, s)
-        vals[bad] = np.inf * np.sign(c)
-        out.append(new)
-    return vals, out
+        out.append(SingularTerm(c, p, term.anchor))
+    return tuple(out)
 
 
 def time_derivative(f: TimeSeries, order: int = 1) -> TimeSeries:
@@ -314,10 +349,7 @@ def time_derivative(f: TimeSeries, order: int = 1) -> TimeSeries:
     grid = f.grid
     reg = f.regular_part()
     dreg = diff1(reg, grid.h) if order == 1 else diff2(reg, grid.h)
-    sing_vals, terms = _diff_terms(f.singular, order, grid)
-    vals = dreg + np.where(np.isfinite(sing_vals), sing_vals, 0.0)
-    vals[~np.isfinite(sing_vals)] = sing_vals[~np.isfinite(sing_vals)]
-    return TimeSeries(grid, vals, tuple(terms))
+    return TimeSeries.from_parts(grid, dreg, _diff_terms(f.singular, order))
 
 
 def _order_and_n(alpha: float) -> int:
@@ -326,32 +358,23 @@ def _order_and_n(alpha: float) -> int:
     return 1 if alpha < 1.0 else 2
 
 
-def rl_left_derivative(f: TimeSeries, alpha: float, method: str = "product") -> TimeSeries:
-    """Riemann-Liouville left derivative D^n (0I^{n-alpha} f)."""
+def _derivative_order(alpha: float, grid: TimeGrid) -> int:
     n = _order_and_n(alpha)
-    grid = f.grid
     if grid.n_steps < 2 * n + (n - 1):
         raise ValueError("grid too coarse for the requested derivative order")
-    if method == "grunwald":
-        return gl_left_derivative(f, alpha)
-    if method != "product":
-        raise ValueError(f"unknown method {method!r}")
-    g = left_frac_integral(f, n - alpha)
-    reg = g.regular_part()
-    dreg = diff1(reg, grid.h) if n == 1 else diff2(reg, grid.h)
-    sing_vals, terms = _diff_terms(g.singular, n, grid)
-    vals = dreg + np.where(np.isfinite(sing_vals), sing_vals, 0.0)
-    vals[~np.isfinite(sing_vals)] = sing_vals[~np.isfinite(sing_vals)]
-    return TimeSeries(grid, vals, tuple(terms))
+    return n
+
+
+def rl_left_derivative(f: TimeSeries, alpha: float) -> TimeSeries:
+    """Riemann-Liouville left derivative D^n (0I^{n-alpha} f)."""
+    n = _derivative_order(alpha, f.grid)
+    return time_derivative(left_frac_integral(f, n - alpha), n)
 
 
 def caputo_left_derivative(f: TimeSeries, alpha: float) -> TimeSeries:
     """Caputo left derivative 0I^{n-alpha} (D^n f) (L1-type discretization)."""
-    n = _order_and_n(alpha)
-    if f.grid.n_steps < 2 * n + (n - 1):
-        raise ValueError("grid too coarse for the requested derivative order")
-    d = time_derivative(f, order=n) if n == 1 else time_derivative(f, order=2)
-    return left_frac_integral(d, n - alpha)
+    n = _derivative_order(alpha, f.grid)
+    return left_frac_integral(time_derivative(f, n), n - alpha)
 
 
 def rl_right_derivative(f: TimeSeries, alpha: float) -> TimeSeries:
@@ -368,14 +391,13 @@ def gl_left_derivative(f: TimeSeries, alpha: float) -> TimeSeries:
     """Grunwald-Letnikov cross-check mode for the left RL derivative."""
     _order_and_n(alpha)
     grid = f.grid
-    v = f.total_values().copy()
-    v[~np.isfinite(v)] = 0.0
+    v = _finite(f.values)
     n = grid.n_steps
     w = np.empty(n + 1)
     w[0] = 1.0
     for k in range(1, n + 1):
         w[k] = w[k - 1] * (1.0 - (alpha + 1.0) / k)
-    out = np.empty(n + 1)
+    out = np.empty_like(v)
     for i in range(n + 1):
         out[i] = np.dot(w[: i + 1], v[i::-1])
     return TimeSeries(grid, out / grid.h ** alpha)
@@ -413,29 +435,23 @@ def _j_cellpairs(tau0, tau1, mu0, mu1, f0, f1, g0, g1, beta, h):
 
 
 def _j_piecewise_linear(fv: np.ndarray, gv: np.ndarray, grid: TimeGrid, beta: float) -> np.ndarray:
-    t = grid.nodes()
     n = grid.n_steps
     h = grid.h
-    fv = np.where(np.isfinite(fv), fv, 0.0)
-    gv = np.where(np.isfinite(gv), gv, 0.0)
-    out = np.zeros(n + 1)
+    fv = _finite(fv)
+    gv = _finite(gv)
+    t = _along_time(grid.nodes(), max(fv.ndim, gv.ndim))
+    out = np.zeros(np.broadcast_shapes(fv.shape, gv.shape))
     acc = 0.0
     for i in range(n):
         # strip gained: tau-cell i against mu-cells i+1..n-1
-        if i + 1 <= n - 1:
-            q = np.arange(i + 1, n)
-            a_i = np.sum(_j_cellpairs(t[i], t[i + 1], t[q], t[q + 1],
-                                      fv[i], fv[i + 1], gv[q], gv[q + 1], beta, h))
-        else:
-            a_i = 0.0
+        q = np.arange(i + 1, n)
+        a_i = _j_cellpairs(t[i], t[i + 1], t[q], t[q + 1],
+                           fv[i], fv[i + 1], gv[q], gv[q + 1], beta, h).sum(axis=0)
         # strip lost: mu-cell i against tau-cells 0..i-1
-        if i >= 1:
-            p = np.arange(0, i)
-            b_i = np.sum(_j_cellpairs(t[p], t[p + 1], t[i], t[i + 1],
-                                      fv[p], fv[p + 1], gv[i], gv[i + 1], beta, h))
-        else:
-            b_i = 0.0
-        acc += a_i - b_i
+        p = np.arange(0, i)
+        b_i = _j_cellpairs(t[p], t[p + 1], t[i], t[i + 1],
+                           fv[p], fv[p + 1], gv[i], gv[i + 1], beta, h).sum(axis=0)
+        acc = acc + (a_i - b_i)
         out[i + 1] = acc
     return out / gamma(beta)
 
@@ -447,12 +463,9 @@ def _incomplete_beta_vec(x: np.ndarray, a: float, b: float,
     return x ** a / a * _hyp2f1_vec(a, 1.0 - b, a + 1.0, x, ctl)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _j_start_power_matrix(grid: TimeGrid, p: float, beta: float) -> np.ndarray:
     """P[i,q] = int_0^{t_i} tau^p (t_q - tau)^{beta-1} dtau for q >= i >= 1."""
-    key = ("jsp", grid, p, beta)
-    mat = _PL_CACHE.get(key)
-    if mat is not None:
-        return mat
     t = grid.nodes()
     n = grid.n_steps
     P = np.zeros((n + 1, n + 1))
@@ -462,16 +475,12 @@ def _j_start_power_matrix(grid: TimeGrid, p: float, beta: float) -> np.ndarray:
     x = t[ii] / t[qq]
     vals = t[qq] ** (p + beta) * _incomplete_beta_vec(x, p + 1.0, beta)
     P[ii, qq] = vals
-    _PL_CACHE[key] = P
-    return P
+    return _read_only(P)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _j_end_power_matrix(grid: TimeGrid, q: float, beta: float) -> np.ndarray:
     """Q[i,p] = int_{t_i}^T (T-mu)^q (mu - t_p)^{beta-1} dmu for p <= i <= n-1."""
-    key = ("jep", grid, q, beta)
-    mat = _PL_CACHE.get(key)
-    if mat is not None:
-        return mat
     t = grid.nodes()
     T = grid.T
     n = grid.n_steps
@@ -482,13 +491,21 @@ def _j_end_power_matrix(grid: TimeGrid, q: float, beta: float) -> np.ndarray:
     x = (T - t[ii]) / (T - t[pp])
     vals = (T - t[pp]) ** (q + beta) * _incomplete_beta_vec(x, q + 1.0, beta)
     Q[ii, pp] = vals
-    _PL_CACHE[key] = Q
-    return Q
+    return _read_only(Q)
 
 
-def _trapz_tail(P_row: np.ndarray, g: np.ndarray, i: int, h: float) -> float:
-    seg = P_row[i:] * g[i:]
-    return float(np.trapezoid(seg, dx=h))
+def _trapz_tail(P: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
+    """out[i] = trapezoid rule over q = i..n of P[i, q] g[q]; P is upper triangular."""
+    diag = _along_time(np.diagonal(P), g.ndim)
+    last = _along_time(P[:, -1], g.ndim)
+    return h * (P @ g - 0.5 * (diag * g + last * g[-1]))
+
+
+def _trapz_head(Q: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
+    """out[i] = trapezoid rule over p = 0..i of Q[i, p] f[p]; Q is lower triangular."""
+    diag = _along_time(np.diagonal(Q), f.ndim)
+    first = _along_time(Q[:, 0], f.ndim)
+    return h * (Q @ f - 0.5 * (first * f[0] + diag * f))
 
 
 def _start_power_cell_weights(grid: TimeGrid, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -505,14 +522,11 @@ def _power_weighted_head(Q: np.ndarray, p: float, grid: TimeGrid) -> np.ndarray:
 
     Integrates the power weight exactly against the piecewise-linear
     interpolant of the Q row, so integrable singularities of tau^p at
-    tau = 0 cost no accuracy.
+    tau = 0 cost no accuracy. Q is lower triangular, so cell j < i pairs
+    Q[i, j] with wl[j] and Q[i, j+1] with wr[j].
     """
-    n = grid.n_steps
     wl, wr = _start_power_cell_weights(grid, p)
-    out = np.zeros(n + 1)
-    for i in range(1, n + 1):
-        out[i] = np.dot(Q[i, :i], wl[:i]) + np.dot(Q[i, 1:i + 1], wr[:i])
-    return out
+    return Q[:, :-1] @ wl + Q[:, 1:] @ wr - np.diagonal(Q) * np.append(wl, 0.0)
 
 
 def j_integral(f: TimeSeries, g: TimeSeries, alpha: float) -> TimeSeries:
@@ -522,51 +536,40 @@ def j_integral(f: TimeSeries, g: TimeSeries, alpha: float) -> TimeSeries:
     beta = n - alpha
     grid = f.grid
     h = grid.h
-    inv_gb = reciprocal_gamma(beta)
-    out = _j_piecewise_linear(f.regular_part(), g.regular_part(), grid, beta)
-    g_reg = g.regular_part()
     f_reg = f.regular_part()
+    g_reg = g.regular_part()
+    # J is bilinear: skip the O(n^2) sweep when either factor is zero (v_tt
+    # of the polynomial substitutions, for example)
+    if not (f.singular or f_reg.any()) or not (g.singular or g_reg.any()):
+        return TimeSeries(grid, np.zeros(np.broadcast_shapes(f_reg.shape, g_reg.shape)))
+    inv_gb = reciprocal_gamma(beta)
+    out = _j_piecewise_linear(f_reg, g_reg, grid, beta)
     for term in f.singular:
-        if term.coeff == 0.0:
-            continue
         if term.anchor == "start":
             P = _j_start_power_matrix(grid, term.power, beta)
-            for i in range(1, grid.n_steps + 1):
-                out[i] += term.coeff * inv_gb * _trapz_tail(P[i], g_reg, i, h)
+            out += term.coeff * inv_gb * _trapz_tail(P, g_reg, h)
         else:
             # f end-anchored power on [0, t]: finite except near t=T; sample it
-            s = term.sample(grid)
-            s[~np.isfinite(s)] = 0.0
-            out += _j_piecewise_linear(s, g_reg, grid, beta)
+            out += _j_piecewise_linear(term.sample(grid), g_reg, grid, beta)
     for term in g.singular:
-        if term.coeff == 0.0:
-            continue
         if term.anchor == "end":
             Q = _j_end_power_matrix(grid, term.power, beta)
-            for i in range(1, grid.n_steps + 1):
-                seg = Q[i, : i + 1] * f_reg[: i + 1]
-                out[i] += term.coeff * inv_gb * float(np.trapezoid(seg, dx=h))
+            out += term.coeff * inv_gb * _trapz_head(Q, f_reg, h)
             for t2 in f.singular:
-                if t2.coeff == 0.0:
-                    continue
                 if t2.anchor == "start":
-                    out += (term.coeff * t2.coeff * inv_gb
-                            * _power_weighted_head(Q, t2.power, grid))
+                    head = _power_weighted_head(Q, t2.power, grid)
+                    out += _scaled(head, term.coeff * t2.coeff * inv_gb)
                 else:
-                    s = np.nan_to_num(t2.sample(grid), posinf=0.0, neginf=0.0)
-                    for i in range(1, grid.n_steps + 1):
-                        seg = Q[i, : i + 1] * s[: i + 1]
-                        out[i] += term.coeff * inv_gb * float(np.trapezoid(seg, dx=h))
+                    s = _finite(t2.sample(grid))
+                    out += term.coeff * inv_gb * _trapz_head(Q, s, h)
         else:
             # g start-anchored power on [t, T]: finite away from t=0; sample it
-            s = term.sample(grid)
-            s[~np.isfinite(s)] = 0.0
+            s = _finite(term.sample(grid))
             out += _j_piecewise_linear(f_reg, s, grid, beta)
             for termf in f.singular:
-                if termf.anchor == "start" and termf.coeff != 0.0:
+                if termf.anchor == "start":
                     P = _j_start_power_matrix(grid, termf.power, beta)
-                    for i in range(1, grid.n_steps + 1):
-                        out[i] += termf.coeff * inv_gb * _trapz_tail(P[i], s, i, h)
+                    out += termf.coeff * inv_gb * _trapz_tail(P, s, h)
     return TimeSeries(grid, out)
 
 
@@ -581,16 +584,11 @@ def f_modified_integral(f: TimeSeries, alpha: float) -> TimeSeries:
         raise ValueError("f_modified_integral requires alpha in (1,2)")
     grid = f.grid
     M = _fmod_weight_matrix(grid, alpha)
-    fv = f.total_values().copy()
-    fv[~np.isfinite(fv)] = 0.0
-    return TimeSeries(grid, M @ fv)
+    return TimeSeries(grid, M @ _finite(f.values))
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _fmod_weight_matrix(grid: TimeGrid, alpha: float) -> np.ndarray:
-    key = ("fmod", grid, alpha)
-    mat = _PL_CACHE.get(key)
-    if mat is not None:
-        return mat
     t = grid.nodes()
     n = grid.n_steps
     mu = 2.0 - alpha
@@ -604,11 +602,10 @@ def _fmod_weight_matrix(grid: TimeGrid, alpha: float) -> np.ndarray:
     z[ok] = (t[ii][ok] - t[jj][ok]) / denom[ok]
     z = np.clip(z, 0.0, 1.0 - 1e-13)
     H[ii, jj] = _hyp2f1_vec(1.0, 1.0, mu, z)
-    M = W * H
-    _PL_CACHE[key] = M
-    return M
+    return _read_only(W * H)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _endpoint_pole_weight_matrix(grid: TimeGrid, mu: float) -> np.ndarray:
     """Weights V with (I^mu (f/(T-.)))(t_i) = sum_j V[i,j] f_j, exact for piecewise-linear f.
 
@@ -616,10 +613,6 @@ def _endpoint_pole_weight_matrix(grid: TimeGrid, mu: float) -> np.ndarray:
       E_k(s) = int_0^s sigma^{mu-1+k}/(c+sigma) dsigma
              = s^{nu}/(nu (c+s)) 2F1(1, 1; nu+1; s/(s+c)),  nu = mu+k,  c = T-t_i.
     """
-    key = ("pole", grid, mu)
-    mat = _PL_CACHE.get(key)
-    if mat is not None:
-        return mat
     t = grid.nodes()
     T = grid.T
     n = grid.n_steps
@@ -656,8 +649,7 @@ def _endpoint_pole_weight_matrix(grid: TimeGrid, mu: float) -> np.ndarray:
         V[i, : i] += d0 - m1
         V[i, 1: i + 1] += m1
     V *= reciprocal_gamma(mu)
-    _PL_CACHE[key] = V
-    return V
+    return _read_only(V)
 
 
 def left_integral_endpoint_pole(f: TimeSeries, mu: float) -> TimeSeries:
@@ -672,6 +664,4 @@ def left_integral_endpoint_pole(f: TimeSeries, mu: float) -> TimeSeries:
         raise NotImplementedError("singular inputs to the endpoint-pole kernel are unsupported")
     grid = f.grid
     V = _endpoint_pole_weight_matrix(grid, mu)
-    fv = f.total_values().copy()
-    fv[~np.isfinite(fv)] = 0.0
-    return TimeSeries(grid, V @ fv)
+    return TimeSeries(grid, V @ _finite(f.values))

@@ -16,13 +16,17 @@ import numpy as np
 from .fracops import (
     Kind,
     FractionalSpec,
+    SingularTerm,
     TimeGrid,
+    TimeSeries,
+    _finite,
+    _scaled,
     caputo_right_derivative,
     diff1,
     diff2,
     rl_right_derivative,
 )
-from .tfde import Diffusivity, DiffusivityFamily, GridFunction, TimeTermField
+from .tfde import Diffusivity, DiffusivityFamily, GridFunction
 
 __all__ = [
     "Symmetry",
@@ -120,33 +124,28 @@ def characteristic(sym: Symmetry, u: GridFunction) -> GridFunction:
     result can be fed to the fractional kernels without losing accuracy at
     the initial time.
     """
-    t = u.tgrid.nodes()
+    t = u.grid.nodes()
     x = u.x
     hx = u.hx
-    reg = u.regular_values()
+    reg = u.regular_part()
     reg_x = diff1(reg, hx, axis=1)
-    reg_t = diff1(reg, u.tgrid.h, axis=0)
-    terms = u.time_terms
-    for term in terms:
+    reg_t = diff1(reg, u.grid.h, axis=0)
+    for term in u.singular:
         if term.anchor != "start":
             raise ValueError("characteristics support start-anchored terms only")
 
-    def per_term(fn) -> tuple[TimeTermField, ...]:
-        out = []
-        for term in terms:
-            coeffs, power = fn(term)
-            if np.any(coeffs != 0.0):
-                out.append(TimeTermField(coeffs, power))
-        return tuple(out)
+    def derived(new_reg: np.ndarray, fn) -> GridFunction:
+        # fn maps each power term of u to the (coeff, power) of its image
+        terms = tuple(SingularTerm(*fn(term)) for term in u.singular)
+        return GridFunction.from_parts(u.grid, new_reg, terms, x=x)
 
     alpha = sym.alpha
     if sym.id == "X1":
         return u.dx_field()
     if sym.id == "X2":
         new_reg = 2.0 * t[:, None] * reg_t + alpha * x[None, :] * reg_x
-        new_terms = per_term(lambda tm: (
-            2.0 * tm.power * tm.coeffs + alpha * x * diff1(tm.coeffs, hx), tm.power))
-        return GridFunction.from_parts(u.tgrid, x, new_reg, new_terms)
+        return derived(new_reg, lambda tm: (
+            2.0 * tm.power * tm.coeff + alpha * x * diff1(tm.coeff, hx), tm.power))
     if sym.id == "X3_lin":
         return u
     if sym.id == "Xinf":
@@ -155,24 +154,20 @@ def characteristic(sym: Symmetry, u: GridFunction) -> GridFunction:
         return sym.h
     if sym.id == "X3_pow":
         new_reg = 2.0 * reg - sym.beta * x[None, :] * reg_x
-        new_terms = per_term(lambda tm: (
-            2.0 * tm.coeffs - sym.beta * x * diff1(tm.coeffs, hx), tm.power))
-        return GridFunction.from_parts(u.tgrid, x, new_reg, new_terms)
+        return derived(new_reg, lambda tm: (
+            2.0 * tm.coeff - sym.beta * x * diff1(tm.coeff, hx), tm.power))
     if sym.id == "X3_exp":
         new_reg = 2.0 - x[None, :] * reg_x
-        new_terms = per_term(lambda tm: (-x * diff1(tm.coeffs, hx), tm.power))
-        return GridFunction.from_parts(u.tgrid, x, new_reg, new_terms)
+        return derived(new_reg, lambda tm: (-x * diff1(tm.coeff, hx), tm.power))
     if sym.id == "X4_pow43":
         new_reg = -3.0 * x[None, :] * reg - x[None, :] ** 2 * reg_x
-        new_terms = per_term(lambda tm: (
-            -3.0 * x * tm.coeffs - x ** 2 * diff1(tm.coeffs, hx), tm.power))
-        return GridFunction.from_parts(u.tgrid, x, new_reg, new_terms)
+        return derived(new_reg, lambda tm: (
+            -3.0 * x * tm.coeff - x ** 2 * diff1(tm.coeff, hx), tm.power))
     if sym.id == "X4_rl":
         # (alpha-1) t u - t^2 u_t; each power term c t^p maps to (alpha-1-p) c t^{p+1}
         new_reg = (alpha - 1.0) * t[:, None] * reg - t[:, None] ** 2 * reg_t
-        new_terms = per_term(lambda tm: (
-            (alpha - 1.0 - tm.power) * tm.coeffs, tm.power + 1.0))
-        return GridFunction.from_parts(u.tgrid, x, new_reg, new_terms)
+        return derived(new_reg, lambda tm: (
+            (alpha - 1.0 - tm.power) * tm.coeff, tm.power + 1.0))
     raise ValueError(f"unknown symmetry id {sym.id!r}")
 
 
@@ -215,31 +210,31 @@ class AdjointSubstitution:
         if want is not None and self.spec.kind is not want:
             raise ValueError(f"{self.regime} applies to the {want.value} kind")
 
-    def field(self, tgrid: TimeGrid, x: np.ndarray) -> GridFunction:
+    def field(self, grid: TimeGrid, x: np.ndarray) -> GridFunction:
         """Evaluate v on the grid, with power-law metadata where applicable."""
         x = np.asarray(x, dtype=float)
-        t = tgrid.nodes()
+        t = grid.nodes()
         alpha = self.spec.alpha
         zeros = np.zeros((t.size, x.size))
         if self.regime == "RL_sub":
-            return GridFunction(tgrid, x, zeros + (self.c1 + self.c2 * x)[None, :])
+            return GridFunction(grid, x, zeros + (self.c1 + self.c2 * x)[None, :])
         if self.regime == "RL_wave":
             vals = (self.c1 + self.c2 * x)[None, :] + np.outer(t, self.c3 + self.c4 * x)
-            return GridFunction(tgrid, x, vals)
+            return GridFunction(grid, x, vals)
         if self.regime == "Caputo_sub":
-            terms = (TimeTermField(self.c1 + self.c2 * x, alpha - 1.0, "end"),)
-            return GridFunction.from_parts(tgrid, x, zeros, terms)
+            terms = (SingularTerm(self.c1 + self.c2 * x, alpha - 1.0, "end"),)
+            return GridFunction.from_parts(grid, zeros, terms, x=x)
         if self.regime == "Caputo_wave":
-            terms = (TimeTermField(self.c1 + self.c3 * x + 0.0 * x, alpha - 2.0, "end"),
-                     TimeTermField(self.c2 + self.c4 * x + 0.0 * x, alpha - 1.0, "end"))
-            return GridFunction.from_parts(tgrid, x, zeros, terms)
+            terms = (SingularTerm(self.c1 + self.c3 * x, alpha - 2.0, "end"),
+                     SingularTerm(self.c2 + self.c4 * x, alpha - 1.0, "end"))
+            return GridFunction.from_parts(grid, zeros, terms, x=x)
         # Linear_particular
         if self.spec.kind is Kind.RIEMANN_LIOUVILLE:
-            terms = (TimeTermField(self.c1 * x, alpha - 1.0, "start"),)
-            return GridFunction.from_parts(tgrid, x, zeros, terms)
-        return GridFunction(tgrid, x, np.outer(t, self.c1 * x))
+            terms = (SingularTerm(self.c1 * x, alpha - 1.0, "start"),)
+            return GridFunction.from_parts(grid, zeros, terms, x=x)
+        return GridFunction(grid, x, np.outer(t, self.c1 * x))
 
-    def dt_field(self, tgrid: TimeGrid, x: np.ndarray) -> GridFunction:
+    def dt_field(self, grid: TimeGrid, x: np.ndarray) -> GridFunction:
         """Analytic time derivative v_t on the grid.
 
         Non-integrable powers (below -1) are returned as plain samples with
@@ -247,48 +242,46 @@ class AdjointSubstitution:
         from their singular endpoint.
         """
         x = np.asarray(x, dtype=float)
-        t = tgrid.nodes()
+        t = grid.nodes()
         alpha = self.spec.alpha
         zeros = np.zeros((t.size, x.size))
         if self.regime == "RL_sub":
-            return GridFunction(tgrid, x, zeros)
+            return GridFunction(grid, x, zeros)
         if self.regime == "RL_wave":
-            return GridFunction(tgrid, x, zeros + (self.c3 + self.c4 * x)[None, :])
+            return GridFunction(grid, x, zeros + (self.c3 + self.c4 * x)[None, :])
         if self.regime == "Caputo_sub":
-            return _sampled_end_power(tgrid, x, -(alpha - 1.0) * (self.c1 + self.c2 * x),
-                                      alpha - 2.0)
+            return _sampled_power(grid, x, -(alpha - 1.0) * (self.c1 + self.c2 * x),
+                                  alpha - 2.0, "end")
         if self.regime == "Caputo_wave":
-            a = _sampled_end_power(tgrid, x, -(alpha - 2.0) * (self.c1 + self.c3 * x),
-                                   alpha - 3.0)
-            b = _sampled_end_power(tgrid, x, -(alpha - 1.0) * (self.c2 + self.c4 * x),
-                                   alpha - 2.0)
-            return GridFunction(tgrid, x, a.values + b.values)
+            a = _sampled_power(grid, x, -(alpha - 2.0) * (self.c1 + self.c3 * x),
+                               alpha - 3.0, "end")
+            b = _sampled_power(grid, x, -(alpha - 1.0) * (self.c2 + self.c4 * x),
+                               alpha - 2.0, "end")
+            return GridFunction(grid, x, a.values + b.values)
         if self.spec.kind is Kind.RIEMANN_LIOUVILLE:
-            col = np.where(t > 0, t, 1.0) ** (alpha - 2.0)
-            col[0] = np.inf
-            vals = np.outer(col, (alpha - 1.0) * self.c1 * x)
-            vals[0, :] = np.where(self.c1 * x != 0.0, np.inf * np.sign(
-                (alpha - 1.0) * self.c1 * x), 0.0)
-            return GridFunction(tgrid, x, vals)
-        return GridFunction(tgrid, x, zeros + (self.c1 * x)[None, :])
+            return _sampled_power(grid, x, (alpha - 1.0) * self.c1 * x, alpha - 2.0, "start")
+        return GridFunction(grid, x, zeros + (self.c1 * x)[None, :])
 
-    def dtt_field(self, tgrid: TimeGrid, x: np.ndarray) -> GridFunction:
+    def dtt_field(self, grid: TimeGrid, x: np.ndarray) -> GridFunction:
         """Analytic second time derivative v_tt on the grid."""
         x = np.asarray(x, dtype=float)
-        zeros = np.zeros((tgrid.n_steps + 1, x.size))
+        zeros = np.zeros((grid.n_steps + 1, x.size))
         if self.regime in ("RL_sub", "RL_wave"):
-            return GridFunction(tgrid, x, zeros)
+            return GridFunction(grid, x, zeros)
         raise NotImplementedError("v_tt is only used with polynomial substitutions")
 
 
-def _sampled_end_power(tgrid: TimeGrid, x: np.ndarray, coeffs: np.ndarray,
-                       power: float) -> GridFunction:
-    t = tgrid.nodes()
-    s = tgrid.T - t
-    col = np.where(s > 0, s, 1.0) ** power
-    vals = np.outer(col, coeffs)
-    vals[-1, :] = np.where(coeffs != 0.0, np.inf * np.sign(coeffs), 0.0)
-    return GridFunction(tgrid, x, vals)
+def _sampled_power(grid: TimeGrid, x: np.ndarray, coeffs: np.ndarray, power: float,
+                   anchor: str) -> GridFunction:
+    """Samples of coeffs * t^power ('start') or coeffs * (T-t)^power ('end').
+
+    The anchor row holds signed infinities; no term metadata is attached,
+    so the power may be non-integrable.
+    """
+    t = grid.nodes()
+    with np.errstate(divide="ignore"):
+        col = (t if anchor == "start" else grid.T - t) ** power
+    return GridFunction(grid, x, _scaled(col, coeffs))
 
 
 def adjoint_substitution(regime: str, spec: FractionalSpec,
@@ -306,29 +299,19 @@ def adjoint_residual(v: GridFunction, u: GridFunction, diffusivity: Diffusivity,
     problem uses the Riemann-Liouville derivative, and the right-sided
     Riemann-Liouville derivative when the problem uses the Caputo one.
     """
-    if v.tgrid != u.tgrid or v.x.shape != u.x.shape:
+    if v.grid != u.grid or v.x.shape != u.x.shape:
         raise ValueError("fields are defined on different grids")
-    if spec.kind is Kind.RIEMANN_LIOUVILLE:
-        op = lambda ts: caputo_right_derivative(ts, spec.alpha)
-    else:
-        op = lambda ts: rl_right_derivative(ts, spec.alpha)
+    op = caputo_right_derivative if spec.kind is Kind.RIEMANN_LIOUVILLE else rl_right_derivative
     try:
-        frac = v.map_time_kernel(op)
+        frac = op(v, spec.alpha)
     except ValueError:
         # power-law metadata not representable through this kernel (for
         # example a t^{alpha-1} mode under the right Caputo derivative);
         # fall back to plain samples
-        vals = v.values.copy()
-        vals[~np.isfinite(vals)] = 0.0
-        frac = GridFunction(v.tgrid, v.x, vals).map_time_kernel(op)
-    reg = v.regular_values()
-    vxx = diff2(reg, v.hx, axis=1)
-    for term in v.time_terms:
-        t = v.tgrid.nodes()
-        s = t if term.anchor == "start" else v.tgrid.T - t
-        with np.errstate(divide="ignore"):
-            col = s ** term.power if term.power != 0.0 else np.ones_like(s)
-        col = np.where(np.isfinite(col), col, 0.0)
-        vxx += np.outer(col, diff2(term.coeffs, v.hx))
-    uvals = np.where(np.isfinite(u.values), u.values, 0.0)
-    return GridFunction(v.tgrid, v.x, frac.values - diffusivity.k(uvals) * vxx)
+        frac = op(TimeSeries(v.grid, _finite(v.values)), spec.alpha)
+    vxx = diff2(v.regular_part(), v.hx, axis=1)
+    for term in v.singular:
+        col = _finite(SingularTerm(1.0, term.power, term.anchor).sample(v.grid))
+        vxx += np.outer(col, diff2(term.coeff, v.hx))
+    uvals = _finite(u.values)
+    return GridFunction(v.grid, v.x, frac.values - diffusivity.k(uvals) * vxx)

@@ -6,8 +6,9 @@ The model equation is
 
 where D^alpha_t is the left Riemann-Liouville or Caputo derivative of order
 alpha in (0,2) \\ {1}. Solution fields carry explicit power-law-in-time terms
-(see :class:`TimeTermField`) so that downstream fractional kernels can treat
-initial-time singularities analytically instead of sampling through them.
+(see :class:`fraccons.fracops.SingularTerm`) so that downstream fractional
+kernels can treat initial-time singularities analytically instead of
+sampling through them.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .fracops import (
     SingularTerm,
     TimeGrid,
     TimeSeries,
+    _finite,
     caputo_left_derivative,
     diff1,
     diff2,
@@ -36,7 +38,6 @@ __all__ = [
     "DiffusivityFamily",
     "Diffusivity",
     "TFDEProblem",
-    "TimeTermField",
     "GridFunction",
     "SolverError",
     "exact_linear_separable",
@@ -156,140 +157,42 @@ class TFDEProblem:
             raise ValueError("second-order time regime requires initial_velocity data")
 
 
-@dataclass(frozen=True)
-class TimeTermField:
-    """Separable power-law term coeffs(x) * t^power (or (T-t)^power) of a grid field."""
-
-    coeffs: np.ndarray
-    power: float
-    anchor: str = "start"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        if self.anchor not in ("start", "end"):
-            raise ValueError("anchor must be 'start' or 'end'")
-        if self.power <= -1.0:
-            raise ValueError("power must be > -1")
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Space-time field on a TimeGrid x uniform space nodes.
+class GridFunction(TimeSeries):
+    """Space-time field: a TimeSeries with a trailing space axis on uniform nodes ``x``.
 
     ``values`` has shape (n_steps+1, n_x+1) and holds samples of the full
     function; rows at a singular term's anchor may be non-finite. The
-    ``time_terms`` metadata lets column extraction hand exact power-law
-    information to the fractional kernels.
+    ``singular`` terms carry one coefficient per space node, so the
+    fractional kernels treat power-law behaviour in time exactly on every
+    column at once.
     """
 
-    tgrid: TimeGrid
-    x: np.ndarray
-    values: np.ndarray
-    time_terms: tuple[TimeTermField, ...] = ()
+    def __init__(self, grid: TimeGrid, x: np.ndarray, values: np.ndarray,
+                 singular: tuple[SingularTerm, ...] = ()) -> None:
+        object.__setattr__(self, "x", np.asarray(x, dtype=float))
+        super().__init__(grid, values, singular)
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "values", v)
-        if x.ndim != 1 or x.size < 2:
+        super().__post_init__()
+        if self.x.ndim != 1 or self.x.size < 2:
             raise ValueError("x must be a 1-D array with at least two nodes")
-        if v.shape != (self.tgrid.n_steps + 1, x.size):
+        if self.values.shape != (self.grid.n_steps + 1, self.x.size):
             raise ValueError("values shape must be (n_steps+1, n_x+1)")
-        if not np.isfinite(v[1:-1]).all():
-            raise ValueError("values must be finite away from the time endpoints")
-        for term in self.time_terms:
-            if term.coeffs.shape != x.shape:
-                raise ValueError("time term coefficients must match the space nodes")
 
     @property
     def hx(self) -> float:
         return float(self.x[1] - self.x[0])
 
-    def term_samples(self) -> tuple[np.ndarray, np.ndarray]:
-        """Summed samples of all declared power-law terms and a bad-entry mask."""
-        t = self.tgrid.nodes()
-        total = np.zeros_like(self.values)
-        bad = np.zeros(self.values.shape, dtype=bool)
-        for term in self.time_terms:
-            s = t if term.anchor == "start" else self.tgrid.T - t
-            with np.errstate(divide="ignore"):
-                col = s ** term.power if term.power != 0.0 else np.ones_like(s)
-            block = np.outer(np.where(np.isfinite(col), col, 0.0), term.coeffs)
-            nf = ~np.isfinite(col)
-            total += block
-            bad |= np.outer(nf, term.coeffs != 0.0)
-        return total, bad
-
-    def regular_values(self) -> np.ndarray:
-        """Samples of the field minus all declared power-law terms."""
-        samp, bad = self.term_samples()
-        reg = self.values - samp
-        reg[bad] = 0.0
-        reg[~np.isfinite(reg)] = 0.0
-        return reg
-
-    @classmethod
-    def from_parts(cls, tgrid: TimeGrid, x: np.ndarray, reg: np.ndarray,
-                   terms: tuple[TimeTermField, ...]) -> "GridFunction":
-        """Assemble a field from a regular part and power-law terms."""
-        stub = cls(tgrid, x, np.zeros_like(reg), terms)
-        samp, bad = stub.term_samples()
-        vals = reg + samp
-        if bad.any():
-            # mark entries dominated by a non-finite term with a signed infinity
-            low = min((t for t in terms if t.power < 0), key=lambda t: t.power)
-            sgn = np.sign(np.outer(np.ones(tgrid.n_steps + 1), low.coeffs))
-            with np.errstate(invalid="ignore"):
-                vals[bad] = (np.where(sgn != 0.0, np.inf * sgn, 0.0))[bad]
-        return cls(tgrid, x, vals, terms)
-
     def dx_field(self) -> "GridFunction":
         """Space derivative, differentiating term coefficients analytically."""
-        reg = diff1(self.regular_values(), self.hx, axis=1)
-        terms = tuple(
-            TimeTermField(diff1(t.coeffs, self.hx), t.power, t.anchor)
-            for t in self.time_terms
-        )
-        return GridFunction.from_parts(self.tgrid, self.x, reg, terms)
-
-    def column(self, j: int) -> TimeSeries:
-        terms = tuple(
-            SingularTerm(float(term.coeffs[j]), term.power, term.anchor)
-            for term in self.time_terms
-            if term.coeffs[j] != 0.0
-        )
-        return TimeSeries(self.tgrid, self.values[:, j].copy(), terms)
-
-    def map_time_kernel(self, op) -> "GridFunction":
-        """Apply a TimeSeries -> TimeSeries kernel to every space column."""
-        cols = [op(self.column(j)) for j in range(self.x.size)]
-        vals = np.column_stack([c.values for c in cols])
-        # collect identical (power, anchor) outputs back into separable terms
-        acc: dict[tuple[float, str], np.ndarray] = {}
-        for j, c in enumerate(cols):
-            for term in c.singular:
-                key = (term.power, term.anchor)
-                if key not in acc:
-                    acc[key] = np.zeros(self.x.size)
-                acc[key][j] += term.coeff
-        terms = tuple(TimeTermField(v, p, a) for (p, a), v in acc.items())
-        return GridFunction(self.tgrid, self.x, vals, terms)
-
-    def dt(self, order: int = 1) -> "GridFunction":
-        from .fracops import time_derivative
-
-        return self.map_time_kernel(lambda ts: time_derivative(ts, order))
-
-    def dx(self) -> "GridFunction":
-        return GridFunction(self.tgrid, self.x, diff1(self.values, self.hx, axis=1))
-
-    def dxx(self) -> "GridFunction":
-        return GridFunction(self.tgrid, self.x, diff2(self.values, self.hx, axis=1))
+        reg = diff1(self.regular_part(), self.hx, axis=1)
+        terms = tuple(SingularTerm(diff1(t.coeff, self.hx), t.power, t.anchor)
+                      for t in self.singular)
+        return GridFunction.from_parts(self.grid, reg, terms, x=self.x)
 
     def to_csv(self, path: str) -> None:
         """Write the field as CSV: header row of x nodes, first column of t nodes."""
-        t = self.tgrid.nodes()
+        t = self.grid.nodes()
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t\\x," + ",".join(f"{xv:.17g}" for xv in self.x) + "\n")
             for i in range(t.size):
@@ -322,7 +225,7 @@ def _check_xgrid(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def exact_linear_separable(spec: FractionalSpec, lam: float, tgrid: TimeGrid,
+def exact_linear_separable(spec: FractionalSpec, lam: float, grid: TimeGrid,
                            x: np.ndarray) -> GridFunction:
     """Separable mode of the linear equation (constant diffusivity k = 1).
 
@@ -332,20 +235,20 @@ def exact_linear_separable(spec: FractionalSpec, lam: float, tgrid: TimeGrid,
     if lam <= 0:
         raise ValueError("lam must be positive")
     x = _check_xgrid(x)
-    if tgrid.T > spec.T + 1e-12:
+    if grid.T > spec.T + 1e-12:
         raise ValueError("time grid extends beyond the problem horizon")
     alpha = spec.alpha
-    t = tgrid.nodes()
+    t = grid.nodes()
     sx = np.sin(lam * x)
     z = -(lam ** 2) * t ** alpha
-    terms: list[TimeTermField] = []
+    terms: list[SingularTerm] = []
     if spec.kind is Kind.CAPUTO:
         et = np.array([mittag_leffler(alpha, 1.0, zz) for zz in z])
         vals = np.outer(et, sx)
         # leading power-law terms of the series, handled exactly downstream
         for kk in range(1, 4):
             c = (-(lam ** 2)) ** kk / gamma(1.0 + kk * alpha)
-            terms.append(TimeTermField(c * sx, kk * alpha))
+            terms.append(SingularTerm(c * sx, kk * alpha))
     else:
         et = np.array([mittag_leffler(alpha, alpha, zz) for zz in z])
         tt = np.where(t > 0, t, 1.0) ** (alpha - 1.0)
@@ -356,32 +259,28 @@ def exact_linear_separable(spec: FractionalSpec, lam: float, tgrid: TimeGrid,
                 vals[0, :] = np.where(sx != 0.0, np.inf * np.sign(sx), 0.0)
         for kk in range(0, 4):
             c = (-(lam ** 2)) ** kk / gamma(alpha * (kk + 1.0))
-            terms.append(TimeTermField(c * sx, alpha * (kk + 1.0) - 1.0))
-    return GridFunction(tgrid, x, vals, tuple(terms))
+            terms.append(SingularTerm(c * sx, alpha * (kk + 1.0) - 1.0))
+    return GridFunction(grid, x, vals, tuple(terms))
 
 
-def exact_rl_power_mode(alpha: float, c: float, tgrid: TimeGrid, x: np.ndarray) -> GridFunction:
+def exact_rl_power_mode(alpha: float, c: float, grid: TimeGrid, x: np.ndarray) -> GridFunction:
     """Space-constant Riemann-Liouville mode u = c t^{alpha-1} (D^alpha u = 0)."""
     x = _check_xgrid(x)
-    t = tgrid.nodes()
-    coeffs = np.full(x.size, c)
-    with np.errstate(divide="ignore"):
-        col = c * t ** (alpha - 1.0)
-    vals = np.tile(col[:, None], (1, x.size))
-    return GridFunction(tgrid, x, vals, (TimeTermField(coeffs, alpha - 1.0),))
+    term = SingularTerm(np.full(x.size, c), alpha - 1.0)
+    return GridFunction.from_parts(grid, np.zeros((grid.n_steps + 1, x.size)), (term,), x=x)
 
 
 def exact_stationary_caputo(diffusivity: Diffusivity, a: float, b: float,
-                            tgrid: TimeGrid, x: np.ndarray) -> GridFunction:
+                            grid: TimeGrid, x: np.ndarray) -> GridFunction:
     """Time-independent solution u = K^{-1}(a x + b) of the Caputo-kind equation."""
     x = _check_xgrid(x)
     ux = diffusivity.K_inv(a * x + b)
-    vals = np.tile(ux[None, :], (tgrid.n_steps + 1, 1))
-    return GridFunction(tgrid, x, vals)
+    vals = np.tile(ux[None, :], (grid.n_steps + 1, 1))
+    return GridFunction(grid, x, vals)
 
 
 def exact_rl_separable(diffusivity: Diffusivity, alpha: float, a: float, b: float,
-                       tgrid: TimeGrid, x: np.ndarray) -> GridFunction:
+                       grid: TimeGrid, x: np.ndarray) -> GridFunction:
     """Separable solution u = t^{alpha-1} K^{-1}(a x + b) of the RL-kind equation.
 
     Valid for the power diffusivity family: the flux term is proportional to
@@ -391,12 +290,8 @@ def exact_rl_separable(diffusivity: Diffusivity, alpha: float, a: float, b: floa
     if diffusivity.family is not DiffusivityFamily.POWER:
         raise ValueError("the separable mode requires a power-law diffusivity")
     x = _check_xgrid(x)
-    gx = diffusivity.K_inv(a * x + b)
-    t = tgrid.nodes()
-    with np.errstate(divide="ignore"):
-        col = t ** (alpha - 1.0)
-    vals = np.outer(col, gx)
-    return GridFunction(tgrid, x, vals, (TimeTermField(gx, alpha - 1.0),))
+    term = SingularTerm(diffusivity.K_inv(a * x + b), alpha - 1.0)
+    return GridFunction.from_parts(grid, np.zeros((grid.n_steps + 1, x.size)), (term,), x=x)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +368,7 @@ def _newton_step_solve(problem: TFDEProblem, c0: float, rhs: np.ndarray,
     return w
 
 
-def solve_nonlinear(problem: TFDEProblem, tgrid: TimeGrid, n_x: int) -> GridFunction:
+def solve_nonlinear(problem: TFDEProblem, grid: TimeGrid, n_x: int) -> GridFunction:
     """Implicit L1 / product-integration time stepping with Newton in space.
 
     Caputo kind: standard L1 discretization of the fractional derivative.
@@ -489,22 +384,22 @@ def solve_nonlinear(problem: TFDEProblem, tgrid: TimeGrid, n_x: int) -> GridFunc
     n = spec.n
     x = np.linspace(problem.x_lo, problem.x_hi, n_x + 1)
     hx = x[1] - x[0]
-    h = tgrid.h
-    t = tgrid.nodes()
-    n_t = tgrid.n_steps
+    h = grid.h
+    t = grid.nodes()
+    n_t = grid.n_steps
 
-    terms: list[TimeTermField] = []
+    terms: list[SingularTerm] = []
     base = np.zeros((n_t + 1, x.size))
     if spec.kind is Kind.RIEMANN_LIOUVILLE:
         c1 = np.asarray(problem.initial(x), dtype=float)
-        terms.append(TimeTermField(c1, alpha - 1.0))
+        terms.append(SingularTerm(c1, alpha - 1.0))
         if n == 2:
             c2 = np.asarray(problem.initial_velocity(x), dtype=float)
             if np.any(c2 != 0.0):
-                terms.append(TimeTermField(c2, alpha - 2.0))
+                terms.append(SingularTerm(c2, alpha - 2.0))
         for term in terms:
             with np.errstate(divide="ignore"):
-                base += np.outer(t ** term.power, term.coeffs)
+                base += np.outer(t ** term.power, term.coeff)
         base[0, :] = 0.0  # never evaluated at t = 0
         w0 = np.zeros(x.size)
         v0 = np.zeros(x.size)
@@ -522,7 +417,7 @@ def solve_nonlinear(problem: TFDEProblem, tgrid: TimeGrid, n_x: int) -> GridFunc
         if spec.kind is Kind.RIEMANN_LIOUVILLE:
             j = 0 if side == "lo" else -1
             for term in terms:
-                val -= term.coeffs[j] * ti ** term.power
+                val -= term.coeff[j] * ti ** term.power
         return val
 
     W = np.zeros((n_t + 1, x.size))
@@ -555,25 +450,20 @@ def solve_nonlinear(problem: TFDEProblem, tgrid: TimeGrid, n_x: int) -> GridFunc
             W[m] = _newton_step_solve(problem, c_l1 / h, rhs, base[m], W[m - 1], bc, hx)
             V[m] = (W[m] - W[m - 1]) / h
 
-    vals = W + base
-    if spec.kind is Kind.RIEMANN_LIOUVILLE:
-        lead = terms[0] if n == 1 else (terms[1] if len(terms) > 1 else terms[0])
-        s = np.sign(lead.coeffs)
-        if lead.power < 0:
-            vals[0, :] = np.where(s != 0.0, np.inf * s, vals[0, :])
-    return GridFunction(tgrid, x, vals, tuple(terms))
+    return GridFunction.from_parts(grid, W, terms, x=x)
+
+
+def _equation_residual(u: GridFunction, spec: FractionalSpec,
+                       diffusivity: Diffusivity) -> np.ndarray:
+    """D^alpha_t u - k'(u) u_x^2 - k(u) u_xx on the grid."""
+    op = rl_left_derivative if spec.kind is Kind.RIEMANN_LIOUVILLE else caputo_left_derivative
+    frac = op(u, spec.alpha)
+    vals = _finite(u.values)
+    ux = diff1(vals, u.hx, axis=1)
+    uxx = diff2(vals, u.hx, axis=1)
+    return frac.values - diffusivity.k_prime(vals) * ux ** 2 - diffusivity.k(vals) * uxx
 
 
 def tfde_residual(u: GridFunction, problem: TFDEProblem) -> GridFunction:
     """Equation residual D^alpha_t u - k'(u) u_x^2 - k(u) u_xx on the grid."""
-    spec = problem.spec
-    if spec.kind is Kind.RIEMANN_LIOUVILLE:
-        frac = u.map_time_kernel(lambda ts: rl_left_derivative(ts, spec.alpha))
-    else:
-        frac = u.map_time_kernel(lambda ts: caputo_left_derivative(ts, spec.alpha))
-    vals = np.where(np.isfinite(u.values), u.values, 0.0)
-    ux = diff1(vals, u.hx, axis=1)
-    uxx = diff2(vals, u.hx, axis=1)
-    diff = problem.diffusivity
-    res = frac.values - diff.k_prime(vals) * ux ** 2 - diff.k(vals) * uxx
-    return GridFunction(u.tgrid, u.x, res)
+    return GridFunction(u.grid, u.x, _equation_residual(u, problem.spec, problem.diffusivity))

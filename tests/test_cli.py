@@ -129,6 +129,29 @@ class TestVerifyCommand:
         rc = main(["verify", "--config", cfg_path])
         assert rc == 2
 
+    def test_nonconvergent_series_exits_3(self, tmp_path, capsys):
+        # lam = 4 drives the Mittag-Leffler argument of the exact solution
+        # past the range where its series converges
+        cfg_path = write_config(tmp_path, base_config(
+            diffusivity={"family": "constant"}, x_hi=np.pi,
+            source={"id": "exact_linear", "params": {"lam": 4.0}},
+            vectors=["Trivial_Caputo"], n_x=8))
+        rc = main(["verify", "--config", cfg_path])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_nonfinite_residual_exits_4(self, tmp_path, capsys, monkeypatch):
+        def nonfinite(cv, *args, **kwargs):
+            raise FloatingPointError(f"{cv.provenance}: non-finite residual inside the window")
+
+        monkeypatch.setattr("fraccons.cli.divergence_residual", nonfinite)
+        rc = main(["verify", "--config", write_config(tmp_path, base_config())])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "non-finite" in err
+
     def test_grids_override(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
         rc = main(["verify", "--config", cfg_path, "--grids", "16"])

@@ -111,7 +111,7 @@ class TestLeftIntegral:
         # I^{0.5} t^{-0.5} = Gamma(0.5) / Gamma(1) = sqrt(pi), a constant.
         grid = TimeGrid(1.0, 16)
         out = left_frac_integral(power_series(grid, 1.0, -0.5), 0.5)
-        assert np.max(np.abs(out.total_values() - math.sqrt(math.pi))) < 1e-12
+        assert np.max(np.abs(out.values - math.sqrt(math.pi))) < 1e-12
 
     def test_mu_validation(self):
         grid = TimeGrid(1.0, 8)
@@ -171,7 +171,7 @@ class TestDerivatives:
         rl = rl_left_derivative(f, a)
         cap = caputo_left_derivative(f, a)
         t = grid.nodes()[64:]
-        diff = rl.total_values()[64:] - cap.total_values()[64:]
+        diff = rl.values[64:] - cap.values[64:]
         ref = t ** -a / G(1.0 - a)
         assert np.max(np.abs(diff - ref)) < 1e-3
 
@@ -332,3 +332,87 @@ class TestEndpointWeightedIntegrals:
         grid = TimeGrid(1.0, 64)
         out = left_integral_endpoint_pole(series(grid, np.exp), 0.5)
         assert out.regular_part()[-1] == 0.0
+
+
+def field_and_columns(grid, start_power, end_power):
+    """Five-column field with per-column start and end terms, and its columns.
+
+    Column 1 has no start term, columns 0 and 3 no end term, and column 4
+    is identically zero.
+    """
+    t = grid.nodes()[:, None]
+    reg = np.cos((1.0 + np.arange(5)) * t) + t ** 2
+    reg[:, 4] = 0.0
+    terms = ()
+    if start_power is not None:
+        terms += (SingularTerm(np.array([0.7, 0.0, -0.3, 1.1, 0.0]), start_power, "start"),)
+    if end_power is not None:
+        terms += (SingularTerm(np.array([0.0, 0.5, 0.2, 0.0, 0.0]), end_power, "end"),)
+    whole = TimeSeries.from_parts(grid, reg, terms)
+    cols = [TimeSeries(grid, whole.values[:, j],
+                       tuple(SingularTerm(tm.coeff[j], tm.power, tm.anchor) for tm in terms))
+            for j in range(5)]
+    return whole, cols
+
+
+def assert_whole_matches_columns(whole, cols):
+    stacked = np.column_stack([c.values for c in cols])
+    fin = np.isfinite(stacked)
+    assert np.array_equal(np.isfinite(whole.values), fin)
+    assert np.array_equal(whole.values[~fin], stacked[~fin])
+    scale = np.max(np.abs(stacked[fin]))
+    assert np.max(np.abs(whole.values[fin] - stacked[fin])) <= 1e-12 * scale
+    for j, col in enumerate(cols):
+        got = {(tm.power, tm.anchor): tm.coeff[j] for tm in whole.singular if tm.coeff[j] != 0.0}
+        want = {(tm.power, tm.anchor): tm.coeff for tm in col.singular}
+        assert got.keys() == want.keys()
+        for key, coeff in want.items():
+            assert got[key] == pytest.approx(coeff, rel=1e-12)
+
+
+def _pole(f):
+    finite = np.where(np.isfinite(f.values), f.values, 0.0)
+    return left_integral_endpoint_pole(TimeSeries(f.grid, finite), 0.5)
+
+
+class TestWholeField:
+    """Each kernel on a whole field equals the stack of its single-column calls."""
+
+    @pytest.mark.parametrize("kernel, start_power, end_power", [
+        (lambda f: left_frac_integral(f, 0.5), -0.4, -0.6),
+        (lambda f: right_frac_integral(f, 0.5), -0.6, -0.4),
+        (lambda f: time_derivative(f), 0.5, 0.3),
+        (lambda f: time_derivative(f, 2), 1.5, 1.3),
+        (lambda f: rl_left_derivative(f, 0.5), -0.4, 0.3),
+        (lambda f: rl_left_derivative(f, 1.5), 0.7, 0.3),
+        (lambda f: caputo_left_derivative(f, 0.5), 0.5, 0.3),
+        (lambda f: caputo_left_derivative(f, 1.5), 1.5, 1.3),
+        (lambda f: rl_right_derivative(f, 0.5), 0.3, -0.4),
+        (lambda f: caputo_right_derivative(f, 0.5), 0.3, 0.5),
+        (lambda f: f_modified_integral(f, 1.5), -0.4, 0.3),
+        (_pole, -0.4, 0.3),
+    ], ids=["left_frac_integral", "right_frac_integral", "time_derivative",
+            "time_derivative_2", "rl_left_derivative", "rl_left_derivative_wave",
+            "caputo_left_derivative", "caputo_left_derivative_wave", "rl_right_derivative",
+            "caputo_right_derivative", "f_modified_integral", "left_integral_endpoint_pole"])
+    def test_kernel_matches_single_columns(self, kernel, start_power, end_power):
+        grid = TimeGrid(1.0, 24)
+        whole, cols = field_and_columns(grid, start_power, end_power)
+        assert_whole_matches_columns(kernel(whole), [kernel(c) for c in cols])
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.3])
+    @pytest.mark.parametrize("f_powers, g_powers", [
+        ((None, None), (None, None)),
+        ((-0.4, 0.3), (None, None)),
+        ((-0.4, 0.3), (None, -0.5)),
+        ((-0.4, None), (0.5, None)),
+    ], ids=["regular", "f_terms", "g_end_term", "g_start_term"])
+    def test_j_integral_matches_single_columns(self, alpha, f_powers, g_powers):
+        grid = TimeGrid(1.0, 24)
+        f, f_cols = field_and_columns(grid, *f_powers)
+        g, g_cols = field_and_columns(grid, *g_powers)
+        g = TimeSeries(grid, g.values[:, ::-1], tuple(
+            SingularTerm(tm.coeff[::-1], tm.power, tm.anchor) for tm in g.singular))
+        g_cols = g_cols[::-1]
+        assert_whole_matches_columns(j_integral(f, g, alpha),
+                                     [j_integral(fc, gc, alpha) for fc, gc in zip(f_cols, g_cols)])

@@ -76,7 +76,7 @@ class TestCharacteristic:
         sym = next(s for s in list_symmetries(CAP, 0.5, Diffusivity.constant(1.0))
                    if s.id == "X1")
         w = characteristic(sym, u)
-        ref = np.tile(u.tgrid.nodes()[:, None], (1, u.x.size))
+        ref = np.tile(u.grid.nodes()[:, None], (1, u.x.size))
         assert np.max(np.abs(w.values - ref)) < 1e-12
 
     def test_x2_on_separable_field(self):
@@ -97,7 +97,7 @@ class TestCharacteristic:
 
     def test_xinf_returns_supplied_solution(self):
         u = self._linear_field()
-        h = exact_linear_separable(FractionalSpec(CAP, 0.5, 1.0), 1.0, u.tgrid,
+        h = exact_linear_separable(FractionalSpec(CAP, 0.5, 1.0), 1.0, u.grid,
                                    np.linspace(0.0, 1.0, 17))
         sym = next(s for s in list_symmetries(CAP, 0.5, Diffusivity.constant(1.0), h=h)
                    if s.id == "Xinf")
@@ -113,8 +113,8 @@ class TestCharacteristic:
         sym = next(s for s in list_symmetries(RL, alpha, Diffusivity.power(beta))
                    if s.id == "X4_rl")
         w = characteristic(sym, u)
-        assert np.max(np.abs(w.regular_values())) < 1e-12
-        assert all(np.max(np.abs(t.coeffs)) < 1e-12 for t in w.time_terms)
+        assert np.max(np.abs(w.regular_part())) < 1e-12
+        assert all(np.max(np.abs(t.coeff)) < 1e-12 for t in w.singular)
 
 
 class TestAdjointSubstitution:
@@ -150,7 +150,7 @@ class TestAdjointSubstitution:
         v = sub.field(tgrid, x)
         t = tgrid.nodes()[:-1]
         assert np.allclose(v.values[:-1, 0], (1.0 - t) ** -0.5)
-        assert len(v.time_terms) == 1 and v.time_terms[0].anchor == "end"
+        assert len(v.singular) == 1 and v.singular[0].anchor == "end"
 
 
 class TestAdjointResidual:

@@ -2,14 +2,13 @@
 import numpy as np
 import pytest
 
-from fraccons.fracops import FractionalSpec, Kind, TimeGrid
+from fraccons.fracops import FractionalSpec, Kind, SingularTerm, TimeGrid
 from fraccons.tfde import (
     Diffusivity,
     DiffusivityFamily,
     GridFunction,
     SolverError,
     TFDEProblem,
-    TimeTermField,
     exact_linear_separable,
     exact_rl_power_mode,
     exact_rl_separable,
@@ -74,39 +73,29 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             GridFunction(tgrid, x, np.zeros((3, 5)))
 
-    def test_column_carries_declared_terms(self):
-        tgrid = TimeGrid(1.0, 8)
-        x = np.linspace(0.0, 1.0, 5)
-        u = exact_rl_power_mode(0.5, 0.7, tgrid, x)
-        col = u.column(2)
-        assert len(col.singular) == 1
-        assert col.singular[0].coeff == pytest.approx(0.7)
-        assert col.singular[0].power == pytest.approx(-0.5)
-        assert np.max(np.abs(col.regular_part())) < 1e-14
-
     def test_dx_field_on_separable_data(self):
         u = self._field()
         dux = u.dx_field()
         # d/dx (t x) = t
-        assert np.allclose(dux.values, np.outer(u.tgrid.nodes(), np.ones(5)), atol=1e-12)
+        assert np.allclose(dux.values, np.outer(u.grid.nodes(), np.ones(5)), atol=1e-12)
 
     def test_csv_round_trip(self, tmp_path):
         u = self._field()
         path = tmp_path / "field.csv"
         u.to_csv(str(path))
         back = GridFunction.from_csv(str(path))
-        assert back.tgrid == u.tgrid
+        assert back.grid == u.grid
         assert np.allclose(back.x, u.x)
         assert np.allclose(back.values, u.values)
 
     def test_from_parts_round_trip(self):
         tgrid = TimeGrid(1.0, 8)
         x = np.linspace(0.0, 1.0, 5)
-        term = TimeTermField(np.ones(5), -0.5)
+        term = SingularTerm(np.ones(5), -0.5)
         reg = np.outer(tgrid.nodes(), x)
-        u = GridFunction.from_parts(tgrid, x, reg, (term,))
+        u = GridFunction.from_parts(tgrid, reg, (term,), x=x)
         assert np.isinf(u.values[0, 0])
-        assert np.allclose(u.regular_values(), reg)
+        assert np.allclose(u.regular_part(), reg)
 
 
 class TestExactSolutions:
