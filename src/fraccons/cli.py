@@ -223,9 +223,7 @@ def _vector_eval(cfg: ScenarioConfig, vid: str, u: GridFunction):
             raise ConfigError(f"{vid} requires a substitution block")
         sym = _sym(vid.split(":", 1)[1], cfg.alpha, beta=diffu.beta)
         return noether_vector(sym, sub, spec, diffu)
-    row0 = u.values[0]
-    u0 = np.where(np.isfinite(row0), row0, 0.0)
-    return catalog_vector(vid, spec, diffu, initial=u0,
+    return catalog_vector(vid, spec, diffu, initial=u.values[0],
                           initial_velocity=np.zeros_like(u.x), substitution=sub)
 
 

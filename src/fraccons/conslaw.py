@@ -19,7 +19,6 @@ from .fracops import (
     Kind,
     FractionalSpec,
     TimeSeries,
-    _finite,
     diff1,
     f_modified_integral,
     j_integral,
@@ -55,7 +54,7 @@ __all__ = [
 
 def _pole_integral(u: GridFunction, mu: float) -> np.ndarray:
     """(I^mu (u/(T-.)))(t) on the whole field; metadata-free samples are used."""
-    return left_integral_endpoint_pole(TimeSeries(u.grid, _finite(u.values)), mu).values
+    return left_integral_endpoint_pole(TimeSeries(u.grid, u.values), mu).values
 
 
 def _ux(u: GridFunction) -> np.ndarray:
@@ -70,17 +69,14 @@ def formal_lagrangian(u: GridFunction, v: GridFunction, diffusivity: Diffusivity
                       spec: FractionalSpec) -> GridFunction:
     """L = v [D^alpha_t u - k'(u) u_x^2 - k(u) u_xx]."""
     bracket = _equation_residual(u, spec, diffusivity)
-    with np.errstate(invalid="ignore"):
-        vals = v.values * bracket
-    return GridFunction(u.grid, u.x, vals)
+    return GridFunction(u.grid, u.x, v.values * bracket)
 
 
 def _sym_coeff_fields(sym: Symmetry, u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
     t = u.grid.nodes()[:, None]
     x = u.x[None, :]
-    with np.errstate(invalid="ignore"):
-        xi0 = np.broadcast_to(sym.xi0(t, x, u.values), u.values.shape)
-        xi1 = np.broadcast_to(sym.xi1(t, x, u.values), u.values.shape)
+    xi0 = np.broadcast_to(sym.xi0(t, x, u.values), u.values.shape)
+    xi1 = np.broadcast_to(sym.xi1(t, x, u.values), u.values.shape)
     return np.asarray(xi0, dtype=float), np.asarray(xi1, dtype=float)
 
 
@@ -102,39 +98,30 @@ def noether_t(sym: Symmetry, u: GridFunction, sub: AdjointSubstitution,
     v = sub.field(u.grid, u.x)
     L = formal_lagrangian(u, v, diffusivity, spec)
     xi0, _ = _sym_coeff_fields(sym, u)
-    with np.errstate(invalid="ignore"):
-        out = xi0 * L.values
+    out = xi0 * L.values
     out[xi0 == 0.0] = 0.0
     if spec.kind is Kind.RIEMANN_LIOUVILLE:
         if n == 1:
             A = left_frac_integral(W, 1.0 - alpha).values
             vt = sub.dt_field(u.grid, u.x)
-            with np.errstate(invalid="ignore"):
-                out = out + v.values * A
-            out = out + j_integral(W, vt, alpha).values
+            out = out + v.values * A + j_integral(W, vt, alpha).values
         else:
             A = rl_left_derivative(W, alpha - 1.0).values
             B = left_frac_integral(W, 2.0 - alpha).values
             vt = sub.dt_field(u.grid, u.x)
             vtt = sub.dtt_field(u.grid, u.x)
-            with np.errstate(invalid="ignore"):
-                out = out + v.values * A - vt.values * B
-            out = out - j_integral(W, vtt, alpha).values
+            out = out + v.values * A - vt.values * B - j_integral(W, vtt, alpha).values
     else:
         if n == 1:
             A = right_frac_integral(v, 1.0 - alpha).values
             Wt = time_derivative(W)
-            with np.errstate(invalid="ignore"):
-                out = out + W.values * A
-            out = out - j_integral(Wt, v, alpha).values
+            out = out + W.values * A - j_integral(Wt, v, alpha).values
         else:
             A = rl_right_derivative(v, alpha - 1.0).values
             B = right_frac_integral(v, 2.0 - alpha).values
             Wt = time_derivative(W)
             Wtt = time_derivative(W, 2)
-            with np.errstate(invalid="ignore"):
-                out = out + W.values * A + Wt.values * B
-            out = out - j_integral(Wtt, v, alpha).values
+            out = out + W.values * A + Wt.values * B - j_integral(Wtt, v, alpha).values
     return GridFunction(u.grid, u.x, out)
 
 
@@ -149,16 +136,15 @@ def noether_x(sym: Symmetry, u: GridFunction, sub: AdjointSubstitution,
     v = sub.field(u.grid, u.x)
     L = formal_lagrangian(u, v, diffusivity, spec)
     _, xi1 = _sym_coeff_fields(sym, u)
-    uv = _finite(u.values)
+    uv = u.values
     k = diffusivity.k(uv)
     kp = diffusivity.k_prime(uv)
     ux = diff1(uv, u.hx, axis=1)
-    vx = _finite(v.dx_field().values)
+    vx = v.dx_field().values
     Wx = W.dx_field().values
-    with np.errstate(invalid="ignore"):
-        out = xi1 * L.values
-        out[xi1 == 0.0] = 0.0
-        out = out + W.values * (vx * k - v.values * kp * ux) - Wx * v.values * k
+    out = xi1 * L.values
+    out[xi1 == 0.0] = 0.0
+    out = out + W.values * (vx * k - v.values * kp * ux) - Wx * v.values * k
     return GridFunction(u.grid, u.x, out)
 
 
@@ -175,8 +161,9 @@ class ConservedVectorEval:
     _fn: Callable[[GridFunction], tuple[np.ndarray, np.ndarray]]
 
     def components(self, u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
-        # singular time weights may produce inf at the first/last row; the
-        # verifiers exclude those rows and reject non-finite interior values
+        # the vectors themselves may be infinite at an end row: the weights
+        # (T-t)^{alpha-k} at t = T, and k(u) = u^beta with beta < 0 at u = 0;
+        # the verifiers exclude those rows and reject non-finite interior values
         with np.errstate(divide="ignore", invalid="ignore"):
             ct, cx = self._fn(u)
         return np.asarray(ct, dtype=float), np.asarray(cx, dtype=float)
@@ -248,7 +235,7 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
                 ct = left_frac_integral(u, 1.0 - alpha).values
             else:
                 ct = rl_left_derivative(u, alpha - 1.0).values
-            cx = -diffusivity.k(_finite(u.values)) * _ux(u)
+            cx = -diffusivity.k(u.values) * _ux(u)
             return ct, cx
 
         return ConservedVectorEval(provenance, spec, fn)
@@ -258,7 +245,7 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
 
         def fn(u: GridFunction):
             ct = left_frac_integral(time_derivative(u, n), n + 1.0 - alpha).values
-            cx = -diffusivity.k(_finite(u.values)) * _ux(u)
+            cx = -diffusivity.k(u.values) * _ux(u)
             return ct, cx
 
         return ConservedVectorEval(provenance, spec, fn)
@@ -270,7 +257,7 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
         def fn(u: GridFunction):
             x = u.x[None, :]
             t = u.grid.nodes()[:, None]
-            uv = _finite(u.values)
+            uv = u.values
             k = diffusivity.k(uv)
             ux = _ux(u)
             i1 = left_frac_integral(u, 1.0 - alpha).values
@@ -298,7 +285,7 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
         def fn(u: GridFunction):
             x = u.x[None, :]
             t = u.grid.nodes()[:, None]
-            uv = _finite(u.values)
+            uv = u.values
             k = diffusivity.k(uv)
             K = diffusivity.K(uv)
             ux = _ux(u)
@@ -334,7 +321,7 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
             x = u.x[None, :]
             t = u.grid.nodes()
             s = (T - t)[:, None]
-            uv = _finite(u.values)
+            uv = u.values
             k = diffusivity.k(uv)
             K = diffusivity.K(uv)
             ux = _ux(u)
@@ -363,7 +350,7 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
             x = u.x[None, :]
             t = u.grid.nodes()
             s = (T - t)[:, None]
-            uv = _finite(u.values)
+            uv = u.values
             k = diffusivity.k(uv)
             K = diffusivity.K(uv)
             ux = _ux(u)
@@ -406,35 +393,28 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
             sym = _sym({"X3": "X3_lin"}.get(sym_tag, sym_tag), alpha, h=h)
             W = characteristic(sym, u)
             v = sub.field(u.grid, u.x)
-            vx = _finite(v.dx_field().values)
+            vx = v.dx_field().values
             Wx = W.dx_field().values
-            with np.errstate(invalid="ignore"):
-                cx = vx * W.values - v.values * Wx
+            cx = vx * W.values - v.values * Wx
             if spec.kind is Kind.RIEMANN_LIOUVILLE:
                 if n == 1:
                     A = left_frac_integral(W, 1.0 - alpha).values
-                    with np.errstate(invalid="ignore"):
-                        ct = v.values * A
-                    ct = ct + j_integral(W, sub.dt_field(u.grid, u.x), alpha).values
+                    ct = v.values * A + j_integral(W, sub.dt_field(u.grid, u.x), alpha).values
                 else:
                     A = rl_left_derivative(W, alpha - 1.0).values
                     B = left_frac_integral(W, 2.0 - alpha).values
                     vt = sub.dt_field(u.grid, u.x)
-                    with np.errstate(invalid="ignore"):
-                        ct = v.values * A - vt.values * B
-                    ct = ct - j_integral(W, sub.dtt_field(u.grid, u.x), alpha).values
+                    ct = (v.values * A - vt.values * B
+                          - j_integral(W, sub.dtt_field(u.grid, u.x), alpha).values)
             else:
                 if n == 1:
                     A = right_frac_integral(v, 1.0 - alpha).values
-                    with np.errstate(invalid="ignore"):
-                        ct = W.values * A
-                    ct = ct - j_integral(time_derivative(W), v, alpha).values
+                    ct = W.values * A - j_integral(time_derivative(W), v, alpha).values
                 else:
                     A = rl_right_derivative(v, alpha - 1.0).values
                     B = right_frac_integral(v, 2.0 - alpha).values
-                    with np.errstate(invalid="ignore"):
-                        ct = W.values * A + time_derivative(W).values * B
-                    ct = ct - j_integral(time_derivative(W, 2), v, alpha).values
+                    ct = (W.values * A + time_derivative(W).values * B
+                          - j_integral(time_derivative(W, 2), v, alpha).values)
             return ct, cx
 
         return ConservedVectorEval(provenance, spec, fn)
@@ -577,8 +557,9 @@ def flux_balance(cv: ConservedVectorEval, u: GridFunction,
     ``components`` is ``cv.components(u)`` when the caller has it already.
     """
     ct, cx = cv.components(u) if components is None else components
-    mass = np.trapezoid(_finite(ct), dx=u.hx, axis=1)
+    # C^t and C^x may be infinite at the end rows, which the window excludes
     with np.errstate(invalid="ignore"):
+        mass = np.trapezoid(ct, dx=u.hx, axis=1)
         bal = diff1(mass, u.grid.h) + (cx[:, -1] - cx[:, 0])
     lo, hi = _time_window(u.grid.n_steps + 1, exclude_frac)
     window = bal[lo:hi]

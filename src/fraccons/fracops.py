@@ -91,19 +91,11 @@ class TimeGrid:
         return np.linspace(0.0, self.T, self.n_steps + 1)
 
 
-def _finite(vals: np.ndarray) -> np.ndarray:
-    """Copy of vals with non-finite entries replaced by zero."""
-    return np.where(np.isfinite(vals), vals, 0.0)
-
-
-def _scaled(col: np.ndarray, coeff) -> np.ndarray:
-    """col (one value per node) times coeff (a float or an (m,) array).
-
-    Zero coefficients give exact zeros, also where col is infinite.
-    """
-    c = np.asarray(coeff)
-    with np.errstate(invalid="ignore"):
-        return np.where(c != 0.0, np.multiply.outer(col, c), 0.0)
+def _power_samples(grid: TimeGrid, power: float, anchor: str) -> np.ndarray:
+    """t^power ('start') or (T-t)^power ('end') at the nodes; 0 where the base is 0 and power < 0."""
+    t = grid.nodes()
+    s = t if anchor == "start" else grid.T - t
+    return np.power(s, power, out=np.zeros_like(s), where=(s > 0.0) | (power >= 0.0))
 
 
 def _along_time(col: np.ndarray, ndim: int) -> np.ndarray:
@@ -132,10 +124,22 @@ class SingularTerm:
             raise ValueError("singular power must be > -1 for integrability")
 
     def sample(self, grid: TimeGrid) -> np.ndarray:
-        t = grid.nodes()
-        s = t if self.anchor == "start" else grid.T - t
-        with np.errstate(divide="ignore"):
-            return _scaled(np.power(s, self.power), self.coeff)
+        """Samples of the term; 0 at the anchor node when the power is negative."""
+        return np.multiply.outer(_power_samples(grid, self.power, self.anchor), self.coeff)
+
+
+def _anchor_entries(terms) -> list[tuple[int, np.ndarray]]:
+    """(row, column mask) of the entries where a negative-power term is infinite:
+    its anchor row, in the columns where its coefficient is nonzero."""
+    return [(0 if tm.anchor == "start" else -1, np.asarray(tm.coeff) != 0.0)
+            for tm in terms if tm.power < 0.0]
+
+
+def _zero_anchors(v: np.ndarray, terms) -> np.ndarray:
+    """Set the entries of v where a term is infinite to 0, in place."""
+    for row, hit in _anchor_entries(terms):
+        v[row] = np.where(hit, 0.0, v[row])
+    return v
 
 
 @dataclass(frozen=True)
@@ -144,10 +148,12 @@ class TimeSeries:
 
     ``values`` has shape (n_steps+1,), or (n_steps+1, m) for a field with a
     trailing space axis; every kernel acts on axis 0. The values are samples
-    of the full function; the node at a singular term's anchor may be
-    non-finite when the term's power is negative. Term coefficients are
-    floats for 1-D values and (m,) arrays otherwise; all-zero terms are
-    dropped.
+    of the full function and must be finite at interior nodes. Where a term
+    with a negative power is infinite (its anchor node, in the columns where
+    its coefficient is nonzero) the value is stored as 0, and the term
+    carries the singularity; so the library's kernels return finite samples
+    throughout. Term coefficients are floats for 1-D values and (m,) arrays
+    otherwise; all-zero terms are dropped.
     """
 
     grid: TimeGrid
@@ -156,11 +162,9 @@ class TimeSeries:
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
         if v.ndim not in (1, 2) or v.shape[0] != self.grid.n_steps + 1:
             raise ValueError("values must have one row per grid node")
-        interior_ok = np.isfinite(v[1:-1]).all()
-        if not interior_ok:
+        if not np.isfinite(v[1:-1]).all():
             raise ValueError("values must be finite at interior nodes")
         space = v.shape[1:]
         terms = []
@@ -171,6 +175,11 @@ class TimeSeries:
                 raise ValueError("term coefficients must match the space axis of the values")
             if np.any(term.coeff):
                 terms.append(term)
+        # copy only when some anchor entry is not 0 yet: from_parts, the
+        # kernels' constructor, zeroes them in its own array
+        if any(np.any(np.where(hit, v[row], 0.0)) for row, hit in _anchor_entries(terms)):
+            v = _zero_anchors(v.copy(), terms)
+        object.__setattr__(self, "values", v)
         object.__setattr__(self, "singular", tuple(terms))
 
     @classmethod
@@ -182,32 +191,24 @@ class TimeSeries:
     def from_parts(cls, grid: TimeGrid, reg: np.ndarray, singular=(), **fields):
         """Series whose values are ``reg`` plus the samples of the terms ``singular``.
 
-        Where terms are infinite at their anchor, the value is the signed
-        infinity of the most singular one. ``fields`` holds the further
-        constructor arguments of a subclass.
+        ``fields`` holds the further constructor arguments of a subclass.
         """
         vals = np.array(reg, dtype=float)
-        for term in sorted(singular, key=lambda s: -s.power):
-            s = term.sample(grid)
-            with np.errstate(invalid="ignore"):
-                vals = np.where(np.isfinite(s), vals + s, s)
-        return cls(grid=grid, values=vals, singular=tuple(singular), **fields)
+        for term in singular:
+            vals += term.sample(grid)
+        return cls(grid=grid, values=_zero_anchors(vals, singular), singular=tuple(singular),
+                   **fields)
 
     def regular_part(self) -> np.ndarray:
         """Samples of the function minus all declared power-law terms.
 
-        At anchor nodes where the power term is non-finite the remainder is
-        taken to vanish (the term dominates there by assumption).
+        It is 0 where a term is infinite (the term dominates there by
+        assumption), like the values.
         """
         reg = self.values.copy()
-        bad = ~np.isfinite(reg)
         for term in self.singular:
-            s = term.sample(self.grid)
-            ok = np.isfinite(s)
-            reg -= np.where(ok, s, 0.0)
-            bad |= ~ok
-        reg[bad] = 0.0
-        return reg
+            reg -= term.sample(self.grid)
+        return _zero_anchors(reg, self.singular)
 
 
 def _require_same_grid(a: TimeSeries, b: TimeSeries) -> None:
@@ -260,9 +261,10 @@ def _integral_of_end_power(coeff, p: float, mu: float, grid: TimeGrid,
     c = T - tt
     fvals = _hyp2f1_vec(mu + 1.0 + p, mu, mu + 1.0, tt / T, ctl)
     col[1:-1] = tt ** mu * c ** (p + mu) * T ** (-mu) * fvals / gamma(mu + 1.0)
-    # at t = T the kernel and the pole coalesce; elementary closed form
-    col[-1] = T ** (mu + p) / ((mu + p) * gamma(mu)) if mu + p > 0 else np.inf
-    return _scaled(col, coeff)
+    # at t = T the kernel and the pole coalesce; elementary closed form, and
+    # infinite when mu + p <= 0, stored as 0 like the anchor value of a term
+    col[-1] = T ** (mu + p) / ((mu + p) * gamma(mu)) if mu + p > 0 else 0.0
+    return np.multiply.outer(col, coeff)
 
 
 def _reverse(f: TimeSeries) -> TimeSeries:
@@ -391,7 +393,7 @@ def gl_left_derivative(f: TimeSeries, alpha: float) -> TimeSeries:
     """Grunwald-Letnikov cross-check mode for the left RL derivative."""
     _order_and_n(alpha)
     grid = f.grid
-    v = _finite(f.values)
+    v = f.values
     n = grid.n_steps
     w = np.empty(n + 1)
     w[0] = 1.0
@@ -437,8 +439,6 @@ def _j_cellpairs(tau0, tau1, mu0, mu1, f0, f1, g0, g1, beta, h):
 def _j_piecewise_linear(fv: np.ndarray, gv: np.ndarray, grid: TimeGrid, beta: float) -> np.ndarray:
     n = grid.n_steps
     h = grid.h
-    fv = _finite(fv)
-    gv = _finite(gv)
     t = _along_time(grid.nodes(), max(fv.ndim, gv.ndim))
     out = np.zeros(np.broadcast_shapes(fv.shape, gv.shape))
     acc = 0.0
@@ -536,40 +536,27 @@ def j_integral(f: TimeSeries, g: TimeSeries, alpha: float) -> TimeSeries:
     beta = n - alpha
     grid = f.grid
     h = grid.h
-    f_reg = f.regular_part()
-    g_reg = g.regular_part()
+    f_start = [tm for tm in f.singular if tm.anchor == "start"]
+    g_end = [tm for tm in g.singular if tm.anchor == "end"]
+    # f is integrated over [0, t] and g over [t, T], so f's end terms and g's
+    # start terms are smooth there and are sampled with the regular parts
+    f_lin = f.regular_part() + sum(tm.sample(grid) for tm in f.singular if tm.anchor == "end")
+    g_lin = g.regular_part() + sum(tm.sample(grid) for tm in g.singular if tm.anchor == "start")
     # J is bilinear: skip the O(n^2) sweep when either factor is zero (v_tt
     # of the polynomial substitutions, for example)
-    if not (f.singular or f_reg.any()) or not (g.singular or g_reg.any()):
-        return TimeSeries(grid, np.zeros(np.broadcast_shapes(f_reg.shape, g_reg.shape)))
+    if not (f_start or f_lin.any()) or not (g_end or g_lin.any()):
+        return TimeSeries(grid, np.zeros(np.broadcast_shapes(f_lin.shape, g_lin.shape)))
     inv_gb = reciprocal_gamma(beta)
-    out = _j_piecewise_linear(f_reg, g_reg, grid, beta)
-    for term in f.singular:
-        if term.anchor == "start":
-            P = _j_start_power_matrix(grid, term.power, beta)
-            out += term.coeff * inv_gb * _trapz_tail(P, g_reg, h)
-        else:
-            # f end-anchored power on [0, t]: finite except near t=T; sample it
-            out += _j_piecewise_linear(term.sample(grid), g_reg, grid, beta)
-    for term in g.singular:
-        if term.anchor == "end":
-            Q = _j_end_power_matrix(grid, term.power, beta)
-            out += term.coeff * inv_gb * _trapz_head(Q, f_reg, h)
-            for t2 in f.singular:
-                if t2.anchor == "start":
-                    head = _power_weighted_head(Q, t2.power, grid)
-                    out += _scaled(head, term.coeff * t2.coeff * inv_gb)
-                else:
-                    s = _finite(t2.sample(grid))
-                    out += term.coeff * inv_gb * _trapz_head(Q, s, h)
-        else:
-            # g start-anchored power on [t, T]: finite away from t=0; sample it
-            s = _finite(term.sample(grid))
-            out += _j_piecewise_linear(f_reg, s, grid, beta)
-            for termf in f.singular:
-                if termf.anchor == "start":
-                    P = _j_start_power_matrix(grid, termf.power, beta)
-                    out += termf.coeff * inv_gb * _trapz_tail(P, s, h)
+    out = _j_piecewise_linear(f_lin, g_lin, grid, beta)
+    for term in f_start:
+        P = _j_start_power_matrix(grid, term.power, beta)
+        out += term.coeff * inv_gb * _trapz_tail(P, g_lin, h)
+    for term in g_end:
+        Q = _j_end_power_matrix(grid, term.power, beta)
+        out += term.coeff * inv_gb * _trapz_head(Q, f_lin, h)
+        for t2 in f_start:
+            head = _power_weighted_head(Q, t2.power, grid)
+            out += np.multiply.outer(head, term.coeff * t2.coeff * inv_gb)
     return TimeSeries(grid, out)
 
 
@@ -584,7 +571,7 @@ def f_modified_integral(f: TimeSeries, alpha: float) -> TimeSeries:
         raise ValueError("f_modified_integral requires alpha in (1,2)")
     grid = f.grid
     M = _fmod_weight_matrix(grid, alpha)
-    return TimeSeries(grid, M @ _finite(f.values))
+    return TimeSeries(grid, M @ f.values)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -664,4 +651,4 @@ def left_integral_endpoint_pole(f: TimeSeries, mu: float) -> TimeSeries:
         raise NotImplementedError("singular inputs to the endpoint-pole kernel are unsupported")
     grid = f.grid
     V = _endpoint_pole_weight_matrix(grid, mu)
-    return TimeSeries(grid, V @ _finite(f.values))
+    return TimeSeries(grid, V @ f.values)

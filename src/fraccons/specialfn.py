@@ -51,20 +51,6 @@ class SeriesControl:
 
 DEFAULT_SERIES_CONTROL = SeriesControl()
 
-# Lanczos approximation, g = 7, 9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 _INT_EPS = 1e-12
 
 
@@ -73,18 +59,10 @@ def _is_nonpositive_integer(z: float) -> bool:
 
 
 def gamma(z: float) -> float:
-    """Gamma function via the Lanczos approximation with reflection."""
+    """Gamma function (``math.gamma``), raising GammaPoleError at its poles."""
     if _is_nonpositive_integer(z):
         raise GammaPoleError(f"gamma pole at z={z}")
-    if z < 0.5:
-        # Reflection formula keeps the Lanczos core on z >= 0.5.
-        return math.pi / (math.sin(math.pi * z) * gamma(1.0 - z))
-    zz = z - 1.0
-    a = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        a += _LANCZOS_C[i] / (zz + i)
-    t = zz + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (zz + 0.5) * math.exp(-t) * a
+    return math.gamma(z)
 
 
 def reciprocal_gamma(z: float) -> float:

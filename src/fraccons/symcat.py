@@ -19,8 +19,7 @@ from .fracops import (
     SingularTerm,
     TimeGrid,
     TimeSeries,
-    _finite,
-    _scaled,
+    _power_samples,
     caputo_right_derivative,
     diff1,
     diff2,
@@ -275,13 +274,10 @@ def _sampled_power(grid: TimeGrid, x: np.ndarray, coeffs: np.ndarray, power: flo
                    anchor: str) -> GridFunction:
     """Samples of coeffs * t^power ('start') or coeffs * (T-t)^power ('end').
 
-    The anchor row holds signed infinities; no term metadata is attached,
-    so the power may be non-integrable.
+    The anchor row holds 0; no term metadata is attached, so the power may
+    be non-integrable.
     """
-    t = grid.nodes()
-    with np.errstate(divide="ignore"):
-        col = (t if anchor == "start" else grid.T - t) ** power
-    return GridFunction(grid, x, _scaled(col, coeffs))
+    return GridFunction(grid, x, np.multiply.outer(_power_samples(grid, power, anchor), coeffs))
 
 
 def adjoint_substitution(regime: str, spec: FractionalSpec,
@@ -308,10 +304,9 @@ def adjoint_residual(v: GridFunction, u: GridFunction, diffusivity: Diffusivity,
         # power-law metadata not representable through this kernel (for
         # example a t^{alpha-1} mode under the right Caputo derivative);
         # fall back to plain samples
-        frac = op(TimeSeries(v.grid, _finite(v.values)), spec.alpha)
+        frac = op(TimeSeries(v.grid, v.values), spec.alpha)
     vxx = diff2(v.regular_part(), v.hx, axis=1)
     for term in v.singular:
-        col = _finite(SingularTerm(1.0, term.power, term.anchor).sample(v.grid))
+        col = _power_samples(v.grid, term.power, term.anchor)
         vxx += np.outer(col, diff2(term.coeff, v.hx))
-    uvals = _finite(u.values)
-    return GridFunction(v.grid, v.x, frac.values - diffusivity.k(uvals) * vxx)
+    return GridFunction(v.grid, v.x, frac.values - diffusivity.k(u.values) * vxx)

@@ -27,7 +27,7 @@ from .fracops import (
     SingularTerm,
     TimeGrid,
     TimeSeries,
-    _finite,
+    _power_samples,
     caputo_left_derivative,
     diff1,
     diff2,
@@ -161,7 +161,8 @@ class GridFunction(TimeSeries):
     """Space-time field: a TimeSeries with a trailing space axis on uniform nodes ``x``.
 
     ``values`` has shape (n_steps+1, n_x+1) and holds samples of the full
-    function; rows at a singular term's anchor may be non-finite. The
+    function, stored as 0 where a singular term is infinite (its anchor
+    row, in the columns where its coefficient is nonzero). The
     ``singular`` terms carry one coefficient per space node, so the
     fractional kernels treat power-law behaviour in time exactly on every
     column at once.
@@ -251,12 +252,7 @@ def exact_linear_separable(spec: FractionalSpec, lam: float, grid: TimeGrid,
             terms.append(SingularTerm(c * sx, kk * alpha))
     else:
         et = np.array([mittag_leffler(alpha, alpha, zz) for zz in z])
-        tt = np.where(t > 0, t, 1.0) ** (alpha - 1.0)
-        tt[0] = 0.0
-        vals = np.outer(tt * et, sx)
-        if alpha < 1:
-            with np.errstate(invalid="ignore"):
-                vals[0, :] = np.where(sx != 0.0, np.inf * np.sign(sx), 0.0)
+        vals = np.outer(_power_samples(grid, alpha - 1.0, "start") * et, sx)
         for kk in range(0, 4):
             c = (-(lam ** 2)) ** kk / gamma(alpha * (kk + 1.0))
             terms.append(SingularTerm(c * sx, alpha * (kk + 1.0) - 1.0))
@@ -389,7 +385,6 @@ def solve_nonlinear(problem: TFDEProblem, grid: TimeGrid, n_x: int) -> GridFunct
     n_t = grid.n_steps
 
     terms: list[SingularTerm] = []
-    base = np.zeros((n_t + 1, x.size))
     if spec.kind is Kind.RIEMANN_LIOUVILLE:
         c1 = np.asarray(problem.initial(x), dtype=float)
         terms.append(SingularTerm(c1, alpha - 1.0))
@@ -397,10 +392,6 @@ def solve_nonlinear(problem: TFDEProblem, grid: TimeGrid, n_x: int) -> GridFunct
             c2 = np.asarray(problem.initial_velocity(x), dtype=float)
             if np.any(c2 != 0.0):
                 terms.append(SingularTerm(c2, alpha - 2.0))
-        for term in terms:
-            with np.errstate(divide="ignore"):
-                base += np.outer(t ** term.power, term.coeff)
-        base[0, :] = 0.0  # never evaluated at t = 0
         w0 = np.zeros(x.size)
         v0 = np.zeros(x.size)
     else:
@@ -420,6 +411,8 @@ def solve_nonlinear(problem: TFDEProblem, grid: TimeGrid, n_x: int) -> GridFunct
                 val -= term.coeff[j] * ti ** term.power
         return val
 
+    # the singular modes; row 0 (never evaluated) is 0
+    base = sum((term.sample(grid) for term in terms), np.zeros((n_t + 1, x.size)))
     W = np.zeros((n_t + 1, x.size))
     W[0] = w0
     mu = alpha if n == 1 else alpha - 1.0
@@ -458,7 +451,7 @@ def _equation_residual(u: GridFunction, spec: FractionalSpec,
     """D^alpha_t u - k'(u) u_x^2 - k(u) u_xx on the grid."""
     op = rl_left_derivative if spec.kind is Kind.RIEMANN_LIOUVILLE else caputo_left_derivative
     frac = op(u, spec.alpha)
-    vals = _finite(u.values)
+    vals = u.values
     ux = diff1(vals, u.hx, axis=1)
     uxx = diff2(vals, u.hx, axis=1)
     return frac.values - diffusivity.k_prime(vals) * ux ** 2 - diffusivity.k(vals) * uxx

@@ -173,6 +173,19 @@ class TestSolveCommand:
         assert u.values.shape == (17, 17)
         assert np.isfinite(u.values).all()
 
+    def test_solve_rl_field_is_finite(self, tmp_path):
+        # the t^{alpha-1} mode is infinite at t = 0; that row is written as 0
+        cfg = base_config(
+            kind="rl", diffusivity={"family": "power", "beta": 2.0},
+            source={"id": "solver", "params": {"a": 0.5, "b": 1.0, "perturb": 0.1}},
+            vectors=["NL_RL_sub"], grids=[16], n_x=16)
+        out = tmp_path / "field.csv"
+        rc = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        assert rc == 0
+        u = GridFunction.from_csv(str(out))
+        assert np.isfinite(u.values).all()
+        assert np.all(u.values[0] == 0.0)
+
 
 class TestCatalogCommand:
     def test_catalog_lists_ids(self, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sps
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 
 from fraccons.fracops import (
     FractionalSpec,
@@ -296,6 +296,22 @@ class TestJIntegral:
                        weight="alg", wvar=(-0.5, 0.0))[0] / G(beta)
             assert out[j] == pytest.approx(ref, abs=5e-4)
 
+    def test_end_term_of_f_with_start_term_of_g_against_quadrature(self):
+        # J((T-t)^0.3, t^0.5) at alpha = 0.5 and t = 0.5, both factors given
+        # as declared terms, compared with scipy dblquad
+        beta = 0.5
+        ref = dblquad(lambda m, tau: (1.0 - tau) ** 0.3 * m ** 0.5 * (m - tau) ** (beta - 1.0),
+                      0.0, 0.5, 0.5, 1.0, epsabs=1e-12, epsrel=1e-12)[0] / G(beta)
+        errs = []
+        for n in (64, 128):
+            grid = TimeGrid(1.0, n)
+            zero = np.zeros(n + 1)
+            f = TimeSeries.from_parts(grid, zero, (SingularTerm(1.0, 0.3, "end"),))
+            g = TimeSeries.from_parts(grid, zero, (SingularTerm(1.0, 0.5, "start"),))
+            errs.append(abs(j_integral(f, g, 1.0 - beta).values[n // 2] - ref))
+        assert errs[0] <= 1e-5
+        assert errs[1] <= errs[0] / 3.0
+
 
 class TestEndpointWeightedIntegrals:
     def test_f_modified_integral_against_quadrature(self):
@@ -357,11 +373,10 @@ def field_and_columns(grid, start_power, end_power):
 
 def assert_whole_matches_columns(whole, cols):
     stacked = np.column_stack([c.values for c in cols])
-    fin = np.isfinite(stacked)
-    assert np.array_equal(np.isfinite(whole.values), fin)
-    assert np.array_equal(whole.values[~fin], stacked[~fin])
-    scale = np.max(np.abs(stacked[fin]))
-    assert np.max(np.abs(whole.values[fin] - stacked[fin])) <= 1e-12 * scale
+    # kernel outputs store finite samples, at the anchor rows too
+    assert np.isfinite(whole.values).all() and np.isfinite(stacked).all()
+    scale = np.max(np.abs(stacked))
+    assert np.max(np.abs(whole.values - stacked)) <= 1e-12 * scale
     for j, col in enumerate(cols):
         got = {(tm.power, tm.anchor): tm.coeff[j] for tm in whole.singular if tm.coeff[j] != 0.0}
         want = {(tm.power, tm.anchor): tm.coeff for tm in col.singular}
@@ -371,8 +386,7 @@ def assert_whole_matches_columns(whole, cols):
 
 
 def _pole(f):
-    finite = np.where(np.isfinite(f.values), f.values, 0.0)
-    return left_integral_endpoint_pole(TimeSeries(f.grid, finite), 0.5)
+    return left_integral_endpoint_pole(TimeSeries(f.grid, f.values), 0.5)
 
 
 class TestWholeField:
@@ -406,7 +420,8 @@ class TestWholeField:
         ((-0.4, 0.3), (None, None)),
         ((-0.4, 0.3), (None, -0.5)),
         ((-0.4, None), (0.5, None)),
-    ], ids=["regular", "f_terms", "g_end_term", "g_start_term"])
+        ((-0.4, 0.3), (0.5, -0.5)),
+    ], ids=["regular", "f_terms", "g_end_term", "g_start_term", "all_terms"])
     def test_j_integral_matches_single_columns(self, alpha, f_powers, g_powers):
         grid = TimeGrid(1.0, 24)
         f, f_cols = field_and_columns(grid, *f_powers)

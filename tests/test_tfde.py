@@ -94,7 +94,8 @@ class TestGridFunction:
         term = SingularTerm(np.ones(5), -0.5)
         reg = np.outer(tgrid.nodes(), x)
         u = GridFunction.from_parts(tgrid, reg, (term,), x=x)
-        assert np.isinf(u.values[0, 0])
+        # the term is infinite at t = 0; the stored value there is 0
+        assert u.values[0, 0] == 0.0
         assert np.allclose(u.regular_part(), reg)
 
 
