@@ -69,9 +69,7 @@ from .conslaw import (
     divergence_residual,
     flux_balance,
     formal_lagrangian,
-    noether_t,
     noether_vector,
-    noether_x,
 )
 
 __version__ = "0.1.0"

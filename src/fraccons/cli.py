@@ -119,6 +119,10 @@ def parse_config(data: dict) -> ScenarioConfig:
         raise ConfigError("diffusivity.family must be constant, power, or exponential")
     if cfg.source.get("id") not in _SOURCES:
         raise ConfigError(f"source.id must be one of {_SOURCES}")
+    if cfg.source["id"] == "exact_linear" and (
+            fam != "constant" or float(cfg.diffusivity.get("k0", 1.0)) != 1.0):
+        raise ConfigError("source exact_linear solves the equation for the constant "
+                          "diffusivity k0 = 1 only")
     valid = set(catalog_ids())
     for vid in cfg.vectors:
         if isinstance(vid, str) and vid.startswith("Noether:"):
@@ -191,18 +195,18 @@ def _solution(cfg: ScenarioConfig, n_steps: int) -> GridFunction:
         base = diffu.K_inv(a * xx + b)
         return base * (1.0 + eps * np.sin(np.pi * (xx - cfg.x_lo) / span))
 
+    # boundary traces: the end values of the profile, times t^{alpha-1} for the RL kind
+    lo, hi = (float(profile(np.array([xb]))[0]) for xb in (cfg.x_lo, cfg.x_hi))
     if spec.kind is Kind.RIEMANN_LIOUVILLE:
-        problem = TFDEProblem(
-            spec, diffu, cfg.x_lo, cfg.x_hi, profile,
-            initial_velocity=(lambda xx: np.zeros_like(xx)) if spec.n == 2 else None,
-            boundary_lo=lambda t: float(profile(np.array([cfg.x_lo]))[0]) * t ** (alpha - 1.0),
-            boundary_hi=lambda t: float(profile(np.array([cfg.x_hi]))[0]) * t ** (alpha - 1.0))
+        boundary_lo = lambda t: lo * t ** (alpha - 1.0)
+        boundary_hi = lambda t: hi * t ** (alpha - 1.0)
     else:
-        problem = TFDEProblem(
-            spec, diffu, cfg.x_lo, cfg.x_hi, profile,
-            initial_velocity=(lambda xx: np.zeros_like(xx)) if spec.n == 2 else None,
-            boundary_lo=lambda t: float(profile(np.array([cfg.x_lo]))[0]),
-            boundary_hi=lambda t: float(profile(np.array([cfg.x_hi]))[0]))
+        boundary_lo = lambda t: lo
+        boundary_hi = lambda t: hi
+    problem = TFDEProblem(
+        spec, diffu, cfg.x_lo, cfg.x_hi, profile,
+        initial_velocity=(lambda xx: np.zeros_like(xx)) if spec.n == 2 else None,
+        boundary_lo=boundary_lo, boundary_hi=boundary_hi)
     return solve_nonlinear(problem, grid, n_x)
 
 

@@ -1,8 +1,9 @@
 """Conserved vectors for the time-fractional diffusion equation and verifiers.
 
 Vectors are built two ways: by applying the fractional Noether operators to
-the formal Lagrangian (``noether_t``/``noether_x``), and from the closed-form
-catalog (``catalog_vector``). ``divergence_residual`` and ``flux_balance``
+the formal Lagrangian (``noether_vector``), and from the closed-form catalog
+(``catalog_vector``), whose ``Linear_*`` ids are the Noether vectors without
+their xi L terms. ``divergence_residual`` and ``flux_balance``
 check D_t C^t + D_x C^x = 0 on solution fields.
 """
 
@@ -30,15 +31,13 @@ from .fracops import (
     time_derivative,
 )
 from .tfde import Diffusivity, GridFunction, _equation_residual
-from .symcat import AdjointSubstitution, Symmetry, characteristic
+from .symcat import AdjointSubstitution, Symmetry, _sym, characteristic
 
 __all__ = [
     "ConservedVectorEval",
     "ResidualReport",
     "CSV_HEADER",
     "formal_lagrangian",
-    "noether_t",
-    "noether_x",
     "noether_vector",
     "catalog_vector",
     "catalog_ids",
@@ -72,80 +71,47 @@ def formal_lagrangian(u: GridFunction, v: GridFunction, diffusivity: Diffusivity
     return GridFunction(u.grid, u.x, v.values * bracket)
 
 
-def _sym_coeff_fields(sym: Symmetry, u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
-    t = u.grid.nodes()[:, None]
-    x = u.x[None, :]
-    xi0 = np.broadcast_to(sym.xi0(t, x, u.values), u.values.shape)
-    xi1 = np.broadcast_to(sym.xi1(t, x, u.values), u.values.shape)
-    return np.asarray(xi0, dtype=float), np.asarray(xi1, dtype=float)
+def _noether_core(W: GridFunction, v: GridFunction, u: GridFunction,
+                  sub: AdjointSubstitution, spec: FractionalSpec,
+                  diffusivity: Diffusivity) -> tuple[np.ndarray, np.ndarray]:
+    """Noether operators applied to the formal Lagrangian, without the xi L terms.
 
-
-def noether_t(sym: Symmetry, u: GridFunction, sub: AdjointSubstitution,
-              spec: FractionalSpec, diffusivity: Diffusivity) -> GridFunction:
-    """Time component of the conserved vector from the Noether operator.
+    ``W`` is the characteristic of the symmetry on u, ``v`` the adjoint
+    substitution on u's grid. The dropped terms xi0 L and xi1 L vanish on
+    solutions.
 
     Riemann-Liouville kind:
-      n=1: C^t = xi0 L + v * I^{1-a} W + J(W, v_t)
-      n=2: C^t = xi0 L + v * D^{a-1} W - v_t * I^{2-a} W - J(W, v_tt)
+      n=1: C^t = v * I^{1-a} W + J(W, v_t)
+      n=2: C^t = v * D^{a-1} W - v_t * I^{2-a} W - J(W, v_tt)
     Caputo kind:
-      n=1: C^t = xi0 L + W * (right I^{1-a} v) - J(W_t, v)
-      n=2: C^t = xi0 L + W * (right D^{a-1} v) + W_t * (right I^{2-a} v)
-                 - J(W_tt, v)
+      n=1: C^t = W * (right I^{1-a} v) - J(W_t, v)
+      n=2: C^t = W * (right D^{a-1} v) + W_t * (right I^{2-a} v) - J(W_tt, v)
+    and C^x = W (v_x k - v k' u_x) - W_x v k, which is k0 (v_x W - v W_x)
+    for a constant diffusivity k0.
     """
     alpha = spec.alpha
-    n = spec.n
-    W = characteristic(sym, u)
-    v = sub.field(u.grid, u.x)
-    L = formal_lagrangian(u, v, diffusivity, spec)
-    xi0, _ = _sym_coeff_fields(sym, u)
-    out = xi0 * L.values
-    out[xi0 == 0.0] = 0.0
     if spec.kind is Kind.RIEMANN_LIOUVILLE:
-        if n == 1:
-            A = left_frac_integral(W, 1.0 - alpha).values
-            vt = sub.dt_field(u.grid, u.x)
-            out = out + v.values * A + j_integral(W, vt, alpha).values
+        vt = sub.dt_field(u.grid, u.x)
+        if spec.n == 1:
+            ct = v.values * left_frac_integral(W, 1.0 - alpha).values + j_integral(W, vt, alpha).values
         else:
-            A = rl_left_derivative(W, alpha - 1.0).values
-            B = left_frac_integral(W, 2.0 - alpha).values
-            vt = sub.dt_field(u.grid, u.x)
             vtt = sub.dtt_field(u.grid, u.x)
-            out = out + v.values * A - vt.values * B - j_integral(W, vtt, alpha).values
+            ct = (v.values * rl_left_derivative(W, alpha - 1.0).values
+                  - vt.values * left_frac_integral(W, 2.0 - alpha).values
+                  - j_integral(W, vtt, alpha).values)
+    elif spec.n == 1:
+        ct = (W.values * right_frac_integral(v, 1.0 - alpha).values
+              - j_integral(time_derivative(W), v, alpha).values)
     else:
-        if n == 1:
-            A = right_frac_integral(v, 1.0 - alpha).values
-            Wt = time_derivative(W)
-            out = out + W.values * A - j_integral(Wt, v, alpha).values
-        else:
-            A = rl_right_derivative(v, alpha - 1.0).values
-            B = right_frac_integral(v, 2.0 - alpha).values
-            Wt = time_derivative(W)
-            Wtt = time_derivative(W, 2)
-            out = out + W.values * A + Wt.values * B - j_integral(Wtt, v, alpha).values
-    return GridFunction(u.grid, u.x, out)
-
-
-def noether_x(sym: Symmetry, u: GridFunction, sub: AdjointSubstitution,
-              spec: FractionalSpec, diffusivity: Diffusivity) -> GridFunction:
-    """Space component: C^x = xi1 L + W (v_x k - v k' u_x) - W_x v k.
-
-    In the linear constant-diffusivity case this reduces to
-    C^x = v_x W - v W_x.
-    """
-    W = characteristic(sym, u)
-    v = sub.field(u.grid, u.x)
-    L = formal_lagrangian(u, v, diffusivity, spec)
-    _, xi1 = _sym_coeff_fields(sym, u)
+        ct = (W.values * rl_right_derivative(v, alpha - 1.0).values
+              + time_derivative(W).values * right_frac_integral(v, 2.0 - alpha).values
+              - j_integral(time_derivative(W, 2), v, alpha).values)
     uv = u.values
     k = diffusivity.k(uv)
-    kp = diffusivity.k_prime(uv)
     ux = diff1(uv, u.hx, axis=1)
-    vx = v.dx_field().values
-    Wx = W.dx_field().values
-    out = xi1 * L.values
-    out[xi1 == 0.0] = 0.0
-    out = out + W.values * (vx * k - v.values * kp * ux) - Wx * v.values * k
-    return GridFunction(u.grid, u.x, out)
+    cx = (W.values * (v.dx_field().values * k - v.values * diffusivity.k_prime(uv) * ux)
+          - W.dx_field().values * v.values * k)
+    return ct, cx
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +137,23 @@ class ConservedVectorEval:
 
 def noether_vector(sym: Symmetry, sub: AdjointSubstitution, spec: FractionalSpec,
                    diffusivity: Diffusivity) -> ConservedVectorEval:
-    """Conserved vector obtained by the Noether operators for (sym, sub)."""
+    """Conserved vector obtained by the Noether operators for (sym, sub).
+
+    C^t = xi0 L + core^t and C^x = xi1 L + core^x, with the core of
+    ``_noether_core``; xi L is taken as 0 where xi is 0 (L may be infinite
+    at an end row).
+    """
 
     def fn(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
-        ct = noether_t(sym, u, sub, spec, diffusivity).values
-        cx = noether_x(sym, u, sub, spec, diffusivity).values
+        W = characteristic(sym, u)
+        v = sub.field(u.grid, u.x)
+        L = formal_lagrangian(u, v, diffusivity, spec).values
+        t = u.grid.nodes()[:, None]
+        x = u.x[None, :]
+        ct, cx = _noether_core(W, v, u, sub, spec, diffusivity)
+        for xi, comp in ((sym.xi0, ct), (sym.xi1, cx)):
+            coeff = xi(t, x, u.values)
+            comp += np.where(coeff == 0.0, 0.0, coeff * L)
         return ct, cx
 
     name = f"NoetherDerived({sym.id},{sub.regime})"
@@ -327,7 +305,7 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
             ux = _ux(u)
             if idx in ("1", "3"):
                 u0 = _as_x_array(_need(initial, "initial data u(0, x)"), u.x)
-                phi = np.array([phi_sub(tt, alpha, T) for tt in t])[:, None]
+                phi = phi_sub(t, alpha, T)[:, None]
                 core = u0[None, :] * phi + s ** alpha * _pole_integral(u, 1.0 - alpha)
                 if idx == "1":
                     return core, -s ** (alpha - 1.0) * k * ux
@@ -362,16 +340,14 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
                 return x * core, s ** (alpha - 3.0) * (K - x * k * ux)
             ut0 = _as_x_array(_need(initial_velocity, "initial data u_t(0, x)"), u.x)
             ut = time_derivative(u)
-            pp = np.array([phi_psi_wave(tt, alpha, T) for tt in t])
-            phi = pp[:, 0][:, None]
-            psi = pp[:, 1][:, None]
+            phi, psi = phi_psi_wave(t, alpha, T)
             if idx in ("2", "5"):
-                core = ut0[None, :] * phi + s ** (alpha - 1.0) * _pole_integral(ut, 2.0 - alpha)
+                core = ut0[None, :] * phi[:, None] + s ** (alpha - 1.0) * _pole_integral(ut, 2.0 - alpha)
                 if idx == "2":
                     return core, -s ** (alpha - 2.0) * k * ux
                 return x * core, s ** (alpha - 2.0) * (K - x * k * ux)
             fint = f_modified_integral(ut, alpha).values
-            core = ut0[None, :] * psi + s ** alpha * fint
+            core = ut0[None, :] * psi[:, None] + s ** alpha * fint
             if idx == "3":
                 return core, -s ** (alpha - 1.0) * k * ux
             return x * core, s ** (alpha - 1.0) * (K - x * k * ux)
@@ -386,36 +362,12 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
         check(spec.kind is want, f"requires the {want.value} kind")
         check((regime == "sub") == (n == 1), "regime inconsistent with alpha")
         sub = _need(substitution, "an adjoint substitution")
+        # the Noether vector of the symmetry without its xi L terms
+        sym = _sym({"X3": "X3_lin"}.get(sym_tag, sym_tag), alpha, h=h)
 
         def fn(u: GridFunction):
-            from .symcat import _sym  # symmetry constructors share one table
-
-            sym = _sym({"X3": "X3_lin"}.get(sym_tag, sym_tag), alpha, h=h)
-            W = characteristic(sym, u)
-            v = sub.field(u.grid, u.x)
-            vx = v.dx_field().values
-            Wx = W.dx_field().values
-            cx = vx * W.values - v.values * Wx
-            if spec.kind is Kind.RIEMANN_LIOUVILLE:
-                if n == 1:
-                    A = left_frac_integral(W, 1.0 - alpha).values
-                    ct = v.values * A + j_integral(W, sub.dt_field(u.grid, u.x), alpha).values
-                else:
-                    A = rl_left_derivative(W, alpha - 1.0).values
-                    B = left_frac_integral(W, 2.0 - alpha).values
-                    vt = sub.dt_field(u.grid, u.x)
-                    ct = (v.values * A - vt.values * B
-                          - j_integral(W, sub.dtt_field(u.grid, u.x), alpha).values)
-            else:
-                if n == 1:
-                    A = right_frac_integral(v, 1.0 - alpha).values
-                    ct = W.values * A - j_integral(time_derivative(W), v, alpha).values
-                else:
-                    A = rl_right_derivative(v, alpha - 1.0).values
-                    B = right_frac_integral(v, 2.0 - alpha).values
-                    ct = (W.values * A + time_derivative(W).values * B
-                          - j_integral(time_derivative(W, 2), v, alpha).values)
-            return ct, cx
+            return _noether_core(characteristic(sym, u), sub.field(u.grid, u.x), u, sub,
+                                 spec, diffusivity)
 
         return ConservedVectorEval(provenance, spec, fn)
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specialfn import DEFAULT_SERIES_CONTROL, SeriesControl, _hyp2f1_vec, gamma, reciprocal_gamma
+from .specialfn import DEFAULT_SERIES_CONTROL, SeriesControl, gamma, hyp2f1, reciprocal_gamma
 
 __all__ = [
     "Kind",
@@ -142,6 +142,19 @@ def _zero_anchors(v: np.ndarray, terms) -> np.ndarray:
     return v
 
 
+def _fit_terms(terms, space: tuple) -> tuple[SingularTerm, ...]:
+    """The nonzero terms, with a float coefficient spread over the space axis ``space``."""
+    out = []
+    for term in terms:
+        if np.ndim(term.coeff) == 0 and space:
+            term = SingularTerm(np.full(space, term.coeff), term.power, term.anchor)
+        if np.shape(term.coeff) != space:
+            raise ValueError("term coefficients must match the space axis of the values")
+        if np.any(term.coeff):
+            out.append(term)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Sampled f(t) on a TimeGrid, with optional explicit power-law terms.
@@ -166,21 +179,13 @@ class TimeSeries:
             raise ValueError("values must have one row per grid node")
         if not np.isfinite(v[1:-1]).all():
             raise ValueError("values must be finite at interior nodes")
-        space = v.shape[1:]
-        terms = []
-        for term in self.singular:
-            if np.ndim(term.coeff) == 0 and space:
-                term = SingularTerm(np.full(space, term.coeff), term.power, term.anchor)
-            if np.shape(term.coeff) != space:
-                raise ValueError("term coefficients must match the space axis of the values")
-            if np.any(term.coeff):
-                terms.append(term)
+        terms = _fit_terms(self.singular, v.shape[1:])
         # copy only when some anchor entry is not 0 yet: from_parts, the
         # kernels' constructor, zeroes them in its own array
         if any(np.any(np.where(hit, v[row], 0.0)) for row, hit in _anchor_entries(terms)):
             v = _zero_anchors(v.copy(), terms)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "singular", tuple(terms))
+        object.__setattr__(self, "singular", terms)
 
     @classmethod
     def from_function(cls, grid: TimeGrid, fn, singular: tuple[SingularTerm, ...] = ()) -> "TimeSeries":
@@ -194,10 +199,10 @@ class TimeSeries:
         ``fields`` holds the further constructor arguments of a subclass.
         """
         vals = np.array(reg, dtype=float)
-        for term in singular:
+        terms = _fit_terms(singular, vals.shape[1:])
+        for term in terms:
             vals += term.sample(grid)
-        return cls(grid=grid, values=_zero_anchors(vals, singular), singular=tuple(singular),
-                   **fields)
+        return cls(grid=grid, values=_zero_anchors(vals, terms), singular=terms, **fields)
 
     def regular_part(self) -> np.ndarray:
         """Samples of the function minus all declared power-law terms.
@@ -259,7 +264,7 @@ def _integral_of_end_power(coeff, p: float, mu: float, grid: TimeGrid,
     col = np.zeros_like(t)
     tt = t[1:-1]
     c = T - tt
-    fvals = _hyp2f1_vec(mu + 1.0 + p, mu, mu + 1.0, tt / T, ctl)
+    fvals = hyp2f1(mu + 1.0 + p, mu, mu + 1.0, tt / T, ctl)
     col[1:-1] = tt ** mu * c ** (p + mu) * T ** (-mu) * fvals / gamma(mu + 1.0)
     # at t = T the kernel and the pole coalesce; elementary closed form, and
     # infinite when mu + p <= 0, stored as 0 like the anchor value of a term
@@ -460,7 +465,7 @@ def _incomplete_beta_vec(x: np.ndarray, a: float, b: float,
                          ctl: SeriesControl = DEFAULT_SERIES_CONTROL) -> np.ndarray:
     """B(x; a, b) = x^a/a * 2F1(a, 1-b; a+1; x) for x in [0, 1]."""
     x = np.asarray(x, dtype=float)
-    return x ** a / a * _hyp2f1_vec(a, 1.0 - b, a + 1.0, x, ctl)
+    return x ** a / a * hyp2f1(a, 1.0 - b, a + 1.0, x, ctl)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -588,7 +593,7 @@ def _fmod_weight_matrix(grid: TimeGrid, alpha: float) -> np.ndarray:
     ok = denom > 0
     z[ok] = (t[ii][ok] - t[jj][ok]) / denom[ok]
     z = np.clip(z, 0.0, 1.0 - 1e-13)
-    H[ii, jj] = _hyp2f1_vec(1.0, 1.0, mu, z)
+    H[ii, jj] = hyp2f1(1.0, 1.0, mu, z)
     return _read_only(W * H)
 
 
@@ -617,7 +622,7 @@ def _endpoint_pole_weight_matrix(grid: TimeGrid, mu: float) -> np.ndarray:
     for k in (0, 1):
         nu = mu + k
         vals = np.zeros_like(s)
-        fvals = _hyp2f1_vec(1.0, 1.0, nu + 1.0, w[pos])
+        fvals = hyp2f1(1.0, 1.0, nu + 1.0, w[pos])
         vals[pos] = s[pos] ** nu / (nu * (c[pos] + s[pos])) * fvals
         Em = np.zeros((n + 1, n + 1))
         Em[ii, jj] = vals

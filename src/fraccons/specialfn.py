@@ -1,7 +1,8 @@
-"""Scalar special functions used by the fractional operator kernels.
+"""Special functions used by the fractional operator kernels.
 
 All functions are pure and safe for concurrent use. Real arguments only;
-complex support is out of scope.
+complex support is out of scope. ``hyp2f1`` and the time weights take a
+float or an array argument.
 """
 
 from __future__ import annotations
@@ -136,13 +137,17 @@ def _hyp2f1_series_vec(a: float, b: float, c: float, z: np.ndarray, ctl: SeriesC
     raise ConvergenceError(f"2F1 series did not converge (a={a}, b={b}, c={c})")
 
 
-def _hyp2f1_vec(a: float, b: float, c: float, z: np.ndarray, ctl: SeriesControl = DEFAULT_SERIES_CONTROL) -> np.ndarray:
-    """2F1(a, b; c; z) for arrays z in [0, 1), with z in [0, 1] allowed when c-a-b > 0.
+def hyp2f1(a: float, b: float, c: float, z, ctl: SeriesControl = DEFAULT_SERIES_CONTROL):
+    """Gauss hypergeometric function 2F1(a, b; c; z) for z in [0, 1).
 
-    Direct series for z <= 0.5, two-term z -> 1-z linear transformation
-    otherwise (requires non-integer c - a - b).
+    ``z`` is a float (a float is returned) or an array; z = 1 is allowed
+    when c-a-b > 0. Direct series for z <= 0.5, two-term z -> 1-z linear
+    transformation otherwise (requires non-integer c - a - b).
     """
-    z = np.asarray(z, dtype=float)
+    if _is_nonpositive_integer(c):
+        raise ValueError(f"hyp2f1 parameter c={c} is a non-positive integer")
+    z_in = np.asarray(z, dtype=float)
+    z = np.atleast_1d(z_in)
     if np.any(z < 0) or np.any(z > 1):
         raise ValueError("hyp2f1 argument must lie in [0, 1)")
     out = np.empty_like(z)
@@ -169,45 +174,42 @@ def _hyp2f1_vec(a: float, b: float, c: float, z: np.ndarray, ctl: SeriesControl 
                 * _hyp2f1_series_vec(c - a, c - b, 1.0 + s, w, ctl)
             )
             out[near] = f1 + f2
-    return out
+    return float(out[0]) if z_in.ndim == 0 else out.reshape(z_in.shape)
 
 
-def hyp2f1(a: float, b: float, c: float, z: float, ctl: SeriesControl = DEFAULT_SERIES_CONTROL) -> float:
-    """Gauss hypergeometric function 2F1(a, b; c; z) for z in [0, 1)."""
-    if _is_nonpositive_integer(c):
-        raise ValueError(f"hyp2f1 parameter c={c} is a non-positive integer")
-    return float(_hyp2f1_vec(a, b, c, np.asarray([z]), ctl)[0])
+def _time_fraction(name: str, t, T: float):
+    """1 - t/T, checking T > 0 and every t in [0, T]; a float for a float t."""
+    if T <= 0:
+        raise ValueError(f"{name} requires T > 0")
+    t = np.asarray(t, dtype=float)
+    if not np.all((0 <= t) & (t <= T)):
+        raise ValueError(f"{name} requires t in [0, T]")
+    w = 1.0 - t / T
+    return float(w) if w.ndim == 0 else w
 
 
-def phi_sub(t: float, alpha: float, T: float) -> float:
+def phi_sub(t, alpha: float, T: float):
     """Time weight Phi(t) for the subdiffusion (Caputo, alpha in (0,1)) catalog.
 
     Phi(t) = (1 / (alpha * Gamma(1-alpha))) (1 - t/T)^alpha
              * 2F1(alpha, alpha; alpha+1; 1 - t/T)
+
+    ``t`` is a float or an array of times in [0, T]; Phi(T) = 0.
     """
     if not 0 < alpha < 1:
         raise ValueError("phi_sub requires alpha in (0, 1)")
-    if T <= 0:
-        raise ValueError("phi_sub requires T > 0")
-    if not 0 <= t <= T:
-        raise ValueError("phi_sub requires t in [0, T]")
-    w = 1.0 - t / T
-    if w == 0.0:
-        return 0.0
+    w = _time_fraction("phi_sub", t, T)
     return w ** alpha * hyp2f1(alpha, alpha, alpha + 1.0, w) / (alpha * gamma(1.0 - alpha))
 
 
-def phi_psi_wave(t: float, alpha: float, T: float) -> tuple[float, float]:
-    """Time weights (Phi, Psi) for the diffusion-wave (Caputo, alpha in (1,2)) catalog."""
+def phi_psi_wave(t, alpha: float, T: float):
+    """Time weights (Phi, Psi) for the diffusion-wave (Caputo, alpha in (1,2)) catalog.
+
+    ``t`` is a float or an array of times in [0, T]; both weights are 0 at T.
+    """
     if not 1 < alpha < 2:
         raise ValueError("phi_psi_wave requires alpha in (1, 2)")
-    if T <= 0:
-        raise ValueError("phi_psi_wave requires T > 0")
-    if not 0 <= t <= T:
-        raise ValueError("phi_psi_wave requires t in [0, T]")
-    w = 1.0 - t / T
-    if w == 0.0:
-        return 0.0, 0.0
+    w = _time_fraction("phi_psi_wave", t, T)
     g2 = gamma(2.0 - alpha)
     phi = w ** (alpha - 1.0) * hyp2f1(alpha - 1.0, alpha - 1.0, alpha, w) / ((alpha - 1.0) * g2)
     psi = w ** alpha * hyp2f1(alpha - 1.0, alpha, alpha + 1.0, w) / (alpha * g2)

@@ -141,6 +141,20 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("diffusivity", [{"family": "constant", "k0": 2.0},
+                                             {"family": "power", "beta": 2.0}])
+    def test_exact_linear_needs_unit_diffusivity_exits_2(self, tmp_path, capsys, diffusivity):
+        # the separable mode solves the equation for k = 1 only
+        cfg_path = write_config(tmp_path, base_config(
+            diffusivity=diffusivity, x_hi=np.pi,
+            source={"id": "exact_linear", "params": {"lam": 1.0}},
+            vectors=["Trivial_Caputo"], n_x=8))
+        rc = main(["verify", "--config", cfg_path])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "exact_linear" in err
+
     def test_nonfinite_residual_exits_4(self, tmp_path, capsys, monkeypatch):
         def nonfinite(cv, *args, **kwargs):
             raise FloatingPointError(f"{cv.provenance}: non-finite residual inside the window")

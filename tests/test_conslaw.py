@@ -14,7 +14,7 @@ from fraccons.conslaw import (
     formal_lagrangian,
     noether_vector,
 )
-from fraccons.fracops import FractionalSpec, Kind, TimeGrid
+from fraccons.fracops import FractionalSpec, Kind, TimeGrid, diff1
 from fraccons.symcat import adjoint_substitution, list_symmetries
 from fraccons.tfde import (
     Diffusivity,
@@ -197,6 +197,22 @@ class TestNoetherVectors:
         ct_c, cx_c = cv.components(u)
         assert np.max(np.abs(ct_n[1:-1] - ct_c[1:-1])) < 1e-10
         assert np.max(np.abs(cx_n[1:-1, 1:-1] - cx_c[1:-1, 1:-1])) < 1e-5
+
+    def test_linear_catalog_flux_carries_diffusivity(self):
+        # for k = k0 the flux is k0 (v_x W - v W_x); here W = u (X3) and v = t x
+        alpha = 0.5
+        spec = FractionalSpec(CAP, alpha, 1.0)
+        d = Diffusivity.constant(2.0)
+        tgrid = TimeGrid(1.0, 32)
+        x = np.linspace(0.0, np.pi, 33)
+        u = exact_linear_separable(spec, 1.0, tgrid, x)
+        sub = adjoint_substitution("Linear_particular", spec, c1=1.0)
+        cv = catalog_vector("Linear_Cap_sub_X3", spec, d, substitution=sub)
+        _, cx = cv.components(u)
+        v = np.outer(tgrid.nodes(), x)
+        hx = x[1] - x[0]
+        want = 2.0 * (diff1(v, hx, axis=1) * u.values - v * diff1(u.values, hx, axis=1))
+        np.testing.assert_allclose(cx, want, rtol=1e-12, atol=1e-12)
 
     def test_noether_vector_divergence_small(self):
         alpha = 0.5

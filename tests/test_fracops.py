@@ -79,6 +79,21 @@ class TestContainers:
         reg = f.regular_part()
         assert np.max(np.abs(reg)) < 1e-14
 
+    @pytest.mark.parametrize("width", [5, 3])
+    def test_from_parts_spreads_float_coefficient_over_columns(self, width):
+        # a float coefficient is one per column, as in direct construction
+        grid = TimeGrid(1.0, 4)
+        reg = np.outer(grid.nodes(), np.arange(width))
+        terms = (SingularTerm(1.0, 0.5), SingularTerm(2.0, -0.5, "end"))
+        got = TimeSeries.from_parts(grid, reg, terms)
+        t = grid.nodes()[:, None]
+        direct = np.zeros_like(reg)
+        direct[:-1] = reg[:-1] + t[:-1] ** 0.5 + 2.0 * (1.0 - t[:-1]) ** -0.5
+        want = TimeSeries(grid, direct, terms)
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-14, atol=0.0)
+        assert [tm.coeff.shape for tm in got.singular] == [(width,), (width,)]
+        np.testing.assert_allclose(got.regular_part()[:-1], reg[:-1], atol=1e-14)
+
     def test_spec_order(self):
         assert FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5, 1.0).n == 1
         assert FractionalSpec(Kind.CAPUTO, 1.5, 1.0).n == 2

@@ -92,6 +92,15 @@ class TestHyp2F1:
         ref = math.gamma(c) * math.gamma(c - a - b) / (math.gamma(c - a) * math.gamma(c - b))
         assert hyp2f1(a, b, c, 1.0) == pytest.approx(ref, rel=1e-10)
 
+    def test_array_argument_matches_scalar_calls(self):
+        # both sides of the z = 1/2 switch to the transformed series
+        z = np.linspace(0.0, 0.99, 12).reshape(3, 4)
+        got = hyp2f1(0.5, 0.5, 1.5, z)
+        assert got.shape == z.shape
+        want = [[hyp2f1(0.5, 0.5, 1.5, zz) for zz in row] for row in z]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        assert isinstance(hyp2f1(0.5, 0.5, 1.5, 0.3), float)
+
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             hyp2f1(1.0, 1.0, 0.0, 0.5)
@@ -123,6 +132,17 @@ class TestTimeWeights:
             assert all(v >= 0.0 for v in vals)
             assert all(a >= b - 1e-14 for a, b in zip(vals, vals[1:]))
 
+    def test_array_times_match_scalar_calls(self):
+        t = np.linspace(0.0, 2.0, 129)
+        sub = phi_sub(t, 0.3, 2.0)
+        assert sub.shape == t.shape
+        np.testing.assert_allclose(sub, [phi_sub(tt, 0.3, 2.0) for tt in t], rtol=1e-14, atol=0.0)
+        phi, psi = phi_psi_wave(t, 1.5, 2.0)
+        pairs = np.array([phi_psi_wave(tt, 1.5, 2.0) for tt in t])
+        np.testing.assert_allclose(phi, pairs[:, 0], rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(psi, pairs[:, 1], rtol=1e-14, atol=0.0)
+        assert isinstance(phi_sub(0.5, 0.3, 2.0), float)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             phi_sub(0.5, 1.5, 1.0)
@@ -130,6 +150,10 @@ class TestTimeWeights:
             phi_psi_wave(0.5, 0.5, 1.0)
         with pytest.raises(ValueError):
             phi_sub(2.0, 0.5, 1.0)
+        with pytest.raises(ValueError):
+            phi_sub(np.array([0.0, 0.5, 1.1]), 0.5, 1.0)
+        with pytest.raises(ValueError):
+            phi_psi_wave(np.array([-0.1, 0.5]), 1.5, 1.0)
 
 
 class TestSeriesControl:
