@@ -3,7 +3,8 @@
 Exit codes, each failure with a one-line message on stderr:
   0 success;
   2 configuration/validation error;
-  3 solver failure, or a special-function series that did not converge;
+  3 solver failure (including a Newton iterate outside the domain of
+    k), or a special-function series that did not converge;
   4 conservation-check (or selftest) failure, including a non-finite
     residual inside the checked window.
 """

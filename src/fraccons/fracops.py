@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specialfn import DEFAULT_SERIES_CONTROL, SeriesControl, gamma, hyp2f1, reciprocal_gamma
+from .specialfn import gamma, hyp2f1, reciprocal_gamma
 
 __all__ = [
     "Kind",
@@ -51,6 +51,13 @@ class Kind(enum.Enum):
     CAPUTO = "caputo"
 
 
+def _order_and_n(alpha: float) -> int:
+    """n = ceil(alpha) for alpha in (0,2) with alpha != 1; ValueError otherwise."""
+    if not (0.0 < alpha < 2.0) or alpha == 1.0:
+        raise ValueError("alpha must lie in (0,2) with alpha != 1")
+    return 1 if alpha < 1.0 else 2
+
+
 @dataclass(frozen=True)
 class FractionalSpec:
     """Derivative kind and order for a time-fractional problem."""
@@ -60,14 +67,13 @@ class FractionalSpec:
     T: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 2.0) or self.alpha == 1.0:
-            raise ValueError("alpha must lie in (0,2) with alpha != 1")
+        _order_and_n(self.alpha)
         if self.T <= 0:
             raise ValueError("T must be positive")
 
     @property
     def n(self) -> int:
-        return 1 if self.alpha < 1.0 else 2
+        return _order_and_n(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -250,8 +256,7 @@ def _pl_weight_matrix(n_steps: int, mu: float, h: float) -> np.ndarray:
     return _read_only(W)
 
 
-def _integral_of_end_power(coeff, p: float, mu: float, grid: TimeGrid,
-                           ctl: SeriesControl = DEFAULT_SERIES_CONTROL) -> np.ndarray:
+def _integral_of_end_power(coeff, p: float, mu: float, grid: TimeGrid) -> np.ndarray:
     """Exact samples of I^mu applied to coeff * (T - t)^p.
 
     (1/Gamma(mu)) int_0^t (t-tau)^{mu-1} (T-tau)^p dtau
@@ -264,7 +269,7 @@ def _integral_of_end_power(coeff, p: float, mu: float, grid: TimeGrid,
     col = np.zeros_like(t)
     tt = t[1:-1]
     c = T - tt
-    fvals = hyp2f1(mu + 1.0 + p, mu, mu + 1.0, tt / T, ctl)
+    fvals = hyp2f1(mu + 1.0 + p, mu, mu + 1.0, tt / T)
     col[1:-1] = tt ** mu * c ** (p + mu) * T ** (-mu) * fvals / gamma(mu + 1.0)
     # at t = T the kernel and the pole coalesce; elementary closed form, and
     # infinite when mu + p <= 0, stored as 0 like the anchor value of a term
@@ -357,12 +362,6 @@ def time_derivative(f: TimeSeries, order: int = 1) -> TimeSeries:
     reg = f.regular_part()
     dreg = diff1(reg, grid.h) if order == 1 else diff2(reg, grid.h)
     return TimeSeries.from_parts(grid, dreg, _diff_terms(f.singular, order))
-
-
-def _order_and_n(alpha: float) -> int:
-    if not (0.0 < alpha < 2.0) or alpha == 1.0:
-        raise ValueError("alpha must lie in (0,2) with alpha != 1")
-    return 1 if alpha < 1.0 else 2
 
 
 def _derivative_order(alpha: float, grid: TimeGrid) -> int:
@@ -461,11 +460,10 @@ def _j_piecewise_linear(fv: np.ndarray, gv: np.ndarray, grid: TimeGrid, beta: fl
     return out / gamma(beta)
 
 
-def _incomplete_beta_vec(x: np.ndarray, a: float, b: float,
-                         ctl: SeriesControl = DEFAULT_SERIES_CONTROL) -> np.ndarray:
+def _incomplete_beta_vec(x: np.ndarray, a: float, b: float) -> np.ndarray:
     """B(x; a, b) = x^a/a * 2F1(a, 1-b; a+1; x) for x in [0, 1]."""
     x = np.asarray(x, dtype=float)
-    return x ** a / a * hyp2f1(a, 1.0 - b, a + 1.0, x, ctl)
+    return x ** a / a * hyp2f1(a, 1.0 - b, a + 1.0, x)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

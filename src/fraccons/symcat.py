@@ -19,6 +19,7 @@ from .fracops import (
     SingularTerm,
     TimeGrid,
     TimeSeries,
+    _order_and_n,
     _power_samples,
     caputo_right_derivative,
     diff1,
@@ -94,8 +95,7 @@ def list_symmetries(kind: Kind, alpha: float, diffusivity: Diffusivity,
     k = u^{2 alpha / (1 - alpha)}, alpha in (1,2), which holds conditionally
     on problem data with u_t(0, x) = 0.
     """
-    if not (0.0 < alpha < 2.0) or alpha == 1.0:
-        raise ValueError("alpha must lie in (0,2) with alpha != 1")
+    _order_and_n(alpha)
     if diffusivity.family is DiffusivityFamily.CONSTANT:
         return [_sym("X1", alpha), _sym("X2", alpha), _sym("X3_lin", alpha),
                 _sym("Xinf", alpha, h=h)]

@@ -294,86 +294,92 @@ def exact_rl_separable(diffusivity: Diffusivity, alpha: float, a: float, b: floa
 # implicit solver
 # ---------------------------------------------------------------------------
 
-def _flux_divergence(diff: Diffusivity, u: np.ndarray, hx: float) -> np.ndarray:
-    """Conservative discretization of (k(u) u_x)_x at interior nodes."""
-    k_half = diff.k(0.5 * (u[1:] + u[:-1]))
-    return (k_half[1:] * (u[2:] - u[1:-1]) - k_half[:-1] * (u[1:-1] - u[:-2])) / hx ** 2
+# Newton tolerance on the step residual, relative to max(1, |rhs|), and its iteration cap
+_TOL = 1e-10
+_MAX_ITER = 50
 
 
-def _flux_jacobian_bands(diff: Diffusivity, u: np.ndarray, hx: float) -> np.ndarray:
-    """Banded (3 x m) Jacobian of _flux_divergence w.r.t. interior unknowns."""
+def _flux(diff: Diffusivity, u: np.ndarray, hx: float) -> tuple[np.ndarray, np.ndarray]:
+    """Conservative (k(u) u_x)_x at interior nodes and its banded (3 x m) Jacobian.
+
+    Both come from one set of midpoint values. The Jacobian rows hold the
+    derivatives w.r.t. u_{j+1} (superdiagonal), u_j and u_{j-1} (subdiagonal).
+    """
     um = 0.5 * (u[1:] + u[:-1])
     kh = diff.k(um)
-    kp = 0.5 * diff.k_prime(um)
     du = u[1:] - u[:-1]
-    m = u.size - 2
-    ab = np.zeros((3, m))
-    # d/du_{j+1} (superdiagonal), d/du_j (diagonal), d/du_{j-1} (subdiagonal)
-    upper = (kp[1:] * du[1:] + kh[1:]) / hx ** 2
-    lower = (-kp[:-1] * du[:-1] + kh[:-1]) / hx ** 2
-    diag = (kp[1:] * du[1:] - kh[1:] - kp[:-1] * du[:-1] - kh[:-1]) / hx ** 2
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return ab
+    s = 0.5 * diff.k_prime(um) * du
+    q = kh * du
+    hx2 = hx ** 2
+    jac = np.zeros((3, u.size - 2))
+    jac[0, 1:] = (s[1:-1] + kh[1:-1]) / hx2
+    jac[1] = (s[1:] - kh[1:] - s[:-1] - kh[:-1]) / hx2
+    jac[2, :-1] = (-s[1:-1] + kh[1:-1]) / hx2
+    return (q[1:] - q[:-1]) / hx2, jac
 
 
-def _l1_weights(alpha: float, n: int) -> np.ndarray:
-    j = np.arange(n + 1, dtype=float)
-    return (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
+def _newton_step_solve(diff: Diffusivity, c0: float, rhs: np.ndarray,
+                       base_row: np.ndarray, w: np.ndarray, hx: float) -> np.ndarray:
+    """Solve c0 * w - flux(base_row + w) = rhs at the interior nodes.
 
+    ``w`` is the start guess with the Dirichlet values in its end entries;
+    it may be overwritten.
+    A non-finite residual or Jacobian (an iterate outside the domain of k)
+    raises SolverError, as does a stalled line search or the iteration cap.
+    """
 
-def _newton_step_solve(problem: TFDEProblem, c0: float, rhs: np.ndarray,
-                       base_row: np.ndarray, w_start: np.ndarray,
-                       bc: tuple[float, float], hx: float,
-                       tol: float = 1e-10, max_iter: int = 50) -> np.ndarray:
-    """Solve c0 * w - flux(base_row + w) = rhs for w with Dirichlet traces bc."""
-    diff = problem.diffusivity
-    w = w_start.copy()
-    w[0], w[-1] = bc
-    # residual tolerance relative to the magnitude of the balanced terms;
-    # the flux difference cancels catastrophically when the field carries an
-    # initial-time singularity, so the roundoff floor scales with k*u/hx^2
-    u0 = base_row + w
-    term_mag = float(np.max(np.abs(diff.k(u0)) * np.abs(u0))) / hx ** 2
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    tol_eff = max(tol * scale, 1e-12 * term_mag)
-    for _ in range(max_iter):
-        u_full = base_row + w
-        g = c0 * w[1:-1] - _flux_divergence(diff, u_full, hx) - rhs
-        gn = np.max(np.abs(g))
-        if gn <= tol_eff:
+    def residual(v):
+        f, jac = _flux(diff, base_row + v, hx)
+        return c0 * v[1:-1] - f - rhs, jac
+
+    with np.errstate(all="ignore"):
+        # residual tolerance relative to the magnitude of the balanced terms;
+        # the flux difference cancels catastrophically when the field carries
+        # an initial-time singularity, so the roundoff floor scales with k*u/hx^2
+        u0 = base_row + w
+        term_mag = float(np.max(np.abs(diff.k(u0)) * np.abs(u0))) / hx ** 2
+        tol_eff = max(_TOL * max(1.0, float(np.max(np.abs(rhs)))), 1e-12 * term_mag)
+        g, jac = residual(w)
+        trial = w.copy()
+        for _ in range(_MAX_ITER):
+            gn = np.max(np.abs(g))
+            if gn <= tol_eff:
+                return w
+            ab = -jac
+            ab[1] += c0
+            if not (np.isfinite(gn) and np.isfinite(ab).all()):
+                raise SolverError("Newton iterate outside the domain of k: "
+                                  "non-finite residual or Jacobian")
+            delta = solve_banded((1, 1), ab, -g)
+            # damped update: halve the step until the residual decreases
+            lam = 1.0
+            while True:
+                trial[1:-1] = w[1:-1] + lam * delta
+                g_try, jac_try = residual(trial)
+                if np.max(np.abs(g_try)) < gn:
+                    break
+                lam *= 0.5
+                if lam < 1e-6:
+                    raise SolverError("Newton line search stalled")
+            w, trial, g, jac = trial, w, g_try, jac_try
+        if np.max(np.abs(g)) <= tol_eff:
             return w
-        ab = -_flux_jacobian_bands(diff, u_full, hx)
-        ab[1, :] += c0
-        delta = solve_banded((1, 1), ab, -g)
-        # damped update: backtrack while the residual fails to decrease
-        lam = 1.0
-        for _ in range(20):
-            w_try = w.copy()
-            w_try[1:-1] = w[1:-1] + lam * delta
-            g_try = c0 * w_try[1:-1] - _flux_divergence(diff, base_row + w_try, hx) - rhs
-            if np.max(np.abs(g_try)) < gn or lam < 1e-6:
-                w = w_try
-                break
-            lam *= 0.5
-    u_full = base_row + w
-    g = c0 * w[1:-1] - _flux_divergence(diff, u_full, hx) - rhs
-    if np.max(np.abs(g)) > tol_eff:
-        raise SolverError("nonlinear iteration did not converge")
-    return w
+    raise SolverError("nonlinear iteration did not converge")
 
 
 def solve_nonlinear(problem: TFDEProblem, grid: TimeGrid, n_x: int) -> GridFunction:
-    """Implicit L1 / product-integration time stepping with Newton in space.
+    """Implicit L1 time stepping with Newton in space.
 
     Caputo kind: standard L1 discretization of the fractional derivative.
     Riemann-Liouville kind: the field is split as u = (singular modes) + w
     with w vanishing at t = 0; on w the Riemann-Liouville and Caputo
     derivatives coincide and the L1 scheme applies, which keeps the
     t^{alpha-1} (and t^{alpha-2}) singularity out of the stepping loop.
-    For n = 2 the scheme advances u_t with an L1 memory term of order
-    alpha - 1 and backward differences in time (first-order accurate).
+    The L1 scheme for the derivative of order alpha - n + 1 acts on y = w
+    (n = 1) or on its backward difference quotient y = w_t (n = 2,
+    first-order accurate).
+    Raises SolverError when a Newton step fails, including an iterate
+    outside the domain of k.
     """
     spec = problem.spec
     alpha = spec.alpha
@@ -384,64 +390,43 @@ def solve_nonlinear(problem: TFDEProblem, grid: TimeGrid, n_x: int) -> GridFunct
     t = grid.nodes()
     n_t = grid.n_steps
 
+    W = np.zeros((n_t + 1, x.size))
+    y = W[0]  # y_0: w(0), or w_t(0) when n = 2; both 0 for the RL kind
     terms: list[SingularTerm] = []
     if spec.kind is Kind.RIEMANN_LIOUVILLE:
-        c1 = np.asarray(problem.initial(x), dtype=float)
-        terms.append(SingularTerm(c1, alpha - 1.0))
+        terms.append(SingularTerm(np.asarray(problem.initial(x), dtype=float), alpha - 1.0))
         if n == 2:
             c2 = np.asarray(problem.initial_velocity(x), dtype=float)
             if np.any(c2 != 0.0):
                 terms.append(SingularTerm(c2, alpha - 2.0))
-        w0 = np.zeros(x.size)
-        v0 = np.zeros(x.size)
     else:
-        w0 = np.asarray(problem.initial(x), dtype=float)
-        v0 = (np.asarray(problem.initial_velocity(x), dtype=float)
-              if problem.initial_velocity is not None else np.zeros(x.size))
-
-    def trace(side: str, ti: float, default: float) -> float:
-        fn = problem.boundary_lo if side == "lo" else problem.boundary_hi
-        if fn is None:
-            return default
-        val = float(fn(ti))
-        # boundary callables give the full trace; the stepping variable is w
-        if spec.kind is Kind.RIEMANN_LIOUVILLE:
-            j = 0 if side == "lo" else -1
-            for term in terms:
-                val -= term.coeff[j] * ti ** term.power
-        return val
+        W[0] = problem.initial(x)
+        if n == 2:
+            y = np.asarray(problem.initial_velocity(x), dtype=float)
 
     # the singular modes; row 0 (never evaluated) is 0
     base = sum((term.sample(grid) for term in terms), np.zeros((n_t + 1, x.size)))
-    W = np.zeros((n_t + 1, x.size))
-    W[0] = w0
-    mu = alpha if n == 1 else alpha - 1.0
-    a_w = _l1_weights(mu, n_t)
+    mu = alpha - (n - 1)
+    j = np.arange(n_t + 1, dtype=float)
+    a_w = (j + 1.0) ** (1.0 - mu) - j ** (1.0 - mu)  # L1 weights
     c_l1 = h ** (-mu) / gamma(2.0 - mu)
-
-    if n == 1:
-        for m in range(1, n_t + 1):
-            # L1 history: sum_{j=1}^{m-1} a_{m-j} (W_j - W_{j-1})
-            hist = np.zeros(x.size)
-            if m >= 2:
-                dW = W[1:m] - W[: m - 1]
-                hist = c_l1 * np.tensordot(a_w[m - 1: 0: -1], dW, axes=(0, 0))
-            rhs = c_l1 * W[m - 1, 1:-1] - hist[1:-1]
-            bc = (trace("lo", t[m], w0[0]), trace("hi", t[m], w0[-1]))
-            W[m] = _newton_step_solve(problem, c_l1, rhs, base[m], W[m - 1], bc, hx)
-    else:
-        V = np.zeros((n_t + 1, x.size))
-        V[0] = v0
-        for m in range(1, n_t + 1):
-            hist = np.zeros(x.size)
-            if m >= 2:
-                dV = V[1:m] - V[: m - 1]
-                hist = c_l1 * np.tensordot(a_w[m - 1: 0: -1], dV, axes=(0, 0))
-            # unknown is u_m with v_m = (u_m - u_{m-1}) / h
-            rhs = (c_l1 / h) * W[m - 1, 1:-1] + c_l1 * V[m - 1, 1:-1] - hist[1:-1]
-            bc = (trace("lo", t[m], w0[0]), trace("hi", t[m], w0[-1]))
-            W[m] = _newton_step_solve(problem, c_l1 / h, rhs, base[m], W[m - 1], bc, hx)
-            V[m] = (W[m] - W[m - 1]) / h
+    c0 = c_l1 / h ** (n - 1)
+    dY = np.zeros((n_t + 1, x.size))  # dY[j] = y_j - y_{j-1}
+    for m in range(1, n_t + 1):
+        # L1 history: sum_{j=1}^{m-1} a_{m-j} (y_j - y_{j-1})
+        hist = c_l1 * np.tensordot(a_w[m - 1: 0: -1], dY[1:m], axes=(0, 0))
+        # c_l1 (y_m - y_{m-1}) + hist = flux, with y_m = (w_m - w_prev) / h^(n-1)
+        w_prev = W[m - 1, 1:-1] if n == 2 else 0.0
+        rhs = c0 * w_prev + c_l1 * y[1:-1] - hist[1:-1]
+        w = W[m - 1].copy()
+        # Dirichlet values of w: the full trace minus the singular modes there
+        for end, fn in ((0, problem.boundary_lo), (-1, problem.boundary_hi)):
+            if fn is not None:
+                w[end] = float(fn(t[m])) - base[m, end]
+        W[m] = _newton_step_solve(problem.diffusivity, c0, rhs, base[m], w, hx)
+        y_m = W[m] if n == 1 else (W[m] - W[m - 1]) / h
+        dY[m] = y_m - y
+        y = y_m
 
     return GridFunction.from_parts(grid, W, terms, x=x)
 

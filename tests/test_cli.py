@@ -155,6 +155,20 @@ class TestVerifyCommand:
         assert len(err.strip().splitlines()) == 1
         assert "exact_linear" in err
 
+    def test_newton_outside_diffusivity_domain_exits_3(self, tmp_path, capsys):
+        # perturb = 20 makes the start guess of a step negative, where
+        # k = u^0.5 is undefined; that is a solver failure, and no
+        # RuntimeWarning may escape (the suite turns them into errors)
+        cfg_path = write_config(tmp_path, base_config(
+            kind="rl", diffusivity={"family": "power", "beta": 0.5},
+            source={"id": "solver", "params": {"a": 0.5, "b": 1.0, "perturb": 20.0}},
+            vectors=["Trivial_RL"], n_x=16))
+        rc = main(["verify", "--config", cfg_path])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("solver failure")
+
     def test_nonfinite_residual_exits_4(self, tmp_path, capsys, monkeypatch):
         def nonfinite(cv, *args, **kwargs):
             raise FloatingPointError(f"{cv.provenance}: non-finite residual inside the window")

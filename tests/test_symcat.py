@@ -9,6 +9,7 @@ from fraccons.symcat import (
     characteristic,
     list_symmetries,
     rl_extra_beta,
+    _sym,
 )
 from fraccons.tfde import (
     Diffusivity,
@@ -115,6 +116,22 @@ class TestCharacteristic:
         w = characteristic(sym, u)
         assert np.max(np.abs(w.regular_part())) < 1e-12
         assert all(np.max(np.abs(t.coeff)) < 1e-12 for t in w.singular)
+
+    @pytest.mark.parametrize("sym_id", ["X1", "X2", "X3_lin", "Xinf", "X3_pow",
+                                        "X3_exp", "X4_pow43", "X4_rl"])
+    def test_matches_own_coefficients(self, sym_id):
+        # u = (1+t)(2+x) + 0.3 t x is linear in t and in x, so diff1 is exact
+        # and W = eta - xi0 u_t - xi1 u_x follows from the symmetry's callables
+        tgrid = TimeGrid(1.0, 8)
+        x = np.linspace(0.0, 1.0, 6)
+        t, xx = tgrid.nodes()[:, None], x[None, :]
+        u = GridFunction(tgrid, x, (1.0 + t) * (2.0 + xx) + 0.3 * t * xx)
+        h = GridFunction(tgrid, x, np.sin(t + 2.0 * xx))
+        sym = _sym(sym_id, 1.5, beta=-4.0 / 3.0, h=h)
+        u_t, u_x = 2.0 + 1.3 * xx, 1.0 + 1.3 * t
+        ref = (sym.eta(t, xx, u.values) - sym.xi0(t, xx, u.values) * u_t
+               - sym.xi1(t, xx, u.values) * u_x)
+        assert np.allclose(characteristic(sym, u).values, ref, rtol=0.0, atol=1e-12)
 
 
 class TestAdjointSubstitution:
