@@ -12,7 +12,6 @@ Subpackages:
 from .specialfn import (
     ConvergenceError,
     GammaPoleError,
-    SeriesControl,
     gamma,
     hyp2f1,
     mittag_leffler,

@@ -481,34 +481,11 @@ def _j_start_power_matrix(grid: TimeGrid, p: float, beta: float) -> np.ndarray:
     return _read_only(P)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _j_end_power_matrix(grid: TimeGrid, q: float, beta: float) -> np.ndarray:
-    """Q[i,p] = int_{t_i}^T (T-mu)^q (mu - t_p)^{beta-1} dmu for p <= i <= n-1."""
-    t = grid.nodes()
-    T = grid.T
-    n = grid.n_steps
-    Q = np.zeros((n + 1, n + 1))
-    pp, ii = np.triu_indices(n + 1)  # p <= i
-    keep = ii <= n - 1
-    pp, ii = pp[keep], ii[keep]
-    x = (T - t[ii]) / (T - t[pp])
-    vals = (T - t[pp]) ** (q + beta) * _incomplete_beta_vec(x, q + 1.0, beta)
-    Q[ii, pp] = vals
-    return _read_only(Q)
-
-
 def _trapz_tail(P: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
     """out[i] = trapezoid rule over q = i..n of P[i, q] g[q]; P is upper triangular."""
     diag = _along_time(np.diagonal(P), g.ndim)
     last = _along_time(P[:, -1], g.ndim)
     return h * (P @ g - 0.5 * (diag * g + last * g[-1]))
-
-
-def _trapz_head(Q: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
-    """out[i] = trapezoid rule over p = 0..i of Q[i, p] f[p]; Q is lower triangular."""
-    diag = _along_time(np.diagonal(Q), f.ndim)
-    first = _along_time(Q[:, 0], f.ndim)
-    return h * (Q @ f - 0.5 * (first * f[0] + diag * f))
 
 
 def _start_power_cell_weights(grid: TimeGrid, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -525,8 +502,8 @@ def _power_weighted_head(Q: np.ndarray, p: float, grid: TimeGrid) -> np.ndarray:
 
     Integrates the power weight exactly against the piecewise-linear
     interpolant of the Q row, so integrable singularities of tau^p at
-    tau = 0 cost no accuracy. Q is lower triangular, so cell j < i pairs
-    Q[i, j] with wl[j] and Q[i, j+1] with wr[j].
+    tau = 0 cost no accuracy. Q is lower triangular (J's end-term matrix),
+    so cell j < i pairs Q[i, j] with wl[j] and Q[i, j+1] with wr[j].
     """
     wl, wr = _start_power_cell_weights(grid, p)
     return Q[:, :-1] @ wl + Q[:, 1:] @ wr - np.diagonal(Q) * np.append(wl, 0.0)
@@ -555,10 +532,12 @@ def j_integral(f: TimeSeries, g: TimeSeries, alpha: float) -> TimeSeries:
         P = _j_start_power_matrix(grid, term.power, beta)
         out += term.coeff * inv_gb * _trapz_tail(P, g_lin, h)
     for term in g_end:
-        Q = _j_end_power_matrix(grid, term.power, beta)
-        out += term.coeff * inv_gb * _trapz_head(Q, f_lin, h)
+        # t -> T - t maps g's end term to a start term and [t, T] to [0, T - t]:
+        # Q[i, p] = int_{t_i}^T (T-mu)^q (mu - t_p)^{beta-1} dmu = P[n-i, n-p]
+        P = _j_start_power_matrix(grid, term.power, beta)
+        out += term.coeff * inv_gb * _trapz_tail(P, f_lin[::-1], h)[::-1]
         for t2 in f_start:
-            head = _power_weighted_head(Q, t2.power, grid)
+            head = _power_weighted_head(P[::-1, ::-1], t2.power, grid)
             out += np.multiply.outer(head, term.coeff * t2.coeff * inv_gb)
     return TimeSeries(grid, out)
 

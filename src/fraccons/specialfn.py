@@ -8,12 +8,10 @@ float or an array argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SeriesControl",
     "ConvergenceError",
     "GammaPoleError",
     "gamma",
@@ -26,33 +24,23 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """A series did not reach the requested tolerance within max_terms."""
+    """A series cannot reach float64 accuracy, or a function diverges at the argument."""
 
 
 class GammaPoleError(ValueError):
     """Gamma evaluated at a non-positive integer."""
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation control for series evaluations."""
-
-    max_terms: int = 500
-    abs_tol: float = 1e-14
-    rel_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise ValueError("tolerances must be >= 0")
-        if self.abs_tol == 0 and self.rel_tol == 0:
-            raise ValueError("at least one of abs_tol, rel_tol must be > 0")
-
-
-DEFAULT_SERIES_CONTROL = SeriesControl()
-
 _INT_EPS = 1e-12
+
+# Mittag-Leffler series: truncation after two consecutive terms below
+# max(_ML_ABS_TOL, _ML_REL_TOL |sum|), within _ML_MAX_TERMS terms; the sum is
+# refused when its rounding-error estimate eps * sum_k |term_k| exceeds
+# _ML_CANCEL_TOL |sum| (an alternating series for large negative z)
+_ML_MAX_TERMS = 500
+_ML_ABS_TOL = 1e-14
+_ML_REL_TOL = 1e-12
+_ML_CANCEL_TOL = 1e-10
 
 
 def _is_nonpositive_integer(z: float) -> bool:
@@ -73,23 +61,21 @@ def reciprocal_gamma(z: float) -> float:
     return 1.0 / gamma(z)
 
 
-def mittag_leffler(
-    alpha: float,
-    beta: float,
-    z: float,
-    ctl: SeriesControl = DEFAULT_SERIES_CONTROL,
-) -> float:
+def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
 
-    Direct power series with compensated (Kahan) summation. Intended for
-    moderate |z|; raises ConvergenceError when the tolerance is not met.
+    Direct power series with compensated (Kahan) summation. Raises
+    ConvergenceError when the series does not converge or overflows, or
+    when cancellation between its terms leaves the sum less accurate than
+    _ML_CANCEL_TOL relative (at alpha = 1/2 that is z below about -3.2).
     """
     if alpha <= 0:
         raise ValueError("mittag_leffler requires alpha > 0")
     total = 0.0
     comp = 0.0
+    magnitude = 0.0
     small_streak = 0
-    for k in range(ctl.max_terms):
+    for k in range(_ML_MAX_TERMS):
         a = alpha * k + beta
         if _is_nonpositive_integer(a):
             term = 0.0
@@ -102,79 +88,53 @@ def mittag_leffler(
             # math.lgamma gives log|Gamma| for negative non-integers too
             sign_g = 1.0 if a > 0 else math.copysign(1.0, math.sin(math.pi * a))
             sign_z = 1.0 if z > 0 else (-1.0) ** k
-            term = sign_g * sign_z * math.exp(k * math.log(abs(z)) - math.lgamma(a))
+            try:
+                term = sign_g * sign_z * math.exp(k * math.log(abs(z)) - math.lgamma(a))
+            except OverflowError:
+                raise ConvergenceError(f"Mittag-Leffler series overflows for alpha={alpha}, "
+                                       f"beta={beta}, z={z}") from None
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        tol = max(ctl.abs_tol, ctl.rel_tol * abs(total))
-        if abs(term) <= tol:
+        magnitude += abs(term)
+        if abs(term) <= max(_ML_ABS_TOL, _ML_REL_TOL * abs(total)):
             small_streak += 1
             # two consecutive small terms: robust for alternating series
             if small_streak >= 2:
-                return total
+                break
         else:
             small_streak = 0
-    raise ConvergenceError(
-        f"Mittag-Leffler series did not converge for alpha={alpha}, beta={beta}, z={z}"
-    )
+    else:
+        raise ConvergenceError(
+            f"Mittag-Leffler series did not converge for alpha={alpha}, beta={beta}, z={z}")
+    if np.finfo(float).eps * magnitude > _ML_CANCEL_TOL * abs(total):
+        raise ConvergenceError(
+            f"Mittag-Leffler series loses its accuracy to cancellation for alpha={alpha}, "
+            f"beta={beta}, z={z} (sum of |terms| {magnitude:.3g}, sum {total:.3g})")
+    return total
 
 
-def _hyp2f1_series_vec(a: float, b: float, c: float, z: np.ndarray, ctl: SeriesControl) -> np.ndarray:
-    """Gauss series, vectorized over z with |z| < 1 (or terminating)."""
-    z = np.asarray(z, dtype=float)
-    term = np.ones_like(z)
-    total = np.ones_like(z)
-    active = np.ones(z.shape, dtype=bool)
-    for k in range(ctl.max_terms):
-        ratio = (a + k) * (b + k) / ((c + k) * (k + 1.0))
-        term = term * ratio * z
-        total = np.where(active, total + term, total)
-        tol = np.maximum(ctl.abs_tol, ctl.rel_tol * np.abs(total))
-        active &= np.abs(term) > tol
-        if not active.any():
-            return total
-    raise ConvergenceError(f"2F1 series did not converge (a={a}, b={b}, c={c})")
+def hyp2f1(a: float, b: float, c: float, z):
+    """Gauss hypergeometric function 2F1(a, b; c; z) for z in [0, 1].
 
-
-def hyp2f1(a: float, b: float, c: float, z, ctl: SeriesControl = DEFAULT_SERIES_CONTROL):
-    """Gauss hypergeometric function 2F1(a, b; c; z) for z in [0, 1).
-
-    ``z`` is a float (a float is returned) or an array; z = 1 is allowed
-    when c-a-b > 0. Direct series for z <= 0.5, two-term z -> 1-z linear
-    transformation otherwise (requires non-integer c - a - b).
+    ``scipy.special.hyp2f1`` behind the domain checks. ``z`` is a float (a
+    float is returned) or an array (of the same shape). Raises ValueError
+    for a non-positive integer c or a z outside [0, 1], and ConvergenceError
+    at z = 1 when c-a-b <= 0, where the series diverges.
     """
+    # imported here, so that only callers of 2F1 pay for loading scipy.special
+    from scipy.special import hyp2f1 as scipy_hyp2f1
+
     if _is_nonpositive_integer(c):
         raise ValueError(f"hyp2f1 parameter c={c} is a non-positive integer")
-    z_in = np.asarray(z, dtype=float)
-    z = np.atleast_1d(z_in)
-    if np.any(z < 0) or np.any(z > 1):
-        raise ValueError("hyp2f1 argument must lie in [0, 1)")
-    out = np.empty_like(z)
-    near = z > 0.5
-    if np.any(~near):
-        out[~near] = _hyp2f1_series_vec(a, b, c, z[~near], ctl)
-    if np.any(near):
-        s = c - a - b
-        if abs(s - round(s)) < _INT_EPS:
-            # transformation degenerates; fall back to the raw series
-            if np.any(z[near] >= 1.0):
-                raise ConvergenceError("2F1 transformation unavailable for integer c-a-b at z -> 1")
-            big = SeriesControl(max_terms=200000, abs_tol=ctl.abs_tol, rel_tol=ctl.rel_tol)
-            out[near] = _hyp2f1_series_vec(a, b, c, z[near], big)
-        else:
-            if np.any(z[near] >= 1.0) and s <= 0:
-                raise ConvergenceError("2F1 diverges at z=1 for c-a-b <= 0")
-            w = 1.0 - z[near]
-            g = gamma
-            f1 = g(c) * g(s) / (g(c - a) * g(c - b)) * _hyp2f1_series_vec(a, b, 1.0 - s, w, ctl)
-            f2 = (
-                g(c) * g(-s) / (g(a) * g(b))
-                * w ** s
-                * _hyp2f1_series_vec(c - a, c - b, 1.0 + s, w, ctl)
-            )
-            out[near] = f1 + f2
-    return float(out[0]) if z_in.ndim == 0 else out.reshape(z_in.shape)
+    z = np.asarray(z, dtype=float)
+    if not np.all((0.0 <= z) & (z <= 1.0)):
+        raise ValueError("hyp2f1 argument must lie in [0, 1]")
+    if c - a - b <= 0 and np.any(z == 1.0):
+        raise ConvergenceError(f"2F1 diverges at z=1 for c-a-b={c - a - b} <= 0")
+    out = scipy_hyp2f1(a, b, c, z)
+    return float(out) if z.ndim == 0 else out
 
 
 def _time_fraction(name: str, t, T: float):

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fraccons
 from fraccons.cli import (
     ConfigError,
     main,
@@ -106,13 +110,27 @@ class TestVerifyCommand:
         assert lines[2].startswith("Table3_v1,caputo,0.5,32,32,")
         assert lines[3].startswith("Table3_v1[flux],caputo,0.5,32,32,")
 
-    def test_verify_threshold_failure_exits_4(self, tmp_path):
+    def test_verify_threshold_failure_exits_4(self, tmp_path, capsys):
         # the stationary solution is resolved almost exactly, so demanding a
-        # huge improvement factor between grids must fail
-        cfg_path = write_config(tmp_path, base_config(grids=[32, 64], n_x=32,
-                                                      threshold=1e6))
+        # huge improvement factor between grids must fail, and stderr names
+        # the vector with the lowest ratio
+        cfg_path = write_config(tmp_path, base_config(
+            vectors=["Table3_v1", "Table3_v2"], grids=[32, 64], n_x=32, threshold=1e6))
         rc = main(["verify", "--config", cfg_path])
         assert rc == 4
+        out, err = capsys.readouterr()
+        # each vector's ratio from its 12-digit Linf values on the two grids
+        linf = {}
+        for line in out.splitlines()[2:]:
+            fields = line.split(",")
+            if not fields[0].endswith("[flux]"):
+                linf.setdefault(fields[0], []).append(float(fields[5]))
+        worst = min(linf, key=lambda vid: linf[vid][0] / linf[vid][1])
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert f"{worst} ratio " in lines[0] and "n_steps=64" in lines[0]
+        assert "threshold 1e+06" in lines[0]
+        assert "n_x is fixed at 32" in lines[0]
 
     def test_missing_config_exits_2(self, tmp_path):
         rc = main(["verify", "--config", str(tmp_path / "absent.json")])
@@ -131,15 +149,18 @@ class TestVerifyCommand:
 
     def test_nonconvergent_series_exits_3(self, tmp_path, capsys):
         # lam = 4 drives the Mittag-Leffler argument of the exact solution
-        # past the range where its series converges
-        cfg_path = write_config(tmp_path, base_config(
-            diffusivity={"family": "constant"}, x_hi=np.pi,
-            source={"id": "exact_linear", "params": {"lam": 4.0}},
-            vectors=["Trivial_Caputo"], n_x=8))
-        rc = main(["verify", "--config", cfg_path])
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
+        # past the range where its series converges; at lam = 2.5 (z down to
+        # -6.25) it converges, but cancellation leaves no correct digit
+        for lam in (4.0, 2.5):
+            cfg_path = write_config(tmp_path, base_config(
+                diffusivity={"family": "constant"}, x_hi=np.pi,
+                source={"id": "exact_linear", "params": {"lam": lam}},
+                vectors=["Trivial_Caputo"], grids=[32, 64], n_x=8))
+            rc = main(["verify", "--config", cfg_path])
+            assert rc == 3, lam
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1
+            assert err.startswith("series did not converge")
 
     @pytest.mark.parametrize("diffusivity", [{"family": "constant", "k0": 2.0},
                                              {"family": "power", "beta": 2.0}])
@@ -239,3 +260,14 @@ class TestSelftestCommand:
         text = capsys.readouterr().out
         assert text.startswith("PASS criterion")
         assert " 1 [" in text
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # hyp2f1 imports scipy.special on first use; a CLI call that needs no
+    # 2F1 (the solver workloads) must not pay for loading it at start-up
+    src = os.path.dirname(os.path.dirname(fraccons.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, fraccons.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -1,8 +1,8 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.special as sps
 from scipy.integrate import dblquad, quad
 
 from fraccons.fracops import (
@@ -127,6 +127,19 @@ class TestLeftIntegral:
         grid = TimeGrid(1.0, 16)
         out = left_frac_integral(power_series(grid, 1.0, -0.5), 0.5)
         assert np.max(np.abs(out.values - math.sqrt(math.pi))) < 1e-12
+
+    @pytest.mark.parametrize("power", [0.0, 1.0])
+    def test_integer_end_power_closed_form(self, power):
+        # (T-t)^0 and (T-t)^1 declared as end terms: I^mu 1 = t^mu/Gamma(mu+1)
+        # and I^mu (T-t) = T t^mu/Gamma(mu+1) - t^{mu+1}/Gamma(mu+2)
+        mu, T = 0.5, 2.0
+        grid = TimeGrid(T, 16)
+        f = TimeSeries.from_parts(grid, np.zeros(17), (SingularTerm(1.0, power, "end"),))
+        t = grid.nodes()
+        ref = t ** mu / G(mu + 1.0)
+        if power == 1.0:
+            ref = T * ref - t ** (mu + 1.0) / G(mu + 2.0)
+        np.testing.assert_allclose(left_frac_integral(f, mu).values, ref, rtol=1e-13, atol=1e-15)
 
     def test_mu_validation(self):
         grid = TimeGrid(1.0, 8)
@@ -328,10 +341,41 @@ class TestJIntegral:
         assert errs[1] <= errs[0] / 3.0
 
 
+    @pytest.mark.parametrize("f_kind", ["cos", "start_power"])
+    def test_end_term_of_g_against_quadrature(self, f_kind):
+        # J(f, (T-t)^-0.5) at alpha = 0.5, T = 1 and t = 0.5, g's singularity
+        # declared as an end term; f = cos sampled, or f = t^-0.4 declared as a
+        # start term. The dblquad reference substitutes mu = 1 - s^2, and
+        # tau = r^(1/0.6) for the start power, which take both endpoint
+        # singularities out of the integrand.
+        beta, t = 0.5, 0.5
+        s_hi = math.sqrt(1.0 - t)
+        if f_kind == "cos":
+            ref = dblquad(lambda s, tau: 2.0 * np.cos(tau) * (1.0 - s * s - tau) ** (beta - 1.0),
+                          0.0, t, 0.0, s_hi, epsabs=1e-12, epsrel=1e-12)[0] / G(beta)
+        else:
+            ref = dblquad(lambda s, r: 2.0 / 0.6 * (1.0 - s * s - r ** (1.0 / 0.6)) ** (beta - 1.0),
+                          0.0, t ** 0.6, 0.0, s_hi, epsabs=1e-12, epsrel=1e-12)[0] / G(beta)
+        errs = []
+        for n in (64, 128):
+            grid = TimeGrid(1.0, n)
+            zero = np.zeros(n + 1)
+            g = TimeSeries.from_parts(grid, zero, (SingularTerm(1.0, -0.5, "end"),))
+            if f_kind == "cos":
+                f = series(grid, np.cos)
+            else:
+                f = TimeSeries.from_parts(grid, zero, (SingularTerm(1.0, -0.4, "start"),))
+            errs.append(abs(j_integral(f, g, 1.0 - beta).values[n // 2] - ref))
+        # the Q rows have a square-root edge at tau = t: order 1.5 in h
+        assert errs[0] <= 2e-3
+        assert errs[1] <= errs[0] / 2.5
+
+
 class TestEndpointWeightedIntegrals:
     def test_f_modified_integral_against_quadrature(self):
         # Order 2-a left integral whose kernel carries the extra factor
-        # 2F1(1,1;2-a;(t-tau)/(T-tau)), compared with scipy quadrature.
+        # 2F1(1,1;2-a;(t-tau)/(T-tau)), compared with scipy quadrature of
+        # the mpmath kernel.
         a, T = 1.5, 1.0
         mu = 2.0 - a
         grid = TimeGrid(T, 256)
@@ -340,7 +384,8 @@ class TestEndpointWeightedIntegrals:
         def ref(t):
             def integrand(tau):
                 z = (t - tau) / (T - tau)
-                return np.cos(tau) * float(sps.hyp2f1(1.0, 1.0, mu, z))
+                with mpmath.workdps(40):
+                    return np.cos(tau) * float(mpmath.hyp2f1(1.0, 1.0, mu, z))
             return quad(integrand, 0.0, t, weight="alg",
                         wvar=(0.0, mu - 1.0))[0] / G(mu)
 

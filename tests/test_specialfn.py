@@ -8,7 +8,6 @@ import scipy.special as sps
 from fraccons.specialfn import (
     ConvergenceError,
     GammaPoleError,
-    SeriesControl,
     gamma,
     hyp2f1,
     mittag_leffler,
@@ -66,8 +65,56 @@ class TestMittagLeffler:
             mittag_leffler(0.0, 1.0, 1.0)
 
     def test_nonconvergence_reported(self):
+        # 50^k / Gamma(0.1 k + 1) overflows float64 before the terms fall;
+        # at z = -20 the terms still grow after 500 of them (near 1e157)
         with pytest.raises(ConvergenceError):
-            mittag_leffler(0.1, 1.0, 50.0, SeriesControl(max_terms=10))
+            mittag_leffler(0.1, 1.0, 50.0)
+        with pytest.raises(ConvergenceError):
+            mittag_leffler(0.5, 1.0, -20.0)
+
+    def test_half_order_right_or_loud(self):
+        # E_{1/2}(z) = erfcx(-z); large negative z must raise rather than
+        # return the float64 cancellation error of the alternating series
+        assert mittag_leffler(0.5, 1.0, -1.0) == pytest.approx(sps.erfcx(1.0), rel=1e-12)
+        raised = 0
+        for z in np.linspace(-10.0, 0.0, 201):
+            try:
+                value = mittag_leffler(0.5, 1.0, z)
+            except ConvergenceError:
+                raised += 1
+                continue
+            assert value == pytest.approx(sps.erfcx(-z), rel=1e-8)
+        assert 0 < raised < 201
+
+
+def _mp_hyp2f1(a, b, c, z):
+    # independent oracle: mpmath at 40 significant digits
+    with mpmath.workdps(40):
+        return float(mpmath.hyp2f1(a, b, c, z))
+
+
+def _frac_beta(alpha):
+    return math.ceil(alpha) - alpha
+
+
+# (a, b; c) of every 2F1 call site, as functions of an order alpha
+CALL_SITE_FAMILIES = {
+    # fracops._integral_of_end_power: (mu+1+p, mu; mu+1), end powers p
+    "end_power_p-0.5": lambda al: (al + 0.5, al, al + 1.0),
+    "end_power_p0": lambda al: (al + 1.0, al, al + 1.0),
+    "end_power_p1": lambda al: (al + 2.0, al, al + 1.0),
+    # fracops._incomplete_beta_vec in J: (p+1, 1-beta; p+2), here p = alpha - 1
+    "incomplete_beta": lambda al: (al, 1.0 - _frac_beta(al), al + 1.0),
+    # fracops._fmod_weight_matrix: (1, 1; mu), mu = 2 - alpha
+    "fmod": lambda al: (1.0, 1.0, 2.0 - al),
+    # fracops._endpoint_pole_weight_matrix: (1, 1; nu+1), nu = mu + k, k = 0, 1
+    "endpoint_pole_k0": lambda al: (1.0, 1.0, al + 1.0),
+    "endpoint_pole_k1": lambda al: (1.0, 1.0, al + 2.0),
+    # specialfn.phi_sub and phi_psi_wave
+    "phi_sub": lambda al: (al, al, al + 1.0),
+    "wave_phi": lambda al: (al - 1.0, al - 1.0, al),
+    "wave_psi": lambda al: (al - 1.0, al, al + 1.0),
+}
 
 
 class TestHyp2F1:
@@ -79,12 +126,21 @@ class TestHyp2F1:
     def test_binomial_identity(self):
         # 2F1(a,b;b;z) = (1-z)^{-a}
         assert hyp2f1(0.7, 1.3, 1.3, 0.3) == pytest.approx((1 - 0.3) ** -0.7, rel=1e-11)
+        # c = a, close to z = 1: (1-z)^{-b}
+        assert hyp2f1(1.5, 0.5, 1.5, 0.95) == pytest.approx(0.05 ** -0.5, rel=1e-13)
 
-    def test_against_scipy_near_one(self):
+    def test_against_mpmath_near_one(self):
         for (a, b, c) in ((0.3, 0.4, 0.9), (0.5, 0.5, 1.5), (1.5, 0.25, 2.25)):
             for z in (0.6, 0.8, 0.95, 0.99):
-                assert hyp2f1(a, b, c, z) == pytest.approx(
-                    float(sps.hyp2f1(a, b, c, z)), rel=1e-9)
+                assert hyp2f1(a, b, c, z) == pytest.approx(_mp_hyp2f1(a, b, c, z), rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.3, 1.5, 1.7])
+    @pytest.mark.parametrize("family", sorted(CALL_SITE_FAMILIES))
+    def test_call_site_parameters_against_mpmath(self, family, alpha):
+        a, b, c = CALL_SITE_FAMILIES[family](alpha)
+        z = np.concatenate([np.linspace(0.0, 0.99, 12), 1.0 - np.logspace(-2.0, -4.0, 4)])
+        want = [_mp_hyp2f1(a, b, c, zz) for zz in z]
+        np.testing.assert_allclose(hyp2f1(a, b, c, z), want, rtol=1e-13, atol=0.0)
 
     def test_convergent_at_one_when_allowed(self):
         # c - a - b = 0.5 > 0: finite value Gamma(c)Gamma(c-a-b)/(Gamma(c-a)Gamma(c-b))
@@ -92,8 +148,13 @@ class TestHyp2F1:
         ref = math.gamma(c) * math.gamma(c - a - b) / (math.gamma(c - a) * math.gamma(c - b))
         assert hyp2f1(a, b, c, 1.0) == pytest.approx(ref, rel=1e-10)
 
+    def test_divergent_at_one_raises(self):
+        with pytest.raises(ConvergenceError):
+            hyp2f1(1.0, 1.0, 2.0, 1.0)
+        with pytest.raises(ConvergenceError):
+            hyp2f1(1.0, 1.0, 1.5, np.array([0.5, 1.0]))
+
     def test_array_argument_matches_scalar_calls(self):
-        # both sides of the z = 1/2 switch to the transformed series
         z = np.linspace(0.0, 0.99, 12).reshape(3, 4)
         got = hyp2f1(0.5, 0.5, 1.5, z)
         assert got.shape == z.shape
@@ -109,13 +170,13 @@ class TestHyp2F1:
 
 
 class TestTimeWeights:
-    def test_phi_sub_matches_scipy_composition(self):
+    def test_phi_sub_matches_mpmath_composition(self):
         alpha, T = 0.5, 1.0
         for t in (0.0, 0.25, 0.5, 0.9):
             w = 1.0 - t / T
-            ref = w ** alpha * float(sps.hyp2f1(alpha, alpha, alpha + 1.0, w)) \
+            ref = w ** alpha * _mp_hyp2f1(alpha, alpha, alpha + 1.0, w) \
                 / (alpha * math.gamma(1.0 - alpha))
-            assert phi_sub(t, alpha, T) == pytest.approx(ref, rel=1e-10)
+            assert phi_sub(t, alpha, T) == pytest.approx(ref, rel=1e-13)
 
     def test_phi_sub_monotone_nonnegative(self):
         alpha, T = 0.3, 2.0
@@ -155,12 +216,3 @@ class TestTimeWeights:
         with pytest.raises(ValueError):
             phi_psi_wave(np.array([-0.1, 0.5]), 1.5, 1.0)
 
-
-class TestSeriesControl:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SeriesControl(max_terms=0)
-        with pytest.raises(ValueError):
-            SeriesControl(abs_tol=-1.0)
-        with pytest.raises(ValueError):
-            SeriesControl(abs_tol=0.0, rel_tol=0.0)
