@@ -117,6 +117,8 @@ def parse_config(data: dict) -> ScenarioConfig:
         raise ConfigError("x_lo must be less than x_hi")
     if list(cfg.grids) != sorted(set(cfg.grids)) or min(cfg.grids, default=0) < 4:
         raise ConfigError("grids must be a strictly increasing list of integers >= 4")
+    if cfg.n_x is not None and cfg.n_x < 6:
+        raise ConfigError("n_x must be an integer >= 6")
     if not (0.0 <= cfg.exclude_frac < 0.5):
         raise ConfigError("exclude_frac must lie in [0, 0.5)")
     fam = cfg.diffusivity.get("family")

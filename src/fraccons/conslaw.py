@@ -486,6 +486,9 @@ def divergence_residual(cv: ConservedVectorEval, u: GridFunction,
     differentiation, and the divergence stencil amplifies it by 1/h.
     ``components`` is ``cv.components(u)`` when the caller has it already.
     """
+    if u.x.size < 7:
+        raise ValueError("the residual's space window drops 3 columns at each side "
+                         f"and needs n_x >= 6, got n_x = {u.x.size - 1}")
     ct, cx = cv.components(u) if components is None else components
     with np.errstate(invalid="ignore"):
         res = diff1(ct, u.grid.h, axis=0) + diff1(cx, u.hx, axis=1)

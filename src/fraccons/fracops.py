@@ -14,6 +14,7 @@ field with a trailing space axis is processed in one call.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,8 +42,10 @@ __all__ = [
     "diff2",
 ]
 
-# matrices kept per weight builder; a full selftest builds at most 9 distinct
-# ones per builder, a verify call fewer (counts per workload in CHANGES.md)
+# entries kept per weight builder; a full selftest builds at most 9 distinct
+# ones per builder, a verify call fewer (counts per workload in CHANGES.md).
+# Entries are O(n) lag vectors, except the dense (n+1)^2 matrices of
+# _fmod_weight_matrix, _endpoint_pole_weight_matrix and _j_start_power_matrix
 _CACHE_SIZE = 16
 
 
@@ -236,24 +239,37 @@ def _read_only(mat: np.ndarray) -> np.ndarray:
 # piecewise-linear product-integration weights
 # ---------------------------------------------------------------------------
 
+def _causal_conv(k: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """out[i] = sum_{j <= i} k[i-j] F[j] along axis 0 for every row i of F, by FFT.
+
+    ``k`` holds at least one lag per row of F. The transform length is the
+    least power of two >= 2 * rows - 1, so the circular product does not wrap.
+    """
+    rows = F.shape[0]
+    size = 1 << (2 * rows - 2).bit_length()
+    k_hat = _along_time(np.fft.rfft(k[:rows], size), F.ndim)
+    return np.fft.irfft(k_hat * np.fft.rfft(F, size, axis=0), size, axis=0)[:rows]
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
-def _pl_weight_matrix(n_steps: int, mu: float, h: float) -> np.ndarray:
-    """Lower-triangular W with (I^mu f)(t_i) = sum_j W[i,j] f_j, exact for piecewise-linear f."""
-    n = n_steps
-    W = np.zeros((n + 1, n + 1))
-    k = np.arange(0, n + 2, dtype=float)
+def _pl_weights(n_steps: int, mu: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lag vector L and first column c of the lower-triangular weights W with
+    (I^mu f)(t_i) = sum_j W[i,j] f_j, exact for piecewise-linear f.
+
+    W[i,j] = L[i-j] for 1 <= j <= i, W[i,0] = c[i], and row 0 is 0.
+    """
+    k = np.arange(0, n_steps + 2, dtype=float)
     kp = k ** (mu + 1.0)
     scale = h ** mu / gamma(mu + 2.0)
-    # interior lags share the same second-difference weights
-    d = kp[2:] - 2.0 * kp[1:-1] + kp[:-2]  # d[k-1] = (k+1)^{mu+1} - 2k^{mu+1} + (k-1)^{mu+1}
-    for i in range(1, n + 1):
-        W[i, i] = 1.0
-        W[i, 0] = (i - 1.0) ** (mu + 1.0) - i ** (mu + 1.0) + (mu + 1.0) * i ** mu
-        if i >= 2:
-            lags = np.arange(1, i)
-            W[i, i - lags] = d[lags - 1]
-    W *= scale
-    return _read_only(W)
+    L = np.empty(n_steps + 1)
+    L[0] = 1.0
+    # interior lags share the same second-difference weights:
+    # L[k] = (k+1)^{mu+1} - 2k^{mu+1} + (k-1)^{mu+1}
+    L[1:] = kp[2:] - 2.0 * kp[1:-1] + kp[:-2]
+    i = k[1:-1]
+    c = np.zeros(n_steps + 1)
+    c[1:] = (i - 1.0) ** (mu + 1.0) - i ** (mu + 1.0) + (mu + 1.0) * i ** mu
+    return _read_only(L * scale), _read_only(c * scale)
 
 
 def _integral_of_end_power(coeff, p: float, mu: float, grid: TimeGrid) -> np.ndarray:
@@ -288,8 +304,11 @@ def left_frac_integral(f: TimeSeries, mu: float) -> TimeSeries:
     if mu <= 0:
         raise ValueError("fractional integral order mu must be positive")
     grid = f.grid
-    W = _pl_weight_matrix(grid.n_steps, mu, grid.h)
-    vals = W @ f.regular_part()
+    L, c = _pl_weights(grid.n_steps, mu, grid.h)
+    reg = f.regular_part()
+    # W @ reg, with column 0 of the Toeplitz part replaced by c
+    vals = _causal_conv(L, reg) + np.multiply.outer(c - L, reg[0])
+    vals[0] = 0.0
     out_terms: list[SingularTerm] = []
     for term in f.singular:
         p = term.power
@@ -314,6 +333,8 @@ def right_frac_integral(f: TimeSeries, mu: float) -> TimeSeries:
 def diff1(v: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     """Second-order first derivative: central interior, one-sided ends."""
     v = np.moveaxis(np.asarray(v, dtype=float), axis, 0)
+    if v.shape[0] < 3:
+        raise ValueError(f"diff1 needs at least 3 nodes along the axis, got {v.shape[0]}")
     out = np.empty_like(v)
     out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
@@ -324,6 +345,8 @@ def diff1(v: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
 def diff2(v: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     """Second-order second derivative: central interior, one-sided ends."""
     v = np.moveaxis(np.asarray(v, dtype=float), axis, 0)
+    if v.shape[0] < 4:
+        raise ValueError(f"diff2 needs at least 4 nodes along the axis, got {v.shape[0]}")
     out = np.empty_like(v)
     out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h ** 2
     out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h ** 2
@@ -413,51 +436,57 @@ def gl_left_derivative(f: TimeSeries, alpha: float) -> TimeSeries:
 # the J double integral
 # ---------------------------------------------------------------------------
 
-def _j_cellpairs(tau0, tau1, mu0, mu1, f0, f1, g0, g1, beta, h):
-    """Exact integral of f_lin(tau) g_lin(mu) (mu-tau)^{beta-1} over cell pairs.
+@lru_cache(maxsize=_CACHE_SIZE)
+def _j_lag_kernels(n_steps: int, beta: float) -> np.ndarray:
+    """kappa[a, b, d] = int_0^1 int_0^1 phi_a(s) phi_b(r) (d + r - s)^{beta-1} dr ds
+    for lags d < n_steps, with phi_0(s) = 1 - s, phi_1(s) = s and kappa[..., 0] = 0.
 
-    All cell arguments may be arrays (broadcast together); requires mu0 >= tau1.
+    The integral of f_lin(tau) g_lin(mu) (mu - tau)^{beta-1} over tau-cell p
+    and mu-cell p + d is h^{beta+1} sum_ab kappa[a, b, d] f_{p+a} g_{p+d+b}.
+    At lag 1 the cells touch, and kappa is in closed form. From lag 2 on the
+    kernel is analytic on the cell pair, and a 16-point tensor Gauss-Legendre
+    rule sums positive terms, where a closed form would subtract powers of
+    size d^{beta+2} from each other.
     """
-    dg = g1 - g0
-    df = f1 - f0
-    bc = dg / (h * (beta + 1.0))
-    total = 0.0
-    for mu_c, sgn in ((mu1, 1.0), (mu0, -1.0)):
-        upper = mu_c - tau0
-        lower = mu_c - tau1
-        f_at = f0 + df * (mu_c - tau0) / h
-        g_at = (g0 + dg * (mu_c - mu0) / h) / beta
-        p0 = f_at * g_at
-        p1 = -(f_at * dg / (h * beta) + g_at * df / h)
-        p2 = df * dg / (h * h * beta)
-
-        def S(e):
-            return (upper ** (e + 1.0) - lower ** (e + 1.0)) / (e + 1.0)
-
-        term = p0 * S(beta) + p1 * S(beta + 1.0) + p2 * S(beta + 2.0)
-        term += bc * (f_at * S(beta + 1.0) - (df / h) * S(beta + 2.0))
-        total = total + sgn * term
-    return total
+    kappa = np.zeros((2, 2, n_steps))
+    # lag 1 from i_jk = int_0^1 int_0^1 x^j r^k (x + r)^{beta-1} dx dr, x = 1 - s
+    e = math.expm1(beta * math.log(2.0))  # 2^beta - 1
+    i00 = 2.0 * e / (beta * (beta + 1.0))
+    i10 = (2.0 * e + 1.0) / ((beta + 1.0) * (beta + 2.0))
+    i11 = (2.0 * e + 1.0) / (beta + 1.0) - 2.0 * e / (3.0 * beta) - (4.0 * e + 3.0) / (3.0 * (beta + 3.0))
+    kappa[:, :, 1] = [[i10 - i11, i11], [i00 - 2.0 * i10 + i11, i10 - i11]]
+    x, w = np.polynomial.legendre.leggauss(16)
+    s = 0.5 * (x + 1.0)
+    hat = 0.5 * w * np.stack([1.0 - s, s])  # weighted phi_a at the nodes
+    d = np.arange(2, n_steps, dtype=float)
+    for s_i, hat_i in zip(s, hat.T):
+        over_r = ((d[:, None] + s - s_i) ** (beta - 1.0)) @ hat.T
+        kappa[:, :, 2:] += np.multiply.outer(hat_i, over_r.T)
+    return _read_only(kappa)
 
 
 def _j_piecewise_linear(fv: np.ndarray, gv: np.ndarray, grid: TimeGrid, beta: float) -> np.ndarray:
-    n = grid.n_steps
-    h = grid.h
-    t = _along_time(grid.nodes(), max(fv.ndim, gv.ndim))
+    """J of the piecewise-linear interpolants of fv and gv.
+
+    Passing cell i, J gains the pairs of tau-cell i with later mu-cells and
+    loses those of mu-cell i with earlier tau-cells. Both sums are lag
+    convolutions with kappa, the gained one along reversed g.
+    """
+    ndim = max(fv.ndim, gv.ndim)
+    fv = fv.reshape(fv.shape + (1,) * (ndim - fv.ndim))
+    gv = gv.reshape(gv.shape + (1,) * (ndim - gv.ndim))
+    kappa = _j_lag_kernels(grid.n_steps, beta)
+    f_ends = (fv[:-1], fv[1:])  # f_{p+a} for cells p = 0..n-1
+    g_ends = (gv[:-1], gv[1:])
+    step = 0.0
+    for a in (0, 1):
+        for b in (0, 1):
+            gained = _causal_conv(kappa[a, b], g_ends[b][::-1])[::-1]
+            lost = _causal_conv(kappa[a, b], f_ends[a])
+            step = step + f_ends[a] * gained - g_ends[b] * lost
     out = np.zeros(np.broadcast_shapes(fv.shape, gv.shape))
-    acc = 0.0
-    for i in range(n):
-        # strip gained: tau-cell i against mu-cells i+1..n-1
-        q = np.arange(i + 1, n)
-        a_i = _j_cellpairs(t[i], t[i + 1], t[q], t[q + 1],
-                           fv[i], fv[i + 1], gv[q], gv[q + 1], beta, h).sum(axis=0)
-        # strip lost: mu-cell i against tau-cells 0..i-1
-        p = np.arange(0, i)
-        b_i = _j_cellpairs(t[p], t[p + 1], t[i], t[i + 1],
-                           fv[p], fv[p + 1], gv[i], gv[i + 1], beta, h).sum(axis=0)
-        acc = acc + (a_i - b_i)
-        out[i + 1] = acc
-    return out / gamma(beta)
+    out[1:] = np.cumsum(step, axis=0)
+    return out * (grid.h ** (beta + 1.0) / gamma(beta))
 
 
 def _incomplete_beta_vec(x: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -522,8 +551,8 @@ def j_integral(f: TimeSeries, g: TimeSeries, alpha: float) -> TimeSeries:
     # start terms are smooth there and are sampled with the regular parts
     f_lin = f.regular_part() + sum(tm.sample(grid) for tm in f.singular if tm.anchor == "end")
     g_lin = g.regular_part() + sum(tm.sample(grid) for tm in g.singular if tm.anchor == "start")
-    # J is bilinear: skip the O(n^2) sweep when either factor is zero (v_tt
-    # of the polynomial substitutions, for example)
+    # J is bilinear: skip all of it, the dense singular-term weights too,
+    # when either factor is zero (v_tt of the polynomial substitutions, for example)
     if not (f_start or f_lin.any()) or not (g_end or g_lin.any()):
         return TimeSeries(grid, np.zeros(np.broadcast_shapes(f_lin.shape, g_lin.shape)))
     inv_gb = reciprocal_gamma(beta)
@@ -561,17 +590,17 @@ def _fmod_weight_matrix(grid: TimeGrid, alpha: float) -> np.ndarray:
     t = grid.nodes()
     n = grid.n_steps
     mu = 2.0 - alpha
-    W = _pl_weight_matrix(n, mu, grid.h)
+    L, c = _pl_weights(n, mu, grid.h)
     # hypergeometric kernel factor at node pairs; diverges only at (i=n, j->n)
-    H = np.zeros((n + 1, n + 1))
     ii, jj = np.tril_indices(n + 1)
     z = np.zeros(len(ii))
     denom = grid.T - t[jj]
     ok = denom > 0
     z[ok] = (t[ii][ok] - t[jj][ok]) / denom[ok]
     z = np.clip(z, 0.0, 1.0 - 1e-13)
-    H[ii, jj] = hyp2f1(1.0, 1.0, mu, z)
-    return _read_only(W * H)
+    M = np.zeros((n + 1, n + 1))
+    M[ii, jj] = np.where(jj == 0, c[ii], L[ii - jj]) * hyp2f1(1.0, 1.0, mu, z)
+    return _read_only(M)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -201,6 +201,33 @@ class TestVerifyCommand:
         assert len(err.strip().splitlines()) == 1
         assert "non-finite" in err
 
+    @staticmethod
+    def solver_config(**overrides):
+        return base_config(kind="rl", diffusivity={"family": "power", "beta": 2.0},
+                           source={"id": "solver", "params": {"a": 0.5, "b": 1.0, "perturb": 0.1}},
+                           vectors=["NL_RL_sub", "Trivial_RL"], grids=[32, 64], **overrides)
+
+    @pytest.mark.parametrize("n_x", [-1, 0, 5])
+    def test_unusable_n_x_exits_2(self, tmp_path, capsys, n_x):
+        # the residual drops 3 space columns at each side, so n_x < 6 leaves
+        # nothing to measure
+        rc = main(["verify", "--config", write_config(tmp_path, self.solver_config(n_x=n_x))])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["configuration error: n_x must be an integer >= 6"]
+
+    def test_smallest_n_x_passes(self, tmp_path, capsys):
+        rc = main(["verify", "--config", write_config(tmp_path, self.solver_config(n_x=6))])
+        assert rc == 0
+        assert ",64,6," in capsys.readouterr().out
+
+    def test_default_n_x_below_window_exits_2(self, tmp_path, capsys):
+        # without n_x the space grid has n_steps cells: 4 leave no window
+        rc = main(["verify", "--config", write_config(tmp_path, base_config(grids=[4, 8]))])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "space window" in err[0] and "n_x = 4" in err[0]
+
     def test_grids_override(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
         rc = main(["verify", "--config", cfg_path, "--grids", "16"])

@@ -1,10 +1,15 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import dblquad, quad
 
+from fraccons import fracops
 from fraccons.fracops import (
     FractionalSpec,
     Kind,
@@ -244,6 +249,15 @@ class TestFiniteDifferences:
         d = diff2(np.sin(t), h)
         assert np.max(np.abs(d + np.sin(t))) < 5e-4
 
+    @pytest.mark.parametrize("fn, nodes", [(diff1, 2), (diff2, 3)])
+    def test_too_few_nodes_rejected(self, fn, nodes):
+        with pytest.raises(ValueError, match="at least"):
+            fn(np.ones((4, nodes)), 0.1, axis=1)
+
+    def test_second_time_derivative_on_two_steps_rejected(self):
+        with pytest.raises(ValueError, match="at least 4 nodes"):
+            time_derivative(TimeSeries(TimeGrid(1.0, 2), np.ones(3)), 2)
+
     def test_time_derivative_of_declared_power(self):
         # d/dt of 2 t^{0.5} = t^{-0.5}, propagated analytically.
         grid = TimeGrid(1.0, 32)
@@ -262,13 +276,35 @@ class TestFiniteDifferences:
 class TestJIntegral:
     def test_constant_pair_closed_form(self):
         # J(1,1)(t) = (T^{b+1} - t^{b+1} - (T-t)^{b+1}) / Gamma(b+2), b = 1-a
-        grid = TimeGrid(2.0, 128)
         a = 0.5
-        one = series(grid, lambda t: np.ones_like(t))
-        out = j_integral(one, one, a).regular_part()
-        t = grid.nodes()
-        ref = (2.0 ** 1.5 - t ** 1.5 - (2.0 - t) ** 1.5) / G(2.5)
-        assert np.max(np.abs(out - ref)) < 1e-13
+        for n in (128, 2048):
+            grid = TimeGrid(2.0, n)
+            one = series(grid, lambda t: np.ones_like(t))
+            out = j_integral(one, one, a).regular_part()
+            t = grid.nodes()
+            ref = (2.0 ** 1.5 - t ** 1.5 - (2.0 - t) ** 1.5) / G(2.5)
+            assert np.max(np.abs(out - ref)) < 1e-13, n
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+    def test_lag_kernels_against_mpmath(self, beta):
+        # kappa[a, b, d] = int_0^1 int_0^1 phi_a(s) phi_b(r) (d + r - s)^{beta-1} dr ds,
+        # phi_0 = 1 - s and phi_1 = s: the r integral in closed form at 30
+        # digits, the s integral by mpmath quadrature
+        kappa = fracops._j_lag_kernels(2048, beta)
+        with mpmath.workdps(30):
+            B = mpmath.mpf(beta)
+
+            def over_r(c):
+                # int_0^1 (c + r)^{beta-1} dr and int_0^1 r (c + r)^{beta-1} dr
+                m0 = ((c + 1) ** B - c ** B) / B
+                m1 = ((c + 1) ** (B + 1) - c ** (B + 1)) / (B + 1) - c * m0
+                return m0 - m1, m1
+
+            for d in (1, 2, 3, 10, 100, 2047):
+                for a, phi_a in enumerate((lambda s: 1 - s, lambda s: s)):
+                    for b in (0, 1):
+                        ref = mpmath.quad(lambda s: phi_a(s) * over_r(d - s)[b], [0, 1])
+                        assert kappa[a, b, d] == pytest.approx(float(ref), rel=1e-13, abs=0.0)
 
     def test_bilinear_in_first_argument(self):
         grid = TimeGrid(1.0, 64)
@@ -491,3 +527,140 @@ class TestWholeField:
         g_cols = g_cols[::-1]
         assert_whole_matches_columns(j_integral(f, g, alpha),
                                      [j_integral(fc, gc, alpha) for fc, gc in zip(f_cols, g_cols)])
+
+
+def dense_pl_weights(n, mu, h):
+    """The product-integration weights of I^mu as a dense matrix, entry by entry."""
+    W = np.zeros((n + 1, n + 1))
+    for i in range(1, n + 1):
+        W[i, i] = 1.0
+        W[i, 0] = (i - 1.0) ** (mu + 1.0) - i ** (mu + 1.0) + (mu + 1.0) * i ** mu
+        for j in range(1, i):
+            k = i - j
+            W[i, j] = (k + 1.0) ** (mu + 1.0) - 2.0 * k ** (mu + 1.0) + (k - 1.0) ** (mu + 1.0)
+    return W * h ** mu / G(mu + 2.0)
+
+
+def milli(bound):
+    """Multiples of 1/1000 in [-bound, bound]: no magnitudes near underflow."""
+    return st.integers(-1000 * bound, 1000 * bound).map(lambda k: k / 1000.0)
+
+
+@st.composite
+def fields(draw, n=None, columns=None):
+    """(grid, samples): a grid of at most 40 steps and a random (n+1, m) field."""
+    n = draw(st.integers(2, 40)) if n is None else n
+    m = draw(st.integers(1, 4)) if columns is None else columns
+    T = draw(st.floats(0.25, 4.0))
+    vals = draw(hnp.arrays(float, (n + 1, m), elements=milli(10)))
+    return TimeGrid(T, n), vals
+
+
+orders = st.floats(0.05, 1.95)
+alphas = st.floats(0.05, 1.95).filter(lambda a: abs(a - 1.0) > 1e-3)
+
+
+def assert_close(got, want, scale, rel=1e-13):
+    assert np.max(np.abs(got - want)) <= rel * np.max(scale)
+
+
+class TestKernelProperties:
+    """Hypothesis properties of the lag-convolution kernels on small grids."""
+
+    @given(fields(), orders)
+    def test_left_integral_matches_dense_weights(self, field, mu):
+        grid, F = field
+        W = dense_pl_weights(grid.n_steps, mu, grid.h)
+        got = left_frac_integral(TimeSeries(grid, F), mu).values
+        assert_close(got, W @ F, np.abs(W) @ np.abs(F))
+
+    @given(fields(), orders)
+    def test_left_integral_column_by_column(self, field, mu):
+        grid, F = field
+        got = left_frac_integral(TimeSeries(grid, F), mu).values
+        cols = [left_frac_integral(TimeSeries(grid, F[:, j]), mu).values for j in range(F.shape[1])]
+        scale = left_frac_integral(TimeSeries(grid, np.abs(F)), mu).values
+        assert_close(got, np.column_stack(cols), scale)
+
+    @given(st.data(), alphas)
+    def test_j_integral_column_by_column(self, data, alpha):
+        grid, F = data.draw(fields())
+        G_ = data.draw(fields(grid.n_steps, F.shape[1]))[1]
+        got = j_integral(TimeSeries(grid, F), TimeSeries(grid, G_), alpha).values
+        cols = [j_integral(TimeSeries(grid, F[:, j]), TimeSeries(grid, G_[:, j]), alpha).values
+                for j in range(F.shape[1])]
+        scale = j_integral(TimeSeries(grid, np.abs(F)), TimeSeries(grid, np.abs(G_)), alpha).values
+        assert_close(got, np.column_stack(cols), scale)
+
+    @given(st.data(), alphas)
+    def test_j_integral_matches_cell_pair_loop(self, data, alpha):
+        # J(t_i) sums the cell-pair integrals of tau-cells p < i and mu-cells
+        # q >= i: h^{beta+1} sum_ab kappa[a, b, q - p] f_{p+a} g_{q+b}
+        grid, F = data.draw(fields(n=data.draw(st.integers(2, 16)), columns=1))
+        G_ = data.draw(fields(grid.n_steps, 1))[1]
+        f, g = F[:, 0], G_[:, 0]
+        n, beta = grid.n_steps, math.ceil(alpha) - alpha
+        kappa = fracops._j_lag_kernels(n, beta)
+        want, scale = np.zeros(n + 1), np.zeros(n + 1)
+        for i in range(1, n + 1):
+            for p in range(i):
+                for q in range(i, n):
+                    for a in (0, 1):
+                        for b in (0, 1):
+                            term = kappa[a, b, q - p] * f[p + a] * g[q + b]
+                            want[i] += term
+                            scale[i] += abs(term)
+        h_pow = grid.h ** (beta + 1.0) / G(beta)
+        got = j_integral(TimeSeries(grid, f), TimeSeries(grid, g), alpha).values
+        assert_close(got, h_pow * want, h_pow * scale)
+
+    @given(st.data(), alphas, milli(3), milli(3), st.booleans())
+    def test_j_integral_bilinear(self, data, alpha, a, b, in_g):
+        grid, F1 = data.draw(fields())
+        F2, G_ = (data.draw(fields(grid.n_steps, F1.shape[1]))[1] for _ in range(2))
+
+        def J(x, y):
+            x, y = TimeSeries(grid, x), TimeSeries(grid, y)
+            return (j_integral(y, x, alpha) if in_g else j_integral(x, y, alpha)).values
+
+        scale = J(np.abs(a * F1) + np.abs(b * F2), np.abs(G_))
+        assert_close(J(a * F1 + b * F2, G_), a * J(F1, G_) + b * J(F2, G_), scale)
+
+    @given(st.floats(0.25, 4.0), st.integers(2, 40), st.floats(-0.95, 2.0), orders, orders)
+    def test_semigroup_on_start_power(self, T, n, p, a, b):
+        grid = TimeGrid(T, n)
+        f = TimeSeries.from_parts(grid, np.zeros(n + 1), (SingularTerm(1.0, p),))
+        twice = left_frac_integral(left_frac_integral(f, b), a)
+        once = left_frac_integral(f, a + b)
+        (t2,), (t1,) = twice.singular, once.singular
+        assert t2.power == pytest.approx(t1.power, rel=1e-14)
+        assert t2.coeff == pytest.approx(t1.coeff, rel=1e-13)
+        assert_close(twice.values, once.values, np.abs(once.values))
+
+
+class TestMemory:
+    """The regular-data paths keep O(n) weights: no (n+1)^2 array is formed."""
+
+    LIMIT = 16 * 2 ** 20  # a dense W at n = 8192 would be 537 MB
+
+    @staticmethod
+    def peak_bytes(fn):
+        fracops._pl_weights.cache_clear()
+        fracops._j_lag_kernels.cache_clear()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_left_integral(self):
+        n = 8192
+        f = TimeSeries(TimeGrid(1.0, n), np.random.default_rng(0).standard_normal((n + 1, 4)))
+        assert self.peak_bytes(lambda: left_frac_integral(f, 0.5)) < self.LIMIT
+
+    def test_j_integral(self):
+        n = 4096
+        rng = np.random.default_rng(1)
+        f, g = (TimeSeries(TimeGrid(1.0, n), rng.standard_normal((n + 1, 4))) for _ in range(2))
+        assert self.peak_bytes(lambda: j_integral(f, g, 0.5)) < self.LIMIT
