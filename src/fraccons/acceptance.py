@@ -35,7 +35,7 @@ from .tfde import (
     exact_stationary_caputo,
     solve_nonlinear,
 )
-from .symcat import _sym, adjoint_residual, adjoint_substitution, rl_extra_beta
+from .symcat import Symmetry, adjoint_residual, adjoint_substitution, rl_extra_beta
 from .conslaw import (
     catalog_vector,
     correspondence,
@@ -183,7 +183,7 @@ def criterion_6() -> CriterionResult:
     alpha, lam, T = 0.5, 0.5, 1.0
     spec = FractionalSpec(Kind.CAPUTO, alpha, T)
     sub = adjoint_substitution("Linear_particular", spec, c1=1.0)
-    cv = noether_vector(_sym("X3_lin", alpha), sub, spec, Diffusivity.constant(1.0))
+    cv = noether_vector(Symmetry("X3_lin", alpha), sub, spec, Diffusivity.constant(1.0))
     x = np.linspace(0.0, 1.0, 17)
     nodes = np.arange(1, 8) / 8.0
 
@@ -351,7 +351,7 @@ def criterion_12() -> CriterionResult:
         checked += 1
         kwargs = {const: 1.0}
         sub = adjoint_substitution(regime, spec, **kwargs)
-        sym = _sym(sym_id, spec.alpha, beta=diffu.beta)
+        sym = Symmetry(sym_id, spec.alpha, beta=diffu.beta)
         cv = noether_vector(sym, sub, spec, diffu)
         linfs = [divergence_residual(cv, make_u(n)).linf for n in (64, 128)]
         ok_here = linfs[1] <= 1e-8 or (linfs[0] / linfs[1] >= 1.4 and linfs[1] <= 1e-3)

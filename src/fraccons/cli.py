@@ -37,7 +37,8 @@ from .tfde import (
     exact_stationary_caputo,
     solve_nonlinear,
 )
-from .symcat import SUBSTITUTION_REGIMES, _sym, adjoint_substitution, list_symmetries
+from .symcat import (_GENERATORS, SUBSTITUTION_REGIMES, Symmetry, adjoint_substitution,
+                     list_symmetries)
 from .conslaw import (
     CSV_HEADER,
     catalog_ids,
@@ -57,8 +58,6 @@ class ConfigError(ValueError):
 
 _SOURCES = ("exact_linear", "exact_stationary", "exact_rl_power",
             "exact_rl_separable", "solver")
-_SYMMETRY_IDS = ("X1", "X2", "X3_lin", "Xinf", "X3_pow", "X3_exp",
-                 "X4_pow43", "X4_rl")
 
 
 @dataclass(frozen=True)
@@ -92,21 +91,30 @@ def parse_config(data: dict) -> ScenarioConfig:
                "source", "vectors"} - set(data)
     if missing:
         raise ConfigError(f"missing configuration keys: {sorted(missing)}")
-    cfg = ScenarioConfig(
-        kind=str(data["kind"]),
-        alpha=float(data["alpha"]),
-        T=float(data["T"]),
-        x_lo=float(data["x_lo"]),
-        x_hi=float(data["x_hi"]),
-        diffusivity=dict(data["diffusivity"]),
-        source=dict(data["source"]),
-        vectors=tuple(data["vectors"]),
-        grids=tuple(int(g) for g in data.get("grids", (64, 128, 256))),
-        substitution=(dict(data["substitution"]) if data.get("substitution") else None),
-        exclude_frac=float(data.get("exclude_frac", 0.05)),
-        threshold=float(data.get("threshold", 1.3)),
-        n_x=(int(data["n_x"]) if data.get("n_x") is not None else None),
-    )
+    try:
+        cfg = ScenarioConfig(
+            kind=str(data["kind"]),
+            alpha=float(data["alpha"]),
+            T=float(data["T"]),
+            x_lo=float(data["x_lo"]),
+            x_hi=float(data["x_hi"]),
+            diffusivity=dict(data["diffusivity"]),
+            source=dict(data["source"]),
+            vectors=tuple(data["vectors"]),
+            grids=tuple(int(g) for g in data.get("grids", (64, 128, 256))),
+            substitution=(dict(data["substitution"]) if data.get("substitution") else None),
+            exclude_frac=float(data.get("exclude_frac", 0.05)),
+            threshold=float(data.get("threshold", 1.3)),
+            n_x=(int(data["n_x"]) if data.get("n_x") is not None else None),
+        )
+        # the numbers the scenario assembly reads with float()
+        numbers = [cfg.diffusivity.get(k, 0.0) for k in ("k0", "beta")]
+        numbers += dict(cfg.source.get("params", {})).values()
+        numbers += [v for k, v in (cfg.substitution or {}).items() if k != "regime"]
+        for value in numbers:
+            float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid configuration value: {exc}") from exc
     if cfg.kind not in ("rl", "caputo"):
         raise ConfigError("kind must be 'rl' or 'caputo'")
     if not (0.0 < cfg.alpha < 2.0) or cfg.alpha == 1.0:
@@ -130,11 +138,11 @@ def parse_config(data: dict) -> ScenarioConfig:
             fam != "constant" or float(cfg.diffusivity.get("k0", 1.0)) != 1.0):
         raise ConfigError("source exact_linear solves the equation for the constant "
                           "diffusivity k0 = 1 only")
-    valid = set(catalog_ids())
+    valid = catalog_ids()
     for vid in cfg.vectors:
         if isinstance(vid, str) and vid.startswith("Noether:"):
             sym_id = vid.split(":", 1)[1]
-            if sym_id not in _SYMMETRY_IDS:
+            if sym_id not in _GENERATORS:
                 raise ConfigError(f"unknown symmetry id in {vid!r}")
         elif vid not in valid:
             raise ConfigError(f"unknown vector id {vid!r}")
@@ -142,6 +150,9 @@ def parse_config(data: dict) -> ScenarioConfig:
         regime = cfg.substitution.get("regime")
         if regime not in SUBSTITUTION_REGIMES:
             raise ConfigError(f"substitution.regime must be one of {SUBSTITUTION_REGIMES}")
+        extra = set(cfg.substitution) - {"regime", "c1", "c2", "c3", "c4"}
+        if extra:
+            raise ConfigError(f"unknown substitution keys: {sorted(extra)}")
     return cfg
 
 
@@ -232,7 +243,7 @@ def _vector_eval(cfg: ScenarioConfig, vid: str, u: GridFunction):
     if vid.startswith("Noether:"):
         if sub is None:
             raise ConfigError(f"{vid} requires a substitution block")
-        sym = _sym(vid.split(":", 1)[1], cfg.alpha, beta=diffu.beta)
+        sym = Symmetry(vid.split(":", 1)[1], cfg.alpha, beta=diffu.beta)
         return noether_vector(sym, sub, spec, diffu)
     return catalog_vector(vid, spec, diffu, initial=u.values[0],
                           initial_velocity=np.zeros_like(u.x), substitution=sub)
@@ -242,15 +253,12 @@ def _vector_eval(cfg: ScenarioConfig, vid: str, u: GridFunction):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _load_cfg(args) -> ScenarioConfig:
-    with open(args.config, "r", encoding="utf-8") as fh:
+def _load_cfg(path: str, **overrides) -> ScenarioConfig:
+    """The scenario of the JSON file ``path``, with the overrides that are not None."""
+    with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if args.grids:
-        data["grids"] = [int(g) for g in args.grids.split(",")]
-    if args.exclude_frac is not None:
-        data["exclude_frac"] = args.exclude_frac
-    if args.threshold is not None:
-        data["threshold"] = args.threshold
+    if isinstance(data, dict):
+        data.update({k: v for k, v in overrides.items() if v is not None})
     return parse_config(data)
 
 
@@ -354,9 +362,6 @@ def main(argv=None) -> int:
         p.add_argument("--threshold", type=float, default=None)
     p_cat = subs.add_parser("catalog")
     p_cat.add_argument("--config", default=None)
-    p_cat.add_argument("--grids", default=None)
-    p_cat.add_argument("--exclude-frac", type=float, default=None)
-    p_cat.add_argument("--threshold", type=float, default=None)
     p_self = subs.add_parser("selftest")
     p_self.add_argument("--only", default=None,
                         help="comma-separated criterion numbers, e.g. 1,4,9")
@@ -367,9 +372,10 @@ def main(argv=None) -> int:
             numbers = ({int(s) for s in args.only.split(",")} if args.only else None)
             return run_selftest(numbers)
         if args.command == "catalog":
-            cfg = _load_cfg(args) if args.config else None
-            return run_catalog(cfg)
-        cfg = _load_cfg(args)
+            return run_catalog(_load_cfg(args.config) if args.config else None)
+        grids = [int(g) for g in args.grids.split(",")] if args.grids else None
+        cfg = _load_cfg(args.config, grids=grids, exclude_frac=args.exclude_frac,
+                        threshold=args.threshold)
         if args.command == "solve":
             return run_solve(cfg, args.out)
         return run_verify(cfg, args.out)

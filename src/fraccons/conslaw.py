@@ -31,7 +31,7 @@ from .fracops import (
     time_derivative,
 )
 from .tfde import Diffusivity, GridFunction, _equation_residual
-from .symcat import AdjointSubstitution, Symmetry, _sym, characteristic
+from .symcat import AdjointSubstitution, Symmetry, characteristic
 
 __all__ = [
     "ConservedVectorEval",
@@ -91,11 +91,11 @@ def _noether_core(W: GridFunction, v: GridFunction, u: GridFunction,
     """
     alpha = spec.alpha
     if spec.kind is Kind.RIEMANN_LIOUVILLE:
-        vt = sub.dt_field(u.grid, u.x)
+        vt = sub.field(u.grid, u.x, 1)
         if spec.n == 1:
             ct = v.values * left_frac_integral(W, 1.0 - alpha).values + j_integral(W, vt, alpha).values
         else:
-            vtt = sub.dtt_field(u.grid, u.x)
+            vtt = sub.field(u.grid, u.x, 2)
             ct = (v.values * rl_left_derivative(W, alpha - 1.0).values
                   - vt.values * left_frac_integral(W, 2.0 - alpha).values
                   - j_integral(W, vtt, alpha).values)
@@ -141,19 +141,18 @@ def noether_vector(sym: Symmetry, sub: AdjointSubstitution, spec: FractionalSpec
 
     C^t = xi0 L + core^t and C^x = xi1 L + core^x, with the core of
     ``_noether_core``; xi L is taken as 0 where xi is 0 (L may be infinite
-    at an end row).
+    at an end row), and L is not built when both xi vanish.
     """
 
     def fn(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
-        W = characteristic(sym, u)
         v = sub.field(u.grid, u.x)
-        L = formal_lagrangian(u, v, diffusivity, spec).values
-        t = u.grid.nodes()[:, None]
-        x = u.x[None, :]
-        ct, cx = _noether_core(W, v, u, sub, spec, diffusivity)
-        for xi, comp in ((sym.xi0, ct), (sym.xi1, cx)):
-            coeff = xi(t, x, u.values)
-            comp += np.where(coeff == 0.0, 0.0, coeff * L)
+        ct, cx = _noether_core(characteristic(sym, u), v, u, sub, spec, diffusivity)
+        t, x = u.grid.nodes()[:, None], u.x[None, :]
+        xi_terms = ((sym.xi0(t, x, u.values), ct), (sym.xi1(t, x, u.values), cx))
+        if any(np.any(coeff) for coeff, _ in xi_terms):
+            L = formal_lagrangian(u, v, diffusivity, spec).values
+            for coeff, comp in xi_terms:
+                comp += np.where(coeff == 0.0, 0.0, coeff * L)
         return ct, cx
 
     name = f"NoetherDerived({sym.id},{sub.regime})"
@@ -363,7 +362,7 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
         check((regime == "sub") == (n == 1), "regime inconsistent with alpha")
         sub = _need(substitution, "an adjoint substitution")
         # the Noether vector of the symmetry without its xi L terms
-        sym = _sym({"X3": "X3_lin"}.get(sym_tag, sym_tag), alpha, h=h)
+        sym = Symmetry({"X3": "X3_lin"}.get(sym_tag, sym_tag), alpha, h=h)
 
         def fn(u: GridFunction):
             return _noether_core(characteristic(sym, u), sub.field(u.grid, u.x), u, sub,

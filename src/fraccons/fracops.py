@@ -612,40 +612,23 @@ def _endpoint_pole_weight_matrix(grid: TimeGrid, mu: float) -> np.ndarray:
              = s^{nu}/(nu (c+s)) 2F1(1, 1; nu+1; s/(s+c)),  nu = mu+k,  c = T-t_i.
     """
     t = grid.nodes()
-    T = grid.T
-    n = grid.n_steps
-    h = grid.h
-    # s values at all (i, j) node pairs, j <= i, with c = T - t_i per row
-    ii, jj = np.tril_indices(n + 1)
-    keep = ii >= 1
-    ii, jj = ii[keep], jj[keep]
-    s = t[ii] - t[jj]
-    c = T - t[ii]
-    w = np.zeros_like(s)
+    s = t[:, None] - t[None, :]  # s = t_i - t_j at every node pair
+    c = np.broadcast_to((grid.T - t)[:, None], s.shape)
+    # j < i, and no row at t = T (kernel pole inside the interval)
     pos = (s > 0) & (c > 0)
-    w[pos] = s[pos] / (s[pos] + c[pos])
-    E = {}
-    for k in (0, 1):
-        nu = mu + k
-        vals = np.zeros_like(s)
-        fvals = hyp2f1(1.0, 1.0, nu + 1.0, w[pos])
-        vals[pos] = s[pos] ** nu / (nu * (c[pos] + s[pos])) * fvals
-        Em = np.zeros((n + 1, n + 1))
-        Em[ii, jj] = vals
-        E[k] = Em
-    V = np.zeros((n + 1, n + 1))
-    for i in range(1, n + 1):
-        if T - t[i] <= 0:
-            continue  # row at t=T is excluded (kernel pole inside the interval)
-        e0 = E[0][i, : i + 1]
-        e1 = E[1][i, : i + 1]
-        # per cell j: dE over [s(j+1->i), s(j->i)] with s decreasing in j... s_j = t_i - t_j
-        d0 = e0[:-1] - e0[1:]   # integral of kernel over cell j
-        d1 = e1[:-1] - e1[1:]
-        gap = t[i] - t[: i]     # t_i - t_j for each cell start
-        m1 = (gap * d0 - d1) / h  # weight multiplying (f_{j+1}-f_j) slope term
-        V[i, : i] += d0 - m1
-        V[i, 1: i + 1] += m1
+    sp, cp = s[pos], c[pos]
+    w = sp / (sp + cp)
+    d = []
+    for nu in (mu, mu + 1.0):
+        E = np.zeros_like(s)
+        E[pos] = sp ** nu / (nu * (cp + sp)) * hyp2f1(1.0, 1.0, nu + 1.0, w)
+        # per cell j: int of sigma^(nu-1)/(c+sigma) over the cell, 0 for j >= i
+        d.append(E[:, :-1] - E[:, 1:])
+    del sp, cp, w, E
+    m1 = (s[:, :-1] * d[0] - d[1]) / grid.h  # weight of the slope term (f_{j+1}-f_j)
+    V = np.zeros_like(s)
+    V[:, :-1] = d[0] - m1
+    V[:, 1:] += m1
     V *= reciprocal_gamma(mu)
     return _read_only(V)
 

@@ -9,7 +9,7 @@ self-adjointness), and a residual evaluator for that adjoint equation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .fracops import (
     SingularTerm,
     TimeGrid,
     TimeSeries,
+    _falling,
     _order_and_n,
     _power_samples,
     caputo_right_derivative,
@@ -39,45 +40,66 @@ __all__ = [
 ]
 
 
+def _zero(t, x, u, g):
+    return np.zeros(np.broadcast(t, x).shape)
+
+
+def _ones(t, x):
+    return np.ones(np.broadcast(t, x).shape)
+
+
+# Generator table: id -> (xi0, xi1, eta, shift). The coefficients take
+# broadcastable (t, x, u) arrays and the Symmetry g, whose alpha, beta and h
+# they read. Every generator is homogeneous in t and affine in u, so its
+# characteristic maps a term c(x) t^p of u to c~(x) t^(p + shift).
+_GENERATORS = {
+    "X1": (_zero, lambda t, x, u, g: -_ones(t, x), _zero, 0.0),
+    "X2": (lambda t, x, u, g: -2.0 * t * np.ones_like(x),
+           lambda t, x, u, g: -g.alpha * x * np.ones_like(t), _zero, 0.0),
+    "X3_lin": (_zero, _zero, lambda t, x, u, g: u, 0.0),
+    "Xinf": (_zero, _zero, lambda t, x, u, g: g.h.values if g.h is not None else 0.0 * u, 0.0),
+    "X3_pow": (_zero, lambda t, x, u, g: g.beta * x * np.ones_like(t),
+               lambda t, x, u, g: 2.0 * u, 0.0),
+    "X3_exp": (_zero, lambda t, x, u, g: x * np.ones_like(t),
+               lambda t, x, u, g: 2.0 * _ones(t, x), 0.0),
+    "X4_pow43": (_zero, lambda t, x, u, g: x ** 2 * np.ones_like(t),
+                 lambda t, x, u, g: -3.0 * x * u, 0.0),
+    "X4_rl": (lambda t, x, u, g: t ** 2 * np.ones_like(x), _zero,
+              lambda t, x, u, g: (g.alpha - 1.0) * t * u, 1.0),
+}
+
+
 @dataclass(frozen=True)
 class Symmetry:
-    """Point symmetry xi0 d/dt + xi1 d/dx + eta d/du.
+    """Point symmetry xi0 d/dt + xi1 d/dx + eta d/du of the generator table.
 
-    The coefficient callables take broadcastable (t, x, u) arrays. The
+    The coefficient methods take broadcastable (t, x, u) arrays. The
     generators with id ``X1`` and ``X2`` are stored with the overall sign
     flipped relative to the plain coordinate generators, so that the
     characteristics come out as W1 = u_x and W2 = 2t u_t + alpha x u_x.
     """
 
     id: str
-    xi0: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    xi1: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    eta: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     alpha: float = 0.0
     beta: float = 0.0
     h: Optional[GridFunction] = None
 
+    def __post_init__(self) -> None:
+        if self.id not in _GENERATORS:
+            raise ValueError(f"unknown symmetry id {self.id!r}")
 
-def _sym(sym_id: str, alpha: float, beta: float = 0.0,
-         h: Optional[GridFunction] = None) -> Symmetry:
-    zero = lambda t, x, u: np.zeros(np.broadcast(t, x).shape)
-    table = {
-        "X1": (zero, lambda t, x, u: -np.ones(np.broadcast(t, x).shape), zero),
-        "X2": (lambda t, x, u: -2.0 * t * np.ones_like(x),
-               lambda t, x, u: -alpha * x * np.ones_like(t), zero),
-        "X3_lin": (zero, zero, lambda t, x, u: u),
-        "Xinf": (zero, zero, lambda t, x, u: h.values if h is not None else 0.0 * u),
-        "X3_pow": (zero, lambda t, x, u: beta * x * np.ones_like(t),
-                   lambda t, x, u: 2.0 * u),
-        "X3_exp": (zero, lambda t, x, u: x * np.ones_like(t),
-                   lambda t, x, u: 2.0 * np.ones(np.broadcast(t, x).shape)),
-        "X4_pow43": (zero, lambda t, x, u: x ** 2 * np.ones_like(t),
-                     lambda t, x, u: -3.0 * x * u),
-        "X4_rl": (lambda t, x, u: t ** 2 * np.ones_like(x), zero,
-                  lambda t, x, u: (alpha - 1.0) * t * u),
-    }
-    xi0, xi1, eta = table[sym_id]
-    return Symmetry(sym_id, xi0, xi1, eta, alpha=alpha, beta=beta, h=h)
+    def xi0(self, t, x, u):
+        return _GENERATORS[self.id][0](t, x, u, self)
+
+    def xi1(self, t, x, u):
+        return _GENERATORS[self.id][1](t, x, u, self)
+
+    def eta(self, t, x, u):
+        return _GENERATORS[self.id][2](t, x, u, self)
+
+    @property
+    def shift(self) -> float:
+        return _GENERATORS[self.id][3]
 
 
 def rl_extra_beta(alpha: float) -> float:
@@ -97,22 +119,22 @@ def list_symmetries(kind: Kind, alpha: float, diffusivity: Diffusivity,
     """
     _order_and_n(alpha)
     if diffusivity.family is DiffusivityFamily.CONSTANT:
-        return [_sym("X1", alpha), _sym("X2", alpha), _sym("X3_lin", alpha),
-                _sym("Xinf", alpha, h=h)]
-    out = [_sym("X1", alpha), _sym("X2", alpha)]
+        return [Symmetry("X1", alpha), Symmetry("X2", alpha), Symmetry("X3_lin", alpha),
+                Symmetry("Xinf", alpha, h=h)]
+    out = [Symmetry("X1", alpha), Symmetry("X2", alpha)]
     if diffusivity.family is DiffusivityFamily.POWER:
         beta = diffusivity.beta
-        out.append(_sym("X3_pow", alpha, beta=beta))
+        out.append(Symmetry("X3_pow", alpha, beta=beta))
         if np.isclose(beta, -4.0 / 3.0):
-            out.append(_sym("X4_pow43", alpha, beta=beta))
+            out.append(Symmetry("X4_pow43", alpha, beta=beta))
         extra = np.isclose(beta, rl_extra_beta(alpha))
         if extra and kind is Kind.RIEMANN_LIOUVILLE:
-            out.append(_sym("X4_rl", alpha, beta=beta))
+            out.append(Symmetry("X4_rl", alpha, beta=beta))
         elif extra and kind is Kind.CAPUTO and alpha > 1.0 and allow_conditional:
-            out.append(_sym("X4_rl", alpha, beta=beta))
+            out.append(Symmetry("X4_rl", alpha, beta=beta))
     elif diffusivity.family is DiffusivityFamily.EXPONENTIAL:
         if kind is Kind.CAPUTO:
-            out.append(_sym("X3_exp", alpha))
+            out.append(Symmetry("X3_exp", alpha))
     return out
 
 
@@ -121,53 +143,25 @@ def characteristic(sym: Symmetry, u: GridFunction) -> GridFunction:
 
     Power-law-in-time term metadata of u is propagated analytically so the
     result can be fed to the fractional kernels without losing accuracy at
-    the initial time.
+    the initial time: a term c t^p maps to c~ t^(p + shift), with c~ the
+    same formula at t = 1 on the term alone.
     """
-    t = u.grid.nodes()
-    x = u.x
-    hx = u.hx
-    reg = u.regular_part()
-    reg_x = diff1(reg, hx, axis=1)
-    reg_t = diff1(reg, u.grid.h, axis=0)
-    for term in u.singular:
-        if term.anchor != "start":
-            raise ValueError("characteristics support start-anchored terms only")
-
-    def derived(new_reg: np.ndarray, fn) -> GridFunction:
-        # fn maps each power term of u to the (coeff, power) of its image
-        terms = tuple(SingularTerm(*fn(term)) for term in u.singular)
-        return GridFunction.from_parts(u.grid, new_reg, terms, x=x)
-
-    alpha = sym.alpha
-    if sym.id == "X1":
-        return u.dx_field()
-    if sym.id == "X2":
-        new_reg = 2.0 * t[:, None] * reg_t + alpha * x[None, :] * reg_x
-        return derived(new_reg, lambda tm: (
-            2.0 * tm.power * tm.coeff + alpha * x * diff1(tm.coeff, hx), tm.power))
-    if sym.id == "X3_lin":
-        return u
+    if any(term.anchor != "start" for term in u.singular):
+        raise ValueError("characteristics support start-anchored terms only")
     if sym.id == "Xinf":
         if sym.h is None:
             raise ValueError("Xinf requires a user-supplied solution field h")
         return sym.h
-    if sym.id == "X3_pow":
-        new_reg = 2.0 * reg - sym.beta * x[None, :] * reg_x
-        return derived(new_reg, lambda tm: (
-            2.0 * tm.coeff - sym.beta * x * diff1(tm.coeff, hx), tm.power))
-    if sym.id == "X3_exp":
-        new_reg = 2.0 - x[None, :] * reg_x
-        return derived(new_reg, lambda tm: (-x * diff1(tm.coeff, hx), tm.power))
-    if sym.id == "X4_pow43":
-        new_reg = -3.0 * x[None, :] * reg - x[None, :] ** 2 * reg_x
-        return derived(new_reg, lambda tm: (
-            -3.0 * x * tm.coeff - x ** 2 * diff1(tm.coeff, hx), tm.power))
-    if sym.id == "X4_rl":
-        # (alpha-1) t u - t^2 u_t; each power term c t^p maps to (alpha-1-p) c t^{p+1}
-        new_reg = (alpha - 1.0) * t[:, None] * reg - t[:, None] ** 2 * reg_t
-        return derived(new_reg, lambda tm: (
-            (alpha - 1.0 - tm.power) * tm.coeff, tm.power + 1.0))
-    raise ValueError(f"unknown symmetry id {sym.id!r}")
+    t, x = u.grid.nodes()[:, None], u.x[None, :]
+    reg = u.regular_part()
+    new_reg = (sym.eta(t, x, reg) - sym.xi0(t, x, reg) * diff1(reg, u.grid.h, axis=0)
+               - sym.xi1(t, x, reg) * diff1(reg, u.hx, axis=1))
+    terms = tuple(SingularTerm(
+        sym.eta(1.0, u.x, tm.coeff) - sym.eta(1.0, u.x, 0.0)
+        - sym.xi0(1.0, u.x, tm.coeff) * tm.power * tm.coeff
+        - sym.xi1(1.0, u.x, tm.coeff) * diff1(tm.coeff, u.hx), tm.power + sym.shift)
+        for tm in u.singular)
+    return GridFunction.from_parts(u.grid, new_reg, terms, x=u.x)
 
 
 SUBSTITUTION_REGIMES = ("RL_sub", "RL_wave", "Caputo_sub", "Caputo_wave",
@@ -209,75 +203,37 @@ class AdjointSubstitution:
         if want is not None and self.spec.kind is not want:
             raise ValueError(f"{self.regime} applies to the {want.value} kind")
 
-    def field(self, grid: TimeGrid, x: np.ndarray) -> GridFunction:
-        """Evaluate v on the grid, with power-law metadata where applicable."""
-        x = np.asarray(x, dtype=float)
-        t = grid.nodes()
-        alpha = self.spec.alpha
-        zeros = np.zeros((t.size, x.size))
-        if self.regime == "RL_sub":
-            return GridFunction(grid, x, zeros + (self.c1 + self.c2 * x)[None, :])
-        if self.regime == "RL_wave":
-            vals = (self.c1 + self.c2 * x)[None, :] + np.outer(t, self.c3 + self.c4 * x)
-            return GridFunction(grid, x, vals)
-        if self.regime == "Caputo_sub":
-            terms = (SingularTerm(self.c1 + self.c2 * x, alpha - 1.0, "end"),)
-            return GridFunction.from_parts(grid, zeros, terms, x=x)
-        if self.regime == "Caputo_wave":
-            terms = (SingularTerm(self.c1 + self.c3 * x, alpha - 2.0, "end"),
-                     SingularTerm(self.c2 + self.c4 * x, alpha - 1.0, "end"))
-            return GridFunction.from_parts(grid, zeros, terms, x=x)
-        # Linear_particular
-        if self.spec.kind is Kind.RIEMANN_LIOUVILLE:
-            terms = (SingularTerm(self.c1 * x, alpha - 1.0, "start"),)
-            return GridFunction.from_parts(grid, zeros, terms, x=x)
-        return GridFunction(grid, x, np.outer(t, self.c1 * x))
+    def _terms(self, x: np.ndarray) -> list:
+        """v as (coefficient over x, power, anchor) terms, c t^p or c (T-t)^p."""
+        a, c1, c2, c3, c4 = self.spec.alpha, self.c1, self.c2, self.c3, self.c4
+        rl = self.spec.kind is Kind.RIEMANN_LIOUVILLE
+        return {
+            "RL_sub": [(c1 + c2 * x, 0.0, "start")],
+            "RL_wave": [(c1 + c2 * x, 0.0, "start"), (c3 + c4 * x, 1.0, "start")],
+            "Caputo_sub": [(c1 + c2 * x, a - 1.0, "end")],
+            "Caputo_wave": [(c1 + c3 * x, a - 2.0, "end"), (c2 + c4 * x, a - 1.0, "end")],
+            "Linear_particular": [(c1 * x, a - 1.0 if rl else 1.0, "start")],
+        }[self.regime]
 
-    def dt_field(self, grid: TimeGrid, x: np.ndarray) -> GridFunction:
-        """Analytic time derivative v_t on the grid.
+    def field(self, grid: TimeGrid, x: np.ndarray, order: int = 0) -> GridFunction:
+        """v (order 0), v_t (1) or v_tt (2) on the grid, by the power rule.
 
-        Non-integrable powers (below -1) are returned as plain samples with
-        no metadata; they only ever enter kernels that integrate them away
-        from their singular endpoint.
+        Whole powers are sampled as regular values and other integrable ones
+        carried as power-law metadata. Non-integrable powers (-1 or below)
+        are plain samples, 0 at the anchor; they only ever enter kernels
+        that integrate them away from their singular endpoint.
         """
         x = np.asarray(x, dtype=float)
-        t = grid.nodes()
-        alpha = self.spec.alpha
-        zeros = np.zeros((t.size, x.size))
-        if self.regime == "RL_sub":
-            return GridFunction(grid, x, zeros)
-        if self.regime == "RL_wave":
-            return GridFunction(grid, x, zeros + (self.c3 + self.c4 * x)[None, :])
-        if self.regime == "Caputo_sub":
-            return _sampled_power(grid, x, -(alpha - 1.0) * (self.c1 + self.c2 * x),
-                                  alpha - 2.0, "end")
-        if self.regime == "Caputo_wave":
-            a = _sampled_power(grid, x, -(alpha - 2.0) * (self.c1 + self.c3 * x),
-                               alpha - 3.0, "end")
-            b = _sampled_power(grid, x, -(alpha - 1.0) * (self.c2 + self.c4 * x),
-                               alpha - 2.0, "end")
-            return GridFunction(grid, x, a.values + b.values)
-        if self.spec.kind is Kind.RIEMANN_LIOUVILLE:
-            return _sampled_power(grid, x, (alpha - 1.0) * self.c1 * x, alpha - 2.0, "start")
-        return GridFunction(grid, x, zeros + (self.c1 * x)[None, :])
-
-    def dtt_field(self, grid: TimeGrid, x: np.ndarray) -> GridFunction:
-        """Analytic second time derivative v_tt on the grid."""
-        x = np.asarray(x, dtype=float)
-        zeros = np.zeros((grid.n_steps + 1, x.size))
-        if self.regime in ("RL_sub", "RL_wave"):
-            return GridFunction(grid, x, zeros)
-        raise NotImplementedError("v_tt is only used with polynomial substitutions")
-
-
-def _sampled_power(grid: TimeGrid, x: np.ndarray, coeffs: np.ndarray, power: float,
-                   anchor: str) -> GridFunction:
-    """Samples of coeffs * t^power ('start') or coeffs * (T-t)^power ('end').
-
-    The anchor row holds 0; no term metadata is attached, so the power may
-    be non-integrable.
-    """
-    return GridFunction(grid, x, np.multiply.outer(_power_samples(grid, power, anchor), coeffs))
+        reg = np.zeros((grid.n_steps + 1, x.size))
+        terms = []
+        for coeff, power, anchor in self._terms(x):
+            c = coeff * _falling(power, order) * ((-1.0) ** order if anchor == "end" else 1.0)
+            p = power - order
+            if p <= -1.0 or float(p).is_integer():
+                reg += np.multiply.outer(_power_samples(grid, p, anchor), c)
+            else:
+                terms.append(SingularTerm(c, p, anchor))
+        return GridFunction.from_parts(grid, reg, terms, x=x)
 
 
 def adjoint_substitution(regime: str, spec: FractionalSpec,

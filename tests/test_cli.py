@@ -236,6 +236,39 @@ class TestVerifyCommand:
         assert ",16," in text
 
 
+# one bad value per config; every one must exit 2, 3 or 4 with one stderr line
+_RL_WAVE_LINEAR = dict(kind="rl", alpha=1.5, x_hi=np.pi,
+                       diffusivity={"family": "constant", "k0": 1.0},
+                       source={"id": "exact_linear", "params": {"lam": 1.0}}, n_x=16)
+BAD_CONFIGS = {
+    "vectors_not_a_list": (dict(vectors=5), 2),
+    "vector_id_not_a_string": (dict(vectors=[["Table3_v1"]]), 2),
+    "threshold_null": (dict(threshold=None), 2),
+    "grids_not_numbers": (dict(grids="ab"), 2),
+    "diffusivity_not_a_mapping": (dict(diffusivity=5), 2),
+    "beta_null": (dict(diffusivity={"family": "power", "beta": None}), 2),
+    "params_null": (dict(source={"id": "exact_stationary", "params": None}), 2),
+    "param_not_a_number": (dict(source={"id": "exact_stationary", "params": {"a": "x"}}), 2),
+    "substitution_not_a_mapping": (dict(substitution=5), 2),
+    "substitution_key_c5": (dict(vectors=["Noether:X1"],
+                                 substitution={"regime": "Caputo_sub", "c1": 1.0, "c5": 1.0}), 2),
+    "substitution_constant_null": (dict(vectors=["Noether:X1"],
+                                        substitution={"regime": "Caputo_sub", "c1": None}), 2),
+    # v_tt of t^(alpha-1) is not integrable: the vector is evaluated but does not converge
+    "rl_wave_linear_particular": (dict(_RL_WAVE_LINEAR, vectors=["Noether:X3_lin"],
+                                       substitution={"regime": "Linear_particular", "c1": 1.0}),
+                                  4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_exits_with_one_line(tmp_path, capsys, case):
+    overrides, code = BAD_CONFIGS[case]
+    rc = main(["verify", "--config", write_config(tmp_path, base_config(**overrides))])
+    assert rc == code
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
 class TestSolveCommand:
     def test_solve_writes_loadable_field(self, tmp_path):
         cfg = base_config(
@@ -278,6 +311,13 @@ class TestCatalogCommand:
         text = capsys.readouterr().out
         assert "admitted symmetries" in text
         assert "X1:" in text and "Table3_v1" in text
+
+    @pytest.mark.parametrize("flag", ["--grids", "--exclude-frac", "--threshold"])
+    def test_catalog_has_no_verify_flags(self, tmp_path, flag):
+        # catalog reads neither the grids nor the verify settings
+        with pytest.raises(SystemExit) as exc:
+            main(["catalog", "--config", write_config(tmp_path, base_config()), flag, "1"])
+        assert exc.value.code == 2
 
 
 class TestSelftestCommand:

@@ -13,9 +13,10 @@ from fraccons.conslaw import (
     flux_balance,
     formal_lagrangian,
     noether_vector,
+    _noether_core,
 )
 from fraccons.fracops import FractionalSpec, Kind, TimeGrid, diff1
-from fraccons.symcat import adjoint_substitution, list_symmetries
+from fraccons.symcat import Symmetry, adjoint_substitution, characteristic, list_symmetries
 from fraccons.tfde import (
     Diffusivity,
     exact_linear_separable,
@@ -197,6 +198,28 @@ class TestNoetherVectors:
         ct_c, cx_c = cv.components(u)
         assert np.max(np.abs(ct_n[1:-1] - ct_c[1:-1])) < 1e-10
         assert np.max(np.abs(cx_n[1:-1, 1:-1] - cx_c[1:-1, 1:-1])) < 1e-5
+
+    @pytest.mark.parametrize("kind", [CAP, RL])
+    def test_x3_vector_is_the_core_without_lagrangian(self, monkeypatch, kind):
+        # xi0 = xi1 = 0 for X3_lin: the vector is _noether_core's, bit for bit,
+        # and the formal Lagrangian is never built
+        spec = FractionalSpec(kind, 0.5, 1.0)
+        d = Diffusivity.constant(1.0)
+        tgrid = TimeGrid(1.0, 32)
+        x = np.linspace(0.0, np.pi, 17)
+        u = exact_linear_separable(spec, 1.0, tgrid, x)
+        sub = adjoint_substitution("Linear_particular", spec, c1=1.0)
+        sym = Symmetry("X3_lin", 0.5)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            core = _noether_core(characteristic(sym, u), sub.field(tgrid, x), u, sub, spec, d)
+
+        def no_lagrangian(*args):
+            raise AssertionError("formal Lagrangian built for a vector with xi = 0")
+
+        monkeypatch.setattr("fraccons.conslaw.formal_lagrangian", no_lagrangian)
+        comps = noether_vector(sym, sub, spec, d).components(u)
+        for got, want in zip(comps, core):
+            assert np.array_equal(got, want, equal_nan=True)
 
     def test_linear_catalog_flux_carries_diffusivity(self):
         # for k = k0 the flux is k0 (v_x W - v W_x); here W = u (X3) and v = t x

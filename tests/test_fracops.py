@@ -440,6 +440,26 @@ class TestEndpointWeightedIntegrals:
                        weight="alg", wvar=(0.0, mu - 1.0))[0] / G(mu)
             assert out[j] == pytest.approx(ref, abs=1e-5)
 
+    @pytest.mark.parametrize("n, mu", [(16, 0.5), (33, 1.5)])
+    def test_endpoint_pole_weights_equal_row_loop(self, n, mu):
+        # the per-row cell loop the weights were once built by: the same
+        # arithmetic per entry, so the whole-matrix form must equal it exactly
+        grid = TimeGrid(1.0, n)
+        t = grid.nodes()
+        ref = np.zeros((n + 1, n + 1))
+        for i in range(1, n):
+            s, c = t[i] - t[:i], 1.0 - t[i]
+            d = []
+            for nu in (mu, mu + 1.0):
+                e = np.append(s ** nu / (nu * (c + s)) * fracops.hyp2f1(1.0, 1.0, nu + 1.0,
+                                                                        s / (s + c)), 0.0)
+                d.append(e[:-1] - e[1:])
+            m1 = (s * d[0] - d[1]) / grid.h
+            ref[i, :i] += d[0] - m1
+            ref[i, 1:i + 1] += m1
+        ref *= fracops.reciprocal_gamma(mu)
+        assert np.array_equal(fracops._endpoint_pole_weight_matrix(grid, mu), ref)
+
     def test_left_integral_endpoint_pole_excludes_final_node(self):
         grid = TimeGrid(1.0, 64)
         out = left_integral_endpoint_pole(series(grid, np.exp), 0.5)

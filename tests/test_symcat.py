@@ -1,15 +1,19 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from fraccons.fracops import FractionalSpec, Kind, TimeGrid
+from fraccons.fracops import FractionalSpec, Kind, SingularTerm, TimeGrid
 from fraccons.symcat import (
+    _GENERATORS,
     SUBSTITUTION_REGIMES,
     adjoint_residual,
     adjoint_substitution,
     characteristic,
     list_symmetries,
     rl_extra_beta,
-    _sym,
+    Symmetry,
 )
 from fraccons.tfde import (
     Diffusivity,
@@ -94,7 +98,8 @@ class TestCharacteristic:
         u = self._linear_field()
         sym = next(s for s in list_symmetries(CAP, 0.5, Diffusivity.constant(1.0))
                    if s.id == "X3_lin")
-        assert characteristic(sym, u) is u
+        w = characteristic(sym, u)
+        assert np.allclose(w.values, u.values, rtol=0.0, atol=1e-14) and not w.singular
 
     def test_xinf_returns_supplied_solution(self):
         u = self._linear_field()
@@ -127,11 +132,38 @@ class TestCharacteristic:
         t, xx = tgrid.nodes()[:, None], x[None, :]
         u = GridFunction(tgrid, x, (1.0 + t) * (2.0 + xx) + 0.3 * t * xx)
         h = GridFunction(tgrid, x, np.sin(t + 2.0 * xx))
-        sym = _sym(sym_id, 1.5, beta=-4.0 / 3.0, h=h)
+        sym = Symmetry(sym_id, 1.5, beta=-4.0 / 3.0, h=h)
         u_t, u_x = 2.0 + 1.3 * xx, 1.0 + 1.3 * t
         ref = (sym.eta(t, xx, u.values) - sym.xi0(t, xx, u.values) * u_t
                - sym.xi1(t, xx, u.values) * u_x)
         assert np.allclose(characteristic(sym, u).values, ref, rtol=0.0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("sym_id", sorted(_GENERATORS))
+    def test_start_terms_scale_by_shifted_power(self, sym_id):
+        # W = eta - xi0 u_t - xi1 u_x of the term u = c(x) t^p, from the
+        # generator's own callables, is 2^(p + shift) times larger at t = 2
+        # than at t = 1; characteristic carries it as c~ t^(p + shift)
+        p = -0.3
+        tgrid = TimeGrid(1.0, 8)
+        x = np.linspace(0.5, 1.5, 6)
+        c, c_x = 1.0 + x ** 2, 2.0 * x  # diff1 is exact on quadratics
+        h = GridFunction(tgrid, x, np.sin(tgrid.nodes()[:, None] + x[None, :]))
+        sym = Symmetry(sym_id, 1.5, beta=-4.0 / 3.0, h=h)
+
+        def w_term(t):
+            u = c * t ** p
+            return (sym.eta(t, x, u) - sym.eta(t, x, 0.0 * u)
+                    - sym.xi0(t, x, u) * p * c * t ** (p - 1.0) - sym.xi1(t, x, u) * c_x * t ** p)
+
+        scale = 2.0 ** (p + sym.shift)
+        assert np.allclose(w_term(2.0), scale * w_term(1.0), rtol=1e-14, atol=1e-14)
+        if sym_id == "Xinf":
+            return  # W is the field h itself
+        u = GridFunction.from_parts(tgrid, np.zeros((9, 6)), (SingularTerm(c, p),), x=x)
+        (image,) = characteristic(sym, u).singular
+        assert image.power == p + sym.shift
+        assert np.allclose(image.coeff, w_term(1.0), rtol=1e-13, atol=1e-13)
 
 
 class TestAdjointSubstitution:
@@ -157,7 +189,7 @@ class TestAdjointSubstitution:
         x = np.linspace(0.0, 1.0, 5)
         v = sub.field(tgrid, x)
         assert np.allclose(v.values, 2.0 + 3.0 * x[None, :])
-        assert np.allclose(sub.dt_field(tgrid, x).values, 0.0)
+        assert np.allclose(sub.field(tgrid, x, 1).values, 0.0)
 
     def test_caputo_sub_field_carries_end_power(self):
         spec = FractionalSpec(CAP, 0.5, 1.0)
@@ -168,6 +200,40 @@ class TestAdjointSubstitution:
         t = tgrid.nodes()[:-1]
         assert np.allclose(v.values[:-1, 0], (1.0 - t) ** -0.5)
         assert len(v.singular) == 1 and v.singular[0].anchor == "end"
+
+
+    @staticmethod
+    def _closed_form(regime, rl, a, T, c1, c2, c3, c4):
+        # the forms of the AdjointSubstitution docstring, as functions of (t, x)
+        return {
+            "RL_sub": lambda t, x: c1 + c2 * x,
+            "RL_wave": lambda t, x: c1 + c2 * x + (c3 + c4 * x) * t,
+            "Caputo_sub": lambda t, x: (T - t) ** (a - 1) * (c1 + c2 * x),
+            "Caputo_wave": lambda t, x: (T - t) ** (a - 2) * (c1 + c3 * x + (T - t) * (c2 + c4 * x)),
+            "Linear_particular": lambda t, x: c1 * (t ** (a - 1) if rl else t) * x,
+        }[regime]
+
+    @given(regime=st.sampled_from(SUBSTITUTION_REGIMES), rl=st.booleans(),
+           wave=st.booleans(), frac=st.floats(0.05, 0.95), T=st.floats(0.5, 2.0),
+           cs=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+           order=st.integers(0, 2))
+    def test_field_is_the_derivative_of_the_closed_form(self, regime, rl, wave, frac, T, cs,
+                                                        order):
+        assume(any(cs))
+        if regime != "Linear_particular":
+            rl, wave = regime.startswith("RL"), regime.endswith("wave")
+        alpha = frac + (1.0 if wave else 0.0)
+        sub = adjoint_substitution(regime, FractionalSpec(RL if rl else CAP, alpha, T), *cs)
+        tgrid = TimeGrid(T, 8)
+        x = np.linspace(0.0, 1.0, 5)
+        v = sub.field(tgrid, x, order)
+        assert all(tm.power > -1.0 and not float(tm.power).is_integer() for tm in v.singular)
+        f = self._closed_form(regime, rl, mpmath.mpf(alpha), mpmath.mpf(T), *map(mpmath.mpf, cs))
+        with mpmath.workdps(30):
+            ref = np.array([[float(mpmath.diff(lambda t: f(t, mpmath.mpf(xj)), mpmath.mpf(ti), order))
+                             for xj in x] for ti in tgrid.nodes()[1:-1]])
+        err = np.max(np.abs(v.values[1:-1] - ref))
+        assert err <= 1e-10 * (1.0 + np.max(np.abs(ref)))
 
 
 class TestAdjointResidual:
