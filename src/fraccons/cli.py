@@ -4,7 +4,7 @@ Exit codes, each failure with a one-line message on stderr:
   0 success;
   2 configuration/validation error;
   3 solver failure (including a Newton iterate outside the domain of
-    k), or a special-function series that did not converge or cannot
+    k and a singular Newton system), or a special-function series that did not converge or cannot
     reach float64 accuracy (the Mittag-Leffler series of an exact
     solution at large lam^2 t^alpha);
   4 conservation-check (or selftest) failure: a convergence ratio below

@@ -257,18 +257,26 @@ def _pl_weights(n_steps: int, mu: float, h: float) -> tuple[np.ndarray, np.ndarr
     (I^mu f)(t_i) = sum_j W[i,j] f_j, exact for piecewise-linear f.
 
     W[i,j] = L[i-j] for 1 <= j <= i, W[i,0] = c[i], and row 0 is 0.
+    With p = mu + 1, L[k] = (k+1)^p - 2k^p + (k-1)^p and c[k] = (k-1)^p - k^p + p k^mu
+    lose about k^2 of relative precision as differences, so from k = 4 on they are
+    binomial series in x = 1/k: with S(x) = sum_{j=2}^{31} C(p, j) x^j (remainder
+    about 4^-30 of S), L[k] = k^p (S(x) + S(-x)) and c[k] = k^p S(-x).
     """
-    k = np.arange(0, n_steps + 2, dtype=float)
-    kp = k ** (mu + 1.0)
-    scale = h ** mu / gamma(mu + 2.0)
+    p = mu + 1.0
+    k = np.arange(1, n_steps + 1, dtype=float)
+    kp = k ** p
     L = np.empty(n_steps + 1)
     L[0] = 1.0
-    # interior lags share the same second-difference weights:
-    # L[k] = (k+1)^{mu+1} - 2k^{mu+1} + (k-1)^{mu+1}
-    L[1:] = kp[2:] - 2.0 * kp[1:-1] + kp[:-2]
-    i = k[1:-1]
+    L[1:] = (k + 1.0) ** p - 2.0 * kp + (k - 1.0) ** p
     c = np.zeros(n_steps + 1)
-    c[1:] = (i - 1.0) ** (mu + 1.0) - i ** (mu + 1.0) + (mu + 1.0) * i ** mu
+    c[1:] = (k - 1.0) ** p - kp + p * k ** mu
+    j = np.arange(1.0, 32.0)
+    binom = np.cumprod((p + 1.0 - j) / j)  # C(p, j) for j = 1..31
+    x = 1.0 / k[3:]
+    s_plus, s_minus = (np.polyval(binom[:0:-1], xs) * xs * xs for xs in (x, -x))
+    L[4:] = kp[3:] * (s_plus + s_minus)
+    c[4:] = kp[3:] * s_minus
+    scale = h ** mu / gamma(mu + 2.0)
     return _read_only(L * scale), _read_only(c * scale)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .specialfn import gamma, mittag_leffler
 from .fracops import (
@@ -212,7 +212,7 @@ class GridFunction(TimeSeries):
 
 
 class SolverError(RuntimeError):
-    """Nonlinear iteration failed to converge."""
+    """Nonlinear iteration failed to converge, or its linear system is singular."""
 
 
 # ---------------------------------------------------------------------------
@@ -299,70 +299,75 @@ _TOL = 1e-10
 _MAX_ITER = 50
 
 
-def _flux(diff: Diffusivity, u: np.ndarray, hx: float) -> tuple[np.ndarray, np.ndarray]:
-    """Conservative (k(u) u_x)_x at interior nodes and its banded (3 x m) Jacobian.
+def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with diagonals dl (sub), d and du (super) by
+    LAPACK dgtsv, overwriting all four arrays; a zero pivot raises SolverError."""
+    if d.size == 1:  # f2py rejects the empty off-diagonals of a 1 x 1 system
+        dl = du = np.zeros(1)
+    x, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)[3:]
+    if info != 0:
+        raise SolverError(f"singular Newton system: LAPACK dgtsv info = {info}")
+    return x
 
-    Both come from one set of midpoint values. The Jacobian rows hold the
-    derivatives w.r.t. u_{j+1} (superdiagonal), u_j and u_{j-1} (subdiagonal).
-    """
+
+def _flux(diff: Diffusivity, u: np.ndarray, hx2: float):
+    """Conservative (k(u) u_x)_x at interior nodes and its Jacobian's sub-, main and
+    super-diagonals (w.r.t. u_{j-1}, u_j, u_{j+1}), all from one set of midpoint values."""
     um = 0.5 * (u[1:] + u[:-1])
     kh = diff.k(um)
     du = u[1:] - u[:-1]
     s = 0.5 * diff.k_prime(um) * du
     q = kh * du
-    hx2 = hx ** 2
-    jac = np.zeros((3, u.size - 2))
-    jac[0, 1:] = (s[1:-1] + kh[1:-1]) / hx2
-    jac[1] = (s[1:] - kh[1:] - s[:-1] - kh[:-1]) / hx2
-    jac[2, :-1] = (-s[1:-1] + kh[1:-1]) / hx2
-    return (q[1:] - q[:-1]) / hx2, jac
+    return ((q[1:] - q[:-1]) / hx2, (kh[1:-1] - s[1:-1]) / hx2,
+            (s[1:] - kh[1:] - s[:-1] - kh[:-1]) / hx2, (kh[1:-1] + s[1:-1]) / hx2)
 
 
 def _newton_step_solve(diff: Diffusivity, c0: float, rhs: np.ndarray,
-                       base_row: np.ndarray, w: np.ndarray, hx: float) -> np.ndarray:
-    """Solve c0 * w - flux(base_row + w) = rhs at the interior nodes.
+                       base_row: np.ndarray, w: np.ndarray, hx2: float) -> np.ndarray:
+    """Solve c0 * w - flux(base_row + w) = rhs at the interior nodes (hx2 = hx^2).
 
     ``w`` is the start guess with the Dirichlet values in its end entries;
     it may be overwritten.
-    A non-finite residual or Jacobian (an iterate outside the domain of k)
-    raises SolverError, as does a stalled line search or the iteration cap.
+    A non-finite residual or Jacobian (an iterate outside the domain of k), a
+    singular system, a stalled line search or the iteration cap raise SolverError.
     """
 
     def residual(v):
-        f, jac = _flux(diff, base_row + v, hx)
-        return c0 * v[1:-1] - f - rhs, jac
+        f, sub, main, sup = _flux(diff, base_row + v, hx2)
+        g = c0 * v[1:-1] - f - rhs
+        return g, np.abs(g).max(), (sub, main, sup)
 
     with np.errstate(all="ignore"):
         # residual tolerance relative to the magnitude of the balanced terms;
         # the flux difference cancels catastrophically when the field carries
         # an initial-time singularity, so the roundoff floor scales with k*u/hx^2
         u0 = base_row + w
-        term_mag = float(np.max(np.abs(diff.k(u0)) * np.abs(u0))) / hx ** 2
+        term_mag = float(np.max(np.abs(diff.k(u0)) * np.abs(u0))) / hx2
         tol_eff = max(_TOL * max(1.0, float(np.max(np.abs(rhs)))), 1e-12 * term_mag)
-        g, jac = residual(w)
+        g, gn, (sub, main, sup) = residual(w)
         trial = w.copy()
         for _ in range(_MAX_ITER):
-            gn = np.max(np.abs(g))
             if gn <= tol_eff:
                 return w
-            ab = -jac
-            ab[1] += c0
-            if not (np.isfinite(gn) and np.isfinite(ab).all()):
+            # (J - c0) delta = g; main holds every midpoint value of k and k',
+            # so its being finite covers the off-diagonals too
+            d = main - c0
+            if not (np.isfinite(gn) and np.isfinite(d).all()):
                 raise SolverError("Newton iterate outside the domain of k: "
                                   "non-finite residual or Jacobian")
-            delta = solve_banded((1, 1), ab, -g)
+            delta = solve_banded(sub, d, sup, g)
             # damped update: halve the step until the residual decreases
             lam = 1.0
             while True:
                 trial[1:-1] = w[1:-1] + lam * delta
-                g_try, jac_try = residual(trial)
-                if np.max(np.abs(g_try)) < gn:
+                g_try, gn_try, jac_try = residual(trial)
+                if gn_try < gn:
                     break
                 lam *= 0.5
                 if lam < 1e-6:
                     raise SolverError("Newton line search stalled")
-            w, trial, g, jac = trial, w, g_try, jac_try
-        if np.max(np.abs(g)) <= tol_eff:
+            w, trial, g, gn, (sub, main, sup) = trial, w, g_try, gn_try, jac_try
+        if gn <= tol_eff:
             return w
     raise SolverError("nonlinear iteration did not converge")
 
@@ -385,7 +390,7 @@ def solve_nonlinear(problem: TFDEProblem, grid: TimeGrid, n_x: int) -> GridFunct
     alpha = spec.alpha
     n = spec.n
     x = np.linspace(problem.x_lo, problem.x_hi, n_x + 1)
-    hx = x[1] - x[0]
+    hx2 = (x[1] - x[0]) ** 2
     h = grid.h
     t = grid.nodes()
     n_t = grid.n_steps
@@ -408,13 +413,14 @@ def solve_nonlinear(problem: TFDEProblem, grid: TimeGrid, n_x: int) -> GridFunct
     base = sum((term.sample(grid) for term in terms), np.zeros((n_t + 1, x.size)))
     mu = alpha - (n - 1)
     j = np.arange(n_t + 1, dtype=float)
-    a_w = (j + 1.0) ** (1.0 - mu) - j ** (1.0 - mu)  # L1 weights
+    # L1 weights a_j, reversed once so that each step's history is a contiguous slice
+    a_rev = np.ascontiguousarray(((j + 1.0) ** (1.0 - mu) - j ** (1.0 - mu))[::-1])
     c_l1 = h ** (-mu) / gamma(2.0 - mu)
     c0 = c_l1 / h ** (n - 1)
     dY = np.zeros((n_t + 1, x.size))  # dY[j] = y_j - y_{j-1}
     for m in range(1, n_t + 1):
         # L1 history: sum_{j=1}^{m-1} a_{m-j} (y_j - y_{j-1})
-        hist = c_l1 * np.tensordot(a_w[m - 1: 0: -1], dY[1:m], axes=(0, 0))
+        hist = c_l1 * (a_rev[n_t - m + 1: n_t] @ dY[1:m])
         # c_l1 (y_m - y_{m-1}) + hist = flux, with y_m = (w_m - w_prev) / h^(n-1)
         w_prev = W[m - 1, 1:-1] if n == 2 else 0.0
         rhs = c0 * w_prev + c_l1 * y[1:-1] - hist[1:-1]
@@ -423,7 +429,7 @@ def solve_nonlinear(problem: TFDEProblem, grid: TimeGrid, n_x: int) -> GridFunct
         for end, fn in ((0, problem.boundary_lo), (-1, problem.boundary_hi)):
             if fn is not None:
                 w[end] = float(fn(t[m])) - base[m, end]
-        W[m] = _newton_step_solve(problem.diffusivity, c0, rhs, base[m], w, hx)
+        W[m] = _newton_step_solve(problem.diffusivity, c0, rhs, base[m], w, hx2)
         y_m = W[m] if n == 1 else (W[m] - W[m - 1]) / h
         dY[m] = y_m - y
         y = y_m

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fraccons
+from fraccons import tfde
 from fraccons.cli import (
     ConfigError,
     main,
@@ -189,6 +190,17 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("solver failure")
+
+    def test_singular_newton_system_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a zero first column makes the Newton system singular: LAPACK reports
+        # a zero pivot, which is a solver failure, not a configuration error
+        real = tfde.solve_banded
+        monkeypatch.setattr(tfde, "solve_banded",
+                            lambda dl, d, du, b: real(0.0 * dl, 0.0 * d, du, b))
+        rc = main(["verify", "--config", write_config(tmp_path, self.solver_config(n_x=8))])
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("solver failure: singular"), err
 
     def test_nonfinite_residual_exits_4(self, tmp_path, capsys, monkeypatch):
         def nonfinite(cv, *args, **kwargs):

@@ -1,6 +1,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fraccons import tfde
 from fraccons.fracops import FractionalSpec, Kind, SingularTerm, TimeGrid
@@ -210,6 +214,32 @@ class TestSolver:
         solve_nonlinear(prob, TimeGrid(1.0, 16), 16)
         assert len(calls) >= 16
 
+    def test_newton_path_matches_scipy_banded_solve(self, monkeypatch):
+        # the LAPACK solve behind tfde.solve_banded takes the same Newton
+        # path as scipy's solve_banded on the same system
+        d = Diffusivity.power(2.0)
+        g = lambda xx: d.K_inv(0.5 * xx + 1.0) * (1.0 + 0.1 * np.sin(np.pi * xx))
+        lo, hi = (float(g(np.array([xb]))[0]) for xb in (0.0, 1.0))
+        prob = TFDEProblem(FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5, 1.0), d, 0.0, 1.0,
+                           initial=g, boundary_lo=lambda t: lo * t ** -0.5,
+                           boundary_hi=lambda t: hi * t ** -0.5)
+
+        def via_scipy(dl, main, du, b):
+            ab = np.zeros((3, main.size))
+            ab[0, 1:], ab[1], ab[2, :-1] = du, main, dl
+            return scipy.linalg.solve_banded((1, 1), ab, b)
+
+        def solve(banded):
+            calls = []
+            monkeypatch.setattr(tfde, "solve_banded",
+                                lambda *args: calls.append(1) or banded(*args))
+            return solve_nonlinear(prob, TimeGrid(1.0, 64), 16).values, len(calls)
+
+        lean, n_lean = solve(tfde.solve_banded)
+        ref, n_ref = solve(via_scipy)
+        assert n_lean == n_ref
+        assert np.max(np.abs(lean - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_wave_regime_runs_and_converges(self):
         spec = FractionalSpec(Kind.CAPUTO, 1.5, 1.0)
         d = Diffusivity.constant(1.0)
@@ -233,3 +263,28 @@ class TestSolver:
 
     def test_solver_error_type(self):
         assert issubclass(SolverError, RuntimeError)
+
+
+class TestBandedSolve:
+    @given(st.data(), st.integers(1, 80))
+    def test_matches_dense_solve(self, data, m):
+        def draw(size, lo, hi):
+            return data.draw(hnp.arrays(float, size, elements=st.floats(lo, hi)))
+
+        # off-diagonals in [-1, 1] and |main| >= 2.5: strictly diagonally dominant
+        dl, du, b = draw(m - 1, -1.0, 1.0), draw(m - 1, -1.0, 1.0), draw(m, -10.0, 10.0)
+        signs = data.draw(hnp.arrays(float, m, elements=st.sampled_from([-1.0, 1.0])))
+        main = draw(m, 2.5, 10.0) * signs
+        A = np.diag(main) + np.diag(dl, -1) + np.diag(du, 1)
+        ref = np.linalg.solve(A, b)
+        got = tfde.solve_banded(dl.copy(), main.copy(), du.copy(), b.copy())
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dl, main, du", [
+        ([], [0.0], []),
+        ([0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0]),
+        ([1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0]),
+    ], ids=["1x1", "zero_column", "equal_rows"])
+    def test_zero_pivot_raises_solver_error(self, dl, main, du):
+        with pytest.raises(SolverError, match="singular"):
+            tfde.solve_banded(np.array(dl), np.array(main), np.array(du), np.ones(len(main)))
