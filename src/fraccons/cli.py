@@ -236,7 +236,8 @@ def _maybe_sub(cfg: ScenarioConfig):
     return adjoint_substitution(regime, _spec(cfg), **{k: float(v) for k, v in s.items()})
 
 
-def _vector_eval(cfg: ScenarioConfig, vid: str, u: GridFunction):
+def _vector_eval(cfg: ScenarioConfig, vid: str, initial: Optional[np.ndarray] = None):
+    """The evaluator of ``vid``; ``initial`` is u(0, x) on the grid (None checks the id only)."""
     spec = _spec(cfg)
     diffu = _diffusivity(cfg)
     sub = _maybe_sub(cfg)
@@ -245,8 +246,9 @@ def _vector_eval(cfg: ScenarioConfig, vid: str, u: GridFunction):
             raise ConfigError(f"{vid} requires a substitution block")
         sym = Symmetry(vid.split(":", 1)[1], cfg.alpha, beta=diffu.beta)
         return noether_vector(sym, sub, spec, diffu)
-    return catalog_vector(vid, spec, diffu, initial=u.values[0],
-                          initial_velocity=np.zeros_like(u.x), substitution=sub)
+    velocity = None if initial is None else np.zeros_like(initial)
+    return catalog_vector(vid, spec, diffu, initial=initial, initial_velocity=velocity,
+                          substitution=sub)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +278,12 @@ def run_verify(cfg: ScenarioConfig, out: Optional[str]) -> int:
     rows = []
     below = []  # (ratio, vector id, n_steps) of every ratio under the threshold
     last = {}
+    for vid in cfg.vectors:  # a vector that does not fit the scenario fails before any solve
+        _vector_eval(cfg, vid)
     for gi, n in enumerate(cfg.grids):
         u = _solution(cfg, n)
         for vid in sorted(cfg.vectors):
-            cv = _vector_eval(cfg, vid, u)
+            cv = _vector_eval(cfg, vid, u.values[0])
             comps = cv.components(u)
             rep = divergence_residual(cv, u, cfg.exclude_frac, comps)
             nested = gi > 0 and cfg.grids[gi] == 2 * cfg.grids[gi - 1]

@@ -48,19 +48,6 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# grid-field helpers
-# ---------------------------------------------------------------------------
-
-def _pole_integral(u: GridFunction, mu: float) -> np.ndarray:
-    """(I^mu (u/(T-.)))(t) on the whole field; metadata-free samples are used."""
-    return left_integral_endpoint_pole(TimeSeries(u.grid, u.values), mu).values
-
-
-def _ux(u: GridFunction) -> np.ndarray:
-    return u.dx_field().values
-
-
-# ---------------------------------------------------------------------------
 # formal Lagrangian and Noether operators
 # ---------------------------------------------------------------------------
 
@@ -159,27 +146,106 @@ def noether_vector(sym: Symmetry, sub: AdjointSubstitution, spec: FractionalSpec
     return ConservedVectorEval(name, spec, fn)
 
 
-def _need(value, what: str):
-    if value is None:
-        raise ValueError(f"this catalog vector requires {what}")
-    return value
+# Each closed-form vector has a time component c with D_t c = w(t) (k u_x)_x on
+# solutions, so its flux is -w k u_x; its x-moment partner is
+# (x c, w (K - x k u_x)). A core maps (u, spec, start) to (c, w), where
+# start(u) is the initial datum D^{n-1} u(0, x) on u's space grid.
+
+def _rl_moment(j: int, printed_typo: bool = False):
+    """Time moment j of the Riemann-Liouville kind, weight t^j.
+
+    c = sum_i (-1)^i j!/(j-i)! t^{j-i} R_i with R_0 = D^{a-1} u (I^{1-a} u
+    when n = 1) and R_i = I^{i+1-a} u. ``printed_typo`` puts R_1 where R_2
+    belongs, as Table 1 prints its sixth vector.
+    """
+
+    def core(u, spec, start):
+        t = u.grid.nodes()[:, None]
+        a = spec.alpha
+
+        def R(i: int) -> np.ndarray:
+            r = 1 if printed_typo and i == 2 else i
+            if r == 0 and spec.n == 2:
+                return rl_left_derivative(u, a - 1.0).values
+            return left_frac_integral(u, r + 1.0 - a).values
+
+        c = sum((-1) ** i * math.perm(j, i) * t ** (j - i) * R(i) for i in range(j + 1))
+        return c, t ** j
+
+    return core
 
 
-def _as_x_array(data, x: np.ndarray) -> np.ndarray:
-    if callable(data):
-        return np.asarray(data(x), dtype=float)
-    return np.broadcast_to(np.asarray(data, dtype=float), x.shape).astype(float)
+def _pole_moment(m: int):
+    """Caputo core s^{a-m} I^{m+1-a}(D^m u / s), weight s^{a-m-1}, s = T - t.
 
+    For m = n - 1 it carries the initial term D^m u(0, x) Phi(t) of the time
+    weights (``phi_sub`` for n = 1, the phi of ``phi_psi_wave`` for n = 2).
+    """
+
+    def core(u, spec, start):
+        a, T = spec.alpha, spec.T
+        t = u.grid.nodes()
+        s = (T - t)[:, None]
+        # the endpoint-pole kernel takes the samples without their power-term metadata
+        f = TimeSeries(u.grid, (time_derivative(u, m) if m else u).values)
+        c = s ** (a - m) * left_integral_endpoint_pole(f, m + 1.0 - a).values
+        if m == spec.n - 1:
+            phi = phi_sub(t, a, T) if spec.n == 1 else phi_psi_wave(t, a, T)[0]
+            c = start(u)[None, :] * phi[:, None] + c
+        return c, s ** (a - m - 1.0)
+
+    return core
+
+
+def _f_modified(u, spec, start):
+    """Caputo n = 2 core u_t(0, x) psi(t) + s^a F(u_t), weight s^{a-1}."""
+    a, T = spec.alpha, spec.T
+    t = u.grid.nodes()
+    s = (T - t)[:, None]
+    psi = phi_psi_wave(t, a, T)[1]
+    fint = f_modified_integral(time_derivative(u), a).values
+    return start(u)[None, :] * psi[:, None] + s ** a * fint, s ** (a - 1.0)
+
+
+def _trivial_caputo(u, spec, start):
+    """I^{n+1-a} D^n u, weight 1."""
+    return left_frac_integral(time_derivative(u, spec.n), spec.n + 1.0 - spec.alpha).values, 1.0
+
+
+_RL, _CAP = Kind.RIEMANN_LIOUVILLE, Kind.CAPUTO
+_KIND_NAMES = {_RL: "Riemann-Liouville", _CAP: "Caputo"}
+# id -> (kind, n or None for both, core, x-moment)
+_CLOSED_FORMS = {
+    "Trivial_RL": (_RL, None, _rl_moment(0), False),
+    "Trivial_Caputo": (_CAP, None, _trivial_caputo, False),
+    "NL_RL_sub": (_RL, 1, _rl_moment(0), True),
+    "NL_RL_sub_t1": (_RL, 1, _rl_moment(1), False),
+    "NL_RL_sub_t2": (_RL, 1, _rl_moment(1), True),
+    "Table1_v1": (_RL, 2, _rl_moment(0), False),
+    "Table1_v2": (_RL, 2, _rl_moment(1), False),
+    "Table1_v3": (_RL, 2, _rl_moment(0), True),
+    "Table1_v4": (_RL, 2, _rl_moment(1), True),
+    "Table1_v5": (_RL, 2, _rl_moment(2), False),
+    "Table1_v6": (_RL, 2, _rl_moment(2, printed_typo=True), True),
+    "Table1_v6_alt": (_RL, 2, _rl_moment(2), True),
+    "Table3_v1": (_CAP, 1, _pole_moment(0), False),
+    "Table3_v2": (_CAP, 1, _pole_moment(1), False),
+    "Table3_v3": (_CAP, 1, _pole_moment(0), True),
+    "Table3_v4": (_CAP, 1, _pole_moment(1), True),
+    "Table5_v1": (_CAP, 2, _pole_moment(2), False),
+    "Table5_v2": (_CAP, 2, _pole_moment(1), False),
+    "Table5_v3": (_CAP, 2, _f_modified, False),
+    "Table5_v4": (_CAP, 2, _pole_moment(2), True),
+    "Table5_v5": (_CAP, 2, _pole_moment(1), True),
+    "Table5_v6": (_CAP, 2, _f_modified, True),
+}
 
 _LINEAR_SYMS = ("X1", "X2", "X3", "Xinf")
 
 
 def catalog_ids() -> list[str]:
     """All recognized closed-form catalog provenance ids."""
-    ids = ["Trivial_RL", "Trivial_Caputo", "NL_RL_sub", "NL_RL_sub_t1", "NL_RL_sub_t2"]
-    ids += [f"Table1_v{i}" for i in range(1, 7)] + ["Table1_v6_alt"]
-    ids += [f"Table3_v{i}" for i in range(1, 5)]
-    ids += [f"Table5_v{i}" for i in range(1, 7)]
+    ids = list(_CLOSED_FORMS)
     for kind in ("RL", "Cap"):
         for regime in ("sub", "wave"):
             ids += [f"Linear_{kind}_{regime}_{s}" for s in _LINEAR_SYMS]
@@ -197,159 +263,32 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
     the adjoint ``substitution``; the Xinf ids additionally need the field
     ``h`` solving the linear equation.
     """
-    alpha = spec.alpha
     n = spec.n
 
     def check(cond: bool, msg: str) -> None:
         if not cond:
             raise ValueError(f"{provenance}: {msg}")
 
-    if provenance == "Trivial_RL":
-        check(spec.kind is Kind.RIEMANN_LIOUVILLE, "requires the Riemann-Liouville kind")
+    if provenance in _CLOSED_FORMS:
+        kind, want_n, core, moment = _CLOSED_FORMS[provenance]
+        span = {None: "", 1: " with alpha in (0,1)", 2: " with alpha in (1,2)"}[want_n]
+        check(spec.kind is kind and want_n in (None, n),
+              f"requires the {_KIND_NAMES[kind]} kind{span}")
+        datum, what = (initial, "u(0, x)") if n == 1 else (initial_velocity, "u_t(0, x)")
+
+        def start(u: GridFunction) -> np.ndarray:
+            check(datum is not None, f"requires the initial data {what}")
+            values = datum(u.x) if callable(datum) else datum
+            return np.broadcast_to(np.asarray(values, dtype=float), u.x.shape)
 
         def fn(u: GridFunction):
-            if n == 1:
-                ct = left_frac_integral(u, 1.0 - alpha).values
-            else:
-                ct = rl_left_derivative(u, alpha - 1.0).values
-            cx = -diffusivity.k(u.values) * _ux(u)
-            return ct, cx
-
-        return ConservedVectorEval(provenance, spec, fn)
-
-    if provenance == "Trivial_Caputo":
-        check(spec.kind is Kind.CAPUTO, "requires the Caputo kind")
-
-        def fn(u: GridFunction):
-            ct = left_frac_integral(time_derivative(u, n), n + 1.0 - alpha).values
-            cx = -diffusivity.k(u.values) * _ux(u)
-            return ct, cx
-
-        return ConservedVectorEval(provenance, spec, fn)
-
-    if provenance in ("NL_RL_sub", "NL_RL_sub_t1", "NL_RL_sub_t2"):
-        check(spec.kind is Kind.RIEMANN_LIOUVILLE and n == 1,
-              "requires the Riemann-Liouville kind with alpha in (0,1)")
-
-        def fn(u: GridFunction):
+            c, w = core(u, spec, start)
+            kux = diffusivity.k(u.values) * u.dx_field().values
+            if not moment:
+                return c, -w * kux
             x = u.x[None, :]
-            t = u.grid.nodes()[:, None]
-            uv = u.values
-            k = diffusivity.k(uv)
-            ux = _ux(u)
-            i1 = left_frac_integral(u, 1.0 - alpha).values
-            if provenance == "NL_RL_sub":
-                ct = x * i1
-                cx = diffusivity.K(uv) - x * k * ux
-            else:
-                i2 = left_frac_integral(u, 2.0 - alpha).values
-                core = t * i1 - i2
-                if provenance == "NL_RL_sub_t1":
-                    ct = core
-                    cx = -t * k * ux
-                else:
-                    ct = x * core
-                    cx = t * k * ((1.0 - alpha) / (1.0 + alpha) * uv - x * ux)
-            return ct, cx
-
-        return ConservedVectorEval(provenance, spec, fn)
-
-    if provenance.startswith("Table1_"):
-        check(spec.kind is Kind.RIEMANN_LIOUVILLE and n == 2,
-              "requires the Riemann-Liouville kind with alpha in (1,2)")
-        idx = provenance[len("Table1_v"):]
-
-        def fn(u: GridFunction):
-            x = u.x[None, :]
-            t = u.grid.nodes()[:, None]
-            uv = u.values
-            k = diffusivity.k(uv)
-            K = diffusivity.K(uv)
-            ux = _ux(u)
-            d = rl_left_derivative(u, alpha - 1.0).values
-            if idx == "1":
-                return d, -k * ux
-            i2 = left_frac_integral(u, 2.0 - alpha).values
-            if idx == "2":
-                return t * d - i2, -t * k * ux
-            if idx == "3":
-                return x * d, K - x * k * ux
-            if idx == "4":
-                return t * x * d - x * i2, t * K - t * x * k * ux
-            i3 = left_frac_integral(u, 3.0 - alpha).values
-            if idx == "5":
-                return t ** 2 * d - 2.0 * t * i2 + 2.0 * i3, -t ** 2 * k * ux
-            cx = t ** 2 * K - t ** 2 * x * k * ux
-            if idx == "6":
-                # third term as printed in the source table (suspected typo)
-                return t ** 2 * x * d - 2.0 * t * x * i2 + 2.0 * x * i2, cx
-            # "6_alt": structurally consistent with vector 5
-            return t ** 2 * x * d - 2.0 * t * x * i2 + 2.0 * x * i3, cx
-
-        return ConservedVectorEval(provenance, spec, fn)
-
-    if provenance.startswith("Table3_"):
-        check(spec.kind is Kind.CAPUTO and n == 1,
-              "requires the Caputo kind with alpha in (0,1)")
-        idx = provenance[len("Table3_v"):]
-        T = spec.T
-
-        def fn(u: GridFunction):
-            x = u.x[None, :]
-            t = u.grid.nodes()
-            s = (T - t)[:, None]
-            uv = u.values
-            k = diffusivity.k(uv)
-            K = diffusivity.K(uv)
-            ux = _ux(u)
-            if idx in ("1", "3"):
-                u0 = _as_x_array(_need(initial, "initial data u(0, x)"), u.x)
-                phi = phi_sub(t, alpha, T)[:, None]
-                core = u0[None, :] * phi + s ** alpha * _pole_integral(u, 1.0 - alpha)
-                if idx == "1":
-                    return core, -s ** (alpha - 1.0) * k * ux
-                return x * core, s ** (alpha - 1.0) * (K - x * k * ux)
-            ut = time_derivative(u)
-            core = s ** (alpha - 1.0) * _pole_integral(ut, 2.0 - alpha)
-            if idx == "2":
-                return core, -s ** (alpha - 2.0) * k * ux
-            return x * core, s ** (alpha - 2.0) * (K - x * k * ux)
-
-        return ConservedVectorEval(provenance, spec, fn)
-
-    if provenance.startswith("Table5_"):
-        check(spec.kind is Kind.CAPUTO and n == 2,
-              "requires the Caputo kind with alpha in (1,2)")
-        idx = provenance[len("Table5_v"):]
-        T = spec.T
-
-        def fn(u: GridFunction):
-            x = u.x[None, :]
-            t = u.grid.nodes()
-            s = (T - t)[:, None]
-            uv = u.values
-            k = diffusivity.k(uv)
-            K = diffusivity.K(uv)
-            ux = _ux(u)
-            if idx in ("1", "4"):
-                utt = time_derivative(u, 2)
-                core = s ** (alpha - 2.0) * _pole_integral(utt, 3.0 - alpha)
-                if idx == "1":
-                    return core, -s ** (alpha - 3.0) * k * ux
-                return x * core, s ** (alpha - 3.0) * (K - x * k * ux)
-            ut0 = _as_x_array(_need(initial_velocity, "initial data u_t(0, x)"), u.x)
-            ut = time_derivative(u)
-            phi, psi = phi_psi_wave(t, alpha, T)
-            if idx in ("2", "5"):
-                core = ut0[None, :] * phi[:, None] + s ** (alpha - 1.0) * _pole_integral(ut, 2.0 - alpha)
-                if idx == "2":
-                    return core, -s ** (alpha - 2.0) * k * ux
-                return x * core, s ** (alpha - 2.0) * (K - x * k * ux)
-            fint = f_modified_integral(ut, alpha).values
-            core = ut0[None, :] * psi[:, None] + s ** alpha * fint
-            if idx == "3":
-                return core, -s ** (alpha - 1.0) * k * ux
-            return x * core, s ** (alpha - 1.0) * (K - x * k * ux)
+            flux = w * (diffusivity.K(u.values) - x * kux)
+            return x * c, flux
 
         return ConservedVectorEval(provenance, spec, fn)
 
@@ -360,13 +299,13 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
         want = Kind.RIEMANN_LIOUVILLE if kind_tag == "RL" else Kind.CAPUTO
         check(spec.kind is want, f"requires the {want.value} kind")
         check((regime == "sub") == (n == 1), "regime inconsistent with alpha")
-        sub = _need(substitution, "an adjoint substitution")
+        check(substitution is not None, "requires an adjoint substitution")
         # the Noether vector of the symmetry without its xi L terms
-        sym = Symmetry({"X3": "X3_lin"}.get(sym_tag, sym_tag), alpha, h=h)
+        sym = Symmetry({"X3": "X3_lin"}.get(sym_tag, sym_tag), spec.alpha, h=h)
 
         def fn(u: GridFunction):
-            return _noether_core(characteristic(sym, u), sub.field(u.grid, u.x), u, sub,
-                                 spec, diffusivity)
+            return _noether_core(characteristic(sym, u), substitution.field(u.grid, u.x), u,
+                                 substitution, spec, diffusivity)
 
         return ConservedVectorEval(provenance, spec, fn)
 

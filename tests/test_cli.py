@@ -215,9 +215,27 @@ class TestVerifyCommand:
 
     @staticmethod
     def solver_config(**overrides):
-        return base_config(kind="rl", diffusivity={"family": "power", "beta": 2.0},
-                           source={"id": "solver", "params": {"a": 0.5, "b": 1.0, "perturb": 0.1}},
-                           vectors=["NL_RL_sub", "Trivial_RL"], grids=[32, 64], **overrides)
+        return base_config(**{
+            "kind": "rl", "diffusivity": {"family": "power", "beta": 2.0},
+            "source": {"id": "solver", "params": {"a": 0.5, "b": 1.0, "perturb": 0.1}},
+            "vectors": ["NL_RL_sub", "Trivial_RL"], "grids": [32, 64], **overrides})
+
+    @pytest.mark.parametrize("vectors, message", [
+        (["NL_RL_sub", "Table3_v1"], "Table3_v1: requires the Caputo kind with alpha in (0,1)"),
+        (["Table1_v1"], "Table1_v1: requires the Riemann-Liouville kind with alpha in (1,2)"),
+        (["Noether:X1"], "Noether:X1 requires a substitution block"),
+        (["Linear_RL_sub_X1"], "Linear_RL_sub_X1: requires an adjoint substitution"),
+    ])
+    def test_unfit_vector_exits_2_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                 vectors, message):
+        def no_solve(cfg, n_steps):
+            raise AssertionError("solved before the vector ids were checked")
+
+        monkeypatch.setattr("fraccons.cli._solution", no_solve)
+        cfg = self.solver_config(n_x=8, vectors=vectors)
+        rc = main(["verify", "--config", write_config(tmp_path, cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"configuration error: {message}"]
 
     @pytest.mark.parametrize("n_x", [-1, 0, 5])
     def test_unusable_n_x_exits_2(self, tmp_path, capsys, n_x):

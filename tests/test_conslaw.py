@@ -13,10 +13,12 @@ from fraccons.conslaw import (
     flux_balance,
     formal_lagrangian,
     noether_vector,
+    _CLOSED_FORMS,
     _noether_core,
 )
 from fraccons.fracops import FractionalSpec, Kind, TimeGrid, diff1
-from fraccons.symcat import Symmetry, adjoint_substitution, characteristic, list_symmetries
+from fraccons.symcat import (_GENERATORS, Symmetry, adjoint_substitution, characteristic,
+                             list_symmetries, rl_extra_beta)
 from fraccons.tfde import (
     Diffusivity,
     exact_linear_separable,
@@ -27,6 +29,24 @@ from fraccons.tfde import (
 
 RL = Kind.RIEMANN_LIOUVILLE
 CAP = Kind.CAPUTO
+
+# every closed-form id at each derivative order it admits, but the misprinted
+# Table1_v6 (tested against its corrected form below)
+CLOSED_FORM_CASES = [pytest.param(pid, n, id=pid if want is not None else f"{pid}-n{n}")
+                     for pid, (_, want, _, _) in _CLOSED_FORMS.items() if pid != "Table1_v6"
+                     for n in ((want,) if want is not None else (1, 2))]
+
+
+def exact_field(kind, n, steps):
+    """(spec, diffusivity, u) of an exact solution on a steps x steps grid of [0, 1]^2."""
+    alpha = 0.5 if n == 1 else 1.5
+    spec = FractionalSpec(kind, alpha, 1.0)
+    grid, x = TimeGrid(1.0, steps), np.linspace(0.0, 1.0, steps + 1)
+    if kind is RL:
+        d = Diffusivity.power(1.0 if n == 1 else 2.0)
+        return spec, d, exact_rl_separable(d, alpha, 0.5, 1.0, grid, x)
+    d = Diffusivity.power(1.0)
+    return spec, d, exact_stationary_caputo(d, 0.1, 1.0, grid, x)
 
 
 class TestCatalogIndex:
@@ -72,6 +92,20 @@ class TestCorrespondence:
         assert correspondence("X1", "c3", "Caputo_wave") == ("Table5_v2",)
         assert correspondence("X4_rl", "c1", "Caputo_wave") == (
             "Table5_v1", "Table5_v2", "Table5_v3")
+
+    def test_every_entry_is_a_catalog_id(self):
+        ids = set(catalog_ids())
+        for regime in ("RL_sub", "RL_wave", "Caputo_sub", "Caputo_wave"):
+            consts = ("c1", "c2") if regime.endswith("sub") else ("c1", "c2", "c3", "c4")
+            found = set()
+            for sym_id in _GENERATORS:
+                for const in consts:
+                    try:
+                        found.update(correspondence(sym_id, const, regime))
+                    except KeyError:  # no column for this symmetry in the regime's table
+                        continue
+            assert found - {"Zero"}, regime
+            assert found <= ids | {"Zero"}, (regime, found - ids)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -122,43 +156,48 @@ class TestClosedFormVectors:
             linfs.append(divergence_residual(cv, u).linf)
         assert linfs[1] < linfs[0]
 
-    def test_table3_vectors_on_stationary_solution(self):
-        d = Diffusivity.power(1.0)
-        spec = FractionalSpec(CAP, 0.5, 1.0)
-        tgrid = TimeGrid(1.0, 128)
-        x = np.linspace(0.0, 1.0, 129)
-        u = exact_stationary_caputo(d, 0.1, 1.0, tgrid, x)
-        u0 = u.values[0].copy()
-        for i in range(1, 5):
-            cv = catalog_vector(f"Table3_v{i}", spec, d, initial=u0)
-            rep = divergence_residual(cv, u)
-            assert rep.linf < 1e-5, f"Table3_v{i}: {rep.linf}"
+    @pytest.mark.parametrize("pid, n", CLOSED_FORM_CASES)
+    def test_divergence_decays(self, pid, n):
+        # RL ids on u = t^(alpha-1) K^-1(a x + b), Caputo ids on the stationary
+        # solution, with time and space refined together
+        linfs = []
+        for steps in (32, 64):
+            spec, d, u = exact_field(_CLOSED_FORMS[pid][0], n, steps)
+            cv = catalog_vector(pid, spec, d, initial=u.values[0],
+                                initial_velocity=np.zeros_like(u.x))
+            linfs.append(divergence_residual(cv, u).linf)
+        assert linfs[1] < 0.5 * linfs[0], f"{pid}: {linfs}"
 
-    def test_table5_vectors_on_stationary_solution(self):
-        d = Diffusivity.power(1.0)
-        spec = FractionalSpec(CAP, 1.5, 1.0)
-        tgrid = TimeGrid(1.0, 128)
-        x = np.linspace(0.0, 1.0, 129)
-        u = exact_stationary_caputo(d, 0.1, 1.0, tgrid, x)
-        u0 = u.values[0].copy()
-        ut0 = np.zeros_like(u.x)
-        for i in range(1, 7):
-            cv = catalog_vector(f"Table5_v{i}", spec, d, initial=u0,
-                                initial_velocity=ut0)
-            rep = divergence_residual(cv, u)
-            assert rep.linf < 1e-4, f"Table5_v{i}: {rep.linf}"
+    @pytest.mark.parametrize("pid", sorted(_CLOSED_FORMS))
+    def test_wrong_kind_or_order_names_the_id(self, pid):
+        kind, n, _, _ = _CLOSED_FORMS[pid]
+        d = Diffusivity.constant(1.0)
+        for other, alpha in ((RL, 0.5), (RL, 1.5), (CAP, 0.5), (CAP, 1.5)):
+            spec = FractionalSpec(other, alpha, 1.0)
+            if other is kind and n in (None, spec.n):
+                continue
+            with pytest.raises(ValueError, match=f"^{pid}: requires"):
+                catalog_vector(pid, spec, d)
 
-    def test_table1_vectors_on_rl_separable_solution(self):
-        alpha = 1.5
-        d = Diffusivity.power(2.0)
+    def test_nl_rl_sub_t2_conserved_off_the_extra_power(self):
+        # the flux printed for this vector holds only at beta = rl_extra_beta(alpha);
+        # at beta = -1/2 the derived one is conserved to roundoff (beta = 1 is
+        # the NL_RL_sub_t2 case of test_divergence_decays)
+        d = Diffusivity.power(-0.5)
+        u = exact_rl_separable(d, 0.5, 0.5, 1.0, TimeGrid(1.0, 32), np.linspace(0.0, 1.0, 33))
+        cv = catalog_vector("NL_RL_sub_t2", FractionalSpec(RL, 0.5, 1.0), d)
+        assert divergence_residual(cv, u).linf < 1e-12
+
+    def test_nl_rl_sub_t2_flux_is_the_printed_one_at_the_extra_power(self):
+        alpha = 0.5
         spec = FractionalSpec(RL, alpha, 1.0)
-        tgrid = TimeGrid(1.0, 128)
-        x = np.linspace(0.0, 1.0, 129)
-        u = exact_rl_separable(d, alpha, 0.5, 1.0, tgrid, x)
-        for i in (1, 2, 3, 4, 5):
-            cv = catalog_vector(f"Table1_v{i}", spec, d)
-            rep = divergence_residual(cv, u)
-            assert rep.linf < 1e-3, f"Table1_v{i}: {rep.linf}"
+        d = Diffusivity.power(rl_extra_beta(alpha))
+        u = exact_rl_separable(d, alpha, 0.5, 1.0, TimeGrid(1.0, 32), np.linspace(0.0, 1.0, 17))
+        _, cx = catalog_vector("NL_RL_sub_t2", spec, d).components(u)
+        t, x = u.grid.nodes()[:, None], u.x[None, :]
+        ux = diff1(u.values, u.hx, axis=1)
+        printed = t * d.k(u.values) * ((1.0 - alpha) / (1.0 + alpha) * u.values - x * ux)
+        assert np.max(np.abs(cx - printed)) <= 1e-13 * np.max(np.abs(printed))
 
     def test_table1_v6_alt_outperforms_printed_form(self):
         # The structurally consistent variant decays under refinement;
