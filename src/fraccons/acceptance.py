@@ -35,7 +35,8 @@ from .tfde import (
     exact_stationary_caputo,
     solve_nonlinear,
 )
-from .symcat import Symmetry, adjoint_residual, adjoint_substitution, rl_extra_beta
+from .symcat import (Symmetry, adjoint_residual, adjoint_substitution, regime_constants,
+                     regime_of, rl_extra_beta)
 from .conslaw import (
     catalog_vector,
     correspondence,
@@ -140,19 +141,17 @@ def criterion_5() -> CriterionResult:
     """Adjoint-equation residuals of the four substitution regimes."""
     details = []
     ok = True
-    cases = [
-        ("RL_sub", Kind.RIEMANN_LIOUVILLE, 0.5, 1e-12),
-        ("RL_wave", Kind.RIEMANN_LIOUVILLE, 1.5, 1e-12),
-        ("Caputo_sub", Kind.CAPUTO, 0.5, 1e-5),
-        ("Caputo_wave", Kind.CAPUTO, 1.5, 1e-5),
-    ]
+    cases = [(Kind.RIEMANN_LIOUVILLE, 0.5, 1e-12), (Kind.RIEMANN_LIOUVILLE, 1.5, 1e-12),
+             (Kind.CAPUTO, 0.5, 1e-5), (Kind.CAPUTO, 1.5, 1e-5)]
     diffu = Diffusivity.constant(1.0)
-    for regime, kind, alpha, tol in cases:
+    for kind, alpha, tol in cases:
         spec = FractionalSpec(kind, alpha, 1.0)
+        regime = regime_of(spec)
         tg = TimeGrid(1.0, 512)
         x = np.linspace(0.0, 1.0, 65)
         u = exact_linear_separable(spec, 1.0, tg, x)
-        sub = adjoint_substitution(regime, spec, c1=1.0, c2=0.5, c3=0.25, c4=0.125)
+        consts = dict(zip(regime_constants(regime), (1.0, 0.5, 0.25, 0.125)))
+        sub = adjoint_substitution(regime, spec, **consts)
         v = sub.field(tg, x)
         res = adjoint_residual(v, u, diffu, spec)
         n = tg.n_steps
@@ -164,50 +163,44 @@ def criterion_5() -> CriterionResult:
 
 
 def criterion_6() -> CriterionResult:
-    """Noether C^t of X3 with v = t x against closed forms plus quadrature.
+    """Noether C^t of X3 with v = (T-t)^{a-1} x against closed forms plus quadrature.
 
     The oracle uses none of the library's fractional kernels. On the Caputo mode
-    u = E_a(-lam^2 t^a) sin(lam x), a = lam = 1/2, the characteristic is W = u and
-      C^t = W * tI^{1-a}_T(t x) - J(u_t, t x) = x sin(lam x) [E_a(-lam^2 t^a) R(t) - j(t)],
-      R(t) = t (T-t)^{1-a} / Gamma(2-a) + (T-t)^{2-a} / ((2-a) Gamma(1-a)),
-      j(t) = (1/Gamma(1-a)) int_0^t e'(tau) [(mu-tau)^{2-a}/(2-a)
-                                              + tau (mu-tau)^{1-a}/(1-a)]_{mu=t}^{T} dtau,
-      e'(tau) = -lam^2 tau^{a-1} E_{a,a}(-lam^2 tau^a).
-    The mu-integral inside J is in closed form; the tau-integral is scipy
-    quad with the algebraic weight tau^{a-1}. Compared at t = 1/8, ..., 7/8
-    on n = 128 and 256; passes when the n = 256 error is at most 1e-5 and
-    below the n = 128 one.
+    u = E_a(-lam^2 t^a) sin(lam x), a = lam = 1/2, with the Caputo_sub
+    substitution c2 = 1, the characteristic is W = u, tI^{1-a}_T v = Gamma(a) x,
+    and the mu-integral inside J(u_t, v) is Gamma(1-a) Gamma(a) Q(1-a, a; z),
+    z = (t-tau)/(T-tau), Q the regularized upper incomplete beta function. So
+      C^t = W * tI^{1-a}_T v - J(u_t, v)
+          = Gamma(a) x sin(lam x) [E_a(-lam^2 t^a)
+              + lam^2 int_0^t tau^{a-1} E_{a,a}(-lam^2 tau^a) Q(1-a, a; z) dtau].
+    The tau-integral is scipy quad with the algebraic weight tau^{a-1}.
+    Compared at t = 1/8, ..., 7/8 on n = 256 and 512; passes when the
+    n = 512 error is at most 1e-5 and below the n = 256 one.
     """
     from scipy.integrate import quad  # at module level it adds ~0.3 s to every import
+    from scipy.special import betaincc
 
     alpha, lam, T = 0.5, 0.5, 1.0
     spec = FractionalSpec(Kind.CAPUTO, alpha, T)
-    sub = adjoint_substitution("Linear_particular", spec, c1=1.0)
+    sub = adjoint_substitution("Caputo_sub", spec, c2=1.0)
     cv = noether_vector(Symmetry("X3_lin", alpha), sub, spec, Diffusivity.constant(1.0))
     x = np.linspace(0.0, 1.0, 17)
     nodes = np.arange(1, 8) / 8.0
 
-    def inner(tau: float, t: float) -> float:
-        def prim(mu):
-            return ((mu - tau) ** (2.0 - alpha) / (2.0 - alpha)
-                    + tau * (mu - tau) ** (1.0 - alpha) / (1.0 - alpha))
-        return prim(T) - prim(t)
-
     def c_t(t: float) -> float:
-        right = (t * (T - t) ** (1.0 - alpha) / gamma(2.0 - alpha)
-                 + (T - t) ** (2.0 - alpha) / ((2.0 - alpha) * gamma(1.0 - alpha)))
-        j, _ = quad(lambda tau: -lam ** 2 * mittag_leffler(alpha, alpha, -lam ** 2 * tau ** alpha)
-                    * inner(tau, t), 0.0, t, weight="alg", wvar=(alpha - 1.0, 0.0), limit=200)
-        return mittag_leffler(alpha, 1.0, -lam ** 2 * t ** alpha) * right - j / gamma(1.0 - alpha)
+        j, _ = quad(lambda tau: lam ** 2 * mittag_leffler(alpha, alpha, -lam ** 2 * tau ** alpha)
+                    * betaincc(1.0 - alpha, alpha, (t - tau) / (T - tau)),
+                    0.0, t, weight="alg", wvar=(alpha - 1.0, 0.0), limit=200)
+        return gamma(alpha) * (mittag_leffler(alpha, 1.0, -lam ** 2 * t ** alpha) + j)
 
     ref = np.outer([c_t(t) for t in nodes], x * np.sin(lam * x))
     errs = []
-    for n in (128, 256):
+    for n in (256, 512):
         ct, _ = cv.components(exact_linear_separable(spec, lam, TimeGrid(T, n), x))
         errs.append(float(np.max(np.abs(ct[np.rint(nodes * n).astype(int)] - ref))))
     ok = errs[1] <= 1e-5 and errs[1] < errs[0]
     return CriterionResult(6, "Noether vs quadrature", ok,
-                           f"C^t max error {errs[0]:.2e} (n=128) -> {errs[1]:.2e} (n=256, <=1e-5)")
+                           f"C^t max error {errs[0]:.2e} (n=256) -> {errs[1]:.2e} (n=512, <=1e-5)")
 
 
 def _decay_ratios(pid: str, spec, diffu, make_u, grids=(64, 128, 256), **kw) -> list[float]:
@@ -362,6 +355,7 @@ def criterion_12() -> CriterionResult:
     # --- RL wave regime: separable exact solutions, power diffusivities
     alpha = 1.5
     spec = FractionalSpec(Kind.RIEMANN_LIOUVILLE, alpha, 1.0)
+    regime = regime_of(spec)
     rl_cases = {2.0: (0.5, 1.0), -4.0 / 3.0: (-0.1, -1.0), rl_extra_beta(alpha): (-0.1, -1.0)}
     syms_by_beta = {2.0: ("X1", "X2", "X3_pow"), -4.0 / 3.0: ("X4_pow43",),
                     rl_extra_beta(alpha): ("X4_rl",)}
@@ -374,22 +368,22 @@ def criterion_12() -> CriterionResult:
 
         seen = set()
         for sym_id in syms_by_beta[beta]:
-            for ci, const in enumerate(("c1", "c2", "c3", "c4")):
-                for pid in correspondence(sym_id, const, "RL_wave"):
+            for const in regime_constants(regime):
+                for pid in correspondence(sym_id, const, regime):
                     if pid == "Zero":
-                        check_zero(sym_id, "RL_wave", spec, diffu, make_u, const)
+                        check_zero(sym_id, regime, spec, diffu, make_u, const)
                     elif pid not in seen:
                         seen.add(pid)
                         check_decay(pid, spec, diffu, make_u)
 
     # --- Caputo regimes: stationary exact solutions
-    for regime, alpha_c, table_consts in (("Caputo_sub", 0.5, ("c1", "c2")),
-                                          ("Caputo_wave", 1.5, ("c1", "c2", "c3", "c4"))):
+    for alpha_c in (0.5, 1.5):
         spec_c = FractionalSpec(Kind.CAPUTO, alpha_c, 1.0)
+        regime = regime_of(spec_c)
         cases = [(Diffusivity.power(2.0), 0.5, 1.0, ("X1", "X2", "X3_pow")),
                  (Diffusivity.exponential(), 0.5, 1.0, ("X3_exp",)),
                  (Diffusivity.power(-4.0 / 3.0), -0.1, -1.0, ("X4_pow43",))]
-        if regime == "Caputo_wave":
+        if spec_c.n == 2:
             cases.append((Diffusivity.power(rl_extra_beta(alpha_c)), -0.1, -1.0, ("X4_rl",)))
         for diffu, a, b, sym_ids in cases:
 
@@ -397,11 +391,9 @@ def criterion_12() -> CriterionResult:
                 return exact_stationary_caputo(diffu, a, b, TimeGrid(1.0, n),
                                                np.linspace(0.0, 1.0, n // 2 + 1))
 
-            u0 = make_u(8).values[0]
-            x0 = np.linspace(0.0, 1.0, 5)
             seen = set()
             for sym_id in sym_ids:
-                for const in table_consts:
+                for const in regime_constants(regime):
                     for pid in correspondence(sym_id, const, regime):
                         if pid == "Zero":
                             check_zero(sym_id, regime, spec_c, diffu, make_u, const)
@@ -411,7 +403,6 @@ def criterion_12() -> CriterionResult:
                                         lambda n, mk=make_u: mk(n),
                                         initial=lambda xx, d=diffu, a=a, b=b: d.K_inv(a * xx + b),
                                         initial_velocity=lambda xx: np.zeros_like(xx))
-        del spec_c
     ok = not failures
     detail = f"{checked} entries checked" + ("" if ok else "; failures: " + "; ".join(failures))
     return CriterionResult(12, "correspondence sweep", ok, detail)

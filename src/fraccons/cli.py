@@ -38,12 +38,12 @@ from .tfde import (
     solve_nonlinear,
 )
 from .symcat import (_GENERATORS, SUBSTITUTION_REGIMES, Symmetry, adjoint_substitution,
-                     list_symmetries)
+                     list_symmetries, regime_constants, regime_of)
 from .conslaw import (
+    _CORRESPONDENCE,
     CSV_HEADER,
     catalog_ids,
     catalog_vector,
-    correspondence,
     divergence_residual,
     flux_balance,
     noether_vector,
@@ -327,18 +327,12 @@ def run_catalog(cfg: Optional[ScenarioConfig]) -> int:
     spec = _spec(cfg)
     diffu = _diffusivity(cfg)
     syms = list_symmetries(spec.kind, cfg.alpha, diffu, allow_conditional=True)
-    regime = ("RL_" if cfg.kind == "rl" else "Caputo_") + ("sub" if cfg.alpha < 1 else "wave")
+    regime = regime_of(spec)
+    table, consts = _CORRESPONDENCE[regime], regime_constants(regime)
     print(f"admitted symmetries for kind={cfg.kind}, alpha={cfg.alpha}, "
           f"k-family={cfg.diffusivity['family']}:")
-    consts = ("c1", "c2") if regime.endswith("sub") else ("c1", "c2", "c3", "c4")
     for sym in syms:
-        entries = []
-        for const in consts:
-            try:
-                ids = correspondence(sym.id, const, regime)
-            except KeyError:
-                continue
-            entries.append(f"{const} -> {'+'.join(ids)}")
+        entries = [f"{c} -> {ids}" for c, ids in zip(consts, table.get(sym.id, ()))]
         print(f"  {sym.id}: " + ("; ".join(entries) if entries else "(no table entry)"))
     return 0
 

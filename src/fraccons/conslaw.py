@@ -31,7 +31,8 @@ from .fracops import (
     time_derivative,
 )
 from .tfde import Diffusivity, GridFunction, _equation_residual
-from .symcat import AdjointSubstitution, Symmetry, characteristic
+from .symcat import (SUBSTITUTION_REGIMES, AdjointSubstitution, Symmetry, characteristic,
+                     regime_constants, regime_of)
 
 __all__ = [
     "ConservedVectorEval",
@@ -131,6 +132,10 @@ def noether_vector(sym: Symmetry, sub: AdjointSubstitution, spec: FractionalSpec
     at an end row), and L is not built when both xi vanish.
     """
 
+    name = f"NoetherDerived({sym.id},{sub.regime})"
+    if sub.spec != spec:
+        raise ValueError(f"{name}: the substitution was built for another spec")
+
     def fn(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
         v = sub.field(u.grid, u.x)
         ct, cx = _noether_core(characteristic(sym, u), v, u, sub, spec, diffusivity)
@@ -142,7 +147,6 @@ def noether_vector(sym: Symmetry, sub: AdjointSubstitution, spec: FractionalSpec
                 comp += np.where(coeff == 0.0, 0.0, coeff * L)
         return ct, cx
 
-    name = f"NoetherDerived({sym.id},{sub.regime})"
     return ConservedVectorEval(name, spec, fn)
 
 
@@ -245,11 +249,13 @@ _LINEAR_SYMS = ("X1", "X2", "X3", "Xinf")
 
 def catalog_ids() -> list[str]:
     """All recognized closed-form catalog provenance ids."""
-    ids = list(_CLOSED_FORMS)
-    for kind in ("RL", "Cap"):
-        for regime in ("sub", "wave"):
-            ids += [f"Linear_{kind}_{regime}_{s}" for s in _LINEAR_SYMS]
-    return ids
+    return list(_CLOSED_FORMS) + [f"{_linear_prefix(regime)}_{s}"
+                                  for regime in SUBSTITUTION_REGIMES for s in _LINEAR_SYMS]
+
+
+def _linear_prefix(regime: str) -> str:
+    """Linear_RL_sub, ..., Linear_Cap_wave: the id prefix of the regime's linear vectors."""
+    return "Linear_" + regime.replace("Caputo", "Cap")
 
 
 def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivity,
@@ -292,14 +298,12 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
 
         return ConservedVectorEval(provenance, spec, fn)
 
-    if provenance.startswith("Linear_"):
-        _, kind_tag, regime, sym_tag = provenance.split("_")
-        check(kind_tag in ("RL", "Cap") and regime in ("sub", "wave")
-              and sym_tag in _LINEAR_SYMS, "unknown linear catalog id")
-        want = Kind.RIEMANN_LIOUVILLE if kind_tag == "RL" else Kind.CAPUTO
-        check(spec.kind is want, f"requires the {want.value} kind")
-        check((regime == "sub") == (n == 1), "regime inconsistent with alpha")
+    if provenance in catalog_ids():  # Linear_<regime>_<symmetry>
+        prefix, sym_tag = provenance.rsplit("_", 1)
+        regime = regime_of(spec)
+        check(prefix == _linear_prefix(regime), f"does not fit the {regime} regime of the spec")
         check(substitution is not None, "requires an adjoint substitution")
+        check(substitution.spec == spec, "the substitution was built for another spec")
         # the Noether vector of the symmetry without its xi L terms
         sym = Symmetry({"X3": "X3_lin"}.get(sym_tag, sym_tag), spec.alpha, h=h)
 
@@ -316,63 +320,58 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
 # symmetry <-> vector correspondence
 # ---------------------------------------------------------------------------
 
-# rows: constants c1..c4; columns keyed by symmetry id
-_TABLE_RL_WAVE = {
-    "X1": (0, 1, 0, 2),
-    "X2": (1, 3, 2, 4),
-    "X3_pow": (1, 3, 2, 4),
-    "X4_pow43": (3, 0, 4, 0),
-    "X4_rl": (2, 4, 5, 6),
-}
-_TABLE_CAP_SUB = {
-    "X1": ((0,), (1,)),
-    "X2": ((1, 2), (3, 4)),
-    "X3_pow": ((1,), (3,)),
-    "X3_exp": ((1,), (3,)),
-    "X4_pow43": ((3,), (0,)),
-}
-_TABLE_CAP_WAVE = {
-    "X1": ((0,), (0,), (2,), (3,)),
-    "X2": ((1, 2), (2, 3), (4, 5), (5, 6)),
-    "X3_pow": ((2,), (3,), (5,), (6,)),
-    "X3_exp": ((2,), (3,), (5,), (6,)),
-    "X4_pow43": ((5,), (6,), (0,), (0,)),
-    "X4_rl": ((1, 2, 3), (2, 3), (4, 5, 6), (5, 6)),  # conditional, u_t(0,x)=0
-}
-_RL_SUB_PROSE = {
-    "X1": ("Zero", "Trivial_RL"),
-    "X2": ("Trivial_RL", "NL_RL_sub"),
-    "X3_pow": ("Trivial_RL", "NL_RL_sub"),
-    "X4_pow43": ("NL_RL_sub", "Zero"),
-    "X4_rl": ("NL_RL_sub_t1", "NL_RL_sub_t2"),
+# regime -> symmetry id -> the catalog ids of each constant c1..c_2n, joined
+# by "+"; "Zero" marks an entry the source tables record as trivial
+_CORRESPONDENCE = {
+    "RL_sub": {
+        "X1": ("Zero", "Trivial_RL"),
+        "X2": ("Trivial_RL", "NL_RL_sub"),
+        "X3_pow": ("Trivial_RL", "NL_RL_sub"),
+        "X4_pow43": ("NL_RL_sub", "Zero"),
+        "X4_rl": ("NL_RL_sub_t1", "NL_RL_sub_t2"),
+    },
+    "RL_wave": {
+        "X1": ("Zero", "Table1_v1", "Zero", "Table1_v2"),
+        "X2": ("Table1_v1", "Table1_v3", "Table1_v2", "Table1_v4"),
+        "X3_pow": ("Table1_v1", "Table1_v3", "Table1_v2", "Table1_v4"),
+        "X4_pow43": ("Table1_v3", "Zero", "Table1_v4", "Zero"),
+        "X4_rl": ("Table1_v2", "Table1_v4", "Table1_v5", "Table1_v6"),
+    },
+    "Caputo_sub": {
+        "X1": ("Zero", "Table3_v1"),
+        "X2": ("Table3_v1+Table3_v2", "Table3_v3+Table3_v4"),
+        "X3_pow": ("Table3_v1", "Table3_v3"),
+        "X3_exp": ("Table3_v1", "Table3_v3"),
+        "X4_pow43": ("Table3_v3", "Zero"),
+    },
+    "Caputo_wave": {
+        "X1": ("Zero", "Zero", "Table5_v2", "Table5_v3"),
+        "X2": ("Table5_v1+Table5_v2", "Table5_v2+Table5_v3",
+               "Table5_v4+Table5_v5", "Table5_v5+Table5_v6"),
+        "X3_pow": ("Table5_v2", "Table5_v3", "Table5_v5", "Table5_v6"),
+        "X3_exp": ("Table5_v2", "Table5_v3", "Table5_v5", "Table5_v6"),
+        "X4_pow43": ("Table5_v5", "Table5_v6", "Zero", "Zero"),
+        # conditional, u_t(0, x) = 0
+        "X4_rl": ("Table5_v1+Table5_v2+Table5_v3", "Table5_v2+Table5_v3",
+                  "Table5_v4+Table5_v5+Table5_v6", "Table5_v5+Table5_v6"),
+    },
 }
 
 
 def correspondence(sym_id: str, constant: str, regime: str) -> tuple[str, ...]:
     """Catalog ids produced by (symmetry, substitution constant) in a regime.
 
-    ``regime`` is one of RL_sub, RL_wave, Caputo_sub, Caputo_wave. Entries
-    recorded as trivial in the source tables are returned as ("Zero",).
+    ``regime`` is one of ``SUBSTITUTION_REGIMES``. Entries recorded as
+    trivial in the source tables are returned as ("Zero",). An unknown
+    regime, a symmetry without an entry or a constant the regime does not
+    take raise ValueError.
     """
-    if constant not in ("c1", "c2", "c3", "c4"):
-        raise ValueError("constant must be one of c1..c4")
-    ci = int(constant[1]) - 1
-    if regime == "RL_sub":
-        if ci > 1:
-            raise ValueError("RL_sub has constants c1 and c2 only")
-        return (_RL_SUB_PROSE[sym_id][ci],)
-    if regime == "RL_wave":
-        num = _TABLE_RL_WAVE[sym_id][ci]
-        return ("Zero",) if num == 0 else (f"Table1_v{num}",)
-    if regime == "Caputo_sub":
-        if ci > 1:
-            raise ValueError("Caputo_sub has constants c1 and c2 only")
-        nums = _TABLE_CAP_SUB[sym_id][ci]
-        return tuple("Zero" if m == 0 else f"Table3_v{m}" for m in nums)
-    if regime == "Caputo_wave":
-        nums = _TABLE_CAP_WAVE[sym_id][ci]
-        return tuple("Zero" if m == 0 else f"Table5_v{m}" for m in nums)
-    raise ValueError(f"unknown regime {regime!r}")
+    names = regime_constants(regime)
+    if constant not in names:
+        raise ValueError(f"{regime} takes the constants {', '.join(names)} only")
+    if sym_id not in _CORRESPONDENCE[regime]:
+        raise ValueError(f"{regime} has no entry for the symmetry {sym_id!r}")
+    return tuple(_CORRESPONDENCE[regime][sym_id][names.index(constant)].split("+"))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from .fracops import (
     FractionalSpec,
     SingularTerm,
     TimeGrid,
-    TimeSeries,
     _falling,
     _order_and_n,
     _power_samples,
@@ -37,6 +36,8 @@ __all__ = [
     "adjoint_substitution",
     "adjoint_residual",
     "SUBSTITUTION_REGIMES",
+    "regime_of",
+    "regime_constants",
 ]
 
 
@@ -164,20 +165,43 @@ def characteristic(sym: Symmetry, u: GridFunction) -> GridFunction:
     return GridFunction.from_parts(u.grid, new_reg, terms, x=u.x)
 
 
-SUBSTITUTION_REGIMES = ("RL_sub", "RL_wave", "Caputo_sub", "Caputo_wave",
-                        "Linear_particular")
+# Regime table: regime -> (kind, n, terms). The regime's substitution solves
+# the adjoint equation of that kind and order and takes the constants
+# c1..c_2n. Each term (i, j, offset, anchor) is (c_i + c_j x) t^offset, or
+# (c_i + c_j x) (T - t)^(alpha + offset) when end-anchored (c indexed from 0).
+_REGIMES = {
+    "RL_sub": (Kind.RIEMANN_LIOUVILLE, 1, ((0, 1, 0.0, "start"),)),
+    "RL_wave": (Kind.RIEMANN_LIOUVILLE, 2, ((0, 1, 0.0, "start"), (2, 3, 1.0, "start"))),
+    "Caputo_sub": (Kind.CAPUTO, 1, ((0, 1, -1.0, "end"),)),
+    "Caputo_wave": (Kind.CAPUTO, 2, ((0, 2, -2.0, "end"), (1, 3, -1.0, "end"))),
+}
+SUBSTITUTION_REGIMES = tuple(_REGIMES)
+
+
+def regime_of(spec: FractionalSpec) -> str:
+    """The substitution regime of the spec's derivative kind and order."""
+    return next(r for r, (kind, n, _) in _REGIMES.items() if (kind, n) == (spec.kind, spec.n))
+
+
+def regime_constants(regime: str) -> tuple[str, ...]:
+    """Names of the constants c1..c_2n the regime's substitution takes."""
+    if regime not in _REGIMES:
+        raise ValueError(f"unknown substitution regime {regime!r}")
+    return tuple(f"c{i + 1}" for i in range(2 * _REGIMES[regime][1]))
 
 
 @dataclass(frozen=True)
 class AdjointSubstitution:
     """Solution v(t, x) of the adjoint equation, valid on all solutions u.
 
-    Functional forms per regime (c1..c4 constants, T the time horizon):
-      RL_sub:             v = c1 + c2 x
-      RL_wave:            v = c1 + c2 x + (c3 + c4 x) t
-      Caputo_sub:         v = (T - t)^{alpha-1} (c1 + c2 x)
-      Caputo_wave:        v = (T-t)^{alpha-2} [c1 + c3 x + (T-t)(c2 + c4 x)]
-      Linear_particular:  v = c1 t^{alpha-1} x (RL kind) or c1 t x (Caputo kind)
+    One regime per derivative kind and order (c1..c_2n constants, T the
+    time horizon), as listed in the regime table:
+      RL_sub       (Riemann-Liouville, alpha in (0,1)):  v = c1 + c2 x
+      RL_wave      (Riemann-Liouville, alpha in (1,2)):  v = c1 + c2 x + (c3 + c4 x) t
+      Caputo_sub   (Caputo, alpha in (0,1)):  v = (T - t)^{alpha-1} (c1 + c2 x)
+      Caputo_wave  (Caputo, alpha in (1,2)):  v = (T-t)^{alpha-2} [c1 + c3 x + (T-t)(c2 + c4 x)]
+    A regime applied to a spec of another kind or order, a nonzero constant
+    past c_2n, or all constants zero raise ValueError.
     """
 
     regime: str
@@ -188,32 +212,17 @@ class AdjointSubstitution:
     c4: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.regime not in SUBSTITUTION_REGIMES:
-            raise ValueError(f"unknown substitution regime {self.regime!r}")
-        if self.c1 == self.c2 == self.c3 == self.c4 == 0.0:
+        names = regime_constants(self.regime)
+        kind, n, _ = _REGIMES[self.regime]
+        if (self.spec.kind, self.spec.n) != (kind, n):
+            span = "(0,1)" if n == 1 else "(1,2)"
+            raise ValueError(f"{self.regime} applies to the {kind.value} kind "
+                             f"with alpha in {span}")
+        cs = (self.c1, self.c2, self.c3, self.c4)
+        if any(cs[len(names):]):
+            raise ValueError(f"{self.regime} takes the constants {', '.join(names)} only")
+        if not any(cs):
             raise ValueError("substitution must not be identically zero")
-        alpha = self.spec.alpha
-        if self.regime in ("RL_sub", "Caputo_sub") and alpha >= 1.0:
-            raise ValueError(f"{self.regime} requires alpha in (0,1)")
-        if self.regime in ("RL_wave", "Caputo_wave") and alpha <= 1.0:
-            raise ValueError(f"{self.regime} requires alpha in (1,2)")
-        kind_map = {"RL_sub": Kind.RIEMANN_LIOUVILLE, "RL_wave": Kind.RIEMANN_LIOUVILLE,
-                    "Caputo_sub": Kind.CAPUTO, "Caputo_wave": Kind.CAPUTO}
-        want = kind_map.get(self.regime)
-        if want is not None and self.spec.kind is not want:
-            raise ValueError(f"{self.regime} applies to the {want.value} kind")
-
-    def _terms(self, x: np.ndarray) -> list:
-        """v as (coefficient over x, power, anchor) terms, c t^p or c (T-t)^p."""
-        a, c1, c2, c3, c4 = self.spec.alpha, self.c1, self.c2, self.c3, self.c4
-        rl = self.spec.kind is Kind.RIEMANN_LIOUVILLE
-        return {
-            "RL_sub": [(c1 + c2 * x, 0.0, "start")],
-            "RL_wave": [(c1 + c2 * x, 0.0, "start"), (c3 + c4 * x, 1.0, "start")],
-            "Caputo_sub": [(c1 + c2 * x, a - 1.0, "end")],
-            "Caputo_wave": [(c1 + c3 * x, a - 2.0, "end"), (c2 + c4 * x, a - 1.0, "end")],
-            "Linear_particular": [(c1 * x, a - 1.0 if rl else 1.0, "start")],
-        }[self.regime]
 
     def field(self, grid: TimeGrid, x: np.ndarray, order: int = 0) -> GridFunction:
         """v (order 0), v_t (1) or v_tt (2) on the grid, by the power rule.
@@ -226,7 +235,10 @@ class AdjointSubstitution:
         x = np.asarray(x, dtype=float)
         reg = np.zeros((grid.n_steps + 1, x.size))
         terms = []
-        for coeff, power, anchor in self._terms(x):
+        cs = (self.c1, self.c2, self.c3, self.c4)
+        for i, j, offset, anchor in _REGIMES[self.regime][2]:
+            coeff = cs[i] + cs[j] * x
+            power = offset + (self.spec.alpha if anchor == "end" else 0.0)
             c = coeff * _falling(power, order) * ((-1.0) ** order if anchor == "end" else 1.0)
             p = power - order
             if p <= -1.0 or float(p).is_integer():
@@ -254,13 +266,7 @@ def adjoint_residual(v: GridFunction, u: GridFunction, diffusivity: Diffusivity,
     if v.grid != u.grid or v.x.shape != u.x.shape:
         raise ValueError("fields are defined on different grids")
     op = caputo_right_derivative if spec.kind is Kind.RIEMANN_LIOUVILLE else rl_right_derivative
-    try:
-        frac = op(v, spec.alpha)
-    except ValueError:
-        # power-law metadata not representable through this kernel (for
-        # example a t^{alpha-1} mode under the right Caputo derivative);
-        # fall back to plain samples
-        frac = op(TimeSeries(v.grid, v.values), spec.alpha)
+    frac = op(v, spec.alpha)
     vxx = diff2(v.regular_part(), v.hx, axis=1)
     for term in v.singular:
         col = _power_samples(v.grid, term.power, term.anchor)

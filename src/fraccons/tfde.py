@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,11 +56,42 @@ class DiffusivityFamily(enum.Enum):
     EXPONENTIAL = "exponential"
 
 
+def _invertible(w):
+    if np.any(w <= 0):
+        raise ValueError("K_inv argument outside the invertibility range")
+    return w
+
+
+def _power_K(d, u):
+    return np.log(u) if d.beta == -1.0 else u ** (d.beta + 1.0) / (d.beta + 1.0)
+
+
+def _power_K_inv(d, w):
+    if d.beta == -1.0:
+        return np.exp(w)
+    return _invertible((d.beta + 1.0) * w) ** (1.0 / (d.beta + 1.0))
+
+
+# family -> (k, k', K, K^{-1}), each taking the Diffusivity and a float array
+_FAMILY_ROWS = {
+    DiffusivityFamily.CONSTANT: (lambda d, u: np.full_like(u, d.k0),
+                                 lambda d, u: np.zeros_like(u),
+                                 lambda d, u: d.k0 * u, lambda d, w: w / d.k0),
+    DiffusivityFamily.POWER: (lambda d, u: u ** d.beta,
+                              lambda d, u: d.beta * u ** (d.beta - 1.0), _power_K, _power_K_inv),
+    DiffusivityFamily.EXPONENTIAL: (lambda d, u: np.exp(u), lambda d, u: np.exp(u),
+                                    lambda d, u: np.exp(u),
+                                    lambda d, w: np.log(_invertible(w))),
+}
+
+
 @dataclass(frozen=True)
 class Diffusivity:
     """Diffusivity k(u) with derivative k'(u) and primitive K(u), K' = k.
 
     Families: constant k(u) = k0; power k(u) = u^beta; exponential k(u) = e^u.
+    K(u) -> 0 as u -> 0 for the constant and power families (K = log u for
+    beta = -1), and K = e^u for the exponential one.
     """
 
     family: DiffusivityFamily
@@ -85,46 +117,16 @@ class Diffusivity:
         return cls(DiffusivityFamily.EXPONENTIAL)
 
     def k(self, u):
-        u = np.asarray(u, dtype=float)
-        if self.family is DiffusivityFamily.CONSTANT:
-            return np.full_like(u, self.k0)
-        if self.family is DiffusivityFamily.POWER:
-            return u ** self.beta
-        return np.exp(u)
+        return _FAMILY_ROWS[self.family][0](self, np.asarray(u, dtype=float))
 
     def k_prime(self, u):
-        u = np.asarray(u, dtype=float)
-        if self.family is DiffusivityFamily.CONSTANT:
-            return np.zeros_like(u)
-        if self.family is DiffusivityFamily.POWER:
-            return self.beta * u ** (self.beta - 1.0)
-        return np.exp(u)
+        return _FAMILY_ROWS[self.family][1](self, np.asarray(u, dtype=float))
 
     def K(self, u):
-        """Primitive of k with K(u) -> 0 as u -> 0 (constant/power) or K = e^u."""
-        u = np.asarray(u, dtype=float)
-        if self.family is DiffusivityFamily.CONSTANT:
-            return self.k0 * u
-        if self.family is DiffusivityFamily.POWER:
-            if self.beta == -1.0:
-                return np.log(u)
-            return u ** (self.beta + 1.0) / (self.beta + 1.0)
-        return np.exp(u)
+        return _FAMILY_ROWS[self.family][2](self, np.asarray(u, dtype=float))
 
     def K_inv(self, w):
-        w = np.asarray(w, dtype=float)
-        if self.family is DiffusivityFamily.CONSTANT:
-            return w / self.k0
-        if self.family is DiffusivityFamily.POWER:
-            if self.beta == -1.0:
-                return np.exp(w)
-            arg = (self.beta + 1.0) * w
-            if np.any(arg <= 0):
-                raise ValueError("K_inv argument outside the invertibility range")
-            return arg ** (1.0 / (self.beta + 1.0))
-        if np.any(w <= 0):
-            raise ValueError("K_inv argument outside the invertibility range")
-        return np.log(w)
+        return _FAMILY_ROWS[self.family][3](self, np.asarray(w, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -310,22 +312,23 @@ def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -
     return x
 
 
-def _flux(diff: Diffusivity, u: np.ndarray, hx2: float):
+def _flux(k: Callable, k_prime: Callable, u: np.ndarray, hx2: float):
     """Conservative (k(u) u_x)_x at interior nodes and its Jacobian's sub-, main and
     super-diagonals (w.r.t. u_{j-1}, u_j, u_{j+1}), all from one set of midpoint values."""
     um = 0.5 * (u[1:] + u[:-1])
-    kh = diff.k(um)
+    kh = k(um)
     du = u[1:] - u[:-1]
-    s = 0.5 * diff.k_prime(um) * du
+    s = 0.5 * k_prime(um) * du
     q = kh * du
     return ((q[1:] - q[:-1]) / hx2, (kh[1:-1] - s[1:-1]) / hx2,
             (s[1:] - kh[1:] - s[:-1] - kh[:-1]) / hx2, (kh[1:-1] + s[1:-1]) / hx2)
 
 
-def _newton_step_solve(diff: Diffusivity, c0: float, rhs: np.ndarray,
+def _newton_step_solve(k: Callable, k_prime: Callable, c0: float, rhs: np.ndarray,
                        base_row: np.ndarray, w: np.ndarray, hx2: float) -> np.ndarray:
     """Solve c0 * w - flux(base_row + w) = rhs at the interior nodes (hx2 = hx^2).
 
+    ``k`` and ``k_prime`` take float arrays (the diffusivity's row, bound once per solve).
     ``w`` is the start guess with the Dirichlet values in its end entries;
     it may be overwritten.
     A non-finite residual or Jacobian (an iterate outside the domain of k), a
@@ -333,7 +336,7 @@ def _newton_step_solve(diff: Diffusivity, c0: float, rhs: np.ndarray,
     """
 
     def residual(v):
-        f, sub, main, sup = _flux(diff, base_row + v, hx2)
+        f, sub, main, sup = _flux(k, k_prime, base_row + v, hx2)
         g = c0 * v[1:-1] - f - rhs
         return g, np.abs(g).max(), (sub, main, sup)
 
@@ -342,7 +345,7 @@ def _newton_step_solve(diff: Diffusivity, c0: float, rhs: np.ndarray,
         # the flux difference cancels catastrophically when the field carries
         # an initial-time singularity, so the roundoff floor scales with k*u/hx^2
         u0 = base_row + w
-        term_mag = float(np.max(np.abs(diff.k(u0)) * np.abs(u0))) / hx2
+        term_mag = float(np.max(np.abs(k(u0)) * np.abs(u0))) / hx2
         tol_eff = max(_TOL * max(1.0, float(np.max(np.abs(rhs)))), 1e-12 * term_mag)
         g, gn, (sub, main, sup) = residual(w)
         trial = w.copy()
@@ -418,6 +421,8 @@ def solve_nonlinear(problem: TFDEProblem, grid: TimeGrid, n_x: int) -> GridFunct
     c_l1 = h ** (-mu) / gamma(2.0 - mu)
     c0 = c_l1 / h ** (n - 1)
     dY = np.zeros((n_t + 1, x.size))  # dY[j] = y_j - y_{j-1}
+    k, k_prime = (partial(f, problem.diffusivity)
+                  for f in _FAMILY_ROWS[problem.diffusivity.family][:2])
     for m in range(1, n_t + 1):
         # L1 history: sum_{j=1}^{m-1} a_{m-j} (y_j - y_{j-1})
         hist = c_l1 * (a_rev[n_t - m + 1: n_t] @ dY[1:m])
@@ -429,7 +434,7 @@ def solve_nonlinear(problem: TFDEProblem, grid: TimeGrid, n_x: int) -> GridFunct
         for end, fn in ((0, problem.boundary_lo), (-1, problem.boundary_hi)):
             if fn is not None:
                 w[end] = float(fn(t[m])) - base[m, end]
-        W[m] = _newton_step_solve(problem.diffusivity, c0, rhs, base[m], w, hx2)
+        W[m] = _newton_step_solve(k, k_prime, c0, rhs, base[m], w, hx2)
         y_m = W[m] if n == 1 else (W[m] - W[m - 1]) / h
         dY[m] = y_m - y
         y = y_m

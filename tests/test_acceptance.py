@@ -1,5 +1,8 @@
 """Full acceptance battery: one printed pass/fail line per criterion."""
 
+import json
+import pathlib
+
 import pytest
 
 from fraccons.acceptance import CRITERIA, run_all
@@ -20,3 +23,11 @@ def results(request):
 def test_criterion(results, number):
     r = results[number]
     assert r.passed, r.line()
+
+
+def test_sweep_line_matches_bench_reference(results):
+    # the selftest_sweep workload checks this line; a correspondence-table
+    # edit that adds or drops a swept entry must fail here too
+    ref = pathlib.Path(__file__).resolve().parents[1] / "bench" / "refs" / "selftest_sweep.json"
+    (variant,) = json.loads(ref.read_text(encoding="utf-8"))["variants"]
+    assert [results[12].line()] == variant["lines"]

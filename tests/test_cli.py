@@ -284,10 +284,13 @@ BAD_CONFIGS = {
                                  substitution={"regime": "Caputo_sub", "c1": 1.0, "c5": 1.0}), 2),
     "substitution_constant_null": (dict(vectors=["Noether:X1"],
                                         substitution={"regime": "Caputo_sub", "c1": None}), 2),
-    # v_tt of t^(alpha-1) is not integrable: the vector is evaluated but does not converge
+    # a retired regime, which did not solve the adjoint equation, is unknown
     "rl_wave_linear_particular": (dict(_RL_WAVE_LINEAR, vectors=["Noether:X3_lin"],
                                        substitution={"regime": "Linear_particular", "c1": 1.0}),
-                                  4),
+                                  2),
+    # a sub regime takes c1 and c2 only; c3 would be dropped, leaving v = 0
+    "substitution_c3_in_sub_regime": (dict(vectors=["Noether:X3_lin", "Linear_Cap_sub_X3"],
+                                           substitution={"regime": "Caputo_sub", "c3": 1.0}), 2),
 }
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fraccons.conslaw import (
+    _CORRESPONDENCE,
     CSV_HEADER,
     ConservedVectorEval,
     catalog_ids,
@@ -17,8 +18,9 @@ from fraccons.conslaw import (
     _noether_core,
 )
 from fraccons.fracops import FractionalSpec, Kind, TimeGrid, diff1
-from fraccons.symcat import (_GENERATORS, Symmetry, adjoint_substitution, characteristic,
-                             list_symmetries, rl_extra_beta)
+from fraccons.symcat import (_GENERATORS, SUBSTITUTION_REGIMES, Symmetry, adjoint_substitution,
+                             characteristic, list_symmetries, regime_constants, regime_of,
+                             rl_extra_beta)
 from fraccons.tfde import (
     Diffusivity,
     exact_linear_separable,
@@ -95,15 +97,15 @@ class TestCorrespondence:
 
     def test_every_entry_is_a_catalog_id(self):
         ids = set(catalog_ids())
-        for regime in ("RL_sub", "RL_wave", "Caputo_sub", "Caputo_wave"):
-            consts = ("c1", "c2") if regime.endswith("sub") else ("c1", "c2", "c3", "c4")
+        assert tuple(_CORRESPONDENCE) == SUBSTITUTION_REGIMES
+        for regime, table in _CORRESPONDENCE.items():
+            assert set(table) <= set(_GENERATORS), regime
             found = set()
-            for sym_id in _GENERATORS:
-                for const in consts:
-                    try:
-                        found.update(correspondence(sym_id, const, regime))
-                    except KeyError:  # no column for this symmetry in the regime's table
-                        continue
+            for sym_id, row in table.items():
+                # one entry per constant the regime's substitution takes
+                assert len(row) == len(regime_constants(regime)), (regime, sym_id)
+                for const in regime_constants(regime):
+                    found.update(correspondence(sym_id, const, regime))
             assert found - {"Zero"}, regime
             assert found <= ids | {"Zero"}, (regime, found - ids)
 
@@ -114,6 +116,8 @@ class TestCorrespondence:
             correspondence("X1", "c3", "RL_sub")
         with pytest.raises(ValueError):
             correspondence("X1", "c1", "nowhere")
+        with pytest.raises(ValueError):  # no entry for this symmetry in the regime
+            correspondence("X3_lin", "c1", "RL_sub")
 
 
 class TestFormalLagrangian:
@@ -220,7 +224,7 @@ class TestClosedFormVectors:
 
 class TestNoetherVectors:
     def test_noether_matches_linear_catalog(self):
-        # X3 with the particular substitution v = t x on the Caputo
+        # X3 with the substitution v = (T-t)^{a-1} x on the Caputo
         # subdiffusion mode: operator-built and catalog vectors agree.
         alpha = 0.5
         spec = FractionalSpec(CAP, alpha, 1.0)
@@ -229,7 +233,7 @@ class TestNoetherVectors:
         x = np.linspace(0.0, 1.0, 65)
         lam = 0.5
         u = exact_linear_separable(spec, lam, tgrid, x)
-        sub = adjoint_substitution("Linear_particular", spec, c1=1.0)
+        sub = adjoint_substitution("Caputo_sub", spec, c2=1.0)
         sym = next(s for s in list_symmetries(CAP, alpha, d) if s.id == "X3_lin")
         nv = noether_vector(sym, sub, spec, d)
         cv = catalog_vector("Linear_Cap_sub_X3", spec, d, substitution=sub)
@@ -247,7 +251,7 @@ class TestNoetherVectors:
         tgrid = TimeGrid(1.0, 32)
         x = np.linspace(0.0, np.pi, 17)
         u = exact_linear_separable(spec, 1.0, tgrid, x)
-        sub = adjoint_substitution("Linear_particular", spec, c1=1.0)
+        sub = adjoint_substitution(regime_of(spec), spec, c2=1.0)
         sym = Symmetry("X3_lin", 0.5)
         with np.errstate(divide="ignore", invalid="ignore"):
             core = _noether_core(characteristic(sym, u), sub.field(tgrid, x), u, sub, spec, d)
@@ -261,20 +265,40 @@ class TestNoetherVectors:
             assert np.array_equal(got, want, equal_nan=True)
 
     def test_linear_catalog_flux_carries_diffusivity(self):
-        # for k = k0 the flux is k0 (v_x W - v W_x); here W = u (X3) and v = t x
+        # for k = k0 the flux is k0 (v_x W - v W_x); here W = u (X3) and
+        # v = (T-t)^{a-1} x, compared below the end row t = T where v is infinite
         alpha = 0.5
         spec = FractionalSpec(CAP, alpha, 1.0)
         d = Diffusivity.constant(2.0)
         tgrid = TimeGrid(1.0, 32)
         x = np.linspace(0.0, np.pi, 33)
         u = exact_linear_separable(spec, 1.0, tgrid, x)
-        sub = adjoint_substitution("Linear_particular", spec, c1=1.0)
+        sub = adjoint_substitution("Caputo_sub", spec, c2=1.0)
         cv = catalog_vector("Linear_Cap_sub_X3", spec, d, substitution=sub)
         _, cx = cv.components(u)
-        v = np.outer(tgrid.nodes(), x)
+        v = np.outer((1.0 - tgrid.nodes()[:-1]) ** (alpha - 1.0), x)
         hx = x[1] - x[0]
-        want = 2.0 * (diff1(v, hx, axis=1) * u.values - v * diff1(u.values, hx, axis=1))
-        np.testing.assert_allclose(cx, want, rtol=1e-12, atol=1e-12)
+        uv = u.values[:-1]
+        want = 2.0 * (diff1(v, hx, axis=1) * uv - v * diff1(uv, hx, axis=1))
+        np.testing.assert_allclose(cx[:-1], want, rtol=1e-12, atol=1e-12)
+
+    def test_substitution_of_another_spec_rejected(self):
+        # a substitution built at another alpha is not a solution of this
+        # spec's adjoint equation, and its vector would not be conserved
+        spec = FractionalSpec(CAP, 0.5, 1.0)
+        d = Diffusivity.constant(1.0)
+        other = adjoint_substitution("Caputo_sub", FractionalSpec(CAP, 0.3, 1.0), c1=1.0, c2=1.0)
+        with pytest.raises(ValueError, match="Linear_Cap_sub_X3"):
+            catalog_vector("Linear_Cap_sub_X3", spec, d, substitution=other)
+        with pytest.raises(ValueError, match=r"NoetherDerived\(X3_lin,Caputo_sub\)"):
+            noether_vector(Symmetry("X3_lin", 0.5), other, spec, d)
+
+    def test_linear_id_of_another_regime_rejected(self):
+        spec = FractionalSpec(CAP, 0.5, 1.0)
+        sub = adjoint_substitution("Caputo_sub", spec, c1=1.0)
+        for vid in ("Linear_RL_sub_X1", "Linear_Cap_wave_X1"):
+            with pytest.raises(ValueError, match=f"{vid}: does not fit the Caputo_sub regime"):
+                catalog_vector(vid, spec, Diffusivity.constant(1.0), substitution=sub)
 
     def test_noether_vector_divergence_small(self):
         alpha = 0.5

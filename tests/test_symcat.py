@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from fraccons.fracops import FractionalSpec, Kind, SingularTerm, TimeGrid
 from fraccons.symcat import (
     _GENERATORS,
+    _REGIMES,
     SUBSTITUTION_REGIMES,
     adjoint_residual,
     adjoint_substitution,
@@ -179,8 +180,18 @@ class TestAdjointSubstitution:
             adjoint_substitution("Caputo_sub", spec, c1=1.0)  # kind mismatch
 
     def test_regime_tuple_is_stable(self):
-        assert SUBSTITUTION_REGIMES == (
-            "RL_sub", "RL_wave", "Caputo_sub", "Caputo_wave", "Linear_particular")
+        assert SUBSTITUTION_REGIMES == ("RL_sub", "RL_wave", "Caputo_sub", "Caputo_wave")
+
+    @pytest.mark.parametrize("regime, kind, const", [
+        ("RL_sub", RL, "c3"), ("RL_sub", RL, "c4"),
+        ("Caputo_sub", CAP, "c3"), ("Caputo_sub", CAP, "c4")])
+    def test_constant_past_c2n_rejected(self, regime, kind, const):
+        # a sub regime takes c1 and c2; a further constant would be dropped silently
+        spec = FractionalSpec(kind, 0.5, 1.0)
+        with pytest.raises(ValueError, match="c1, c2 only"):
+            adjoint_substitution(regime, spec, **{const: 1.0})
+        with pytest.raises(ValueError, match="c1, c2 only"):
+            adjoint_substitution(regime, spec, c1=1.0, **{const: 1.0})
 
     def test_rl_sub_field_is_affine_in_x(self):
         spec = FractionalSpec(RL, 0.5, 1.0)
@@ -203,32 +214,29 @@ class TestAdjointSubstitution:
 
 
     @staticmethod
-    def _closed_form(regime, rl, a, T, c1, c2, c3, c4):
+    def _closed_form(regime, a, T, c1, c2, c3, c4):
         # the forms of the AdjointSubstitution docstring, as functions of (t, x)
         return {
             "RL_sub": lambda t, x: c1 + c2 * x,
             "RL_wave": lambda t, x: c1 + c2 * x + (c3 + c4 * x) * t,
             "Caputo_sub": lambda t, x: (T - t) ** (a - 1) * (c1 + c2 * x),
             "Caputo_wave": lambda t, x: (T - t) ** (a - 2) * (c1 + c3 * x + (T - t) * (c2 + c4 * x)),
-            "Linear_particular": lambda t, x: c1 * (t ** (a - 1) if rl else t) * x,
         }[regime]
 
-    @given(regime=st.sampled_from(SUBSTITUTION_REGIMES), rl=st.booleans(),
-           wave=st.booleans(), frac=st.floats(0.05, 0.95), T=st.floats(0.5, 2.0),
-           cs=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    @given(regime=st.sampled_from(SUBSTITUTION_REGIMES), frac=st.floats(0.05, 0.95),
+           T=st.floats(0.5, 2.0), cs=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
            order=st.integers(0, 2))
-    def test_field_is_the_derivative_of_the_closed_form(self, regime, rl, wave, frac, T, cs,
-                                                        order):
+    def test_field_is_the_derivative_of_the_closed_form(self, regime, frac, T, cs, order):
+        kind, n, _ = _REGIMES[regime]
+        cs = cs[:2 * n] + [0.0] * (4 - 2 * n)  # the regime takes c1..c_2n
         assume(any(cs))
-        if regime != "Linear_particular":
-            rl, wave = regime.startswith("RL"), regime.endswith("wave")
-        alpha = frac + (1.0 if wave else 0.0)
-        sub = adjoint_substitution(regime, FractionalSpec(RL if rl else CAP, alpha, T), *cs)
+        alpha = frac + (n - 1.0)
+        sub = adjoint_substitution(regime, FractionalSpec(kind, alpha, T), *cs)
         tgrid = TimeGrid(T, 8)
         x = np.linspace(0.0, 1.0, 5)
         v = sub.field(tgrid, x, order)
         assert all(tm.power > -1.0 and not float(tm.power).is_integer() for tm in v.singular)
-        f = self._closed_form(regime, rl, mpmath.mpf(alpha), mpmath.mpf(T), *map(mpmath.mpf, cs))
+        f = self._closed_form(regime, mpmath.mpf(alpha), mpmath.mpf(T), *map(mpmath.mpf, cs))
         with mpmath.workdps(30):
             ref = np.array([[float(mpmath.diff(lambda t: f(t, mpmath.mpf(xj)), mpmath.mpf(ti), order))
                              for xj in x] for ti in tgrid.nodes()[1:-1]])
@@ -240,41 +248,21 @@ class TestAdjointResidual:
     def _grid(self, n=64):
         return TimeGrid(1.0, n), np.linspace(0.0, 1.0, 33)
 
-    def test_rl_sub_substitution_solves_adjoint(self):
-        spec = FractionalSpec(RL, 0.5, 1.0)
-        d = Diffusivity.power(2.0)
-        tgrid, x = self._grid()
-        u = exact_stationary_caputo(d, 0.1, 1.0, tgrid, x)
-        sub = adjoint_substitution("RL_sub", spec, c1=1.0, c2=1.0)
-        res = adjoint_residual(sub.field(tgrid, x), u, d, spec)
-        assert np.max(np.abs(res.values[1:-1, 1:-1])) < 1e-12
+    # regime -> (time steps, tolerance) on the stationary k = u^2 solution
+    _ADJOINT_CASES = {"RL_sub": (64, 1e-12), "RL_wave": (64, 1e-12),
+                      "Caputo_sub": (64, 1e-10), "Caputo_wave": (128, 1e-6)}
 
-    def test_rl_wave_substitution_solves_adjoint(self):
-        spec = FractionalSpec(RL, 1.5, 1.0)
+    @pytest.mark.parametrize("regime", SUBSTITUTION_REGIMES)
+    def test_substitution_solves_adjoint(self, regime):
+        kind, n, _ = _REGIMES[regime]
+        steps, tol = self._ADJOINT_CASES[regime]
+        spec = FractionalSpec(kind, n - 0.5, 1.0)
         d = Diffusivity.power(2.0)
-        tgrid, x = self._grid()
+        tgrid, x = self._grid(steps)
         u = exact_stationary_caputo(d, 0.1, 1.0, tgrid, x)
-        sub = adjoint_substitution("RL_wave", spec, c1=1.0, c2=1.0, c3=1.0, c4=1.0)
+        sub = adjoint_substitution(regime, spec, *[1.0] * (2 * n))
         res = adjoint_residual(sub.field(tgrid, x), u, d, spec)
-        assert np.max(np.abs(res.values[1:-1, 1:-1])) < 1e-12
-
-    def test_caputo_sub_substitution_solves_adjoint(self):
-        spec = FractionalSpec(CAP, 0.5, 1.0)
-        d = Diffusivity.power(2.0)
-        tgrid, x = self._grid()
-        u = exact_stationary_caputo(d, 0.1, 1.0, tgrid, x)
-        sub = adjoint_substitution("Caputo_sub", spec, c1=1.0, c2=1.0)
-        res = adjoint_residual(sub.field(tgrid, x), u, d, spec)
-        assert np.max(np.abs(res.values[1:-1, 1:-1])) < 1e-10
-
-    def test_caputo_wave_substitution_solves_adjoint(self):
-        spec = FractionalSpec(CAP, 1.5, 1.0)
-        d = Diffusivity.power(2.0)
-        tgrid, x = self._grid(n=128)
-        u = exact_stationary_caputo(d, 0.1, 1.0, tgrid, x)
-        sub = adjoint_substitution("Caputo_wave", spec, c1=1.0, c2=1.0, c3=1.0, c4=1.0)
-        res = adjoint_residual(sub.field(tgrid, x), u, d, spec)
-        assert np.max(np.abs(res.values[1:-1, 1:-1])) < 1e-6
+        assert np.max(np.abs(res.values[1:-1, 1:-1])) < tol
 
     def test_nonsolution_has_large_residual(self):
         # sanity: a generic field does not satisfy the adjoint equation
