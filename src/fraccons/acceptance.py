@@ -204,11 +204,8 @@ def criterion_6() -> CriterionResult:
 
 
 def _decay_ratios(pid: str, spec, diffu, make_u, grids=(64, 128, 256), **kw) -> list[float]:
-    linfs = []
-    for n in grids:
-        u = make_u(n)
-        cv = catalog_vector(pid, spec, diffu, **kw)
-        linfs.append(divergence_residual(cv, u).linf)
+    cv = catalog_vector(pid, spec, diffu, **kw)
+    linfs = [divergence_residual(cv, make_u(n)).linf for n in grids]
     return [linfs[i] / linfs[i + 1] for i in range(len(linfs) - 1)]
 
 
@@ -236,16 +233,14 @@ def criterion_8() -> CriterionResult:
     tg = TimeGrid(1.0, 512)
     x = np.linspace(0.0, 1.0, 513)
     u = exact_stationary_caputo(diffu, 0.1, 1.0, tg, x)
-    u0 = u.values[0].copy()
-    ut0 = np.zeros_like(x)
     worst3 = worst5 = 0.0
     spec3 = FractionalSpec(Kind.CAPUTO, 0.5, 1.0)
     for i in range(1, 5):
-        cv = catalog_vector(f"Table3_v{i}", spec3, diffu, initial=u0)
+        cv = catalog_vector(f"Table3_v{i}", spec3, diffu)
         worst3 = max(worst3, divergence_residual(cv, u).linf)
     spec5 = FractionalSpec(Kind.CAPUTO, 1.5, 1.0)
     for i in range(1, 7):
-        cv = catalog_vector(f"Table5_v{i}", spec5, diffu, initial=u0, initial_velocity=ut0)
+        cv = catalog_vector(f"Table5_v{i}", spec5, diffu, initial_velocity=0.0)
         worst5 = max(worst5, divergence_residual(cv, u).linf)
     ok = worst3 <= 1e-6 and worst5 <= 1e-5
     return CriterionResult(8, "stationary conservation", ok,
@@ -320,17 +315,15 @@ def criterion_12() -> CriterionResult:
     failures: list[str] = []
     checked = 0
 
-    def check_decay(pid, spec, diffu, make_u, **kw):
+    def check_decay(pid, spec, diffu, make_u):
         nonlocal checked
         checked += 1
         if pid == "Table1_v6":
             # the printed sixth entry is the typo'd form; use the corrected
             # reading established by the adjudication criterion
             pid = "Table1_v6_alt"
-        linfs = []
-        for n in (64, 128):
-            cv = catalog_vector(pid, spec, diffu, **kw)
-            linfs.append(divergence_residual(cv, make_u(n)).linf)
+        cv = catalog_vector(pid, spec, diffu, initial_velocity=0.0)
+        linfs = [divergence_residual(cv, make_u(n)).linf for n in (64, 128)]
         # decay by >= 1.4 per halving, or already at the numerical floor
         if not (linfs[1] <= 1e-10 or linfs[0] / linfs[1] >= 1.4):
             failures.append(f"{pid} ratio {linfs[0] / max(linfs[1], 1e-300):.2f}")
@@ -342,32 +335,41 @@ def criterion_12() -> CriterionResult:
         # refinement exactly like the nonzero entries
         nonlocal checked
         checked += 1
-        kwargs = {const: 1.0}
-        sub = adjoint_substitution(regime, spec, **kwargs)
-        sym = Symmetry(sym_id, spec.alpha, beta=diffu.beta)
-        cv = noether_vector(sym, sub, spec, diffu)
+        sub = adjoint_substitution(regime, spec, **{const: 1.0})
+        cv = noether_vector(Symmetry(sym_id, spec.alpha, beta=diffu.beta), sub, spec, diffu)
         linfs = [divergence_residual(cv, make_u(n)).linf for n in (64, 128)]
         ok_here = linfs[1] <= 1e-8 or (linfs[0] / linfs[1] >= 1.4 and linfs[1] <= 1e-3)
         if not ok_here:
             failures.append(f"{sym_id}/{const} {regime} zero-entry linf {linfs[1]:.2e} "
                             f"ratio {linfs[0] / max(linfs[1], 1e-300):.2f}")
 
-    # --- RL wave regime: separable exact solutions, power diffusivities
-    alpha = 1.5
-    spec = FractionalSpec(Kind.RIEMANN_LIOUVILLE, alpha, 1.0)
-    regime = regime_of(spec)
-    rl_cases = {2.0: (0.5, 1.0), -4.0 / 3.0: (-0.1, -1.0), rl_extra_beta(alpha): (-0.1, -1.0)}
-    syms_by_beta = {2.0: ("X1", "X2", "X3_pow"), -4.0 / 3.0: ("X4_pow43",),
-                    rl_extra_beta(alpha): ("X4_rl",)}
-    for beta, (a, b) in rl_cases.items():
+    def field(exact, diffu, *args):
+        """make_u of an exact solution on an n x n/2 grid of [0, 1]^2."""
+        return lambda n: exact(diffu, *args, TimeGrid(1.0, n), np.linspace(0.0, 1.0, n // 2 + 1))
+
+    # (spec, diffusivity, make_u, symmetry ids): the RL wave regime on
+    # separable exact solutions, the Caputo regimes on stationary ones
+    rl_wave = FractionalSpec(Kind.RIEMANN_LIOUVILLE, 1.5, 1.0)
+    cases = []
+    for beta, (a, b), sym_ids in ((2.0, (0.5, 1.0), ("X1", "X2", "X3_pow")),
+                                  (-4.0 / 3.0, (-0.1, -1.0), ("X4_pow43",)),
+                                  (rl_extra_beta(1.5), (-0.1, -1.0), ("X4_rl",))):
         diffu = Diffusivity.power(beta)
+        cases.append((rl_wave, diffu, field(exact_rl_separable, diffu, 1.5, a, b), sym_ids))
+    for alpha in (0.5, 1.5):
+        spec = FractionalSpec(Kind.CAPUTO, alpha, 1.0)
+        stationary = [(Diffusivity.power(2.0), 0.5, 1.0, ("X1", "X2", "X3_pow")),
+                      (Diffusivity.exponential(), 0.5, 1.0, ("X3_exp",)),
+                      (Diffusivity.power(-4.0 / 3.0), -0.1, -1.0, ("X4_pow43",))]
+        if spec.n == 2:
+            stationary.append((Diffusivity.power(rl_extra_beta(alpha)), -0.1, -1.0, ("X4_rl",)))
+        cases += [(spec, diffu, field(exact_stationary_caputo, diffu, a, b), sym_ids)
+                  for diffu, a, b, sym_ids in stationary]
 
-        def make_u(n, beta=beta, a=a, b=b):
-            return exact_rl_separable(Diffusivity.power(beta), alpha, a, b,
-                                      TimeGrid(1.0, n), np.linspace(0.0, 1.0, n // 2 + 1))
-
+    for spec, diffu, make_u, sym_ids in cases:
+        regime = regime_of(spec)
         seen = set()
-        for sym_id in syms_by_beta[beta]:
+        for sym_id in sym_ids:
             for const in regime_constants(regime):
                 for pid in correspondence(sym_id, const, regime):
                     if pid == "Zero":
@@ -375,34 +377,6 @@ def criterion_12() -> CriterionResult:
                     elif pid not in seen:
                         seen.add(pid)
                         check_decay(pid, spec, diffu, make_u)
-
-    # --- Caputo regimes: stationary exact solutions
-    for alpha_c in (0.5, 1.5):
-        spec_c = FractionalSpec(Kind.CAPUTO, alpha_c, 1.0)
-        regime = regime_of(spec_c)
-        cases = [(Diffusivity.power(2.0), 0.5, 1.0, ("X1", "X2", "X3_pow")),
-                 (Diffusivity.exponential(), 0.5, 1.0, ("X3_exp",)),
-                 (Diffusivity.power(-4.0 / 3.0), -0.1, -1.0, ("X4_pow43",))]
-        if spec_c.n == 2:
-            cases.append((Diffusivity.power(rl_extra_beta(alpha_c)), -0.1, -1.0, ("X4_rl",)))
-        for diffu, a, b, sym_ids in cases:
-
-            def make_u(n, diffu=diffu, a=a, b=b):
-                return exact_stationary_caputo(diffu, a, b, TimeGrid(1.0, n),
-                                               np.linspace(0.0, 1.0, n // 2 + 1))
-
-            seen = set()
-            for sym_id in sym_ids:
-                for const in regime_constants(regime):
-                    for pid in correspondence(sym_id, const, regime):
-                        if pid == "Zero":
-                            check_zero(sym_id, regime, spec_c, diffu, make_u, const)
-                        elif pid not in seen:
-                            seen.add(pid)
-                            check_decay(pid, spec_c, diffu,
-                                        lambda n, mk=make_u: mk(n),
-                                        initial=lambda xx, d=diffu, a=a, b=b: d.K_inv(a * xx + b),
-                                        initial_velocity=lambda xx: np.zeros_like(xx))
     ok = not failures
     detail = f"{checked} entries checked" + ("" if ok else "; failures: " + "; ".join(failures))
     return CriterionResult(12, "correspondence sweep", ok, detail)

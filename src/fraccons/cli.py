@@ -28,6 +28,7 @@ from .specialfn import ConvergenceError
 from .fracops import Kind, FractionalSpec, TimeGrid
 from .tfde import (
     Diffusivity,
+    DiffusivityFamily,
     GridFunction,
     SolverError,
     TFDEProblem,
@@ -37,16 +38,15 @@ from .tfde import (
     exact_stationary_caputo,
     solve_nonlinear,
 )
-from .symcat import (_GENERATORS, SUBSTITUTION_REGIMES, Symmetry, adjoint_substitution,
-                     list_symmetries, regime_constants, regime_of)
+from .symcat import adjoint_substitution, list_symmetries, regime_constants, regime_of
 from .conslaw import (
-    _CORRESPONDENCE,
     CSV_HEADER,
+    ConservedVectorEval,
     catalog_ids,
     catalog_vector,
+    correspondence,
     divergence_residual,
     flux_balance,
-    noether_vector,
 )
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "serialize_config", "main"]
@@ -80,7 +80,12 @@ class ScenarioConfig:
 
 
 def parse_config(data: dict) -> ScenarioConfig:
-    """Validate a configuration mapping and freeze it into a ScenarioConfig."""
+    """Validate a configuration mapping and freeze it into a ScenarioConfig.
+
+    The equation, the substitution and every vector are built once here, so
+    the library's constructors are the checks of kind, alpha, T, family,
+    regime and vector ids; their ValueError becomes a ConfigError.
+    """
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a mapping")
     known = {f.name for f in ScenarioConfig.__dataclass_fields__.values()}
@@ -115,12 +120,13 @@ def parse_config(data: dict) -> ScenarioConfig:
             float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration value: {exc}") from exc
-    if cfg.kind not in ("rl", "caputo"):
-        raise ConfigError("kind must be 'rl' or 'caputo'")
-    if not (0.0 < cfg.alpha < 2.0) or cfg.alpha == 1.0:
-        raise ConfigError("alpha must lie in (0,2) with alpha != 1")
-    if cfg.T <= 0:
-        raise ConfigError("T must be positive")
+    if not all(isinstance(vid, str) for vid in cfg.vectors):
+        raise ConfigError("vectors must be a list of vector id strings")
+    if cfg.substitution is not None and not isinstance(cfg.substitution.get("regime"), str):
+        raise ConfigError("substitution.regime must be a regime name")
+    extra = set(cfg.substitution or {}) - {"regime", "c1", "c2", "c3", "c4"}
+    if extra:
+        raise ConfigError(f"unknown substitution keys: {sorted(extra)}")
     if cfg.x_lo >= cfg.x_hi:
         raise ConfigError("x_lo must be less than x_hi")
     if list(cfg.grids) != sorted(set(cfg.grids)) or min(cfg.grids, default=0) < 4:
@@ -129,30 +135,17 @@ def parse_config(data: dict) -> ScenarioConfig:
         raise ConfigError("n_x must be an integer >= 6")
     if not (0.0 <= cfg.exclude_frac < 0.5):
         raise ConfigError("exclude_frac must lie in [0, 0.5)")
-    fam = cfg.diffusivity.get("family")
-    if fam not in ("constant", "power", "exponential"):
-        raise ConfigError("diffusivity.family must be constant, power, or exponential")
     if cfg.source.get("id") not in _SOURCES:
         raise ConfigError(f"source.id must be one of {_SOURCES}")
     if cfg.source["id"] == "exact_linear" and (
-            fam != "constant" or float(cfg.diffusivity.get("k0", 1.0)) != 1.0):
+            cfg.diffusivity.get("family") != "constant"
+            or float(cfg.diffusivity.get("k0", 1.0)) != 1.0):
         raise ConfigError("source exact_linear solves the equation for the constant "
                           "diffusivity k0 = 1 only")
-    valid = catalog_ids()
-    for vid in cfg.vectors:
-        if isinstance(vid, str) and vid.startswith("Noether:"):
-            sym_id = vid.split(":", 1)[1]
-            if sym_id not in _GENERATORS:
-                raise ConfigError(f"unknown symmetry id in {vid!r}")
-        elif vid not in valid:
-            raise ConfigError(f"unknown vector id {vid!r}")
-    if cfg.substitution is not None:
-        regime = cfg.substitution.get("regime")
-        if regime not in SUBSTITUTION_REGIMES:
-            raise ConfigError(f"substitution.regime must be one of {SUBSTITUTION_REGIMES}")
-        extra = set(cfg.substitution) - {"regime", "c1", "c2", "c3", "c4"}
-        if extra:
-            raise ConfigError(f"unknown substitution keys: {sorted(extra)}")
+    try:
+        _evaluators(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -168,24 +161,28 @@ def serialize_config(cfg: ScenarioConfig) -> dict:
 # scenario assembly
 # ---------------------------------------------------------------------------
 
-def _diffusivity(cfg: ScenarioConfig) -> Diffusivity:
+def _equation(cfg: ScenarioConfig) -> tuple[FractionalSpec, Diffusivity]:
+    """The spec and diffusivity of the scenario; the constructors validate them."""
     d = cfg.diffusivity
-    fam = d["family"]
-    if fam == "constant":
-        return Diffusivity.constant(float(d.get("k0", 1.0)))
-    if fam == "power":
-        return Diffusivity.power(float(d.get("beta", 1.0)))
-    return Diffusivity.exponential()
+    family = DiffusivityFamily(d.get("family"))
+    beta = float(d.get("beta", 1.0)) if family is DiffusivityFamily.POWER else 0.0
+    return (FractionalSpec(Kind(cfg.kind), cfg.alpha, cfg.T),
+            Diffusivity(family, k0=float(d.get("k0", 1.0)), beta=beta))
 
 
-def _spec(cfg: ScenarioConfig) -> FractionalSpec:
-    kind = Kind.RIEMANN_LIOUVILLE if cfg.kind == "rl" else Kind.CAPUTO
-    return FractionalSpec(kind, cfg.alpha, cfg.T)
+def _evaluators(cfg: ScenarioConfig) -> dict[str, ConservedVectorEval]:
+    """The evaluator of each configured vector id, with u_t(0, x) = 0."""
+    spec, diffu = _equation(cfg)
+    sub = None
+    if cfg.substitution is not None:
+        consts = {k: float(v) for k, v in cfg.substitution.items() if k != "regime"}
+        sub = adjoint_substitution(cfg.substitution["regime"], spec, **consts)
+    return {vid: catalog_vector(vid, spec, diffu, initial_velocity=0.0, substitution=sub)
+            for vid in cfg.vectors}
 
 
 def _solution(cfg: ScenarioConfig, n_steps: int) -> GridFunction:
-    spec = _spec(cfg)
-    diffu = _diffusivity(cfg)
+    spec, diffu = _equation(cfg)
     grid = TimeGrid(cfg.T, n_steps)
     n_x = cfg.n_x if cfg.n_x is not None else n_steps
     x = np.linspace(cfg.x_lo, cfg.x_hi, n_x + 1)
@@ -228,29 +225,6 @@ def _solution(cfg: ScenarioConfig, n_steps: int) -> GridFunction:
     return solve_nonlinear(problem, grid, n_x)
 
 
-def _maybe_sub(cfg: ScenarioConfig):
-    if cfg.substitution is None:
-        return None
-    s = dict(cfg.substitution)
-    regime = s.pop("regime")
-    return adjoint_substitution(regime, _spec(cfg), **{k: float(v) for k, v in s.items()})
-
-
-def _vector_eval(cfg: ScenarioConfig, vid: str, initial: Optional[np.ndarray] = None):
-    """The evaluator of ``vid``; ``initial`` is u(0, x) on the grid (None checks the id only)."""
-    spec = _spec(cfg)
-    diffu = _diffusivity(cfg)
-    sub = _maybe_sub(cfg)
-    if vid.startswith("Noether:"):
-        if sub is None:
-            raise ConfigError(f"{vid} requires a substitution block")
-        sym = Symmetry(vid.split(":", 1)[1], cfg.alpha, beta=diffu.beta)
-        return noether_vector(sym, sub, spec, diffu)
-    velocity = None if initial is None else np.zeros_like(initial)
-    return catalog_vector(vid, spec, diffu, initial=initial, initial_velocity=velocity,
-                          substitution=sub)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -278,12 +252,11 @@ def run_verify(cfg: ScenarioConfig, out: Optional[str]) -> int:
     rows = []
     below = []  # (ratio, vector id, n_steps) of every ratio under the threshold
     last = {}
-    for vid in cfg.vectors:  # a vector that does not fit the scenario fails before any solve
-        _vector_eval(cfg, vid)
+    evaluators = _evaluators(cfg)
     for gi, n in enumerate(cfg.grids):
         u = _solution(cfg, n)
         for vid in sorted(cfg.vectors):
-            cv = _vector_eval(cfg, vid, u.values[0])
+            cv = evaluators[vid]
             comps = cv.components(u)
             rep = divergence_residual(cv, u, cfg.exclude_frac, comps)
             nested = gi > 0 and cfg.grids[gi] == 2 * cfg.grids[gi - 1]
@@ -324,16 +297,14 @@ def run_catalog(cfg: Optional[ScenarioConfig]) -> int:
         for vid in catalog_ids():
             print(f"  {vid}")
         return 0
-    spec = _spec(cfg)
-    diffu = _diffusivity(cfg)
-    syms = list_symmetries(spec.kind, cfg.alpha, diffu, allow_conditional=True)
+    spec, diffu = _equation(cfg)
     regime = regime_of(spec)
-    table, consts = _CORRESPONDENCE[regime], regime_constants(regime)
     print(f"admitted symmetries for kind={cfg.kind}, alpha={cfg.alpha}, "
           f"k-family={cfg.diffusivity['family']}:")
-    for sym in syms:
-        entries = [f"{c} -> {ids}" for c, ids in zip(consts, table.get(sym.id, ()))]
-        print(f"  {sym.id}: " + ("; ".join(entries) if entries else "(no table entry)"))
+    for sym in list_symmetries(spec.kind, cfg.alpha, diffu, allow_conditional=True):
+        entries = [f"{c} -> {'+'.join(correspondence(sym.id, c, regime))}"
+                   for c in regime_constants(regime)]
+        print(f"  {sym.id}: " + "; ".join(entries))
     return 0
 
 

@@ -3,8 +3,9 @@
 Vectors are built two ways: by applying the fractional Noether operators to
 the formal Lagrangian (``noether_vector``), and from the closed-form catalog
 (``catalog_vector``), whose ``Linear_*`` ids are the Noether vectors without
-their xi L terms. ``divergence_residual`` and ``flux_balance``
-check D_t C^t + D_x C^x = 0 on solution fields.
+their xi L terms; ``catalog_vector`` also resolves ``Noether:<symmetry>`` ids.
+``divergence_residual`` and ``flux_balance`` check D_t C^t + D_x C^x = 0 on
+solution fields.
 """
 
 from __future__ import annotations
@@ -123,22 +124,26 @@ class ConservedVectorEval:
         return np.asarray(ct, dtype=float), np.asarray(cx, dtype=float)
 
 
-def noether_vector(sym: Symmetry, sub: AdjointSubstitution, spec: FractionalSpec,
-                   diffusivity: Diffusivity) -> ConservedVectorEval:
-    """Conserved vector obtained by the Noether operators for (sym, sub).
+def _noether_fn(name: str, sym: Symmetry, sub: Optional[AdjointSubstitution],
+                spec: FractionalSpec, diffusivity: Diffusivity, lagrangian: bool):
+    """The evaluator function of the Noether vector of (sym, sub), checked here.
 
-    C^t = xi0 L + core^t and C^x = xi1 L + core^x, with the core of
-    ``_noether_core``; xi L is taken as 0 where xi is 0 (L may be infinite
-    at an end row), and L is not built when both xi vanish.
+    ``name`` heads the error messages; ``lagrangian`` adds the xi L terms to
+    the core of ``_noether_core``. xi L is taken as 0 where xi is 0 (L may be
+    infinite at an end row), and L is not built when both xi vanish.
     """
-
-    name = f"NoetherDerived({sym.id},{sub.regime})"
+    if sub is None:
+        raise ValueError(f"{name}: requires an adjoint substitution")
     if sub.spec != spec:
         raise ValueError(f"{name}: the substitution was built for another spec")
+    if sym.id == "Xinf" and sym.h is None:
+        raise ValueError(f"{name}: Xinf requires a user-supplied solution field h")
 
     def fn(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
         v = sub.field(u.grid, u.x)
         ct, cx = _noether_core(characteristic(sym, u), v, u, sub, spec, diffusivity)
+        if not lagrangian:
+            return ct, cx
         t, x = u.grid.nodes()[:, None], u.x[None, :]
         xi_terms = ((sym.xi0(t, x, u.values), ct), (sym.xi1(t, x, u.values), cx))
         if any(np.any(coeff) for coeff, _ in xi_terms):
@@ -147,6 +152,19 @@ def noether_vector(sym: Symmetry, sub: AdjointSubstitution, spec: FractionalSpec
                 comp += np.where(coeff == 0.0, 0.0, coeff * L)
         return ct, cx
 
+    return fn
+
+
+def noether_vector(sym: Symmetry, sub: AdjointSubstitution, spec: FractionalSpec,
+                   diffusivity: Diffusivity) -> ConservedVectorEval:
+    """Conserved vector obtained by the Noether operators for (sym, sub).
+
+    C^t = xi0 L + core^t and C^x = xi1 L + core^x, with the core of
+    ``_noether_core``. A substitution built for another spec, or the Xinf
+    generator without its field h, raise ValueError.
+    """
+    name = f"NoetherDerived({sym.id},{sub.regime})"
+    fn = _noether_fn(name, sym, sub, spec, diffusivity, lagrangian=True)
     return ConservedVectorEval(name, spec, fn)
 
 
@@ -259,15 +277,17 @@ def _linear_prefix(regime: str) -> str:
 
 
 def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivity,
-                   initial=None, initial_velocity=None,
+                   initial_velocity=None,
                    substitution: Optional[AdjointSubstitution] = None,
                    h: Optional[GridFunction] = None) -> ConservedVectorEval:
-    """Closed-form conserved-vector evaluator for the given provenance id.
+    """Conserved-vector evaluator for a catalog id or a ``Noether:<symmetry>`` id.
 
-    ``initial``/``initial_velocity`` supply u(0, x) and u_t(0, x) where the
-    closed forms reference the initial data directly. Linear-case ids need
-    the adjoint ``substitution``; the Xinf ids additionally need the field
-    ``h`` solving the linear equation.
+    The closed forms that carry the initial datum read u(0, x) off the
+    field; ``initial_velocity`` supplies u_t(0, x) (an array, a scalar or a
+    callable of x), which a sampled field does not determine. ``Noether:``
+    ids and the linear-case ids need the adjoint ``substitution``; the Xinf
+    generator additionally needs the field ``h`` solving the linear
+    equation. A Noether vector keeps its ``NoetherDerived(...)`` provenance.
     """
     n = spec.n
 
@@ -280,11 +300,12 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
         span = {None: "", 1: " with alpha in (0,1)", 2: " with alpha in (1,2)"}[want_n]
         check(spec.kind is kind and want_n in (None, n),
               f"requires the {_KIND_NAMES[kind]} kind{span}")
-        datum, what = (initial, "u(0, x)") if n == 1 else (initial_velocity, "u_t(0, x)")
 
         def start(u: GridFunction) -> np.ndarray:
-            check(datum is not None, f"requires the initial data {what}")
-            values = datum(u.x) if callable(datum) else datum
+            if n == 1:
+                return u.values[0]
+            check(initial_velocity is not None, "requires the initial data u_t(0, x)")
+            values = initial_velocity(u.x) if callable(initial_velocity) else initial_velocity
             return np.broadcast_to(np.asarray(values, dtype=float), u.x.shape)
 
         def fn(u: GridFunction):
@@ -298,19 +319,18 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
 
         return ConservedVectorEval(provenance, spec, fn)
 
+    if provenance.startswith("Noether:"):
+        sym = Symmetry(provenance.split(":", 1)[1], spec.alpha, beta=diffusivity.beta, h=h)
+        fn = _noether_fn(provenance, sym, substitution, spec, diffusivity, lagrangian=True)
+        return ConservedVectorEval(f"NoetherDerived({sym.id},{substitution.regime})", spec, fn)
+
     if provenance in catalog_ids():  # Linear_<regime>_<symmetry>
         prefix, sym_tag = provenance.rsplit("_", 1)
         regime = regime_of(spec)
         check(prefix == _linear_prefix(regime), f"does not fit the {regime} regime of the spec")
-        check(substitution is not None, "requires an adjoint substitution")
-        check(substitution.spec == spec, "the substitution was built for another spec")
         # the Noether vector of the symmetry without its xi L terms
         sym = Symmetry({"X3": "X3_lin"}.get(sym_tag, sym_tag), spec.alpha, h=h)
-
-        def fn(u: GridFunction):
-            return _noether_core(characteristic(sym, u), substitution.field(u.grid, u.x), u,
-                                 substitution, spec, diffusivity)
-
+        fn = _noether_fn(provenance, sym, substitution, spec, diffusivity, lagrangian=False)
         return ConservedVectorEval(provenance, spec, fn)
 
     raise ValueError(f"unknown catalog vector id {provenance!r}")
@@ -321,9 +341,12 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
 # ---------------------------------------------------------------------------
 
 # regime -> symmetry id -> the catalog ids of each constant c1..c_2n, joined
-# by "+"; "Zero" marks an entry the source tables record as trivial
+# by "+"; "Zero" marks an entry the source tables record as trivial. In the
+# linear case every constant gives the regime's Linear_* vector of X3_lin or Xinf.
 _CORRESPONDENCE = {
     "RL_sub": {
+        "X3_lin": ("Linear_RL_sub_X3",) * 2,
+        "Xinf": ("Linear_RL_sub_Xinf",) * 2,
         "X1": ("Zero", "Trivial_RL"),
         "X2": ("Trivial_RL", "NL_RL_sub"),
         "X3_pow": ("Trivial_RL", "NL_RL_sub"),
@@ -331,6 +354,8 @@ _CORRESPONDENCE = {
         "X4_rl": ("NL_RL_sub_t1", "NL_RL_sub_t2"),
     },
     "RL_wave": {
+        "X3_lin": ("Linear_RL_wave_X3",) * 4,
+        "Xinf": ("Linear_RL_wave_Xinf",) * 4,
         "X1": ("Zero", "Table1_v1", "Zero", "Table1_v2"),
         "X2": ("Table1_v1", "Table1_v3", "Table1_v2", "Table1_v4"),
         "X3_pow": ("Table1_v1", "Table1_v3", "Table1_v2", "Table1_v4"),
@@ -338,6 +363,8 @@ _CORRESPONDENCE = {
         "X4_rl": ("Table1_v2", "Table1_v4", "Table1_v5", "Table1_v6"),
     },
     "Caputo_sub": {
+        "X3_lin": ("Linear_Cap_sub_X3",) * 2,
+        "Xinf": ("Linear_Cap_sub_Xinf",) * 2,
         "X1": ("Zero", "Table3_v1"),
         "X2": ("Table3_v1+Table3_v2", "Table3_v3+Table3_v4"),
         "X3_pow": ("Table3_v1", "Table3_v3"),
@@ -345,6 +372,8 @@ _CORRESPONDENCE = {
         "X4_pow43": ("Table3_v3", "Zero"),
     },
     "Caputo_wave": {
+        "X3_lin": ("Linear_Cap_wave_X3",) * 4,
+        "Xinf": ("Linear_Cap_wave_Xinf",) * 4,
         "X1": ("Zero", "Zero", "Table5_v2", "Table5_v3"),
         "X2": ("Table5_v1+Table5_v2", "Table5_v2+Table5_v3",
                "Table5_v4+Table5_v5", "Table5_v5+Table5_v6"),
@@ -402,12 +431,20 @@ class ResidualReport:
                 f"{self.n_x},{self.linf:.12g},{self.l2:.12g},{self.excluded_nodes},{ratio}")
 
 
-def _time_window(n_nodes: int, exclude_frac: float) -> tuple[int, int]:
-    lo = max(2, math.ceil(exclude_frac * n_nodes))
-    hi = n_nodes - lo
+def _report(cv: ConservedVectorEval, u: GridFunction, residual: np.ndarray,
+            exclude_frac: float, what: str, space: slice = slice(None)) -> ResidualReport:
+    """Norms of ``residual`` on the time window (and the ``space`` columns)."""
+    lo = max(2, math.ceil(exclude_frac * (u.grid.n_steps + 1)))
+    hi = u.grid.n_steps + 1 - lo
     if hi <= lo:
         raise ValueError("exclusion window leaves no interior nodes")
-    return lo, hi
+    window = residual[lo:hi][..., space]
+    if not np.isfinite(window).all():
+        raise FloatingPointError(f"{cv.provenance}: non-finite {what} inside the window")
+    linf = float(np.max(np.abs(window)))
+    l2 = float(np.sqrt(np.mean(window ** 2)))
+    return ResidualReport(cv.provenance, cv.spec.kind.value, cv.spec.alpha,
+                          u.grid.n_steps, u.x.size - 1, linf, l2, 2 * lo, residual=residual)
 
 
 def divergence_residual(cv: ConservedVectorEval, u: GridFunction,
@@ -429,16 +466,7 @@ def divergence_residual(cv: ConservedVectorEval, u: GridFunction,
     ct, cx = cv.components(u) if components is None else components
     with np.errstate(invalid="ignore"):
         res = diff1(ct, u.grid.h, axis=0) + diff1(cx, u.hx, axis=1)
-    lo, hi = _time_window(u.grid.n_steps + 1, exclude_frac)
-    window = res[lo:hi, 3:-3]
-    if not np.isfinite(window).all():
-        raise FloatingPointError(f"{cv.provenance}: non-finite residual inside the window")
-    linf = float(np.max(np.abs(window)))
-    l2 = float(np.sqrt(np.mean(window ** 2)))
-    excluded = 2 * lo
-    return ResidualReport(cv.provenance, cv.spec.kind.value, cv.spec.alpha,
-                          u.grid.n_steps, u.x.size - 1, linf, l2, excluded,
-                          residual=res)
+    return _report(cv, u, res, exclude_frac, "residual", slice(3, -3))
 
 
 def flux_balance(cv: ConservedVectorEval, u: GridFunction,
@@ -453,12 +481,4 @@ def flux_balance(cv: ConservedVectorEval, u: GridFunction,
     with np.errstate(invalid="ignore"):
         mass = np.trapezoid(ct, dx=u.hx, axis=1)
         bal = diff1(mass, u.grid.h) + (cx[:, -1] - cx[:, 0])
-    lo, hi = _time_window(u.grid.n_steps + 1, exclude_frac)
-    window = bal[lo:hi]
-    if not np.isfinite(window).all():
-        raise FloatingPointError(f"{cv.provenance}: non-finite balance inside the window")
-    linf = float(np.max(np.abs(window)))
-    l2 = float(np.sqrt(np.mean(window ** 2)))
-    return ResidualReport(cv.provenance, cv.spec.kind.value, cv.spec.alpha,
-                          u.grid.n_steps, u.x.size - 1, linf, l2, 2 * lo,
-                          residual=bal)
+    return _report(cv, u, bal, exclude_frac, "balance")

@@ -362,18 +362,20 @@ def diff2(v: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def _falling(p: float, n: int) -> float:
-    out = 1.0
+def _power_rule(coeff, power: float, anchor: str, n: int):
+    """Coefficient of the n-th time derivative of coeff t^power (start anchor)
+    or coeff (T - t)^power (end anchor), whose power is power - n."""
+    falling = 1.0
     for k in range(n):
-        out *= p - k
-    return out
+        falling *= power - k
+    return coeff * falling * ((-1.0) ** n if anchor == "end" else 1.0)
 
 
 def _diff_terms(terms: tuple[SingularTerm, ...], n: int) -> tuple[SingularTerm, ...]:
     """Analytic n-th time derivatives of power terms."""
     out: list[SingularTerm] = []
     for term in terms:
-        c = term.coeff * _falling(term.power, n) * ((-1.0) ** n if term.anchor == "end" else 1.0)
+        c = _power_rule(term.coeff, term.power, term.anchor, n)
         if not np.any(c):
             continue
         p = term.power - n

@@ -18,8 +18,8 @@ from .fracops import (
     FractionalSpec,
     SingularTerm,
     TimeGrid,
-    _falling,
     _order_and_n,
+    _power_rule,
     _power_samples,
     caputo_right_derivative,
     diff1,
@@ -239,7 +239,7 @@ class AdjointSubstitution:
         for i, j, offset, anchor in _REGIMES[self.regime][2]:
             coeff = cs[i] + cs[j] * x
             power = offset + (self.spec.alpha if anchor == "end" else 0.0)
-            c = coeff * _falling(power, order) * ((-1.0) ** order if anchor == "end" else 1.0)
+            c = _power_rule(coeff, power, anchor, order)
             p = power - order
             if p <= -1.0 or float(p).is_integer():
                 reg += np.multiply.outer(_power_samples(grid, p, anchor), c)

@@ -1,11 +1,15 @@
 """Full acceptance battery: one printed pass/fail line per criterion."""
 
+import importlib.util
 import json
 import pathlib
 
 import pytest
 
 from fraccons.acceptance import CRITERIA, run_all
+from fraccons.cli import main
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +32,32 @@ def test_criterion(results, number):
 def test_sweep_line_matches_bench_reference(results):
     # the selftest_sweep workload checks this line; a correspondence-table
     # edit that adds or drops a swept entry must fail here too
-    ref = pathlib.Path(__file__).resolve().parents[1] / "bench" / "refs" / "selftest_sweep.json"
+    ref = BENCH / "refs" / "selftest_sweep.json"
     (variant,) = json.loads(ref.read_text(encoding="utf-8"))["variants"]
     assert [results[12].line()] == variant["lines"]
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    """bench/run.py as a module, for its config variants and reference check."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCH))  # run.py imports its sibling child.py
+        spec = importlib.util.spec_from_file_location("fraccons_bench_run", BENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload",
+                         sorted(p.stem for p in (BENCH / "workloads").glob("verify_*.json")))
+def test_verify_matches_bench_reference(bench_run, tmp_path, capsys, workload):
+    # variant 0 of each verify workload, in process: the exit code and the
+    # report rows must pass the benchmark's own check against its reference
+    spec = json.loads((BENCH / "workloads" / f"{workload}.json").read_text(encoding="utf-8"))
+    ref = json.loads((BENCH / "refs" / f"{workload}.json").read_text(encoding="utf-8"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bench_run.make_config(spec, spec["variants"][0])))
+    argv = [str(cfg) if arg == "{config}" else arg for arg in spec["argv"]]
+    rc = main(argv)
+    assert ref["variants"][0]["params"] == spec["variants"][0]
+    assert bench_run.check_output(ref["variants"][0], rc, capsys.readouterr().out) is None

@@ -223,8 +223,12 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("vectors, message", [
         (["NL_RL_sub", "Table3_v1"], "Table3_v1: requires the Caputo kind with alpha in (0,1)"),
         (["Table1_v1"], "Table1_v1: requires the Riemann-Liouville kind with alpha in (1,2)"),
-        (["Noether:X1"], "Noether:X1 requires a substitution block"),
+        (["Noether:X1"], "Noether:X1: requires an adjoint substitution"),
         (["Linear_RL_sub_X1"], "Linear_RL_sub_X1: requires an adjoint substitution"),
+        # the CLI never supplies the field h that the Xinf generator needs
+        (["Noether:Xinf"], "Noether:Xinf: Xinf requires a user-supplied solution field h"),
+        (["Linear_RL_sub_Xinf"],
+         "Linear_RL_sub_Xinf: Xinf requires a user-supplied solution field h"),
     ])
     def test_unfit_vector_exits_2_before_solving(self, tmp_path, capsys, monkeypatch,
                                                  vectors, message):
@@ -233,6 +237,8 @@ class TestVerifyCommand:
 
         monkeypatch.setattr("fraccons.cli._solution", no_solve)
         cfg = self.solver_config(n_x=8, vectors=vectors)
+        if vectors[0].endswith("Xinf"):  # with a substitution, only the field h is missing
+            cfg["substitution"] = {"regime": "RL_sub", "c1": 1.0}
         rc = main(["verify", "--config", write_config(tmp_path, cfg)])
         assert rc == 2
         assert capsys.readouterr().err.strip().splitlines() == [f"configuration error: {message}"]
@@ -291,6 +297,14 @@ BAD_CONFIGS = {
     # a sub regime takes c1 and c2 only; c3 would be dropped, leaving v = 0
     "substitution_c3_in_sub_regime": (dict(vectors=["Noether:X3_lin", "Linear_Cap_sub_X3"],
                                            substitution={"regime": "Caputo_sub", "c3": 1.0}), 2),
+    "substitution_regime_not_a_string": (dict(vectors=["Noether:X1"],
+                                              substitution={"regime": ["Caputo_sub"],
+                                                            "c1": 1.0}), 2),
+    "substitution_without_regime": (dict(vectors=["Noether:X1"], substitution={"c1": 1.0}), 2),
+    "substitution_of_another_kind": (dict(vectors=["Table3_v1"],
+                                          substitution={"regime": "RL_sub", "c1": 1.0}), 2),
+    "diffusivity_family_not_a_string": (dict(diffusivity={"family": ["power"]}), 2),
+    "T_zero": (dict(T=0.0), 2),
 }
 
 
@@ -300,6 +314,18 @@ def test_bad_config_exits_with_one_line(tmp_path, capsys, case):
     rc = main(["verify", "--config", write_config(tmp_path, base_config(**overrides))])
     assert rc == code
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "catalog"])
+def test_unfit_vector_exits_2_in_every_command(tmp_path, capsys, command):
+    # the vectors are built with the config, so no command accepts one
+    # that does not fit the configured equation
+    cfg = base_config(kind="rl", source={"id": "solver", "params": {"a": 0.5, "b": 1.0}},
+                      vectors=["Table3_v1"], grids=[16], n_x=8)
+    rc = main([command, "--config", write_config(tmp_path, cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "configuration error: Table3_v1: requires the Caputo kind with alpha in (0,1)"]
 
 
 class TestSolveCommand:
@@ -344,6 +370,14 @@ class TestCatalogCommand:
         text = capsys.readouterr().out
         assert "admitted symmetries" in text
         assert "X1:" in text and "Table3_v1" in text
+
+    def test_catalog_of_the_linear_case_names_its_vectors(self, tmp_path, capsys):
+        cfg = base_config(diffusivity={"family": "constant"})
+        rc = main(["catalog", "--config", write_config(tmp_path, cfg)])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  X3_lin: c1 -> Linear_Cap_sub_X3; c2 -> Linear_Cap_sub_X3" in lines
+        assert "  Xinf: c1 -> Linear_Cap_sub_Xinf; c2 -> Linear_Cap_sub_Xinf" in lines
 
     @pytest.mark.parametrize("flag", ["--grids", "--exclude-frac", "--threshold"])
     def test_catalog_has_no_verify_flags(self, tmp_path, flag):

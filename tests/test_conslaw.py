@@ -15,6 +15,7 @@ from fraccons.conslaw import (
     formal_lagrangian,
     noether_vector,
     _CLOSED_FORMS,
+    _linear_prefix,
     _noether_core,
 )
 from fraccons.fracops import FractionalSpec, Kind, TimeGrid, diff1
@@ -109,6 +110,18 @@ class TestCorrespondence:
             assert found - {"Zero"}, regime
             assert found <= ids | {"Zero"}, (regime, found - ids)
 
+    @pytest.mark.parametrize("kind", [RL, CAP])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_every_admitted_symmetry_has_an_entry(self, kind, alpha):
+        # the catalog command prints a row for each admitted symmetry,
+        # the linear case's X3_lin and Xinf included
+        regime = regime_of(FractionalSpec(kind, alpha, 1.0))
+        for d in (Diffusivity.constant(1.0), Diffusivity.exponential(), Diffusivity.power(2.0),
+                  Diffusivity.power(-4.0 / 3.0), Diffusivity.power(rl_extra_beta(alpha))):
+            for sym in list_symmetries(kind, alpha, d, allow_conditional=True):
+                assert sym.id in _CORRESPONDENCE[regime], (regime, d, sym.id)
+        assert correspondence("Xinf", "c2", regime) == (f"{_linear_prefix(regime)}_Xinf",)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             correspondence("X1", "c5", "RL_sub")
@@ -117,7 +130,7 @@ class TestCorrespondence:
         with pytest.raises(ValueError):
             correspondence("X1", "c1", "nowhere")
         with pytest.raises(ValueError):  # no entry for this symmetry in the regime
-            correspondence("X3_lin", "c1", "RL_sub")
+            correspondence("X3_exp", "c1", "RL_sub")
 
 
 class TestFormalLagrangian:
@@ -167,8 +180,7 @@ class TestClosedFormVectors:
         linfs = []
         for steps in (32, 64):
             spec, d, u = exact_field(_CLOSED_FORMS[pid][0], n, steps)
-            cv = catalog_vector(pid, spec, d, initial=u.values[0],
-                                initial_velocity=np.zeros_like(u.x))
+            cv = catalog_vector(pid, spec, d, initial_velocity=0.0)
             linfs.append(divergence_residual(cv, u).linf)
         assert linfs[1] < 0.5 * linfs[0], f"{pid}: {linfs}"
 
@@ -313,6 +325,45 @@ class TestNoetherVectors:
         rep = divergence_residual(nv, u)
         assert rep.linf < 1e-3
 
+    @pytest.mark.parametrize("sym_id", ["X1", "X2", "X3_pow"])
+    def test_noether_id_is_noether_vector(self, sym_id):
+        # catalog_vector resolves Noether:<symmetry> ids to noether_vector,
+        # bit for bit and with its provenance
+        spec = FractionalSpec(CAP, 0.5, 1.0)
+        d = Diffusivity.power(2.0)
+        u = exact_stationary_caputo(d, 0.1, 1.0, TimeGrid(1.0, 32), np.linspace(0.0, 1.0, 17))
+        sub = adjoint_substitution("Caputo_sub", spec, c1=1.0, c2=0.5)
+        cv = catalog_vector(f"Noether:{sym_id}", spec, d, substitution=sub)
+        nv = noether_vector(Symmetry(sym_id, 0.5, beta=2.0), sub, spec, d)
+        assert cv.provenance == nv.provenance == f"NoetherDerived({sym_id},Caputo_sub)"
+        for got, want in zip(cv.components(u), nv.components(u)):
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_noether_id_validation(self):
+        spec = FractionalSpec(CAP, 0.5, 1.0)
+        d = Diffusivity.constant(1.0)
+        with pytest.raises(ValueError, match="^Noether:X1: requires an adjoint substitution$"):
+            catalog_vector("Noether:X1", spec, d)
+        sub = adjoint_substitution("Caputo_sub", spec, c1=1.0)
+        with pytest.raises(ValueError, match="unknown symmetry id 'X9'"):
+            catalog_vector("Noether:X9", spec, d, substitution=sub)
+
+    def test_xinf_without_h_rejected_when_built(self):
+        # the Xinf characteristic is the field h; without it the vector
+        # cannot be evaluated, so building it fails before any evaluation
+        spec = FractionalSpec(CAP, 0.5, 1.0)
+        d = Diffusivity.constant(1.0)
+        sub = adjoint_substitution("Caputo_sub", spec, c1=1.0)
+        for vid in ("Noether:Xinf", "Linear_Cap_sub_Xinf"):
+            with pytest.raises(ValueError, match=f"^{vid}: Xinf requires"):
+                catalog_vector(vid, spec, d, substitution=sub)
+        with pytest.raises(ValueError, match=r"^NoetherDerived\(Xinf,Caputo_sub\): Xinf requires"):
+            noether_vector(Symmetry("Xinf", 0.5), sub, spec, d)
+        h = exact_linear_separable(spec, 1.0, TimeGrid(1.0, 32), np.linspace(0.0, np.pi, 17))
+        for vid in ("Noether:Xinf", "Linear_Cap_sub_Xinf"):
+            ct, cx = catalog_vector(vid, spec, d, substitution=sub, h=h).components(h)
+            assert np.isfinite(ct[1:-1]).all() and np.isfinite(cx[1:-1]).all()
+
 
 class TestVerifiers:
     def _trivial_setup(self, n=64):
@@ -359,6 +410,15 @@ class TestVerifiers:
         _, u = self._trivial_setup()
         with pytest.raises(FloatingPointError):
             divergence_residual(cv, u)
+
+    @pytest.mark.parametrize("verifier, what", [(divergence_residual, "residual"),
+                                                 (flux_balance, "balance")])
+    def test_nonfinite_window_names_the_vector(self, verifier, what):
+        cv, u = self._trivial_setup()
+        ct = np.zeros_like(u.values)
+        ct[u.grid.n_steps // 2] = np.inf
+        with pytest.raises(FloatingPointError, match=f"^Trivial_RL: non-finite {what} inside"):
+            verifier(cv, u, components=(ct, np.zeros_like(ct)))
 
     def test_flux_balance_on_trivial_vector(self):
         cv, u = self._trivial_setup()
