@@ -68,7 +68,6 @@ from .conslaw import (
     divergence_residual,
     flux_balance,
     formal_lagrangian,
-    noether_vector,
 )
 
 __version__ = "0.1.0"

@@ -35,13 +35,12 @@ from .tfde import (
     exact_stationary_caputo,
     solve_nonlinear,
 )
-from .symcat import (Symmetry, adjoint_residual, adjoint_substitution, regime_constants,
-                     regime_of, rl_extra_beta)
+from .symcat import (adjoint_residual, adjoint_substitution, regime_constants, regime_of,
+                     rl_extra_beta)
 from .conslaw import (
     catalog_vector,
     correspondence,
     divergence_residual,
-    noether_vector,
 )
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
@@ -183,7 +182,7 @@ def criterion_6() -> CriterionResult:
     alpha, lam, T = 0.5, 0.5, 1.0
     spec = FractionalSpec(Kind.CAPUTO, alpha, T)
     sub = adjoint_substitution("Caputo_sub", spec, c2=1.0)
-    cv = noether_vector(Symmetry("X3_lin", alpha), sub, spec, Diffusivity.constant(1.0))
+    cv = catalog_vector("Noether:X3_lin", spec, Diffusivity.constant(1.0), substitution=sub)
     x = np.linspace(0.0, 1.0, 17)
     nodes = np.arange(1, 8) / 8.0
 
@@ -336,7 +335,7 @@ def criterion_12() -> CriterionResult:
         nonlocal checked
         checked += 1
         sub = adjoint_substitution(regime, spec, **{const: 1.0})
-        cv = noether_vector(Symmetry(sym_id, spec.alpha, beta=diffu.beta), sub, spec, diffu)
+        cv = catalog_vector(f"Noether:{sym_id}", spec, diffu, substitution=sub)
         linfs = [divergence_residual(cv, make_u(n)).linf for n in (64, 128)]
         ok_here = linfs[1] <= 1e-8 or (linfs[0] / linfs[1] >= 1.4 and linfs[1] <= 1e-3)
         if not ok_here:
@@ -388,10 +387,12 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 
 
 def run_all(numbers=None) -> list[CriterionResult]:
-    results = []
-    for fn in CRITERIA:
-        num = int(fn.__name__.split("_")[1])
-        if numbers is not None and num not in numbers:
-            continue
-        results.append(fn())
-    return results
+    """Run the criteria numbered in ``numbers`` (all when None), in order.
+
+    A number without a criterion raises ValueError before any criterion runs.
+    """
+    unknown = sorted(set(numbers or ()) - set(range(1, len(CRITERIA) + 1)))
+    if unknown:
+        raise ValueError(f"unknown selftest criteria {', '.join(map(str, unknown))}: "
+                         f"the criteria are numbered 1 to {len(CRITERIA)}")
+    return [fn() for num, fn in enumerate(CRITERIA, 1) if numbers is None or num in numbers]

@@ -2,7 +2,8 @@
 
 Exit codes, each failure with a one-line message on stderr:
   0 success;
-  2 configuration/validation error;
+  2 configuration/validation error, and a ``selftest --only`` number
+    that names no criterion (checked before any criterion runs);
   3 solver failure (including a Newton iterate outside the domain of
     k and a singular Newton system), or a special-function series that did not converge or cannot
     reach float64 accuracy (the Mittag-Leffler series of an exact

@@ -1,9 +1,9 @@
 """Conserved vectors for the time-fractional diffusion equation and verifiers.
 
-Vectors are built two ways: by applying the fractional Noether operators to
-the formal Lagrangian (``noether_vector``), and from the closed-form catalog
-(``catalog_vector``), whose ``Linear_*`` ids are the Noether vectors without
-their xi L terms; ``catalog_vector`` also resolves ``Noether:<symmetry>`` ids.
+``catalog_vector`` builds every vector from its id: ``Noether:<symmetry>``
+ids apply the fractional Noether operators to the formal Lagrangian, for a
+symmetry the equation admits; the ``Linear_*`` ids are those vectors of the
+linear case without their xi L terms; the other ids are closed forms.
 ``divergence_residual`` and ``flux_balance`` check D_t C^t + D_x C^x = 0 on
 solution fields.
 """
@@ -32,15 +32,14 @@ from .fracops import (
     time_derivative,
 )
 from .tfde import Diffusivity, GridFunction, _equation_residual
-from .symcat import (SUBSTITUTION_REGIMES, AdjointSubstitution, Symmetry, characteristic,
-                     regime_constants, regime_of)
+from .symcat import (SUBSTITUTION_REGIMES, AdjointSubstitution, characteristic,
+                     list_symmetries, regime_constants, regime_of)
 
 __all__ = [
     "ConservedVectorEval",
     "ResidualReport",
     "CSV_HEADER",
     "formal_lagrangian",
-    "noether_vector",
     "catalog_vector",
     "catalog_ids",
     "correspondence",
@@ -124,19 +123,27 @@ class ConservedVectorEval:
         return np.asarray(ct, dtype=float), np.asarray(cx, dtype=float)
 
 
-def _noether_fn(name: str, sym: Symmetry, sub: Optional[AdjointSubstitution],
-                spec: FractionalSpec, diffusivity: Diffusivity, lagrangian: bool):
-    """The evaluator function of the Noether vector of (sym, sub), checked here.
+def _noether_fn(name: str, sym_id: str, h: Optional[GridFunction],
+                sub: Optional[AdjointSubstitution], spec: FractionalSpec,
+                diffusivity: Diffusivity, lagrangian: bool):
+    """The evaluator function of the Noether vector of (sym_id, sub), checked here.
 
-    ``name`` heads the error messages; ``lagrangian`` adds the xi L terms to
-    the core of ``_noether_core``. xi L is taken as 0 where xi is 0 (L may be
-    infinite at an end row), and L is not built when both xi vanish.
+    The symmetry is the one ``list_symmetries`` admits for the equation,
+    conditional generators included (they hold for u_t(0, x) = 0); ``h`` is
+    the field of the Xinf generator. ``name`` heads the error messages;
+    ``lagrangian`` adds the xi L terms to the core of ``_noether_core``. xi L
+    is taken as 0 where xi is 0 (L may be infinite at an end row), and L is
+    not built when both xi vanish.
     """
     if sub is None:
         raise ValueError(f"{name}: requires an adjoint substitution")
     if sub.spec != spec:
         raise ValueError(f"{name}: the substitution was built for another spec")
-    if sym.id == "Xinf" and sym.h is None:
+    sym = next((s for s in list_symmetries(spec.kind, spec.alpha, diffusivity, h,
+                                           allow_conditional=True) if s.id == sym_id), None)
+    if sym is None:
+        raise ValueError(f"{name}: the equation does not admit the symmetry {sym_id!r}")
+    if sym_id == "Xinf" and h is None:
         raise ValueError(f"{name}: Xinf requires a user-supplied solution field h")
 
     def fn(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -153,19 +160,6 @@ def _noether_fn(name: str, sym: Symmetry, sub: Optional[AdjointSubstitution],
         return ct, cx
 
     return fn
-
-
-def noether_vector(sym: Symmetry, sub: AdjointSubstitution, spec: FractionalSpec,
-                   diffusivity: Diffusivity) -> ConservedVectorEval:
-    """Conserved vector obtained by the Noether operators for (sym, sub).
-
-    C^t = xi0 L + core^t and C^x = xi1 L + core^x, with the core of
-    ``_noether_core``. A substitution built for another spec, or the Xinf
-    generator without its field h, raise ValueError.
-    """
-    name = f"NoetherDerived({sym.id},{sub.regime})"
-    fn = _noether_fn(name, sym, sub, spec, diffusivity, lagrangian=True)
-    return ConservedVectorEval(name, spec, fn)
 
 
 # Each closed-form vector has a time component c with D_t c = w(t) (k u_x)_x on
@@ -285,9 +279,11 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
     The closed forms that carry the initial datum read u(0, x) off the
     field; ``initial_velocity`` supplies u_t(0, x) (an array, a scalar or a
     callable of x), which a sampled field does not determine. ``Noether:``
-    ids and the linear-case ids need the adjoint ``substitution``; the Xinf
-    generator additionally needs the field ``h`` solving the linear
-    equation. A Noether vector keeps its ``NoetherDerived(...)`` provenance.
+    ids and the linear-case ids need the adjoint ``substitution`` and a
+    symmetry the equation admits (``list_symmetries``; any other id raises
+    ValueError); the Xinf generator additionally needs the field ``h``
+    solving the linear equation. A Noether vector keeps its
+    ``NoetherDerived(...)`` provenance.
     """
     n = spec.n
 
@@ -320,17 +316,17 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
         return ConservedVectorEval(provenance, spec, fn)
 
     if provenance.startswith("Noether:"):
-        sym = Symmetry(provenance.split(":", 1)[1], spec.alpha, beta=diffusivity.beta, h=h)
-        fn = _noether_fn(provenance, sym, substitution, spec, diffusivity, lagrangian=True)
-        return ConservedVectorEval(f"NoetherDerived({sym.id},{substitution.regime})", spec, fn)
+        sym_id = provenance.split(":", 1)[1]
+        fn = _noether_fn(provenance, sym_id, h, substitution, spec, diffusivity, lagrangian=True)
+        return ConservedVectorEval(f"NoetherDerived({sym_id},{substitution.regime})", spec, fn)
 
     if provenance in catalog_ids():  # Linear_<regime>_<symmetry>
         prefix, sym_tag = provenance.rsplit("_", 1)
         regime = regime_of(spec)
         check(prefix == _linear_prefix(regime), f"does not fit the {regime} regime of the spec")
         # the Noether vector of the symmetry without its xi L terms
-        sym = Symmetry({"X3": "X3_lin"}.get(sym_tag, sym_tag), spec.alpha, h=h)
-        fn = _noether_fn(provenance, sym, substitution, spec, diffusivity, lagrangian=False)
+        fn = _noether_fn(provenance, {"X3": "X3_lin"}.get(sym_tag, sym_tag), h, substitution,
+                         spec, diffusivity, lagrangian=False)
         return ConservedVectorEval(provenance, spec, fn)
 
     raise ValueError(f"unknown catalog vector id {provenance!r}")

@@ -229,6 +229,11 @@ class TestVerifyCommand:
         (["Noether:Xinf"], "Noether:Xinf: Xinf requires a user-supplied solution field h"),
         (["Linear_RL_sub_Xinf"],
          "Linear_RL_sub_Xinf: Xinf requires a user-supplied solution field h"),
+        # k = u^2 admits X1, X2 and X3_pow only
+        (["Noether:X4_pow43"], "Noether:X4_pow43: the equation does not admit the symmetry "
+                               "'X4_pow43'"),
+        (["Linear_RL_sub_X3"], "Linear_RL_sub_X3: the equation does not admit the symmetry "
+                               "'X3_lin'"),
     ])
     def test_unfit_vector_exits_2_before_solving(self, tmp_path, capsys, monkeypatch,
                                                  vectors, message):
@@ -237,8 +242,10 @@ class TestVerifyCommand:
 
         monkeypatch.setattr("fraccons.cli._solution", no_solve)
         cfg = self.solver_config(n_x=8, vectors=vectors)
-        if vectors[0].endswith("Xinf"):  # with a substitution, only the field h is missing
+        if "requires an adjoint substitution" not in message:
             cfg["substitution"] = {"regime": "RL_sub", "c1": 1.0}
+        if vectors[0].endswith("Xinf"):  # admitted for a constant k; only the field h is missing
+            cfg["diffusivity"] = {"family": "constant"}
         rc = main(["verify", "--config", write_config(tmp_path, cfg)])
         assert rc == 2
         assert capsys.readouterr().err.strip().splitlines() == [f"configuration error: {message}"]
@@ -394,6 +401,16 @@ class TestSelftestCommand:
         text = capsys.readouterr().out
         assert text.startswith("PASS criterion")
         assert " 1 [" in text
+
+    @pytest.mark.parametrize("only, unknown", [("99", "99"), ("0,1", "0")])
+    def test_unknown_criterion_exits_2_before_running(self, capsys, only, unknown):
+        rc = main(["selftest", "--only", only])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip().splitlines() == [
+            f"configuration error: unknown selftest criteria {unknown}: "
+            "the criteria are numbered 1 to 12"]
 
 
 def test_cli_import_leaves_scipy_special_unloaded():

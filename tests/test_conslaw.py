@@ -13,7 +13,6 @@ from fraccons.conslaw import (
     divergence_residual,
     flux_balance,
     formal_lagrangian,
-    noether_vector,
     _CLOSED_FORMS,
     _linear_prefix,
     _noether_core,
@@ -113,13 +112,23 @@ class TestCorrespondence:
     @pytest.mark.parametrize("kind", [RL, CAP])
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
     def test_every_admitted_symmetry_has_an_entry(self, kind, alpha):
-        # the catalog command prints a row for each admitted symmetry,
-        # the linear case's X3_lin and Xinf included
-        regime = regime_of(FractionalSpec(kind, alpha, 1.0))
+        # the catalog command prints a row for each admitted symmetry, the
+        # linear case's X3_lin and Xinf included; every vector of the row
+        # and the symmetry's Noether vector pass catalog_vector's checks on
+        # that equation, so its admission check rejects nothing the table lists
+        spec = FractionalSpec(kind, alpha, 1.0)
+        regime = regime_of(spec)
+        sub = adjoint_substitution(regime, spec, c1=1.0)
+        h = exact_linear_separable(spec, 1.0, TimeGrid(1.0, 8), np.linspace(0.0, np.pi, 9))
         for d in (Diffusivity.constant(1.0), Diffusivity.exponential(), Diffusivity.power(2.0),
                   Diffusivity.power(-4.0 / 3.0), Diffusivity.power(rl_extra_beta(alpha))):
-            for sym in list_symmetries(kind, alpha, d, allow_conditional=True):
+            for sym in list_symmetries(kind, alpha, d, h, allow_conditional=True):
                 assert sym.id in _CORRESPONDENCE[regime], (regime, d, sym.id)
+                pids = {f"Noether:{sym.id}"}
+                for const in regime_constants(regime):
+                    pids.update(correspondence(sym.id, const, regime))
+                for pid in sorted(pids - {"Zero"}):
+                    catalog_vector(pid, spec, d, initial_velocity=0.0, substitution=sub, h=h)
         assert correspondence("Xinf", "c2", regime) == (f"{_linear_prefix(regime)}_Xinf",)
 
     def test_validation(self):
@@ -246,8 +255,7 @@ class TestNoetherVectors:
         lam = 0.5
         u = exact_linear_separable(spec, lam, tgrid, x)
         sub = adjoint_substitution("Caputo_sub", spec, c2=1.0)
-        sym = next(s for s in list_symmetries(CAP, alpha, d) if s.id == "X3_lin")
-        nv = noether_vector(sym, sub, spec, d)
+        nv = catalog_vector("Noether:X3_lin", spec, d, substitution=sub)
         cv = catalog_vector("Linear_Cap_sub_X3", spec, d, substitution=sub)
         ct_n, cx_n = nv.components(u)
         ct_c, cx_c = cv.components(u)
@@ -272,7 +280,7 @@ class TestNoetherVectors:
             raise AssertionError("formal Lagrangian built for a vector with xi = 0")
 
         monkeypatch.setattr("fraccons.conslaw.formal_lagrangian", no_lagrangian)
-        comps = noether_vector(sym, sub, spec, d).components(u)
+        comps = catalog_vector("Noether:X3_lin", spec, d, substitution=sub).components(u)
         for got, want in zip(comps, core):
             assert np.array_equal(got, want, equal_nan=True)
 
@@ -302,8 +310,8 @@ class TestNoetherVectors:
         other = adjoint_substitution("Caputo_sub", FractionalSpec(CAP, 0.3, 1.0), c1=1.0, c2=1.0)
         with pytest.raises(ValueError, match="Linear_Cap_sub_X3"):
             catalog_vector("Linear_Cap_sub_X3", spec, d, substitution=other)
-        with pytest.raises(ValueError, match=r"NoetherDerived\(X3_lin,Caputo_sub\)"):
-            noether_vector(Symmetry("X3_lin", 0.5), other, spec, d)
+        with pytest.raises(ValueError, match="^Noether:X3_lin: the substitution was built for"):
+            catalog_vector("Noether:X3_lin", spec, d, substitution=other)
 
     def test_linear_id_of_another_regime_rejected(self):
         spec = FractionalSpec(CAP, 0.5, 1.0)
@@ -320,24 +328,10 @@ class TestNoetherVectors:
         x = np.linspace(0.0, 1.0, 65)
         u = exact_stationary_caputo(d, 0.1, 1.0, tgrid, x)
         sub = adjoint_substitution("Caputo_sub", spec, c1=1.0)
-        sym = next(s for s in list_symmetries(CAP, alpha, d) if s.id == "X1")
-        nv = noether_vector(sym, sub, spec, d)
+        nv = catalog_vector("Noether:X1", spec, d, substitution=sub)
+        assert nv.provenance == "NoetherDerived(X1,Caputo_sub)"
         rep = divergence_residual(nv, u)
         assert rep.linf < 1e-3
-
-    @pytest.mark.parametrize("sym_id", ["X1", "X2", "X3_pow"])
-    def test_noether_id_is_noether_vector(self, sym_id):
-        # catalog_vector resolves Noether:<symmetry> ids to noether_vector,
-        # bit for bit and with its provenance
-        spec = FractionalSpec(CAP, 0.5, 1.0)
-        d = Diffusivity.power(2.0)
-        u = exact_stationary_caputo(d, 0.1, 1.0, TimeGrid(1.0, 32), np.linspace(0.0, 1.0, 17))
-        sub = adjoint_substitution("Caputo_sub", spec, c1=1.0, c2=0.5)
-        cv = catalog_vector(f"Noether:{sym_id}", spec, d, substitution=sub)
-        nv = noether_vector(Symmetry(sym_id, 0.5, beta=2.0), sub, spec, d)
-        assert cv.provenance == nv.provenance == f"NoetherDerived({sym_id},Caputo_sub)"
-        for got, want in zip(cv.components(u), nv.components(u)):
-            assert np.array_equal(got, want, equal_nan=True)
 
     def test_noether_id_validation(self):
         spec = FractionalSpec(CAP, 0.5, 1.0)
@@ -345,8 +339,21 @@ class TestNoetherVectors:
         with pytest.raises(ValueError, match="^Noether:X1: requires an adjoint substitution$"):
             catalog_vector("Noether:X1", spec, d)
         sub = adjoint_substitution("Caputo_sub", spec, c1=1.0)
-        with pytest.raises(ValueError, match="unknown symmetry id 'X9'"):
+        with pytest.raises(ValueError,
+                           match="^Noether:X9: the equation does not admit the symmetry 'X9'$"):
             catalog_vector("Noether:X9", spec, d, substitution=sub)
+
+    @pytest.mark.parametrize("vid, sym_id", [("Noether:X3_exp", "X3_exp"),
+                                             ("Noether:X4_pow43", "X4_pow43"),
+                                             ("Linear_Cap_sub_X3", "X3_lin")])
+    def test_unadmitted_symmetry_rejected(self, vid, sym_id):
+        # k = u^2 admits X1, X2 and X3_pow only: the vector of any other
+        # generator is not conserved, so building it fails
+        spec = FractionalSpec(CAP, 0.5, 1.0)
+        sub = adjoint_substitution("Caputo_sub", spec, c1=1.0)
+        with pytest.raises(ValueError,
+                           match=f"^{vid}: the equation does not admit the symmetry '{sym_id}'$"):
+            catalog_vector(vid, spec, Diffusivity.power(2.0), substitution=sub)
 
     def test_xinf_without_h_rejected_when_built(self):
         # the Xinf characteristic is the field h; without it the vector
@@ -357,8 +364,6 @@ class TestNoetherVectors:
         for vid in ("Noether:Xinf", "Linear_Cap_sub_Xinf"):
             with pytest.raises(ValueError, match=f"^{vid}: Xinf requires"):
                 catalog_vector(vid, spec, d, substitution=sub)
-        with pytest.raises(ValueError, match=r"^NoetherDerived\(Xinf,Caputo_sub\): Xinf requires"):
-            noether_vector(Symmetry("Xinf", 0.5), sub, spec, d)
         h = exact_linear_separable(spec, 1.0, TimeGrid(1.0, 32), np.linspace(0.0, np.pi, 17))
         for vid in ("Noether:Xinf", "Linear_Cap_sub_Xinf"):
             ct, cx = catalog_vector(vid, spec, d, substitution=sub, h=h).components(h)
