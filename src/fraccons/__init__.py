@@ -39,7 +39,6 @@ from .fracops import (
 from .tfde import (
     Diffusivity,
     DiffusivityFamily,
-    GridFunction,
     SolverError,
     TFDEProblem,
     exact_linear_separable,
@@ -54,7 +53,6 @@ from .symcat import (
     SUBSTITUTION_REGIMES,
     Symmetry,
     adjoint_residual,
-    adjoint_substitution,
     characteristic,
     list_symmetries,
     rl_extra_beta,

@@ -35,7 +35,7 @@ from .tfde import (
     exact_stationary_caputo,
     solve_nonlinear,
 )
-from .symcat import (adjoint_residual, adjoint_substitution, regime_constants, regime_of,
+from .symcat import (AdjointSubstitution, adjoint_residual, regime_constants, regime_of,
                      rl_extra_beta)
 from .conslaw import (
     catalog_vector,
@@ -150,7 +150,7 @@ def criterion_5() -> CriterionResult:
         x = np.linspace(0.0, 1.0, 65)
         u = exact_linear_separable(spec, 1.0, tg, x)
         consts = dict(zip(regime_constants(regime), (1.0, 0.5, 0.25, 0.125)))
-        sub = adjoint_substitution(regime, spec, **consts)
+        sub = AdjointSubstitution(regime, spec, **consts)
         v = sub.field(tg, x)
         res = adjoint_residual(v, u, diffu, spec)
         n = tg.n_steps
@@ -181,7 +181,7 @@ def criterion_6() -> CriterionResult:
 
     alpha, lam, T = 0.5, 0.5, 1.0
     spec = FractionalSpec(Kind.CAPUTO, alpha, T)
-    sub = adjoint_substitution("Caputo_sub", spec, c2=1.0)
+    sub = AdjointSubstitution("Caputo_sub", spec, c2=1.0)
     cv = catalog_vector("Noether:X3_lin", spec, Diffusivity.constant(1.0), substitution=sub)
     x = np.linspace(0.0, 1.0, 17)
     nodes = np.arange(1, 8) / 8.0
@@ -212,7 +212,7 @@ def criterion_7() -> CriterionResult:
     """Divergence decay on the exact linear Caputo solution."""
     spec = FractionalSpec(Kind.CAPUTO, 0.5, 1.0)
     diffu = Diffusivity.constant(1.0)
-    sub = adjoint_substitution("Caputo_sub", spec, c1=1.0, c2=1.0)
+    sub = AdjointSubstitution("Caputo_sub", spec, c1=1.0, c2=1.0)
 
     def make_u(n):
         return exact_linear_separable(spec, 1.0, TimeGrid(1.0, n),
@@ -334,7 +334,7 @@ def criterion_12() -> CriterionResult:
         # refinement exactly like the nonzero entries
         nonlocal checked
         checked += 1
-        sub = adjoint_substitution(regime, spec, **{const: 1.0})
+        sub = AdjointSubstitution(regime, spec, **{const: 1.0})
         cv = catalog_vector(f"Noether:{sym_id}", spec, diffu, substitution=sub)
         linfs = [divergence_residual(cv, make_u(n)).linf for n in (64, 128)]
         ok_here = linfs[1] <= 1e-8 or (linfs[0] / linfs[1] >= 1.4 and linfs[1] <= 1e-3)

@@ -2,8 +2,10 @@
 
 Exit codes, each failure with a one-line message on stderr:
   0 success;
-  2 configuration/validation error, and a ``selftest --only`` number
-    that names no criterion (checked before any criterion runs);
+  2 configuration/validation error (a non-finite number, a grid or n_x
+    with a fraction, a --config or --out path that cannot be read or
+    written), and a ``selftest --only`` number that names no criterion
+    (checked before any criterion runs);
   3 solver failure (including a Newton iterate outside the domain of
     k and a singular Newton system), or a special-function series that did not converge or cannot
     reach float64 accuracy (the Mittag-Leffler series of an exact
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -26,11 +29,10 @@ from typing import Optional
 import numpy as np
 
 from .specialfn import ConvergenceError
-from .fracops import Kind, FractionalSpec, TimeGrid
+from .fracops import Kind, FractionalSpec, TimeGrid, TimeSeries
 from .tfde import (
     Diffusivity,
     DiffusivityFamily,
-    GridFunction,
     SolverError,
     TFDEProblem,
     exact_linear_separable,
@@ -39,7 +41,7 @@ from .tfde import (
     exact_stationary_caputo,
     solve_nonlinear,
 )
-from .symcat import adjoint_substitution, list_symmetries, regime_constants, regime_of
+from .symcat import AdjointSubstitution, list_symmetries, regime_constants, regime_of
 from .conslaw import (
     CSV_HEADER,
     ConservedVectorEval,
@@ -80,6 +82,14 @@ class ScenarioConfig:
     n_x: Optional[int] = None
 
 
+def _whole(value, name: str) -> int:
+    """``value`` as an int; ValueError unless it is a whole number."""
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(number)
+
+
 def parse_config(data: dict) -> ScenarioConfig:
     """Validate a configuration mapping and freeze it into a ScenarioConfig.
 
@@ -107,19 +117,23 @@ def parse_config(data: dict) -> ScenarioConfig:
             diffusivity=dict(data["diffusivity"]),
             source=dict(data["source"]),
             vectors=tuple(data["vectors"]),
-            grids=tuple(int(g) for g in data.get("grids", (64, 128, 256))),
+            grids=tuple(_whole(g, "every grid") for g in data.get("grids", (64, 128, 256))),
             substitution=(dict(data["substitution"]) if data.get("substitution") else None),
             exclude_frac=float(data.get("exclude_frac", 0.05)),
             threshold=float(data.get("threshold", 1.3)),
-            n_x=(int(data["n_x"]) if data.get("n_x") is not None else None),
+            n_x=(_whole(data["n_x"], "n_x") if data.get("n_x") is not None else None),
         )
-        # the numbers the scenario assembly reads with float()
-        numbers = [cfg.diffusivity.get(k, 0.0) for k in ("k0", "beta")]
-        numbers += dict(cfg.source.get("params", {})).values()
-        numbers += [v for k, v in (cfg.substitution or {}).items() if k != "regime"]
-        for value in numbers:
-            float(value)
-    except (TypeError, ValueError) as exc:
+        # the numbers of the scenario, which the assembly reads with float()
+        numbers = [(k, getattr(cfg, k))
+                   for k in ("alpha", "T", "x_lo", "x_hi", "exclude_frac", "threshold")]
+        numbers += [(f"diffusivity.{k}", cfg.diffusivity.get(k, 0.0)) for k in ("k0", "beta")]
+        numbers += [(f"source.params.{k}", v) for k, v in dict(cfg.source.get("params", {})).items()]
+        numbers += [(f"substitution.{k}", v)
+                    for k, v in (cfg.substitution or {}).items() if k != "regime"]
+        for name, value in numbers:
+            if not math.isfinite(float(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid configuration value: {exc}") from exc
     if not all(isinstance(vid, str) for vid in cfg.vectors):
         raise ConfigError("vectors must be a list of vector id strings")
@@ -177,12 +191,12 @@ def _evaluators(cfg: ScenarioConfig) -> dict[str, ConservedVectorEval]:
     sub = None
     if cfg.substitution is not None:
         consts = {k: float(v) for k, v in cfg.substitution.items() if k != "regime"}
-        sub = adjoint_substitution(cfg.substitution["regime"], spec, **consts)
+        sub = AdjointSubstitution(cfg.substitution["regime"], spec, **consts)
     return {vid: catalog_vector(vid, spec, diffu, initial_velocity=0.0, substitution=sub)
             for vid in cfg.vectors}
 
 
-def _solution(cfg: ScenarioConfig, n_steps: int) -> GridFunction:
+def _solution(cfg: ScenarioConfig, n_steps: int) -> TimeSeries:
     spec, diffu = _equation(cfg)
     grid = TimeGrid(cfg.T, n_steps)
     n_x = cfg.n_x if cfg.n_x is not None else n_steps
@@ -349,7 +363,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return run_solve(cfg, args.out)
         return run_verify(cfg, args.out)
-    except (ConfigError, json.JSONDecodeError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, json.JSONDecodeError, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

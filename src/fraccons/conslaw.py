@@ -31,7 +31,7 @@ from .fracops import (
     rl_right_derivative,
     time_derivative,
 )
-from .tfde import Diffusivity, GridFunction, _equation_residual
+from .tfde import Diffusivity, _equation_residual
 from .symcat import (SUBSTITUTION_REGIMES, AdjointSubstitution, characteristic,
                      list_symmetries, regime_constants, regime_of)
 
@@ -52,14 +52,14 @@ __all__ = [
 # formal Lagrangian and Noether operators
 # ---------------------------------------------------------------------------
 
-def formal_lagrangian(u: GridFunction, v: GridFunction, diffusivity: Diffusivity,
-                      spec: FractionalSpec) -> GridFunction:
+def formal_lagrangian(u: TimeSeries, v: TimeSeries, diffusivity: Diffusivity,
+                      spec: FractionalSpec) -> TimeSeries:
     """L = v [D^alpha_t u - k'(u) u_x^2 - k(u) u_xx]."""
     bracket = _equation_residual(u, spec, diffusivity)
-    return GridFunction(u.grid, u.x, v.values * bracket)
+    return TimeSeries(u.grid, v.values * bracket, x=u.x)
 
 
-def _noether_core(W: GridFunction, v: GridFunction, u: GridFunction,
+def _noether_core(W: TimeSeries, v: TimeSeries, u: TimeSeries,
                   sub: AdjointSubstitution, spec: FractionalSpec,
                   diffusivity: Diffusivity) -> tuple[np.ndarray, np.ndarray]:
     """Noether operators applied to the formal Lagrangian, without the xi L terms.
@@ -96,7 +96,7 @@ def _noether_core(W: GridFunction, v: GridFunction, u: GridFunction,
               - j_integral(time_derivative(W, 2), v, alpha).values)
     uv = u.values
     k = diffusivity.k(uv)
-    ux = diff1(uv, u.hx, axis=1)
+    ux = u.dx_field().values
     cx = (W.values * (v.dx_field().values * k - v.values * diffusivity.k_prime(uv) * ux)
           - W.dx_field().values * v.values * k)
     return ct, cx
@@ -112,9 +112,9 @@ class ConservedVectorEval:
 
     provenance: str
     spec: FractionalSpec
-    _fn: Callable[[GridFunction], tuple[np.ndarray, np.ndarray]]
+    _fn: Callable[[TimeSeries], tuple[np.ndarray, np.ndarray]]
 
-    def components(self, u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
+    def components(self, u: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
         # the vectors themselves may be infinite at an end row: the weights
         # (T-t)^{alpha-k} at t = T, and k(u) = u^beta with beta < 0 at u = 0;
         # the verifiers exclude those rows and reject non-finite interior values
@@ -123,7 +123,7 @@ class ConservedVectorEval:
         return np.asarray(ct, dtype=float), np.asarray(cx, dtype=float)
 
 
-def _noether_fn(name: str, sym_id: str, h: Optional[GridFunction],
+def _noether_fn(name: str, sym_id: str, h: Optional[TimeSeries],
                 sub: Optional[AdjointSubstitution], spec: FractionalSpec,
                 diffusivity: Diffusivity, lagrangian: bool):
     """The evaluator function of the Noether vector of (sym_id, sub), checked here.
@@ -146,7 +146,7 @@ def _noether_fn(name: str, sym_id: str, h: Optional[GridFunction],
     if sym_id == "Xinf" and h is None:
         raise ValueError(f"{name}: Xinf requires a user-supplied solution field h")
 
-    def fn(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
+    def fn(u: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
         v = sub.field(u.grid, u.x)
         ct, cx = _noether_core(characteristic(sym, u), v, u, sub, spec, diffusivity)
         if not lagrangian:
@@ -273,7 +273,7 @@ def _linear_prefix(regime: str) -> str:
 def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivity,
                    initial_velocity=None,
                    substitution: Optional[AdjointSubstitution] = None,
-                   h: Optional[GridFunction] = None) -> ConservedVectorEval:
+                   h: Optional[TimeSeries] = None) -> ConservedVectorEval:
     """Conserved-vector evaluator for a catalog id or a ``Noether:<symmetry>`` id.
 
     The closed forms that carry the initial datum read u(0, x) off the
@@ -297,14 +297,14 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
         check(spec.kind is kind and want_n in (None, n),
               f"requires the {_KIND_NAMES[kind]} kind{span}")
 
-        def start(u: GridFunction) -> np.ndarray:
+        def start(u: TimeSeries) -> np.ndarray:
             if n == 1:
                 return u.values[0]
             check(initial_velocity is not None, "requires the initial data u_t(0, x)")
             values = initial_velocity(u.x) if callable(initial_velocity) else initial_velocity
             return np.broadcast_to(np.asarray(values, dtype=float), u.x.shape)
 
-        def fn(u: GridFunction):
+        def fn(u: TimeSeries):
             c, w = core(u, spec, start)
             kux = diffusivity.k(u.values) * u.dx_field().values
             if not moment:
@@ -427,7 +427,7 @@ class ResidualReport:
                 f"{self.n_x},{self.linf:.12g},{self.l2:.12g},{self.excluded_nodes},{ratio}")
 
 
-def _report(cv: ConservedVectorEval, u: GridFunction, residual: np.ndarray,
+def _report(cv: ConservedVectorEval, u: TimeSeries, residual: np.ndarray,
             exclude_frac: float, what: str, space: slice = slice(None)) -> ResidualReport:
     """Norms of ``residual`` on the time window (and the ``space`` columns)."""
     lo = max(2, math.ceil(exclude_frac * (u.grid.n_steps + 1)))
@@ -443,7 +443,7 @@ def _report(cv: ConservedVectorEval, u: GridFunction, residual: np.ndarray,
                           u.grid.n_steps, u.x.size - 1, linf, l2, 2 * lo, residual=residual)
 
 
-def divergence_residual(cv: ConservedVectorEval, u: GridFunction,
+def divergence_residual(cv: ConservedVectorEval, u: TimeSeries,
                         exclude_frac: float = 0.05,
                         components: Optional[tuple[np.ndarray, np.ndarray]] = None,
                         ) -> ResidualReport:
@@ -465,7 +465,7 @@ def divergence_residual(cv: ConservedVectorEval, u: GridFunction,
     return _report(cv, u, res, exclude_frac, "residual", slice(3, -3))
 
 
-def flux_balance(cv: ConservedVectorEval, u: GridFunction,
+def flux_balance(cv: ConservedVectorEval, u: TimeSeries,
                  exclude_frac: float = 0.05,
                  components: Optional[tuple[np.ndarray, np.ndarray]] = None) -> ResidualReport:
     """Integrated residual d/dt (integral of C^t dx) + [C^x] at the space ends.

@@ -8,7 +8,8 @@ as explicit power-law terms and handled by exact power rules, since a
 piecewise-linear interpolant cannot resolve them.
 
 Every kernel acts on axis 0 of the whole sample array, so a space-time
-field with a trailing space axis is processed in one call.
+field with a trailing space axis is processed in one call, and returns its
+result on the input's space nodes.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -164,23 +166,25 @@ def _fit_terms(terms, space: tuple) -> tuple[SingularTerm, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Sampled f(t) on a TimeGrid, with optional explicit power-law terms.
 
     ``values`` has shape (n_steps+1,), or (n_steps+1, m) for a field with a
-    trailing space axis; every kernel acts on axis 0. The values are samples
-    of the full function and must be finite at interior nodes. Where a term
-    with a negative power is infinite (its anchor node, in the columns where
-    its coefficient is nonzero) the value is stored as 0, and the term
-    carries the singularity; so the library's kernels return finite samples
-    throughout. Term coefficients are floats for 1-D values and (m,) arrays
-    otherwise; all-zero terms are dropped.
+    trailing space axis, whose uniform nodes are ``x`` (optional; None in 1-D);
+    every kernel acts on axis 0 and returns its result on its input's ``x``.
+    The values are samples of the full function and must be finite at
+    interior nodes. Where a term with a negative power is infinite (its
+    anchor node, in the columns where its coefficient is nonzero) the value
+    is stored as 0, and the term carries the singularity; so the library's
+    kernels return finite samples throughout. Term coefficients are floats
+    for 1-D values and (m,) arrays otherwise; all-zero terms are dropped.
     """
 
     grid: TimeGrid
     values: np.ndarray
     singular: tuple[SingularTerm, ...] = ()
+    x: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -195,6 +199,13 @@ class TimeSeries:
             v = _zero_anchors(v.copy(), terms)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "singular", terms)
+        if self.x is not None:
+            x = np.asarray(self.x, dtype=float)
+            if x.ndim != 1 or x.size < 2:
+                raise ValueError("x must be a 1-D array with at least two nodes")
+            if v.shape != (self.grid.n_steps + 1, x.size):
+                raise ValueError("values shape must be (n_steps+1, n_x+1)")
+            object.__setattr__(self, "x", x)
 
     @classmethod
     def from_function(cls, grid: TimeGrid, fn, singular: tuple[SingularTerm, ...] = ()) -> "TimeSeries":
@@ -202,16 +213,21 @@ class TimeSeries:
             return cls(grid, np.asarray(fn(grid.nodes()), dtype=float), singular)
 
     @classmethod
-    def from_parts(cls, grid: TimeGrid, reg: np.ndarray, singular=(), **fields):
-        """Series whose values are ``reg`` plus the samples of the terms ``singular``.
-
-        ``fields`` holds the further constructor arguments of a subclass.
-        """
+    def from_parts(cls, grid: TimeGrid, reg: np.ndarray, singular=(), x=None) -> "TimeSeries":
+        """Series on the space nodes ``x`` whose values are ``reg`` plus the samples
+        of the terms ``singular``."""
         vals = np.array(reg, dtype=float)
         terms = _fit_terms(singular, vals.shape[1:])
         for term in terms:
             vals += term.sample(grid)
-        return cls(grid=grid, values=_zero_anchors(vals, terms), singular=terms, **fields)
+        return cls(grid, _zero_anchors(vals, terms), terms, x)
+
+    @classmethod
+    def from_csv(cls, path: str) -> "TimeSeries":
+        """The field of a CSV written by ``to_csv``."""
+        raw = np.genfromtxt(path, delimiter=",")  # the header's "t\\x" cell reads as nan
+        grid = TimeGrid(T=float(raw[-1, 0]), n_steps=raw.shape[0] - 2)
+        return cls(grid, raw[1:, 1:], x=raw[0, 1:])
 
     def regular_part(self) -> np.ndarray:
         """Samples of the function minus all declared power-law terms.
@@ -223,6 +239,32 @@ class TimeSeries:
         for term in self.singular:
             reg -= term.sample(self.grid)
         return _zero_anchors(reg, self.singular)
+
+    def _space_nodes(self) -> np.ndarray:
+        if self.x is None:
+            raise ValueError("the series has no space axis x")
+        return self.x
+
+    @property
+    def hx(self) -> float:
+        """Spacing of the space nodes; ValueError for a series without ``x``."""
+        x = self._space_nodes()
+        return float(x[1] - x[0])
+
+    def dx_field(self, order: int = 1) -> "TimeSeries":
+        """Space derivative of order 1 or 2: diff1/diff2 along x of the regular
+        part and of each term's coefficients."""
+        if order not in (1, 2):
+            raise ValueError("only first and second space derivatives are supported")
+        d, hx = (diff1 if order == 1 else diff2), self.hx
+        terms = tuple(SingularTerm(d(t.coeff, hx), t.power, t.anchor) for t in self.singular)
+        return TimeSeries.from_parts(self.grid, d(self.regular_part(), hx, axis=1), terms, self.x)
+
+    def to_csv(self, path: str) -> None:
+        """Write the field as CSV: header row of x nodes, first column of t nodes."""
+        header = "t\\x," + ",".join(f"{xv:.17g}" for xv in self._space_nodes())
+        np.savetxt(path, np.column_stack([self.grid.nodes(), self.values]), fmt="%.17g",
+                   delimiter=",", header=header, comments="")
 
 
 def _require_same_grid(a: TimeSeries, b: TimeSeries) -> None:
@@ -304,7 +346,7 @@ def _integral_of_end_power(coeff, p: float, mu: float, grid: TimeGrid) -> np.nda
 def _reverse(f: TimeSeries) -> TimeSeries:
     flipped = tuple(SingularTerm(s.coeff, s.power, "end" if s.anchor == "start" else "start")
                     for s in f.singular)
-    return TimeSeries(f.grid, f.values[::-1].copy(), flipped)
+    return TimeSeries(f.grid, f.values[::-1].copy(), flipped, f.x)
 
 
 def left_frac_integral(f: TimeSeries, mu: float) -> TimeSeries:
@@ -326,7 +368,7 @@ def left_frac_integral(f: TimeSeries, mu: float) -> TimeSeries:
             out_terms.append(SingularTerm(c2, p + mu, "start"))
         else:
             vals += _integral_of_end_power(term.coeff, p, mu, grid)
-    return TimeSeries.from_parts(grid, vals, out_terms)
+    return TimeSeries.from_parts(grid, vals, out_terms, f.x)
 
 
 def right_frac_integral(f: TimeSeries, mu: float) -> TimeSeries:
@@ -394,7 +436,7 @@ def time_derivative(f: TimeSeries, order: int = 1) -> TimeSeries:
     grid = f.grid
     reg = f.regular_part()
     dreg = diff1(reg, grid.h) if order == 1 else diff2(reg, grid.h)
-    return TimeSeries.from_parts(grid, dreg, _diff_terms(f.singular, order))
+    return TimeSeries.from_parts(grid, dreg, _diff_terms(f.singular, order), f.x)
 
 
 def _derivative_order(alpha: float, grid: TimeGrid) -> int:
@@ -439,7 +481,7 @@ def gl_left_derivative(f: TimeSeries, alpha: float) -> TimeSeries:
     out = np.empty_like(v)
     for i in range(n + 1):
         out[i] = np.dot(w[: i + 1], v[i::-1])
-    return TimeSeries(grid, out / grid.h ** alpha)
+    return TimeSeries(grid, out / grid.h ** alpha, x=f.x)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +591,10 @@ def _power_weighted_head(Q: np.ndarray, p: float, grid: TimeGrid) -> np.ndarray:
 
 
 def j_integral(f: TimeSeries, g: TimeSeries, alpha: float) -> TimeSeries:
-    """J(f,g)(t_i) = (1/Gamma(n-a)) int_0^{t_i} int_{t_i}^T f(tau) g(mu) (mu-tau)^{n-a-1} dmu dtau."""
+    """J(f,g)(t_i) = (1/Gamma(n-a)) int_0^{t_i} int_{t_i}^T f(tau) g(mu) (mu-tau)^{n-a-1} dmu dtau.
+
+    The result is on f's space nodes, or on g's when f has none.
+    """
     _require_same_grid(f, g)
     n = _order_and_n(alpha)
     beta = n - alpha
@@ -563,8 +608,9 @@ def j_integral(f: TimeSeries, g: TimeSeries, alpha: float) -> TimeSeries:
     g_lin = g.regular_part() + sum(tm.sample(grid) for tm in g.singular if tm.anchor == "start")
     # J is bilinear: skip all of it, the dense singular-term weights too,
     # when either factor is zero (v_tt of the polynomial substitutions, for example)
+    x = f.x if f.x is not None else g.x
     if not (f_start or f_lin.any()) or not (g_end or g_lin.any()):
-        return TimeSeries(grid, np.zeros(np.broadcast_shapes(f_lin.shape, g_lin.shape)))
+        return TimeSeries(grid, np.zeros(np.broadcast_shapes(f_lin.shape, g_lin.shape)), x=x)
     inv_gb = reciprocal_gamma(beta)
     out = _j_piecewise_linear(f_lin, g_lin, grid, beta)
     for term in f_start:
@@ -578,7 +624,7 @@ def j_integral(f: TimeSeries, g: TimeSeries, alpha: float) -> TimeSeries:
         for t2 in f_start:
             head = _power_weighted_head(P[::-1, ::-1], t2.power, grid)
             out += np.multiply.outer(head, term.coeff * t2.coeff * inv_gb)
-    return TimeSeries(grid, out)
+    return TimeSeries(grid, out, x=x)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +638,7 @@ def f_modified_integral(f: TimeSeries, alpha: float) -> TimeSeries:
         raise ValueError("f_modified_integral requires alpha in (1,2)")
     grid = f.grid
     M = _fmod_weight_matrix(grid, alpha)
-    return TimeSeries(grid, M @ f.values)
+    return TimeSeries(grid, M @ f.values, x=f.x)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -655,4 +701,4 @@ def left_integral_endpoint_pole(f: TimeSeries, mu: float) -> TimeSeries:
         raise NotImplementedError("singular inputs to the endpoint-pole kernel are unsupported")
     grid = f.grid
     V = _endpoint_pole_weight_matrix(grid, mu)
-    return TimeSeries(grid, V @ f.values)
+    return TimeSeries(grid, V @ f.values, x=f.x)

@@ -18,22 +18,21 @@ from .fracops import (
     FractionalSpec,
     SingularTerm,
     TimeGrid,
+    TimeSeries,
     _order_and_n,
     _power_rule,
     _power_samples,
     caputo_right_derivative,
     diff1,
-    diff2,
     rl_right_derivative,
 )
-from .tfde import Diffusivity, DiffusivityFamily, GridFunction
+from .tfde import Diffusivity, DiffusivityFamily
 
 __all__ = [
     "Symmetry",
     "AdjointSubstitution",
     "list_symmetries",
     "characteristic",
-    "adjoint_substitution",
     "adjoint_residual",
     "SUBSTITUTION_REGIMES",
     "regime_of",
@@ -83,7 +82,7 @@ class Symmetry:
     id: str
     alpha: float = 0.0
     beta: float = 0.0
-    h: Optional[GridFunction] = None
+    h: Optional[TimeSeries] = None
 
     def __post_init__(self) -> None:
         if self.id not in _GENERATORS:
@@ -109,7 +108,7 @@ def rl_extra_beta(alpha: float) -> float:
 
 
 def list_symmetries(kind: Kind, alpha: float, diffusivity: Diffusivity,
-                    h: Optional[GridFunction] = None,
+                    h: Optional[TimeSeries] = None,
                     allow_conditional: bool = False) -> list[Symmetry]:
     """Admitted point symmetries for the given derivative kind and diffusivity.
 
@@ -139,7 +138,7 @@ def list_symmetries(kind: Kind, alpha: float, diffusivity: Diffusivity,
     return out
 
 
-def characteristic(sym: Symmetry, u: GridFunction) -> GridFunction:
+def characteristic(sym: Symmetry, u: TimeSeries) -> TimeSeries:
     """Characteristic W = eta - xi0 u_t - xi1 u_x of the symmetry on the field u.
 
     Power-law-in-time term metadata of u is propagated analytically so the
@@ -162,7 +161,7 @@ def characteristic(sym: Symmetry, u: GridFunction) -> GridFunction:
         - sym.xi0(1.0, u.x, tm.coeff) * tm.power * tm.coeff
         - sym.xi1(1.0, u.x, tm.coeff) * diff1(tm.coeff, u.hx), tm.power + sym.shift)
         for tm in u.singular)
-    return GridFunction.from_parts(u.grid, new_reg, terms, x=u.x)
+    return TimeSeries.from_parts(u.grid, new_reg, terms, u.x)
 
 
 # Regime table: regime -> (kind, n, terms). The regime's substitution solves
@@ -224,7 +223,7 @@ class AdjointSubstitution:
         if not any(cs):
             raise ValueError("substitution must not be identically zero")
 
-    def field(self, grid: TimeGrid, x: np.ndarray, order: int = 0) -> GridFunction:
+    def field(self, grid: TimeGrid, x: np.ndarray, order: int = 0) -> TimeSeries:
         """v (order 0), v_t (1) or v_tt (2) on the grid, by the power rule.
 
         Whole powers are sampled as regular values and other integrable ones
@@ -245,18 +244,11 @@ class AdjointSubstitution:
                 reg += np.multiply.outer(_power_samples(grid, p, anchor), c)
             else:
                 terms.append(SingularTerm(c, p, anchor))
-        return GridFunction.from_parts(grid, reg, terms, x=x)
+        return TimeSeries.from_parts(grid, reg, terms, x)
 
 
-def adjoint_substitution(regime: str, spec: FractionalSpec,
-                         c1: float = 0.0, c2: float = 0.0,
-                         c3: float = 0.0, c4: float = 0.0) -> AdjointSubstitution:
-    """Build the adjoint-equation substitution of the given regime."""
-    return AdjointSubstitution(regime, spec, c1, c2, c3, c4)
-
-
-def adjoint_residual(v: GridFunction, u: GridFunction, diffusivity: Diffusivity,
-                     spec: FractionalSpec) -> GridFunction:
+def adjoint_residual(v: TimeSeries, u: TimeSeries, diffusivity: Diffusivity,
+                     spec: FractionalSpec) -> TimeSeries:
     """Residual of the adjoint equation (D*)v - k(u) v_xx on the grid.
 
     The adjoint operator D* is the right-sided Caputo derivative when the
@@ -267,8 +259,4 @@ def adjoint_residual(v: GridFunction, u: GridFunction, diffusivity: Diffusivity,
         raise ValueError("fields are defined on different grids")
     op = caputo_right_derivative if spec.kind is Kind.RIEMANN_LIOUVILLE else rl_right_derivative
     frac = op(v, spec.alpha)
-    vxx = diff2(v.regular_part(), v.hx, axis=1)
-    for term in v.singular:
-        col = _power_samples(v.grid, term.power, term.anchor)
-        vxx += np.outer(col, diff2(term.coeff, v.hx))
-    return GridFunction(v.grid, v.x, frac.values - diffusivity.k(u.values) * vxx)
+    return TimeSeries(v.grid, frac.values - diffusivity.k(u.values) * v.dx_field(2).values, x=v.x)

@@ -28,10 +28,7 @@ from .fracops import (
     SingularTerm,
     TimeGrid,
     TimeSeries,
-    _power_samples,
     caputo_left_derivative,
-    diff1,
-    diff2,
     rl_left_derivative,
 )
 
@@ -39,7 +36,6 @@ __all__ = [
     "DiffusivityFamily",
     "Diffusivity",
     "TFDEProblem",
-    "GridFunction",
     "SolverError",
     "exact_linear_separable",
     "exact_rl_power_mode",
@@ -159,60 +155,6 @@ class TFDEProblem:
             raise ValueError("second-order time regime requires initial_velocity data")
 
 
-class GridFunction(TimeSeries):
-    """Space-time field: a TimeSeries with a trailing space axis on uniform nodes ``x``.
-
-    ``values`` has shape (n_steps+1, n_x+1) and holds samples of the full
-    function, stored as 0 where a singular term is infinite (its anchor
-    row, in the columns where its coefficient is nonzero). The
-    ``singular`` terms carry one coefficient per space node, so the
-    fractional kernels treat power-law behaviour in time exactly on every
-    column at once.
-    """
-
-    def __init__(self, grid: TimeGrid, x: np.ndarray, values: np.ndarray,
-                 singular: tuple[SingularTerm, ...] = ()) -> None:
-        object.__setattr__(self, "x", np.asarray(x, dtype=float))
-        super().__init__(grid, values, singular)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.x.ndim != 1 or self.x.size < 2:
-            raise ValueError("x must be a 1-D array with at least two nodes")
-        if self.values.shape != (self.grid.n_steps + 1, self.x.size):
-            raise ValueError("values shape must be (n_steps+1, n_x+1)")
-
-    @property
-    def hx(self) -> float:
-        return float(self.x[1] - self.x[0])
-
-    def dx_field(self) -> "GridFunction":
-        """Space derivative, differentiating term coefficients analytically."""
-        reg = diff1(self.regular_part(), self.hx, axis=1)
-        terms = tuple(SingularTerm(diff1(t.coeff, self.hx), t.power, t.anchor)
-                      for t in self.singular)
-        return GridFunction.from_parts(self.grid, reg, terms, x=self.x)
-
-    def to_csv(self, path: str) -> None:
-        """Write the field as CSV: header row of x nodes, first column of t nodes."""
-        t = self.grid.nodes()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t\\x," + ",".join(f"{xv:.17g}" for xv in self.x) + "\n")
-            for i in range(t.size):
-                row = ",".join(f"{v:.17g}" for v in self.values[i])
-                fh.write(f"{t[i]:.17g},{row}\n")
-
-    @classmethod
-    def from_csv(cls, path: str) -> "GridFunction":
-        raw = np.genfromtxt(path, delimiter=",", skip_header=1)
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-        x = np.array([float(s) for s in header[1:]])
-        t = raw[:, 0]
-        grid = TimeGrid(T=float(t[-1]), n_steps=t.size - 1)
-        return cls(grid, x, raw[:, 1:])
-
-
 class SolverError(RuntimeError):
     """Nonlinear iteration failed to converge, or its linear system is singular."""
 
@@ -229,7 +171,7 @@ def _check_xgrid(x: np.ndarray) -> np.ndarray:
 
 
 def exact_linear_separable(spec: FractionalSpec, lam: float, grid: TimeGrid,
-                           x: np.ndarray) -> GridFunction:
+                           x: np.ndarray) -> TimeSeries:
     """Separable mode of the linear equation (constant diffusivity k = 1).
 
     Caputo: u = E_alpha(-lam^2 t^alpha) sin(lam x).
@@ -254,31 +196,31 @@ def exact_linear_separable(spec: FractionalSpec, lam: float, grid: TimeGrid,
             terms.append(SingularTerm(c * sx, kk * alpha))
     else:
         et = np.array([mittag_leffler(alpha, alpha, zz) for zz in z])
-        vals = np.outer(_power_samples(grid, alpha - 1.0, "start") * et, sx)
+        vals = np.outer(SingularTerm(1.0, alpha - 1.0).sample(grid) * et, sx)
         for kk in range(0, 4):
             c = (-(lam ** 2)) ** kk / gamma(alpha * (kk + 1.0))
             terms.append(SingularTerm(c * sx, alpha * (kk + 1.0) - 1.0))
-    return GridFunction(grid, x, vals, tuple(terms))
+    return TimeSeries(grid, vals, tuple(terms), x)
 
 
-def exact_rl_power_mode(alpha: float, c: float, grid: TimeGrid, x: np.ndarray) -> GridFunction:
+def exact_rl_power_mode(alpha: float, c: float, grid: TimeGrid, x: np.ndarray) -> TimeSeries:
     """Space-constant Riemann-Liouville mode u = c t^{alpha-1} (D^alpha u = 0)."""
     x = _check_xgrid(x)
     term = SingularTerm(np.full(x.size, c), alpha - 1.0)
-    return GridFunction.from_parts(grid, np.zeros((grid.n_steps + 1, x.size)), (term,), x=x)
+    return TimeSeries.from_parts(grid, np.zeros((grid.n_steps + 1, x.size)), (term,), x)
 
 
 def exact_stationary_caputo(diffusivity: Diffusivity, a: float, b: float,
-                            grid: TimeGrid, x: np.ndarray) -> GridFunction:
+                            grid: TimeGrid, x: np.ndarray) -> TimeSeries:
     """Time-independent solution u = K^{-1}(a x + b) of the Caputo-kind equation."""
     x = _check_xgrid(x)
     ux = diffusivity.K_inv(a * x + b)
     vals = np.tile(ux[None, :], (grid.n_steps + 1, 1))
-    return GridFunction(grid, x, vals)
+    return TimeSeries(grid, vals, x=x)
 
 
 def exact_rl_separable(diffusivity: Diffusivity, alpha: float, a: float, b: float,
-                       grid: TimeGrid, x: np.ndarray) -> GridFunction:
+                       grid: TimeGrid, x: np.ndarray) -> TimeSeries:
     """Separable solution u = t^{alpha-1} K^{-1}(a x + b) of the RL-kind equation.
 
     Valid for the power diffusivity family: the flux term is proportional to
@@ -289,7 +231,7 @@ def exact_rl_separable(diffusivity: Diffusivity, alpha: float, a: float, b: floa
         raise ValueError("the separable mode requires a power-law diffusivity")
     x = _check_xgrid(x)
     term = SingularTerm(diffusivity.K_inv(a * x + b), alpha - 1.0)
-    return GridFunction.from_parts(grid, np.zeros((grid.n_steps + 1, x.size)), (term,), x=x)
+    return TimeSeries.from_parts(grid, np.zeros((grid.n_steps + 1, x.size)), (term,), x)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +317,7 @@ def _newton_step_solve(k: Callable, k_prime: Callable, c0: float, rhs: np.ndarra
     raise SolverError("nonlinear iteration did not converge")
 
 
-def solve_nonlinear(problem: TFDEProblem, grid: TimeGrid, n_x: int) -> GridFunction:
+def solve_nonlinear(problem: TFDEProblem, grid: TimeGrid, n_x: int) -> TimeSeries:
     """Implicit L1 time stepping with Newton in space.
 
     Caputo kind: standard L1 discretization of the fractional derivative.
@@ -439,20 +381,17 @@ def solve_nonlinear(problem: TFDEProblem, grid: TimeGrid, n_x: int) -> GridFunct
         dY[m] = y_m - y
         y = y_m
 
-    return GridFunction.from_parts(grid, W, terms, x=x)
+    return TimeSeries.from_parts(grid, W, terms, x)
 
 
-def _equation_residual(u: GridFunction, spec: FractionalSpec,
+def _equation_residual(u: TimeSeries, spec: FractionalSpec,
                        diffusivity: Diffusivity) -> np.ndarray:
     """D^alpha_t u - k'(u) u_x^2 - k(u) u_xx on the grid."""
     op = rl_left_derivative if spec.kind is Kind.RIEMANN_LIOUVILLE else caputo_left_derivative
-    frac = op(u, spec.alpha)
-    vals = u.values
-    ux = diff1(vals, u.hx, axis=1)
-    uxx = diff2(vals, u.hx, axis=1)
-    return frac.values - diffusivity.k_prime(vals) * ux ** 2 - diffusivity.k(vals) * uxx
+    return (op(u, spec.alpha).values - diffusivity.k_prime(u.values) * u.dx_field().values ** 2
+            - diffusivity.k(u.values) * u.dx_field(2).values)
 
 
-def tfde_residual(u: GridFunction, problem: TFDEProblem) -> GridFunction:
+def tfde_residual(u: TimeSeries, problem: TFDEProblem) -> TimeSeries:
     """Equation residual D^alpha_t u - k'(u) u_x^2 - k(u) u_xx on the grid."""
-    return GridFunction(u.grid, u.x, _equation_residual(u, problem.spec, problem.diffusivity))
+    return TimeSeries(u.grid, _equation_residual(u, problem.spec, problem.diffusivity), x=u.x)

@@ -14,7 +14,7 @@ from fraccons.cli import (
     parse_config,
     serialize_config,
 )
-from fraccons.tfde import GridFunction
+from fraccons.fracops import TimeSeries
 
 
 def base_config(**overrides):
@@ -312,6 +312,13 @@ BAD_CONFIGS = {
                                           substitution={"regime": "RL_sub", "c1": 1.0}), 2),
     "diffusivity_family_not_a_string": (dict(diffusivity={"family": ["power"]}), 2),
     "T_zero": (dict(T=0.0), 2),
+    # every number must be finite: a NaN threshold passes every ratio
+    "threshold_nan": (dict(threshold="nan"), 2),
+    "T_inf": (dict(T="inf", source={"id": "solver", "params": {"a": 0.1, "b": 1.0}}), 2),
+    "x_lo_minus_inf": (dict(x_lo="-inf"), 2),
+    # a grid or n_x with a fraction is not truncated
+    "grids_fractional": (dict(grids=[16.9, 32.2]), 2),
+    "n_x_fractional": (dict(n_x=16.5), 2),
 }
 
 
@@ -321,6 +328,44 @@ def test_bad_config_exits_with_one_line(tmp_path, capsys, case):
     rc = main(["verify", "--config", write_config(tmp_path, base_config(**overrides))])
     assert rc == code
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_nan_threshold_flag_exits_2(tmp_path, capsys):
+    rc = main(["verify", "--config", write_config(tmp_path, base_config()), "--threshold", "nan"])
+    assert rc == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "configuration error: invalid configuration value: "
+        "threshold must be a finite number, got nan"]
+
+
+@pytest.mark.parametrize("overrides, name", [
+    (dict(T="inf"), "T"),
+    (dict(source={"id": "exact_stationary", "params": {"a": "nan"}}), "source.params.a"),
+    (dict(diffusivity={"family": "power", "beta": "-inf"}), "diffusivity.beta"),
+    (dict(vectors=["Noether:X1"], substitution={"regime": "Caputo_sub", "c1": "inf"}),
+     "substitution.c1"),
+])
+def test_non_finite_number_is_named(tmp_path, capsys, overrides, name):
+    rc = main(["verify", "--config", write_config(tmp_path, base_config(**overrides))])
+    assert rc == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert f"invalid configuration value: {name} must be a finite number" in line
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--config", "{dir}"],
+    ["catalog", "--config", "{dir}"],
+    ["solve", "--config", "{cfg}", "--out", "{dir}"],
+    ["verify", "--config", "{cfg}", "--out", "{dir}"],
+], ids=["verify_config", "catalog_config", "solve_out", "verify_out"])
+def test_directory_path_exits_2_with_one_line(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, base_config(threshold=0.0))
+    folder = tmp_path / "a_directory"
+    folder.mkdir()
+    rc = main([arg.format(cfg=cfg, dir=folder) for arg in argv])
+    assert rc == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("configuration error: ") and "Is a directory" in line
 
 
 @pytest.mark.parametrize("command", ["solve", "catalog"])
@@ -344,7 +389,7 @@ class TestSolveCommand:
         out = tmp_path / "field.csv"
         rc = main(["solve", "--config", cfg_path, "--out", str(out)])
         assert rc == 0
-        u = GridFunction.from_csv(str(out))
+        u = TimeSeries.from_csv(str(out))
         assert u.values.shape == (17, 17)
         assert np.isfinite(u.values).all()
 
@@ -357,7 +402,7 @@ class TestSolveCommand:
         out = tmp_path / "field.csv"
         rc = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out)])
         assert rc == 0
-        u = GridFunction.from_csv(str(out))
+        u = TimeSeries.from_csv(str(out))
         assert np.isfinite(u.values).all()
         assert np.all(u.values[0] == 0.0)
 

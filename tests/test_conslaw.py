@@ -18,7 +18,7 @@ from fraccons.conslaw import (
     _noether_core,
 )
 from fraccons.fracops import FractionalSpec, Kind, TimeGrid, diff1
-from fraccons.symcat import (_GENERATORS, SUBSTITUTION_REGIMES, Symmetry, adjoint_substitution,
+from fraccons.symcat import (_GENERATORS, SUBSTITUTION_REGIMES, AdjointSubstitution, Symmetry,
                              characteristic, list_symmetries, regime_constants, regime_of,
                              rl_extra_beta)
 from fraccons.tfde import (
@@ -118,7 +118,7 @@ class TestCorrespondence:
         # that equation, so its admission check rejects nothing the table lists
         spec = FractionalSpec(kind, alpha, 1.0)
         regime = regime_of(spec)
-        sub = adjoint_substitution(regime, spec, c1=1.0)
+        sub = AdjointSubstitution(regime, spec, c1=1.0)
         h = exact_linear_separable(spec, 1.0, TimeGrid(1.0, 8), np.linspace(0.0, np.pi, 9))
         for d in (Diffusivity.constant(1.0), Diffusivity.exponential(), Diffusivity.power(2.0),
                   Diffusivity.power(-4.0 / 3.0), Diffusivity.power(rl_extra_beta(alpha))):
@@ -149,7 +149,7 @@ class TestFormalLagrangian:
         tgrid = TimeGrid(1.0, 64)
         x = np.linspace(0.0, 1.0, 129)
         u = exact_stationary_caputo(d, 0.1, 1.0, tgrid, x)
-        sub = adjoint_substitution("Caputo_sub", spec, c1=1.0, c2=1.0)
+        sub = AdjointSubstitution("Caputo_sub", spec, c1=1.0, c2=1.0)
         v = sub.field(tgrid, x)
         L = formal_lagrangian(u, v, d, spec)
         assert np.max(np.abs(L.values[1:-1, 1:-1])) < 1e-6
@@ -254,7 +254,7 @@ class TestNoetherVectors:
         x = np.linspace(0.0, 1.0, 65)
         lam = 0.5
         u = exact_linear_separable(spec, lam, tgrid, x)
-        sub = adjoint_substitution("Caputo_sub", spec, c2=1.0)
+        sub = AdjointSubstitution("Caputo_sub", spec, c2=1.0)
         nv = catalog_vector("Noether:X3_lin", spec, d, substitution=sub)
         cv = catalog_vector("Linear_Cap_sub_X3", spec, d, substitution=sub)
         ct_n, cx_n = nv.components(u)
@@ -271,7 +271,7 @@ class TestNoetherVectors:
         tgrid = TimeGrid(1.0, 32)
         x = np.linspace(0.0, np.pi, 17)
         u = exact_linear_separable(spec, 1.0, tgrid, x)
-        sub = adjoint_substitution(regime_of(spec), spec, c2=1.0)
+        sub = AdjointSubstitution(regime_of(spec), spec, c2=1.0)
         sym = Symmetry("X3_lin", 0.5)
         with np.errstate(divide="ignore", invalid="ignore"):
             core = _noether_core(characteristic(sym, u), sub.field(tgrid, x), u, sub, spec, d)
@@ -293,7 +293,7 @@ class TestNoetherVectors:
         tgrid = TimeGrid(1.0, 32)
         x = np.linspace(0.0, np.pi, 33)
         u = exact_linear_separable(spec, 1.0, tgrid, x)
-        sub = adjoint_substitution("Caputo_sub", spec, c2=1.0)
+        sub = AdjointSubstitution("Caputo_sub", spec, c2=1.0)
         cv = catalog_vector("Linear_Cap_sub_X3", spec, d, substitution=sub)
         _, cx = cv.components(u)
         v = np.outer((1.0 - tgrid.nodes()[:-1]) ** (alpha - 1.0), x)
@@ -307,7 +307,7 @@ class TestNoetherVectors:
         # spec's adjoint equation, and its vector would not be conserved
         spec = FractionalSpec(CAP, 0.5, 1.0)
         d = Diffusivity.constant(1.0)
-        other = adjoint_substitution("Caputo_sub", FractionalSpec(CAP, 0.3, 1.0), c1=1.0, c2=1.0)
+        other = AdjointSubstitution("Caputo_sub", FractionalSpec(CAP, 0.3, 1.0), c1=1.0, c2=1.0)
         with pytest.raises(ValueError, match="Linear_Cap_sub_X3"):
             catalog_vector("Linear_Cap_sub_X3", spec, d, substitution=other)
         with pytest.raises(ValueError, match="^Noether:X3_lin: the substitution was built for"):
@@ -315,7 +315,7 @@ class TestNoetherVectors:
 
     def test_linear_id_of_another_regime_rejected(self):
         spec = FractionalSpec(CAP, 0.5, 1.0)
-        sub = adjoint_substitution("Caputo_sub", spec, c1=1.0)
+        sub = AdjointSubstitution("Caputo_sub", spec, c1=1.0)
         for vid in ("Linear_RL_sub_X1", "Linear_Cap_wave_X1"):
             with pytest.raises(ValueError, match=f"{vid}: does not fit the Caputo_sub regime"):
                 catalog_vector(vid, spec, Diffusivity.constant(1.0), substitution=sub)
@@ -327,7 +327,7 @@ class TestNoetherVectors:
         tgrid = TimeGrid(1.0, 64)
         x = np.linspace(0.0, 1.0, 65)
         u = exact_stationary_caputo(d, 0.1, 1.0, tgrid, x)
-        sub = adjoint_substitution("Caputo_sub", spec, c1=1.0)
+        sub = AdjointSubstitution("Caputo_sub", spec, c1=1.0)
         nv = catalog_vector("Noether:X1", spec, d, substitution=sub)
         assert nv.provenance == "NoetherDerived(X1,Caputo_sub)"
         rep = divergence_residual(nv, u)
@@ -338,7 +338,7 @@ class TestNoetherVectors:
         d = Diffusivity.constant(1.0)
         with pytest.raises(ValueError, match="^Noether:X1: requires an adjoint substitution$"):
             catalog_vector("Noether:X1", spec, d)
-        sub = adjoint_substitution("Caputo_sub", spec, c1=1.0)
+        sub = AdjointSubstitution("Caputo_sub", spec, c1=1.0)
         with pytest.raises(ValueError,
                            match="^Noether:X9: the equation does not admit the symmetry 'X9'$"):
             catalog_vector("Noether:X9", spec, d, substitution=sub)
@@ -350,7 +350,7 @@ class TestNoetherVectors:
         # k = u^2 admits X1, X2 and X3_pow only: the vector of any other
         # generator is not conserved, so building it fails
         spec = FractionalSpec(CAP, 0.5, 1.0)
-        sub = adjoint_substitution("Caputo_sub", spec, c1=1.0)
+        sub = AdjointSubstitution("Caputo_sub", spec, c1=1.0)
         with pytest.raises(ValueError,
                            match=f"^{vid}: the equation does not admit the symmetry '{sym_id}'$"):
             catalog_vector(vid, spec, Diffusivity.power(2.0), substitution=sub)
@@ -360,7 +360,7 @@ class TestNoetherVectors:
         # cannot be evaluated, so building it fails before any evaluation
         spec = FractionalSpec(CAP, 0.5, 1.0)
         d = Diffusivity.constant(1.0)
-        sub = adjoint_substitution("Caputo_sub", spec, c1=1.0)
+        sub = AdjointSubstitution("Caputo_sub", spec, c1=1.0)
         for vid in ("Noether:Xinf", "Linear_Cap_sub_Xinf"):
             with pytest.raises(ValueError, match=f"^{vid}: Xinf requires"):
                 catalog_vector(vid, spec, d, substitution=sub)

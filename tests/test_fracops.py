@@ -566,6 +566,119 @@ class TestWholeField:
                                      [j_integral(fc, gc, alpha) for fc, gc in zip(f_cols, g_cols)])
 
 
+# every kernel, on a field without terms (the endpoint-pole kernel takes none)
+KERNELS = {
+    "left_frac_integral": lambda f: left_frac_integral(f, 0.5),
+    "right_frac_integral": lambda f: right_frac_integral(f, 0.5),
+    "time_derivative": lambda f: time_derivative(f),
+    "rl_left_derivative": lambda f: rl_left_derivative(f, 0.5),
+    "rl_right_derivative": lambda f: rl_right_derivative(f, 1.5),
+    "caputo_left_derivative": lambda f: caputo_left_derivative(f, 1.5),
+    "caputo_right_derivative": lambda f: caputo_right_derivative(f, 0.5),
+    "gl_left_derivative": lambda f: gl_left_derivative(f, 0.5),
+    "reverse": fracops._reverse,
+    "j_integral": lambda f: j_integral(f, f, 0.5),
+    "f_modified_integral": lambda f: f_modified_integral(f, 1.5),
+    "left_integral_endpoint_pole": lambda f: left_integral_endpoint_pole(f, 0.5),
+}
+
+
+class TestSpaceField:
+    """A TimeSeries with space nodes x: checks, space derivatives, CSV I/O."""
+
+    def _field(self):
+        tgrid = TimeGrid(1.0, 8)
+        x = np.linspace(0.0, 1.0, 5)
+        vals = np.outer(tgrid.nodes(), x)
+        return TimeSeries(tgrid, vals, x=x)
+
+    def test_shape_validation(self):
+        tgrid = TimeGrid(1.0, 8)
+        x = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="one row per grid node"):
+            TimeSeries(tgrid, np.zeros((3, 5)), x=x)
+        with pytest.raises(ValueError, match=r"values shape must be \(n_steps\+1, n_x\+1\)"):
+            TimeSeries(tgrid, np.zeros((9, 4)), x=x)
+        with pytest.raises(ValueError, match="x must be a 1-D array with at least two nodes"):
+            TimeSeries(tgrid, np.zeros((9, 1)), x=[0.0])
+
+    def test_dx_field_on_separable_data(self):
+        u = self._field()
+        dux = u.dx_field()
+        # d/dx (t x) = t
+        assert np.allclose(dux.values, np.outer(u.grid.nodes(), np.ones(5)), atol=1e-12)
+
+    def test_csv_round_trip(self, tmp_path):
+        u = self._field()
+        path = tmp_path / "field.csv"
+        u.to_csv(str(path))
+        back = TimeSeries.from_csv(str(path))
+        assert back.grid == u.grid
+        assert np.allclose(back.x, u.x)
+        assert np.allclose(back.values, u.values)
+
+    def test_from_parts_round_trip(self):
+        tgrid = TimeGrid(1.0, 8)
+        x = np.linspace(0.0, 1.0, 5)
+        term = SingularTerm(np.ones(5), -0.5)
+        reg = np.outer(tgrid.nodes(), x)
+        u = TimeSeries.from_parts(tgrid, reg, (term,), x=x)
+        # the term is infinite at t = 0; the stored value there is 0
+        assert u.values[0, 0] == 0.0
+        assert np.allclose(u.regular_part(), reg)
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_kernel_keeps_x(self, name):
+        grid = TimeGrid(1.0, 16)
+        x = np.linspace(0.0, 1.0, 5)
+        t = grid.nodes()
+        field = TimeSeries(grid, np.outer(np.cos(t) + t, 1.0 + x), x=x)
+        out = KERNELS[name](field)
+        assert out.values.shape == field.values.shape
+        np.testing.assert_array_equal(out.x, x)
+        flat = KERNELS[name](TimeSeries(grid, np.cos(t) + t))
+        assert flat.x is None and flat.values.ndim == 1
+
+    def test_j_integral_takes_the_x_of_either_factor(self):
+        grid = TimeGrid(1.0, 16)
+        x = np.linspace(0.0, 1.0, 5)
+        t = grid.nodes()
+        field = TimeSeries(grid, np.outer(t, 1.0 + x), x=x)
+        flat = TimeSeries(grid, np.cos(t))
+        for f, g in ((field, flat), (flat, field)):
+            np.testing.assert_array_equal(j_integral(f, g, 0.5).x, x)
+
+    def test_space_methods_need_x(self, tmp_path):
+        f = TimeSeries(TimeGrid(1.0, 8), np.arange(9.0))
+        with pytest.raises(ValueError, match="no space axis"):
+            f.hx
+        with pytest.raises(ValueError, match="no space axis"):
+            f.dx_field()
+        with pytest.raises(ValueError, match="no space axis"):
+            f.to_csv(str(tmp_path / "f.csv"))
+        with pytest.raises(ValueError, match="space derivatives"):
+            self._field().dx_field(3)
+
+    def test_dx_field_2_differentiates_term_coefficients(self):
+        grid = TimeGrid(1.0, 8)
+        x = np.linspace(0.0, np.pi, 17)
+        p = -0.5
+        u = TimeSeries.from_parts(grid, np.zeros((9, 17)), (SingularTerm(np.sin(x), p),), x)
+        d2 = u.dx_field(2)
+        (term,) = d2.singular
+        assert term.power == p
+        want = diff2(np.sin(x), x[1] - x[0])
+        np.testing.assert_allclose(term.coeff, want, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(d2.values[1:], np.outer(grid.nodes()[1:] ** p, want),
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(d2.x, x)
+
+    def test_fields_compare_by_identity(self):
+        u = self._field()
+        assert u == u and u != self._field()
+        assert len({u, u}) == 1
+
+
 def dense_pl_weights(n, mu, h):
     """The product-integration weights of I^mu as a dense matrix, entry by entry."""
     W = np.zeros((n + 1, n + 1))

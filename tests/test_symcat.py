@@ -4,13 +4,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from fraccons.fracops import FractionalSpec, Kind, SingularTerm, TimeGrid
+from fraccons.fracops import FractionalSpec, Kind, SingularTerm, TimeGrid, TimeSeries
 from fraccons.symcat import (
     _GENERATORS,
     _REGIMES,
     SUBSTITUTION_REGIMES,
+    AdjointSubstitution,
     adjoint_residual,
-    adjoint_substitution,
     characteristic,
     list_symmetries,
     rl_extra_beta,
@@ -18,7 +18,6 @@ from fraccons.symcat import (
 )
 from fraccons.tfde import (
     Diffusivity,
-    GridFunction,
     exact_linear_separable,
     exact_rl_power_mode,
     exact_stationary_caputo,
@@ -75,7 +74,7 @@ class TestCharacteristic:
         tgrid = TimeGrid(1.0, 32)
         x = np.linspace(0.0, 1.0, 17)
         vals = np.outer(tgrid.nodes(), x)
-        return GridFunction(tgrid, x, vals)
+        return TimeSeries(tgrid, vals, x=x)
 
     def test_x1_is_space_derivative(self):
         u = self._linear_field()
@@ -131,8 +130,8 @@ class TestCharacteristic:
         tgrid = TimeGrid(1.0, 8)
         x = np.linspace(0.0, 1.0, 6)
         t, xx = tgrid.nodes()[:, None], x[None, :]
-        u = GridFunction(tgrid, x, (1.0 + t) * (2.0 + xx) + 0.3 * t * xx)
-        h = GridFunction(tgrid, x, np.sin(t + 2.0 * xx))
+        u = TimeSeries(tgrid, (1.0 + t) * (2.0 + xx) + 0.3 * t * xx, x=x)
+        h = TimeSeries(tgrid, np.sin(t + 2.0 * xx), x=x)
         sym = Symmetry(sym_id, 1.5, beta=-4.0 / 3.0, h=h)
         u_t, u_x = 2.0 + 1.3 * xx, 1.0 + 1.3 * t
         ref = (sym.eta(t, xx, u.values) - sym.xi0(t, xx, u.values) * u_t
@@ -149,7 +148,7 @@ class TestCharacteristic:
         tgrid = TimeGrid(1.0, 8)
         x = np.linspace(0.5, 1.5, 6)
         c, c_x = 1.0 + x ** 2, 2.0 * x  # diff1 is exact on quadratics
-        h = GridFunction(tgrid, x, np.sin(tgrid.nodes()[:, None] + x[None, :]))
+        h = TimeSeries(tgrid, np.sin(tgrid.nodes()[:, None] + x[None, :]), x=x)
         sym = Symmetry(sym_id, 1.5, beta=-4.0 / 3.0, h=h)
 
         def w_term(t):
@@ -161,23 +160,30 @@ class TestCharacteristic:
         assert np.allclose(w_term(2.0), scale * w_term(1.0), rtol=1e-14, atol=1e-14)
         if sym_id == "Xinf":
             return  # W is the field h itself
-        u = GridFunction.from_parts(tgrid, np.zeros((9, 6)), (SingularTerm(c, p),), x=x)
+        u = TimeSeries.from_parts(tgrid, np.zeros((9, 6)), (SingularTerm(c, p),), x=x)
         (image,) = characteristic(sym, u).singular
         assert image.power == p + sym.shift
         assert np.allclose(image.coeff, w_term(1.0), rtol=1e-13, atol=1e-13)
+
+    def test_symmetry_holding_h_is_hashable(self):
+        # a field compares by identity, so a Symmetry that holds one hashes
+        tgrid = TimeGrid(1.0, 8)
+        x = np.linspace(0.0, 1.0, 6)
+        h = TimeSeries(tgrid, np.sin(tgrid.nodes()[:, None] + x[None, :]), x=x)
+        assert len({Symmetry("Xinf", 0.5, h=h), Symmetry("Xinf", 0.5, h=h)}) == 1
 
 
 class TestAdjointSubstitution:
     def test_regime_validation(self):
         spec = FractionalSpec(RL, 0.5, 1.0)
         with pytest.raises(ValueError):
-            adjoint_substitution("bogus", spec, c1=1.0)
+            AdjointSubstitution("bogus", spec, c1=1.0)
         with pytest.raises(ValueError):
-            adjoint_substitution("RL_sub", spec)  # all constants zero
+            AdjointSubstitution("RL_sub", spec)  # all constants zero
         with pytest.raises(ValueError):
-            adjoint_substitution("RL_wave", spec, c1=1.0)  # alpha < 1
+            AdjointSubstitution("RL_wave", spec, c1=1.0)  # alpha < 1
         with pytest.raises(ValueError):
-            adjoint_substitution("Caputo_sub", spec, c1=1.0)  # kind mismatch
+            AdjointSubstitution("Caputo_sub", spec, c1=1.0)  # kind mismatch
 
     def test_regime_tuple_is_stable(self):
         assert SUBSTITUTION_REGIMES == ("RL_sub", "RL_wave", "Caputo_sub", "Caputo_wave")
@@ -189,13 +195,13 @@ class TestAdjointSubstitution:
         # a sub regime takes c1 and c2; a further constant would be dropped silently
         spec = FractionalSpec(kind, 0.5, 1.0)
         with pytest.raises(ValueError, match="c1, c2 only"):
-            adjoint_substitution(regime, spec, **{const: 1.0})
+            AdjointSubstitution(regime, spec, **{const: 1.0})
         with pytest.raises(ValueError, match="c1, c2 only"):
-            adjoint_substitution(regime, spec, c1=1.0, **{const: 1.0})
+            AdjointSubstitution(regime, spec, c1=1.0, **{const: 1.0})
 
     def test_rl_sub_field_is_affine_in_x(self):
         spec = FractionalSpec(RL, 0.5, 1.0)
-        sub = adjoint_substitution("RL_sub", spec, c1=2.0, c2=3.0)
+        sub = AdjointSubstitution("RL_sub", spec, c1=2.0, c2=3.0)
         tgrid = TimeGrid(1.0, 8)
         x = np.linspace(0.0, 1.0, 5)
         v = sub.field(tgrid, x)
@@ -204,7 +210,7 @@ class TestAdjointSubstitution:
 
     def test_caputo_sub_field_carries_end_power(self):
         spec = FractionalSpec(CAP, 0.5, 1.0)
-        sub = adjoint_substitution("Caputo_sub", spec, c1=1.0)
+        sub = AdjointSubstitution("Caputo_sub", spec, c1=1.0)
         tgrid = TimeGrid(1.0, 8)
         x = np.linspace(0.0, 1.0, 5)
         v = sub.field(tgrid, x)
@@ -231,7 +237,7 @@ class TestAdjointSubstitution:
         cs = cs[:2 * n] + [0.0] * (4 - 2 * n)  # the regime takes c1..c_2n
         assume(any(cs))
         alpha = frac + (n - 1.0)
-        sub = adjoint_substitution(regime, FractionalSpec(kind, alpha, T), *cs)
+        sub = AdjointSubstitution(regime, FractionalSpec(kind, alpha, T), *cs)
         tgrid = TimeGrid(T, 8)
         x = np.linspace(0.0, 1.0, 5)
         v = sub.field(tgrid, x, order)
@@ -260,7 +266,7 @@ class TestAdjointResidual:
         d = Diffusivity.power(2.0)
         tgrid, x = self._grid(steps)
         u = exact_stationary_caputo(d, 0.1, 1.0, tgrid, x)
-        sub = adjoint_substitution(regime, spec, *[1.0] * (2 * n))
+        sub = AdjointSubstitution(regime, spec, *[1.0] * (2 * n))
         res = adjoint_residual(sub.field(tgrid, x), u, d, spec)
         assert np.max(np.abs(res.values[1:-1, 1:-1])) < tol
 
@@ -270,6 +276,6 @@ class TestAdjointResidual:
         d = Diffusivity.power(2.0)
         tgrid, x = self._grid()
         u = exact_stationary_caputo(d, 0.1, 1.0, tgrid, x)
-        v = GridFunction(tgrid, x, np.outer(np.cos(tgrid.nodes()), np.cos(3.0 * x)))
+        v = TimeSeries(tgrid, np.outer(np.cos(tgrid.nodes()), np.cos(3.0 * x)), x=x)
         res = adjoint_residual(v, u, d, spec)
         assert np.max(np.abs(res.values[1:-1, 1:-1])) > 1e-2

@@ -11,7 +11,6 @@ from fraccons.fracops import FractionalSpec, Kind, SingularTerm, TimeGrid
 from fraccons.tfde import (
     Diffusivity,
     DiffusivityFamily,
-    GridFunction,
     SolverError,
     TFDEProblem,
     exact_linear_separable,
@@ -63,45 +62,6 @@ class TestDiffusivity:
             Diffusivity.constant(0.0)
         with pytest.raises(ValueError):
             Diffusivity(DiffusivityFamily.POWER, beta=0.0)
-
-
-class TestGridFunction:
-    def _field(self):
-        tgrid = TimeGrid(1.0, 8)
-        x = np.linspace(0.0, 1.0, 5)
-        vals = np.outer(tgrid.nodes(), x)
-        return GridFunction(tgrid, x, vals)
-
-    def test_shape_validation(self):
-        tgrid = TimeGrid(1.0, 8)
-        x = np.linspace(0.0, 1.0, 5)
-        with pytest.raises(ValueError):
-            GridFunction(tgrid, x, np.zeros((3, 5)))
-
-    def test_dx_field_on_separable_data(self):
-        u = self._field()
-        dux = u.dx_field()
-        # d/dx (t x) = t
-        assert np.allclose(dux.values, np.outer(u.grid.nodes(), np.ones(5)), atol=1e-12)
-
-    def test_csv_round_trip(self, tmp_path):
-        u = self._field()
-        path = tmp_path / "field.csv"
-        u.to_csv(str(path))
-        back = GridFunction.from_csv(str(path))
-        assert back.grid == u.grid
-        assert np.allclose(back.x, u.x)
-        assert np.allclose(back.values, u.values)
-
-    def test_from_parts_round_trip(self):
-        tgrid = TimeGrid(1.0, 8)
-        x = np.linspace(0.0, 1.0, 5)
-        term = SingularTerm(np.ones(5), -0.5)
-        reg = np.outer(tgrid.nodes(), x)
-        u = GridFunction.from_parts(tgrid, reg, (term,), x=x)
-        # the term is infinite at t = 0; the stored value there is 0
-        assert u.values[0, 0] == 0.0
-        assert np.allclose(u.regular_part(), reg)
 
 
 class TestExactSolutions:
