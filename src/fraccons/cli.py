@@ -3,8 +3,9 @@
 Exit codes, each failure with a one-line message on stderr:
   0 success;
   2 configuration/validation error (a non-finite number, a grid or n_x
-    with a fraction, a --config or --out path that cannot be read or
-    written), and a ``selftest --only`` number that names no criterion
+    with a fraction, an unknown key in a config mapping, a --config or
+    --out path that cannot be read or written; --out is opened before the
+    first solve), and a ``selftest --only`` number that names no criterion
     (checked before any criterion runs);
   3 solver failure (including a Newton iterate outside the domain of
     k and a singular Newton system), or a special-function series that did not converge or cannot
@@ -59,8 +60,16 @@ class ConfigError(ValueError):
     """Invalid scenario configuration."""
 
 
-_SOURCES = ("exact_linear", "exact_stationary", "exact_rl_power",
-            "exact_rl_separable", "solver")
+# source id -> {param: default}: the only params each source takes
+_SOURCE_PARAMS = {
+    "exact_linear": {"lam": 1.0},
+    "exact_stationary": {"a": 0.1, "b": 1.0},
+    "exact_rl_power": {"c": 1.0},
+    "exact_rl_separable": {"a": 0.1, "b": 1.0},
+    "solver": {"a": 0.1, "b": 1.0, "perturb": 0.0},
+}
+# diffusivity family -> the keys it reads besides "family"
+_FAMILY_KEYS = {"constant": ("k0",), "power": ("beta",), "exponential": ()}
 
 
 @dataclass(frozen=True)
@@ -142,6 +151,9 @@ def parse_config(data: dict) -> ScenarioConfig:
     extra = set(cfg.substitution or {}) - {"regime", "c1", "c2", "c3", "c4"}
     if extra:
         raise ConfigError(f"unknown substitution keys: {sorted(extra)}")
+    sid = cfg.source.get("id")
+    if not isinstance(sid, str) or sid not in _SOURCE_PARAMS:
+        raise ConfigError(f"source.id must be one of {tuple(_SOURCE_PARAMS)}")
     if cfg.x_lo >= cfg.x_hi:
         raise ConfigError("x_lo must be less than x_hi")
     if list(cfg.grids) != sorted(set(cfg.grids)) or min(cfg.grids, default=0) < 4:
@@ -150,9 +162,7 @@ def parse_config(data: dict) -> ScenarioConfig:
         raise ConfigError("n_x must be an integer >= 6")
     if not (0.0 <= cfg.exclude_frac < 0.5):
         raise ConfigError("exclude_frac must lie in [0, 0.5)")
-    if cfg.source.get("id") not in _SOURCES:
-        raise ConfigError(f"source.id must be one of {_SOURCES}")
-    if cfg.source["id"] == "exact_linear" and (
+    if sid == "exact_linear" and (
             cfg.diffusivity.get("family") != "constant"
             or float(cfg.diffusivity.get("k0", 1.0)) != 1.0):
         raise ConfigError("source exact_linear solves the equation for the constant "
@@ -161,6 +171,16 @@ def parse_config(data: dict) -> ScenarioConfig:
         _evaluators(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # no key is ignored; the family is a valid one once the evaluators are built
+    family = cfg.diffusivity["family"]
+    for where, keys, allowed in (
+            (f"diffusivity keys for {family}", cfg.diffusivity, ("family",) + _FAMILY_KEYS[family]),
+            ("source keys", cfg.source, ("id", "params")),
+            (f"source.params keys for {sid}", dict(cfg.source.get("params", {})),
+             _SOURCE_PARAMS[sid])):
+        extra = set(keys) - set(allowed)
+        if extra:
+            raise ConfigError(f"unknown {where}: {sorted(extra)}; allowed: {', '.join(allowed)}")
     return cfg
 
 
@@ -201,24 +221,19 @@ def _solution(cfg: ScenarioConfig, n_steps: int) -> TimeSeries:
     grid = TimeGrid(cfg.T, n_steps)
     n_x = cfg.n_x if cfg.n_x is not None else n_steps
     x = np.linspace(cfg.x_lo, cfg.x_hi, n_x + 1)
-    src = cfg.source
-    p = src.get("params", {})
-    sid = src["id"]
+    sid = cfg.source["id"]
+    given = dict(cfg.source.get("params", {}))
+    p = {k: float(given.get(k, default)) for k, default in _SOURCE_PARAMS[sid].items()}
     if sid == "exact_linear":
-        return exact_linear_separable(spec, float(p.get("lam", 1.0)), grid, x)
+        return exact_linear_separable(spec, p["lam"], grid, x)
     if sid == "exact_stationary":
-        return exact_stationary_caputo(diffu, float(p.get("a", 0.1)),
-                                       float(p.get("b", 1.0)), grid, x)
+        return exact_stationary_caputo(diffu, p["a"], p["b"], grid, x)
     if sid == "exact_rl_power":
-        return exact_rl_power_mode(cfg.alpha, float(p.get("c", 1.0)), grid, x)
+        return exact_rl_power_mode(cfg.alpha, p["c"], grid, x)
     if sid == "exact_rl_separable":
-        return exact_rl_separable(diffu, cfg.alpha, float(p.get("a", 0.1)),
-                                  float(p.get("b", 1.0)), grid, x)
+        return exact_rl_separable(diffu, cfg.alpha, p["a"], p["b"], grid, x)
     # numerical solver: separable-compatible initial data, optionally perturbed
-    a = float(p.get("a", 0.1))
-    b = float(p.get("b", 1.0))
-    eps = float(p.get("perturb", 0.0))
-    alpha = cfg.alpha
+    a, b, eps = p["a"], p["b"], p["perturb"]
     span = cfg.x_hi - cfg.x_lo
 
     def profile(xx):
@@ -227,16 +242,11 @@ def _solution(cfg: ScenarioConfig, n_steps: int) -> TimeSeries:
 
     # boundary traces: the end values of the profile, times t^{alpha-1} for the RL kind
     lo, hi = (float(profile(np.array([xb]))[0]) for xb in (cfg.x_lo, cfg.x_hi))
-    if spec.kind is Kind.RIEMANN_LIOUVILLE:
-        boundary_lo = lambda t: lo * t ** (alpha - 1.0)
-        boundary_hi = lambda t: hi * t ** (alpha - 1.0)
-    else:
-        boundary_lo = lambda t: lo
-        boundary_hi = lambda t: hi
+    power = cfg.alpha - 1.0 if spec.kind is Kind.RIEMANN_LIOUVILLE else 0.0
     problem = TFDEProblem(
         spec, diffu, cfg.x_lo, cfg.x_hi, profile,
         initial_velocity=(lambda xx: np.zeros_like(xx)) if spec.n == 2 else None,
-        boundary_lo=boundary_lo, boundary_hi=boundary_hi)
+        boundary_lo=lambda t: lo * t ** power, boundary_hi=lambda t: hi * t ** power)
     return solve_nonlinear(problem, grid, n_x)
 
 
@@ -360,6 +370,10 @@ def main(argv=None) -> int:
         grids = [int(g) for g in args.grids.split(",")] if args.grids else None
         cfg = _load_cfg(args.config, grids=grids, exclude_frac=args.exclude_frac,
                         threshold=args.threshold)
+        if args.out:
+            # an unusable --out path fails before the first solve; append mode
+            # leaves an existing file as it is until the run writes it
+            open(args.out, "a", encoding="utf-8").close()
         if args.command == "solve":
             return run_solve(cfg, args.out)
         return run_verify(cfg, args.out)

@@ -11,7 +11,7 @@ solution fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,14 +24,12 @@ from .fracops import (
     diff1,
     f_modified_integral,
     j_integral,
-    left_frac_integral,
     left_integral_endpoint_pole,
-    right_frac_integral,
     rl_left_derivative,
     rl_right_derivative,
     time_derivative,
 )
-from .tfde import Diffusivity, _equation_residual
+from .tfde import Diffusivity, tfde_residual
 from .symcat import (SUBSTITUTION_REGIMES, AdjointSubstitution, characteristic,
                      list_symmetries, regime_constants, regime_of)
 
@@ -55,8 +53,7 @@ __all__ = [
 def formal_lagrangian(u: TimeSeries, v: TimeSeries, diffusivity: Diffusivity,
                       spec: FractionalSpec) -> TimeSeries:
     """L = v [D^alpha_t u - k'(u) u_x^2 - k(u) u_xx]."""
-    bracket = _equation_residual(u, spec, diffusivity)
-    return TimeSeries(u.grid, v.values * bracket, x=u.x)
+    return TimeSeries(u.grid, v.values * tfde_residual(u, spec, diffusivity).values, x=u.x)
 
 
 def _noether_core(W: TimeSeries, v: TimeSeries, u: TimeSeries,
@@ -66,34 +63,26 @@ def _noether_core(W: TimeSeries, v: TimeSeries, u: TimeSeries,
 
     ``W`` is the characteristic of the symmetry on u, ``v`` the adjoint
     substitution on u's grid. The dropped terms xi0 L and xi1 L vanish on
-    solutions.
+    solutions. With D^{-mu} = I^mu and the sums over k = 0..n-1:
 
-    Riemann-Liouville kind:
-      n=1: C^t = v * I^{1-a} W + J(W, v_t)
-      n=2: C^t = v * D^{a-1} W - v_t * I^{2-a} W - J(W, v_tt)
-    Caputo kind:
-      n=1: C^t = W * (right I^{1-a} v) - J(W_t, v)
-      n=2: C^t = W * (right D^{a-1} v) + W_t * (right I^{2-a} v) - J(W_tt, v)
+      Riemann-Liouville kind: C^t = sum (-1)^k D_t^k v * D^{a-1-k} W - (-1)^n J(W, D_t^n v)
+      Caputo kind:            C^t = sum D_t^k W * (right D^{a-1-k} v) - J(D_t^n W, v)
+
     and C^x = W (v_x k - v k' u_x) - W_x v k, which is k0 (v_x W - v W_x)
     for a constant diffusivity k0.
     """
-    alpha = spec.alpha
+    # each order is alpha - (1 + k), one rounding: the exact negation of (1 + k) - alpha
+    alpha, n = spec.alpha, spec.n
     if spec.kind is Kind.RIEMANN_LIOUVILLE:
-        vt = sub.field(u.grid, u.x, 1)
-        if spec.n == 1:
-            ct = v.values * left_frac_integral(W, 1.0 - alpha).values + j_integral(W, vt, alpha).values
-        else:
-            vtt = sub.field(u.grid, u.x, 2)
-            ct = (v.values * rl_left_derivative(W, alpha - 1.0).values
-                  - vt.values * left_frac_integral(W, 2.0 - alpha).values
-                  - j_integral(W, vtt, alpha).values)
-    elif spec.n == 1:
-        ct = (W.values * right_frac_integral(v, 1.0 - alpha).values
-              - j_integral(time_derivative(W), v, alpha).values)
+        vk = [v] + [sub.field(u.grid, u.x, k) for k in range(1, n + 1)]
+        ct = (sum((-1) ** k * vk[k].values * rl_left_derivative(W, alpha - (1.0 + k)).values
+                  for k in range(n))
+              - (-1) ** n * j_integral(W, vk[n], alpha).values)
     else:
-        ct = (W.values * rl_right_derivative(v, alpha - 1.0).values
-              + time_derivative(W).values * right_frac_integral(v, 2.0 - alpha).values
-              - j_integral(time_derivative(W, 2), v, alpha).values)
+        Wk = [W] + [time_derivative(W, k) for k in range(1, n + 1)]
+        ct = (sum(Wk[k].values * rl_right_derivative(v, alpha - (1.0 + k)).values
+                  for k in range(n))
+              - j_integral(Wk[n], v, alpha).values)
     uv = u.values
     k = diffusivity.k(uv)
     ux = u.dx_field().values
@@ -170,9 +159,9 @@ def _noether_fn(name: str, sym_id: str, h: Optional[TimeSeries],
 def _rl_moment(j: int, printed_typo: bool = False):
     """Time moment j of the Riemann-Liouville kind, weight t^j.
 
-    c = sum_i (-1)^i j!/(j-i)! t^{j-i} R_i with R_0 = D^{a-1} u (I^{1-a} u
-    when n = 1) and R_i = I^{i+1-a} u. ``printed_typo`` puts R_1 where R_2
-    belongs, as Table 1 prints its sixth vector.
+    c = sum_i (-1)^i j!/(j-i)! t^{j-i} R_i with R_i = D^{a-1-i} u (an integral
+    where the order is negative). ``printed_typo`` puts R_1 where R_2 belongs,
+    as Table 1 prints its sixth vector.
     """
 
     def core(u, spec, start):
@@ -181,9 +170,7 @@ def _rl_moment(j: int, printed_typo: bool = False):
 
         def R(i: int) -> np.ndarray:
             r = 1 if printed_typo and i == 2 else i
-            if r == 0 and spec.n == 2:
-                return rl_left_derivative(u, a - 1.0).values
-            return left_frac_integral(u, r + 1.0 - a).values
+            return rl_left_derivative(u, a - (1.0 + r)).values
 
         c = sum((-1) ** i * math.perm(j, i) * t ** (j - i) * R(i) for i in range(j + 1))
         return c, t ** j
@@ -194,8 +181,8 @@ def _rl_moment(j: int, printed_typo: bool = False):
 def _pole_moment(m: int):
     """Caputo core s^{a-m} I^{m+1-a}(D^m u / s), weight s^{a-m-1}, s = T - t.
 
-    For m = n - 1 it carries the initial term D^m u(0, x) Phi(t) of the time
-    weights (``phi_sub`` for n = 1, the phi of ``phi_psi_wave`` for n = 2).
+    For m = n - 1 it carries the initial term D^m u(0, x) Phi(t), with Phi
+    the ``phi_sub`` weight of order a - m.
     """
 
     def core(u, spec, start):
@@ -206,8 +193,7 @@ def _pole_moment(m: int):
         f = TimeSeries(u.grid, (time_derivative(u, m) if m else u).values)
         c = s ** (a - m) * left_integral_endpoint_pole(f, m + 1.0 - a).values
         if m == spec.n - 1:
-            phi = phi_sub(t, a, T) if spec.n == 1 else phi_psi_wave(t, a, T)[0]
-            c = start(u)[None, :] * phi[:, None] + c
+            c = start(u)[None, :] * phi_sub(t, a - m, T)[:, None] + c
         return c, s ** (a - m - 1.0)
 
     return core
@@ -224,8 +210,8 @@ def _f_modified(u, spec, start):
 
 
 def _trivial_caputo(u, spec, start):
-    """I^{n+1-a} D^n u, weight 1."""
-    return left_frac_integral(time_derivative(u, spec.n), spec.n + 1.0 - spec.alpha).values, 1.0
+    """D^{a-1-n} D^n u = I^{n+1-a} D^n u, weight 1."""
+    return rl_left_derivative(time_derivative(u, spec.n), spec.alpha - (spec.n + 1.0)).values, 1.0
 
 
 _RL, _CAP = Kind.RIEMANN_LIOUVILLE, Kind.CAPUTO
@@ -419,7 +405,6 @@ class ResidualReport:
     l2: float
     excluded_nodes: int
     convergence_ratio: Optional[float] = None
-    residual: np.ndarray = field(default=None, repr=False)
 
     def csv_row(self) -> str:
         ratio = "" if self.convergence_ratio is None else f"{self.convergence_ratio:.6g}"
@@ -440,7 +425,7 @@ def _report(cv: ConservedVectorEval, u: TimeSeries, residual: np.ndarray,
     linf = float(np.max(np.abs(window)))
     l2 = float(np.sqrt(np.mean(window ** 2)))
     return ResidualReport(cv.provenance, cv.spec.kind.value, cv.spec.alpha,
-                          u.grid.n_steps, u.x.size - 1, linf, l2, 2 * lo, residual=residual)
+                          u.grid.n_steps, u.x.size - 1, linf, l2, 2 * lo)
 
 
 def divergence_residual(cv: ConservedVectorEval, u: TimeSeries,

@@ -447,7 +447,9 @@ def _derivative_order(alpha: float, grid: TimeGrid) -> int:
 
 
 def rl_left_derivative(f: TimeSeries, alpha: float) -> TimeSeries:
-    """Riemann-Liouville left derivative D^n (0I^{n-alpha} f)."""
+    """Riemann-Liouville left derivative D^n (0I^{n-alpha} f); D^{-mu} is 0I^mu."""
+    if alpha < 0.0:
+        return left_frac_integral(f, -alpha)
     n = _derivative_order(alpha, f.grid)
     return time_derivative(left_frac_integral(f, n - alpha), n)
 
@@ -459,7 +461,7 @@ def caputo_left_derivative(f: TimeSeries, alpha: float) -> TimeSeries:
 
 
 def rl_right_derivative(f: TimeSeries, alpha: float) -> TimeSeries:
-    """Right RL derivative (-1)^n D^n (tI^{n-alpha}_T f)."""
+    """Right RL derivative (-1)^n D^n (tI^{n-alpha}_T f); D^{-mu} is tI^mu_T."""
     return _reverse(rl_left_derivative(_reverse(f), alpha))
 
 

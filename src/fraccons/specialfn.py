@@ -165,12 +165,14 @@ def phi_sub(t, alpha: float, T: float):
 def phi_psi_wave(t, alpha: float, T: float):
     """Time weights (Phi, Psi) for the diffusion-wave (Caputo, alpha in (1,2)) catalog.
 
+    Phi is ``phi_sub`` of order alpha - 1, and
+    Psi(t) = (1 / (alpha * Gamma(2-alpha))) (1 - t/T)^alpha
+             * 2F1(alpha-1, alpha; alpha+1; 1 - t/T).
+
     ``t`` is a float or an array of times in [0, T]; both weights are 0 at T.
     """
     if not 1 < alpha < 2:
         raise ValueError("phi_psi_wave requires alpha in (1, 2)")
     w = _time_fraction("phi_psi_wave", t, T)
-    g2 = gamma(2.0 - alpha)
-    phi = w ** (alpha - 1.0) * hyp2f1(alpha - 1.0, alpha - 1.0, alpha, w) / ((alpha - 1.0) * g2)
-    psi = w ** alpha * hyp2f1(alpha - 1.0, alpha, alpha + 1.0, w) / (alpha * g2)
-    return phi, psi
+    psi = w ** alpha * hyp2f1(alpha - 1.0, alpha, alpha + 1.0, w) / (alpha * gamma(2.0 - alpha))
+    return phi_sub(t, alpha - 1.0, T), psi

@@ -384,14 +384,9 @@ def solve_nonlinear(problem: TFDEProblem, grid: TimeGrid, n_x: int) -> TimeSerie
     return TimeSeries.from_parts(grid, W, terms, x)
 
 
-def _equation_residual(u: TimeSeries, spec: FractionalSpec,
-                       diffusivity: Diffusivity) -> np.ndarray:
-    """D^alpha_t u - k'(u) u_x^2 - k(u) u_xx on the grid."""
-    op = rl_left_derivative if spec.kind is Kind.RIEMANN_LIOUVILLE else caputo_left_derivative
-    return (op(u, spec.alpha).values - diffusivity.k_prime(u.values) * u.dx_field().values ** 2
-            - diffusivity.k(u.values) * u.dx_field(2).values)
-
-
-def tfde_residual(u: TimeSeries, problem: TFDEProblem) -> TimeSeries:
+def tfde_residual(u: TimeSeries, spec: FractionalSpec, diffusivity: Diffusivity) -> TimeSeries:
     """Equation residual D^alpha_t u - k'(u) u_x^2 - k(u) u_xx on the grid."""
-    return TimeSeries(u.grid, _equation_residual(u, problem.spec, problem.diffusivity), x=u.x)
+    op = rl_left_derivative if spec.kind is Kind.RIEMANN_LIOUVILLE else caputo_left_derivative
+    res = (op(u, spec.alpha).values - diffusivity.k_prime(u.values) * u.dx_field().values ** 2
+           - diffusivity.k(u.values) * u.dx_field(2).values)
+    return TimeSeries(u.grid, res, x=u.x)

@@ -202,6 +202,39 @@ class TestVerifyCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("solver failure: singular"), err
 
+    @pytest.mark.parametrize("patch, message", [
+        # a step uphill of the residual: every halving of it fails
+        ("solve_banded", "Newton line search stalled"),
+        ("_MAX_ITER", "nonlinear iteration did not converge"),
+    ])
+    def test_newton_failure_exits_3(self, tmp_path, capsys, monkeypatch, patch, message):
+        if patch == "solve_banded":
+            real = tfde.solve_banded
+            monkeypatch.setattr(tfde, "solve_banded", lambda dl, d, du, b: -real(dl, d, du, b))
+        else:
+            monkeypatch.setattr(tfde, "_MAX_ITER", 1)
+        rc = main(["verify", "--config", write_config(tmp_path, self.solver_config(n_x=8))])
+        assert rc == 3
+        assert capsys.readouterr().err.strip().splitlines() == [f"solver failure: {message}"]
+
+    @pytest.mark.parametrize("source, vectors, alpha, ratio", [
+        # u = t^(alpha-1) K^-1(a x + b) with k = u^2: the vectors converge
+        ({"id": "exact_rl_separable", "params": {"a": 0.5, "b": 1.0}}, ["NL_RL_sub"], 0.5,
+         "3.64975"),
+        # u = c t^(alpha-1): C^t = D^(alpha-1) u is a constant, and the divergence is 0
+        ({"id": "exact_rl_power", "params": {"c": 0.7}}, ["Trivial_RL"], 1.5, ""),
+    ], ids=["exact_rl_separable", "exact_rl_power"])
+    def test_rl_exact_sources(self, tmp_path, capsys, source, vectors, alpha, ratio):
+        cfg = self.solver_config(source=source, vectors=vectors, alpha=alpha)
+        rc = main(["verify", "--config", write_config(tmp_path, cfg)])
+        assert rc == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+        assert [(r[0], r[3]) for r in rows] == [(vectors[0], "32"), (f"{vectors[0]}[flux]", "32"),
+                                                (vectors[0], "64"), (f"{vectors[0]}[flux]", "64")]
+        assert rows[2][-1] == ratio
+        if not ratio:
+            assert float(rows[0][5]) == float(rows[2][5]) == 0.0
+
     def test_nonfinite_residual_exits_4(self, tmp_path, capsys, monkeypatch):
         def nonfinite(cv, *args, **kwargs):
             raise FloatingPointError(f"{cv.provenance}: non-finite residual inside the window")
@@ -319,6 +352,16 @@ BAD_CONFIGS = {
     # a grid or n_x with a fraction is not truncated
     "grids_fractional": (dict(grids=[16.9, 32.2]), 2),
     "n_x_fractional": (dict(n_x=16.5), 2),
+    "x_lo_equals_x_hi": (dict(x_lo=1.0, x_hi=1.0), 2),
+    "x_lo_above_x_hi": (dict(x_lo=2.0, x_hi=1.0), 2),
+    "exclude_frac_half": (dict(exclude_frac=0.5), 2),
+    "exclude_frac_negative": (dict(exclude_frac=-0.1), 2),
+    # a key a mapping does not take is refused, not ignored
+    "param_misspelt": (dict(source={"id": "exact_stationary", "params": {"a": 0.1, "bb": 2.0}}), 2),
+    "perturb_on_exact_stationary": (dict(source={"id": "exact_stationary",
+                                                 "params": {"a": 0.1, "perturb": 0.1}}), 2),
+    "diffusivity_key_unknown": (dict(diffusivity={"family": "power", "beta": 1.0, "kappa": 3}), 2),
+    "source_id_not_a_string": (dict(source={"id": ["solver"]}), 2),
 }
 
 
@@ -350,6 +393,39 @@ def test_non_finite_number_is_named(tmp_path, capsys, overrides, name):
     assert rc == 2
     (line,) = capsys.readouterr().err.strip().splitlines()
     assert f"invalid configuration value: {name} must be a finite number" in line
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(source={"id": "exact_linear", "params": {"lamda": 1.15}},
+          diffusivity={"family": "constant", "k0": 1.0}),
+     "unknown source.params keys for exact_linear: ['lamda']; allowed: lam"),
+    (dict(source={"id": "exact_stationary", "params": {"a": 0.1, "perturb": 0.1}}),
+     "unknown source.params keys for exact_stationary: ['perturb']; allowed: a, b"),
+    (dict(diffusivity={"family": "constant", "k0": 1.0, "kappa": 3}),
+     "unknown diffusivity keys for constant: ['kappa']; allowed: family, k0"),
+    # a key another family reads is not silently dropped either
+    (dict(diffusivity={"family": "power", "beta": 1.0, "k0": 3.0}),
+     "unknown diffusivity keys for power: ['k0']; allowed: family, beta"),
+    (dict(source={"id": "exact_stationary", "param": {"a": 0.2}}),
+     "unknown source keys: ['param']; allowed: id, params"),
+], ids=["param_misspelt", "perturb_on_exact_stationary", "diffusivity_key", "k0_on_power",
+        "source_key"])
+def test_unknown_key_is_named(tmp_path, capsys, overrides, message):
+    rc = main(["verify", "--config", write_config(tmp_path, base_config(**overrides))])
+    assert rc == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"configuration error: {message}"]
+
+
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_out_path_is_checked_before_solving(tmp_path, capsys, monkeypatch, command):
+    solves = []
+    monkeypatch.setattr("fraccons.cli._solution", lambda cfg, n_steps: solves.append(n_steps))
+    folder = tmp_path / "a_directory"
+    folder.mkdir()
+    rc = main([command, "--config", write_config(tmp_path, base_config()), "--out", str(folder)])
+    assert rc == 2 and solves == []
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("configuration error: ") and "Is a directory" in line
 
 
 @pytest.mark.parametrize("argv", [
@@ -392,6 +468,14 @@ class TestSolveCommand:
         u = TimeSeries.from_csv(str(out))
         assert u.values.shape == (17, 17)
         assert np.isfinite(u.values).all()
+
+    def test_solve_without_out_prints_the_grid(self, tmp_path, capsys):
+        cfg = base_config(source={"id": "solver", "params": {"a": 0.1, "b": 1.0}},
+                          grids=[16], n_x=8)
+        rc = main(["solve", "--config", write_config(tmp_path, cfg)])
+        assert rc == 0
+        assert capsys.readouterr().out == "solved: 16 time steps, 8 space cells\n"
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     def test_solve_rl_field_is_finite(self, tmp_path):
         # the t^{alpha-1} mode is infinite at t = 0; that row is written as 0

@@ -252,6 +252,23 @@ class TestDerivatives:
         out = caputo_right_derivative(series(grid, lambda t: np.full_like(t, 2.0)), 0.5)
         assert np.max(np.abs(out.regular_part()[:-1])) < 1e-12
 
+    @pytest.mark.parametrize("mu", [0.3, 0.5, 1.5])
+    @pytest.mark.parametrize("column", [2, None], ids=["1d", "2d"])
+    def test_negative_order_rl_derivative_is_the_integral(self, mu, column):
+        # D^{-mu} = I^mu on either side, bit for bit, terms included
+        grid = TimeGrid(1.0, 24)
+        f, cols = field_and_columns(grid, -0.4, 0.3)
+        if column is not None:
+            f = cols[column]
+        pairs = ((rl_left_derivative(f, -mu), left_frac_integral(f, mu)),
+                 (rl_right_derivative(f, -mu), right_frac_integral(f, mu)))
+        for got, want in pairs:
+            assert np.array_equal(got.values, want.values)
+            assert [(tm.power, tm.anchor) for tm in got.singular] == \
+                [(tm.power, tm.anchor) for tm in want.singular]
+            for a, b in zip(got.singular, want.singular):
+                assert np.array_equal(a.coeff, b.coeff)
+
 
 class TestFiniteDifferences:
     def test_diff1_second_order(self):

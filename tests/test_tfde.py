@@ -70,9 +70,7 @@ class TestExactSolutions:
         tgrid = TimeGrid(1.0, 128)
         x = np.linspace(0.0, np.pi, 65)
         u = exact_linear_separable(spec, 1.0, tgrid, x)
-        prob = TFDEProblem(spec, Diffusivity.constant(1.0), 0.0, np.pi,
-                           initial=lambda xx: np.sin(xx))
-        res = tfde_residual(u, prob)
+        res = tfde_residual(u, spec, Diffusivity.constant(1.0))
         # interior residual: spatial truncation O(hx^2) plus the fractional
         # quadrature error; both small on this grid
         assert np.max(np.abs(res.values[2:-2, 1:-1])) < 5e-3
@@ -82,9 +80,7 @@ class TestExactSolutions:
         x = np.linspace(0.0, 1.0, 17)
         u = exact_rl_power_mode(0.5, 0.7, tgrid, x)
         spec = FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5, 1.0)
-        prob = TFDEProblem(spec, Diffusivity.constant(1.0), 0.0, 1.0,
-                           initial=lambda xx: np.full_like(xx, 0.7))
-        res = tfde_residual(u, prob)
+        res = tfde_residual(u, spec, Diffusivity.constant(1.0))
         assert np.max(np.abs(res.values[1:, :])) < 1e-12
 
     def test_stationary_caputo_satisfies_equation(self):
@@ -93,8 +89,7 @@ class TestExactSolutions:
         x = np.linspace(0.0, 1.0, 257)
         u = exact_stationary_caputo(d, 0.1, 1.0, tgrid, x)
         spec = FractionalSpec(Kind.CAPUTO, 0.5, 1.0)
-        prob = TFDEProblem(spec, d, 0.0, 1.0, initial=lambda xx: d.K_inv(0.1 * xx + 1.0))
-        res = tfde_residual(u, prob)
+        res = tfde_residual(u, spec, d)
         assert np.max(np.abs(res.values[1:, 1:-1])) < 1e-7
 
     def test_rl_separable_satisfies_equation(self):
@@ -104,8 +99,7 @@ class TestExactSolutions:
         x = np.linspace(0.0, 1.0, 129)
         u = exact_rl_separable(d, alpha, 0.5, 1.0, tgrid, x)
         spec = FractionalSpec(Kind.RIEMANN_LIOUVILLE, alpha, 1.0)
-        prob = TFDEProblem(spec, d, 0.0, 1.0, initial=lambda xx: d.K_inv(0.5 * xx + 1.0))
-        res = tfde_residual(u, prob)
+        res = tfde_residual(u, spec, d)
         assert np.max(np.abs(res.values[1:, 1:-1])) < 1e-6
 
     def test_rl_separable_requires_power_family(self):
