@@ -15,8 +15,8 @@ from .specialfn import (
     gamma,
     hyp2f1,
     mittag_leffler,
-    phi_psi_wave,
     phi_sub,
+    psi_wave,
 )
 from .fracops import (
     FractionalSpec,
@@ -27,7 +27,6 @@ from .fracops import (
     caputo_left_derivative,
     caputo_right_derivative,
     f_modified_integral,
-    gl_left_derivative,
     j_integral,
     left_frac_integral,
     left_integral_endpoint_pole,

@@ -266,17 +266,14 @@ def criterion_9() -> CriterionResult:
 
 def criterion_10() -> CriterionResult:
     """Conservation order on nonlinear RL solver output, k = u^2."""
-    alpha = 0.5
-    spec = FractionalSpec(Kind.RIEMANN_LIOUVILLE, alpha, 1.0)
+    spec = FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5, 1.0)
     diffu = Diffusivity.power(2.0)
     a, b = 0.5, 1.0
 
     def c1(x):
         return diffu.K_inv(a * x + b) * (1.0 + 0.1 * np.sin(np.pi * x))
 
-    prob = TFDEProblem(spec, diffu, 0.0, 1.0, c1,
-                       boundary_lo=lambda t: c1(np.array([0.0]))[0] * t ** (alpha - 1.0),
-                       boundary_hi=lambda t: c1(np.array([1.0]))[0] * t ** (alpha - 1.0))
+    prob = TFDEProblem(spec, diffu, 0.0, 1.0, c1)
     linfs = {pid: [] for pid in ("NL_RL_sub", "NL_RL_sub_t1", "NL_RL_sub_t2")}
     for n in (128, 256):
         u = solve_nonlinear(prob, TimeGrid(1.0, n), n)

@@ -10,7 +10,8 @@ Exit codes, each failure with a one-line message on stderr:
   3 solver failure (including a Newton iterate outside the domain of
     k and a singular Newton system), or a special-function series that did not converge or cannot
     reach float64 accuracy (the Mittag-Leffler series of an exact
-    solution at large lam^2 t^alpha);
+    solution at large lam^2 t^alpha), or a float64 overflow in the
+    numerics (a horizon T near 1e308);
   4 conservation-check (or selftest) failure: a convergence ratio below
     the threshold (the line names the worst vector, its n_steps and
     ratio, and the threshold, and a fixed n_x), or a non-finite residual
@@ -23,7 +24,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -53,7 +54,7 @@ from .conslaw import (
     flux_balance,
 )
 
-__all__ = ["ScenarioConfig", "ConfigError", "parse_config", "serialize_config", "main"]
+__all__ = ["ScenarioConfig", "ConfigError", "parse_config", "main"]
 
 
 class ConfigError(ValueError):
@@ -184,14 +185,6 @@ def parse_config(data: dict) -> ScenarioConfig:
     return cfg
 
 
-def serialize_config(cfg: ScenarioConfig) -> dict:
-    """Plain-data form; parse_config(serialize_config(cfg)) == cfg."""
-    out = asdict(cfg)
-    out["vectors"] = list(cfg.vectors)
-    out["grids"] = list(cfg.grids)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # scenario assembly
 # ---------------------------------------------------------------------------
@@ -240,13 +233,8 @@ def _solution(cfg: ScenarioConfig, n_steps: int) -> TimeSeries:
         base = diffu.K_inv(a * xx + b)
         return base * (1.0 + eps * np.sin(np.pi * (xx - cfg.x_lo) / span))
 
-    # boundary traces: the end values of the profile, times t^{alpha-1} for the RL kind
-    lo, hi = (float(profile(np.array([xb]))[0]) for xb in (cfg.x_lo, cfg.x_hi))
-    power = cfg.alpha - 1.0 if spec.kind is Kind.RIEMANN_LIOUVILLE else 0.0
-    problem = TFDEProblem(
-        spec, diffu, cfg.x_lo, cfg.x_hi, profile,
-        initial_velocity=(lambda xx: np.zeros_like(xx)) if spec.n == 2 else None,
-        boundary_lo=lambda t: lo * t ** power, boundary_hi=lambda t: hi * t ** power)
+    problem = TFDEProblem(spec, diffu, cfg.x_lo, cfg.x_hi, profile,
+                          initial_velocity=np.zeros_like if spec.n == 2 else None)
     return solve_nonlinear(problem, grid, n_x)
 
 
@@ -326,7 +314,7 @@ def run_catalog(cfg: Optional[ScenarioConfig]) -> int:
     regime = regime_of(spec)
     print(f"admitted symmetries for kind={cfg.kind}, alpha={cfg.alpha}, "
           f"k-family={cfg.diffusivity['family']}:")
-    for sym in list_symmetries(spec.kind, cfg.alpha, diffu, allow_conditional=True):
+    for sym in list_symmetries(spec.kind, cfg.alpha, diffu):
         entries = [f"{c} -> {'+'.join(correspondence(sym.id, c, regime))}"
                    for c in regime_constants(regime)]
         print(f"  {sym.id}: " + "; ".join(entries))
@@ -339,6 +327,10 @@ def run_selftest(numbers=None) -> int:
     for r in results:
         print(r.line())
     return 0 if all(r.passed for r in results) else 4
+
+
+def _overflow(kind: str, flag: int) -> None:
+    raise OverflowError("a numpy result exceeds the float64 range")
 
 
 def main(argv=None) -> int:
@@ -374,9 +366,9 @@ def main(argv=None) -> int:
             # an unusable --out path fails before the first solve; append mode
             # leaves an existing file as it is until the run writes it
             open(args.out, "a", encoding="utf-8").close()
-        if args.command == "solve":
-            return run_solve(cfg, args.out)
-        return run_verify(cfg, args.out)
+        # a numpy overflow raises OverflowError, as Python's float arithmetic does
+        with np.errstate(over="call", call=_overflow):
+            return (run_solve if args.command == "solve" else run_verify)(cfg, args.out)
     except (ConfigError, json.JSONDecodeError, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -385,6 +377,9 @@ def main(argv=None) -> int:
         return 3
     except ConvergenceError as exc:
         print(f"series did not converge: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        print(f"numerical overflow: {exc}", file=sys.stderr)
         return 3
     except FloatingPointError as exc:
         print(f"non-finite residual: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .specialfn import phi_sub, phi_psi_wave
+from .specialfn import phi_sub, psi_wave
 from .fracops import (
     Kind,
     FractionalSpec,
@@ -117,8 +117,8 @@ def _noether_fn(name: str, sym_id: str, h: Optional[TimeSeries],
                 diffusivity: Diffusivity, lagrangian: bool):
     """The evaluator function of the Noether vector of (sym_id, sub), checked here.
 
-    The symmetry is the one ``list_symmetries`` admits for the equation,
-    conditional generators included (they hold for u_t(0, x) = 0); ``h`` is
+    The symmetry is the one ``list_symmetries`` admits for the equation
+    (X4_rl of the Caputo kind holds for u_t(0, x) = 0); ``h`` is
     the field of the Xinf generator. ``name`` heads the error messages;
     ``lagrangian`` adds the xi L terms to the core of ``_noether_core``. xi L
     is taken as 0 where xi is 0 (L may be infinite at an end row), and L is
@@ -128,8 +128,8 @@ def _noether_fn(name: str, sym_id: str, h: Optional[TimeSeries],
         raise ValueError(f"{name}: requires an adjoint substitution")
     if sub.spec != spec:
         raise ValueError(f"{name}: the substitution was built for another spec")
-    sym = next((s for s in list_symmetries(spec.kind, spec.alpha, diffusivity, h,
-                                           allow_conditional=True) if s.id == sym_id), None)
+    sym = next((s for s in list_symmetries(spec.kind, spec.alpha, diffusivity, h)
+                if s.id == sym_id), None)
     if sym is None:
         raise ValueError(f"{name}: the equation does not admit the symmetry {sym_id!r}")
     if sym_id == "Xinf" and h is None:
@@ -204,9 +204,8 @@ def _f_modified(u, spec, start):
     a, T = spec.alpha, spec.T
     t = u.grid.nodes()
     s = (T - t)[:, None]
-    psi = phi_psi_wave(t, a, T)[1]
     fint = f_modified_integral(time_derivative(u), a).values
-    return start(u)[None, :] * psi[:, None] + s ** a * fint, s ** (a - 1.0)
+    return start(u)[None, :] * psi_wave(t, a, T)[:, None] + s ** a * fint, s ** (a - 1.0)
 
 
 def _trivial_caputo(u, spec, start):
@@ -263,8 +262,8 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
     """Conserved-vector evaluator for a catalog id or a ``Noether:<symmetry>`` id.
 
     The closed forms that carry the initial datum read u(0, x) off the
-    field; ``initial_velocity`` supplies u_t(0, x) (an array, a scalar or a
-    callable of x), which a sampled field does not determine. ``Noether:``
+    field; ``initial_velocity`` supplies u_t(0, x) (an array over x or a
+    scalar), which a sampled field does not determine. ``Noether:``
     ids and the linear-case ids need the adjoint ``substitution`` and a
     symmetry the equation admits (``list_symmetries``; any other id raises
     ValueError); the Xinf generator additionally needs the field ``h``
@@ -287,8 +286,7 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
             if n == 1:
                 return u.values[0]
             check(initial_velocity is not None, "requires the initial data u_t(0, x)")
-            values = initial_velocity(u.x) if callable(initial_velocity) else initial_velocity
-            return np.broadcast_to(np.asarray(values, dtype=float), u.x.shape)
+            return np.broadcast_to(np.asarray(initial_velocity, dtype=float), u.x.shape)
 
         def fn(u: TimeSeries):
             c, w = core(u, spec, start)

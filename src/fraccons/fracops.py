@@ -36,12 +36,12 @@ __all__ = [
     "rl_right_derivative",
     "caputo_left_derivative",
     "caputo_right_derivative",
-    "gl_left_derivative",
     "j_integral",
     "f_modified_integral",
     "left_integral_endpoint_pole",
     "diff1",
     "diff2",
+    "time_derivative",
 ]
 
 # entries kept per weight builder; a full selftest builds at most 9 distinct
@@ -468,22 +468,6 @@ def rl_right_derivative(f: TimeSeries, alpha: float) -> TimeSeries:
 def caputo_right_derivative(f: TimeSeries, alpha: float) -> TimeSeries:
     """Right Caputo derivative (-1)^n tI^{n-alpha}_T (D^n f)."""
     return _reverse(caputo_left_derivative(_reverse(f), alpha))
-
-
-def gl_left_derivative(f: TimeSeries, alpha: float) -> TimeSeries:
-    """Grunwald-Letnikov cross-check mode for the left RL derivative."""
-    _order_and_n(alpha)
-    grid = f.grid
-    v = f.values
-    n = grid.n_steps
-    w = np.empty(n + 1)
-    w[0] = 1.0
-    for k in range(1, n + 1):
-        w[k] = w[k - 1] * (1.0 - (alpha + 1.0) / k)
-    out = np.empty_like(v)
-    for i in range(n + 1):
-        out[i] = np.dot(w[: i + 1], v[i::-1])
-    return TimeSeries(grid, out / grid.h ** alpha, x=f.x)
 
 
 # ---------------------------------------------------------------------------

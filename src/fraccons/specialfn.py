@@ -19,7 +19,7 @@ __all__ = [
     "mittag_leffler",
     "hyp2f1",
     "phi_sub",
-    "phi_psi_wave",
+    "psi_wave",
 ]
 
 
@@ -162,17 +162,16 @@ def phi_sub(t, alpha: float, T: float):
     return w ** alpha * hyp2f1(alpha, alpha, alpha + 1.0, w) / (alpha * gamma(1.0 - alpha))
 
 
-def phi_psi_wave(t, alpha: float, T: float):
-    """Time weights (Phi, Psi) for the diffusion-wave (Caputo, alpha in (1,2)) catalog.
+def psi_wave(t, alpha: float, T: float):
+    """Time weight Psi(t) for the diffusion-wave (Caputo, alpha in (1,2)) catalog.
 
-    Phi is ``phi_sub`` of order alpha - 1, and
     Psi(t) = (1 / (alpha * Gamma(2-alpha))) (1 - t/T)^alpha
-             * 2F1(alpha-1, alpha; alpha+1; 1 - t/T).
+             * 2F1(alpha-1, alpha; alpha+1; 1 - t/T)
 
-    ``t`` is a float or an array of times in [0, T]; both weights are 0 at T.
+    ``t`` is a float or an array of times in [0, T]; Psi(T) = 0. The
+    catalog's Phi weight of this regime is ``phi_sub`` of order alpha - 1.
     """
     if not 1 < alpha < 2:
-        raise ValueError("phi_psi_wave requires alpha in (1, 2)")
-    w = _time_fraction("phi_psi_wave", t, T)
-    psi = w ** alpha * hyp2f1(alpha - 1.0, alpha, alpha + 1.0, w) / (alpha * gamma(2.0 - alpha))
-    return phi_sub(t, alpha - 1.0, T), psi
+        raise ValueError("psi_wave requires alpha in (1, 2)")
+    w = _time_fraction("psi_wave", t, T)
+    return w ** alpha * hyp2f1(alpha - 1.0, alpha, alpha + 1.0, w) / (alpha * gamma(2.0 - alpha))

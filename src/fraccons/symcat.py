@@ -32,6 +32,7 @@ __all__ = [
     "Symmetry",
     "AdjointSubstitution",
     "list_symmetries",
+    "rl_extra_beta",
     "characteristic",
     "adjoint_residual",
     "SUBSTITUTION_REGIMES",
@@ -108,14 +109,12 @@ def rl_extra_beta(alpha: float) -> float:
 
 
 def list_symmetries(kind: Kind, alpha: float, diffusivity: Diffusivity,
-                    h: Optional[TimeSeries] = None,
-                    allow_conditional: bool = False) -> list[Symmetry]:
+                    h: Optional[TimeSeries] = None) -> list[Symmetry]:
     """Admitted point symmetries for the given derivative kind and diffusivity.
 
     ``h`` supplies the arbitrary-solution generator of the linear case.
-    ``allow_conditional`` additionally admits X4_rl for the Caputo kind with
-    k = u^{2 alpha / (1 - alpha)}, alpha in (1,2), which holds conditionally
-    on problem data with u_t(0, x) = 0.
+    X4_rl of k = u^{2 alpha / (1 - alpha)} is listed for the Caputo kind
+    with alpha in (1,2) too, where it holds for data with u_t(0, x) = 0.
     """
     _order_and_n(alpha)
     if diffusivity.family is DiffusivityFamily.CONSTANT:
@@ -127,10 +126,8 @@ def list_symmetries(kind: Kind, alpha: float, diffusivity: Diffusivity,
         out.append(Symmetry("X3_pow", alpha, beta=beta))
         if np.isclose(beta, -4.0 / 3.0):
             out.append(Symmetry("X4_pow43", alpha, beta=beta))
-        extra = np.isclose(beta, rl_extra_beta(alpha))
-        if extra and kind is Kind.RIEMANN_LIOUVILLE:
-            out.append(Symmetry("X4_rl", alpha, beta=beta))
-        elif extra and kind is Kind.CAPUTO and alpha > 1.0 and allow_conditional:
+        if np.isclose(beta, rl_extra_beta(alpha)) and (kind is Kind.RIEMANN_LIOUVILLE
+                                                       or alpha > 1.0):
             out.append(Symmetry("X4_rl", alpha, beta=beta))
     elif diffusivity.family is DiffusivityFamily.EXPONENTIAL:
         if kind is Kind.CAPUTO:

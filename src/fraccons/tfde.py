@@ -135,8 +135,8 @@ class TFDEProblem:
     coefficient c1(x) of the t^{alpha-1} mode (equivalently, the value of
     the (n-alpha)-order integral of u at t = 0 divided by Gamma(alpha));
     when n = 2, ``initial_velocity`` supplies the coefficient c2(x) of
-    t^{alpha-2}. Boundary callables give the full solution trace at
-    x_lo / x_hi as functions of t.
+    t^{alpha-2}. The solver holds the ends at their initial data (see
+    :func:`solve_nonlinear`).
     """
 
     spec: FractionalSpec
@@ -145,8 +145,6 @@ class TFDEProblem:
     x_hi: float
     initial: Callable[[np.ndarray], np.ndarray]
     initial_velocity: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    boundary_lo: Optional[Callable[[float], float]] = None
-    boundary_hi: Optional[Callable[[float], float]] = None
 
     def __post_init__(self) -> None:
         if self.x_lo >= self.x_hi:
@@ -328,6 +326,9 @@ def solve_nonlinear(problem: TFDEProblem, grid: TimeGrid, n_x: int) -> TimeSerie
     The L1 scheme for the derivative of order alpha - n + 1 acts on y = w
     (n = 1) or on its backward difference quotient y = w_t (n = 2,
     first-order accurate).
+    Dirichlet data: the ends of w keep their t = 0 values, so u at x_lo and
+    x_hi is held at u0 there (Caputo kind) or is the singular modes alone,
+    e.g. c1 t^{alpha-1} (RL kind).
     Raises SolverError when a Newton step fails, including an iterate
     outside the domain of k.
     """
@@ -337,7 +338,6 @@ def solve_nonlinear(problem: TFDEProblem, grid: TimeGrid, n_x: int) -> TimeSerie
     x = np.linspace(problem.x_lo, problem.x_hi, n_x + 1)
     hx2 = (x[1] - x[0]) ** 2
     h = grid.h
-    t = grid.nodes()
     n_t = grid.n_steps
 
     W = np.zeros((n_t + 1, x.size))
@@ -371,11 +371,8 @@ def solve_nonlinear(problem: TFDEProblem, grid: TimeGrid, n_x: int) -> TimeSerie
         # c_l1 (y_m - y_{m-1}) + hist = flux, with y_m = (w_m - w_prev) / h^(n-1)
         w_prev = W[m - 1, 1:-1] if n == 2 else 0.0
         rhs = c0 * w_prev + c_l1 * y[1:-1] - hist[1:-1]
+        # the start guess carries the held end values of w
         w = W[m - 1].copy()
-        # Dirichlet values of w: the full trace minus the singular modes there
-        for end, fn in ((0, problem.boundary_lo), (-1, problem.boundary_hi)):
-            if fn is not None:
-                w[end] = float(fn(t[m])) - base[m, end]
         W[m] = _newton_step_solve(k, k_prime, c0, rhs, base[m], w, hx2)
         y_m = W[m] if n == 1 else (W[m] - W[m - 1]) / h
         dY[m] = y_m - y

@@ -122,7 +122,7 @@ class TestCorrespondence:
         h = exact_linear_separable(spec, 1.0, TimeGrid(1.0, 8), np.linspace(0.0, np.pi, 9))
         for d in (Diffusivity.constant(1.0), Diffusivity.exponential(), Diffusivity.power(2.0),
                   Diffusivity.power(-4.0 / 3.0), Diffusivity.power(rl_extra_beta(alpha))):
-            for sym in list_symmetries(kind, alpha, d, h, allow_conditional=True):
+            for sym in list_symmetries(kind, alpha, d, h):
                 assert sym.id in _CORRESPONDENCE[regime], (regime, d, sym.id)
                 pids = {f"Noether:{sym.id}"}
                 for const in regime_constants(regime):

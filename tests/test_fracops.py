@@ -21,7 +21,6 @@ from fraccons.fracops import (
     diff1,
     diff2,
     f_modified_integral,
-    gl_left_derivative,
     j_integral,
     left_frac_integral,
     left_integral_endpoint_pole,
@@ -36,6 +35,21 @@ G = math.gamma
 
 def series(grid, fn, singular=()):
     return TimeSeries.from_function(grid, fn, singular=singular)
+
+
+def gl_left_derivative(f: TimeSeries, alpha: float) -> TimeSeries:
+    """Grunwald-Letnikov left RL derivative: an O(n^2) oracle for the kernels."""
+    grid = f.grid
+    v = f.values
+    n = grid.n_steps
+    w = np.empty(n + 1)
+    w[0] = 1.0
+    for k in range(1, n + 1):
+        w[k] = w[k - 1] * (1.0 - (alpha + 1.0) / k)
+    out = np.empty_like(v)
+    for i in range(n + 1):
+        out[i] = np.dot(w[: i + 1], v[i::-1])
+    return TimeSeries(grid, out / grid.h ** alpha, x=f.x)
 
 
 def power_series(grid, coeff, power):

@@ -11,8 +11,8 @@ from fraccons.specialfn import (
     gamma,
     hyp2f1,
     mittag_leffler,
-    phi_psi_wave,
     phi_sub,
+    psi_wave,
     reciprocal_gamma,
 )
 
@@ -110,7 +110,7 @@ CALL_SITE_FAMILIES = {
     # fracops._endpoint_pole_weight_matrix: (1, 1; nu+1), nu = mu + k, k = 0, 1
     "endpoint_pole_k0": lambda al: (1.0, 1.0, al + 1.0),
     "endpoint_pole_k1": lambda al: (1.0, 1.0, al + 2.0),
-    # specialfn.phi_sub and phi_psi_wave
+    # specialfn.phi_sub (also of order alpha - 1, for the wave regime) and psi_wave
     "phi_sub": lambda al: (al, al, al + 1.0),
     "wave_phi": lambda al: (al - 1.0, al - 1.0, al),
     "wave_psi": lambda al: (al - 1.0, al, al + 1.0),
@@ -185,34 +185,31 @@ class TestTimeWeights:
         assert all(a >= b - 1e-14 for a, b in zip(vals, vals[1:]))
         assert vals[-1] == 0.0
 
-    def test_phi_psi_wave_monotone_nonnegative(self):
+    def test_psi_wave_monotone_nonnegative(self):
         alpha, T = 1.5, 1.0
-        pairs = [phi_psi_wave(t, alpha, T) for t in np.linspace(0.0, T, 1000)]
-        for comp in (0, 1):
-            vals = [p[comp] for p in pairs]
-            assert all(v >= 0.0 for v in vals)
-            assert all(a >= b - 1e-14 for a, b in zip(vals, vals[1:]))
+        vals = [psi_wave(t, alpha, T) for t in np.linspace(0.0, T, 1000)]
+        assert all(v >= 0.0 for v in vals)
+        assert all(a >= b - 1e-14 for a, b in zip(vals, vals[1:]))
+        assert vals[-1] == 0.0
 
     def test_array_times_match_scalar_calls(self):
         t = np.linspace(0.0, 2.0, 129)
         sub = phi_sub(t, 0.3, 2.0)
         assert sub.shape == t.shape
         np.testing.assert_allclose(sub, [phi_sub(tt, 0.3, 2.0) for tt in t], rtol=1e-14, atol=0.0)
-        phi, psi = phi_psi_wave(t, 1.5, 2.0)
-        pairs = np.array([phi_psi_wave(tt, 1.5, 2.0) for tt in t])
-        np.testing.assert_allclose(phi, pairs[:, 0], rtol=1e-14, atol=0.0)
-        np.testing.assert_allclose(psi, pairs[:, 1], rtol=1e-14, atol=0.0)
+        psi = psi_wave(t, 1.5, 2.0)
+        np.testing.assert_allclose(psi, [psi_wave(tt, 1.5, 2.0) for tt in t], rtol=1e-14, atol=0.0)
         assert isinstance(phi_sub(0.5, 0.3, 2.0), float)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             phi_sub(0.5, 1.5, 1.0)
         with pytest.raises(ValueError):
-            phi_psi_wave(0.5, 0.5, 1.0)
+            psi_wave(0.5, 0.5, 1.0)
         with pytest.raises(ValueError):
             phi_sub(2.0, 0.5, 1.0)
         with pytest.raises(ValueError):
             phi_sub(np.array([0.0, 0.5, 1.1]), 0.5, 1.0)
         with pytest.raises(ValueError):
-            phi_psi_wave(np.array([-0.1, 0.5]), 1.5, 1.0)
+            psi_wave(np.array([-0.1, 0.5]), 1.5, 1.0)
 

@@ -54,10 +54,10 @@ class TestListSymmetries:
         assert "X4_rl" in ids(syms)
 
     def test_caputo_special_exponent_is_conditional(self):
-        beta = rl_extra_beta(1.5)
-        assert "X4_rl" not in ids(list_symmetries(CAP, 1.5, Diffusivity.power(beta)))
-        assert "X4_rl" in ids(list_symmetries(CAP, 1.5, Diffusivity.power(beta),
-                                              allow_conditional=True))
+        # listed for alpha in (1,2), where it holds for data with u_t(0, x) = 0
+        assert "X4_rl" in ids(list_symmetries(CAP, 1.5, Diffusivity.power(rl_extra_beta(1.5))))
+        assert "X4_rl" not in ids(list_symmetries(CAP, 0.5,
+                                                  Diffusivity.power(rl_extra_beta(0.5))))
 
     def test_exponential_diffusivity(self):
         assert "X3_exp" in ids(list_symmetries(CAP, 0.5, Diffusivity.exponential()))

@@ -113,9 +113,7 @@ class TestSolver:
     def test_caputo_linear_converges_to_exact(self):
         spec = FractionalSpec(Kind.CAPUTO, 0.5, 1.0)
         d = Diffusivity.constant(1.0)
-        prob = TFDEProblem(spec, d, 0.0, np.pi,
-                           initial=lambda xx: np.sin(xx),
-                           boundary_lo=lambda t: 0.0, boundary_hi=lambda t: 0.0)
+        prob = TFDEProblem(spec, d, 0.0, np.pi, initial=np.sin)
         errs = []
         for n in (32, 64):
             tgrid = TimeGrid(1.0, n)
@@ -130,9 +128,7 @@ class TestSolver:
         d = Diffusivity.power(2.0)
         spec = FractionalSpec(Kind.CAPUTO, 0.5, 1.0)
         g = lambda xx: d.K_inv(0.1 * xx + 1.0)
-        prob = TFDEProblem(spec, d, 0.0, 1.0, initial=g,
-                           boundary_lo=lambda t: float(g(np.array([0.0]))[0]),
-                           boundary_hi=lambda t: float(g(np.array([1.0]))[0]))
+        prob = TFDEProblem(spec, d, 0.0, 1.0, initial=g)
         tgrid = TimeGrid(1.0, 32)
         u = solve_nonlinear(prob, tgrid, 32)
         ref = np.tile(g(u.x)[None, :], (33, 1))
@@ -147,10 +143,7 @@ class TestSolver:
         d = Diffusivity.power(2.0)
         spec = FractionalSpec(Kind.RIEMANN_LIOUVILLE, alpha, 1.0)
         g = lambda xx: d.K_inv(0.5 * xx + 1.0)
-        prob = TFDEProblem(
-            spec, d, 0.0, 1.0, initial=g, initial_velocity=np.zeros_like,
-            boundary_lo=lambda t: float(g(np.array([0.0]))[0]) * t ** (alpha - 1.0),
-            boundary_hi=lambda t: float(g(np.array([1.0]))[0]) * t ** (alpha - 1.0))
+        prob = TFDEProblem(spec, d, 0.0, 1.0, initial=g, initial_velocity=np.zeros_like)
         tgrid = TimeGrid(1.0, 32)
         u = solve_nonlinear(prob, tgrid, 32)
         ref = exact_rl_separable(d, alpha, 0.5, 1.0, tgrid, u.x)
@@ -163,8 +156,7 @@ class TestSolver:
         monkeypatch.setattr(tfde, "solve_banded",
                             lambda *args: calls.append(1) or real(*args))
         spec = FractionalSpec(Kind.CAPUTO, 0.5, 1.0)
-        prob = TFDEProblem(spec, Diffusivity.constant(1.0), 0.0, np.pi, initial=np.sin,
-                           boundary_lo=lambda t: 0.0, boundary_hi=lambda t: 0.0)
+        prob = TFDEProblem(spec, Diffusivity.constant(1.0), 0.0, np.pi, initial=np.sin)
         solve_nonlinear(prob, TimeGrid(1.0, 16), 16)
         assert len(calls) >= 16
 
@@ -173,10 +165,8 @@ class TestSolver:
         # path as scipy's solve_banded on the same system
         d = Diffusivity.power(2.0)
         g = lambda xx: d.K_inv(0.5 * xx + 1.0) * (1.0 + 0.1 * np.sin(np.pi * xx))
-        lo, hi = (float(g(np.array([xb]))[0]) for xb in (0.0, 1.0))
         prob = TFDEProblem(FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5, 1.0), d, 0.0, 1.0,
-                           initial=g, boundary_lo=lambda t: lo * t ** -0.5,
-                           boundary_hi=lambda t: hi * t ** -0.5)
+                           initial=g)
 
         def via_scipy(dl, main, du, b):
             ab = np.zeros((3, main.size))
@@ -197,10 +187,8 @@ class TestSolver:
     def test_wave_regime_runs_and_converges(self):
         spec = FractionalSpec(Kind.CAPUTO, 1.5, 1.0)
         d = Diffusivity.constant(1.0)
-        prob = TFDEProblem(spec, d, 0.0, np.pi,
-                           initial=lambda xx: np.sin(xx),
-                           initial_velocity=lambda xx: np.zeros_like(xx),
-                           boundary_lo=lambda t: 0.0, boundary_hi=lambda t: 0.0)
+        prob = TFDEProblem(spec, d, 0.0, np.pi, initial=np.sin,
+                           initial_velocity=np.zeros_like)
         errs = []
         for n in (32, 64):
             tgrid = TimeGrid(1.0, n)
@@ -208,6 +196,22 @@ class TestSolver:
             ref = exact_linear_separable(spec, 1.0, tgrid, u.x)
             errs.append(np.max(np.abs(u.values - ref.values)))
         assert errs[1] < errs[0]
+
+    @pytest.mark.parametrize("kind, alpha", [(Kind.CAPUTO, 0.5), (Kind.CAPUTO, 1.5),
+                                             (Kind.RIEMANN_LIOUVILLE, 0.5)])
+    def test_ends_hold_the_initial_trace(self, kind, alpha):
+        # no boundary data: the ends of the regular part keep their t = 0
+        # values, u0 at each end (Caputo) or 0 under the singular modes (RL)
+        d = Diffusivity.power(2.0)
+        g = lambda xx: d.K_inv(0.5 * xx + 1.0) * (1.0 + 0.1 * np.sin(np.pi * xx))
+        prob = TFDEProblem(FractionalSpec(kind, alpha, 1.0), d, 0.0, 1.0, initial=g,
+                           initial_velocity=np.zeros_like)
+        u = solve_nonlinear(prob, TimeGrid(1.0, 32), 16)
+        if kind is Kind.CAPUTO:
+            for end in (0, -1):
+                assert np.array_equal(u.values[:, end], np.full(33, g(u.x)[end]))
+        else:
+            assert np.array_equal(u.regular_part()[:, [0, -1]], np.zeros((33, 2)))
 
     def test_missing_initial_velocity_rejected(self):
         spec = FractionalSpec(Kind.CAPUTO, 1.5, 1.0)
