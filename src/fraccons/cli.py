@@ -3,9 +3,11 @@
 Exit codes, each failure with a one-line message on stderr:
   0 success;
   2 configuration/validation error (a non-finite number, a grid or n_x
-    with a fraction, an unknown key in a config mapping, a --config or
-    --out path that cannot be read or written; --out is opened before the
-    first solve), and a ``selftest --only`` number that names no criterion
+    with a fraction, a largest grid whose field has more than 2^25 nodes
+    (n + 1) * (n_x + 1), checked before any solve, an unknown key in a
+    config mapping, a --config or --out path that cannot be read or
+    written; --out is opened before the first solve), and a
+    ``selftest --only`` number that names no criterion
     (checked before any criterion runs);
   3 solver failure (including a Newton iterate outside the domain of
     k and a singular Newton system), or a special-function series that did not converge or cannot
@@ -71,6 +73,9 @@ _SOURCE_PARAMS = {
 }
 # diffusivity family -> the keys it reads besides "family"
 _FAMILY_KEYS = {"constant": ("k0",), "power": ("beta",), "exponential": ()}
+# the most nodes (n + 1) * (n_x + 1) a field may have: 256 MiB of float64,
+# and a solve or verify holds several fields of that size at once
+_MAX_NODES = 2 ** 25
 
 
 @dataclass(frozen=True)
@@ -161,6 +166,11 @@ def parse_config(data: dict) -> ScenarioConfig:
         raise ConfigError("grids must be a strictly increasing list of integers >= 4")
     if cfg.n_x is not None and cfg.n_x < 6:
         raise ConfigError("n_x must be an integer >= 6")
+    n = cfg.grids[-1]
+    n_x = cfg.n_x if cfg.n_x is not None else n
+    if (n + 1) * (n_x + 1) > _MAX_NODES:
+        raise ConfigError(f"grids: a field of {n} time steps and {n_x} space cells has "
+                          f"{(n + 1) * (n_x + 1)} nodes, over the limit of {_MAX_NODES}")
     if not (0.0 <= cfg.exclude_frac < 0.5):
         raise ConfigError("exclude_frac must lie in [0, 0.5)")
     if sid == "exact_linear" and (

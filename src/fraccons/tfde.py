@@ -252,16 +252,23 @@ def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -
     return x
 
 
-def _flux(k: Callable, k_prime: Callable, u: np.ndarray, hx2: float):
-    """Conservative (k(u) u_x)_x at interior nodes and its Jacobian's sub-, main and
-    super-diagonals (w.r.t. u_{j-1}, u_j, u_{j+1}), all from one set of midpoint values."""
+def _flux(k: Callable, u: np.ndarray, hx2: float):
+    """Conservative (k(u) u_x)_x at interior nodes, and the midpoint values
+    (um, k(um), du) it was built from, which :func:`_flux_jacobian` reuses."""
     um = 0.5 * (u[1:] + u[:-1])
     kh = k(um)
     du = u[1:] - u[:-1]
-    s = 0.5 * k_prime(um) * du
     q = kh * du
-    return ((q[1:] - q[:-1]) / hx2, (kh[1:-1] - s[1:-1]) / hx2,
-            (s[1:] - kh[1:] - s[:-1] - kh[:-1]) / hx2, (kh[1:-1] + s[1:-1]) / hx2)
+    return (q[1:] - q[:-1]) / hx2, (um, kh, du)
+
+
+def _flux_jacobian(k_prime: Callable, mid: tuple, hx2: float):
+    """The flux Jacobian's sub-, main and super-diagonals (w.r.t. u_{j-1}, u_j,
+    u_{j+1}) from the midpoint values ``mid`` of :func:`_flux`."""
+    um, kh, du = mid
+    s = 0.5 * k_prime(um) * du
+    return ((kh[1:-1] - s[1:-1]) / hx2, (s[1:] - kh[1:] - s[:-1] - kh[:-1]) / hx2,
+            (kh[1:-1] + s[1:-1]) / hx2)
 
 
 def _newton_step_solve(k: Callable, k_prime: Callable, c0: float, rhs: np.ndarray,
@@ -271,29 +278,32 @@ def _newton_step_solve(k: Callable, k_prime: Callable, c0: float, rhs: np.ndarra
     ``k`` and ``k_prime`` take float arrays (the diffusivity's row, bound once per solve).
     ``w`` is the start guess with the Dirichlet values in its end entries;
     it may be overwritten.
+    Every residual evaluation keeps its midpoint values; the Jacobian is built
+    from them only when Newton steps, once per banded solve.
     A non-finite residual or Jacobian (an iterate outside the domain of k), a
     singular system, a stalled line search or the iteration cap raise SolverError.
     """
 
-    def residual(v):
-        f, sub, main, sup = _flux(k, k_prime, base_row + v, hx2)
+    def residual(v, u):
+        f, mid = _flux(k, u, hx2)
         g = c0 * v[1:-1] - f - rhs
-        return g, np.abs(g).max(), (sub, main, sup)
+        return g, np.abs(g).max(), mid
 
     with np.errstate(all="ignore"):
         # residual tolerance relative to the magnitude of the balanced terms;
         # the flux difference cancels catastrophically when the field carries
         # an initial-time singularity, so the roundoff floor scales with k*u/hx^2
         u0 = base_row + w
-        term_mag = float(np.max(np.abs(k(u0)) * np.abs(u0))) / hx2
-        tol_eff = max(_TOL * max(1.0, float(np.max(np.abs(rhs)))), 1e-12 * term_mag)
-        g, gn, (sub, main, sup) = residual(w)
+        term_mag = float((np.abs(k(u0)) * np.abs(u0)).max()) / hx2
+        tol_eff = max(_TOL * max(1.0, float(np.abs(rhs).max())), 1e-12 * term_mag)
+        g, gn, mid = residual(w, u0)
         trial = w.copy()
         for _ in range(_MAX_ITER):
             if gn <= tol_eff:
                 return w
             # (J - c0) delta = g; main holds every midpoint value of k and k',
             # so its being finite covers the off-diagonals too
+            sub, main, sup = _flux_jacobian(k_prime, mid, hx2)
             d = main - c0
             if not (np.isfinite(gn) and np.isfinite(d).all()):
                 raise SolverError("Newton iterate outside the domain of k: "
@@ -303,13 +313,13 @@ def _newton_step_solve(k: Callable, k_prime: Callable, c0: float, rhs: np.ndarra
             lam = 1.0
             while True:
                 trial[1:-1] = w[1:-1] + lam * delta
-                g_try, gn_try, jac_try = residual(trial)
+                g_try, gn_try, mid_try = residual(trial, base_row + trial)
                 if gn_try < gn:
                     break
                 lam *= 0.5
                 if lam < 1e-6:
                     raise SolverError("Newton line search stalled")
-            w, trial, g, gn, (sub, main, sup) = trial, w, g_try, gn_try, jac_try
+            w, trial, g, gn, mid = trial, w, g_try, gn_try, mid_try
         if gn <= tol_eff:
             return w
     raise SolverError("nonlinear iteration did not converge")

@@ -64,6 +64,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(base_config(grids=[2, 4]))
 
+    def test_grid_node_limit(self):
+        # (2^20 - 1 + 1) * (31 + 1) = 2^25 nodes is the largest field admitted;
+        # only parsed here, never allocated
+        parse_config(base_config(grids=[16, 2 ** 20 - 1], n_x=31))
+        with pytest.raises(ConfigError, match=r"^grids: .* 1048576 time steps .* over the limit"):
+            parse_config(base_config(grids=[16, 2 ** 20], n_x=31))
+        with pytest.raises(ConfigError, match="^grids: "):
+            parse_config(base_config(grids=[16, 8192]))  # n_x defaults to the grid
+
     def test_unknown_vector_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(base_config(vectors=["NotAVector"]))
@@ -359,12 +368,22 @@ BAD_CONFIGS = {
     # the time moments overflow float64: a numerical failure, not a traceback
     "T_huge_on_solver": (dict(kind="rl", T=1e308, vectors=["NL_RL_sub_t1"],
                               source={"id": "solver", "params": {"a": 0.1, "b": 1.0}}), 3),
+    # a grid too large to allocate is refused before the first, small grid is solved
+    "grids_1e308": (dict(grids=[16, 1e308]), 2),
+    "grids_10_to_12": (dict(grids=[16, 10 ** 12]), 2),
 }
 
 
+def _no_solve(cfg, n_steps):
+    raise AssertionError(f"a configuration error was found only after solving {n_steps} steps")
+
+
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
-def test_bad_config_exits_with_one_line(tmp_path, capsys, case):
+def test_bad_config_exits_with_one_line(tmp_path, capsys, monkeypatch, case):
     overrides, code = BAD_CONFIGS[case]
+    if code == 2:
+        # every configuration error is found before any solve
+        monkeypatch.setattr("fraccons.cli._solution", _no_solve)
     rc = main(["verify", "--config", write_config(tmp_path, base_config(**overrides))])
     assert rc == code
     assert len(capsys.readouterr().err.strip().splitlines()) == 1

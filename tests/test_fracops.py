@@ -819,6 +819,35 @@ class TestKernelProperties:
         assert_close(twice.values, once.values, np.abs(once.values))
 
 
+class TestCausalConv:
+    """The FFT lag convolution behind the integral and J: its length and its sums."""
+
+    def test_transform_length_is_the_least_5_smooth_number(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        want = 5400  # 5-smooth, and above every n below
+        for n in range(5000, 0, -1):
+            want = n if smooth(n) else want
+            assert fracops._smooth_length(n) == want, n
+
+    @pytest.mark.parametrize("rows", [2, 5, 17, 33, 513, 514, 1031])
+    @pytest.mark.parametrize("columns", [None, 3], ids=["1d", "2d"])
+    def test_matches_direct_causal_sum(self, rows, columns):
+        rng = np.random.default_rng(rows)
+        k = rng.standard_normal(rows + 2)  # lags beyond the rows go unused
+        F = rng.standard_normal(rows if columns is None else (rows, columns))
+        lags = np.subtract.outer(np.arange(rows), np.arange(rows))
+        toeplitz = np.where(lags >= 0, k[np.maximum(lags, 0)], 0.0)
+        want = toeplitz @ F
+        got = fracops._causal_conv(k, F)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestMemory:
     """The regular-data paths keep O(n) weights: no (n+1)^2 array is formed."""
 

@@ -223,6 +223,44 @@ class TestSolver:
         assert issubclass(SolverError, RuntimeError)
 
 
+class TestNewtonJacobian:
+    @pytest.mark.parametrize("d", [Diffusivity.constant(1.5), Diffusivity.power(2.0),
+                                   Diffusivity.power(-0.5), Diffusivity.exponential()],
+                             ids=["constant", "power_2", "power_-0.5", "exponential"])
+    def test_diagonals_match_central_difference_of_flux(self, d):
+        x = np.linspace(0.0, 1.0, 17)
+        u = 1.0 + 0.2 * x + 0.3 * np.sin(3.0 * x)
+        hx2 = (x[1] - x[0]) ** 2
+        _, mid = tfde._flux(d.k, u, hx2)
+        sub, main, sup = tfde._flux_jacobian(d.k_prime, mid, hx2)
+        jac = np.diag(main) + np.diag(sub, -1) + np.diag(sup, 1)
+        # column j - 1: the flux at the interior nodes against u_j
+        fd = np.empty_like(jac)
+        for j in range(1, x.size - 1):
+            step = 1e-6 * abs(u[j])
+            up, down = u.copy(), u.copy()
+            up[j] += step
+            down[j] -= step
+            fd[:, j - 1] = (tfde._flux(d.k, up, hx2)[0] - tfde._flux(d.k, down, hx2)[0]) / (2 * step)
+        assert np.max(np.abs(fd - jac)) <= 1e-6 * np.max(np.abs(jac))
+
+    def test_one_jacobian_per_banded_solve(self, monkeypatch):
+        counts = {"_flux": 0, "_flux_jacobian": 0, "solve_banded": 0}
+        for name in counts:
+            real = getattr(tfde, name)
+            monkeypatch.setattr(tfde, name, lambda *args, _name=name, _real=real:
+                                counts.__setitem__(_name, counts[_name] + 1) or _real(*args))
+        d = Diffusivity.power(2.0)
+        g = lambda xx: d.K_inv(0.5 * xx + 1.0) * (1.0 + 0.1 * np.sin(np.pi * xx))
+        prob = TFDEProblem(FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5, 1.0), d, 0.0, 1.0,
+                           initial=g)
+        solve_nonlinear(prob, TimeGrid(1.0, 64), 16)
+        assert counts["solve_banded"] >= 64
+        assert counts["_flux_jacobian"] == counts["solve_banded"]
+        # each step's accepted residual needs no Jacobian
+        assert counts["_flux"] >= counts["_flux_jacobian"] + 64
+
+
 class TestBandedSolve:
     @given(st.data(), st.integers(1, 80))
     def test_matches_dense_solve(self, data, m):
