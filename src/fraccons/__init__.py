@@ -15,7 +15,6 @@ from .specialfn import (
     gamma,
     hyp2f1,
     mittag_leffler,
-    phi_sub,
     psi_wave,
 )
 from .fracops import (

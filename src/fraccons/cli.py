@@ -98,11 +98,14 @@ class ScenarioConfig:
 
 
 def _whole(value, name: str) -> int:
-    """``value`` as an int; ValueError unless it is a whole number."""
-    number = float(value)
-    if not number.is_integer():
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(number)
+    """``value`` as an int; ValueError, naming ``name``, unless it is a whole number."""
+    try:
+        number = float(value)
+        if number.is_integer():
+            return int(number)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 def parse_config(data: dict) -> ScenarioConfig:
@@ -369,7 +372,7 @@ def main(argv=None) -> int:
             return run_selftest(numbers)
         if args.command == "catalog":
             return run_catalog(_load_cfg(args.config) if args.config else None)
-        grids = [int(g) for g in args.grids.split(",")] if args.grids else None
+        grids = [_whole(g, "every grid") for g in args.grids.split(",")] if args.grids else None
         cfg = _load_cfg(args.config, grids=grids, exclude_frac=args.exclude_frac,
                         threshold=args.threshold)
         if args.out:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .specialfn import phi_sub, psi_wave
+from .specialfn import gamma, psi_wave
 from .fracops import (
     Kind,
     FractionalSpec,
@@ -181,19 +181,19 @@ def _rl_moment(j: int, printed_typo: bool = False):
 def _pole_moment(m: int):
     """Caputo core s^{a-m} I^{m+1-a}(D^m u / s), weight s^{a-m-1}, s = T - t.
 
-    For m = n - 1 it carries the initial term D^m u(0, x) Phi(t), with Phi
-    the ``phi_sub`` weight of order a - m.
+    For m = n - 1 it carries the initial term f0 Phi(t), f0 = D^m u(0, x), whose
+    weight Phi = Gamma(a-m) - s^{a-m} I^{m+1-a}(1/s) is the same kernel on f0:
+    the core is Gamma(a-m) f0 + s^{a-m} I^{m+1-a}((D^m u - f0) / s).
     """
 
     def core(u, spec, start):
-        a, T = spec.alpha, spec.T
-        t = u.grid.nodes()
-        s = (T - t)[:, None]
-        # the endpoint-pole kernel takes the samples without their power-term metadata
-        f = TimeSeries(u.grid, (time_derivative(u, m) if m else u).values)
-        c = s ** (a - m) * left_integral_endpoint_pole(f, m + 1.0 - a).values
+        a = spec.alpha
+        s = (spec.T - u.grid.nodes())[:, None]
+        f, f0 = (time_derivative(u, m) if m else u), 0.0
         if m == spec.n - 1:
-            c = start(u)[None, :] * phi_sub(t, a - m, T)[:, None] + c
+            f0 = start(u)[None, :]
+            f = TimeSeries.from_parts(u.grid, f.regular_part() - f0, f.singular, u.x)
+        c = gamma(a - m) * f0 + s ** (a - m) * left_integral_endpoint_pole(f, m + 1.0 - a).values
         return c, s ** (a - m - 1.0)
 
     return core

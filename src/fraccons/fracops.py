@@ -338,24 +338,20 @@ def _pl_weights(n_steps: int, mu: float, h: float) -> tuple[np.ndarray, np.ndarr
     return _read_only(L * scale), _read_only(c * scale)
 
 
-def _integral_of_end_power(coeff, p: float, mu: float, grid: TimeGrid) -> np.ndarray:
-    """Exact samples of I^mu applied to coeff * (T - t)^p.
+def _power_integral(coeff, q: float, p: float, mu: float, grid: TimeGrid) -> np.ndarray:
+    """Exact samples of I^mu [coeff t^q (T-t)^p], where I^mu for mu < 0 is D^-mu.
 
-    (1/Gamma(mu)) int_0^t (t-tau)^{mu-1} (T-tau)^p dtau
-      = coeff * t^mu (T-t)^{p+mu} T^{-mu} / Gamma(mu+1)
-        * 2F1(mu+1+p, mu; mu+1; t/T)
-    (Euler integral plus the Pfaff transformation).
+    The binomial series of (T-t)^p, integrated term by term:
+      coeff t^(q+mu) T^p Gamma(q+1)/Gamma(q+1+mu) 2F1(-p, q+1; q+1+mu; t/T).
+    Where it is infinite (t = 0 when q + mu < 0, t = T when mu + p <= 0) the
+    sample is 0, like the anchor value of a term.
     """
-    t = grid.nodes()
-    T = grid.T
+    t, T = grid.nodes(), grid.T
+    keep = ((t > 0.0) | (q + mu >= 0.0)) & ((t < T) | (mu + p > 0.0))
     col = np.zeros_like(t)
-    tt = t[1:-1]
-    c = T - tt
-    fvals = hyp2f1(mu + 1.0 + p, mu, mu + 1.0, tt / T)
-    col[1:-1] = tt ** mu * c ** (p + mu) * T ** (-mu) * fvals / gamma(mu + 1.0)
-    # at t = T the kernel and the pole coalesce; elementary closed form, and
-    # infinite when mu + p <= 0, stored as 0 like the anchor value of a term
-    col[-1] = T ** (mu + p) / ((mu + p) * gamma(mu)) if mu + p > 0 else 0.0
+    tk = t[keep]
+    col[keep] = (tk ** (q + mu) * T ** p * gamma(q + 1.0) * reciprocal_gamma(q + 1.0 + mu)
+                 * hyp2f1(-p, q + 1.0, q + 1.0 + mu, tk / T))
     return np.multiply.outer(col, coeff)
 
 
@@ -383,7 +379,7 @@ def left_frac_integral(f: TimeSeries, mu: float) -> TimeSeries:
             c2 = term.coeff * gamma(p + 1.0) * reciprocal_gamma(p + mu + 1.0)
             out_terms.append(SingularTerm(c2, p + mu, "start"))
         else:
-            vals += _integral_of_end_power(term.coeff, p, mu, grid)
+            vals += _power_integral(term.coeff, 0.0, p, mu, grid)
     return TimeSeries.from_parts(grid, vals, out_terms, f.x)
 
 
@@ -638,9 +634,20 @@ def f_modified_integral(f: TimeSeries, alpha: float) -> TimeSeries:
     carries the extra factor 2F1(1, 1; 2-alpha; (t-tau)/(T-tau))."""
     if not (1.0 < alpha < 2.0):
         raise ValueError("f_modified_integral requires alpha in (1,2)")
-    grid = f.grid
-    M = _fmod_weight_matrix(grid, alpha)
-    return TimeSeries(grid, M @ f.values, x=f.x)
+    grid, T = f.grid, f.grid.T
+    vals = _fmod_weight_matrix(grid, alpha) @ f.regular_part()
+    # on a term, F f = D^(alpha-1) [G/(T-.)] with G(t) = int_0^t (T-tau) f(tau) dtau:
+    # G/(T-.) of t^q is T t^(q+1)/(q+1) - t^(q+2)/(q+2) over T-t, and of (T-t)^q
+    # it is (T^(q+2) (T-t)^-1 - (T-t)^(q+1))/(q+2); each part a (weight, q, p)
+    for term in f.singular:
+        q = term.power
+        if term.anchor == "start":
+            parts = ((T / (q + 1.0), q + 1.0, -1.0), (-1.0 / (q + 2.0), q + 2.0, -1.0))
+        else:
+            parts = ((T ** (q + 2.0) / (q + 2.0), 0.0, -1.0), (-1.0 / (q + 2.0), 0.0, q + 1.0))
+        for weight, tq, tp in parts:
+            vals += _power_integral(weight * term.coeff, tq, tp, 1.0 - alpha, grid)
+    return TimeSeries(grid, vals, x=f.x)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -694,13 +701,16 @@ def _endpoint_pole_weight_matrix(grid: TimeGrid, mu: float) -> np.ndarray:
 def left_integral_endpoint_pole(f: TimeSeries, mu: float) -> TimeSeries:
     """(0I^mu_t (f/(T-.)))(t_i), product integration exact for piecewise-linear f.
 
-    The final node t = T has the kernel pole inside the integration interval and
-    is returned as 0; callers must exclude it.
+    A term t^q of f enters as t^q (T-t)^-1 and a term (T-t)^p as (T-t)^(p-1),
+    both in closed form. The final node t = T has the kernel pole inside the
+    integration interval and is returned as 0; callers must exclude it.
     """
     if mu <= 0:
         raise ValueError("order mu must be positive")
-    if f.singular:
-        raise NotImplementedError("singular inputs to the endpoint-pole kernel are unsupported")
     grid = f.grid
-    V = _endpoint_pole_weight_matrix(grid, mu)
-    return TimeSeries(grid, V @ f.values, x=f.x)
+    vals = _endpoint_pole_weight_matrix(grid, mu) @ f.regular_part()
+    for term in f.singular:
+        q, p = (term.power, -1.0) if term.anchor == "start" else (0.0, term.power - 1.0)
+        vals += _power_integral(term.coeff, q, p, mu, grid)
+    vals[-1] = 0.0
+    return TimeSeries(grid, vals, x=f.x)

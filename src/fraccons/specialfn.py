@@ -1,7 +1,7 @@
 """Special functions used by the fractional operator kernels.
 
 All functions are pure and safe for concurrent use. Real arguments only;
-complex support is out of scope. ``hyp2f1`` and the time weights take a
+complex support is out of scope. ``hyp2f1`` and the time weight ``psi_wave`` take a
 float or an array argument.
 """
 
@@ -18,7 +18,6 @@ __all__ = [
     "reciprocal_gamma",
     "mittag_leffler",
     "hyp2f1",
-    "phi_sub",
     "psi_wave",
 ]
 
@@ -137,31 +136,6 @@ def hyp2f1(a: float, b: float, c: float, z):
     return float(out) if z.ndim == 0 else out
 
 
-def _time_fraction(name: str, t, T: float):
-    """1 - t/T, checking T > 0 and every t in [0, T]; a float for a float t."""
-    if T <= 0:
-        raise ValueError(f"{name} requires T > 0")
-    t = np.asarray(t, dtype=float)
-    if not np.all((0 <= t) & (t <= T)):
-        raise ValueError(f"{name} requires t in [0, T]")
-    w = 1.0 - t / T
-    return float(w) if w.ndim == 0 else w
-
-
-def phi_sub(t, alpha: float, T: float):
-    """Time weight Phi(t) for the subdiffusion (Caputo, alpha in (0,1)) catalog.
-
-    Phi(t) = (1 / (alpha * Gamma(1-alpha))) (1 - t/T)^alpha
-             * 2F1(alpha, alpha; alpha+1; 1 - t/T)
-
-    ``t`` is a float or an array of times in [0, T]; Phi(T) = 0.
-    """
-    if not 0 < alpha < 1:
-        raise ValueError("phi_sub requires alpha in (0, 1)")
-    w = _time_fraction("phi_sub", t, T)
-    return w ** alpha * hyp2f1(alpha, alpha, alpha + 1.0, w) / (alpha * gamma(1.0 - alpha))
-
-
 def psi_wave(t, alpha: float, T: float):
     """Time weight Psi(t) for the diffusion-wave (Caputo, alpha in (1,2)) catalog.
 
@@ -169,9 +143,16 @@ def psi_wave(t, alpha: float, T: float):
              * 2F1(alpha-1, alpha; alpha+1; 1 - t/T)
 
     ``t`` is a float or an array of times in [0, T]; Psi(T) = 0. The
-    catalog's Phi weight of this regime is ``phi_sub`` of order alpha - 1.
+    catalog's Phi weight is not a special function here: it is the
+    endpoint-pole kernel applied to the initial datum (``conslaw._pole_moment``).
     """
     if not 1 < alpha < 2:
         raise ValueError("psi_wave requires alpha in (1, 2)")
-    w = _time_fraction("psi_wave", t, T)
-    return w ** alpha * hyp2f1(alpha - 1.0, alpha, alpha + 1.0, w) / (alpha * gamma(2.0 - alpha))
+    if T <= 0:
+        raise ValueError("psi_wave requires T > 0")
+    t = np.asarray(t, dtype=float)
+    if not np.all((0 <= t) & (t <= T)):
+        raise ValueError("psi_wave requires t in [0, T]")
+    w = 1.0 - t / T
+    out = w ** alpha * hyp2f1(alpha - 1.0, alpha, alpha + 1.0, w) / (alpha * gamma(2.0 - alpha))
+    return float(out) if out.ndim == 0 else out

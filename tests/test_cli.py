@@ -314,6 +314,18 @@ class TestVerifyCommand:
         text = capsys.readouterr().out
         assert ",16," in text
 
+    def test_grids_flag_reads_grids_as_a_config_does(self, tmp_path, capsys):
+        # 3e1 is the whole number 30, as in a config's "grids"
+        rc = main(["verify", "--config", write_config(tmp_path, base_config()), "--grids", "16,3e1"])
+        assert rc == 0
+        assert ",30,30," in capsys.readouterr().out
+
+    def test_grids_flag_not_a_number_exits_2(self, tmp_path, capsys):
+        rc = main(["verify", "--config", write_config(tmp_path, base_config()), "--grids", "16,x"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["configuration error: every grid must be a whole number, got 'x'"]
+
 
 # one bad value per config; every one must exit 2, 3 or 4 with one stderr line
 _RL_WAVE_LINEAR = dict(kind="rl", alpha=1.5, x_hi=np.pi,

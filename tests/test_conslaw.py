@@ -34,16 +34,28 @@ CAP = Kind.CAPUTO
 
 # every closed-form id at each derivative order it admits, but the misprinted
 # Table1_v6 (tested against its corrected form below)
-CLOSED_FORM_CASES = [pytest.param(pid, n, id=pid if want is not None else f"{pid}-n{n}")
+CLOSED_FORM_CASES = [pytest.param(pid, n, False, id=pid if want is not None else f"{pid}-n{n}")
                      for pid, (_, want, _, _) in _CLOSED_FORMS.items() if pid != "Table1_v6"
                      for n in ((want,) if want is not None else (1, 2))]
+# the Caputo table ids on a field that moves, whose u_t carries power terms;
+# Table5_v3/v6 (the F kernel and the psi weight as printed) are not conserved there
+_NOT_CONSERVED_MOVING = pytest.mark.xfail(
+    strict=True, reason="the printed F kernel or psi weight is not conserved off stationary fields")
+MOVING_CASES = [pytest.param(pid, want, True, id=f"{pid}-moving",
+                             marks=_NOT_CONSERVED_MOVING if pid in ("Table5_v3", "Table5_v6") else ())
+                for pid, (_, want, _, _) in _CLOSED_FORMS.items() if pid.startswith(("Table3", "Table5"))]
 
 
-def exact_field(kind, n, steps):
-    """(spec, diffusivity, u) of an exact solution on a steps x steps grid of [0, 1]^2."""
+def exact_field(kind, n, steps, moving=False):
+    """(spec, diffusivity, u) of an exact solution on a steps x steps grid: of [0, 1]^2,
+    or, ``moving``, the Caputo mode E_alpha(-t^alpha) sin x of the linear equation on
+    [0, 1] x [0, pi]."""
     alpha = 0.5 if n == 1 else 1.5
     spec = FractionalSpec(kind, alpha, 1.0)
     grid, x = TimeGrid(1.0, steps), np.linspace(0.0, 1.0, steps + 1)
+    if moving:
+        d = Diffusivity.constant(1.0)
+        return spec, d, exact_linear_separable(spec, 1.0, grid, np.pi * x)
     if kind is RL:
         d = Diffusivity.power(1.0 if n == 1 else 2.0)
         return spec, d, exact_rl_separable(d, alpha, 0.5, 1.0, grid, x)
@@ -182,16 +194,18 @@ class TestClosedFormVectors:
             linfs.append(divergence_residual(cv, u).linf)
         assert linfs[1] < linfs[0]
 
-    @pytest.mark.parametrize("pid, n", CLOSED_FORM_CASES)
-    def test_divergence_decays(self, pid, n):
-        # RL ids on u = t^(alpha-1) K^-1(a x + b), Caputo ids on the stationary
-        # solution, with time and space refined together
+    @pytest.mark.parametrize("pid, n, moving", CLOSED_FORM_CASES + MOVING_CASES)
+    def test_divergence_decays(self, pid, n, moving):
+        # RL ids on u = t^(alpha-1) K^-1(a x + b) and Caputo ids on the stationary
+        # solution fall by over 2 per doubling; Caputo ids on the moving linear
+        # mode by over 1.4 per doubling to n = 128; time and space refined together
         linfs = []
-        for steps in (32, 64):
-            spec, d, u = exact_field(_CLOSED_FORMS[pid][0], n, steps)
+        for steps in ((32, 64, 128) if moving else (32, 64)):
+            spec, d, u = exact_field(_CLOSED_FORMS[pid][0], n, steps, moving)
             cv = catalog_vector(pid, spec, d, initial_velocity=0.0)
             linfs.append(divergence_residual(cv, u).linf)
-        assert linfs[1] < 0.5 * linfs[0], f"{pid}: {linfs}"
+        rate = 1.4 if moving else 2.0
+        assert all(a > rate * b for a, b in zip(linfs, linfs[1:])), f"{pid}: {linfs}"
 
     @pytest.mark.parametrize("pid", sorted(_CLOSED_FORMS))
     def test_wrong_kind_or_order_names_the_id(self, pid):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -455,6 +456,87 @@ class TestJIntegral:
         assert errs[1] <= errs[0] / 2.5
 
 
+def _mp_power_integral(q, p, mu, t, T):
+    """I^mu [t^q (T-t)^p] at t, D^-mu for mu < 0: the closed form at 30 digits."""
+    with mpmath.workdps(30):
+        t, T = mpmath.mpf(t), mpmath.mpf(T)
+        return float(t ** (q + mu) * T ** p * mpmath.gamma(q + 1) / mpmath.gamma(q + 1 + mu)
+                     * mpmath.hyp2f1(-p, q + 1, q + 1 + mu, t / T))
+
+
+def _mp_rl_quad(order, t, q, smooth):
+    """(1/Gamma(order)) int_0^t (t-tau)^(order-1) tau^q smooth(tau) dtau by mpmath.quad.
+
+    Over tau = t r, split at r = 1/2; the maps w^(1/(q+1)) -> r and
+    w^(1/order) -> 1 - r take the algebraic singularity out of each half.
+    """
+    with mpmath.workdps(15):
+        t = mpmath.mpf(t)
+        head = mpmath.quad(lambda w: (1 - w ** (1 / (q + 1))) ** (order - 1)
+                           * smooth(t * w ** (1 / (q + 1))), [0, mpmath.mpf(2) ** -(q + 1)])
+        tail = mpmath.quad(lambda w: (1 - w ** (1 / order)) ** q
+                           * smooth(t * (1 - w ** (1 / order))), [0, mpmath.mpf(2) ** -order])
+        return float(t ** (order + q) * (head / (q + 1) + tail / order) / mpmath.gamma(order))
+
+
+def _quad_power_integral(q, p, mu, t, T):
+    """_mp_power_integral by quadrature; for mu < 0, d/dt I^(1+mu) taken under the
+    integral: D^-mu [tau^q s](t) = I^(1+mu) [tau^q ((1+mu+q) s + tau s')](t) / t."""
+    if mu > 0:
+        return _mp_rl_quad(mu, t, q, lambda tau: (T - tau) ** p)
+    nu = 1.0 + mu
+    return _mp_rl_quad(nu, t, q, lambda tau: (nu + q) * (T - tau) ** p
+                       - p * tau * (T - tau) ** (p - 1)) / t
+
+
+def _power_cases(alpha):
+    """(q, p, mu): start powers of the fields of order alpha, end powers down to the
+    pole's -1, and orders of both signs."""
+    return itertools.product((alpha - 1.0, 0.0, 0.5, 2.0 * alpha - 1.0), (-1.0, -0.5, 0.3, 2.0),
+                             (-0.5, 0.3, 0.5, 1.5))
+
+
+class TestPowerIntegral:
+    """fracops._power_integral: I^mu [c t^q (T-t)^p], the one closed form of every term path."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.5])
+    def test_matches_mpmath_closed_form(self, alpha):
+        grid = TimeGrid(2.0, 8)
+        t = grid.nodes()
+        for q, p, mu in _power_cases(alpha):
+            got = fracops._power_integral(1.0, q, p, mu, grid)
+            # infinite at t = 0 when q + mu < 0 and at t = T when mu + p <= 0: stored as 0
+            want = [0.0 if (i == 0 and q + mu < 0) or (i == 8 and mu + p <= 0)
+                    else _mp_power_integral(q, p, mu, tt, grid.T) for i, tt in enumerate(t)]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=str((q, p, mu)))
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.5])
+    def test_matches_quadrature(self, alpha):
+        grid = TimeGrid(2.0, 8)
+        for q, p, mu in _power_cases(alpha):
+            got = fracops._power_integral(1.0, q, p, mu, grid)[3]
+            assert got == pytest.approx(_quad_power_integral(q, p, mu, 0.75, 2.0), rel=1e-8), \
+                (q, p, mu)
+
+
+def _term(grid, power, anchor):
+    return TimeSeries.from_parts(grid, np.zeros(grid.n_steps + 1), (SingularTerm(1.0, power, anchor),))
+
+
+def _mp_f_modified_term(power, anchor, alpha, t, T):
+    """F of t^power or (T-t)^power by the closed form: F f = D^(alpha-1) [G/(T-.)]
+    with G(t) = int_0^t (T-tau) f(tau) dtau, each part at 30 digits."""
+    q, nu = power, 1.0 - alpha
+    if anchor == "start":
+        return (T / (q + 1.0) * _mp_power_integral(q + 1.0, -1.0, nu, t, T)
+                - _mp_power_integral(q + 2.0, -1.0, nu, t, T) / (q + 2.0))
+    return (T ** (q + 2.0) * _mp_power_integral(0.0, -1.0, nu, t, T)
+            - _mp_power_integral(0.0, q + 1.0, nu, t, T)) / (q + 2.0)
+
+
+TERM_CASES = [("start", -0.5), ("start", 0.5), ("start", 2.0), ("end", -0.5), ("end", 0.3)]
+
+
 class TestEndpointWeightedIntegrals:
     def test_f_modified_integral_against_quadrature(self):
         # Order 2-a left integral whose kernel carries the extra factor
@@ -513,6 +595,41 @@ class TestEndpointWeightedIntegrals:
         out = left_integral_endpoint_pole(series(grid, np.exp), 0.5)
         assert out.regular_part()[-1] == 0.0
 
+    @pytest.mark.parametrize("anchor, power", TERM_CASES)
+    @pytest.mark.parametrize("mu", [0.3, 0.5, 1.5])
+    def test_left_integral_endpoint_pole_on_a_term(self, mu, anchor, power):
+        # t^q / (T-t) and (T-t)^(p-1) in closed form; the final node is 0
+        grid = TimeGrid(2.0, 8)
+        q, p = (power, -1.0) if anchor == "start" else (0.0, power - 1.0)
+        got = left_integral_endpoint_pole(_term(grid, power, anchor), mu).values
+        want = [_mp_power_integral(q, p, mu, t, grid.T) for t in grid.nodes()[1:-1]]
+        np.testing.assert_allclose(got[1:-1], want, rtol=1e-12, atol=0.0)
+        assert got[-1] == 0.0
+
+    @pytest.mark.parametrize("anchor, power", TERM_CASES)
+    @pytest.mark.parametrize("alpha", [1.3, 1.5, 1.7])
+    def test_f_modified_integral_on_a_term(self, alpha, anchor, power):
+        grid = TimeGrid(2.0, 8)
+        got = f_modified_integral(_term(grid, power, anchor), alpha).values
+        want = [_mp_f_modified_term(power, anchor, alpha, t, grid.T) for t in grid.nodes()[1:-1]]
+        np.testing.assert_allclose(got[1:-1], want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("anchor, power", [("start", 0.5), ("end", -0.5)])
+    @pytest.mark.parametrize("alpha", [1.3, 1.7])
+    def test_f_modified_closed_form_against_quadrature(self, alpha, anchor, power):
+        # the closed form of a term against mpmath.quad of the kernel itself,
+        # (t-tau)^(1-alpha) 2F1(1, 1; 2-alpha; (t-tau)/(T-tau)) / Gamma(2-alpha)
+        T, t, mu = 2.0, 0.75, 2.0 - alpha
+
+        def kernel(tau):
+            return mpmath.hyp2f1(1, 1, mu, (t - tau) / (T - tau))
+
+        if anchor == "start":
+            ref = _mp_rl_quad(mu, t, power, kernel)
+        else:
+            ref = _mp_rl_quad(mu, t, 0.0, lambda tau: kernel(tau) * (T - tau) ** power)
+        assert _mp_f_modified_term(power, anchor, alpha, t, T) == pytest.approx(ref, rel=1e-8)
+
 
 def field_and_columns(grid, start_power, end_power):
     """Five-column field with per-column start and end terms, and its columns.
@@ -549,10 +666,6 @@ def assert_whole_matches_columns(whole, cols):
             assert got[key] == pytest.approx(coeff, rel=1e-12)
 
 
-def _pole(f):
-    return left_integral_endpoint_pole(TimeSeries(f.grid, f.values), 0.5)
-
-
 class TestWholeField:
     """Each kernel on a whole field equals the stack of its single-column calls."""
 
@@ -568,7 +681,7 @@ class TestWholeField:
         (lambda f: rl_right_derivative(f, 0.5), 0.3, -0.4),
         (lambda f: caputo_right_derivative(f, 0.5), 0.3, 0.5),
         (lambda f: f_modified_integral(f, 1.5), -0.4, 0.3),
-        (_pole, -0.4, 0.3),
+        (lambda f: left_integral_endpoint_pole(f, 0.5), -0.4, 0.3),
     ], ids=["left_frac_integral", "right_frac_integral", "time_derivative",
             "time_derivative_2", "rl_left_derivative", "rl_left_derivative_wave",
             "caputo_left_derivative", "caputo_left_derivative_wave", "rl_right_derivative",
@@ -597,7 +710,7 @@ class TestWholeField:
                                      [j_integral(fc, gc, alpha) for fc, gc in zip(f_cols, g_cols)])
 
 
-# every kernel, on a field without terms (the endpoint-pole kernel takes none)
+# every kernel, on a field without terms
 KERNELS = {
     "left_frac_integral": lambda f: left_frac_integral(f, 0.5),
     "right_frac_integral": lambda f: right_frac_integral(f, 0.5),

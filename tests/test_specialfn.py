@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from fraccons.fracops import TimeGrid, TimeSeries, left_integral_endpoint_pole
+
 from fraccons.specialfn import (
     ConvergenceError,
     GammaPoleError,
     gamma,
     hyp2f1,
     mittag_leffler,
-    phi_sub,
     psi_wave,
     reciprocal_gamma,
 )
@@ -97,12 +98,13 @@ def _frac_beta(alpha):
     return math.ceil(alpha) - alpha
 
 
-# (a, b; c) of every 2F1 call site, as functions of an order alpha
+# (a, b; c) of every 2F1 call site, and of the Phi weights' closed form, as
+# functions of an order alpha
 CALL_SITE_FAMILIES = {
-    # fracops._integral_of_end_power: (mu+1+p, mu; mu+1), end powers p
-    "end_power_p-0.5": lambda al: (al + 0.5, al, al + 1.0),
-    "end_power_p0": lambda al: (al + 1.0, al, al + 1.0),
-    "end_power_p1": lambda al: (al + 2.0, al, al + 1.0),
+    # fracops._power_integral on an end term of I^mu: (-p, 1; mu+1), end powers p
+    "end_power_p-0.5": lambda al: (0.5, 1.0, al + 1.0),
+    "end_power_p0": lambda al: (0.0, 1.0, al + 1.0),
+    "end_power_p1": lambda al: (-1.0, 1.0, al + 1.0),
     # fracops._incomplete_beta_vec in J: (p+1, 1-beta; p+2), here p = alpha - 1
     "incomplete_beta": lambda al: (al, 1.0 - _frac_beta(al), al + 1.0),
     # fracops._fmod_weight_matrix: (1, 1; mu), mu = 2 - alpha
@@ -110,7 +112,9 @@ CALL_SITE_FAMILIES = {
     # fracops._endpoint_pole_weight_matrix: (1, 1; nu+1), nu = mu + k, k = 0, 1
     "endpoint_pole_k0": lambda al: (1.0, 1.0, al + 1.0),
     "endpoint_pole_k1": lambda al: (1.0, 1.0, al + 2.0),
-    # specialfn.phi_sub (also of order alpha - 1, for the wave regime) and psi_wave
+    # the Phi weight of order b, w^b 2F1(b, b; b+1; w) / (b Gamma(1-b)), b = alpha
+    # (and alpha - 1 in the wave regime): the catalog takes it from the
+    # endpoint-pole kernel (TestTimeWeights checks the identity); and psi_wave
     "phi_sub": lambda al: (al, al, al + 1.0),
     "wave_phi": lambda al: (al - 1.0, al - 1.0, al),
     "wave_psi": lambda al: (al - 1.0, al, al + 1.0),
@@ -169,21 +173,24 @@ class TestHyp2F1:
             hyp2f1(1.0, 1.0, 2.0, -0.1)
 
 
-class TestTimeWeights:
-    def test_phi_sub_matches_mpmath_composition(self):
-        alpha, T = 0.5, 1.0
-        for t in (0.0, 0.25, 0.5, 0.9):
-            w = 1.0 - t / T
-            ref = w ** alpha * _mp_hyp2f1(alpha, alpha, alpha + 1.0, w) \
-                / (alpha * math.gamma(1.0 - alpha))
-            assert phi_sub(t, alpha, T) == pytest.approx(ref, rel=1e-13)
+def _mp_phi(b, t, T):
+    """Phi_b(t) = w^b 2F1(b, b; b+1; w) / (b Gamma(1-b)), w = 1 - t/T, at 30 digits."""
+    with mpmath.workdps(30):
+        w = 1 - mpmath.mpf(t) / T
+        return float(w ** b * mpmath.hyp2f1(b, b, b + 1, w) / (b * mpmath.gamma(1 - b)))
 
-    def test_phi_sub_monotone_nonnegative(self):
-        alpha, T = 0.3, 2.0
-        vals = [phi_sub(t, alpha, T) for t in np.linspace(0.0, T, 1000)]
-        assert all(v >= 0.0 for v in vals)
-        assert all(a >= b - 1e-14 for a, b in zip(vals, vals[1:]))
-        assert vals[-1] == 0.0
+
+class TestTimeWeights:
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.5, 1.7])
+    def test_phi_weight_is_gamma_minus_the_pole_kernel(self, alpha):
+        # the catalog's Phi_b, b = alpha - m (m = n - 1), is Gamma(b) - s^b I^(1-b)(1/s)
+        # with s = T - t: the endpoint-pole kernel applied to the constant 1
+        b, T = alpha - math.floor(alpha), 2.0
+        grid = TimeGrid(T, 64)
+        t = grid.nodes()[:-1]
+        pole = left_integral_endpoint_pole(TimeSeries(grid, np.ones(65)), 1.0 - b).values[:-1]
+        phi = np.array([_mp_phi(b, tt, T) for tt in t])
+        np.testing.assert_allclose(phi + (T - t) ** b * pole, math.gamma(b), rtol=1e-12, atol=0.0)
 
     def test_psi_wave_monotone_nonnegative(self):
         alpha, T = 1.5, 1.0
@@ -194,22 +201,18 @@ class TestTimeWeights:
 
     def test_array_times_match_scalar_calls(self):
         t = np.linspace(0.0, 2.0, 129)
-        sub = phi_sub(t, 0.3, 2.0)
-        assert sub.shape == t.shape
-        np.testing.assert_allclose(sub, [phi_sub(tt, 0.3, 2.0) for tt in t], rtol=1e-14, atol=0.0)
         psi = psi_wave(t, 1.5, 2.0)
+        assert psi.shape == t.shape
         np.testing.assert_allclose(psi, [psi_wave(tt, 1.5, 2.0) for tt in t], rtol=1e-14, atol=0.0)
-        assert isinstance(phi_sub(0.5, 0.3, 2.0), float)
+        assert isinstance(psi_wave(0.5, 1.5, 2.0), float)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            phi_sub(0.5, 1.5, 1.0)
-        with pytest.raises(ValueError):
             psi_wave(0.5, 0.5, 1.0)
         with pytest.raises(ValueError):
-            phi_sub(2.0, 0.5, 1.0)
+            psi_wave(2.0, 1.5, 1.0)
         with pytest.raises(ValueError):
-            phi_sub(np.array([0.0, 0.5, 1.1]), 0.5, 1.0)
+            psi_wave(0.5, 1.5, 0.0)
         with pytest.raises(ValueError):
             psi_wave(np.array([-0.1, 0.5]), 1.5, 1.0)
 
