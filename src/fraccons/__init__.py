@@ -1,7 +1,7 @@
 """Conservation laws for time-fractional diffusion and diffusion-wave equations.
 
 Subpackages:
-  specialfn  scalar special functions (gamma, Mittag-Leffler, 2F1, weights)
+  specialfn  scalar special functions (gamma, Mittag-Leffler, 2F1)
   fracops    fractional integrals/derivatives and the J double integral
   tfde       problem definitions, exact solutions, nonlinear solver
   symcat     symmetry catalog and adjoint-equation substitutions
@@ -15,7 +15,6 @@ from .specialfn import (
     gamma,
     hyp2f1,
     mittag_leffler,
-    psi_wave,
 )
 from .fracops import (
     FractionalSpec,
@@ -25,7 +24,6 @@ from .fracops import (
     TimeSeries,
     caputo_left_derivative,
     caputo_right_derivative,
-    f_modified_integral,
     j_integral,
     left_frac_integral,
     left_integral_endpoint_pole,

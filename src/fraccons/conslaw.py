@@ -16,13 +16,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .specialfn import gamma, psi_wave
+from .specialfn import gamma
 from .fracops import (
     Kind,
     FractionalSpec,
+    SingularTerm,
     TimeSeries,
     diff1,
-    f_modified_integral,
     j_integral,
     left_integral_endpoint_pole,
     rl_left_derivative,
@@ -56,6 +56,33 @@ def formal_lagrangian(u: TimeSeries, v: TimeSeries, diffusivity: Diffusivity,
     return TimeSeries(u.grid, v.values * tfde_residual(u, spec, diffusivity).values, x=u.x)
 
 
+def _noether_ct(W: TimeSeries, v: TimeSeries, sub: Optional[AdjointSubstitution],
+                spec: FractionalSpec) -> np.ndarray:
+    """Time component of the Noether operators on (W, v), without the xi0 L term.
+
+    With D^{-mu} = I^mu and the sums over k = 0..n-1:
+
+      Riemann-Liouville kind: C^t = sum (-1)^k D_t^k v * D^{a-1-k} W - (-1)^n J(W, D_t^n v)
+      Caputo kind:            C^t = sum D_t^k W * (right D^{a-1-k} v) - J(D_t^n W, v)
+
+    ``sub`` gives D_t^k v for the Riemann-Liouville kind. The Caputo kind
+    takes D_t^k W (k >= 1) of W - W(0, x), which is exactly 0 on a field
+    constant in time, so no roundoff of the end stencils enters J there.
+    """
+    # each order is alpha - (1 + k), one rounding: the exact negation of (1 + k) - alpha
+    alpha, n = spec.alpha, spec.n
+    if spec.kind is Kind.RIEMANN_LIOUVILLE:
+        vk = [v] + [sub.field(v.grid, v.x, k) for k in range(1, n + 1)]
+        return (sum((-1) ** k * vk[k].values * rl_left_derivative(W, alpha - (1.0 + k)).values
+                    for k in range(n))
+                - (-1) ** n * j_integral(W, vk[n], alpha).values)
+    moved = TimeSeries.from_parts(W.grid, W.regular_part() - W.values[0], W.singular, W.x)
+    Wk = [W] + [time_derivative(moved, k) for k in range(1, n + 1)]
+    return (sum(Wk[k].values * rl_right_derivative(v, alpha - (1.0 + k)).values
+                for k in range(n))
+            - j_integral(Wk[n], v, alpha).values)
+
+
 def _noether_core(W: TimeSeries, v: TimeSeries, u: TimeSeries,
                   sub: AdjointSubstitution, spec: FractionalSpec,
                   diffusivity: Diffusivity) -> tuple[np.ndarray, np.ndarray]:
@@ -63,32 +90,15 @@ def _noether_core(W: TimeSeries, v: TimeSeries, u: TimeSeries,
 
     ``W`` is the characteristic of the symmetry on u, ``v`` the adjoint
     substitution on u's grid. The dropped terms xi0 L and xi1 L vanish on
-    solutions. With D^{-mu} = I^mu and the sums over k = 0..n-1:
-
-      Riemann-Liouville kind: C^t = sum (-1)^k D_t^k v * D^{a-1-k} W - (-1)^n J(W, D_t^n v)
-      Caputo kind:            C^t = sum D_t^k W * (right D^{a-1-k} v) - J(D_t^n W, v)
-
-    and C^x = W (v_x k - v k' u_x) - W_x v k, which is k0 (v_x W - v W_x)
-    for a constant diffusivity k0.
+    solutions. C^t is ``_noether_ct``'s, and C^x = W (v_x k - v k' u_x) - W_x v k,
+    which is k0 (v_x W - v W_x) for a constant diffusivity k0.
     """
-    # each order is alpha - (1 + k), one rounding: the exact negation of (1 + k) - alpha
-    alpha, n = spec.alpha, spec.n
-    if spec.kind is Kind.RIEMANN_LIOUVILLE:
-        vk = [v] + [sub.field(u.grid, u.x, k) for k in range(1, n + 1)]
-        ct = (sum((-1) ** k * vk[k].values * rl_left_derivative(W, alpha - (1.0 + k)).values
-                  for k in range(n))
-              - (-1) ** n * j_integral(W, vk[n], alpha).values)
-    else:
-        Wk = [W] + [time_derivative(W, k) for k in range(1, n + 1)]
-        ct = (sum(Wk[k].values * rl_right_derivative(v, alpha - (1.0 + k)).values
-                  for k in range(n))
-              - j_integral(Wk[n], v, alpha).values)
     uv = u.values
     k = diffusivity.k(uv)
     ux = u.dx_field().values
     cx = (W.values * (v.dx_field().values * k - v.values * diffusivity.k_prime(uv) * ux)
           - W.dx_field().values * v.values * k)
-    return ct, cx
+    return _noether_ct(W, v, sub, spec), cx
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +209,13 @@ def _pole_moment(m: int):
     return core
 
 
-def _f_modified(u, spec, start):
-    """Caputo n = 2 core u_t(0, x) psi(t) + s^a F(u_t), weight s^{a-1}."""
-    a, T = spec.alpha, spec.T
-    t = u.grid.nodes()
-    s = (T - t)[:, None]
-    fint = f_modified_integral(time_derivative(u), a).values
-    return start(u)[None, :] * psi_wave(t, a, T)[:, None] + s ** a * fint, s ** (a - 1.0)
+def _noether_time(u, spec, start):
+    """Caputo n = 2 core: the Noether C^t of W = u and v = s^{a-1},
+    Gamma(a) (u + s u_t) - J(u_tt, s^{a-1}), weight s^{a-1}."""
+    a = spec.alpha
+    v = TimeSeries.from_parts(u.grid, np.zeros_like(u.values),
+                              (SingularTerm(1.0, a - 1.0, "end"),), u.x)
+    return _noether_ct(u, v, None, spec), (spec.T - u.grid.nodes())[:, None] ** (a - 1.0)
 
 
 def _trivial_caputo(u, spec, start):
@@ -235,10 +245,10 @@ _CLOSED_FORMS = {
     "Table3_v4": (_CAP, 1, _pole_moment(1), True),
     "Table5_v1": (_CAP, 2, _pole_moment(2), False),
     "Table5_v2": (_CAP, 2, _pole_moment(1), False),
-    "Table5_v3": (_CAP, 2, _f_modified, False),
+    "Table5_v3": (_CAP, 2, _noether_time, False),
     "Table5_v4": (_CAP, 2, _pole_moment(2), True),
     "Table5_v5": (_CAP, 2, _pole_moment(1), True),
-    "Table5_v6": (_CAP, 2, _f_modified, True),
+    "Table5_v6": (_CAP, 2, _noether_time, True),
 }
 
 _LINEAR_SYMS = ("X1", "X2", "X3", "Xinf")

@@ -37,7 +37,6 @@ __all__ = [
     "caputo_left_derivative",
     "caputo_right_derivative",
     "j_integral",
-    "f_modified_integral",
     "left_integral_endpoint_pole",
     "diff1",
     "diff2",
@@ -47,7 +46,7 @@ __all__ = [
 # entries kept per weight builder; a full selftest builds at most 9 distinct
 # ones per builder, a verify call fewer (counts per workload in CHANGES.md).
 # Entries are O(n) lag vectors, except the dense (n+1)^2 matrices of
-# _fmod_weight_matrix, _endpoint_pole_weight_matrix and _j_start_power_matrix
+# _endpoint_pole_weight_matrix and _j_start_power_matrix
 _CACHE_SIZE = 16
 
 
@@ -73,8 +72,8 @@ class FractionalSpec:
 
     def __post_init__(self) -> None:
         _order_and_n(self.alpha)
-        if self.T <= 0:
-            raise ValueError("T must be positive")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"T must be positive and finite, got {self.T!r}")
 
     @property
     def n(self) -> int:
@@ -89,10 +88,10 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if self.T <= 0:
-            raise ValueError("T must be positive")
-        if self.n_steps < 2:
-            raise ValueError("n_steps must be >= 2")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"T must be positive and finite, got {self.T!r}")
+        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 2:
+            raise ValueError(f"n_steps must be an integer >= 2, got {self.n_steps!r}")
 
     @property
     def h(self) -> float:
@@ -626,47 +625,8 @@ def j_integral(f: TimeSeries, g: TimeSeries, alpha: float) -> TimeSeries:
 
 
 # ---------------------------------------------------------------------------
-# hypergeometric-kernel integrals
+# the endpoint-pole integral
 # ---------------------------------------------------------------------------
-
-def f_modified_integral(f: TimeSeries, alpha: float) -> TimeSeries:
-    """(F0I^{2-alpha}_t f)(t_i): fractional integral of order 2-alpha whose kernel
-    carries the extra factor 2F1(1, 1; 2-alpha; (t-tau)/(T-tau))."""
-    if not (1.0 < alpha < 2.0):
-        raise ValueError("f_modified_integral requires alpha in (1,2)")
-    grid, T = f.grid, f.grid.T
-    vals = _fmod_weight_matrix(grid, alpha) @ f.regular_part()
-    # on a term, F f = D^(alpha-1) [G/(T-.)] with G(t) = int_0^t (T-tau) f(tau) dtau:
-    # G/(T-.) of t^q is T t^(q+1)/(q+1) - t^(q+2)/(q+2) over T-t, and of (T-t)^q
-    # it is (T^(q+2) (T-t)^-1 - (T-t)^(q+1))/(q+2); each part a (weight, q, p)
-    for term in f.singular:
-        q = term.power
-        if term.anchor == "start":
-            parts = ((T / (q + 1.0), q + 1.0, -1.0), (-1.0 / (q + 2.0), q + 2.0, -1.0))
-        else:
-            parts = ((T ** (q + 2.0) / (q + 2.0), 0.0, -1.0), (-1.0 / (q + 2.0), 0.0, q + 1.0))
-        for weight, tq, tp in parts:
-            vals += _power_integral(weight * term.coeff, tq, tp, 1.0 - alpha, grid)
-    return TimeSeries(grid, vals, x=f.x)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _fmod_weight_matrix(grid: TimeGrid, alpha: float) -> np.ndarray:
-    t = grid.nodes()
-    n = grid.n_steps
-    mu = 2.0 - alpha
-    L, c = _pl_weights(n, mu, grid.h)
-    # hypergeometric kernel factor at node pairs; diverges only at (i=n, j->n)
-    ii, jj = np.tril_indices(n + 1)
-    z = np.zeros(len(ii))
-    denom = grid.T - t[jj]
-    ok = denom > 0
-    z[ok] = (t[ii][ok] - t[jj][ok]) / denom[ok]
-    z = np.clip(z, 0.0, 1.0 - 1e-13)
-    M = np.zeros((n + 1, n + 1))
-    M[ii, jj] = np.where(jj == 0, c[ii], L[ii - jj]) * hyp2f1(1.0, 1.0, mu, z)
-    return _read_only(M)
-
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _endpoint_pole_weight_matrix(grid: TimeGrid, mu: float) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Special functions used by the fractional operator kernels.
 
 All functions are pure and safe for concurrent use. Real arguments only;
-complex support is out of scope. ``hyp2f1`` and the time weight ``psi_wave`` take a
-float or an array argument.
+complex support is out of scope. ``hyp2f1`` takes a float or an array
+argument.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "reciprocal_gamma",
     "mittag_leffler",
     "hyp2f1",
-    "psi_wave",
 ]
 
 
@@ -135,24 +134,3 @@ def hyp2f1(a: float, b: float, c: float, z):
     out = scipy_hyp2f1(a, b, c, z)
     return float(out) if z.ndim == 0 else out
 
-
-def psi_wave(t, alpha: float, T: float):
-    """Time weight Psi(t) for the diffusion-wave (Caputo, alpha in (1,2)) catalog.
-
-    Psi(t) = (1 / (alpha * Gamma(2-alpha))) (1 - t/T)^alpha
-             * 2F1(alpha-1, alpha; alpha+1; 1 - t/T)
-
-    ``t`` is a float or an array of times in [0, T]; Psi(T) = 0. The
-    catalog's Phi weight is not a special function here: it is the
-    endpoint-pole kernel applied to the initial datum (``conslaw._pole_moment``).
-    """
-    if not 1 < alpha < 2:
-        raise ValueError("psi_wave requires alpha in (1, 2)")
-    if T <= 0:
-        raise ValueError("psi_wave requires T > 0")
-    t = np.asarray(t, dtype=float)
-    if not np.all((0 <= t) & (t <= T)):
-        raise ValueError("psi_wave requires t in [0, T]")
-    w = 1.0 - t / T
-    out = w ** alpha * hyp2f1(alpha - 1.0, alpha, alpha + 1.0, w) / (alpha * gamma(2.0 - alpha))
-    return float(out) if out.ndim == 0 else out

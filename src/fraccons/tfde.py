@@ -95,6 +95,8 @@ class Diffusivity:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
+        if not np.isfinite([self.k0, self.beta]).all():
+            raise ValueError("diffusivity k0 and beta must be finite")
         if self.family is DiffusivityFamily.CONSTANT and self.k0 <= 0:
             raise ValueError("constant diffusivity requires k0 > 0")
         if self.family is DiffusivityFamily.POWER and self.beta == 0:

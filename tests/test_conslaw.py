@@ -37,12 +37,8 @@ CAP = Kind.CAPUTO
 CLOSED_FORM_CASES = [pytest.param(pid, n, False, id=pid if want is not None else f"{pid}-n{n}")
                      for pid, (_, want, _, _) in _CLOSED_FORMS.items() if pid != "Table1_v6"
                      for n in ((want,) if want is not None else (1, 2))]
-# the Caputo table ids on a field that moves, whose u_t carries power terms;
-# Table5_v3/v6 (the F kernel and the psi weight as printed) are not conserved there
-_NOT_CONSERVED_MOVING = pytest.mark.xfail(
-    strict=True, reason="the printed F kernel or psi weight is not conserved off stationary fields")
-MOVING_CASES = [pytest.param(pid, want, True, id=f"{pid}-moving",
-                             marks=_NOT_CONSERVED_MOVING if pid in ("Table5_v3", "Table5_v6") else ())
+# the Caputo table ids on a field that moves, whose u_t carries power terms
+MOVING_CASES = [pytest.param(pid, want, True, id=f"{pid}-moving")
                 for pid, (_, want, _, _) in _CLOSED_FORMS.items() if pid.startswith(("Table3", "Table5"))]
 
 
@@ -206,6 +202,26 @@ class TestClosedFormVectors:
             linfs.append(divergence_residual(cv, u).linf)
         rate = 1.4 if moving else 2.0
         assert all(a > rate * b for a, b in zip(linfs, linfs[1:])), f"{pid}: {linfs}"
+
+    @pytest.mark.parametrize("alpha", [1.3, 1.5, 1.7])
+    @pytest.mark.parametrize("pid, const", [("Table5_v3", "c2"), ("Table5_v6", "c4")])
+    def test_table5_time_ids_are_the_noether_x3_vector(self, pid, const, alpha):
+        # v = (T-t)^(alpha-1) (c2 = 1) or x (T-t)^(alpha-1) (c4 = 1) of Caputo_wave
+        spec = FractionalSpec(CAP, alpha, 1.0)
+        d = Diffusivity.constant(1.0)
+        u = exact_linear_separable(spec, 1.0, TimeGrid(1.0, 64), np.linspace(0.0, np.pi, 65))
+        sub = AdjointSubstitution("Caputo_wave", spec, **{const: 1.0})
+        got = catalog_vector(pid, spec, d).components(u)
+        want = catalog_vector("Noether:X3_lin", spec, d, substitution=sub).components(u)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), pid
+
+    @pytest.mark.parametrize("pid", ["Table5_v3", "Table5_v6"])
+    def test_table5_time_ids_constant_on_a_stationary_field(self, pid):
+        # u_t = u_tt = 0 exactly, so C^t is Gamma(alpha) u (times x) on every row
+        spec, d, u = exact_field(CAP, 2, 64)
+        ct, _ = catalog_vector(pid, spec, d).components(u)
+        assert np.array_equal(ct, np.broadcast_to(ct[0], ct.shape))
 
     @pytest.mark.parametrize("pid", sorted(_CLOSED_FORMS))
     def test_wrong_kind_or_order_names_the_id(self, pid):

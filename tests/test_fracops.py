@@ -21,7 +21,6 @@ from fraccons.fracops import (
     caputo_right_derivative,
     diff1,
     diff2,
-    f_modified_integral,
     j_integral,
     left_frac_integral,
     left_integral_endpoint_pole,
@@ -72,6 +71,22 @@ class TestContainers:
             TimeGrid(0.0, 8)
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_non_finite_horizon_rejected(self, T):
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            TimeGrid(T, 8)
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            FractionalSpec(Kind.CAPUTO, 0.5, T)
+
+    @pytest.mark.parametrize("n_steps", [8.5, 8.0, "8"])
+    def test_non_integer_steps_rejected(self, n_steps):
+        # a float count used to pass here and fail later in nodes() with a TypeError
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            TimeGrid(1.0, n_steps)
+
+    def test_numpy_integer_steps_accepted(self):
+        assert TimeGrid(1.0, np.int64(8)).h == 0.125
 
     def test_singular_term_power_bound(self):
         with pytest.raises(ValueError):
@@ -523,42 +538,10 @@ def _term(grid, power, anchor):
     return TimeSeries.from_parts(grid, np.zeros(grid.n_steps + 1), (SingularTerm(1.0, power, anchor),))
 
 
-def _mp_f_modified_term(power, anchor, alpha, t, T):
-    """F of t^power or (T-t)^power by the closed form: F f = D^(alpha-1) [G/(T-.)]
-    with G(t) = int_0^t (T-tau) f(tau) dtau, each part at 30 digits."""
-    q, nu = power, 1.0 - alpha
-    if anchor == "start":
-        return (T / (q + 1.0) * _mp_power_integral(q + 1.0, -1.0, nu, t, T)
-                - _mp_power_integral(q + 2.0, -1.0, nu, t, T) / (q + 2.0))
-    return (T ** (q + 2.0) * _mp_power_integral(0.0, -1.0, nu, t, T)
-            - _mp_power_integral(0.0, q + 1.0, nu, t, T)) / (q + 2.0)
-
-
 TERM_CASES = [("start", -0.5), ("start", 0.5), ("start", 2.0), ("end", -0.5), ("end", 0.3)]
 
 
 class TestEndpointWeightedIntegrals:
-    def test_f_modified_integral_against_quadrature(self):
-        # Order 2-a left integral whose kernel carries the extra factor
-        # 2F1(1,1;2-a;(t-tau)/(T-tau)), compared with scipy quadrature of
-        # the mpmath kernel.
-        a, T = 1.5, 1.0
-        mu = 2.0 - a
-        grid = TimeGrid(T, 256)
-        out = f_modified_integral(series(grid, np.cos), a).regular_part()
-
-        def ref(t):
-            def integrand(tau):
-                z = (t - tau) / (T - tau)
-                with mpmath.workdps(40):
-                    return np.cos(tau) * float(mpmath.hyp2f1(1.0, 1.0, mu, z))
-            return quad(integrand, 0.0, t, weight="alg",
-                        wvar=(0.0, mu - 1.0))[0] / G(mu)
-
-        for j in (64, 128, 192):
-            t = grid.nodes()[j]
-            assert out[j] == pytest.approx(ref(t), abs=5e-4)
-
     def test_left_integral_endpoint_pole_against_quadrature(self):
         # (I^mu (f/(T-.)))(t) on smooth f, compared with scipy quadrature.
         mu, T = 0.5, 1.0
@@ -605,30 +588,6 @@ class TestEndpointWeightedIntegrals:
         want = [_mp_power_integral(q, p, mu, t, grid.T) for t in grid.nodes()[1:-1]]
         np.testing.assert_allclose(got[1:-1], want, rtol=1e-12, atol=0.0)
         assert got[-1] == 0.0
-
-    @pytest.mark.parametrize("anchor, power", TERM_CASES)
-    @pytest.mark.parametrize("alpha", [1.3, 1.5, 1.7])
-    def test_f_modified_integral_on_a_term(self, alpha, anchor, power):
-        grid = TimeGrid(2.0, 8)
-        got = f_modified_integral(_term(grid, power, anchor), alpha).values
-        want = [_mp_f_modified_term(power, anchor, alpha, t, grid.T) for t in grid.nodes()[1:-1]]
-        np.testing.assert_allclose(got[1:-1], want, rtol=1e-12, atol=0.0)
-
-    @pytest.mark.parametrize("anchor, power", [("start", 0.5), ("end", -0.5)])
-    @pytest.mark.parametrize("alpha", [1.3, 1.7])
-    def test_f_modified_closed_form_against_quadrature(self, alpha, anchor, power):
-        # the closed form of a term against mpmath.quad of the kernel itself,
-        # (t-tau)^(1-alpha) 2F1(1, 1; 2-alpha; (t-tau)/(T-tau)) / Gamma(2-alpha)
-        T, t, mu = 2.0, 0.75, 2.0 - alpha
-
-        def kernel(tau):
-            return mpmath.hyp2f1(1, 1, mu, (t - tau) / (T - tau))
-
-        if anchor == "start":
-            ref = _mp_rl_quad(mu, t, power, kernel)
-        else:
-            ref = _mp_rl_quad(mu, t, 0.0, lambda tau: kernel(tau) * (T - tau) ** power)
-        assert _mp_f_modified_term(power, anchor, alpha, t, T) == pytest.approx(ref, rel=1e-8)
 
 
 def field_and_columns(grid, start_power, end_power):
@@ -680,12 +639,11 @@ class TestWholeField:
         (lambda f: caputo_left_derivative(f, 1.5), 1.5, 1.3),
         (lambda f: rl_right_derivative(f, 0.5), 0.3, -0.4),
         (lambda f: caputo_right_derivative(f, 0.5), 0.3, 0.5),
-        (lambda f: f_modified_integral(f, 1.5), -0.4, 0.3),
         (lambda f: left_integral_endpoint_pole(f, 0.5), -0.4, 0.3),
     ], ids=["left_frac_integral", "right_frac_integral", "time_derivative",
             "time_derivative_2", "rl_left_derivative", "rl_left_derivative_wave",
             "caputo_left_derivative", "caputo_left_derivative_wave", "rl_right_derivative",
-            "caputo_right_derivative", "f_modified_integral", "left_integral_endpoint_pole"])
+            "caputo_right_derivative", "left_integral_endpoint_pole"])
     def test_kernel_matches_single_columns(self, kernel, start_power, end_power):
         grid = TimeGrid(1.0, 24)
         whole, cols = field_and_columns(grid, start_power, end_power)
@@ -722,7 +680,6 @@ KERNELS = {
     "gl_left_derivative": lambda f: gl_left_derivative(f, 0.5),
     "reverse": fracops._reverse,
     "j_integral": lambda f: j_integral(f, f, 0.5),
-    "f_modified_integral": lambda f: f_modified_integral(f, 1.5),
     "left_integral_endpoint_pole": lambda f: left_integral_endpoint_pole(f, 0.5),
 }
 

@@ -13,7 +13,6 @@ from fraccons.specialfn import (
     gamma,
     hyp2f1,
     mittag_leffler,
-    psi_wave,
     reciprocal_gamma,
 )
 
@@ -107,17 +106,14 @@ CALL_SITE_FAMILIES = {
     "end_power_p1": lambda al: (-1.0, 1.0, al + 1.0),
     # fracops._incomplete_beta_vec in J: (p+1, 1-beta; p+2), here p = alpha - 1
     "incomplete_beta": lambda al: (al, 1.0 - _frac_beta(al), al + 1.0),
-    # fracops._fmod_weight_matrix: (1, 1; mu), mu = 2 - alpha
-    "fmod": lambda al: (1.0, 1.0, 2.0 - al),
     # fracops._endpoint_pole_weight_matrix: (1, 1; nu+1), nu = mu + k, k = 0, 1
     "endpoint_pole_k0": lambda al: (1.0, 1.0, al + 1.0),
     "endpoint_pole_k1": lambda al: (1.0, 1.0, al + 2.0),
     # the Phi weight of order b, w^b 2F1(b, b; b+1; w) / (b Gamma(1-b)), b = alpha
     # (and alpha - 1 in the wave regime): the catalog takes it from the
-    # endpoint-pole kernel (TestTimeWeights checks the identity); and psi_wave
+    # endpoint-pole kernel (TestTimeWeights checks the identity)
     "phi_sub": lambda al: (al, al, al + 1.0),
     "wave_phi": lambda al: (al - 1.0, al - 1.0, al),
-    "wave_psi": lambda al: (al - 1.0, al, al + 1.0),
 }
 
 
@@ -191,28 +187,3 @@ class TestTimeWeights:
         pole = left_integral_endpoint_pole(TimeSeries(grid, np.ones(65)), 1.0 - b).values[:-1]
         phi = np.array([_mp_phi(b, tt, T) for tt in t])
         np.testing.assert_allclose(phi + (T - t) ** b * pole, math.gamma(b), rtol=1e-12, atol=0.0)
-
-    def test_psi_wave_monotone_nonnegative(self):
-        alpha, T = 1.5, 1.0
-        vals = [psi_wave(t, alpha, T) for t in np.linspace(0.0, T, 1000)]
-        assert all(v >= 0.0 for v in vals)
-        assert all(a >= b - 1e-14 for a, b in zip(vals, vals[1:]))
-        assert vals[-1] == 0.0
-
-    def test_array_times_match_scalar_calls(self):
-        t = np.linspace(0.0, 2.0, 129)
-        psi = psi_wave(t, 1.5, 2.0)
-        assert psi.shape == t.shape
-        np.testing.assert_allclose(psi, [psi_wave(tt, 1.5, 2.0) for tt in t], rtol=1e-14, atol=0.0)
-        assert isinstance(psi_wave(0.5, 1.5, 2.0), float)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            psi_wave(0.5, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            psi_wave(2.0, 1.5, 1.0)
-        with pytest.raises(ValueError):
-            psi_wave(0.5, 1.5, 0.0)
-        with pytest.raises(ValueError):
-            psi_wave(np.array([-0.1, 0.5]), 1.5, 1.0)
-

@@ -63,6 +63,16 @@ class TestDiffusivity:
         with pytest.raises(ValueError):
             Diffusivity(DiffusivityFamily.POWER, beta=0.0)
 
+    @pytest.mark.parametrize("family, k0, beta", [
+        (DiffusivityFamily.CONSTANT, np.nan, 0.0),
+        (DiffusivityFamily.CONSTANT, np.inf, 0.0),
+        (DiffusivityFamily.POWER, 1.0, np.nan),
+        (DiffusivityFamily.EXPONENTIAL, np.nan, 0.0),
+    ])
+    def test_non_finite_parameters_rejected(self, family, k0, beta):
+        with pytest.raises(ValueError, match="k0 and beta must be finite"):
+            Diffusivity(family, k0=k0, beta=beta)
+
 
 class TestExactSolutions:
     def test_caputo_linear_mode_satisfies_equation(self):
