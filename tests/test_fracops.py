@@ -638,12 +638,15 @@ class TestWholeField:
         (lambda f: caputo_left_derivative(f, 0.5), 0.5, 0.3),
         (lambda f: caputo_left_derivative(f, 1.5), 1.5, 1.3),
         (lambda f: rl_right_derivative(f, 0.5), 0.3, -0.4),
+        (lambda f: rl_right_derivative(f, 1.5), 0.3, 0.7),
         (lambda f: caputo_right_derivative(f, 0.5), 0.3, 0.5),
+        (lambda f: caputo_right_derivative(f, 1.5), 1.3, 1.5),
         (lambda f: left_integral_endpoint_pole(f, 0.5), -0.4, 0.3),
     ], ids=["left_frac_integral", "right_frac_integral", "time_derivative",
             "time_derivative_2", "rl_left_derivative", "rl_left_derivative_wave",
             "caputo_left_derivative", "caputo_left_derivative_wave", "rl_right_derivative",
-            "caputo_right_derivative", "left_integral_endpoint_pole"])
+            "rl_right_derivative_wave", "caputo_right_derivative",
+            "caputo_right_derivative_wave", "left_integral_endpoint_pole"])
     def test_kernel_matches_single_columns(self, kernel, start_power, end_power):
         grid = TimeGrid(1.0, 24)
         whole, cols = field_and_columns(grid, start_power, end_power)
@@ -673,10 +676,12 @@ KERNELS = {
     "left_frac_integral": lambda f: left_frac_integral(f, 0.5),
     "right_frac_integral": lambda f: right_frac_integral(f, 0.5),
     "time_derivative": lambda f: time_derivative(f),
+    "time_derivative_2": lambda f: time_derivative(f, 2),
     "rl_left_derivative": lambda f: rl_left_derivative(f, 0.5),
     "rl_right_derivative": lambda f: rl_right_derivative(f, 1.5),
     "caputo_left_derivative": lambda f: caputo_left_derivative(f, 1.5),
     "caputo_right_derivative": lambda f: caputo_right_derivative(f, 0.5),
+    "caputo_right_derivative_wave": lambda f: caputo_right_derivative(f, 1.5),
     "gl_left_derivative": lambda f: gl_left_derivative(f, 0.5),
     "reverse": fracops._reverse,
     "j_integral": lambda f: j_integral(f, f, 0.5),
