@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -367,6 +368,9 @@ def criterion_12() -> CriterionResult:
                   for diffu, a, b, sym_ids in stationary]
 
     for spec, diffu, make_u, sym_ids in cases:
+        # one field per grid for all of the case's entries, which then share
+        # its memoized quantities; the fields go when the case ends
+        make_u = lru_cache(maxsize=None)(make_u)
         regime = regime_of(spec)
         seen = set()
         for sym_id in sym_ids:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -43,9 +43,10 @@ __all__ = [
     "time_derivative",
 ]
 
-# entries kept per weight builder; a full selftest builds at most 9 distinct
-# ones per builder, a verify call fewer (counts per workload in CHANGES.md).
-# Entries are O(n) lag vectors, except the dense (n+1)^2 matrices of
+# entries kept per cached builder; a full selftest builds at most 9 distinct
+# weights per weight builder, a verify call fewer (counts per workload in
+# CHANGES.md). Entries are O(n) vectors (lag weights, a grid's nodes, its
+# power samples t^p or (T-t)^p), except the dense (n+1)^2 matrices of
 # _endpoint_pole_weight_matrix and _j_start_power_matrix
 _CACHE_SIZE = 16
 
@@ -98,14 +99,22 @@ class TimeGrid:
         return self.T / self.n_steps
 
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.n_steps + 1)
+        """The nodes t_i, read-only (built once per grid)."""
+        return _nodes(self)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _nodes(grid: TimeGrid) -> np.ndarray:
+    return _read_only(np.linspace(0.0, grid.T, grid.n_steps + 1))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _power_samples(grid: TimeGrid, power: float, anchor: str) -> np.ndarray:
-    """t^power ('start') or (T-t)^power ('end') at the nodes; 0 where the base is 0 and power < 0."""
+    """t^power ('start') or (T-t)^power ('end') at the nodes, read-only; 0 where
+    the base is 0 and power < 0."""
     t = grid.nodes()
     s = t if anchor == "start" else grid.T - t
-    return np.power(s, power, out=np.zeros_like(s), where=(s > 0.0) | (power >= 0.0))
+    return _read_only(np.power(s, power, out=np.zeros_like(s), where=(s > 0.0) | (power >= 0.0)))
 
 
 def _along_time(col: np.ndarray, ndim: int) -> np.ndarray:
@@ -178,12 +187,19 @@ class TimeSeries:
     is stored as 0, and the term carries the singularity; so the library's
     kernels return finite samples throughout. Term coefficients are floats
     for 1-D values and (m,) arrays otherwise; all-zero terms are dropped.
+
+    A field is immutable after construction: ``values`` is a read-only view
+    (the caller's array keeps its flags). So a field computes each of its
+    regular part, space derivatives and fractional integrals once, on the
+    first request, and keeps the result, read-only, for its own lifetime.
     """
 
     grid: TimeGrid
     values: np.ndarray
     singular: tuple[SingularTerm, ...] = ()
     x: Optional[np.ndarray] = None
+    # the memoized quantities by key: "reg", ("dx", order) and ("I", mu)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -196,7 +212,7 @@ class TimeSeries:
         # kernels' constructor, zeroes them in its own array
         if any(np.any(np.where(hit, v[row], 0.0)) for row, hit in _anchor_entries(terms)):
             v = _zero_anchors(v.copy(), terms)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _read_only(v.view()))
         object.__setattr__(self, "singular", terms)
         if self.x is not None:
             x = np.asarray(self.x, dtype=float)
@@ -228,16 +244,27 @@ class TimeSeries:
         grid = TimeGrid(T=float(raw[-1, 0]), n_steps=raw.shape[0] - 2)
         return cls(grid, raw[1:, 1:], x=raw[0, 1:])
 
+    def _memoized(self, key, build):
+        """``build()``, computed on the first request for ``key`` and kept."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     def regular_part(self) -> np.ndarray:
-        """Samples of the function minus all declared power-law terms.
+        """Samples of the function minus all declared power-law terms, read-only.
 
         It is 0 where a term is infinite (the term dominates there by
         assumption), like the values.
         """
-        reg = self.values.copy()
-        for term in self.singular:
-            reg -= term.sample(self.grid)
-        return _zero_anchors(reg, self.singular)
+        def build():
+            if not self.singular:
+                return self.values
+            reg = self.values.copy()
+            for term in self.singular:
+                reg -= term.sample(self.grid)
+            return _read_only(_zero_anchors(reg, self.singular))
+
+        return self._memoized("reg", build)
 
     def _space_nodes(self) -> np.ndarray:
         if self.x is None:
@@ -256,8 +283,13 @@ class TimeSeries:
         if order not in (1, 2):
             raise ValueError("only first and second space derivatives are supported")
         d, hx = (diff1 if order == 1 else diff2), self.hx
-        terms = tuple(SingularTerm(d(t.coeff, hx), t.power, t.anchor) for t in self.singular)
-        return TimeSeries.from_parts(self.grid, d(self.regular_part(), hx, axis=1), terms, self.x)
+
+        def build():
+            terms = tuple(SingularTerm(d(t.coeff, hx), t.power, t.anchor) for t in self.singular)
+            return TimeSeries.from_parts(self.grid, d(self.regular_part(), hx, axis=1), terms,
+                                         self.x)
+
+        return self._memoized(("dx", order), build)
 
     def to_csv(self, path: str) -> None:
         """Write the field as CSV: header row of x nodes, first column of t nodes."""
@@ -361,9 +393,14 @@ def _reverse(f: TimeSeries) -> TimeSeries:
 
 
 def left_frac_integral(f: TimeSeries, mu: float) -> TimeSeries:
-    """Left-sided fractional integral (0I^mu_t f) at every grid node."""
+    """Left-sided fractional integral (0I^mu_t f) at every grid node, computed
+    once per field and order."""
     if mu <= 0:
         raise ValueError("fractional integral order mu must be positive")
+    return f._memoized(("I", mu), lambda: _left_frac_integral(f, mu))
+
+
+def _left_frac_integral(f: TimeSeries, mu: float) -> TimeSeries:
     grid = f.grid
     L, c = _pl_weights(grid.n_steps, mu, grid.h)
     reg = f.regular_part()
@@ -519,11 +556,9 @@ def _j_piecewise_linear(fv: np.ndarray, gv: np.ndarray, grid: TimeGrid, beta: fl
 
     Passing cell i, J gains the pairs of tau-cell i with later mu-cells and
     loses those of mu-cell i with earlier tau-cells. Both sums are lag
-    convolutions with kappa, the gained one along reversed g.
+    convolutions with kappa, the gained one along reversed g. fv and gv
+    have the same number of dimensions.
     """
-    ndim = max(fv.ndim, gv.ndim)
-    fv = fv.reshape(fv.shape + (1,) * (ndim - fv.ndim))
-    gv = gv.reshape(gv.shape + (1,) * (ndim - gv.ndim))
     kappa = _j_lag_kernels(grid.n_steps, beta)
     f_ends = (fv[:-1], fv[1:])  # f_{p+a} for cells p = 0..n-1
     g_ends = (gv[:-1], gv[1:])
@@ -603,13 +638,19 @@ def j_integral(f: TimeSeries, g: TimeSeries, alpha: float) -> TimeSeries:
     # start terms are smooth there and are sampled with the regular parts
     f_lin = f.regular_part() + sum(tm.sample(grid) for tm in f.singular if tm.anchor == "end")
     g_lin = g.regular_part() + sum(tm.sample(grid) for tm in g.singular if tm.anchor == "start")
+    # a 1-D factor broadcasts along the other's space axis
+    ndim = max(f_lin.ndim, g_lin.ndim)
+    f_lin, g_lin = (v.reshape(v.shape + (1,) * (ndim - v.ndim)) for v in (f_lin, g_lin))
     # J is bilinear: skip all of it, the dense singular-term weights too,
-    # when either factor is zero (v_tt of the polynomial substitutions, for example)
+    # when either factor is zero (v_tt of the polynomial substitutions, for
+    # example), and its piecewise-linear part when either regular part is
     x = f.x if f.x is not None else g.x
-    if not (f_start or f_lin.any()) or not (g_end or g_lin.any()):
-        return TimeSeries(grid, np.zeros(np.broadcast_shapes(f_lin.shape, g_lin.shape)), x=x)
+    out = np.zeros(np.broadcast_shapes(f_lin.shape, g_lin.shape))
+    if not (f_start or np.any(f_lin)) or not (g_end or np.any(g_lin)):
+        return TimeSeries(grid, out, x=x)
     inv_gb = reciprocal_gamma(beta)
-    out = _j_piecewise_linear(f_lin, g_lin, grid, beta)
+    if np.any(f_lin) and np.any(g_lin):
+        out = _j_piecewise_linear(f_lin, g_lin, grid, beta)
     for term in f_start:
         P = _j_start_power_matrix(grid, term.power, beta)
         out += term.coeff * inv_gb * _trapz_tail(P, g_lin, h)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fraccons
-from fraccons import tfde
+from fraccons import fracops, tfde
 from fraccons.cli import ConfigError, main, parse_config
 from fraccons.fracops import TimeSeries
 
@@ -299,6 +299,19 @@ class TestVerifyCommand:
         rc = main(["verify", "--config", write_config(tmp_path, self.solver_config(n_x=6))])
         assert rc == 0
         assert ",64,6," in capsys.readouterr().out
+
+    def test_vectors_share_the_fields_integrals(self, tmp_path, capsys, monkeypatch):
+        # the four vectors of the bench's solver workload read I^(1/2) u and
+        # I^(3/2) u: one FFT convolution each per grid, not one per vector
+        calls = []
+        conv = fracops._causal_conv
+        monkeypatch.setattr(fracops, "_causal_conv", lambda k, F: calls.append(1) or conv(k, F))
+        vectors = ["NL_RL_sub", "NL_RL_sub_t1", "NL_RL_sub_t2", "Trivial_RL"]
+        cfg = self.solver_config(n_x=8, vectors=vectors, grids=[16, 32])
+        rc = main(["verify", "--config", write_config(tmp_path, cfg)])
+        assert rc == 4  # at n_x = 8 the space error holds the ratios under the threshold
+        assert "convergence check failed" in capsys.readouterr().err
+        assert len(calls) == 2 * 2
 
     def test_default_n_x_below_window_exits_2(self, tmp_path, capsys):
         # without n_x the space grid has n_steps cells: 4 leave no window

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import mpmath
 import numpy as np
@@ -29,6 +30,7 @@ from fraccons.fracops import (
     rl_right_derivative,
     time_derivative,
 )
+from fraccons.tfde import exact_linear_separable
 
 G = math.gamma
 
@@ -136,6 +138,94 @@ class TestContainers:
             FractionalSpec(Kind.RIEMANN_LIOUVILLE, 1.0, 1.0)
         with pytest.raises(ValueError):
             FractionalSpec(Kind.RIEMANN_LIOUVILLE, 2.5, 1.0)
+
+
+def assert_bitwise_equal(got, want):
+    """Same shape and the same float64 bits, signs of zeros included."""
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def memo_field():
+    """A space-time field with start and end terms in every column."""
+    grid = TimeGrid(1.0, 32)
+    x = np.linspace(0.0, 1.0, 6)
+    reg = np.cos(np.add.outer(grid.nodes(), x))
+    terms = (SingularTerm(np.sin(x) + 1.0, 0.3), SingularTerm(x, 0.6, "end"))
+    return TimeSeries.from_parts(grid, reg, terms, x)
+
+
+# each memoized quantity, and kernels that reach the memoized integral inside
+MEMOIZED = {
+    "regular_part": lambda f: f.regular_part(),
+    "dx_field_1": lambda f: f.dx_field().values,
+    "dx_field_2": lambda f: f.dx_field(2).values,
+    "left_frac_integral": lambda f: left_frac_integral(f, 0.5).values,
+    "rl_negative_order": lambda f: rl_left_derivative(f, -1.5).values,
+    "rl_derivative": lambda f: rl_left_derivative(f, 0.5).values,
+    "caputo_derivative": lambda f: caputo_left_derivative(f, 0.5).values,
+}
+
+
+class TestMemo:
+    """A field computes its regular part, space derivatives and fractional
+    integrals once and keeps them, read-only, for its lifetime."""
+
+    @pytest.mark.parametrize("name", MEMOIZED)
+    def test_memoized_equals_unmemoized_and_is_read_only(self, name, monkeypatch):
+        f = memo_field()
+        for quantity in MEMOIZED.values():  # fill the memo with every quantity first
+            quantity(f)
+        got = MEMOIZED[name](f)
+        monkeypatch.setattr(TimeSeries, "_memoized", lambda self, key, build: build())
+        want = MEMOIZED[name](memo_field())
+        assert_bitwise_equal(got, want)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[1] = 0.0
+
+    def test_repeated_call_returns_the_same_object(self):
+        f = memo_field()
+        assert f.regular_part() is f.regular_part()
+        assert f.dx_field() is f.dx_field() and f.dx_field(2) is f.dx_field(2)
+        assert f.dx_field() is not f.dx_field(2)
+        assert left_frac_integral(f, 0.5) is left_frac_integral(f, 0.5)
+        assert rl_left_derivative(f, -0.5) is left_frac_integral(f, 0.5)
+        assert left_frac_integral(f, 1.5) is not left_frac_integral(f, 0.5)
+
+    def test_field_without_terms_is_its_own_regular_part(self):
+        f = TimeSeries(TimeGrid(1.0, 8), np.linspace(0.0, 1.0, 9))
+        assert f.regular_part() is f.values
+
+    def test_memo_lives_and_dies_with_the_field(self):
+        f = memo_field()
+        for quantity in MEMOIZED.values():
+            quantity(f)
+        integral = weakref.ref(left_frac_integral(f, 0.5))
+        field = weakref.ref(f)
+        assert integral() is not None
+        del f
+        assert field() is None and integral() is None
+
+    def test_values_are_read_only_and_the_caller_array_keeps_its_flags(self):
+        vals = np.ones((9, 4))
+        f = TimeSeries(TimeGrid(1.0, 8), vals, x=np.linspace(0.0, 1.0, 4))
+        assert np.shares_memory(f.values, vals)
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[2, 1] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            f.values += 1.0
+        assert vals.flags.writeable
+        assert not f.dx_field().values.flags.writeable
+
+    def test_nodes_and_power_samples_are_cached_read_only(self):
+        grid = TimeGrid(1.0, 16)
+        assert grid.nodes() is TimeGrid(1.0, 16).nodes()
+        samples = fracops._power_samples(grid, -0.5, "end")
+        assert samples is fracops._power_samples(grid, -0.5, "end")
+        for arr in (grid.nodes(), samples):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
 
 
 class TestLeftIntegral:
@@ -440,6 +530,45 @@ class TestJIntegral:
         assert errs[0] <= 1e-5
         assert errs[1] <= errs[0] / 3.0
 
+
+    @pytest.mark.parametrize("zero_factor", ["g", "f"])
+    def test_zero_regular_part_skips_the_piecewise_linear_pass(self, zero_factor, monkeypatch):
+        # J(u_tt, (T-t)^(1/2)) of Table5_v3 on a moving field: g's regular part
+        # is 0, so the piecewise-linear pass would add exact zeros; with f's
+        # regular part 0 instead, f is a start term alone
+        spec = FractionalSpec(Kind.CAPUTO, 1.5, 1.0)
+        grid = TimeGrid(1.0, 64)
+        x = np.linspace(0.0, np.pi, 65)
+        u = exact_linear_separable(spec, 1.0, grid, x)
+        zero = np.zeros_like(u.values)
+        if zero_factor == "g":
+            f = time_derivative(u, 2)
+            g = TimeSeries.from_parts(grid, zero, (SingularTerm(1.0, 0.5, "end"),), x)
+        else:
+            f = TimeSeries.from_parts(grid, zero, (SingularTerm(np.sin(x), -0.4),), x)
+            g = TimeSeries.from_parts(grid, np.cos(u.values), (SingularTerm(x, 0.5, "end"),), x)
+        calls = []
+        full_pass = fracops._j_piecewise_linear
+        monkeypatch.setattr(fracops, "_j_piecewise_linear",
+                            lambda *args: calls.append(1) or full_pass(*args))
+        skipped = j_integral(f, g, spec.alpha).values
+        assert calls == []
+
+        class EveryArrayNonzero:
+            """numpy, except that np.any is True: forces the full path."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def any(*args, **kwargs):
+                return True
+
+        monkeypatch.setattr(fracops, "np", EveryArrayNonzero())
+        forced = j_integral(f, g, spec.alpha).values
+        assert calls == [1]
+        assert_bitwise_equal(skipped, forced)
+        assert np.any(skipped != 0.0)
 
     @pytest.mark.parametrize("f_kind", ["cos", "start_power"])
     def test_end_term_of_g_against_quadrature(self, f_kind):
@@ -754,6 +883,24 @@ class TestSpaceField:
         for f, g in ((field, flat), (flat, field)):
             np.testing.assert_array_equal(j_integral(f, g, 0.5).x, x)
 
+    @pytest.mark.parametrize("flat_terms", [(), ((1.3, -0.5, "start"), (0.4, -0.3, "end"))],
+                             ids=["regular", "with_terms"])
+    def test_j_integral_with_a_one_d_factor_matches_columns(self, flat_terms):
+        # a 1-D factor broadcasts along the other's space axis, its terms and
+        # a zero factor too (each of these raised a broadcast error before)
+        grid = TimeGrid(1.0, 16)
+        whole, cols = field_and_columns(grid, -0.4, -0.6)
+        flat = TimeSeries.from_parts(grid, np.sin(grid.nodes()),
+                                     tuple(SingularTerm(*tm) for tm in flat_terms))
+        assert_whole_matches_columns(j_integral(whole, flat, 0.5),
+                                     [j_integral(c, flat, 0.5) for c in cols])
+        assert_whole_matches_columns(j_integral(flat, whole, 0.5),
+                                     [j_integral(flat, c, 0.5) for c in cols])
+        zero = TimeSeries(grid, np.zeros(17))
+        for f, g in ((zero, whole), (whole, zero)):
+            out = j_integral(f, g, 0.5).values
+            assert out.shape == (17, 5) and not out.any()
+
     def test_space_methods_need_x(self, tmp_path):
         f = TimeSeries(TimeGrid(1.0, 8), np.arange(9.0))
         with pytest.raises(ValueError, match="no space axis"):
@@ -930,8 +1077,9 @@ class TestMemory:
 
     @staticmethod
     def peak_bytes(fn):
-        fracops._pl_weights.cache_clear()
-        fracops._j_lag_kernels.cache_clear()
+        for cached in (fracops._pl_weights, fracops._j_lag_kernels, fracops._nodes,
+                       fracops._power_samples):
+            cached.cache_clear()
         tracemalloc.start()
         try:
             fn()
