@@ -145,7 +145,7 @@ def criterion_5() -> CriterionResult:
              (Kind.CAPUTO, 0.5, 1e-5), (Kind.CAPUTO, 1.5, 1e-5)]
     diffu = Diffusivity.constant(1.0)
     for kind, alpha, tol in cases:
-        spec = FractionalSpec(kind, alpha, 1.0)
+        spec = FractionalSpec(kind, alpha)
         regime = regime_of(spec)
         tg = TimeGrid(1.0, 512)
         x = np.linspace(0.0, 1.0, 65)
@@ -181,7 +181,7 @@ def criterion_6() -> CriterionResult:
     from scipy.special import betaincc
 
     alpha, lam, T = 0.5, 0.5, 1.0
-    spec = FractionalSpec(Kind.CAPUTO, alpha, T)
+    spec = FractionalSpec(Kind.CAPUTO, alpha)
     sub = AdjointSubstitution("Caputo_sub", spec, c2=1.0)
     cv = catalog_vector("Noether:X3_lin", spec, Diffusivity.constant(1.0), substitution=sub)
     x = np.linspace(0.0, 1.0, 17)
@@ -211,7 +211,7 @@ def _decay_ratios(pid: str, spec, diffu, make_u, grids=(64, 128, 256), **kw) -> 
 
 def criterion_7() -> CriterionResult:
     """Divergence decay on the exact linear Caputo solution."""
-    spec = FractionalSpec(Kind.CAPUTO, 0.5, 1.0)
+    spec = FractionalSpec(Kind.CAPUTO, 0.5)
     diffu = Diffusivity.constant(1.0)
     sub = AdjointSubstitution("Caputo_sub", spec, c1=1.0, c2=1.0)
 
@@ -232,7 +232,7 @@ def criterion_8() -> CriterionResult:
     moving linear mode, whose u_t carries power terms."""
     diffu = Diffusivity.power(1.0)
     u = exact_stationary_caputo(diffu, 0.1, 1.0, TimeGrid(1.0, 512), np.linspace(0.0, 1.0, 513))
-    spec3, spec5 = FractionalSpec(Kind.CAPUTO, 0.5, 1.0), FractionalSpec(Kind.CAPUTO, 1.5, 1.0)
+    spec3, spec5 = FractionalSpec(Kind.CAPUTO, 0.5), FractionalSpec(Kind.CAPUTO, 1.5)
     worst3 = max(divergence_residual(catalog_vector(f"Table3_v{i}", spec3, diffu), u).linf
                  for i in range(1, 5))
     worst5 = max(divergence_residual(catalog_vector(f"Table5_v{i}", spec5, diffu,
@@ -254,7 +254,7 @@ def criterion_8() -> CriterionResult:
 def criterion_9() -> CriterionResult:
     """Trivial vector on the pure t^{alpha-1} mode."""
     alpha = 0.5
-    spec = FractionalSpec(Kind.RIEMANN_LIOUVILLE, alpha, 1.0)
+    spec = FractionalSpec(Kind.RIEMANN_LIOUVILLE, alpha)
     tg = TimeGrid(1.0, 128)
     x = np.linspace(0.0, 1.0, 33)
     c = 0.7
@@ -271,7 +271,7 @@ def criterion_9() -> CriterionResult:
 
 def criterion_10() -> CriterionResult:
     """Conservation order on nonlinear RL solver output, k = u^2."""
-    spec = FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5, 1.0)
+    spec = FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5)
     diffu = Diffusivity.power(2.0)
     a, b = 0.5, 1.0
 
@@ -293,7 +293,7 @@ def criterion_10() -> CriterionResult:
 
 def criterion_11() -> CriterionResult:
     """Adjudication of the two readings of the sixth wave-regime table entry."""
-    spec = FractionalSpec(Kind.RIEMANN_LIOUVILLE, 1.5, 1.0)
+    spec = FractionalSpec(Kind.RIEMANN_LIOUVILLE, 1.5)
     diffu = Diffusivity.constant(1.0)
 
     def make_u(n):
@@ -350,7 +350,7 @@ def criterion_12() -> CriterionResult:
 
     # (spec, diffusivity, make_u, symmetry ids): the RL wave regime on
     # separable exact solutions, the Caputo regimes on stationary ones
-    rl_wave = FractionalSpec(Kind.RIEMANN_LIOUVILLE, 1.5, 1.0)
+    rl_wave = FractionalSpec(Kind.RIEMANN_LIOUVILLE, 1.5)
     cases = []
     for beta, (a, b), sym_ids in ((2.0, (0.5, 1.0), ("X1", "X2", "X3_pow")),
                                   (-4.0 / 3.0, (-0.1, -1.0), ("X4_pow43",)),
@@ -358,7 +358,7 @@ def criterion_12() -> CriterionResult:
         diffu = Diffusivity.power(beta)
         cases.append((rl_wave, diffu, field(exact_rl_separable, diffu, 1.5, a, b), sym_ids))
     for alpha in (0.5, 1.5):
-        spec = FractionalSpec(Kind.CAPUTO, alpha, 1.0)
+        spec = FractionalSpec(Kind.CAPUTO, alpha)
         stationary = [(Diffusivity.power(2.0), 0.5, 1.0, ("X1", "X2", "X3_pow")),
                       (Diffusivity.exponential(), 0.5, 1.0, ("X3_exp",)),
                       (Diffusivity.power(-4.0 / 3.0), -0.1, -1.0, ("X4_pow43",))]

@@ -13,7 +13,8 @@ Exit codes, each failure with a one-line message on stderr:
     k and a singular Newton system), or a special-function series that did not converge or cannot
     reach float64 accuracy (the Mittag-Leffler series of an exact
     solution at large lam^2 t^alpha), or a float64 overflow in the
-    numerics (a horizon T near 1e308);
+    numerics (a horizon T near 1e308), or an array too large for the
+    memory (MemoryError; the dense kernels grow as the square of the grid);
   4 conservation-check (or selftest) failure: a convergence ratio below
     the threshold (the line names the worst vector, its n_steps and
     ratio, and the threshold, and a fixed n_x), or a non-finite residual
@@ -182,6 +183,7 @@ def parse_config(data: dict) -> ScenarioConfig:
         raise ConfigError("source exact_linear solves the equation for the constant "
                           "diffusivity k0 = 1 only")
     try:
+        TimeGrid(cfg.T, cfg.grids[-1])
         _evaluators(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -207,7 +209,7 @@ def _equation(cfg: ScenarioConfig) -> tuple[FractionalSpec, Diffusivity]:
     d = cfg.diffusivity
     family = DiffusivityFamily(d.get("family"))
     beta = float(d.get("beta", 1.0)) if family is DiffusivityFamily.POWER else 0.0
-    return (FractionalSpec(Kind(cfg.kind), cfg.alpha, cfg.T),
+    return (FractionalSpec(Kind(cfg.kind), cfg.alpha),
             Diffusivity(family, k0=float(d.get("k0", 1.0)), beta=beta))
 
 
@@ -393,6 +395,9 @@ def main(argv=None) -> int:
         return 3
     except OverflowError as exc:
         print(f"numerical overflow: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 3
     except FloatingPointError as exc:
         print(f"non-finite residual: {exc}", file=sys.stderr)

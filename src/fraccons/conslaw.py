@@ -2,8 +2,8 @@
 
 ``catalog_vector`` builds every vector from its id: ``Noether:<symmetry>``
 ids apply the fractional Noether operators to the formal Lagrangian, for a
-symmetry the equation admits; the ``Linear_*`` ids are those vectors of the
-linear case without their xi L terms; the other ids are closed forms.
+symmetry the equation admits; a ``Linear_<regime>_<symmetry>`` id is the same
+vector of the linear case under its own id; the other ids are closed forms.
 ``divergence_residual`` and ``flux_balance`` check D_t C^t + D_x C^x = 0 on
 solution fields.
 """
@@ -20,7 +20,6 @@ from .specialfn import gamma
 from .fracops import (
     Kind,
     FractionalSpec,
-    SingularTerm,
     TimeSeries,
     diff1,
     j_integral,
@@ -124,15 +123,14 @@ class ConservedVectorEval:
 
 def _noether_fn(name: str, sym_id: str, h: Optional[TimeSeries],
                 sub: Optional[AdjointSubstitution], spec: FractionalSpec,
-                diffusivity: Diffusivity, lagrangian: bool):
+                diffusivity: Diffusivity):
     """The evaluator function of the Noether vector of (sym_id, sub), checked here.
 
     The symmetry is the one ``list_symmetries`` admits for the equation
     (X4_rl of the Caputo kind holds for u_t(0, x) = 0); ``h`` is
-    the field of the Xinf generator. ``name`` heads the error messages;
-    ``lagrangian`` adds the xi L terms to the core of ``_noether_core``. xi L
-    is taken as 0 where xi is 0 (L may be infinite at an end row), and L is
-    not built when both xi vanish.
+    the field of the Xinf generator. ``name`` heads the error messages. xi L
+    is added to the core of ``_noether_core`` where xi is nonzero (L may be
+    infinite at an end row), and L is not built when both xi vanish.
     """
     if sub is None:
         raise ValueError(f"{name}: requires an adjoint substitution")
@@ -148,8 +146,6 @@ def _noether_fn(name: str, sym_id: str, h: Optional[TimeSeries],
     def fn(u: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
         v = sub.field(u.grid, u.x)
         ct, cx = _noether_core(characteristic(sym, u), v, u, sub, spec, diffusivity)
-        if not lagrangian:
-            return ct, cx
         t, x = u.grid.nodes()[:, None], u.x[None, :]
         xi_terms = ((sym.xi0(t, x, u.values), ct), (sym.xi1(t, x, u.values), cx))
         if any(np.any(coeff) for coeff, _ in xi_terms):
@@ -189,7 +185,7 @@ def _rl_moment(j: int, printed_typo: bool = False):
 
 
 def _pole_moment(m: int):
-    """Caputo core s^{a-m} I^{m+1-a}(D^m u / s), weight s^{a-m-1}, s = T - t.
+    """Caputo core s^{a-m} I^{m+1-a}(D^m u / s), weight s^{a-m-1}, s = T - t on u's grid.
 
     For m = n - 1 it carries the initial term f0 Phi(t), f0 = D^m u(0, x), whose
     weight Phi = Gamma(a-m) - s^{a-m} I^{m+1-a}(1/s) is the same kernel on f0:
@@ -198,7 +194,7 @@ def _pole_moment(m: int):
 
     def core(u, spec, start):
         a = spec.alpha
-        s = (spec.T - u.grid.nodes())[:, None]
+        s = (u.grid.T - u.grid.nodes())[:, None]
         f, f0 = (time_derivative(u, m) if m else u), 0.0
         if m == spec.n - 1:
             f0 = start(u)[None, :]
@@ -210,12 +206,10 @@ def _pole_moment(m: int):
 
 
 def _noether_time(u, spec, start):
-    """Caputo n = 2 core: the Noether C^t of W = u and v = s^{a-1},
-    Gamma(a) (u + s u_t) - J(u_tt, s^{a-1}), weight s^{a-1}."""
-    a = spec.alpha
-    v = TimeSeries.from_parts(u.grid, np.zeros_like(u.values),
-                              (SingularTerm(1.0, a - 1.0, "end"),), u.x)
-    return _noether_ct(u, v, None, spec), (spec.T - u.grid.nodes())[:, None] ** (a - 1.0)
+    """Caputo n = 2 core: the Noether C^t of W = u and v = s^{a-1} (Caputo_wave,
+    c2 = 1), Gamma(a) (u + s u_t) - J(u_tt, v), weight s^{a-1}, s = T - t."""
+    v = AdjointSubstitution("Caputo_wave", spec, c2=1.0).field(u.grid, u.x)
+    return _noether_ct(u, v, None, spec), (u.grid.T - u.grid.nodes())[:, None] ** (spec.alpha - 1.0)
 
 
 def _trivial_caputo(u, spec, start):
@@ -311,16 +305,15 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
 
     if provenance.startswith("Noether:"):
         sym_id = provenance.split(":", 1)[1]
-        fn = _noether_fn(provenance, sym_id, h, substitution, spec, diffusivity, lagrangian=True)
+        fn = _noether_fn(provenance, sym_id, h, substitution, spec, diffusivity)
         return ConservedVectorEval(f"NoetherDerived({sym_id},{substitution.regime})", spec, fn)
 
     if provenance in catalog_ids():  # Linear_<regime>_<symmetry>
         prefix, sym_tag = provenance.rsplit("_", 1)
         regime = regime_of(spec)
         check(prefix == _linear_prefix(regime), f"does not fit the {regime} regime of the spec")
-        # the Noether vector of the symmetry without its xi L terms
         fn = _noether_fn(provenance, {"X3": "X3_lin"}.get(sym_tag, sym_tag), h, substitution,
-                         spec, diffusivity, lagrangian=False)
+                         spec, diffusivity)
         return ConservedVectorEval(provenance, spec, fn)
 
     raise ValueError(f"unknown catalog vector id {provenance!r}")

@@ -65,16 +65,13 @@ def _order_and_n(alpha: float) -> int:
 
 @dataclass(frozen=True)
 class FractionalSpec:
-    """Derivative kind and order for a time-fractional problem."""
+    """Derivative kind and order for a time-fractional problem (T is the grid's)."""
 
     kind: Kind
     alpha: float
-    T: float
 
     def __post_init__(self) -> None:
         _order_and_n(self.alpha)
-        if not (math.isfinite(self.T) and self.T > 0):
-            raise ValueError(f"T must be positive and finite, got {self.T!r}")
 
     @property
     def n(self) -> int:

@@ -163,8 +163,9 @@ def characteristic(sym: Symmetry, u: TimeSeries) -> TimeSeries:
 
 # Regime table: regime -> (kind, n, terms). The regime's substitution solves
 # the adjoint equation of that kind and order and takes the constants
-# c1..c_2n. Each term (i, j, offset, anchor) is (c_i + c_j x) t^offset, or
-# (c_i + c_j x) (T - t)^(alpha + offset) when end-anchored (c indexed from 0).
+# c1..c_2n (indexed from 0 here). Each term (i, j, offset, anchor) is
+# (c_i + c_j x) t^offset, or (c_i + c_j x) (T - t)^(alpha + offset), T the
+# grid's horizon, when end-anchored.
 _REGIMES = {
     "RL_sub": (Kind.RIEMANN_LIOUVILLE, 1, ((0, 1, 0.0, "start"),)),
     "RL_wave": (Kind.RIEMANN_LIOUVILLE, 2, ((0, 1, 0.0, "start"), (2, 3, 1.0, "start"))),
@@ -191,7 +192,7 @@ class AdjointSubstitution:
     """Solution v(t, x) of the adjoint equation, valid on all solutions u.
 
     One regime per derivative kind and order (c1..c_2n constants, T the
-    time horizon), as listed in the regime table:
+    horizon of the grid ``field`` is given), as listed in the regime table:
       RL_sub       (Riemann-Liouville, alpha in (0,1)):  v = c1 + c2 x
       RL_wave      (Riemann-Liouville, alpha in (1,2)):  v = c1 + c2 x + (c3 + c4 x) t
       Caputo_sub   (Caputo, alpha in (0,1)):  v = (T - t)^{alpha-1} (c1 + c2 x)

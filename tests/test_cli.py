@@ -1,13 +1,21 @@
 import ast
+import contextlib
+import copy
 import importlib
+import io
 import json
+import math
 import os
 import pkgutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fraccons
 from fraccons import fracops, tfde
@@ -412,6 +420,100 @@ def test_bad_config_exits_with_one_line(tmp_path, capsys, monkeypatch, case):
     rc = main(["verify", "--config", write_config(tmp_path, base_config(**overrides))])
     assert rc == code
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0])
+def test_non_positive_horizon_exits_2_before_solving(tmp_path, capsys, monkeypatch, T):
+    # the horizon is the time grid's, and the grid's check names it
+    monkeypatch.setattr("fraccons.cli._solution", _no_solve)
+    rc = main(["verify", "--config", write_config(tmp_path, base_config(T=T))])
+    assert rc == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"configuration error: T must be positive and finite, got {T!r}"]
+
+
+_NUMPY_OUT_OF_MEMORY = "Unable to allocate 7.28 TiB for an array with shape (1000001, 1000001)"
+
+
+@pytest.mark.parametrize("command, error, line", [
+    ("verify", MemoryError(_NUMPY_OUT_OF_MEMORY), f"out of memory: {_NUMPY_OUT_OF_MEMORY}"),
+    ("solve", MemoryError(_NUMPY_OUT_OF_MEMORY), f"out of memory: {_NUMPY_OUT_OF_MEMORY}"),
+    ("verify", MemoryError(), "out of memory: an allocation failed"),
+], ids=["verify", "solve", "bare"])
+def test_memory_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch, command, error, line):
+    def out_of_memory(cfg, n_steps):
+        raise error
+
+    monkeypatch.setattr("fraccons.cli._solution", out_of_memory)
+    rc = main([command, "--config", write_config(tmp_path, base_config())])
+    assert rc == 3
+    assert capsys.readouterr().err.strip().splitlines() == [line]
+
+
+def _dotted_paths(cfg, prefix=""):
+    """Every key of the config mapping, nested ones as dotted paths."""
+    for key, value in cfg.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _dotted_paths(value, prefix + key + ".")
+
+
+def _holder(cfg, dotted):
+    """The mapping that holds the dotted key, and the key's last part."""
+    *parents, last = dotted.split(".")
+    for key in parents:
+        cfg = cfg[key]
+    return cfg, last
+
+
+def _bench_verify_configs():
+    """Variant 0 of each bench verify workload on grids 16/32 and n_x = 8, by name."""
+    configs = {}
+    for path in sorted((Path(__file__).resolve().parents[1] / "bench" / "workloads").glob("verify_*.json")):
+        spec = json.loads(path.read_text(encoding="utf-8"))
+        for dotted, value in spec["variants"][0].items():
+            node, last = _holder(spec["config"], dotted)
+            node[last] = value
+        configs[path.stem] = dict(spec["config"], grids=[16, 32], n_x=8)
+    return configs
+
+
+_FUZZ_CONFIGS = _bench_verify_configs()
+_DELETE = object()
+# one key's new value: deleted, null, bools, 0, +-1, huge and non-finite
+# numbers, strings, lists, mappings and an integer beyond float64
+_FUZZ_VALUES = [_DELETE, None, True, False, 0, 1, -1, 1e308, math.nan, math.inf, -math.inf,
+                "x", "1.5", [], [1, 2], {}, {"a": 1}, 10 ** 400]
+
+
+@settings(max_examples=200)
+@given(case=st.sampled_from([(name, key) for name, cfg in sorted(_FUZZ_CONFIGS.items())
+                             for key in _dotted_paths(cfg)]),
+       value=st.sampled_from(_FUZZ_VALUES))
+@example(case=("verify_j", "T"), value=1e308)
+@example(case=("verify_tables", "T"), value=0)
+@example(case=("verify_solver", "T"), value=-1)
+def test_mutated_bench_config_exits_with_a_code_and_one_line(case, value):
+    # no mutation of one key may end in a traceback, an undocumented exit code or
+    # a message over several lines; grids stay at most 32 unless a mutation
+    # deletes them, and a larger value is refused by the node limit before a solve
+    name, dotted = case
+    cfg = copy.deepcopy(_FUZZ_CONFIGS[name])
+    node, last = _holder(cfg, dotted)
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["verify", "--config", path])
+    assert rc in (0, 2, 3, 4)
+    if rc != 0:
+        assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
 
 
 def test_nan_threshold_flag_exits_2(tmp_path, capsys):

@@ -18,9 +18,9 @@ from fraccons.conslaw import (
     _noether_core,
 )
 from fraccons.fracops import FractionalSpec, Kind, TimeGrid, diff1
-from fraccons.symcat import (_GENERATORS, SUBSTITUTION_REGIMES, AdjointSubstitution, Symmetry,
-                             characteristic, list_symmetries, regime_constants, regime_of,
-                             rl_extra_beta)
+from fraccons.symcat import (_GENERATORS, _REGIMES, SUBSTITUTION_REGIMES, AdjointSubstitution,
+                             Symmetry, characteristic, list_symmetries, regime_constants,
+                             regime_of, rl_extra_beta)
 from fraccons.tfde import (
     Diffusivity,
     exact_linear_separable,
@@ -34,21 +34,24 @@ CAP = Kind.CAPUTO
 
 # every closed-form id at each derivative order it admits, but the misprinted
 # Table1_v6 (tested against its corrected form below)
-CLOSED_FORM_CASES = [pytest.param(pid, n, False, id=pid if want is not None else f"{pid}-n{n}")
+CLOSED_FORM_CASES = [pytest.param(pid, n, False, 1.0, id=pid if want is not None else f"{pid}-n{n}")
                      for pid, (_, want, _, _) in _CLOSED_FORMS.items() if pid != "Table1_v6"
                      for n in ((want,) if want is not None else (1, 2))]
-# the Caputo table ids on a field that moves, whose u_t carries power terms
-MOVING_CASES = [pytest.param(pid, want, True, id=f"{pid}-moving")
+# the Caputo table ids on a field that moves, whose u_t carries power terms, on
+# the horizon T = 1 and on a shorter one, which the pole weights (T - t)^p read
+# off the grid
+MOVING_CASES = [pytest.param(pid, want, True, T, id=f"{pid}-moving" + ("" if T == 1.0 else f"-T{T}"))
+                for T in (1.0, 0.5)
                 for pid, (_, want, _, _) in _CLOSED_FORMS.items() if pid.startswith(("Table3", "Table5"))]
 
 
-def exact_field(kind, n, steps, moving=False):
-    """(spec, diffusivity, u) of an exact solution on a steps x steps grid: of [0, 1]^2,
-    or, ``moving``, the Caputo mode E_alpha(-t^alpha) sin x of the linear equation on
-    [0, 1] x [0, pi]."""
+def exact_field(kind, n, steps, moving=False, T=1.0):
+    """(spec, diffusivity, u) of an exact solution on a steps x steps grid: of
+    [0, T] x [0, 1], or, ``moving``, the Caputo mode E_alpha(-t^alpha) sin x of the
+    linear equation on [0, T] x [0, pi]."""
     alpha = 0.5 if n == 1 else 1.5
-    spec = FractionalSpec(kind, alpha, 1.0)
-    grid, x = TimeGrid(1.0, steps), np.linspace(0.0, 1.0, steps + 1)
+    spec = FractionalSpec(kind, alpha)
+    grid, x = TimeGrid(T, steps), np.linspace(0.0, 1.0, steps + 1)
     if moving:
         d = Diffusivity.constant(1.0)
         return spec, d, exact_linear_separable(spec, 1.0, grid, np.pi * x)
@@ -67,17 +70,17 @@ class TestCatalogIndex:
             assert pid in ids
 
     def test_unknown_id_rejected(self):
-        spec = FractionalSpec(RL, 0.5, 1.0)
+        spec = FractionalSpec(RL, 0.5)
         with pytest.raises(ValueError):
             catalog_vector("NoSuchVector", spec, Diffusivity.constant(1.0))
 
     def test_kind_mismatch_rejected(self):
-        spec = FractionalSpec(CAP, 0.5, 1.0)
+        spec = FractionalSpec(CAP, 0.5)
         with pytest.raises(ValueError):
             catalog_vector("Trivial_RL", spec, Diffusivity.constant(1.0))
 
     def test_linear_ids_require_substitution(self):
-        spec = FractionalSpec(CAP, 0.5, 1.0)
+        spec = FractionalSpec(CAP, 0.5)
         with pytest.raises(ValueError):
             catalog_vector("Linear_Cap_sub_X1", spec, Diffusivity.constant(1.0),
                            substitution=None)
@@ -124,7 +127,7 @@ class TestCorrespondence:
         # linear case's X3_lin and Xinf included; every vector of the row
         # and the symmetry's Noether vector pass catalog_vector's checks on
         # that equation, so its admission check rejects nothing the table lists
-        spec = FractionalSpec(kind, alpha, 1.0)
+        spec = FractionalSpec(kind, alpha)
         regime = regime_of(spec)
         sub = AdjointSubstitution(regime, spec, c1=1.0)
         h = exact_linear_separable(spec, 1.0, TimeGrid(1.0, 8), np.linspace(0.0, np.pi, 9))
@@ -153,7 +156,7 @@ class TestCorrespondence:
 class TestFormalLagrangian:
     def test_vanishes_on_solutions(self):
         d = Diffusivity.power(2.0)
-        spec = FractionalSpec(CAP, 0.5, 1.0)
+        spec = FractionalSpec(CAP, 0.5)
         tgrid = TimeGrid(1.0, 64)
         x = np.linspace(0.0, 1.0, 129)
         u = exact_stationary_caputo(d, 0.1, 1.0, tgrid, x)
@@ -168,7 +171,7 @@ class TestClosedFormVectors:
         # On u = c t^{alpha-1}: C^t = I^{1-alpha} u = c Gamma(alpha), constant,
         # and C^x = 0, so the divergence vanishes identically.
         alpha, c = 0.5, 0.7
-        spec = FractionalSpec(RL, alpha, 1.0)
+        spec = FractionalSpec(RL, alpha)
         tgrid = TimeGrid(1.0, 64)
         x = np.linspace(0.0, 1.0, 33)
         u = exact_rl_power_mode(alpha, c, tgrid, x)
@@ -179,7 +182,7 @@ class TestClosedFormVectors:
         assert rep.linf < 1e-10
 
     def test_trivial_caputo_divergence_decays(self):
-        spec = FractionalSpec(CAP, 0.5, 1.0)
+        spec = FractionalSpec(CAP, 0.5)
         d = Diffusivity.constant(1.0)
         cv = catalog_vector("Trivial_Caputo", spec, d)
         linfs = []
@@ -190,14 +193,14 @@ class TestClosedFormVectors:
             linfs.append(divergence_residual(cv, u).linf)
         assert linfs[1] < linfs[0]
 
-    @pytest.mark.parametrize("pid, n, moving", CLOSED_FORM_CASES + MOVING_CASES)
-    def test_divergence_decays(self, pid, n, moving):
+    @pytest.mark.parametrize("pid, n, moving, T", CLOSED_FORM_CASES + MOVING_CASES)
+    def test_divergence_decays(self, pid, n, moving, T):
         # RL ids on u = t^(alpha-1) K^-1(a x + b) and Caputo ids on the stationary
         # solution fall by over 2 per doubling; Caputo ids on the moving linear
         # mode by over 1.4 per doubling to n = 128; time and space refined together
         linfs = []
         for steps in ((32, 64, 128) if moving else (32, 64)):
-            spec, d, u = exact_field(_CLOSED_FORMS[pid][0], n, steps, moving)
+            spec, d, u = exact_field(_CLOSED_FORMS[pid][0], n, steps, moving, T)
             cv = catalog_vector(pid, spec, d, initial_velocity=0.0)
             linfs.append(divergence_residual(cv, u).linf)
         rate = 1.4 if moving else 2.0
@@ -207,7 +210,7 @@ class TestClosedFormVectors:
     @pytest.mark.parametrize("pid, const", [("Table5_v3", "c2"), ("Table5_v6", "c4")])
     def test_table5_time_ids_are_the_noether_x3_vector(self, pid, const, alpha):
         # v = (T-t)^(alpha-1) (c2 = 1) or x (T-t)^(alpha-1) (c4 = 1) of Caputo_wave
-        spec = FractionalSpec(CAP, alpha, 1.0)
+        spec = FractionalSpec(CAP, alpha)
         d = Diffusivity.constant(1.0)
         u = exact_linear_separable(spec, 1.0, TimeGrid(1.0, 64), np.linspace(0.0, np.pi, 65))
         sub = AdjointSubstitution("Caputo_wave", spec, **{const: 1.0})
@@ -228,7 +231,7 @@ class TestClosedFormVectors:
         kind, n, _, _ = _CLOSED_FORMS[pid]
         d = Diffusivity.constant(1.0)
         for other, alpha in ((RL, 0.5), (RL, 1.5), (CAP, 0.5), (CAP, 1.5)):
-            spec = FractionalSpec(other, alpha, 1.0)
+            spec = FractionalSpec(other, alpha)
             if other is kind and n in (None, spec.n):
                 continue
             with pytest.raises(ValueError, match=f"^{pid}: requires"):
@@ -240,12 +243,12 @@ class TestClosedFormVectors:
         # the NL_RL_sub_t2 case of test_divergence_decays)
         d = Diffusivity.power(-0.5)
         u = exact_rl_separable(d, 0.5, 0.5, 1.0, TimeGrid(1.0, 32), np.linspace(0.0, 1.0, 33))
-        cv = catalog_vector("NL_RL_sub_t2", FractionalSpec(RL, 0.5, 1.0), d)
+        cv = catalog_vector("NL_RL_sub_t2", FractionalSpec(RL, 0.5), d)
         assert divergence_residual(cv, u).linf < 1e-12
 
     def test_nl_rl_sub_t2_flux_is_the_printed_one_at_the_extra_power(self):
         alpha = 0.5
-        spec = FractionalSpec(RL, alpha, 1.0)
+        spec = FractionalSpec(RL, alpha)
         d = Diffusivity.power(rl_extra_beta(alpha))
         u = exact_rl_separable(d, alpha, 0.5, 1.0, TimeGrid(1.0, 32), np.linspace(0.0, 1.0, 17))
         _, cx = catalog_vector("NL_RL_sub_t2", spec, d).components(u)
@@ -259,7 +262,7 @@ class TestClosedFormVectors:
         # the form as printed does not.
         alpha = 1.5
         d = Diffusivity.power(2.0)
-        spec = FractionalSpec(RL, alpha, 1.0)
+        spec = FractionalSpec(RL, alpha)
         printed, alt = [], []
         for n in (64, 128):
             tgrid = TimeGrid(1.0, n)
@@ -278,7 +281,7 @@ class TestNoetherVectors:
         # X3 with the substitution v = (T-t)^{a-1} x on the Caputo
         # subdiffusion mode: operator-built and catalog vectors agree.
         alpha = 0.5
-        spec = FractionalSpec(CAP, alpha, 1.0)
+        spec = FractionalSpec(CAP, alpha)
         d = Diffusivity.constant(1.0)
         tgrid = TimeGrid(1.0, 64)
         x = np.linspace(0.0, 1.0, 65)
@@ -296,7 +299,7 @@ class TestNoetherVectors:
     def test_x3_vector_is_the_core_without_lagrangian(self, monkeypatch, kind):
         # xi0 = xi1 = 0 for X3_lin: the vector is _noether_core's, bit for bit,
         # and the formal Lagrangian is never built
-        spec = FractionalSpec(kind, 0.5, 1.0)
+        spec = FractionalSpec(kind, 0.5)
         d = Diffusivity.constant(1.0)
         tgrid = TimeGrid(1.0, 32)
         x = np.linspace(0.0, np.pi, 17)
@@ -314,11 +317,28 @@ class TestNoetherVectors:
         for got, want in zip(comps, core):
             assert np.array_equal(got, want, equal_nan=True)
 
+    @pytest.mark.parametrize("regime", SUBSTITUTION_REGIMES)
+    def test_linear_ids_are_the_noether_vectors(self, regime):
+        # one Noether path: a Linear_<regime>_<symmetry> id is the Noether vector
+        # of its symmetry bit for bit, the xi L terms of X1 and X2 included
+        kind, n, _ = _REGIMES[regime]
+        spec = FractionalSpec(kind, n - 0.5)
+        d = Diffusivity.constant(1.0)
+        u = exact_linear_separable(spec, 1.0, TimeGrid(1.0, 32), np.linspace(0.0, np.pi, 17))
+        sub = AdjointSubstitution(regime, spec, **dict.fromkeys(regime_constants(regime), 1.0))
+        for sym in ("X1", "X2", "X3", "Xinf"):
+            got = catalog_vector(f"{_linear_prefix(regime)}_{sym}", spec, d, substitution=sub,
+                                 h=u).components(u)
+            want = catalog_vector(f"Noether:{sym.replace('X3', 'X3_lin')}", spec, d,
+                                  substitution=sub, h=u).components(u)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w, equal_nan=True), (regime, sym)
+
     def test_linear_catalog_flux_carries_diffusivity(self):
         # for k = k0 the flux is k0 (v_x W - v W_x); here W = u (X3) and
         # v = (T-t)^{a-1} x, compared below the end row t = T where v is infinite
         alpha = 0.5
-        spec = FractionalSpec(CAP, alpha, 1.0)
+        spec = FractionalSpec(CAP, alpha)
         d = Diffusivity.constant(2.0)
         tgrid = TimeGrid(1.0, 32)
         x = np.linspace(0.0, np.pi, 33)
@@ -335,16 +355,16 @@ class TestNoetherVectors:
     def test_substitution_of_another_spec_rejected(self):
         # a substitution built at another alpha is not a solution of this
         # spec's adjoint equation, and its vector would not be conserved
-        spec = FractionalSpec(CAP, 0.5, 1.0)
+        spec = FractionalSpec(CAP, 0.5)
         d = Diffusivity.constant(1.0)
-        other = AdjointSubstitution("Caputo_sub", FractionalSpec(CAP, 0.3, 1.0), c1=1.0, c2=1.0)
+        other = AdjointSubstitution("Caputo_sub", FractionalSpec(CAP, 0.3), c1=1.0, c2=1.0)
         with pytest.raises(ValueError, match="Linear_Cap_sub_X3"):
             catalog_vector("Linear_Cap_sub_X3", spec, d, substitution=other)
         with pytest.raises(ValueError, match="^Noether:X3_lin: the substitution was built for"):
             catalog_vector("Noether:X3_lin", spec, d, substitution=other)
 
     def test_linear_id_of_another_regime_rejected(self):
-        spec = FractionalSpec(CAP, 0.5, 1.0)
+        spec = FractionalSpec(CAP, 0.5)
         sub = AdjointSubstitution("Caputo_sub", spec, c1=1.0)
         for vid in ("Linear_RL_sub_X1", "Linear_Cap_wave_X1"):
             with pytest.raises(ValueError, match=f"{vid}: does not fit the Caputo_sub regime"):
@@ -352,7 +372,7 @@ class TestNoetherVectors:
 
     def test_noether_vector_divergence_small(self):
         alpha = 0.5
-        spec = FractionalSpec(CAP, alpha, 1.0)
+        spec = FractionalSpec(CAP, alpha)
         d = Diffusivity.power(2.0)
         tgrid = TimeGrid(1.0, 64)
         x = np.linspace(0.0, 1.0, 65)
@@ -364,7 +384,7 @@ class TestNoetherVectors:
         assert rep.linf < 1e-3
 
     def test_noether_id_validation(self):
-        spec = FractionalSpec(CAP, 0.5, 1.0)
+        spec = FractionalSpec(CAP, 0.5)
         d = Diffusivity.constant(1.0)
         with pytest.raises(ValueError, match="^Noether:X1: requires an adjoint substitution$"):
             catalog_vector("Noether:X1", spec, d)
@@ -379,7 +399,7 @@ class TestNoetherVectors:
     def test_unadmitted_symmetry_rejected(self, vid, sym_id):
         # k = u^2 admits X1, X2 and X3_pow only: the vector of any other
         # generator is not conserved, so building it fails
-        spec = FractionalSpec(CAP, 0.5, 1.0)
+        spec = FractionalSpec(CAP, 0.5)
         sub = AdjointSubstitution("Caputo_sub", spec, c1=1.0)
         with pytest.raises(ValueError,
                            match=f"^{vid}: the equation does not admit the symmetry '{sym_id}'$"):
@@ -388,7 +408,7 @@ class TestNoetherVectors:
     def test_xinf_without_h_rejected_when_built(self):
         # the Xinf characteristic is the field h; without it the vector
         # cannot be evaluated, so building it fails before any evaluation
-        spec = FractionalSpec(CAP, 0.5, 1.0)
+        spec = FractionalSpec(CAP, 0.5)
         d = Diffusivity.constant(1.0)
         sub = AdjointSubstitution("Caputo_sub", spec, c1=1.0)
         for vid in ("Noether:Xinf", "Linear_Cap_sub_Xinf"):
@@ -402,7 +422,7 @@ class TestNoetherVectors:
 
 class TestVerifiers:
     def _trivial_setup(self, n=64):
-        spec = FractionalSpec(RL, 0.5, 1.0)
+        spec = FractionalSpec(RL, 0.5)
         tgrid = TimeGrid(1.0, n)
         x = np.linspace(0.0, 1.0, 33)
         u = exact_rl_power_mode(0.5, 0.7, tgrid, x)
@@ -435,7 +455,7 @@ class TestVerifiers:
             divergence_residual(cv, u, exclude_frac=0.5)
 
     def test_nonfinite_interior_rejected(self):
-        spec = FractionalSpec(RL, 0.5, 1.0)
+        spec = FractionalSpec(RL, 0.5)
 
         def bad(u):
             ct = np.full_like(u.values, np.nan)

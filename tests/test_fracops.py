@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -78,8 +79,6 @@ class TestContainers:
     def test_non_finite_horizon_rejected(self, T):
         with pytest.raises(ValueError, match="T must be positive and finite"):
             TimeGrid(T, 8)
-        with pytest.raises(ValueError, match="T must be positive and finite"):
-            FractionalSpec(Kind.CAPUTO, 0.5, T)
 
     @pytest.mark.parametrize("n_steps", [8.5, 8.0, "8"])
     def test_non_integer_steps_rejected(self, n_steps):
@@ -132,12 +131,16 @@ class TestContainers:
         np.testing.assert_allclose(got.regular_part()[:-1], reg[:-1], atol=1e-14)
 
     def test_spec_order(self):
-        assert FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5, 1.0).n == 1
-        assert FractionalSpec(Kind.CAPUTO, 1.5, 1.0).n == 2
+        assert FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5).n == 1
+        assert FractionalSpec(Kind.CAPUTO, 1.5).n == 2
         with pytest.raises(ValueError):
-            FractionalSpec(Kind.RIEMANN_LIOUVILLE, 1.0, 1.0)
+            FractionalSpec(Kind.RIEMANN_LIOUVILLE, 1.0)
         with pytest.raises(ValueError):
-            FractionalSpec(Kind.RIEMANN_LIOUVILLE, 2.5, 1.0)
+            FractionalSpec(Kind.RIEMANN_LIOUVILLE, 2.5)
+
+    def test_spec_holds_kind_and_order_only(self):
+        # the time horizon is the grid's alone, so a spec cannot disagree with it
+        assert [f.name for f in dataclasses.fields(FractionalSpec)] == ["kind", "alpha"]
 
 
 def assert_bitwise_equal(got, want):
@@ -536,7 +539,7 @@ class TestJIntegral:
         # J(u_tt, (T-t)^(1/2)) of Table5_v3 on a moving field: g's regular part
         # is 0, so the piecewise-linear pass would add exact zeros; with f's
         # regular part 0 instead, f is a start term alone
-        spec = FractionalSpec(Kind.CAPUTO, 1.5, 1.0)
+        spec = FractionalSpec(Kind.CAPUTO, 1.5)
         grid = TimeGrid(1.0, 64)
         x = np.linspace(0.0, np.pi, 65)
         u = exact_linear_separable(spec, 1.0, grid, x)

@@ -103,7 +103,7 @@ class TestCharacteristic:
 
     def test_xinf_returns_supplied_solution(self):
         u = self._linear_field()
-        h = exact_linear_separable(FractionalSpec(CAP, 0.5, 1.0), 1.0, u.grid,
+        h = exact_linear_separable(FractionalSpec(CAP, 0.5), 1.0, u.grid,
                                    np.linspace(0.0, 1.0, 17))
         sym = next(s for s in list_symmetries(CAP, 0.5, Diffusivity.constant(1.0), h=h)
                    if s.id == "Xinf")
@@ -175,7 +175,7 @@ class TestCharacteristic:
 
 class TestAdjointSubstitution:
     def test_regime_validation(self):
-        spec = FractionalSpec(RL, 0.5, 1.0)
+        spec = FractionalSpec(RL, 0.5)
         with pytest.raises(ValueError):
             AdjointSubstitution("bogus", spec, c1=1.0)
         with pytest.raises(ValueError):
@@ -193,14 +193,14 @@ class TestAdjointSubstitution:
         ("Caputo_sub", CAP, "c3"), ("Caputo_sub", CAP, "c4")])
     def test_constant_past_c2n_rejected(self, regime, kind, const):
         # a sub regime takes c1 and c2; a further constant would be dropped silently
-        spec = FractionalSpec(kind, 0.5, 1.0)
+        spec = FractionalSpec(kind, 0.5)
         with pytest.raises(ValueError, match="c1, c2 only"):
             AdjointSubstitution(regime, spec, **{const: 1.0})
         with pytest.raises(ValueError, match="c1, c2 only"):
             AdjointSubstitution(regime, spec, c1=1.0, **{const: 1.0})
 
     def test_rl_sub_field_is_affine_in_x(self):
-        spec = FractionalSpec(RL, 0.5, 1.0)
+        spec = FractionalSpec(RL, 0.5)
         sub = AdjointSubstitution("RL_sub", spec, c1=2.0, c2=3.0)
         tgrid = TimeGrid(1.0, 8)
         x = np.linspace(0.0, 1.0, 5)
@@ -209,7 +209,7 @@ class TestAdjointSubstitution:
         assert np.allclose(sub.field(tgrid, x, 1).values, 0.0)
 
     def test_caputo_sub_field_carries_end_power(self):
-        spec = FractionalSpec(CAP, 0.5, 1.0)
+        spec = FractionalSpec(CAP, 0.5)
         sub = AdjointSubstitution("Caputo_sub", spec, c1=1.0)
         tgrid = TimeGrid(1.0, 8)
         x = np.linspace(0.0, 1.0, 5)
@@ -237,7 +237,7 @@ class TestAdjointSubstitution:
         cs = cs[:2 * n] + [0.0] * (4 - 2 * n)  # the regime takes c1..c_2n
         assume(any(cs))
         alpha = frac + (n - 1.0)
-        sub = AdjointSubstitution(regime, FractionalSpec(kind, alpha, T), *cs)
+        sub = AdjointSubstitution(regime, FractionalSpec(kind, alpha), *cs)
         tgrid = TimeGrid(T, 8)
         x = np.linspace(0.0, 1.0, 5)
         v = sub.field(tgrid, x, order)
@@ -262,7 +262,7 @@ class TestAdjointResidual:
     def test_substitution_solves_adjoint(self, regime):
         kind, n, _ = _REGIMES[regime]
         steps, tol = self._ADJOINT_CASES[regime]
-        spec = FractionalSpec(kind, n - 0.5, 1.0)
+        spec = FractionalSpec(kind, n - 0.5)
         d = Diffusivity.power(2.0)
         tgrid, x = self._grid(steps)
         u = exact_stationary_caputo(d, 0.1, 1.0, tgrid, x)
@@ -272,7 +272,7 @@ class TestAdjointResidual:
 
     def test_nonsolution_has_large_residual(self):
         # sanity: a generic field does not satisfy the adjoint equation
-        spec = FractionalSpec(RL, 0.5, 1.0)
+        spec = FractionalSpec(RL, 0.5)
         d = Diffusivity.power(2.0)
         tgrid, x = self._grid()
         u = exact_stationary_caputo(d, 0.1, 1.0, tgrid, x)

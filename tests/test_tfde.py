@@ -76,7 +76,7 @@ class TestDiffusivity:
 
 class TestExactSolutions:
     def test_caputo_linear_mode_satisfies_equation(self):
-        spec = FractionalSpec(Kind.CAPUTO, 0.5, 1.0)
+        spec = FractionalSpec(Kind.CAPUTO, 0.5)
         tgrid = TimeGrid(1.0, 128)
         x = np.linspace(0.0, np.pi, 65)
         u = exact_linear_separable(spec, 1.0, tgrid, x)
@@ -89,7 +89,7 @@ class TestExactSolutions:
         tgrid = TimeGrid(1.0, 64)
         x = np.linspace(0.0, 1.0, 17)
         u = exact_rl_power_mode(0.5, 0.7, tgrid, x)
-        spec = FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5, 1.0)
+        spec = FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5)
         res = tfde_residual(u, spec, Diffusivity.constant(1.0))
         assert np.max(np.abs(res.values[1:, :])) < 1e-12
 
@@ -98,7 +98,7 @@ class TestExactSolutions:
         tgrid = TimeGrid(1.0, 32)
         x = np.linspace(0.0, 1.0, 257)
         u = exact_stationary_caputo(d, 0.1, 1.0, tgrid, x)
-        spec = FractionalSpec(Kind.CAPUTO, 0.5, 1.0)
+        spec = FractionalSpec(Kind.CAPUTO, 0.5)
         res = tfde_residual(u, spec, d)
         assert np.max(np.abs(res.values[1:, 1:-1])) < 1e-7
 
@@ -108,7 +108,7 @@ class TestExactSolutions:
         tgrid = TimeGrid(1.0, 64)
         x = np.linspace(0.0, 1.0, 129)
         u = exact_rl_separable(d, alpha, 0.5, 1.0, tgrid, x)
-        spec = FractionalSpec(Kind.RIEMANN_LIOUVILLE, alpha, 1.0)
+        spec = FractionalSpec(Kind.RIEMANN_LIOUVILLE, alpha)
         res = tfde_residual(u, spec, d)
         assert np.max(np.abs(res.values[1:, 1:-1])) < 1e-6
 
@@ -121,7 +121,7 @@ class TestExactSolutions:
 
 class TestSolver:
     def test_caputo_linear_converges_to_exact(self):
-        spec = FractionalSpec(Kind.CAPUTO, 0.5, 1.0)
+        spec = FractionalSpec(Kind.CAPUTO, 0.5)
         d = Diffusivity.constant(1.0)
         prob = TFDEProblem(spec, d, 0.0, np.pi, initial=np.sin)
         errs = []
@@ -136,7 +136,7 @@ class TestSolver:
 
     def test_stationary_data_stays_stationary(self):
         d = Diffusivity.power(2.0)
-        spec = FractionalSpec(Kind.CAPUTO, 0.5, 1.0)
+        spec = FractionalSpec(Kind.CAPUTO, 0.5)
         g = lambda xx: d.K_inv(0.1 * xx + 1.0)
         prob = TFDEProblem(spec, d, 0.0, 1.0, initial=g)
         tgrid = TimeGrid(1.0, 32)
@@ -151,7 +151,7 @@ class TestSolver:
         # alpha = 1.5 the velocity is zero (no t^{alpha-2} mode) and the L1
         # scheme runs on the time derivative of the regular part.
         d = Diffusivity.power(2.0)
-        spec = FractionalSpec(Kind.RIEMANN_LIOUVILLE, alpha, 1.0)
+        spec = FractionalSpec(Kind.RIEMANN_LIOUVILLE, alpha)
         g = lambda xx: d.K_inv(0.5 * xx + 1.0)
         prob = TFDEProblem(spec, d, 0.0, 1.0, initial=g, initial_velocity=np.zeros_like)
         tgrid = TimeGrid(1.0, 32)
@@ -165,7 +165,7 @@ class TestSolver:
         calls = []
         monkeypatch.setattr(tfde, "solve_banded",
                             lambda *args: calls.append(1) or real(*args))
-        spec = FractionalSpec(Kind.CAPUTO, 0.5, 1.0)
+        spec = FractionalSpec(Kind.CAPUTO, 0.5)
         prob = TFDEProblem(spec, Diffusivity.constant(1.0), 0.0, np.pi, initial=np.sin)
         solve_nonlinear(prob, TimeGrid(1.0, 16), 16)
         assert len(calls) >= 16
@@ -175,7 +175,7 @@ class TestSolver:
         # path as scipy's solve_banded on the same system
         d = Diffusivity.power(2.0)
         g = lambda xx: d.K_inv(0.5 * xx + 1.0) * (1.0 + 0.1 * np.sin(np.pi * xx))
-        prob = TFDEProblem(FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5, 1.0), d, 0.0, 1.0,
+        prob = TFDEProblem(FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5), d, 0.0, 1.0,
                            initial=g)
 
         def via_scipy(dl, main, du, b):
@@ -195,7 +195,7 @@ class TestSolver:
         assert np.max(np.abs(lean - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_wave_regime_runs_and_converges(self):
-        spec = FractionalSpec(Kind.CAPUTO, 1.5, 1.0)
+        spec = FractionalSpec(Kind.CAPUTO, 1.5)
         d = Diffusivity.constant(1.0)
         prob = TFDEProblem(spec, d, 0.0, np.pi, initial=np.sin,
                            initial_velocity=np.zeros_like)
@@ -214,7 +214,7 @@ class TestSolver:
         # values, u0 at each end (Caputo) or 0 under the singular modes (RL)
         d = Diffusivity.power(2.0)
         g = lambda xx: d.K_inv(0.5 * xx + 1.0) * (1.0 + 0.1 * np.sin(np.pi * xx))
-        prob = TFDEProblem(FractionalSpec(kind, alpha, 1.0), d, 0.0, 1.0, initial=g,
+        prob = TFDEProblem(FractionalSpec(kind, alpha), d, 0.0, 1.0, initial=g,
                            initial_velocity=np.zeros_like)
         u = solve_nonlinear(prob, TimeGrid(1.0, 32), 16)
         if kind is Kind.CAPUTO:
@@ -224,7 +224,7 @@ class TestSolver:
             assert np.array_equal(u.regular_part()[:, [0, -1]], np.zeros((33, 2)))
 
     def test_missing_initial_velocity_rejected(self):
-        spec = FractionalSpec(Kind.CAPUTO, 1.5, 1.0)
+        spec = FractionalSpec(Kind.CAPUTO, 1.5)
         with pytest.raises(ValueError):
             TFDEProblem(spec, Diffusivity.constant(1.0), 0.0, 1.0,
                         initial=lambda xx: np.zeros_like(xx))
@@ -262,7 +262,7 @@ class TestNewtonJacobian:
                                 counts.__setitem__(_name, counts[_name] + 1) or _real(*args))
         d = Diffusivity.power(2.0)
         g = lambda xx: d.K_inv(0.5 * xx + 1.0) * (1.0 + 0.1 * np.sin(np.pi * xx))
-        prob = TFDEProblem(FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5, 1.0), d, 0.0, 1.0,
+        prob = TFDEProblem(FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5), d, 0.0, 1.0,
                            initial=g)
         solve_nonlinear(prob, TimeGrid(1.0, 64), 16)
         assert counts["solve_banded"] >= 64
