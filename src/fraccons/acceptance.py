@@ -220,7 +220,7 @@ def criterion_7() -> CriterionResult:
                                       np.linspace(0.0, math.pi, n // 2 + 1))
 
     r1 = _decay_ratios("Trivial_Caputo", spec, diffu, make_u)
-    r2 = _decay_ratios("Linear_Cap_sub_X3", spec, diffu, make_u, substitution=sub)
+    r2 = _decay_ratios("Noether:X3_lin", spec, diffu, make_u, substitution=sub)
     ok = all(r >= 1.4 for r in r1 + r2)
     return CriterionResult(7, "linear conservation decay", ok,
                            f"Trivial_Caputo ratios {r1[0]:.2f}/{r1[1]:.2f}, "

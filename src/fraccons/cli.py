@@ -2,13 +2,14 @@
 
 Exit codes, each failure with a one-line message on stderr:
   0 success;
-  2 configuration/validation error (a non-finite number, a grid or n_x
-    with a fraction, a largest grid whose field has more than 2^25 nodes
-    (n + 1) * (n_x + 1), checked before any solve, an unknown key in a
-    config mapping, a --config or --out path that cannot be read or
-    written; --out is opened before the first solve), and a
-    ``selftest --only`` number that names no criterion
-    (checked before any criterion runs);
+  2 configuration/validation error, found before any solve: a non-finite
+    number, a grid or n_x with a fraction, a largest grid whose field has
+    more than 2^25 nodes (n + 1) * (n_x + 1), an unknown key in a config
+    mapping, a vector or substitution that does not fit the equation, a
+    source that does not solve it (of another kind or diffusivity), a
+    --config or --out path that cannot be read or written (--out is opened
+    before the first solve), or a ``selftest --only`` number that names no
+    criterion (checked before any criterion runs);
   3 solver failure (including a Newton iterate outside the domain of
     k and a singular Newton system), or a special-function series that did not converge or cannot
     reach float64 accuracy (the Mittag-Leffler series of an exact
@@ -64,16 +65,22 @@ class ConfigError(ValueError):
     """Invalid scenario configuration."""
 
 
-# source id -> {param: default}: the only params each source takes
-_SOURCE_PARAMS = {
-    "exact_linear": {"lam": 1.0},
-    "exact_stationary": {"a": 0.1, "b": 1.0},
-    "exact_rl_power": {"c": 1.0},
-    "exact_rl_separable": {"a": 0.1, "b": 1.0},
-    "solver": {"a": 0.1, "b": 1.0, "perturb": 0.0},
+# source id -> (its params with their defaults, the kind whose equation it
+# solves, and the diffusivity it solves: one Diffusivity, a family, or None
+# for any); None as the kind fits either
+_SOURCES = {
+    "exact_linear": ({"lam": 1.0}, None, Diffusivity.constant(1.0)),
+    "exact_stationary": ({"a": 0.1, "b": 1.0}, Kind.CAPUTO, None),
+    "exact_rl_power": ({"c": 1.0}, Kind.RIEMANN_LIOUVILLE, None),
+    "exact_rl_separable": ({"a": 0.1, "b": 1.0}, Kind.RIEMANN_LIOUVILLE, DiffusivityFamily.POWER),
+    "solver": ({"a": 0.1, "b": 1.0, "perturb": 0.0}, None, None),
 }
 # diffusivity family -> the keys it reads besides "family"
 _FAMILY_KEYS = {"constant": ("k0",), "power": ("beta",), "exponential": ()}
+# the config keys every scenario gives, and the others with their defaults
+_REQUIRED = ("kind", "alpha", "T", "x_lo", "x_hi", "diffusivity", "source", "vectors")
+_DEFAULTS = {"grids": (64, 128, 256), "n_x": None, "substitution": None,
+             "exclude_frac": 0.05, "threshold": 1.3}
 # the most nodes (n + 1) * (n_x + 1) a field may have: 256 MiB of float64,
 # and a solve or verify holds several fields of that size at once
 _MAX_NODES = 2 ** 25
@@ -81,21 +88,22 @@ _MAX_NODES = 2 ** 25
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One verification scenario: equation, solution source, vectors, grids."""
+    """One verification scenario, built: the equation, the evaluator of each
+    vector, the solution source with its params, and the grid settings."""
 
-    kind: str
-    alpha: float
+    spec: FractionalSpec
+    diffusivity: Diffusivity
+    vectors: tuple[str, ...]                   # in config order
+    evaluators: dict[str, ConservedVectorEval]  # vector id -> evaluator, in config order
+    source: str                                # the source id
+    params: dict[str, float]                   # its params, the defaults filled in
     T: float
     x_lo: float
     x_hi: float
-    diffusivity: dict
-    source: dict
-    vectors: tuple
-    grids: tuple = (64, 128, 256)
-    substitution: Optional[dict] = None
-    exclude_frac: float = 0.05
-    threshold: float = 1.3
-    n_x: Optional[int] = None
+    grids: tuple
+    n_x: Optional[int]
+    exclude_frac: float
+    threshold: float
 
 
 def _whole(value, name: str) -> int:
@@ -110,143 +118,124 @@ def _whole(value, name: str) -> int:
 
 
 def parse_config(data: dict) -> ScenarioConfig:
-    """Validate a configuration mapping and freeze it into a ScenarioConfig.
+    """Validate a configuration mapping and build its scenario.
 
     The equation, the substitution and every vector are built once here, so
     the library's constructors are the checks of kind, alpha, T, family,
-    regime and vector ids; their ValueError becomes a ConfigError.
+    regime and vector ids; their ValueError becomes a ConfigError. The
+    source must solve the equation of the configured kind and diffusivity.
     """
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a mapping")
-    known = {f.name for f in ScenarioConfig.__dataclass_fields__.values()}
-    unknown = set(data) - known
+    unknown = set(data) - set(_REQUIRED) - set(_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    missing = {"kind", "alpha", "T", "x_lo", "x_hi", "diffusivity",
-               "source", "vectors"} - set(data)
+    missing = set(_REQUIRED) - set(data)
     if missing:
         raise ConfigError(f"missing configuration keys: {sorted(missing)}")
+    data = {**_DEFAULTS, **data}
     try:
-        cfg = ScenarioConfig(
-            kind=str(data["kind"]),
-            alpha=float(data["alpha"]),
-            T=float(data["T"]),
-            x_lo=float(data["x_lo"]),
-            x_hi=float(data["x_hi"]),
-            diffusivity=dict(data["diffusivity"]),
-            source=dict(data["source"]),
-            vectors=tuple(data["vectors"]),
-            grids=tuple(_whole(g, "every grid") for g in data.get("grids", (64, 128, 256))),
-            substitution=(dict(data["substitution"]) if data.get("substitution") else None),
-            exclude_frac=float(data.get("exclude_frac", 0.05)),
-            threshold=float(data.get("threshold", 1.3)),
-            n_x=(_whole(data["n_x"], "n_x") if data.get("n_x") is not None else None),
-        )
-        # the numbers of the scenario, which the assembly reads with float()
-        numbers = [(k, getattr(cfg, k))
-                   for k in ("alpha", "T", "x_lo", "x_hi", "exclude_frac", "threshold")]
-        numbers += [(f"diffusivity.{k}", cfg.diffusivity.get(k, 0.0)) for k in ("k0", "beta")]
-        numbers += [(f"source.params.{k}", v) for k, v in dict(cfg.source.get("params", {})).items()]
-        numbers += [(f"substitution.{k}", v)
-                    for k, v in (cfg.substitution or {}).items() if k != "regime"]
+        diffusivity = dict(data["diffusivity"])
+        source = dict(data["source"])
+        given = dict(source.get("params", {}))
+        sub = dict(data["substitution"]) if data["substitution"] else None
+        vectors = tuple(data["vectors"])
+        grids = tuple(_whole(g, "every grid") for g in data["grids"])
+        n_x = _whole(data["n_x"], "n_x") if data["n_x"] is not None else None
+        # the numbers of the scenario, each read with float()
+        values = {k: float(data[k])
+                  for k in ("alpha", "T", "x_lo", "x_hi", "exclude_frac", "threshold")}
+        numbers = list(values.items())
+        numbers += [(f"diffusivity.{k}", diffusivity.get(k, 0.0)) for k in ("k0", "beta")]
+        numbers += [(f"source.params.{k}", v) for k, v in given.items()]
+        numbers += [(f"substitution.{k}", v) for k, v in (sub or {}).items() if k != "regime"]
         for name, value in numbers:
             if not math.isfinite(float(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid configuration value: {exc}") from exc
-    if not all(isinstance(vid, str) for vid in cfg.vectors):
+    if not all(isinstance(vid, str) for vid in vectors):
         raise ConfigError("vectors must be a list of vector id strings")
-    if cfg.substitution is not None and not isinstance(cfg.substitution.get("regime"), str):
+    if sub is not None and not isinstance(sub.get("regime"), str):
         raise ConfigError("substitution.regime must be a regime name")
-    extra = set(cfg.substitution or {}) - {"regime", "c1", "c2", "c3", "c4"}
+    extra = set(sub or {}) - {"regime", "c1", "c2", "c3", "c4"}
     if extra:
         raise ConfigError(f"unknown substitution keys: {sorted(extra)}")
-    sid = cfg.source.get("id")
-    if not isinstance(sid, str) or sid not in _SOURCE_PARAMS:
-        raise ConfigError(f"source.id must be one of {tuple(_SOURCE_PARAMS)}")
-    if cfg.x_lo >= cfg.x_hi:
+    sid = source.get("id")
+    if not isinstance(sid, str) or sid not in _SOURCES:
+        raise ConfigError(f"source.id must be one of {tuple(_SOURCES)}")
+    if values["x_lo"] >= values["x_hi"]:
         raise ConfigError("x_lo must be less than x_hi")
-    if list(cfg.grids) != sorted(set(cfg.grids)) or min(cfg.grids, default=0) < 4:
+    if list(grids) != sorted(set(grids)) or min(grids, default=0) < 4:
         raise ConfigError("grids must be a strictly increasing list of integers >= 4")
-    if cfg.n_x is not None and cfg.n_x < 6:
+    if n_x is not None and n_x < 6:
         raise ConfigError("n_x must be an integer >= 6")
-    n = cfg.grids[-1]
-    n_x = cfg.n_x if cfg.n_x is not None else n
-    if (n + 1) * (n_x + 1) > _MAX_NODES:
-        raise ConfigError(f"grids: a field of {n} time steps and {n_x} space cells has "
-                          f"{(n + 1) * (n_x + 1)} nodes, over the limit of {_MAX_NODES}")
-    if not (0.0 <= cfg.exclude_frac < 0.5):
+    n, cells = grids[-1], (n_x if n_x is not None else grids[-1])
+    if (n + 1) * (cells + 1) > _MAX_NODES:
+        raise ConfigError(f"grids: a field of {n} time steps and {cells} space cells has "
+                          f"{(n + 1) * (cells + 1)} nodes, over the limit of {_MAX_NODES}")
+    if not (0.0 <= values["exclude_frac"] < 0.5):
         raise ConfigError("exclude_frac must lie in [0, 0.5)")
-    if sid == "exact_linear" and (
-            cfg.diffusivity.get("family") != "constant"
-            or float(cfg.diffusivity.get("k0", 1.0)) != 1.0):
-        raise ConfigError("source exact_linear solves the equation for the constant "
-                          "diffusivity k0 = 1 only")
+    defaults, kind, needed = _SOURCES[sid]
     try:
-        TimeGrid(cfg.T, cfg.grids[-1])
-        _evaluators(cfg)
+        family = DiffusivityFamily(diffusivity.get("family"))
+        beta = float(diffusivity.get("beta", 1.0)) if family is DiffusivityFamily.POWER else 0.0
+        spec = FractionalSpec(Kind(str(data["kind"])), values["alpha"])
+        diffu = Diffusivity(family, k0=float(diffusivity.get("k0", 1.0)), beta=beta)
+        if kind not in (None, spec.kind):
+            raise ValueError(f"source {sid} solves the equation of kind {kind.value} only")
+        if needed not in (None, diffu, family):
+            want = (f"a {needed.value} diffusivity" if isinstance(needed, DiffusivityFamily)
+                    else f"the {needed.family.value} diffusivity k0 = {needed.k0:g}")
+            raise ValueError(f"source {sid} solves the equation for {want} only")
+        TimeGrid(values["T"], grids[-1])
+        substitution = sub and AdjointSubstitution(
+            sub["regime"], spec, **{k: float(v) for k, v in sub.items() if k != "regime"})
+        evaluators = {vid: catalog_vector(vid, spec, diffu, initial_velocity=0.0,
+                                          substitution=substitution)
+                      for vid in vectors}
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # no key is ignored; the family is a valid one once the evaluators are built
-    family = cfg.diffusivity["family"]
+    # no key is ignored
     for where, keys, allowed in (
-            (f"diffusivity keys for {family}", cfg.diffusivity, ("family",) + _FAMILY_KEYS[family]),
-            ("source keys", cfg.source, ("id", "params")),
-            (f"source.params keys for {sid}", dict(cfg.source.get("params", {})),
-             _SOURCE_PARAMS[sid])):
+            (f"diffusivity keys for {family.value}", diffusivity,
+             ("family",) + _FAMILY_KEYS[family.value]),
+            ("source keys", source, ("id", "params")),
+            (f"source.params keys for {sid}", given, defaults)):
         extra = set(keys) - set(allowed)
         if extra:
             raise ConfigError(f"unknown {where}: {sorted(extra)}; allowed: {', '.join(allowed)}")
-    return cfg
+    return ScenarioConfig(
+        spec=spec, diffusivity=diffu, vectors=vectors, evaluators=evaluators, source=sid,
+        params={k: float(given.get(k, default)) for k, default in defaults.items()},
+        T=values["T"], x_lo=values["x_lo"], x_hi=values["x_hi"], grids=grids, n_x=n_x,
+        exclude_frac=values["exclude_frac"], threshold=values["threshold"])
 
 
 # ---------------------------------------------------------------------------
 # scenario assembly
 # ---------------------------------------------------------------------------
 
-def _equation(cfg: ScenarioConfig) -> tuple[FractionalSpec, Diffusivity]:
-    """The spec and diffusivity of the scenario; the constructors validate them."""
-    d = cfg.diffusivity
-    family = DiffusivityFamily(d.get("family"))
-    beta = float(d.get("beta", 1.0)) if family is DiffusivityFamily.POWER else 0.0
-    return (FractionalSpec(Kind(cfg.kind), cfg.alpha),
-            Diffusivity(family, k0=float(d.get("k0", 1.0)), beta=beta))
-
-
-def _evaluators(cfg: ScenarioConfig) -> dict[str, ConservedVectorEval]:
-    """The evaluator of each configured vector id, with u_t(0, x) = 0."""
-    spec, diffu = _equation(cfg)
-    sub = None
-    if cfg.substitution is not None:
-        consts = {k: float(v) for k, v in cfg.substitution.items() if k != "regime"}
-        sub = AdjointSubstitution(cfg.substitution["regime"], spec, **consts)
-    return {vid: catalog_vector(vid, spec, diffu, initial_velocity=0.0, substitution=sub)
-            for vid in cfg.vectors}
-
-
 def _solution(cfg: ScenarioConfig, n_steps: int) -> TimeSeries:
-    spec, diffu = _equation(cfg)
+    """The field of the scenario's source on ``n_steps`` time steps."""
+    spec, diffu, p = cfg.spec, cfg.diffusivity, cfg.params
     grid = TimeGrid(cfg.T, n_steps)
     n_x = cfg.n_x if cfg.n_x is not None else n_steps
     x = np.linspace(cfg.x_lo, cfg.x_hi, n_x + 1)
-    sid = cfg.source["id"]
-    given = dict(cfg.source.get("params", {}))
-    p = {k: float(given.get(k, default)) for k, default in _SOURCE_PARAMS[sid].items()}
-    if sid == "exact_linear":
+    if cfg.source == "exact_linear":
         return exact_linear_separable(spec, p["lam"], grid, x)
-    if sid == "exact_stationary":
+    if cfg.source == "exact_stationary":
         return exact_stationary_caputo(diffu, p["a"], p["b"], grid, x)
-    if sid == "exact_rl_power":
-        return exact_rl_power_mode(cfg.alpha, p["c"], grid, x)
-    if sid == "exact_rl_separable":
-        return exact_rl_separable(diffu, cfg.alpha, p["a"], p["b"], grid, x)
+    if cfg.source == "exact_rl_power":
+        return exact_rl_power_mode(spec.alpha, p["c"], grid, x)
+    if cfg.source == "exact_rl_separable":
+        return exact_rl_separable(diffu, spec.alpha, p["a"], p["b"], grid, x)
     # numerical solver: separable-compatible initial data, optionally perturbed
     a, b, eps = p["a"], p["b"], p["perturb"]
     span = cfg.x_hi - cfg.x_lo
 
     def profile(xx):
-        base = diffu.K_inv(a * xx + b)
-        return base * (1.0 + eps * np.sin(np.pi * (xx - cfg.x_lo) / span))
+        return diffu.K_inv(a * xx + b) * (1.0 + eps * np.sin(np.pi * (xx - cfg.x_lo) / span))
 
     problem = TFDEProblem(spec, diffu, cfg.x_lo, cfg.x_hi, profile,
                           initial_velocity=np.zeros_like if spec.n == 2 else None)
@@ -280,11 +269,10 @@ def run_verify(cfg: ScenarioConfig, out: Optional[str]) -> int:
     rows = []
     below = []  # (ratio, vector id, n_steps) of every ratio under the threshold
     last = {}
-    evaluators = _evaluators(cfg)
     for gi, n in enumerate(cfg.grids):
         u = _solution(cfg, n)
         for vid in sorted(cfg.vectors):
-            cv = evaluators[vid]
+            cv = cfg.evaluators[vid]
             comps = cv.components(u)
             rep = divergence_residual(cv, u, cfg.exclude_frac, comps)
             nested = gi > 0 and cfg.grids[gi] == 2 * cfg.grids[gi - 1]
@@ -325,11 +313,11 @@ def run_catalog(cfg: Optional[ScenarioConfig]) -> int:
         for vid in catalog_ids():
             print(f"  {vid}")
         return 0
-    spec, diffu = _equation(cfg)
+    spec, diffu = cfg.spec, cfg.diffusivity
     regime = regime_of(spec)
-    print(f"admitted symmetries for kind={cfg.kind}, alpha={cfg.alpha}, "
-          f"k-family={cfg.diffusivity['family']}:")
-    for sym in list_symmetries(spec.kind, cfg.alpha, diffu):
+    print(f"admitted symmetries for kind={spec.kind.value}, alpha={spec.alpha}, "
+          f"k-family={diffu.family.value}:")
+    for sym in list_symmetries(spec.kind, spec.alpha, diffu):
         entries = [f"{c} -> {'+'.join(correspondence(sym.id, c, regime))}"
                    for c in regime_constants(regime)]
         print(f"  {sym.id}: " + "; ".join(entries))

@@ -244,6 +244,8 @@ _CLOSED_FORMS = {
     "Table5_v5": (_CAP, 2, _pole_moment(1), True),
     "Table5_v6": (_CAP, 2, _noether_time, True),
 }
+# the closed forms whose core reads u_t(0, x): _pole_moment(1) at n = 2
+_READS_VELOCITY = ("Table5_v2", "Table5_v5")
 
 _LINEAR_SYMS = ("X1", "X2", "X3", "Xinf")
 
@@ -285,11 +287,12 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
         span = {None: "", 1: " with alpha in (0,1)", 2: " with alpha in (1,2)"}[want_n]
         check(spec.kind is kind and want_n in (None, n),
               f"requires the {_KIND_NAMES[kind]} kind{span}")
+        check(initial_velocity is not None or provenance not in _READS_VELOCITY,
+              "requires the initial data u_t(0, x)")
 
         def start(u: TimeSeries) -> np.ndarray:
             if n == 1:
                 return u.values[0]
-            check(initial_velocity is not None, "requires the initial data u_t(0, x)")
             return np.broadcast_to(np.asarray(initial_velocity, dtype=float), u.x.shape)
 
         def fn(u: TimeSeries):

@@ -49,6 +49,9 @@ __all__ = [
 # power samples t^p or (T-t)^p), except the dense (n+1)^2 matrices of
 # _endpoint_pole_weight_matrix and _j_start_power_matrix
 _CACHE_SIZE = 16
+# the space steps of a field may differ by this much relative to its largest
+# |x|: 16 roundoffs, where np.linspace's differ by about 2
+_X_RTOL = 16 * float(np.finfo(float).eps)
 
 
 class Kind(enum.Enum):
@@ -176,7 +179,8 @@ class TimeSeries:
     """Sampled f(t) on a TimeGrid, with optional explicit power-law terms.
 
     ``values`` has shape (n_steps+1,), or (n_steps+1, m) for a field with a
-    trailing space axis, whose uniform nodes are ``x`` (optional; None in 1-D);
+    trailing space axis, whose nodes ``x`` (optional; None in 1-D) are finite,
+    with positive steps equal up to roundoff, or ValueError is raised;
     every kernel acts on axis 0 and returns its result on its input's ``x``.
     The values are samples of the full function and must be finite at
     interior nodes. Where a term with a negative power is infinite (its
@@ -213,8 +217,12 @@ class TimeSeries:
         object.__setattr__(self, "singular", terms)
         if self.x is not None:
             x = np.asarray(self.x, dtype=float)
-            if x.ndim != 1 or x.size < 2:
-                raise ValueError("x must be a 1-D array with at least two nodes")
+            if x.ndim != 1 or x.size < 2 or not np.isfinite(x).all():
+                raise ValueError("x must be a 1-D array with at least two nodes, all finite")
+            steps, hx = x[1:] - x[:-1], (x[-1] - x[0]) / (x.size - 1)
+            off = max(steps.max() - hx, hx - steps.min())
+            if not off < min(hx, _X_RTOL * max(abs(x[0]), abs(x[-1]))):
+                raise ValueError("x must be increasing with equal steps")
             if v.shape != (self.grid.n_steps + 1, x.size):
                 raise ValueError("values shape must be (n_steps+1, n_x+1)")
             object.__setattr__(self, "x", x)

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraccons
-from fraccons import fracops, tfde
+from fraccons import cli, fracops, tfde
 from fraccons.cli import ConfigError, main, parse_config
 from fraccons.fracops import TimeSeries
 
@@ -597,6 +597,45 @@ def test_unfit_vector_exits_2_in_every_command(tmp_path, capsys, command):
     assert rc == 2
     assert capsys.readouterr().err.strip().splitlines() == [
         "configuration error: Table3_v1: requires the Caputo kind with alpha in (0,1)"]
+
+
+@pytest.mark.parametrize("command", ["verify", "catalog"])
+@pytest.mark.parametrize("kind, source, diffusivity, message", [
+    ("rl", "exact_stationary", {"family": "power", "beta": 2.0},
+     "source exact_stationary solves the equation of kind caputo only"),
+    ("caputo", "exact_rl_separable", {"family": "power", "beta": 2.0},
+     "source exact_rl_separable solves the equation of kind rl only"),
+    ("caputo", "exact_rl_power", {"family": "power", "beta": 2.0},
+     "source exact_rl_power solves the equation of kind rl only"),
+    ("rl", "exact_rl_separable", {"family": "exponential"},
+     "source exact_rl_separable solves the equation for a power diffusivity only"),
+], ids=["rl_stationary", "caputo_rl_separable", "caputo_rl_power", "rl_separable_exponential"])
+def test_mismatched_source_exits_2_before_solving(tmp_path, capsys, monkeypatch, command,
+                                                  kind, source, diffusivity, message):
+    # a field that does not solve the configured equation is refused with the
+    # config, so neither verify nor catalog reaches a solve
+    monkeypatch.setattr("fraccons.cli._solution", _no_solve)
+    vectors = ["NL_RL_sub", "Trivial_RL"] if kind == "rl" else ["Table3_v1"]
+    cfg = base_config(kind=kind, diffusivity=diffusivity, source={"id": source},
+                      vectors=vectors, n_x=8)
+    rc = main([command, "--config", write_config(tmp_path, cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"configuration error: {message}"]
+
+
+def test_verify_builds_each_vector_once(tmp_path, capsys, monkeypatch):
+    # parse_config builds the evaluators and verify runs them: one
+    # catalog_vector call per id, where building them again would make two
+    calls = []
+    real = cli.catalog_vector
+    monkeypatch.setattr(cli, "catalog_vector", lambda vid, *a, **kw: calls.append(vid)
+                        or real(vid, *a, **kw))
+    cfg = base_config(vectors=["Table3_v1", "Table3_v2"], grids=[16, 32], n_x=8, threshold=0.0)
+    rc = main(["verify", "--config", write_config(tmp_path, cfg)])
+    assert rc == 0
+    # 2 vectors x 2 grids x (divergence row + flux row)
+    assert capsys.readouterr().out.count("\nTable3_v") == 8
+    assert sorted(calls) == ["Table3_v1", "Table3_v2"]
 
 
 class TestSolveCommand:

@@ -237,6 +237,19 @@ class TestClosedFormVectors:
             with pytest.raises(ValueError, match=f"^{pid}: requires"):
                 catalog_vector(pid, spec, d)
 
+    @pytest.mark.parametrize("pid", sorted(p for p, (kind, n, _, _) in _CLOSED_FORMS.items()
+                                           if kind is CAP and n in (None, 2)))
+    def test_missing_initial_velocity_names_the_id_when_built(self, pid):
+        # the cores of D^1 u at n = 2 read u_t(0, x), which a sampled field
+        # does not determine: refused when the vector is built, before any field
+        spec, d = FractionalSpec(CAP, 1.5), Diffusivity.constant(1.0)
+        if pid in ("Table5_v2", "Table5_v5"):
+            with pytest.raises(ValueError, match=rf"^{pid}: requires the initial data u_t\(0, x\)$"):
+                catalog_vector(pid, spec, d)
+        else:
+            catalog_vector(pid, spec, d)
+        catalog_vector(pid, spec, d, initial_velocity=0.0)
+
     def test_nl_rl_sub_t2_conserved_off_the_extra_power(self):
         # the flux printed for this vector holds only at beta = rl_extra_beta(alpha);
         # at beta = -1/2 the derived one is conserved to roundoff (beta = 1 is

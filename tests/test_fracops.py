@@ -840,6 +840,31 @@ class TestSpaceField:
         with pytest.raises(ValueError, match="x must be a 1-D array with at least two nodes"):
             TimeSeries(tgrid, np.zeros((9, 1)), x=[0.0])
 
+    @pytest.mark.parametrize("x", [
+        [0.0, 0.1, 0.5, 0.6, 1.0],    # increasing, unequal steps
+        [0.0, 0.5, 0.25, 0.75, 1.0],  # not monotone
+        [1.0, 0.75, 0.5, 0.25, 0.0],  # equal steps, decreasing
+        [0.5, 0.5, 0.5, 0.5, 0.5],    # no step
+        list(np.linspace(0.0, 1.0, 5) + [0.0, 0.0, 1e-12, 0.0, 0.0]),
+        [0.0, 0.25, 0.5, 0.75, np.nan],
+        [0.0, 0.25, 0.5, np.inf, np.inf],
+        [-np.inf, 0.25, 0.5, 0.75, 1.0],
+    ], ids=["unequal", "unsorted", "decreasing", "constant", "off_by_1e-12", "nan", "inf",
+            "minus_inf"])
+    def test_space_nodes_must_be_uniform(self, x):
+        # diff1, diff2 and the verifiers take hx = x[1] - x[0]: on the first x,
+        # u = x^2 gave u_x = [-1.05, 1.25, 1.75, 3.75, 9.05], not 2x
+        message = "all finite" if not np.isfinite(x).all() else "increasing with equal steps"
+        with pytest.raises(ValueError, match=f"^x must be .*{message}$"):
+            TimeSeries(TimeGrid(1.0, 8), np.zeros((9, 5)), x=x)
+
+    @pytest.mark.parametrize("lo, hi, n", [(0.0, np.pi, 8), (-1.0, 1.0, 2 ** 16),
+                                           (1e6, 1e6 + 1e-3, 1000), (-7.0, -5.0, 1)])
+    def test_linspace_nodes_accepted(self, lo, hi, n):
+        x = np.linspace(lo, hi, n + 1)
+        u = TimeSeries(TimeGrid(1.0, 2), np.zeros((3, n + 1)), x=x)
+        assert u.hx == x[1] - x[0]
+
     def test_dx_field_on_separable_data(self):
         u = self._field()
         dux = u.dx_field()
