@@ -20,6 +20,7 @@ from .fracops import (
     FractionalSpec,
     Kind,
     SingularTerm,
+    SpaceGrid,
     TimeGrid,
     TimeSeries,
     caputo_left_derivative,
@@ -36,7 +37,6 @@ from .tfde import (
     Diffusivity,
     DiffusivityFamily,
     SolverError,
-    TFDEProblem,
     exact_linear_separable,
     exact_rl_power_mode,
     exact_rl_separable,

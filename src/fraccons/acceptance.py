@@ -18,6 +18,7 @@ from .fracops import (
     Kind,
     FractionalSpec,
     SingularTerm,
+    SpaceGrid,
     TimeGrid,
     TimeSeries,
     caputo_left_derivative,
@@ -29,7 +30,6 @@ from .fracops import (
 )
 from .tfde import (
     Diffusivity,
-    TFDEProblem,
     exact_linear_separable,
     exact_rl_power_mode,
     exact_rl_separable,
@@ -148,7 +148,7 @@ def criterion_5() -> CriterionResult:
         spec = FractionalSpec(kind, alpha)
         regime = regime_of(spec)
         tg = TimeGrid(1.0, 512)
-        x = np.linspace(0.0, 1.0, 65)
+        x = SpaceGrid(0.0, 1.0, 64)
         u = exact_linear_separable(spec, 1.0, tg, x)
         consts = dict(zip(regime_constants(regime), (1.0, 0.5, 0.25, 0.125)))
         sub = AdjointSubstitution(regime, spec, **consts)
@@ -184,7 +184,7 @@ def criterion_6() -> CriterionResult:
     spec = FractionalSpec(Kind.CAPUTO, alpha)
     sub = AdjointSubstitution("Caputo_sub", spec, c2=1.0)
     cv = catalog_vector("Noether:X3_lin", spec, Diffusivity.constant(1.0), substitution=sub)
-    x = np.linspace(0.0, 1.0, 17)
+    x = SpaceGrid(0.0, 1.0, 16)
     nodes = np.arange(1, 8) / 8.0
 
     def c_t(t: float) -> float:
@@ -193,7 +193,7 @@ def criterion_6() -> CriterionResult:
                     0.0, t, weight="alg", wvar=(alpha - 1.0, 0.0), limit=200)
         return gamma(alpha) * (mittag_leffler(alpha, 1.0, -lam ** 2 * t ** alpha) + j)
 
-    ref = np.outer([c_t(t) for t in nodes], x * np.sin(lam * x))
+    ref = np.outer([c_t(t) for t in nodes], x.nodes() * np.sin(lam * x.nodes()))
     errs = []
     for n in (256, 512):
         ct, _ = cv.components(exact_linear_separable(spec, lam, TimeGrid(T, n), x))
@@ -216,8 +216,7 @@ def criterion_7() -> CriterionResult:
     sub = AdjointSubstitution("Caputo_sub", spec, c1=1.0, c2=1.0)
 
     def make_u(n):
-        return exact_linear_separable(spec, 1.0, TimeGrid(1.0, n),
-                                      np.linspace(0.0, math.pi, n // 2 + 1))
+        return exact_linear_separable(spec, 1.0, TimeGrid(1.0, n), SpaceGrid(0.0, math.pi, n // 2))
 
     r1 = _decay_ratios("Trivial_Caputo", spec, diffu, make_u)
     r2 = _decay_ratios("Noether:X3_lin", spec, diffu, make_u, substitution=sub)
@@ -231,7 +230,7 @@ def criterion_8() -> CriterionResult:
     """Tables 3 and 5 on the stationary solution with k(u) = u, and on the
     moving linear mode, whose u_t carries power terms."""
     diffu = Diffusivity.power(1.0)
-    u = exact_stationary_caputo(diffu, 0.1, 1.0, TimeGrid(1.0, 512), np.linspace(0.0, 1.0, 513))
+    u = exact_stationary_caputo(diffu, 0.1, 1.0, TimeGrid(1.0, 512), SpaceGrid(0.0, 1.0, 512))
     spec3, spec5 = FractionalSpec(Kind.CAPUTO, 0.5), FractionalSpec(Kind.CAPUTO, 1.5)
     worst3 = max(divergence_residual(catalog_vector(f"Table3_v{i}", spec3, diffu), u).linf
                  for i in range(1, 5))
@@ -241,7 +240,7 @@ def criterion_8() -> CriterionResult:
     ratios = []
     for table, spec, ids in (("Table3", spec3, range(1, 5)), ("Table5", spec5, range(1, 7))):
         def make_u(n, spec=spec):
-            return exact_linear_separable(spec, 1.0, TimeGrid(1.0, n), np.linspace(0.0, math.pi, n + 1))
+            return exact_linear_separable(spec, 1.0, TimeGrid(1.0, n), SpaceGrid(0.0, math.pi, n))
         for i in ids:
             ratios += _decay_ratios(f"{table}_v{i}", spec, Diffusivity.constant(1.0), make_u,
                                     grids=(32, 64, 128), initial_velocity=0.0)
@@ -256,7 +255,7 @@ def criterion_9() -> CriterionResult:
     alpha = 0.5
     spec = FractionalSpec(Kind.RIEMANN_LIOUVILLE, alpha)
     tg = TimeGrid(1.0, 128)
-    x = np.linspace(0.0, 1.0, 33)
+    x = SpaceGrid(0.0, 1.0, 32)
     c = 0.7
     u = exact_rl_power_mode(alpha, c, tg, x)
     cv = catalog_vector("Trivial_RL", spec, Diffusivity.constant(1.0))
@@ -275,13 +274,11 @@ def criterion_10() -> CriterionResult:
     diffu = Diffusivity.power(2.0)
     a, b = 0.5, 1.0
 
-    def c1(x):
-        return diffu.K_inv(a * x + b) * (1.0 + 0.1 * np.sin(np.pi * x))
-
-    prob = TFDEProblem(spec, diffu, 0.0, 1.0, c1)
     linfs = {pid: [] for pid in ("NL_RL_sub", "NL_RL_sub_t1", "NL_RL_sub_t2")}
     for n in (128, 256):
-        u = solve_nonlinear(prob, TimeGrid(1.0, n), n)
+        x = SpaceGrid(0.0, 1.0, n)
+        c1 = diffu.K_inv(a * x.nodes() + b) * (1.0 + 0.1 * np.sin(np.pi * x.nodes()))
+        u = solve_nonlinear(spec, diffu, TimeGrid(1.0, n), x, c1)
         for pid in linfs:
             cv = catalog_vector(pid, spec, diffu)
             linfs[pid].append(divergence_residual(cv, u).linf)
@@ -297,8 +294,7 @@ def criterion_11() -> CriterionResult:
     diffu = Diffusivity.constant(1.0)
 
     def make_u(n):
-        return exact_linear_separable(spec, 1.0, TimeGrid(1.0, n),
-                                      np.linspace(0.0, math.pi, n // 2 + 1))
+        return exact_linear_separable(spec, 1.0, TimeGrid(1.0, n), SpaceGrid(0.0, math.pi, n // 2))
 
     ratios = {pid: _decay_ratios(pid, spec, diffu, make_u, grids=(64, 128, 256))
               for pid in ("Table1_v6", "Table1_v6_alt")}
@@ -346,7 +342,7 @@ def criterion_12() -> CriterionResult:
 
     def field(exact, diffu, *args):
         """make_u of an exact solution on an n x n/2 grid of [0, 1]^2."""
-        return lambda n: exact(diffu, *args, TimeGrid(1.0, n), np.linspace(0.0, 1.0, n // 2 + 1))
+        return lambda n: exact(diffu, *args, TimeGrid(1.0, n), SpaceGrid(0.0, 1.0, n // 2))
 
     # (spec, diffusivity, make_u, symmetry ids): the RL wave regime on
     # separable exact solutions, the Caputo regimes on stationary ones

@@ -5,8 +5,9 @@ Exit codes, each failure with a one-line message on stderr:
   2 configuration/validation error, found before any solve: a non-finite
     number, a grid or n_x with a fraction, a largest grid whose field has
     more than 2^25 nodes (n + 1) * (n_x + 1), an unknown key in a config
-    mapping, a vector or substitution that does not fit the equation, a
-    source that does not solve it (of another kind or diffusivity), a
+    mapping, a vector listed twice, a vector or substitution that does not
+    fit the equation, a source that does not solve it (of another kind or
+    diffusivity), a
     --config or --out path that cannot be read or written (--out is opened
     before the first solve), or a ``selftest --only`` number that names no
     criterion (checked before any criterion runs);
@@ -35,12 +36,11 @@ from typing import Optional
 import numpy as np
 
 from .specialfn import ConvergenceError
-from .fracops import Kind, FractionalSpec, TimeGrid, TimeSeries
+from .fracops import Kind, FractionalSpec, SpaceGrid, TimeGrid, TimeSeries
 from .tfde import (
     Diffusivity,
     DiffusivityFamily,
     SolverError,
-    TFDEProblem,
     exact_linear_separable,
     exact_rl_power_mode,
     exact_rl_separable,
@@ -121,8 +121,9 @@ def parse_config(data: dict) -> ScenarioConfig:
     """Validate a configuration mapping and build its scenario.
 
     The equation, the substitution and every vector are built once here, so
-    the library's constructors are the checks of kind, alpha, T, family,
-    regime and vector ids; their ValueError becomes a ConfigError. The
+    the library's constructors are the checks of kind, alpha, T, the space
+    interval, family, regime and vector ids; their ValueError becomes a
+    ConfigError. A vector id listed twice is refused. The
     source must solve the equation of the configured kind and diffusivity.
     """
     if not isinstance(data, dict):
@@ -156,6 +157,9 @@ def parse_config(data: dict) -> ScenarioConfig:
         raise ConfigError(f"invalid configuration value: {exc}") from exc
     if not all(isinstance(vid, str) for vid in vectors):
         raise ConfigError("vectors must be a list of vector id strings")
+    repeated = sorted({vid for vid in vectors if vectors.count(vid) > 1})
+    if repeated:
+        raise ConfigError(f"vectors: {', '.join(repeated)} listed more than once")
     if sub is not None and not isinstance(sub.get("regime"), str):
         raise ConfigError("substitution.regime must be a regime name")
     extra = set(sub or {}) - {"regime", "c1", "c2", "c3", "c4"}
@@ -164,8 +168,6 @@ def parse_config(data: dict) -> ScenarioConfig:
     sid = source.get("id")
     if not isinstance(sid, str) or sid not in _SOURCES:
         raise ConfigError(f"source.id must be one of {tuple(_SOURCES)}")
-    if values["x_lo"] >= values["x_hi"]:
-        raise ConfigError("x_lo must be less than x_hi")
     if list(grids) != sorted(set(grids)) or min(grids, default=0) < 4:
         raise ConfigError("grids must be a strictly increasing list of integers >= 4")
     if n_x is not None and n_x < 6:
@@ -189,6 +191,7 @@ def parse_config(data: dict) -> ScenarioConfig:
                     else f"the {needed.family.value} diffusivity k0 = {needed.k0:g}")
             raise ValueError(f"source {sid} solves the equation for {want} only")
         TimeGrid(values["T"], grids[-1])
+        SpaceGrid(values["x_lo"], values["x_hi"], cells)
         substitution = sub and AdjointSubstitution(
             sub["regime"], spec, **{k: float(v) for k, v in sub.items() if k != "regime"})
         evaluators = {vid: catalog_vector(vid, spec, diffu, initial_velocity=0.0,
@@ -220,8 +223,7 @@ def _solution(cfg: ScenarioConfig, n_steps: int) -> TimeSeries:
     """The field of the scenario's source on ``n_steps`` time steps."""
     spec, diffu, p = cfg.spec, cfg.diffusivity, cfg.params
     grid = TimeGrid(cfg.T, n_steps)
-    n_x = cfg.n_x if cfg.n_x is not None else n_steps
-    x = np.linspace(cfg.x_lo, cfg.x_hi, n_x + 1)
+    x = SpaceGrid(cfg.x_lo, cfg.x_hi, cfg.n_x if cfg.n_x is not None else n_steps)
     if cfg.source == "exact_linear":
         return exact_linear_separable(spec, p["lam"], grid, x)
     if cfg.source == "exact_stationary":
@@ -232,14 +234,10 @@ def _solution(cfg: ScenarioConfig, n_steps: int) -> TimeSeries:
         return exact_rl_separable(diffu, spec.alpha, p["a"], p["b"], grid, x)
     # numerical solver: separable-compatible initial data, optionally perturbed
     a, b, eps = p["a"], p["b"], p["perturb"]
-    span = cfg.x_hi - cfg.x_lo
-
-    def profile(xx):
-        return diffu.K_inv(a * xx + b) * (1.0 + eps * np.sin(np.pi * (xx - cfg.x_lo) / span))
-
-    problem = TFDEProblem(spec, diffu, cfg.x_lo, cfg.x_hi, profile,
-                          initial_velocity=np.zeros_like if spec.n == 2 else None)
-    return solve_nonlinear(problem, grid, n_x)
+    xx = x.nodes()
+    u0 = diffu.K_inv(a * xx + b) * (1.0 + eps * np.sin(np.pi * (xx - cfg.x_lo)
+                                                      / (cfg.x_hi - cfg.x_lo)))
+    return solve_nonlinear(spec, diffu, grid, x, u0, initial_velocity=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +257,9 @@ def run_solve(cfg: ScenarioConfig, out: Optional[str]) -> int:
     u = _solution(cfg, cfg.grids[-1])
     if out:
         u.to_csv(out)
-        print(f"wrote solution field ({u.grid.n_steps}x{u.x.size - 1} cells) to {out}")
+        print(f"wrote solution field ({u.grid.n_steps}x{u.x.n_x} cells) to {out}")
     else:
-        print(f"solved: {u.grid.n_steps} time steps, {u.x.size - 1} space cells")
+        print(f"solved: {u.grid.n_steps} time steps, {u.x.n_x} space cells")
     return 0
 
 

@@ -21,6 +21,7 @@ from .fracops import (
     Kind,
     FractionalSpec,
     TimeSeries,
+    _require_same_grid,
     diff1,
     j_integral,
     left_integral_endpoint_pole,
@@ -51,7 +52,9 @@ __all__ = [
 
 def formal_lagrangian(u: TimeSeries, v: TimeSeries, diffusivity: Diffusivity,
                       spec: FractionalSpec) -> TimeSeries:
-    """L = v [D^alpha_t u - k'(u) u_x^2 - k(u) u_xx]."""
+    """L = v [D^alpha_t u - k'(u) u_x^2 - k(u) u_xx]; ValueError for fields on
+    different time or space grids."""
+    _require_same_grid(u, v)
     return TimeSeries(u.grid, v.values * tfde_residual(u, spec, diffusivity).values, x=u.x)
 
 
@@ -146,7 +149,7 @@ def _noether_fn(name: str, sym_id: str, h: Optional[TimeSeries],
     def fn(u: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
         v = sub.field(u.grid, u.x)
         ct, cx = _noether_core(characteristic(sym, u), v, u, sub, spec, diffusivity)
-        t, x = u.grid.nodes()[:, None], u.x[None, :]
+        t, x = u.grid.nodes()[:, None], u.x.nodes()[None, :]
         xi_terms = ((sym.xi0(t, x, u.values), ct), (sym.xi1(t, x, u.values), cx))
         if any(np.any(coeff) for coeff, _ in xi_terms):
             L = formal_lagrangian(u, v, diffusivity, spec).values
@@ -293,14 +296,14 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
         def start(u: TimeSeries) -> np.ndarray:
             if n == 1:
                 return u.values[0]
-            return np.broadcast_to(np.asarray(initial_velocity, dtype=float), u.x.shape)
+            return np.broadcast_to(np.asarray(initial_velocity, dtype=float), (u.x.n_x + 1,))
 
         def fn(u: TimeSeries):
             c, w = core(u, spec, start)
             kux = diffusivity.k(u.values) * u.dx_field().values
             if not moment:
                 return c, -w * kux
-            x = u.x[None, :]
+            x = u.x.nodes()[None, :]
             flux = w * (diffusivity.K(u.values) - x * kux)
             return x * c, flux
 
@@ -429,7 +432,7 @@ def _report(cv: ConservedVectorEval, u: TimeSeries, residual: np.ndarray,
     linf = float(np.max(np.abs(window)))
     l2 = float(np.sqrt(np.mean(window ** 2)))
     return ResidualReport(cv.provenance, cv.spec.kind.value, cv.spec.alpha,
-                          u.grid.n_steps, u.x.size - 1, linf, l2, 2 * lo)
+                          u.grid.n_steps, u.x.n_x, linf, l2, 2 * lo)
 
 
 def divergence_residual(cv: ConservedVectorEval, u: TimeSeries,
@@ -445,9 +448,9 @@ def divergence_residual(cv: ConservedVectorEval, u: TimeSeries,
     differentiation, and the divergence stencil amplifies it by 1/h.
     ``components`` is ``cv.components(u)`` when the caller has it already.
     """
-    if u.x.size < 7:
+    if u.x.n_x < 6:
         raise ValueError("the residual's space window drops 3 columns at each side "
-                         f"and needs n_x >= 6, got n_x = {u.x.size - 1}")
+                         f"and needs n_x >= 6, got n_x = {u.x.n_x}")
     ct, cx = cv.components(u) if components is None else components
     with np.errstate(invalid="ignore"):
         res = diff1(ct, u.grid.h, axis=0) + diff1(cx, u.hx, axis=1)

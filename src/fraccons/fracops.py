@@ -28,6 +28,7 @@ __all__ = [
     "Kind",
     "FractionalSpec",
     "TimeGrid",
+    "SpaceGrid",
     "TimeSeries",
     "SingularTerm",
     "left_frac_integral",
@@ -49,8 +50,8 @@ __all__ = [
 # power samples t^p or (T-t)^p), except the dense (n+1)^2 matrices of
 # _endpoint_pole_weight_matrix and _j_start_power_matrix
 _CACHE_SIZE = 16
-# the space steps of a field may differ by this much relative to its largest
-# |x|: 16 roundoffs, where np.linspace's differ by about 2
+# the x steps of a CSV field (from_csv) may differ by this much relative to its
+# largest |x|: 16 roundoffs, where np.linspace's differ by about 2
 _X_RTOL = 16 * float(np.finfo(float).eps)
 
 
@@ -108,6 +109,36 @@ def _nodes(grid: TimeGrid) -> np.ndarray:
     return _read_only(np.linspace(0.0, grid.T, grid.n_steps + 1))
 
 
+@dataclass(frozen=True)
+class SpaceGrid:
+    """Uniform grid of n_x cells on [x_lo, x_hi]; it compares by value."""
+
+    x_lo: float
+    x_hi: float
+    n_x: int
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.x_lo) and math.isfinite(self.x_hi) and self.x_lo < self.x_hi):
+            raise ValueError(f"x_lo must be less than x_hi, both finite, got "
+                             f"{self.x_lo!r} and {self.x_hi!r}")
+        if not isinstance(self.n_x, (int, np.integer)) or self.n_x < 1:
+            raise ValueError(f"n_x must be an integer >= 1, got {self.n_x!r}")
+
+    @property
+    def h(self) -> float:
+        nodes = self.nodes()
+        return float(nodes[1] - nodes[0])
+
+    def nodes(self) -> np.ndarray:
+        """The nodes np.linspace(x_lo, x_hi, n_x + 1), read-only (built once per grid)."""
+        return _space_nodes(self)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _space_nodes(grid: SpaceGrid) -> np.ndarray:
+    return _read_only(np.linspace(grid.x_lo, grid.x_hi, grid.n_x + 1))
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _power_samples(grid: TimeGrid, power: float, anchor: str) -> np.ndarray:
     """t^power ('start') or (T-t)^power ('end') at the nodes, read-only; 0 where
@@ -127,7 +158,7 @@ class SingularTerm:
     """Algebraic term coeff * t^power (anchor 'start') or coeff * (T-t)^power ('end').
 
     ``coeff`` is a float, or an (m,) array holding one coefficient per space
-    column of a field.
+    column of a field; the term keeps a read-only copy of an array.
     """
 
     coeff: float | np.ndarray
@@ -135,8 +166,8 @@ class SingularTerm:
     anchor: str = "start"
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coeff, dtype=float)
-        object.__setattr__(self, "coeff", float(c) if c.ndim == 0 else c)
+        c = np.array(self.coeff, dtype=float)
+        object.__setattr__(self, "coeff", float(c) if c.ndim == 0 else _read_only(c))
         if self.anchor not in ("start", "end"):
             raise ValueError("anchor must be 'start' or 'end'")
         if self.power <= -1.0:
@@ -147,17 +178,13 @@ class SingularTerm:
         return np.multiply.outer(_power_samples(grid, self.power, self.anchor), self.coeff)
 
 
-def _anchor_entries(terms) -> list[tuple[int, np.ndarray]]:
-    """(row, column mask) of the entries where a negative-power term is infinite:
-    its anchor row, in the columns where its coefficient is nonzero."""
-    return [(0 if tm.anchor == "start" else -1, np.asarray(tm.coeff) != 0.0)
-            for tm in terms if tm.power < 0.0]
-
-
 def _zero_anchors(v: np.ndarray, terms) -> np.ndarray:
-    """Set the entries of v where a term is infinite to 0, in place."""
-    for row, hit in _anchor_entries(terms):
-        v[row] = np.where(hit, 0.0, v[row])
+    """Set the entries of v where a negative-power term is infinite (its anchor
+    row, in the columns where its coefficient is nonzero) to 0, in place."""
+    for tm in terms:
+        if tm.power < 0.0:
+            row = 0 if tm.anchor == "start" else -1
+            v[row] = np.where(np.asarray(tm.coeff) != 0.0, 0.0, v[row])
     return v
 
 
@@ -178,10 +205,9 @@ def _fit_terms(terms, space: tuple) -> tuple[SingularTerm, ...]:
 class TimeSeries:
     """Sampled f(t) on a TimeGrid, with optional explicit power-law terms.
 
-    ``values`` has shape (n_steps+1,), or (n_steps+1, m) for a field with a
-    trailing space axis, whose nodes ``x`` (optional; None in 1-D) are finite,
-    with positive steps equal up to roundoff, or ValueError is raised;
-    every kernel acts on axis 0 and returns its result on its input's ``x``.
+    ``values`` has shape (n_steps+1,), or (n_steps+1, n_x+1) for a field
+    with a trailing space axis on the SpaceGrid ``x`` (None in 1-D); every
+    kernel acts on axis 0 and returns its result on its input's ``x``.
     The values are samples of the full function and must be finite at
     interior nodes. Where a term with a negative power is infinite (its
     anchor node, in the columns where its coefficient is nonzero) the value
@@ -189,43 +215,34 @@ class TimeSeries:
     kernels return finite samples throughout. Term coefficients are floats
     for 1-D values and (m,) arrays otherwise; all-zero terms are dropped.
 
-    A field is immutable after construction: ``values`` is a read-only view
-    (the caller's array keeps its flags). So a field computes each of its
-    regular part, space derivatives and fractional integrals once, on the
-    first request, and keeps the result, read-only, for its own lifetime.
+    A field owns its data and is immutable after construction: ``values`` is
+    a read-only copy of the caller's array, and each term a read-only copy of
+    its coefficients. So a field computes each of its regular part, space
+    derivatives and fractional integrals once, on the first request, and
+    keeps the result, read-only, for its own lifetime.
     """
 
     grid: TimeGrid
     values: np.ndarray
     singular: tuple[SingularTerm, ...] = ()
-    x: Optional[np.ndarray] = None
+    x: Optional[SpaceGrid] = None
     # the memoized quantities by key: "reg", ("dx", order) and ("I", mu)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.ndim not in (1, 2) or v.shape[0] != self.grid.n_steps + 1:
             raise ValueError("values must have one row per grid node")
         if not np.isfinite(v[1:-1]).all():
             raise ValueError("values must be finite at interior nodes")
         terms = _fit_terms(self.singular, v.shape[1:])
-        # copy only when some anchor entry is not 0 yet: from_parts, the
-        # kernels' constructor, zeroes them in its own array
-        if any(np.any(np.where(hit, v[row], 0.0)) for row, hit in _anchor_entries(terms)):
-            v = _zero_anchors(v.copy(), terms)
-        object.__setattr__(self, "values", _read_only(v.view()))
+        object.__setattr__(self, "values", _read_only(_zero_anchors(v, terms)))
         object.__setattr__(self, "singular", terms)
         if self.x is not None:
-            x = np.asarray(self.x, dtype=float)
-            if x.ndim != 1 or x.size < 2 or not np.isfinite(x).all():
-                raise ValueError("x must be a 1-D array with at least two nodes, all finite")
-            steps, hx = x[1:] - x[:-1], (x[-1] - x[0]) / (x.size - 1)
-            off = max(steps.max() - hx, hx - steps.min())
-            if not off < min(hx, _X_RTOL * max(abs(x[0]), abs(x[-1]))):
-                raise ValueError("x must be increasing with equal steps")
-            if v.shape != (self.grid.n_steps + 1, x.size):
+            if not isinstance(self.x, SpaceGrid):
+                raise ValueError(f"x must be a SpaceGrid, got {type(self.x).__name__}")
+            if v.shape != (self.grid.n_steps + 1, self.x.n_x + 1):
                 raise ValueError("values shape must be (n_steps+1, n_x+1)")
-            object.__setattr__(self, "x", x)
 
     @classmethod
     def from_function(cls, grid: TimeGrid, fn, singular: tuple[SingularTerm, ...] = ()) -> "TimeSeries":
@@ -234,20 +251,26 @@ class TimeSeries:
 
     @classmethod
     def from_parts(cls, grid: TimeGrid, reg: np.ndarray, singular=(), x=None) -> "TimeSeries":
-        """Series on the space nodes ``x`` whose values are ``reg`` plus the samples
+        """Series on the space grid ``x`` whose values are ``reg`` plus the samples
         of the terms ``singular``."""
-        vals = np.array(reg, dtype=float)
-        terms = _fit_terms(singular, vals.shape[1:])
-        for term in terms:
-            vals += term.sample(grid)
-        return cls(grid, _zero_anchors(vals, terms), terms, x)
+        reg = np.asarray(reg, dtype=float)
+        terms = _fit_terms(singular, reg.shape[1:])
+        return cls(grid, sum((term.sample(grid) for term in terms), reg), terms, x)
 
     @classmethod
     def from_csv(cls, path: str) -> "TimeSeries":
-        """The field of a CSV written by ``to_csv``."""
+        """The field of a CSV written by ``to_csv``; its x nodes must be finite and
+        increasing with steps equal up to roundoff, or ValueError is raised."""
         raw = np.genfromtxt(path, delimiter=",")  # the header's "t\\x" cell reads as nan
         grid = TimeGrid(T=float(raw[-1, 0]), n_steps=raw.shape[0] - 2)
-        return cls(grid, raw[1:, 1:], x=raw[0, 1:])
+        x = raw[0, 1:]
+        if x.size < 2 or not np.isfinite(x).all():
+            raise ValueError("x must be a 1-D array with at least two nodes, all finite")
+        steps, hx = x[1:] - x[:-1], (x[-1] - x[0]) / (x.size - 1)
+        off = max(steps.max() - hx, hx - steps.min())
+        if not off < min(hx, _X_RTOL * max(abs(x[0]), abs(x[-1]))):
+            raise ValueError("x must be increasing with equal steps")
+        return cls(grid, raw[1:, 1:], x=SpaceGrid(float(x[0]), float(x[-1]), x.size - 1))
 
     def _memoized(self, key, build):
         """``build()``, computed on the first request for ``key`` and kept."""
@@ -271,7 +294,7 @@ class TimeSeries:
 
         return self._memoized("reg", build)
 
-    def _space_nodes(self) -> np.ndarray:
+    def _space(self) -> SpaceGrid:
         if self.x is None:
             raise ValueError("the series has no space axis x")
         return self.x
@@ -279,8 +302,7 @@ class TimeSeries:
     @property
     def hx(self) -> float:
         """Spacing of the space nodes; ValueError for a series without ``x``."""
-        x = self._space_nodes()
-        return float(x[1] - x[0])
+        return self._space().h
 
     def dx_field(self, order: int = 1) -> "TimeSeries":
         """Space derivative of order 1 or 2: diff1/diff2 along x of the regular
@@ -298,14 +320,18 @@ class TimeSeries:
 
     def to_csv(self, path: str) -> None:
         """Write the field as CSV: header row of x nodes, first column of t nodes."""
-        header = "t\\x," + ",".join(f"{xv:.17g}" for xv in self._space_nodes())
+        header = "t\\x," + ",".join(f"{xv:.17g}" for xv in self._space().nodes())
         np.savetxt(path, np.column_stack([self.grid.nodes(), self.values]), fmt="%.17g",
                    delimiter=",", header=header, comments="")
 
 
-def _require_same_grid(a: TimeSeries, b: TimeSeries) -> None:
+def _require_same_grid(a: TimeSeries, b: TimeSeries, one_d_broadcasts: bool = False) -> None:
+    """ValueError unless a and b share the time grid and the space grid; with
+    ``one_d_broadcasts`` a factor without x passes against any space grid."""
     if a.grid != b.grid:
         raise ValueError("time series are defined on different grids")
+    if a.x != b.x and not (one_d_broadcasts and None in (a.x, b.x)):
+        raise ValueError(f"fields are defined on different space grids: {a.x} and {b.x}")
 
 
 def _read_only(mat: np.ndarray) -> np.ndarray:
@@ -394,7 +420,7 @@ def _power_integral(coeff, q: float, p: float, mu: float, grid: TimeGrid) -> np.
 def _reverse(f: TimeSeries) -> TimeSeries:
     flipped = tuple(SingularTerm(s.coeff, s.power, "end" if s.anchor == "start" else "start")
                     for s in f.singular)
-    return TimeSeries(f.grid, f.values[::-1].copy(), flipped, f.x)
+    return TimeSeries(f.grid, f.values[::-1], flipped, f.x)
 
 
 def left_frac_integral(f: TimeSeries, mu: float) -> TimeSeries:
@@ -632,7 +658,7 @@ def j_integral(f: TimeSeries, g: TimeSeries, alpha: float) -> TimeSeries:
 
     The result is on f's space nodes, or on g's when f has none.
     """
-    _require_same_grid(f, g)
+    _require_same_grid(f, g, one_d_broadcasts=True)
     n = _order_and_n(alpha)
     beta = n - alpha
     grid = f.grid

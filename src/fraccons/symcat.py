@@ -17,11 +17,13 @@ from .fracops import (
     Kind,
     FractionalSpec,
     SingularTerm,
+    SpaceGrid,
     TimeGrid,
     TimeSeries,
     _order_and_n,
     _power_rule,
     _power_samples,
+    _require_same_grid,
     caputo_right_derivative,
     diff1,
     rl_right_derivative,
@@ -149,14 +151,15 @@ def characteristic(sym: Symmetry, u: TimeSeries) -> TimeSeries:
         if sym.h is None:
             raise ValueError("Xinf requires a user-supplied solution field h")
         return sym.h
-    t, x = u.grid.nodes()[:, None], u.x[None, :]
+    xs = u.x.nodes()
+    t, x = u.grid.nodes()[:, None], xs[None, :]
     reg = u.regular_part()
     new_reg = (sym.eta(t, x, reg) - sym.xi0(t, x, reg) * diff1(reg, u.grid.h, axis=0)
                - sym.xi1(t, x, reg) * diff1(reg, u.hx, axis=1))
     terms = tuple(SingularTerm(
-        sym.eta(1.0, u.x, tm.coeff) - sym.eta(1.0, u.x, 0.0)
-        - sym.xi0(1.0, u.x, tm.coeff) * tm.power * tm.coeff
-        - sym.xi1(1.0, u.x, tm.coeff) * diff1(tm.coeff, u.hx), tm.power + sym.shift)
+        sym.eta(1.0, xs, tm.coeff) - sym.eta(1.0, xs, 0.0)
+        - sym.xi0(1.0, xs, tm.coeff) * tm.power * tm.coeff
+        - sym.xi1(1.0, xs, tm.coeff) * diff1(tm.coeff, u.hx), tm.power + sym.shift)
         for tm in u.singular)
     return TimeSeries.from_parts(u.grid, new_reg, terms, u.x)
 
@@ -221,20 +224,20 @@ class AdjointSubstitution:
         if not any(cs):
             raise ValueError("substitution must not be identically zero")
 
-    def field(self, grid: TimeGrid, x: np.ndarray, order: int = 0) -> TimeSeries:
-        """v (order 0), v_t (1) or v_tt (2) on the grid, by the power rule.
+    def field(self, grid: TimeGrid, x: SpaceGrid, order: int = 0) -> TimeSeries:
+        """v (order 0), v_t (1) or v_tt (2) on the grids, by the power rule.
 
         Whole powers are sampled as regular values and other integrable ones
         carried as power-law metadata. Non-integrable powers (-1 or below)
         are plain samples, 0 at the anchor; they only ever enter kernels
         that integrate them away from their singular endpoint.
         """
-        x = np.asarray(x, dtype=float)
-        reg = np.zeros((grid.n_steps + 1, x.size))
+        xs = x.nodes()
+        reg = np.zeros((grid.n_steps + 1, xs.size))
         terms = []
         cs = (self.c1, self.c2, self.c3, self.c4)
         for i, j, offset, anchor in _REGIMES[self.regime][2]:
-            coeff = cs[i] + cs[j] * x
+            coeff = cs[i] + cs[j] * xs
             power = offset + (self.spec.alpha if anchor == "end" else 0.0)
             c = _power_rule(coeff, power, anchor, order)
             p = power - order
@@ -252,9 +255,9 @@ def adjoint_residual(v: TimeSeries, u: TimeSeries, diffusivity: Diffusivity,
     The adjoint operator D* is the right-sided Caputo derivative when the
     problem uses the Riemann-Liouville derivative, and the right-sided
     Riemann-Liouville derivative when the problem uses the Caputo one.
+    Fields on different time or space grids raise ValueError.
     """
-    if v.grid != u.grid or v.x.shape != u.x.shape:
-        raise ValueError("fields are defined on different grids")
+    _require_same_grid(v, u)
     op = caputo_right_derivative if spec.kind is Kind.RIEMANN_LIOUVILLE else rl_right_derivative
     frac = op(v, spec.alpha)
     return TimeSeries(v.grid, frac.values - diffusivity.k(u.values) * v.dx_field(2).values, x=v.x)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -26,6 +26,7 @@ from .fracops import (
     Kind,
     FractionalSpec,
     SingularTerm,
+    SpaceGrid,
     TimeGrid,
     TimeSeries,
     caputo_left_derivative,
@@ -35,7 +36,6 @@ from .fracops import (
 __all__ = [
     "DiffusivityFamily",
     "Diffusivity",
-    "TFDEProblem",
     "SolverError",
     "exact_linear_separable",
     "exact_rl_power_mode",
@@ -127,34 +127,6 @@ class Diffusivity:
         return _FAMILY_ROWS[self.family][3](self, np.asarray(w, dtype=float))
 
 
-@dataclass(frozen=True)
-class TFDEProblem:
-    """Problem data for the time-fractional diffusion equation.
-
-    For the Caputo kind, ``initial`` is u(0, x) and, when n = 2,
-    ``initial_velocity`` is u_t(0, x). For the Riemann-Liouville kind the
-    initial data are of integrated type and ``initial`` supplies the
-    coefficient c1(x) of the t^{alpha-1} mode (equivalently, the value of
-    the (n-alpha)-order integral of u at t = 0 divided by Gamma(alpha));
-    when n = 2, ``initial_velocity`` supplies the coefficient c2(x) of
-    t^{alpha-2}. The solver holds the ends at their initial data (see
-    :func:`solve_nonlinear`, whose grid is the time horizon).
-    """
-
-    spec: FractionalSpec
-    diffusivity: Diffusivity
-    x_lo: float
-    x_hi: float
-    initial: Callable[[np.ndarray], np.ndarray]
-    initial_velocity: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __post_init__(self) -> None:
-        if self.x_lo >= self.x_hi:
-            raise ValueError("x_lo must be less than x_hi")
-        if self.spec.n == 2 and self.initial_velocity is None:
-            raise ValueError("second-order time regime requires initial_velocity data")
-
-
 class SolverError(RuntimeError):
     """Nonlinear iteration failed to converge, or its linear system is singular."""
 
@@ -163,15 +135,8 @@ class SolverError(RuntimeError):
 # exact reference solutions
 # ---------------------------------------------------------------------------
 
-def _check_xgrid(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("x must be a 1-D array with at least two nodes")
-    return x
-
-
 def exact_linear_separable(spec: FractionalSpec, lam: float, grid: TimeGrid,
-                           x: np.ndarray) -> TimeSeries:
+                           x: SpaceGrid) -> TimeSeries:
     """Separable mode of the linear equation (constant diffusivity k = 1).
 
     Caputo: u = E_alpha(-lam^2 t^alpha) sin(lam x).
@@ -179,10 +144,9 @@ def exact_linear_separable(spec: FractionalSpec, lam: float, grid: TimeGrid,
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    x = _check_xgrid(x)
     alpha = spec.alpha
     t = grid.nodes()
-    sx = np.sin(lam * x)
+    sx = np.sin(lam * x.nodes())
     z = -(lam ** 2) * t ** alpha
     terms: list[SingularTerm] = []
     if spec.kind is Kind.CAPUTO:
@@ -201,24 +165,22 @@ def exact_linear_separable(spec: FractionalSpec, lam: float, grid: TimeGrid,
     return TimeSeries(grid, vals, tuple(terms), x)
 
 
-def exact_rl_power_mode(alpha: float, c: float, grid: TimeGrid, x: np.ndarray) -> TimeSeries:
+def exact_rl_power_mode(alpha: float, c: float, grid: TimeGrid, x: SpaceGrid) -> TimeSeries:
     """Space-constant Riemann-Liouville mode u = c t^{alpha-1} (D^alpha u = 0)."""
-    x = _check_xgrid(x)
-    term = SingularTerm(np.full(x.size, c), alpha - 1.0)
-    return TimeSeries.from_parts(grid, np.zeros((grid.n_steps + 1, x.size)), (term,), x)
+    zero = np.zeros((grid.n_steps + 1, x.n_x + 1))
+    return TimeSeries.from_parts(grid, zero, (SingularTerm(c, alpha - 1.0),), x)
 
 
 def exact_stationary_caputo(diffusivity: Diffusivity, a: float, b: float,
-                            grid: TimeGrid, x: np.ndarray) -> TimeSeries:
+                            grid: TimeGrid, x: SpaceGrid) -> TimeSeries:
     """Time-independent solution u = K^{-1}(a x + b) of the Caputo-kind equation."""
-    x = _check_xgrid(x)
-    ux = diffusivity.K_inv(a * x + b)
+    ux = diffusivity.K_inv(a * x.nodes() + b)
     vals = np.tile(ux[None, :], (grid.n_steps + 1, 1))
     return TimeSeries(grid, vals, x=x)
 
 
 def exact_rl_separable(diffusivity: Diffusivity, alpha: float, a: float, b: float,
-                       grid: TimeGrid, x: np.ndarray) -> TimeSeries:
+                       grid: TimeGrid, x: SpaceGrid) -> TimeSeries:
     """Separable solution u = t^{alpha-1} K^{-1}(a x + b) of the RL-kind equation.
 
     Valid for the power diffusivity family: the flux term is proportional to
@@ -227,9 +189,8 @@ def exact_rl_separable(diffusivity: Diffusivity, alpha: float, a: float, b: floa
     """
     if diffusivity.family is not DiffusivityFamily.POWER:
         raise ValueError("the separable mode requires a power-law diffusivity")
-    x = _check_xgrid(x)
-    term = SingularTerm(diffusivity.K_inv(a * x + b), alpha - 1.0)
-    return TimeSeries.from_parts(grid, np.zeros((grid.n_steps + 1, x.size)), (term,), x)
+    term = SingularTerm(diffusivity.K_inv(a * x.nodes() + b), alpha - 1.0)
+    return TimeSeries.from_parts(grid, np.zeros((grid.n_steps + 1, x.n_x + 1)), (term,), x)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +286,18 @@ def _newton_step_solve(k: Callable, k_prime: Callable, c0: float, rhs: np.ndarra
     raise SolverError("nonlinear iteration did not converge")
 
 
-def solve_nonlinear(problem: TFDEProblem, grid: TimeGrid, n_x: int) -> TimeSeries:
-    """Implicit L1 time stepping with Newton in space.
+def solve_nonlinear(spec: FractionalSpec, diffusivity: Diffusivity, grid: TimeGrid,
+                    x: SpaceGrid, initial, initial_velocity=None) -> TimeSeries:
+    """Implicit L1 time stepping with Newton in space, on the grids ``grid`` and ``x``.
+
+    The data are arrays on ``x.nodes()`` (or scalars). For the Caputo kind,
+    ``initial`` is u(0, x) and, when n = 2, ``initial_velocity`` is u_t(0, x).
+    For the Riemann-Liouville kind the initial data are of integrated type:
+    ``initial`` is the coefficient c1(x) of the t^{alpha-1} mode (the value
+    of the (n-alpha)-order integral of u at t = 0 divided by Gamma(alpha)),
+    and when n = 2 ``initial_velocity`` is the coefficient c2(x) of
+    t^{alpha-2}. ``initial_velocity`` is required when n = 2 and unused when
+    n = 1.
 
     Caputo kind: standard L1 discretization of the fractional derivative.
     Riemann-Liouville kind: the field is split as u = (singular modes) + w
@@ -342,39 +313,39 @@ def solve_nonlinear(problem: TFDEProblem, grid: TimeGrid, n_x: int) -> TimeSerie
     Raises SolverError when a Newton step fails, including an iterate
     outside the domain of k.
     """
-    spec = problem.spec
     alpha = spec.alpha
     n = spec.n
-    x = np.linspace(problem.x_lo, problem.x_hi, n_x + 1)
-    hx2 = (x[1] - x[0]) ** 2
+    if n == 2 and initial_velocity is None:
+        raise ValueError("second-order time regime requires initial_velocity data")
+    cols = x.n_x + 1
+    u0, v0 = (np.broadcast_to(np.asarray(d, dtype=float), (cols,))
+              for d in (initial, 0.0 if initial_velocity is None else initial_velocity))
+    hx2 = x.h ** 2
     h = grid.h
     n_t = grid.n_steps
 
-    W = np.zeros((n_t + 1, x.size))
+    W = np.zeros((n_t + 1, cols))
     y = W[0]  # y_0: w(0), or w_t(0) when n = 2; both 0 for the RL kind
     terms: list[SingularTerm] = []
     if spec.kind is Kind.RIEMANN_LIOUVILLE:
-        terms.append(SingularTerm(np.asarray(problem.initial(x), dtype=float), alpha - 1.0))
-        if n == 2:
-            c2 = np.asarray(problem.initial_velocity(x), dtype=float)
-            if np.any(c2 != 0.0):
-                terms.append(SingularTerm(c2, alpha - 2.0))
+        terms.append(SingularTerm(u0, alpha - 1.0))
+        if n == 2 and np.any(v0 != 0.0):
+            terms.append(SingularTerm(v0, alpha - 2.0))
     else:
-        W[0] = problem.initial(x)
+        W[0] = u0
         if n == 2:
-            y = np.asarray(problem.initial_velocity(x), dtype=float)
+            y = v0
 
     # the singular modes; row 0 (never evaluated) is 0
-    base = sum((term.sample(grid) for term in terms), np.zeros((n_t + 1, x.size)))
+    base = sum((term.sample(grid) for term in terms), np.zeros((n_t + 1, cols)))
     mu = alpha - (n - 1)
     j = np.arange(n_t + 1, dtype=float)
     # L1 weights a_j, reversed once so that each step's history is a contiguous slice
     a_rev = np.ascontiguousarray(((j + 1.0) ** (1.0 - mu) - j ** (1.0 - mu))[::-1])
     c_l1 = h ** (-mu) / gamma(2.0 - mu)
     c0 = c_l1 / h ** (n - 1)
-    dY = np.zeros((n_t + 1, x.size))  # dY[j] = y_j - y_{j-1}
-    k, k_prime = (partial(f, problem.diffusivity)
-                  for f in _FAMILY_ROWS[problem.diffusivity.family][:2])
+    dY = np.zeros((n_t + 1, cols))  # dY[j] = y_j - y_{j-1}
+    k, k_prime = (partial(f, diffusivity) for f in _FAMILY_ROWS[diffusivity.family][:2])
     for m in range(1, n_t + 1):
         # L1 history: sum_{j=1}^{m-1} a_{m-j} (y_j - y_{j-1})
         hist = c_l1 * (a_rev[n_t - m + 1: n_t] @ dY[1:m])

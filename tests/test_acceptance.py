@@ -2,10 +2,13 @@
 
 import importlib.util
 import json
+import math
 import pathlib
+from types import SimpleNamespace
 
 import pytest
 
+from fraccons import acceptance
 from fraccons.acceptance import CRITERIA, run_all
 from fraccons.cli import main
 
@@ -70,3 +73,33 @@ def test_verify_matches_bench_reference(bench_run, tmp_path, capsys, workload, v
     rc = main(argv)
     assert ref["variants"][variant]["params"] == params
     assert bench_run.check_output(ref["variants"][variant], rc, capsys.readouterr().out) is None
+
+
+
+def _norms_falling(monkeypatch, rate, noether_rate):
+    """Patch the criteria's divergence_residual: its L-infinity norm falls by
+    ``noether_rate`` per halving of the time step for a Noether vector (the
+    zero entries of criterion 12) and by ``rate`` for the others, and is tiny
+    on the n = 512 field (criterion 8's stationary one)."""
+
+    def residual(cv, u, *args, **kwargs):
+        n = u.grid.n_steps
+        r = noether_rate if cv.provenance.startswith("NoetherDerived") else rate
+        return SimpleNamespace(linf=1e-12 if n == 512 else 1e-4 * r ** -math.log2(n))
+
+    monkeypatch.setattr(acceptance, "divergence_residual", residual)
+
+
+@pytest.mark.parametrize("criterion, rate, noether_rate, passed", [
+    (acceptance.criterion_8, 1.2, 1.6, False),
+    (acceptance.criterion_8, 1.6, 1.6, True),
+    (acceptance.criterion_12, 1.2, 1.6, False),
+    (acceptance.criterion_12, 1.6, 1.2, False),
+    (acceptance.criterion_12, 1.6, 1.6, True),
+], ids=["8-slow", "8-fast", "12-slow-closed-forms", "12-slow-zero-entries", "12-fast"])
+def test_decay_bound_separates_slow_from_fast_decay(monkeypatch, criterion, rate,
+                                                    noether_rate, passed):
+    # the criteria ask for decay by 1.4 per halving: a bound loosened to 1.2
+    # or below, or tightened above 1.6, fails here
+    _norms_falling(monkeypatch, rate, noether_rate)
+    assert criterion().passed is passed

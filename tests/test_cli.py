@@ -66,6 +66,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(base_config(alpha=2.5))
 
+    def test_repeated_vector_id_rejected(self):
+        with pytest.raises(ConfigError, match="^vectors: Table5_v1 listed more than once$"):
+            parse_config(base_config(alpha=1.5, vectors=["Table5_v1", "Table5_v2", "Table5_v1"]))
+
+    def test_space_interval_checked_as_the_space_grid(self):
+        with pytest.raises(ConfigError, match="^x_lo must be less than x_hi, both finite, "
+                                              "got 1.0 and 1.0$"):
+            parse_config(base_config(x_lo=1.0, x_hi=1.0))
+
     def test_grids_must_increase(self):
         with pytest.raises(ConfigError):
             parse_config(base_config(grids=[64, 32]))
@@ -355,6 +364,8 @@ _RL_WAVE_LINEAR = dict(kind="rl", alpha=1.5, x_hi=np.pi,
 BAD_CONFIGS = {
     "vectors_not_a_list": (dict(vectors=5), 2),
     "vector_id_not_a_string": (dict(vectors=[["Table3_v1"]]), 2),
+    # a repeated id printed each row twice, the twin's ratio divided by the first
+    "vector_id_repeated": (dict(alpha=1.5, vectors=["Table5_v1", "Table5_v1"], n_x=8), 2),
     "threshold_null": (dict(threshold=None), 2),
     "grids_not_numbers": (dict(grids="ab"), 2),
     "diffusivity_not_a_mapping": (dict(diffusivity=5), 2),

@@ -17,7 +17,7 @@ from fraccons.conslaw import (
     _linear_prefix,
     _noether_core,
 )
-from fraccons.fracops import FractionalSpec, Kind, TimeGrid, diff1
+from fraccons.fracops import FractionalSpec, Kind, SpaceGrid, TimeGrid, TimeSeries, diff1
 from fraccons.symcat import (_GENERATORS, _REGIMES, SUBSTITUTION_REGIMES, AdjointSubstitution,
                              Symmetry, characteristic, list_symmetries, regime_constants,
                              regime_of, rl_extra_beta)
@@ -51,10 +51,10 @@ def exact_field(kind, n, steps, moving=False, T=1.0):
     linear equation on [0, T] x [0, pi]."""
     alpha = 0.5 if n == 1 else 1.5
     spec = FractionalSpec(kind, alpha)
-    grid, x = TimeGrid(T, steps), np.linspace(0.0, 1.0, steps + 1)
+    grid, x = TimeGrid(T, steps), SpaceGrid(0.0, 1.0, steps)
     if moving:
         d = Diffusivity.constant(1.0)
-        return spec, d, exact_linear_separable(spec, 1.0, grid, np.pi * x)
+        return spec, d, exact_linear_separable(spec, 1.0, grid, SpaceGrid(0.0, np.pi, steps))
     if kind is RL:
         d = Diffusivity.power(1.0 if n == 1 else 2.0)
         return spec, d, exact_rl_separable(d, alpha, 0.5, 1.0, grid, x)
@@ -130,7 +130,7 @@ class TestCorrespondence:
         spec = FractionalSpec(kind, alpha)
         regime = regime_of(spec)
         sub = AdjointSubstitution(regime, spec, c1=1.0)
-        h = exact_linear_separable(spec, 1.0, TimeGrid(1.0, 8), np.linspace(0.0, np.pi, 9))
+        h = exact_linear_separable(spec, 1.0, TimeGrid(1.0, 8), SpaceGrid(0.0, np.pi, 8))
         for d in (Diffusivity.constant(1.0), Diffusivity.exponential(), Diffusivity.power(2.0),
                   Diffusivity.power(-4.0 / 3.0), Diffusivity.power(rl_extra_beta(alpha))):
             for sym in list_symmetries(kind, alpha, d, h):
@@ -158,12 +158,25 @@ class TestFormalLagrangian:
         d = Diffusivity.power(2.0)
         spec = FractionalSpec(CAP, 0.5)
         tgrid = TimeGrid(1.0, 64)
-        x = np.linspace(0.0, 1.0, 129)
+        x = SpaceGrid(0.0, 1.0, 128)
         u = exact_stationary_caputo(d, 0.1, 1.0, tgrid, x)
         sub = AdjointSubstitution("Caputo_sub", spec, c1=1.0, c2=1.0)
         v = sub.field(tgrid, x)
         L = formal_lagrangian(u, v, d, spec)
         assert np.max(np.abs(L.values[1:-1, 1:-1])) < 1e-6
+
+    @pytest.mark.parametrize("v_space", [SpaceGrid(0.0, 2.0, 16), None], ids=["other", "none"])
+    def test_fields_on_different_space_grids_refused(self, v_space):
+        # u on [0, 1] and v on [0, 2], 17 nodes each: L was their product; a
+        # 1-D v of 17 rows would broadcast along u's 17 columns
+        d = Diffusivity.power(2.0)
+        spec = FractionalSpec(CAP, 0.5)
+        tgrid = TimeGrid(1.0, 16)
+        u = exact_stationary_caputo(d, 0.1, 1.0, tgrid, SpaceGrid(0.0, 1.0, 16))
+        v = (TimeSeries(tgrid, np.ones(17)) if v_space is None
+             else AdjointSubstitution("Caputo_sub", spec, c1=1.0).field(tgrid, v_space))
+        with pytest.raises(ValueError, match="different space grids"):
+            formal_lagrangian(u, v, d, spec)
 
 
 class TestClosedFormVectors:
@@ -173,7 +186,7 @@ class TestClosedFormVectors:
         alpha, c = 0.5, 0.7
         spec = FractionalSpec(RL, alpha)
         tgrid = TimeGrid(1.0, 64)
-        x = np.linspace(0.0, 1.0, 33)
+        x = SpaceGrid(0.0, 1.0, 32)
         u = exact_rl_power_mode(alpha, c, tgrid, x)
         cv = catalog_vector("Trivial_RL", spec, Diffusivity.constant(1.0))
         ct, cx = cv.components(u)
@@ -188,7 +201,7 @@ class TestClosedFormVectors:
         linfs = []
         for n in (32, 64):
             tgrid = TimeGrid(1.0, n)
-            x = np.linspace(0.0, np.pi, n // 2 + 1)
+            x = SpaceGrid(0.0, np.pi, n // 2)
             u = exact_linear_separable(spec, 1.0, tgrid, x)
             linfs.append(divergence_residual(cv, u).linf)
         assert linfs[1] < linfs[0]
@@ -212,7 +225,7 @@ class TestClosedFormVectors:
         # v = (T-t)^(alpha-1) (c2 = 1) or x (T-t)^(alpha-1) (c4 = 1) of Caputo_wave
         spec = FractionalSpec(CAP, alpha)
         d = Diffusivity.constant(1.0)
-        u = exact_linear_separable(spec, 1.0, TimeGrid(1.0, 64), np.linspace(0.0, np.pi, 65))
+        u = exact_linear_separable(spec, 1.0, TimeGrid(1.0, 64), SpaceGrid(0.0, np.pi, 64))
         sub = AdjointSubstitution("Caputo_wave", spec, **{const: 1.0})
         got = catalog_vector(pid, spec, d).components(u)
         want = catalog_vector("Noether:X3_lin", spec, d, substitution=sub).components(u)
@@ -255,7 +268,7 @@ class TestClosedFormVectors:
         # at beta = -1/2 the derived one is conserved to roundoff (beta = 1 is
         # the NL_RL_sub_t2 case of test_divergence_decays)
         d = Diffusivity.power(-0.5)
-        u = exact_rl_separable(d, 0.5, 0.5, 1.0, TimeGrid(1.0, 32), np.linspace(0.0, 1.0, 33))
+        u = exact_rl_separable(d, 0.5, 0.5, 1.0, TimeGrid(1.0, 32), SpaceGrid(0.0, 1.0, 32))
         cv = catalog_vector("NL_RL_sub_t2", FractionalSpec(RL, 0.5), d)
         assert divergence_residual(cv, u).linf < 1e-12
 
@@ -263,9 +276,9 @@ class TestClosedFormVectors:
         alpha = 0.5
         spec = FractionalSpec(RL, alpha)
         d = Diffusivity.power(rl_extra_beta(alpha))
-        u = exact_rl_separable(d, alpha, 0.5, 1.0, TimeGrid(1.0, 32), np.linspace(0.0, 1.0, 17))
+        u = exact_rl_separable(d, alpha, 0.5, 1.0, TimeGrid(1.0, 32), SpaceGrid(0.0, 1.0, 16))
         _, cx = catalog_vector("NL_RL_sub_t2", spec, d).components(u)
-        t, x = u.grid.nodes()[:, None], u.x[None, :]
+        t, x = u.grid.nodes()[:, None], u.x.nodes()[None, :]
         ux = diff1(u.values, u.hx, axis=1)
         printed = t * d.k(u.values) * ((1.0 - alpha) / (1.0 + alpha) * u.values - x * ux)
         assert np.max(np.abs(cx - printed)) <= 1e-13 * np.max(np.abs(printed))
@@ -279,7 +292,7 @@ class TestClosedFormVectors:
         printed, alt = [], []
         for n in (64, 128):
             tgrid = TimeGrid(1.0, n)
-            x = np.linspace(0.0, 1.0, n + 1)
+            x = SpaceGrid(0.0, 1.0, n)
             u = exact_rl_separable(d, alpha, 0.5, 1.0, tgrid, x)
             printed.append(divergence_residual(
                 catalog_vector("Table1_v6", spec, d), u).linf)
@@ -297,7 +310,7 @@ class TestNoetherVectors:
         spec = FractionalSpec(CAP, alpha)
         d = Diffusivity.constant(1.0)
         tgrid = TimeGrid(1.0, 64)
-        x = np.linspace(0.0, 1.0, 65)
+        x = SpaceGrid(0.0, 1.0, 64)
         lam = 0.5
         u = exact_linear_separable(spec, lam, tgrid, x)
         sub = AdjointSubstitution("Caputo_sub", spec, c2=1.0)
@@ -315,7 +328,7 @@ class TestNoetherVectors:
         spec = FractionalSpec(kind, 0.5)
         d = Diffusivity.constant(1.0)
         tgrid = TimeGrid(1.0, 32)
-        x = np.linspace(0.0, np.pi, 17)
+        x = SpaceGrid(0.0, np.pi, 16)
         u = exact_linear_separable(spec, 1.0, tgrid, x)
         sub = AdjointSubstitution(regime_of(spec), spec, c2=1.0)
         sym = Symmetry("X3_lin", 0.5)
@@ -337,7 +350,7 @@ class TestNoetherVectors:
         kind, n, _ = _REGIMES[regime]
         spec = FractionalSpec(kind, n - 0.5)
         d = Diffusivity.constant(1.0)
-        u = exact_linear_separable(spec, 1.0, TimeGrid(1.0, 32), np.linspace(0.0, np.pi, 17))
+        u = exact_linear_separable(spec, 1.0, TimeGrid(1.0, 32), SpaceGrid(0.0, np.pi, 16))
         sub = AdjointSubstitution(regime, spec, **dict.fromkeys(regime_constants(regime), 1.0))
         for sym in ("X1", "X2", "X3", "Xinf"):
             got = catalog_vector(f"{_linear_prefix(regime)}_{sym}", spec, d, substitution=sub,
@@ -354,13 +367,13 @@ class TestNoetherVectors:
         spec = FractionalSpec(CAP, alpha)
         d = Diffusivity.constant(2.0)
         tgrid = TimeGrid(1.0, 32)
-        x = np.linspace(0.0, np.pi, 33)
+        x = SpaceGrid(0.0, np.pi, 32)
         u = exact_linear_separable(spec, 1.0, tgrid, x)
         sub = AdjointSubstitution("Caputo_sub", spec, c2=1.0)
         cv = catalog_vector("Linear_Cap_sub_X3", spec, d, substitution=sub)
         _, cx = cv.components(u)
-        v = np.outer((1.0 - tgrid.nodes()[:-1]) ** (alpha - 1.0), x)
-        hx = x[1] - x[0]
+        v = np.outer((1.0 - tgrid.nodes()[:-1]) ** (alpha - 1.0), x.nodes())
+        hx = x.h
         uv = u.values[:-1]
         want = 2.0 * (diff1(v, hx, axis=1) * uv - v * diff1(uv, hx, axis=1))
         np.testing.assert_allclose(cx[:-1], want, rtol=1e-12, atol=1e-12)
@@ -388,7 +401,7 @@ class TestNoetherVectors:
         spec = FractionalSpec(CAP, alpha)
         d = Diffusivity.power(2.0)
         tgrid = TimeGrid(1.0, 64)
-        x = np.linspace(0.0, 1.0, 65)
+        x = SpaceGrid(0.0, 1.0, 64)
         u = exact_stationary_caputo(d, 0.1, 1.0, tgrid, x)
         sub = AdjointSubstitution("Caputo_sub", spec, c1=1.0)
         nv = catalog_vector("Noether:X1", spec, d, substitution=sub)
@@ -427,7 +440,7 @@ class TestNoetherVectors:
         for vid in ("Noether:Xinf", "Linear_Cap_sub_Xinf"):
             with pytest.raises(ValueError, match=f"^{vid}: Xinf requires"):
                 catalog_vector(vid, spec, d, substitution=sub)
-        h = exact_linear_separable(spec, 1.0, TimeGrid(1.0, 32), np.linspace(0.0, np.pi, 17))
+        h = exact_linear_separable(spec, 1.0, TimeGrid(1.0, 32), SpaceGrid(0.0, np.pi, 16))
         for vid in ("Noether:Xinf", "Linear_Cap_sub_Xinf"):
             ct, cx = catalog_vector(vid, spec, d, substitution=sub, h=h).components(h)
             assert np.isfinite(ct[1:-1]).all() and np.isfinite(cx[1:-1]).all()
@@ -437,7 +450,7 @@ class TestVerifiers:
     def _trivial_setup(self, n=64):
         spec = FractionalSpec(RL, 0.5)
         tgrid = TimeGrid(1.0, n)
-        x = np.linspace(0.0, 1.0, 33)
+        x = SpaceGrid(0.0, 1.0, 32)
         u = exact_rl_power_mode(0.5, 0.7, tgrid, x)
         cv = catalog_vector("Trivial_RL", spec, Diffusivity.constant(1.0))
         return cv, u

@@ -17,6 +17,7 @@ from fraccons.fracops import (
     FractionalSpec,
     Kind,
     SingularTerm,
+    SpaceGrid,
     TimeGrid,
     TimeSeries,
     caputo_left_derivative,
@@ -152,9 +153,10 @@ def assert_bitwise_equal(got, want):
 def memo_field():
     """A space-time field with start and end terms in every column."""
     grid = TimeGrid(1.0, 32)
-    x = np.linspace(0.0, 1.0, 6)
-    reg = np.cos(np.add.outer(grid.nodes(), x))
-    terms = (SingularTerm(np.sin(x) + 1.0, 0.3), SingularTerm(x, 0.6, "end"))
+    x = SpaceGrid(0.0, 1.0, 5)
+    xs = x.nodes()
+    reg = np.cos(np.add.outer(grid.nodes(), xs))
+    terms = (SingularTerm(np.sin(xs) + 1.0, 0.3), SingularTerm(xs, 0.6, "end"))
     return TimeSeries.from_parts(grid, reg, terms, x)
 
 
@@ -212,14 +214,44 @@ class TestMemo:
 
     def test_values_are_read_only_and_the_caller_array_keeps_its_flags(self):
         vals = np.ones((9, 4))
-        f = TimeSeries(TimeGrid(1.0, 8), vals, x=np.linspace(0.0, 1.0, 4))
-        assert np.shares_memory(f.values, vals)
+        f = TimeSeries(TimeGrid(1.0, 8), vals, x=SpaceGrid(0.0, 1.0, 3))
+        assert not np.shares_memory(f.values, vals)
         with pytest.raises(ValueError, match="read-only"):
             f.values[2, 1] = 5.0
         with pytest.raises(ValueError, match="read-only"):
             f.values += 1.0
         assert vals.flags.writeable
         assert not f.dx_field().values.flags.writeable
+
+    def test_a_write_to_the_callers_arrays_leaves_the_field(self):
+        # a field owns its data: it kept a view of the caller's values and the
+        # caller's coefficient array, so a write to either changed the field
+        # and left its memoized integral stale
+        grid, x = TimeGrid(1.0, 16), SpaceGrid(0.0, 1.0, 3)
+
+        def data():
+            return np.outer(np.cos(grid.nodes()), np.arange(1.0, 5.0)), np.arange(1.0, 5.0)
+
+        vals, coeff = data()
+        u = TimeSeries(grid, vals, (SingularTerm(coeff, 0.5),), x)
+        integral = left_frac_integral(u, 0.5).values
+        vals[:] = 7.0
+        coeff[:] = 7.0
+        fresh_vals, fresh_coeff = data()
+        fresh = TimeSeries(grid, fresh_vals, (SingularTerm(fresh_coeff, 0.5),), x)
+        assert_bitwise_equal(u.values, fresh.values)
+        assert_bitwise_equal(u.singular[0].coeff, fresh.singular[0].coeff)
+        assert_bitwise_equal(left_frac_integral(u, 0.5).values, integral)
+        assert_bitwise_equal(integral, left_frac_integral(fresh, 0.5).values)
+
+    def test_singular_term_keeps_a_read_only_copy(self):
+        coeff = np.ones(3)
+        term = SingularTerm(coeff, 0.5)
+        coeff[0] = 9.0
+        assert_bitwise_equal(term.coeff, np.ones(3))
+        with pytest.raises(ValueError, match="read-only"):
+            term.coeff[0] = 9.0
+        assert coeff.flags.writeable
 
     def test_nodes_and_power_samples_are_cached_read_only(self):
         grid = TimeGrid(1.0, 16)
@@ -541,15 +573,16 @@ class TestJIntegral:
         # regular part 0 instead, f is a start term alone
         spec = FractionalSpec(Kind.CAPUTO, 1.5)
         grid = TimeGrid(1.0, 64)
-        x = np.linspace(0.0, np.pi, 65)
+        x = SpaceGrid(0.0, np.pi, 64)
         u = exact_linear_separable(spec, 1.0, grid, x)
         zero = np.zeros_like(u.values)
         if zero_factor == "g":
             f = time_derivative(u, 2)
             g = TimeSeries.from_parts(grid, zero, (SingularTerm(1.0, 0.5, "end"),), x)
         else:
-            f = TimeSeries.from_parts(grid, zero, (SingularTerm(np.sin(x), -0.4),), x)
-            g = TimeSeries.from_parts(grid, np.cos(u.values), (SingularTerm(x, 0.5, "end"),), x)
+            f = TimeSeries.from_parts(grid, zero, (SingularTerm(np.sin(x.nodes()), -0.4),), x)
+            g = TimeSeries.from_parts(grid, np.cos(u.values),
+                                      (SingularTerm(x.nodes(), 0.5, "end"),), x)
         calls = []
         full_pass = fracops._j_piecewise_linear
         monkeypatch.setattr(fracops, "_j_piecewise_linear",
@@ -821,24 +854,55 @@ KERNELS = {
 }
 
 
+def write_csv(tmp_path, x, n_steps=8):
+    """A field CSV of zeros on TimeGrid(1, n_steps), as to_csv writes it, with x nodes x."""
+    path = tmp_path / "field.csv"
+    header = "t\\x," + ",".join(f"{xv:.17g}" for xv in x)
+    rows = np.column_stack([TimeGrid(1.0, n_steps).nodes(), np.zeros((n_steps + 1, len(x)))])
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+    return str(path)
+
+
 class TestSpaceField:
     """A TimeSeries with space nodes x: checks, space derivatives, CSV I/O."""
 
     def _field(self):
         tgrid = TimeGrid(1.0, 8)
-        x = np.linspace(0.0, 1.0, 5)
-        vals = np.outer(tgrid.nodes(), x)
+        x = SpaceGrid(0.0, 1.0, 4)
+        vals = np.outer(tgrid.nodes(), x.nodes())
         return TimeSeries(tgrid, vals, x=x)
 
-    def test_shape_validation(self):
+    def test_shape_validation(self, tmp_path):
         tgrid = TimeGrid(1.0, 8)
-        x = np.linspace(0.0, 1.0, 5)
+        x = SpaceGrid(0.0, 1.0, 4)
         with pytest.raises(ValueError, match="one row per grid node"):
             TimeSeries(tgrid, np.zeros((3, 5)), x=x)
         with pytest.raises(ValueError, match=r"values shape must be \(n_steps\+1, n_x\+1\)"):
             TimeSeries(tgrid, np.zeros((9, 4)), x=x)
+        with pytest.raises(ValueError, match="x must be a SpaceGrid, got ndarray"):
+            TimeSeries(tgrid, np.zeros((9, 5)), x=x.nodes())
         with pytest.raises(ValueError, match="x must be a 1-D array with at least two nodes"):
-            TimeSeries(tgrid, np.zeros((9, 1)), x=[0.0])
+            TimeSeries.from_csv(write_csv(tmp_path, [0.0]))
+
+    @pytest.mark.parametrize("x_lo, x_hi", [(1.0, 1.0), (2.0, 1.0), (np.nan, 1.0),
+                                            (0.0, np.inf), (-np.inf, 0.0)])
+    def test_space_grid_needs_a_finite_interval(self, x_lo, x_hi):
+        with pytest.raises(ValueError, match="^x_lo must be less than x_hi, both finite"):
+            SpaceGrid(x_lo, x_hi, 4)
+
+    @pytest.mark.parametrize("n_x", [0, -1, 4.0, 4.5, "4"])
+    def test_space_grid_needs_a_whole_number_of_cells(self, n_x):
+        with pytest.raises(ValueError, match="^n_x must be an integer >= 1"):
+            SpaceGrid(0.0, 1.0, n_x)
+
+    def test_space_grid_nodes_are_linspace_cached_read_only(self):
+        x = SpaceGrid(-1.0, 2.0, np.int64(6))
+        assert_bitwise_equal(x.nodes(), np.linspace(-1.0, 2.0, 7))
+        assert x.h == x.nodes()[1] - x.nodes()[0]
+        assert x.nodes() is SpaceGrid(-1.0, 2.0, 6).nodes()
+        assert x == SpaceGrid(-1.0, 2.0, 6) and x != SpaceGrid(-1.0, 2.0, 7)
+        with pytest.raises(ValueError, match="read-only"):
+            x.nodes()[0] = 0.0
 
     @pytest.mark.parametrize("x", [
         [0.0, 0.1, 0.5, 0.6, 1.0],    # increasing, unequal steps
@@ -851,19 +915,20 @@ class TestSpaceField:
         [-np.inf, 0.25, 0.5, 0.75, 1.0],
     ], ids=["unequal", "unsorted", "decreasing", "constant", "off_by_1e-12", "nan", "inf",
             "minus_inf"])
-    def test_space_nodes_must_be_uniform(self, x):
-        # diff1, diff2 and the verifiers take hx = x[1] - x[0]: on the first x,
+    def test_space_nodes_must_be_uniform(self, tmp_path, x):
+        # a CSV's nodes are the one node list the library reads: diff1, diff2
+        # and the verifiers take hx = x[1] - x[0], and on the first x,
         # u = x^2 gave u_x = [-1.05, 1.25, 1.75, 3.75, 9.05], not 2x
         message = "all finite" if not np.isfinite(x).all() else "increasing with equal steps"
         with pytest.raises(ValueError, match=f"^x must be .*{message}$"):
-            TimeSeries(TimeGrid(1.0, 8), np.zeros((9, 5)), x=x)
+            TimeSeries.from_csv(write_csv(tmp_path, x))
 
     @pytest.mark.parametrize("lo, hi, n", [(0.0, np.pi, 8), (-1.0, 1.0, 2 ** 16),
                                            (1e6, 1e6 + 1e-3, 1000), (-7.0, -5.0, 1)])
-    def test_linspace_nodes_accepted(self, lo, hi, n):
-        x = np.linspace(lo, hi, n + 1)
-        u = TimeSeries(TimeGrid(1.0, 2), np.zeros((3, n + 1)), x=x)
-        assert u.hx == x[1] - x[0]
+    def test_linspace_nodes_accepted(self, tmp_path, lo, hi, n):
+        x = SpaceGrid(lo, hi, n)
+        u = TimeSeries.from_csv(write_csv(tmp_path, x.nodes()))
+        assert u.x == x and u.hx == x.nodes()[1] - x.nodes()[0]
 
     def test_dx_field_on_separable_data(self):
         u = self._field()
@@ -877,14 +942,14 @@ class TestSpaceField:
         u.to_csv(str(path))
         back = TimeSeries.from_csv(str(path))
         assert back.grid == u.grid
-        assert np.allclose(back.x, u.x)
+        assert back.x == u.x
         assert np.allclose(back.values, u.values)
 
     def test_from_parts_round_trip(self):
         tgrid = TimeGrid(1.0, 8)
-        x = np.linspace(0.0, 1.0, 5)
+        x = SpaceGrid(0.0, 1.0, 4)
         term = SingularTerm(np.ones(5), -0.5)
-        reg = np.outer(tgrid.nodes(), x)
+        reg = np.outer(tgrid.nodes(), x.nodes())
         u = TimeSeries.from_parts(tgrid, reg, (term,), x=x)
         # the term is infinite at t = 0; the stored value there is 0
         assert u.values[0, 0] == 0.0
@@ -893,23 +958,30 @@ class TestSpaceField:
     @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_kernel_keeps_x(self, name):
         grid = TimeGrid(1.0, 16)
-        x = np.linspace(0.0, 1.0, 5)
+        x = SpaceGrid(0.0, 1.0, 4)
         t = grid.nodes()
-        field = TimeSeries(grid, np.outer(np.cos(t) + t, 1.0 + x), x=x)
+        field = TimeSeries(grid, np.outer(np.cos(t) + t, 1.0 + x.nodes()), x=x)
         out = KERNELS[name](field)
         assert out.values.shape == field.values.shape
-        np.testing.assert_array_equal(out.x, x)
+        assert out.x == x
         flat = KERNELS[name](TimeSeries(grid, np.cos(t) + t))
         assert flat.x is None and flat.values.ndim == 1
 
     def test_j_integral_takes_the_x_of_either_factor(self):
         grid = TimeGrid(1.0, 16)
-        x = np.linspace(0.0, 1.0, 5)
+        x = SpaceGrid(0.0, 1.0, 4)
         t = grid.nodes()
-        field = TimeSeries(grid, np.outer(t, 1.0 + x), x=x)
+        field = TimeSeries(grid, np.outer(t, 1.0 + x.nodes()), x=x)
         flat = TimeSeries(grid, np.cos(t))
         for f, g in ((field, flat), (flat, field)):
-            np.testing.assert_array_equal(j_integral(f, g, 0.5).x, x)
+            assert j_integral(f, g, 0.5).x == x
+
+    def test_j_integral_refuses_fields_on_different_space_grids(self):
+        # u on [0, 1] and v on [0, 2], 9 nodes each, once gave a field
+        grid = TimeGrid(1.0, 16)
+        u, v = (TimeSeries(grid, np.ones((17, 9)), x=SpaceGrid(0.0, hi, 8)) for hi in (1.0, 2.0))
+        with pytest.raises(ValueError, match="different space grids"):
+            j_integral(u, v, 0.5)
 
     @pytest.mark.parametrize("flat_terms", [(), ((1.3, -0.5, "start"), (0.4, -0.3, "end"))],
                              ids=["regular", "with_terms"])
@@ -942,17 +1014,17 @@ class TestSpaceField:
 
     def test_dx_field_2_differentiates_term_coefficients(self):
         grid = TimeGrid(1.0, 8)
-        x = np.linspace(0.0, np.pi, 17)
+        x = SpaceGrid(0.0, np.pi, 16)
         p = -0.5
-        u = TimeSeries.from_parts(grid, np.zeros((9, 17)), (SingularTerm(np.sin(x), p),), x)
+        u = TimeSeries.from_parts(grid, np.zeros((9, 17)), (SingularTerm(np.sin(x.nodes()), p),), x)
         d2 = u.dx_field(2)
         (term,) = d2.singular
         assert term.power == p
-        want = diff2(np.sin(x), x[1] - x[0])
+        want = diff2(np.sin(x.nodes()), x.h)
         np.testing.assert_allclose(term.coeff, want, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(d2.values[1:], np.outer(grid.nodes()[1:] ** p, want),
                                    rtol=0.0, atol=1e-12)
-        np.testing.assert_array_equal(d2.x, x)
+        assert d2.x == x
 
     def test_fields_compare_by_identity(self):
         u = self._field()

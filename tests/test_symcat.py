@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from fraccons.fracops import FractionalSpec, Kind, SingularTerm, TimeGrid, TimeSeries
+from fraccons.fracops import FractionalSpec, Kind, SingularTerm, SpaceGrid, TimeGrid, TimeSeries
 from fraccons.symcat import (
     _GENERATORS,
     _REGIMES,
@@ -72,8 +72,8 @@ class TestCharacteristic:
     def _linear_field(self, alpha=0.5):
         # u = t x: u_t = x, u_x = t
         tgrid = TimeGrid(1.0, 32)
-        x = np.linspace(0.0, 1.0, 17)
-        vals = np.outer(tgrid.nodes(), x)
+        x = SpaceGrid(0.0, 1.0, 16)
+        vals = np.outer(tgrid.nodes(), x.nodes())
         return TimeSeries(tgrid, vals, x=x)
 
     def test_x1_is_space_derivative(self):
@@ -81,7 +81,7 @@ class TestCharacteristic:
         sym = next(s for s in list_symmetries(CAP, 0.5, Diffusivity.constant(1.0))
                    if s.id == "X1")
         w = characteristic(sym, u)
-        ref = np.tile(u.grid.nodes()[:, None], (1, u.x.size))
+        ref = np.tile(u.grid.nodes()[:, None], (1, u.x.n_x + 1))
         assert np.max(np.abs(w.values - ref)) < 1e-12
 
     def test_x2_on_separable_field(self):
@@ -103,8 +103,7 @@ class TestCharacteristic:
 
     def test_xinf_returns_supplied_solution(self):
         u = self._linear_field()
-        h = exact_linear_separable(FractionalSpec(CAP, 0.5), 1.0, u.grid,
-                                   np.linspace(0.0, 1.0, 17))
+        h = exact_linear_separable(FractionalSpec(CAP, 0.5), 1.0, u.grid, u.x)
         sym = next(s for s in list_symmetries(CAP, 0.5, Diffusivity.constant(1.0), h=h)
                    if s.id == "Xinf")
         assert characteristic(sym, u) is h
@@ -113,7 +112,7 @@ class TestCharacteristic:
         # On u = c t^{alpha-1}: W = (alpha-1) t u - t^2 u_t = 0 exactly.
         alpha = 0.5
         tgrid = TimeGrid(1.0, 32)
-        x = np.linspace(0.0, 1.0, 9)
+        x = SpaceGrid(0.0, 1.0, 8)
         u = exact_rl_power_mode(alpha, 0.7, tgrid, x)
         beta = rl_extra_beta(alpha)
         sym = next(s for s in list_symmetries(RL, alpha, Diffusivity.power(beta))
@@ -128,8 +127,8 @@ class TestCharacteristic:
         # u = (1+t)(2+x) + 0.3 t x is linear in t and in x, so diff1 is exact
         # and W = eta - xi0 u_t - xi1 u_x follows from the symmetry's callables
         tgrid = TimeGrid(1.0, 8)
-        x = np.linspace(0.0, 1.0, 6)
-        t, xx = tgrid.nodes()[:, None], x[None, :]
+        x = SpaceGrid(0.0, 1.0, 5)
+        t, xx = tgrid.nodes()[:, None], x.nodes()[None, :]
         u = TimeSeries(tgrid, (1.0 + t) * (2.0 + xx) + 0.3 * t * xx, x=x)
         h = TimeSeries(tgrid, np.sin(t + 2.0 * xx), x=x)
         sym = Symmetry(sym_id, 1.5, beta=-4.0 / 3.0, h=h)
@@ -146,9 +145,10 @@ class TestCharacteristic:
         # than at t = 1; characteristic carries it as c~ t^(p + shift)
         p = -0.3
         tgrid = TimeGrid(1.0, 8)
-        x = np.linspace(0.5, 1.5, 6)
+        grid_x = SpaceGrid(0.5, 1.5, 5)
+        x = grid_x.nodes()
         c, c_x = 1.0 + x ** 2, 2.0 * x  # diff1 is exact on quadratics
-        h = TimeSeries(tgrid, np.sin(tgrid.nodes()[:, None] + x[None, :]), x=x)
+        h = TimeSeries(tgrid, np.sin(tgrid.nodes()[:, None] + x[None, :]), x=grid_x)
         sym = Symmetry(sym_id, 1.5, beta=-4.0 / 3.0, h=h)
 
         def w_term(t):
@@ -160,7 +160,7 @@ class TestCharacteristic:
         assert np.allclose(w_term(2.0), scale * w_term(1.0), rtol=1e-14, atol=1e-14)
         if sym_id == "Xinf":
             return  # W is the field h itself
-        u = TimeSeries.from_parts(tgrid, np.zeros((9, 6)), (SingularTerm(c, p),), x=x)
+        u = TimeSeries.from_parts(tgrid, np.zeros((9, 6)), (SingularTerm(c, p),), x=grid_x)
         (image,) = characteristic(sym, u).singular
         assert image.power == p + sym.shift
         assert np.allclose(image.coeff, w_term(1.0), rtol=1e-13, atol=1e-13)
@@ -168,8 +168,8 @@ class TestCharacteristic:
     def test_symmetry_holding_h_is_hashable(self):
         # a field compares by identity, so a Symmetry that holds one hashes
         tgrid = TimeGrid(1.0, 8)
-        x = np.linspace(0.0, 1.0, 6)
-        h = TimeSeries(tgrid, np.sin(tgrid.nodes()[:, None] + x[None, :]), x=x)
+        x = SpaceGrid(0.0, 1.0, 5)
+        h = TimeSeries(tgrid, np.sin(tgrid.nodes()[:, None] + x.nodes()[None, :]), x=x)
         assert len({Symmetry("Xinf", 0.5, h=h), Symmetry("Xinf", 0.5, h=h)}) == 1
 
 
@@ -203,16 +203,16 @@ class TestAdjointSubstitution:
         spec = FractionalSpec(RL, 0.5)
         sub = AdjointSubstitution("RL_sub", spec, c1=2.0, c2=3.0)
         tgrid = TimeGrid(1.0, 8)
-        x = np.linspace(0.0, 1.0, 5)
+        x = SpaceGrid(0.0, 1.0, 4)
         v = sub.field(tgrid, x)
-        assert np.allclose(v.values, 2.0 + 3.0 * x[None, :])
+        assert np.allclose(v.values, 2.0 + 3.0 * x.nodes()[None, :])
         assert np.allclose(sub.field(tgrid, x, 1).values, 0.0)
 
     def test_caputo_sub_field_carries_end_power(self):
         spec = FractionalSpec(CAP, 0.5)
         sub = AdjointSubstitution("Caputo_sub", spec, c1=1.0)
         tgrid = TimeGrid(1.0, 8)
-        x = np.linspace(0.0, 1.0, 5)
+        x = SpaceGrid(0.0, 1.0, 4)
         v = sub.field(tgrid, x)
         t = tgrid.nodes()[:-1]
         assert np.allclose(v.values[:-1, 0], (1.0 - t) ** -0.5)
@@ -239,20 +239,20 @@ class TestAdjointSubstitution:
         alpha = frac + (n - 1.0)
         sub = AdjointSubstitution(regime, FractionalSpec(kind, alpha), *cs)
         tgrid = TimeGrid(T, 8)
-        x = np.linspace(0.0, 1.0, 5)
+        x = SpaceGrid(0.0, 1.0, 4)
         v = sub.field(tgrid, x, order)
         assert all(tm.power > -1.0 and not float(tm.power).is_integer() for tm in v.singular)
         f = self._closed_form(regime, mpmath.mpf(alpha), mpmath.mpf(T), *map(mpmath.mpf, cs))
         with mpmath.workdps(30):
             ref = np.array([[float(mpmath.diff(lambda t: f(t, mpmath.mpf(xj)), mpmath.mpf(ti), order))
-                             for xj in x] for ti in tgrid.nodes()[1:-1]])
+                             for xj in x.nodes()] for ti in tgrid.nodes()[1:-1]])
         err = np.max(np.abs(v.values[1:-1] - ref))
         assert err <= 1e-10 * (1.0 + np.max(np.abs(ref)))
 
 
 class TestAdjointResidual:
     def _grid(self, n=64):
-        return TimeGrid(1.0, n), np.linspace(0.0, 1.0, 33)
+        return TimeGrid(1.0, n), SpaceGrid(0.0, 1.0, 32)
 
     # regime -> (time steps, tolerance) on the stationary k = u^2 solution
     _ADJOINT_CASES = {"RL_sub": (64, 1e-12), "RL_wave": (64, 1e-12),
@@ -276,6 +276,19 @@ class TestAdjointResidual:
         d = Diffusivity.power(2.0)
         tgrid, x = self._grid()
         u = exact_stationary_caputo(d, 0.1, 1.0, tgrid, x)
-        v = TimeSeries(tgrid, np.outer(np.cos(tgrid.nodes()), np.cos(3.0 * x)), x=x)
+        v = TimeSeries(tgrid, np.outer(np.cos(tgrid.nodes()), np.cos(3.0 * x.nodes())), x=x)
         res = adjoint_residual(v, u, d, spec)
         assert np.max(np.abs(res.values[1:-1, 1:-1])) > 1e-2
+
+    @pytest.mark.parametrize("u_space", [SpaceGrid(0.0, 1.0, 16), None], ids=["other", "none"])
+    def test_fields_on_different_space_grids_refused(self, u_space):
+        # v on [0, 2] and u on [0, 1], 17 nodes each: only the shapes were
+        # compared; a 1-D u of 17 rows would broadcast along v's 17 columns
+        spec = FractionalSpec(RL, 0.5)
+        d = Diffusivity.power(2.0)
+        tgrid = TimeGrid(1.0, 16)
+        u = (TimeSeries(tgrid, np.ones(17)) if u_space is None
+             else exact_stationary_caputo(d, 0.1, 1.0, tgrid, u_space))
+        v = AdjointSubstitution("RL_sub", spec, c1=1.0).field(tgrid, SpaceGrid(0.0, 2.0, 16))
+        with pytest.raises(ValueError, match="different space grids"):
+            adjoint_residual(v, u, d, spec)

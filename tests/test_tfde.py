@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fraccons import tfde
-from fraccons.fracops import FractionalSpec, Kind, SingularTerm, TimeGrid
+from fraccons.fracops import FractionalSpec, Kind, SingularTerm, SpaceGrid, TimeGrid
 from fraccons.tfde import (
     Diffusivity,
     DiffusivityFamily,
     SolverError,
-    TFDEProblem,
     exact_linear_separable,
     exact_rl_power_mode,
     exact_rl_separable,
@@ -20,6 +19,12 @@ from fraccons.tfde import (
     solve_nonlinear,
     tfde_residual,
 )
+
+
+def perturbed_profile(d, x):
+    """K^-1(x/2 + 1) (1 + sin(pi x) / 10) on the nodes of x."""
+    xx = x.nodes()
+    return d.K_inv(0.5 * xx + 1.0) * (1.0 + 0.1 * np.sin(np.pi * xx))
 
 
 class TestDiffusivity:
@@ -78,7 +83,7 @@ class TestExactSolutions:
     def test_caputo_linear_mode_satisfies_equation(self):
         spec = FractionalSpec(Kind.CAPUTO, 0.5)
         tgrid = TimeGrid(1.0, 128)
-        x = np.linspace(0.0, np.pi, 65)
+        x = SpaceGrid(0.0, np.pi, 64)
         u = exact_linear_separable(spec, 1.0, tgrid, x)
         res = tfde_residual(u, spec, Diffusivity.constant(1.0))
         # interior residual: spatial truncation O(hx^2) plus the fractional
@@ -87,7 +92,7 @@ class TestExactSolutions:
 
     def test_rl_power_mode_is_annihilated(self):
         tgrid = TimeGrid(1.0, 64)
-        x = np.linspace(0.0, 1.0, 17)
+        x = SpaceGrid(0.0, 1.0, 16)
         u = exact_rl_power_mode(0.5, 0.7, tgrid, x)
         spec = FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5)
         res = tfde_residual(u, spec, Diffusivity.constant(1.0))
@@ -96,7 +101,7 @@ class TestExactSolutions:
     def test_stationary_caputo_satisfies_equation(self):
         d = Diffusivity.power(1.0)
         tgrid = TimeGrid(1.0, 32)
-        x = np.linspace(0.0, 1.0, 257)
+        x = SpaceGrid(0.0, 1.0, 256)
         u = exact_stationary_caputo(d, 0.1, 1.0, tgrid, x)
         spec = FractionalSpec(Kind.CAPUTO, 0.5)
         res = tfde_residual(u, spec, d)
@@ -106,7 +111,7 @@ class TestExactSolutions:
         d = Diffusivity.power(2.0)
         alpha = 0.5
         tgrid = TimeGrid(1.0, 64)
-        x = np.linspace(0.0, 1.0, 129)
+        x = SpaceGrid(0.0, 1.0, 128)
         u = exact_rl_separable(d, alpha, 0.5, 1.0, tgrid, x)
         spec = FractionalSpec(Kind.RIEMANN_LIOUVILLE, alpha)
         res = tfde_residual(u, spec, d)
@@ -114,7 +119,7 @@ class TestExactSolutions:
 
     def test_rl_separable_requires_power_family(self):
         tgrid = TimeGrid(1.0, 8)
-        x = np.linspace(0.0, 1.0, 5)
+        x = SpaceGrid(0.0, 1.0, 4)
         with pytest.raises(ValueError):
             exact_rl_separable(Diffusivity.constant(1.0), 0.5, 0.5, 1.0, tgrid, x)
 
@@ -123,12 +128,12 @@ class TestSolver:
     def test_caputo_linear_converges_to_exact(self):
         spec = FractionalSpec(Kind.CAPUTO, 0.5)
         d = Diffusivity.constant(1.0)
-        prob = TFDEProblem(spec, d, 0.0, np.pi, initial=np.sin)
+        x = SpaceGrid(0.0, np.pi, 64)
         errs = []
         for n in (32, 64):
             tgrid = TimeGrid(1.0, n)
-            u = solve_nonlinear(prob, tgrid, 64)
-            ref = exact_linear_separable(spec, 1.0, tgrid, u.x)
+            u = solve_nonlinear(spec, d, tgrid, x, np.sin(x.nodes()))
+            ref = exact_linear_separable(spec, 1.0, tgrid, x)
             # compare on the later half where the L1 scheme has settled
             errs.append(np.max(np.abs(u.values[n // 2:, :] - ref.values[n // 2:, :])))
         assert errs[1] < errs[0]
@@ -137,11 +142,10 @@ class TestSolver:
     def test_stationary_data_stays_stationary(self):
         d = Diffusivity.power(2.0)
         spec = FractionalSpec(Kind.CAPUTO, 0.5)
-        g = lambda xx: d.K_inv(0.1 * xx + 1.0)
-        prob = TFDEProblem(spec, d, 0.0, 1.0, initial=g)
-        tgrid = TimeGrid(1.0, 32)
-        u = solve_nonlinear(prob, tgrid, 32)
-        ref = np.tile(g(u.x)[None, :], (33, 1))
+        x = SpaceGrid(0.0, 1.0, 32)
+        u0 = d.K_inv(0.1 * x.nodes() + 1.0)
+        u = solve_nonlinear(spec, d, TimeGrid(1.0, 32), x, u0)
+        ref = np.tile(u0[None, :], (33, 1))
         assert np.max(np.abs(u.values - ref)) < 1e-6
 
     @pytest.mark.parametrize("alpha, tol", [(0.5, 1e-5), (1.5, 1e-6)], ids=["sub", "wave"])
@@ -152,11 +156,10 @@ class TestSolver:
         # scheme runs on the time derivative of the regular part.
         d = Diffusivity.power(2.0)
         spec = FractionalSpec(Kind.RIEMANN_LIOUVILLE, alpha)
-        g = lambda xx: d.K_inv(0.5 * xx + 1.0)
-        prob = TFDEProblem(spec, d, 0.0, 1.0, initial=g, initial_velocity=np.zeros_like)
+        x = SpaceGrid(0.0, 1.0, 32)
         tgrid = TimeGrid(1.0, 32)
-        u = solve_nonlinear(prob, tgrid, 32)
-        ref = exact_rl_separable(d, alpha, 0.5, 1.0, tgrid, u.x)
+        u = solve_nonlinear(spec, d, tgrid, x, d.K_inv(0.5 * x.nodes() + 1.0), initial_velocity=0.0)
+        ref = exact_rl_separable(d, alpha, 0.5, 1.0, tgrid, x)
         assert np.max(np.abs(u.values[1:, :] - ref.values[1:, :])) < tol
 
     def test_steps_call_module_banded_solver(self, monkeypatch):
@@ -166,17 +169,16 @@ class TestSolver:
         monkeypatch.setattr(tfde, "solve_banded",
                             lambda *args: calls.append(1) or real(*args))
         spec = FractionalSpec(Kind.CAPUTO, 0.5)
-        prob = TFDEProblem(spec, Diffusivity.constant(1.0), 0.0, np.pi, initial=np.sin)
-        solve_nonlinear(prob, TimeGrid(1.0, 16), 16)
+        x = SpaceGrid(0.0, np.pi, 16)
+        solve_nonlinear(spec, Diffusivity.constant(1.0), TimeGrid(1.0, 16), x, np.sin(x.nodes()))
         assert len(calls) >= 16
 
     def test_newton_path_matches_scipy_banded_solve(self, monkeypatch):
         # the LAPACK solve behind tfde.solve_banded takes the same Newton
         # path as scipy's solve_banded on the same system
         d = Diffusivity.power(2.0)
-        g = lambda xx: d.K_inv(0.5 * xx + 1.0) * (1.0 + 0.1 * np.sin(np.pi * xx))
-        prob = TFDEProblem(FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5), d, 0.0, 1.0,
-                           initial=g)
+        spec = FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5)
+        x = SpaceGrid(0.0, 1.0, 16)
 
         def via_scipy(dl, main, du, b):
             ab = np.zeros((3, main.size))
@@ -187,7 +189,8 @@ class TestSolver:
             calls = []
             monkeypatch.setattr(tfde, "solve_banded",
                                 lambda *args: calls.append(1) or banded(*args))
-            return solve_nonlinear(prob, TimeGrid(1.0, 64), 16).values, len(calls)
+            u = solve_nonlinear(spec, d, TimeGrid(1.0, 64), x, perturbed_profile(d, x))
+            return u.values, len(calls)
 
         lean, n_lean = solve(tfde.solve_banded)
         ref, n_ref = solve(via_scipy)
@@ -197,13 +200,12 @@ class TestSolver:
     def test_wave_regime_runs_and_converges(self):
         spec = FractionalSpec(Kind.CAPUTO, 1.5)
         d = Diffusivity.constant(1.0)
-        prob = TFDEProblem(spec, d, 0.0, np.pi, initial=np.sin,
-                           initial_velocity=np.zeros_like)
+        x = SpaceGrid(0.0, np.pi, 64)
         errs = []
         for n in (32, 64):
             tgrid = TimeGrid(1.0, n)
-            u = solve_nonlinear(prob, tgrid, 64)
-            ref = exact_linear_separable(spec, 1.0, tgrid, u.x)
+            u = solve_nonlinear(spec, d, tgrid, x, np.sin(x.nodes()), initial_velocity=0.0)
+            ref = exact_linear_separable(spec, 1.0, tgrid, x)
             errs.append(np.max(np.abs(u.values - ref.values)))
         assert errs[1] < errs[0]
 
@@ -213,21 +215,27 @@ class TestSolver:
         # no boundary data: the ends of the regular part keep their t = 0
         # values, u0 at each end (Caputo) or 0 under the singular modes (RL)
         d = Diffusivity.power(2.0)
-        g = lambda xx: d.K_inv(0.5 * xx + 1.0) * (1.0 + 0.1 * np.sin(np.pi * xx))
-        prob = TFDEProblem(FractionalSpec(kind, alpha), d, 0.0, 1.0, initial=g,
-                           initial_velocity=np.zeros_like)
-        u = solve_nonlinear(prob, TimeGrid(1.0, 32), 16)
+        x = SpaceGrid(0.0, 1.0, 16)
+        u0 = perturbed_profile(d, x)
+        u = solve_nonlinear(FractionalSpec(kind, alpha), d, TimeGrid(1.0, 32), x, u0,
+                            initial_velocity=0.0)
         if kind is Kind.CAPUTO:
             for end in (0, -1):
-                assert np.array_equal(u.values[:, end], np.full(33, g(u.x)[end]))
+                assert np.array_equal(u.values[:, end], np.full(33, u0[end]))
         else:
             assert np.array_equal(u.regular_part()[:, [0, -1]], np.zeros((33, 2)))
 
     def test_missing_initial_velocity_rejected(self):
         spec = FractionalSpec(Kind.CAPUTO, 1.5)
-        with pytest.raises(ValueError):
-            TFDEProblem(spec, Diffusivity.constant(1.0), 0.0, 1.0,
-                        initial=lambda xx: np.zeros_like(xx))
+        with pytest.raises(ValueError, match="requires initial_velocity data"):
+            solve_nonlinear(spec, Diffusivity.constant(1.0), TimeGrid(1.0, 8),
+                            SpaceGrid(0.0, 1.0, 8), 0.0)
+
+    def test_initial_data_must_fit_the_space_grid(self):
+        spec = FractionalSpec(Kind.CAPUTO, 0.5)
+        with pytest.raises(ValueError, match="broadcast"):
+            solve_nonlinear(spec, Diffusivity.constant(1.0), TimeGrid(1.0, 8),
+                            SpaceGrid(0.0, 1.0, 8), np.ones(8))
 
     def test_solver_error_type(self):
         assert issubclass(SolverError, RuntimeError)
@@ -261,10 +269,9 @@ class TestNewtonJacobian:
             monkeypatch.setattr(tfde, name, lambda *args, _name=name, _real=real:
                                 counts.__setitem__(_name, counts[_name] + 1) or _real(*args))
         d = Diffusivity.power(2.0)
-        g = lambda xx: d.K_inv(0.5 * xx + 1.0) * (1.0 + 0.1 * np.sin(np.pi * xx))
-        prob = TFDEProblem(FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5), d, 0.0, 1.0,
-                           initial=g)
-        solve_nonlinear(prob, TimeGrid(1.0, 64), 16)
+        x = SpaceGrid(0.0, 1.0, 16)
+        solve_nonlinear(FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5), d, TimeGrid(1.0, 64), x,
+                        perturbed_profile(d, x))
         assert counts["solve_banded"] >= 64
         assert counts["_flux_jacobian"] == counts["solve_banded"]
         # each step's accepted residual needs no Jacobian
