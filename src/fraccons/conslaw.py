@@ -40,6 +40,7 @@ __all__ = [
     "formal_lagrangian",
     "catalog_vector",
     "catalog_ids",
+    "endpoint_pole_bytes",
     "correspondence",
     "divergence_residual",
     "flux_balance",
@@ -205,6 +206,7 @@ def _pole_moment(m: int):
         c = gamma(a - m) * f0 + s ** (a - m) * left_integral_endpoint_pole(f, m + 1.0 - a).values
         return c, s ** (a - m - 1.0)
 
+    core.pole_m = m  # read by endpoint_pole_bytes
     return core
 
 
@@ -251,6 +253,14 @@ _CLOSED_FORMS = {
 _READS_VELOCITY = ("Table5_v2", "Table5_v5")
 
 _LINEAR_SYMS = ("X1", "X2", "X3", "Xinf")
+
+
+def endpoint_pole_bytes(vectors, grids) -> int:
+    """Bytes of the dense endpoint-pole weights the closed forms among ``vectors``
+    keep over ``grids``: one (n+1)^2 float64 matrix per grid and order m + 1 - alpha."""
+    orders = {getattr(_CLOSED_FORMS[vid][2], "pole_m", None) for vid in vectors
+              if vid in _CLOSED_FORMS} - {None}
+    return len(orders) * sum((n + 1) ** 2 * 8 for n in grids)
 
 
 def catalog_ids() -> list[str]:

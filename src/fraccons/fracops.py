@@ -47,8 +47,9 @@ __all__ = [
 # entries kept per cached builder; a full selftest builds at most 9 distinct
 # weights per weight builder, a verify call fewer (counts per workload in
 # CHANGES.md). Entries are O(n) vectors (lag weights, a grid's nodes, its
-# power samples t^p or (T-t)^p), except the dense (n+1)^2 matrices of
-# _endpoint_pole_weight_matrix and _j_start_power_matrix
+# power samples t^p or (T-t)^p) or a 16-node Gauss rule per order, except the
+# dense (n+1)^2 matrices of _endpoint_pole_weight_matrix (Gauss quadrature, no
+# 2F1 call) and _j_start_power_matrix (one 2F1 call per entry)
 _CACHE_SIZE = 16
 # the x steps of a CSV field (from_csv) may differ by this much relative to its
 # largest |x|: 16 roundoffs, where np.linspace's differ by about 2
@@ -701,32 +702,56 @@ def j_integral(f: TimeSeries, g: TimeSeries, alpha: float) -> TimeSeries:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=_CACHE_SIZE)
+def _gauss_jacobi01(mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """16-point Gauss rule for int_0^1 x^{mu-1} g(x) dx: nodes and weights, read-only.
+
+    Golub-Welsch (Math. Comp. 23 (1969) 221): the nodes are the eigenvalues of
+    the Jacobi matrix of the monic Jacobi polynomials P^(0, mu-1) mapped to
+    [0, 1], and the weights are the squared first eigenvector components,
+    scaled to sum to int_0^1 x^{mu-1} dx = 1/mu.
+    """
+    b = mu - 1.0
+    k = np.arange(1.0, 16.0)
+    s = 2.0 * k + b
+    diag = np.append(b / (b + 2.0), b * b / (s * (s + 2.0)))
+    off = 2.0 * k * (k + b) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    z, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    w = vecs[0] ** 2
+    return _read_only(0.5 * (z + 1.0)), _read_only(w / (mu * w.sum()))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _endpoint_pole_weight_matrix(grid: TimeGrid, mu: float) -> np.ndarray:
     """Weights V with (I^mu (f/(T-.)))(t_i) = sum_j V[i,j] f_j, exact for piecewise-linear f.
 
-    Kernel (t-tau)^{mu-1} / ((T-tau) Gamma(mu)) integrated exactly per cell via
-      E_k(s) = int_0^s sigma^{mu-1+k}/(c+sigma) dsigma
-             = s^{nu}/(nu (c+s)) 2F1(1, 1; nu+1; s/(s+c)),  nu = mu+k,  c = T-t_i.
+    In units of h, cell p of row i has lag b = i - p and covers
+    t_i - tau = h (b - 1 + x), x in [0, 1], where T - tau = h (r_p + x) with
+    r_p = n - p - 1, and f's hats are x (f_p) and 1 - x (f_{p+1}). So
+      V[i, p] += h^{mu-1}/Gamma(mu) int_0^1 (b-1+x)^{mu-1} x / (r_p + x) dx,
+    and the same with 1 - x for V[i, p+1]. Rows i < n have r_p >= 1, so every
+    pole and branch point lies at x <= -1, and a 16-point Gauss rule sums
+    positive terms to roundoff: Gauss-Jacobi of weight x^{mu-1} at lag 1,
+    Gauss-Legendre from lag 2 on. Each lag fills two subdiagonals in place;
+    row n (kernel pole inside the interval) stays 0.
     """
-    t = grid.nodes()
-    s = t[:, None] - t[None, :]  # s = t_i - t_j at every node pair
-    c = np.broadcast_to((grid.T - t)[:, None], s.shape)
-    # j < i, and no row at t = T (kernel pole inside the interval)
-    pos = (s > 0) & (c > 0)
-    sp, cp = s[pos], c[pos]
-    w = sp / (sp + cp)
-    d = []
-    for nu in (mu, mu + 1.0):
-        E = np.zeros_like(s)
-        E[pos] = sp ** nu / (nu * (cp + sp)) * hyp2f1(1.0, 1.0, nu + 1.0, w)
-        # per cell j: int of sigma^(nu-1)/(c+sigma) over the cell, 0 for j >= i
-        d.append(E[:, :-1] - E[:, 1:])
-    del sp, cp, w, E
-    m1 = (s[:, :-1] * d[0] - d[1]) / grid.h  # weight of the slope term (f_{j+1}-f_j)
-    V = np.zeros_like(s)
-    V[:, :-1] = d[0] - m1
-    V[:, 1:] += m1
-    V *= reciprocal_gamma(mu)
+    n = grid.n_steps
+    N = n + 1
+    V = np.zeros((N, N))
+    flat = V.ravel()
+    r = np.arange(n - 1.0, 0.0, -1.0)[:, None]  # r_p of the cells p = 0..n-2 of rows i < n
+    xl, wl = np.polynomial.legendre.leggauss(16)
+    xl, wl = 0.5 * (xl + 1.0), 0.5 * wl
+    xj, wj = _gauss_jacobi01(mu)
+    over_r_j = 1.0 / (r + xj)
+    over_r_l = 1.0 / (r + xl)
+    for b in range(1, n):
+        x, over_r = (xj, over_r_j) if b == 1 else (xl, over_r_l)
+        lag = wj if b == 1 else wl * (b - 1.0 + xl) ** (mu - 1.0)
+        # cells p = 0..n-b-1, rows i = p + b < n: V[i, p] and V[i, p+1]
+        hats = over_r[:n - b] @ np.stack([lag * x, lag * (1.0 - x)], axis=1)
+        flat[b * N::N + 1][:n - b] += hats[:, 0]
+        flat[b * N + 1::N + 1][:n - b] += hats[:, 1]
+    V *= grid.h ** (mu - 1.0) * reciprocal_gamma(mu)
     return _read_only(V)
 
 

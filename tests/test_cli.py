@@ -83,8 +83,9 @@ class TestParseConfig:
 
     def test_grid_node_limit(self):
         # (2^20 - 1 + 1) * (31 + 1) = 2^25 nodes is the largest field admitted;
-        # only parsed here, never allocated
-        parse_config(base_config(grids=[16, 2 ** 20 - 1], n_x=31))
+        # only parsed here, never allocated. A vector without dense weights:
+        # Table3_v1's would need 8 TiB there (the endpoint-pole budget)
+        parse_config(base_config(grids=[16, 2 ** 20 - 1], n_x=31, vectors=["Trivial_Caputo"]))
         with pytest.raises(ConfigError, match=r"^grids: .* 1048576 time steps .* over the limit"):
             parse_config(base_config(grids=[16, 2 ** 20], n_x=31))
         with pytest.raises(ConfigError, match="^grids: "):
@@ -415,6 +416,9 @@ BAD_CONFIGS = {
     # a grid too large to allocate is refused before the first, small grid is solved
     "grids_1e308": (dict(grids=[16, 1e308]), 2),
     "grids_10_to_12": (dict(grids=[16, 10 ** 12]), 2),
+    # within the node limit at n_x = 8, but about 7 TiB of endpoint-pole weights
+    "pole_weights_over_budget": (dict(alpha=1.5, vectors=["Table5_v1"], grids=[16, 1000000],
+                                      n_x=8), 2),
 }
 
 
@@ -441,6 +445,22 @@ def test_non_positive_horizon_exits_2_before_solving(tmp_path, capsys, monkeypat
     assert rc == 2
     assert capsys.readouterr().err.strip().splitlines() == [
         f"configuration error: T must be positive and finite, got {T!r}"]
+
+
+@pytest.mark.parametrize("vectors, accepted", [
+    (["Table5_v1"], True),
+    (["Table5_v1", "Table5_v4"], True),  # one order m = 2: one matrix per grid
+    (["Table5_v1", "Table5_v2"], False),  # orders m = 2 and 1: 1.5 GiB
+    (["Table5_v3"], True),  # no endpoint-pole integral
+])
+def test_endpoint_pole_budget_counts_one_matrix_per_order(vectors, accepted):
+    cfg = base_config(alpha=1.5, vectors=vectors, grids=[16, 10000], n_x=8)
+    if accepted:
+        parse_config(cfg)
+        return
+    with pytest.raises(ConfigError, match=r"^grids: the endpoint-pole weights .* 1\.5 GiB, "
+                                          r"over the budget of 1 GiB$"):
+        parse_config(cfg)
 
 
 _NUMPY_OUT_OF_MEMORY = "Unable to allocate 7.28 TiB for an array with shape (1000001, 1000001)"
@@ -478,18 +498,20 @@ def _holder(cfg, dotted):
 
 
 def _bench_verify_configs():
-    """Variant 0 of each bench verify workload on grids 16/32 and n_x = 8, by name."""
+    """Variant 0 of each bench verify workload, by name."""
     configs = {}
     for path in sorted((Path(__file__).resolve().parents[1] / "bench" / "workloads").glob("verify_*.json")):
         spec = json.loads(path.read_text(encoding="utf-8"))
         for dotted, value in spec["variants"][0].items():
             node, last = _holder(spec["config"], dotted)
             node[last] = value
-        configs[path.stem] = dict(spec["config"], grids=[16, 32], n_x=8)
+        configs[path.stem] = spec["config"]
     return configs
 
 
-_FUZZ_CONFIGS = _bench_verify_configs()
+# on grids 16/32 and n_x = 8
+_FUZZ_CONFIGS = {name: dict(cfg, grids=[16, 32], n_x=8)
+                 for name, cfg in _bench_verify_configs().items()}
 _DELETE = object()
 # one key's new value: deleted, null, bools, 0, +-1, huge and non-finite
 # numbers, strings, lists, mappings and an integer beyond float64
@@ -744,6 +766,23 @@ def test_cli_import_leaves_scipy_special_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [["selftest", "--only", "12"],
+                                  ["verify", "--config", "verify_tables.json"]],
+                         ids=["selftest_12", "verify_tables"])
+def test_cli_call_without_2f1_leaves_scipy_special_unloaded(tmp_path, argv):
+    # the endpoint-pole weights of Tables 3 and 5 take no 2F1 call, so
+    # criterion 12 and the bench's verify_tables call never load scipy.special
+    (tmp_path / "verify_tables.json").write_text(
+        json.dumps(_bench_verify_configs()["verify_tables"]), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(fraccons.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, fraccons.cli; rc = fraccons.cli.main(sys.argv[1:]); "
+            "print(rc, 'scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip().splitlines()[-1] == "0 False"
 
 
 def test_package_exports_match_module_all():

@@ -32,6 +32,7 @@ from fraccons.fracops import (
     rl_right_derivative,
     time_derivative,
 )
+from fraccons.specialfn import hyp2f1
 from fraccons.tfde import exact_linear_separable
 
 G = math.gamma
@@ -703,6 +704,28 @@ def _term(grid, power, anchor):
     return TimeSeries.from_parts(grid, np.zeros(grid.n_steps + 1), (SingularTerm(1.0, power, anchor),))
 
 
+def _mp_pole_weight(grid, mu, i, j):
+    """V[i, j] of the endpoint-pole weights at 40 digits: the hat of node j against
+    (t_i - tau)^(mu-1) / ((T - tau) Gamma(mu)) on each cell, from
+    E_k(s) = int_0^s sigma^(mu-1+k) / (c + sigma) dsigma
+           = s^nu / (nu (c + s)) 2F1(1, 1; nu + 1; s / (s + c)), nu = mu + k, c = T - t_i."""
+    with mpmath.workdps(40):
+        h = mpmath.mpf(grid.T) / grid.n_steps
+        c, mu = (grid.n_steps - i) * h, mpmath.mpf(mu)
+
+        def E(s, nu):
+            return s ** nu / (nu * (c + s)) * mpmath.hyp2f1(1, 1, nu + 1, s / (s + c)) if s else 0
+
+        total = 0
+        for p in (j - 1, j):  # the cells [t_p, t_p+1] next to node j, below t_i
+            if 0 <= p < i:
+                hi, lo = (i - p) * h, (i - p - 1) * h
+                d0, d1 = E(hi, mu) - E(lo, mu), E(hi, mu + 1) - E(lo, mu + 1)
+                slope = (hi * d0 - d1) / h  # the weight of f_{p+1} - f_p
+                total += d0 - slope if p == j else slope
+        return float(total / mpmath.gamma(mu))
+
+
 TERM_CASES = [("start", -0.5), ("start", 0.5), ("start", 2.0), ("end", -0.5), ("end", 0.3)]
 
 
@@ -719,9 +742,10 @@ class TestEndpointWeightedIntegrals:
             assert out[j] == pytest.approx(ref, abs=1e-5)
 
     @pytest.mark.parametrize("n, mu", [(16, 0.5), (33, 1.5)])
-    def test_endpoint_pole_weights_equal_row_loop(self, n, mu):
-        # the per-row cell loop the weights were once built by: the same
-        # arithmetic per entry, so the whole-matrix form must equal it exactly
+    def test_endpoint_pole_weights_match_2f1_row_loop(self, n, mu):
+        # the per-row cell loop of the 2F1 closed form the weights were once
+        # built by: a second oracle, whose differences of E lose digits to
+        # cancellation, so it agrees to a tolerance, not bitwise
         grid = TimeGrid(1.0, n)
         t = grid.nodes()
         ref = np.zeros((n + 1, n + 1))
@@ -729,14 +753,31 @@ class TestEndpointWeightedIntegrals:
             s, c = t[i] - t[:i], 1.0 - t[i]
             d = []
             for nu in (mu, mu + 1.0):
-                e = np.append(s ** nu / (nu * (c + s)) * fracops.hyp2f1(1.0, 1.0, nu + 1.0,
-                                                                        s / (s + c)), 0.0)
+                e = np.append(s ** nu / (nu * (c + s)) * hyp2f1(1.0, 1.0, nu + 1.0, s / (s + c)),
+                              0.0)
                 d.append(e[:-1] - e[1:])
             m1 = (s * d[0] - d[1]) / grid.h
             ref[i, :i] += d[0] - m1
             ref[i, 1:i + 1] += m1
-        ref *= fracops.reciprocal_gamma(mu)
-        assert np.array_equal(fracops._endpoint_pole_weight_matrix(grid, mu), ref)
+        ref /= G(mu)
+        V = fracops._endpoint_pole_weight_matrix(grid, mu)
+        assert np.max(np.abs(V - ref)) <= 1e-11 * np.max(np.abs(V))
+
+    @pytest.mark.parametrize("T", [1.0, 2.0])
+    @pytest.mark.parametrize("mu", [0.05, 0.3, 0.5, 1.5, 1.7, 1.95])
+    def test_endpoint_pole_weights_against_mpmath(self, mu, T):
+        # the last row's far lags, where the 2F1 differences cancelled most,
+        # the lag-1 diagonal, its neighbour and an early entry, each against
+        # the 2F1 closed form at 40 digits
+        n = 256
+        grid = TimeGrid(T, n)
+        V = fracops._endpoint_pole_weight_matrix(grid, mu)
+        entries = [(n - 1, j) for j in (0, 1, 2, 8)]
+        entries += [(i, i) for i in (1, 128, n - 1)] + [(i, i - 1) for i in (1, 128, n - 1)]
+        entries += [(3, 0)]
+        for i, j in entries:
+            assert V[i, j] == pytest.approx(_mp_pole_weight(grid, mu, i, j), rel=1e-13, abs=0.0)
+        assert not np.any(V[n])
 
     def test_left_integral_endpoint_pole_excludes_final_node(self):
         grid = TimeGrid(1.0, 64)
@@ -1171,14 +1212,16 @@ class TestCausalConv:
 
 
 class TestMemory:
-    """The regular-data paths keep O(n) weights: no (n+1)^2 array is formed."""
+    """The regular-data paths keep O(n) weights: no (n+1)^2 array is formed.
+    The endpoint-pole weights are dense, and the matrix is their peak."""
 
     LIMIT = 16 * 2 ** 20  # a dense W at n = 8192 would be 537 MB
 
     @staticmethod
     def peak_bytes(fn):
         for cached in (fracops._pl_weights, fracops._j_lag_kernels, fracops._nodes,
-                       fracops._power_samples):
+                       fracops._power_samples, fracops._endpoint_pole_weight_matrix,
+                       fracops._gauss_jacobi01):
             cached.cache_clear()
         tracemalloc.start()
         try:
@@ -1197,3 +1240,10 @@ class TestMemory:
         rng = np.random.default_rng(1)
         f, g = (TimeSeries(TimeGrid(1.0, n), rng.standard_normal((n + 1, 4))) for _ in range(2))
         assert self.peak_bytes(lambda: j_integral(f, g, 0.5)) < self.LIMIT
+
+    def test_endpoint_pole_weights_peak_at_the_matrix(self):
+        # the dense weights are filled one lag at a time, in place: the
+        # matrix itself is the peak, where the 2F1 form held several of its size
+        n = 2048
+        build = lambda: fracops._endpoint_pole_weight_matrix(TimeGrid(1.0, n), 0.5)
+        assert self.peak_bytes(build) < 1.25 * (n + 1) ** 2 * 8

@@ -97,8 +97,8 @@ def _frac_beta(alpha):
     return math.ceil(alpha) - alpha
 
 
-# (a, b; c) of every 2F1 call site, and of the Phi weights' closed form, as
-# functions of an order alpha
+# (a, b; c) of every 2F1 call site, of the Phi weights' closed form and of the
+# endpoint-pole weights' closed form, as functions of an order alpha
 CALL_SITE_FAMILIES = {
     # fracops._power_integral on an end term of I^mu: (-p, 1; mu+1), end powers p
     "end_power_p-0.5": lambda al: (0.5, 1.0, al + 1.0),
@@ -106,7 +106,9 @@ CALL_SITE_FAMILIES = {
     "end_power_p1": lambda al: (-1.0, 1.0, al + 1.0),
     # fracops._incomplete_beta_vec in J: (p+1, 1-beta; p+2), here p = alpha - 1
     "incomplete_beta": lambda al: (al, 1.0 - _frac_beta(al), al + 1.0),
-    # fracops._endpoint_pole_weight_matrix: (1, 1; nu+1), nu = mu + k, k = 0, 1
+    # the closed form E_k of the endpoint-pole cell integrals: (1, 1; nu+1),
+    # nu = mu + k, k = 0, 1. No longer a call site (fracops sums the cells by
+    # Gauss quadrature); the tests of the weights use it as their oracle
     "endpoint_pole_k0": lambda al: (1.0, 1.0, al + 1.0),
     "endpoint_pole_k1": lambda al: (1.0, 1.0, al + 2.0),
     # the Phi weight of order b, w^b 2F1(b, b; b+1; w) / (b Gamma(1-b)), b = alpha
