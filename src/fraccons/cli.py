@@ -4,9 +4,9 @@ Exit codes, each failure with a one-line message on stderr:
   0 success;
   2 configuration/validation error, found before any solve: a non-finite
     number, a grid or n_x with a fraction, a largest grid whose field has
-    more than 2^25 nodes (n + 1) * (n_x + 1), grids whose dense
-    endpoint-pole weights (Tables 3 and 5) would exceed the 1 GiB budget
-    _POLE_WEIGHT_BUDGET, an unknown key in a config
+    more than 2^25 nodes (n + 1) * (n_x + 1), grids whose dense weights
+    (endpoint-pole and J start-power) would exceed the 1 GiB budget
+    _DENSE_WEIGHT_BUDGET, an unknown key in a config
     mapping, a vector listed twice, a vector or substitution that does not
     fit the equation, a source that does not solve it (of another kind or
     diffusivity), a
@@ -19,7 +19,7 @@ Exit codes, each failure with a one-line message on stderr:
     solution at large lam^2 t^alpha), or a float64 overflow in the
     numerics (a horizon T near 1e308), or an array too large for the
     memory (MemoryError; the dense kernels grow as the square of the grid,
-    and only the endpoint-pole weights are checked against a budget);
+    and the dense weights are checked against a budget before any solve);
   4 conservation-check (or selftest) failure: a convergence ratio below
     the threshold (the line names the worst vector, its n_steps and
     ratio, and the threshold, and a fixed n_x), or a non-finite residual
@@ -58,7 +58,7 @@ from .conslaw import (
     catalog_vector,
     correspondence,
     divergence_residual,
-    endpoint_pole_bytes,
+    dense_weight_bytes,
     flux_balance,
 )
 
@@ -88,9 +88,9 @@ _DEFAULTS = {"grids": (64, 128, 256), "n_x": None, "substitution": None,
 # the most nodes (n + 1) * (n_x + 1) a field may have: 256 MiB of float64,
 # and a solve or verify holds several fields of that size at once
 _MAX_NODES = 2 ** 25
-# the most bytes the dense endpoint-pole weights of Tables 3 and 5 may take
-# over the grids of a verify: 1 GiB, a largest grid near 10^4 steps
-_POLE_WEIGHT_BUDGET = 2 ** 30
+# the most bytes the dense endpoint-pole and J weights may take over the grids
+# of a verify: 1 GiB, a largest grid near 10^4 steps
+_DENSE_WEIGHT_BUDGET = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -206,11 +206,12 @@ def parse_config(data: dict) -> ScenarioConfig:
                       for vid in vectors}
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    pole_bytes = endpoint_pole_bytes(vectors, grids)
-    if pole_bytes > _POLE_WEIGHT_BUDGET:
-        raise ConfigError(f"grids: the endpoint-pole weights of Tables 3 and 5 on grids up to "
-                          f"{grids[-1]} steps need {pole_bytes / 2 ** 30:.1f} GiB, over the "
-                          f"budget of {_POLE_WEIGHT_BUDGET / 2 ** 30:g} GiB")
+    # the Caputo exact_linear field carries the terms t^(k alpha), k = 1..3
+    dense = dense_weight_bytes(vectors, grids, substitution, 3 if sid == "exact_linear" else 0)
+    if dense > _DENSE_WEIGHT_BUDGET:
+        raise ConfigError(f"grids: the endpoint-pole weights and J's start-power weights on "
+                          f"grids up to {grids[-1]} steps need {dense / 2 ** 30:.1f} GiB, over "
+                          f"the budget of {_DENSE_WEIGHT_BUDGET / 2 ** 30:g} GiB")
     # no key is ignored
     for where, keys, allowed in (
             (f"diffusivity keys for {family.value}", diffusivity,

@@ -20,6 +20,8 @@ from .specialfn import gamma
 from .fracops import (
     Kind,
     FractionalSpec,
+    SpaceGrid,
+    TimeGrid,
     TimeSeries,
     _require_same_grid,
     diff1,
@@ -40,7 +42,7 @@ __all__ = [
     "formal_lagrangian",
     "catalog_vector",
     "catalog_ids",
-    "endpoint_pole_bytes",
+    "dense_weight_bytes",
     "correspondence",
     "divergence_residual",
     "flux_balance",
@@ -206,7 +208,7 @@ def _pole_moment(m: int):
         c = gamma(a - m) * f0 + s ** (a - m) * left_integral_endpoint_pole(f, m + 1.0 - a).values
         return c, s ** (a - m - 1.0)
 
-    core.pole_m = m  # read by endpoint_pole_bytes
+    core.pole_m = m  # read by dense_weight_bytes
     return core
 
 
@@ -255,12 +257,20 @@ _READS_VELOCITY = ("Table5_v2", "Table5_v5")
 _LINEAR_SYMS = ("X1", "X2", "X3", "Xinf")
 
 
-def endpoint_pole_bytes(vectors, grids) -> int:
-    """Bytes of the dense endpoint-pole weights the closed forms among ``vectors``
-    keep over ``grids``: one (n+1)^2 float64 matrix per grid and order m + 1 - alpha."""
+def dense_weight_bytes(vectors, grids, substitution, start_terms: int) -> int:
+    """Bytes of the dense (n+1)^2 float64 weights that ``vectors`` keep over ``grids``:
+    per grid, one matrix per endpoint-pole order m + 1 - alpha of the closed forms and,
+    if a vector reaches J (Table5_v3/v6 with v = (T-t)^(alpha-1), or a Caputo Noether
+    or Linear_* id with ``substitution``; the RL kind's J has D_t^n v = 0), one per
+    end term of v and per power term of D_t^n u (``start_terms``, the source's)."""
     orders = {getattr(_CLOSED_FORMS[vid][2], "pole_m", None) for vid in vectors
               if vid in _CLOSED_FORMS} - {None}
-    return len(orders) * sum((n + 1) ** 2 * 8 for n in grids)
+    ends = int(bool({"Table5_v3", "Table5_v6"} & set(vectors)))
+    if (substitution is not None and substitution.spec.kind is Kind.CAPUTO
+            and any(vid.startswith(("Noether:", "Linear_")) for vid in vectors)):
+        ends += len(substitution.field(TimeGrid(1.0, 2), SpaceGrid(0.0, 1.0, 1)).singular)
+    matrices = len(orders) + (ends + start_terms if ends else 0)
+    return matrices * sum((n + 1) ** 2 * 8 for n in grids)
 
 
 def catalog_ids() -> list[str]:

@@ -49,10 +49,10 @@ __all__ = [
 # CHANGES.md). Entries are O(n) vectors (lag weights, a grid's nodes, its
 # power samples t^p or (T-t)^p) or a 16-node Gauss rule per order, except the
 # dense (n+1)^2 matrices of _endpoint_pole_weight_matrix (Gauss quadrature, no
-# 2F1 call) and _j_start_power_matrix (one 2F1 call per entry)
+# 2F1 call) and _j_start_power_matrix (one _power_integral 2F1 value per entry)
 _CACHE_SIZE = 16
-# the x steps of a CSV field (from_csv) may differ by this much relative to its
-# largest |x|: 16 roundoffs, where np.linspace's differ by about 2
+# the t and x steps of a CSV field (from_csv) may differ by this much relative to
+# the largest |t| or |x|: 16 roundoffs, where np.linspace's differ by about 2
 _X_RTOL = 16 * float(np.finfo(float).eps)
 
 
@@ -260,18 +260,13 @@ class TimeSeries:
 
     @classmethod
     def from_csv(cls, path: str) -> "TimeSeries":
-        """The field of a CSV written by ``to_csv``; its x nodes must be finite and
-        increasing with steps equal up to roundoff, or ValueError is raised."""
+        """The field of a CSV written by ``to_csv``; ValueError unless its t nodes start
+        at 0 and its t and x nodes are uniform, as ``_uniform_axis`` checks."""
         raw = np.genfromtxt(path, delimiter=",")  # the header's "t\\x" cell reads as nan
-        grid = TimeGrid(T=float(raw[-1, 0]), n_steps=raw.shape[0] - 2)
-        x = raw[0, 1:]
-        if x.size < 2 or not np.isfinite(x).all():
-            raise ValueError("x must be a 1-D array with at least two nodes, all finite")
-        steps, hx = x[1:] - x[:-1], (x[-1] - x[0]) / (x.size - 1)
-        off = max(steps.max() - hx, hx - steps.min())
-        if not off < min(hx, _X_RTOL * max(abs(x[0]), abs(x[-1]))):
-            raise ValueError("x must be increasing with equal steps")
-        return cls(grid, raw[1:, 1:], x=SpaceGrid(float(x[0]), float(x[-1]), x.size - 1))
+        t0, T, n_steps = _uniform_axis("t", raw[1:, 0])
+        if t0 != 0.0:
+            raise ValueError(f"t must start at 0, got {t0!r}")
+        return cls(TimeGrid(T, n_steps), raw[1:, 1:], x=SpaceGrid(*_uniform_axis("x", raw[0, 1:])))
 
     def _memoized(self, key, build):
         """``build()``, computed on the first request for ``key`` and kept."""
@@ -326,13 +321,25 @@ class TimeSeries:
                    delimiter=",", header=header, comments="")
 
 
-def _require_same_grid(a: TimeSeries, b: TimeSeries, one_d_broadcasts: bool = False) -> None:
-    """ValueError unless a and b share the time grid and the space grid; with
-    ``one_d_broadcasts`` a factor without x passes against any space grid."""
+def _uniform_axis(name: str, nodes: np.ndarray) -> tuple[float, float, int]:
+    """(first node, last node, steps) of a CSV axis; ValueError, naming ``name``, unless its
+    nodes are two or more, finite and increasing, with steps equal up to _X_RTOL."""
+    if nodes.size < 2 or not np.isfinite(nodes).all():
+        raise ValueError(f"{name} must be a 1-D array with at least two nodes, all finite")
+    steps, h = nodes[1:] - nodes[:-1], (nodes[-1] - nodes[0]) / (nodes.size - 1)
+    off = max(steps.max() - h, h - steps.min())
+    if not off < min(h, _X_RTOL * max(abs(nodes[0]), abs(nodes[-1]))):
+        raise ValueError(f"{name} must be increasing with equal steps")
+    return float(nodes[0]), float(nodes[-1]), nodes.size - 1
+
+
+def _require_same_grid(a: TimeSeries, b: TimeSeries) -> None:
+    """ValueError unless a and b share the time grid, the space grid and the shape."""
     if a.grid != b.grid:
         raise ValueError("time series are defined on different grids")
-    if a.x != b.x and not (one_d_broadcasts and None in (a.x, b.x)):
-        raise ValueError(f"fields are defined on different space grids: {a.x} and {b.x}")
+    if a.x != b.x or a.values.shape != b.values.shape:
+        raise ValueError(f"fields are defined on different space grids: {a.x} and {b.x}, "
+                         f"values of shapes {a.values.shape} and {b.values.shape}")
 
 
 def _read_only(mat: np.ndarray) -> np.ndarray:
@@ -401,21 +408,41 @@ def _pl_weights(n_steps: int, mu: float, h: float) -> tuple[np.ndarray, np.ndarr
     return _read_only(L * scale), _read_only(c * scale)
 
 
-def _power_integral(coeff, q: float, p: float, mu: float, grid: TimeGrid) -> np.ndarray:
-    """Exact samples of I^mu [coeff t^q (T-t)^p], where I^mu for mu < 0 is D^-mu.
+def _power_integral(coeff, q: float, p: float, mu: float, t: np.ndarray, T) -> np.ndarray:
+    """Exact samples of I^mu [coeff t^q (T-t)^p] at the times t, where I^mu for mu < 0
+    is D^-mu; T is one horizon, or an array of one horizon per time.
 
     The binomial series of (T-t)^p, integrated term by term:
       coeff t^(q+mu) T^p Gamma(q+1)/Gamma(q+1+mu) 2F1(-p, q+1; q+1+mu; t/T).
     Where it is infinite (t = 0 when q + mu < 0, t = T when mu + p <= 0) the
     sample is 0, like the anchor value of a term.
     """
-    t, T = grid.nodes(), grid.T
+    T = np.broadcast_to(T, t.shape)
     keep = ((t > 0.0) | (q + mu >= 0.0)) & ((t < T) | (mu + p > 0.0))
     col = np.zeros_like(t)
-    tk = t[keep]
-    col[keep] = (tk ** (q + mu) * T ** p * gamma(q + 1.0) * reciprocal_gamma(q + 1.0 + mu)
-                 * hyp2f1(-p, q + 1.0, q + 1.0 + mu, tk / T))
+    tk, Tk = t[keep], T[keep]
+    col[keep] = (tk ** (q + mu) * Tk ** p * gamma(q + 1.0) * reciprocal_gamma(q + 1.0 + mu)
+                 * hyp2f1(-p, q + 1.0, q + 1.0 + mu, tk / Tk))
     return np.multiply.outer(col, coeff)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _gauss_jacobi01(mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """16-point Gauss rule for int_0^1 x^{mu-1} g(x) dx: nodes and weights, read-only.
+
+    Golub-Welsch (Math. Comp. 23 (1969) 221): the nodes are the eigenvalues of
+    the Jacobi matrix of the monic Jacobi polynomials P^(0, mu-1) mapped to
+    [0, 1], and the weights are the squared first eigenvector components,
+    scaled to sum to int_0^1 x^{mu-1} dx = 1/mu. mu = 1 is Gauss-Legendre.
+    """
+    b = mu - 1.0
+    k = np.arange(1.0, 16.0)
+    s = 2.0 * k + b
+    diag = np.append(b / (b + 2.0), b * b / (s * (s + 2.0)))
+    off = 2.0 * k * (k + b) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    z, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    w = vecs[0] ** 2
+    return _read_only(0.5 * (z + 1.0)), _read_only(w / (mu * w.sum()))
 
 
 def _reverse(f: TimeSeries) -> TimeSeries:
@@ -447,7 +474,7 @@ def _left_frac_integral(f: TimeSeries, mu: float) -> TimeSeries:
             c2 = term.coeff * gamma(p + 1.0) * reciprocal_gamma(p + mu + 1.0)
             out_terms.append(SingularTerm(c2, p + mu, "start"))
         else:
-            vals += _power_integral(term.coeff, 0.0, p, mu, grid)
+            vals += _power_integral(term.coeff, 0.0, p, mu, grid.nodes(), grid.T)
     return TimeSeries.from_parts(grid, vals, out_terms, f.x)
 
 
@@ -573,9 +600,8 @@ def _j_lag_kernels(n_steps: int, beta: float) -> np.ndarray:
     i10 = (2.0 * e + 1.0) / ((beta + 1.0) * (beta + 2.0))
     i11 = (2.0 * e + 1.0) / (beta + 1.0) - 2.0 * e / (3.0 * beta) - (4.0 * e + 3.0) / (3.0 * (beta + 3.0))
     kappa[:, :, 1] = [[i10 - i11, i11], [i00 - 2.0 * i10 + i11, i10 - i11]]
-    x, w = np.polynomial.legendre.leggauss(16)
-    s = 0.5 * (x + 1.0)
-    hat = 0.5 * w * np.stack([1.0 - s, s])  # weighted phi_a at the nodes
+    s, w = _gauss_jacobi01(1.0)
+    hat = w * np.stack([1.0 - s, s])  # weighted phi_a at the nodes
     d = np.arange(2, n_steps, dtype=float)
     for s_i, hat_i in zip(s, hat.T):
         over_r = ((d[:, None] + s - s_i) ** (beta - 1.0)) @ hat.T
@@ -589,7 +615,7 @@ def _j_piecewise_linear(fv: np.ndarray, gv: np.ndarray, grid: TimeGrid, beta: fl
     Passing cell i, J gains the pairs of tau-cell i with later mu-cells and
     loses those of mu-cell i with earlier tau-cells. Both sums are lag
     convolutions with kappa, the gained one along reversed g. fv and gv
-    have the same number of dimensions.
+    have the same shape.
     """
     kappa = _j_lag_kernels(grid.n_steps, beta)
     f_ends = (fv[:-1], fv[1:])  # f_{p+a} for cells p = 0..n-1
@@ -600,29 +626,19 @@ def _j_piecewise_linear(fv: np.ndarray, gv: np.ndarray, grid: TimeGrid, beta: fl
             gained = _causal_conv(kappa[a, b], g_ends[b][::-1])[::-1]
             lost = _causal_conv(kappa[a, b], f_ends[a])
             step = step + f_ends[a] * gained - g_ends[b] * lost
-    out = np.zeros(np.broadcast_shapes(fv.shape, gv.shape))
+    out = np.zeros_like(fv)
     out[1:] = np.cumsum(step, axis=0)
     return out * (grid.h ** (beta + 1.0) / gamma(beta))
 
 
-def _incomplete_beta_vec(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    """B(x; a, b) = x^a/a * 2F1(a, 1-b; a+1; x) for x in [0, 1]."""
-    x = np.asarray(x, dtype=float)
-    return x ** a / a * hyp2f1(a, 1.0 - b, a + 1.0, x)
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def _j_start_power_matrix(grid: TimeGrid, p: float, beta: float) -> np.ndarray:
-    """P[i,q] = int_0^{t_i} tau^p (t_q - tau)^{beta-1} dtau for q >= i >= 1."""
+    """P[i,q] = int_0^{t_i} tau^p (t_q - tau)^{beta-1} dtau for q >= i >= 1: the
+    power-term closed form I^1 [tau^p (T - tau)^{beta-1}] at t_i with T = t_q."""
     t = grid.nodes()
-    n = grid.n_steps
-    P = np.zeros((n + 1, n + 1))
-    ii, qq = np.triu_indices(n + 1)
-    keep = ii >= 1
-    ii, qq = ii[keep], qq[keep]
-    x = t[ii] / t[qq]
-    vals = t[qq] ** (p + beta) * _incomplete_beta_vec(x, p + 1.0, beta)
-    P[ii, qq] = vals
+    P = np.zeros((grid.n_steps + 1,) * 2)
+    i, q = np.triu_indices(grid.n_steps)  # 0 <= i <= q < n: the entries (i + 1, q + 1)
+    P[1:, 1:][i, q] = _power_integral(1.0, p, beta - 1.0, 1.0, t[i + 1], t[q + 1])
     return _read_only(P)
 
 
@@ -657,29 +673,23 @@ def _power_weighted_head(Q: np.ndarray, p: float, grid: TimeGrid) -> np.ndarray:
 def j_integral(f: TimeSeries, g: TimeSeries, alpha: float) -> TimeSeries:
     """J(f,g)(t_i) = (1/Gamma(n-a)) int_0^{t_i} int_{t_i}^T f(tau) g(mu) (mu-tau)^{n-a-1} dmu dtau.
 
-    The result is on f's space nodes, or on g's when f has none.
+    ValueError for fields on different time or space grids.
     """
-    _require_same_grid(f, g, one_d_broadcasts=True)
-    n = _order_and_n(alpha)
-    beta = n - alpha
-    grid = f.grid
-    h = grid.h
+    _require_same_grid(f, g)
+    beta = _order_and_n(alpha) - alpha
+    grid, h = f.grid, f.grid.h
     f_start = [tm for tm in f.singular if tm.anchor == "start"]
     g_end = [tm for tm in g.singular if tm.anchor == "end"]
     # f is integrated over [0, t] and g over [t, T], so f's end terms and g's
     # start terms are smooth there and are sampled with the regular parts
     f_lin = f.regular_part() + sum(tm.sample(grid) for tm in f.singular if tm.anchor == "end")
     g_lin = g.regular_part() + sum(tm.sample(grid) for tm in g.singular if tm.anchor == "start")
-    # a 1-D factor broadcasts along the other's space axis
-    ndim = max(f_lin.ndim, g_lin.ndim)
-    f_lin, g_lin = (v.reshape(v.shape + (1,) * (ndim - v.ndim)) for v in (f_lin, g_lin))
     # J is bilinear: skip all of it, the dense singular-term weights too,
     # when either factor is zero (v_tt of the polynomial substitutions, for
     # example), and its piecewise-linear part when either regular part is
-    x = f.x if f.x is not None else g.x
-    out = np.zeros(np.broadcast_shapes(f_lin.shape, g_lin.shape))
+    out = np.zeros_like(f_lin)
     if not (f_start or np.any(f_lin)) or not (g_end or np.any(g_lin)):
-        return TimeSeries(grid, out, x=x)
+        return TimeSeries(grid, out, x=f.x)
     inv_gb = reciprocal_gamma(beta)
     if np.any(f_lin) and np.any(g_lin):
         out = _j_piecewise_linear(f_lin, g_lin, grid, beta)
@@ -694,31 +704,12 @@ def j_integral(f: TimeSeries, g: TimeSeries, alpha: float) -> TimeSeries:
         for t2 in f_start:
             head = _power_weighted_head(P[::-1, ::-1], t2.power, grid)
             out += np.multiply.outer(head, term.coeff * t2.coeff * inv_gb)
-    return TimeSeries(grid, out, x=x)
+    return TimeSeries(grid, out, x=f.x)
 
 
 # ---------------------------------------------------------------------------
 # the endpoint-pole integral
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _gauss_jacobi01(mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """16-point Gauss rule for int_0^1 x^{mu-1} g(x) dx: nodes and weights, read-only.
-
-    Golub-Welsch (Math. Comp. 23 (1969) 221): the nodes are the eigenvalues of
-    the Jacobi matrix of the monic Jacobi polynomials P^(0, mu-1) mapped to
-    [0, 1], and the weights are the squared first eigenvector components,
-    scaled to sum to int_0^1 x^{mu-1} dx = 1/mu.
-    """
-    b = mu - 1.0
-    k = np.arange(1.0, 16.0)
-    s = 2.0 * k + b
-    diag = np.append(b / (b + 2.0), b * b / (s * (s + 2.0)))
-    off = 2.0 * k * (k + b) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
-    z, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    w = vecs[0] ** 2
-    return _read_only(0.5 * (z + 1.0)), _read_only(w / (mu * w.sum()))
-
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _endpoint_pole_weight_matrix(grid: TimeGrid, mu: float) -> np.ndarray:
@@ -739,11 +730,8 @@ def _endpoint_pole_weight_matrix(grid: TimeGrid, mu: float) -> np.ndarray:
     V = np.zeros((N, N))
     flat = V.ravel()
     r = np.arange(n - 1.0, 0.0, -1.0)[:, None]  # r_p of the cells p = 0..n-2 of rows i < n
-    xl, wl = np.polynomial.legendre.leggauss(16)
-    xl, wl = 0.5 * (xl + 1.0), 0.5 * wl
-    xj, wj = _gauss_jacobi01(mu)
-    over_r_j = 1.0 / (r + xj)
-    over_r_l = 1.0 / (r + xl)
+    (xl, wl), (xj, wj) = _gauss_jacobi01(1.0), _gauss_jacobi01(mu)
+    over_r_j, over_r_l = 1.0 / (r + xj), 1.0 / (r + xl)
     for b in range(1, n):
         x, over_r = (xj, over_r_j) if b == 1 else (xl, over_r_l)
         lag = wj if b == 1 else wl * (b - 1.0 + xl) ** (mu - 1.0)
@@ -768,6 +756,6 @@ def left_integral_endpoint_pole(f: TimeSeries, mu: float) -> TimeSeries:
     vals = _endpoint_pole_weight_matrix(grid, mu) @ f.regular_part()
     for term in f.singular:
         q, p = (term.power, -1.0) if term.anchor == "start" else (0.0, term.power - 1.0)
-        vals += _power_integral(term.coeff, q, p, mu, grid)
+        vals += _power_integral(term.coeff, q, p, mu, grid.nodes(), grid.T)
     vals[-1] = 0.0
     return TimeSeries(grid, vals, x=f.x)

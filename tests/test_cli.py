@@ -362,6 +362,10 @@ class TestVerifyCommand:
 _RL_WAVE_LINEAR = dict(kind="rl", alpha=1.5, x_hi=np.pi,
                        diffusivity={"family": "constant", "k0": 1.0},
                        source={"id": "exact_linear", "params": {"lam": 1.0}}, n_x=16)
+_CAPUTO_SUB_LINEAR = dict(kind="caputo", alpha=0.5, x_hi=np.pi,
+                          diffusivity={"family": "constant", "k0": 1.0},
+                          source={"id": "exact_linear", "params": {"lam": 1.0}},
+                          substitution={"regime": "Caputo_sub", "c2": 1.0}, n_x=8)
 BAD_CONFIGS = {
     "vectors_not_a_list": (dict(vectors=5), 2),
     "vector_id_not_a_string": (dict(vectors=[["Table3_v1"]]), 2),
@@ -419,6 +423,9 @@ BAD_CONFIGS = {
     # within the node limit at n_x = 8, but about 7 TiB of endpoint-pole weights
     "pole_weights_over_budget": (dict(alpha=1.5, vectors=["Table5_v1"], grids=[16, 1000000],
                                       n_x=8), 2),
+    # u_t carries the start powers -0.5, 0 and 0.5: J would keep about 20 GiB
+    "j_weights_over_budget": (dict(_CAPUTO_SUB_LINEAR, vectors=["Noether:X3_lin"],
+                                   grids=[16, 30000]), 2),
 }
 
 
@@ -459,6 +466,30 @@ def test_endpoint_pole_budget_counts_one_matrix_per_order(vectors, accepted):
         parse_config(cfg)
         return
     with pytest.raises(ConfigError, match=r"^grids: the endpoint-pole weights .* 1\.5 GiB, "
+                                          r"over the budget of 1 GiB$"):
+        parse_config(cfg)
+
+
+@pytest.mark.parametrize("overrides, accepted", [
+    # one end term of v and three power terms of u_t: 4 matrices, 1.9 GiB
+    ({}, False),
+    # no power terms in u: only v's end term
+    (dict(source={"id": "exact_stationary", "params": {"a": 0.1, "b": 1.0}}), True),
+    # the Riemann-Liouville J takes D_t v = 0 and builds no matrix
+    (dict(kind="rl", substitution={"regime": "RL_sub", "c2": 1.0}), True),
+    # Table5_v3 and Table5_v6 share v = (T-t)^(alpha-1): one matrix, 0.9 GiB
+    (dict(alpha=1.5, vectors=["Table5_v3", "Table5_v6"], substitution=None, grids=[16, 11000],
+          source={"id": "exact_stationary", "params": {"a": 0.1, "b": 1.0}}), True),
+    # with u_tt's three power terms: 4 matrices
+    (dict(alpha=1.5, vectors=["Table5_v3", "Table5_v6"], substitution=None), False),
+])
+def test_dense_weight_budget_counts_j_start_power_matrices(overrides, accepted):
+    cfg = base_config(**{**_CAPUTO_SUB_LINEAR, "vectors": ["Noether:X3_lin"],
+                         "grids": [16, 8000], **overrides})
+    if accepted:
+        parse_config(cfg)
+        return
+    with pytest.raises(ConfigError, match=r"^grids: .* J's start-power weights .* need 1\.9 GiB, "
                                           r"over the budget of 1 GiB$"):
         parse_config(cfg)
 

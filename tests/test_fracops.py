@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import itertools
 import math
@@ -685,7 +686,7 @@ class TestPowerIntegral:
         grid = TimeGrid(2.0, 8)
         t = grid.nodes()
         for q, p, mu in _power_cases(alpha):
-            got = fracops._power_integral(1.0, q, p, mu, grid)
+            got = fracops._power_integral(1.0, q, p, mu, t, grid.T)
             # infinite at t = 0 when q + mu < 0 and at t = T when mu + p <= 0: stored as 0
             want = [0.0 if (i == 0 and q + mu < 0) or (i == 8 and mu + p <= 0)
                     else _mp_power_integral(q, p, mu, tt, grid.T) for i, tt in enumerate(t)]
@@ -693,11 +694,43 @@ class TestPowerIntegral:
 
     @pytest.mark.parametrize("alpha", [0.3, 1.5])
     def test_matches_quadrature(self, alpha):
-        grid = TimeGrid(2.0, 8)
+        t = TimeGrid(2.0, 8).nodes()
         for q, p, mu in _power_cases(alpha):
-            got = fracops._power_integral(1.0, q, p, mu, grid)[3]
+            got = fracops._power_integral(1.0, q, p, mu, t, 2.0)[3]
             assert got == pytest.approx(_quad_power_integral(q, p, mu, 0.75, 2.0), rel=1e-8), \
                 (q, p, mu)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("p", [-0.7, -0.5, 0.0, 0.5, 1.5])
+    def test_j_start_power_matrix_against_mpmath(self, p, beta):
+        # P[i, q] = int_0^{t_i} tau^p (t_q - tau)^(beta-1) dtau = t_q^(p+beta) B(t_i/t_q; p+1, beta)
+        n = 256
+        grid = TimeGrid(1.0, n)
+        t = grid.nodes()
+        P = fracops._j_start_power_matrix(grid, p, beta)
+        for i, q in ((1, 1), (1, 2), (1, n), (3, 3), (128, 128), (128, 129), (n - 1, n),
+                     (n, n), (17, 200)):
+            with mpmath.workdps(40):
+                ti, tq = mpmath.mpf(t[i]), mpmath.mpf(t[q])
+                want = float(tq ** (p + beta) * mpmath.betainc(p + 1, beta, 0, ti / tq))
+            assert P[i, q] == pytest.approx(want, rel=1e-13, abs=0.0), (i, q)
+        # the incomplete-beta form J used before the shared closed form, as a second oracle
+        ii, qq = np.triu_indices(n + 1)
+        ii, qq = ii[ii >= 1], qq[ii >= 1]
+        x = t[ii] / t[qq]
+        old = np.zeros_like(P)
+        old[ii, qq] = t[qq] ** (p + beta) * x ** (p + 1.0) / (p + 1.0) * hyp2f1(
+            p + 1.0, 1.0 - beta, p + 2.0, x)
+        assert np.max(np.abs(P - old)) <= 1e-13 * np.max(np.abs(P))
+
+    def test_hyp2f1_has_one_call_site(self):
+        # every power-term closed form of the kernels, J's start-power weights
+        # among them, goes through _power_integral
+        tree = ast.parse(open(fracops.__file__, encoding="utf-8").read())
+        sites = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id == "hyp2f1"]
+        assert sites == ["_power_integral"]
 
 
 def _term(grid, power, anchor):
@@ -895,11 +928,13 @@ KERNELS = {
 }
 
 
-def write_csv(tmp_path, x, n_steps=8):
-    """A field CSV of zeros on TimeGrid(1, n_steps), as to_csv writes it, with x nodes x."""
+def write_csv(tmp_path, x, n_steps=8, t=None):
+    """A field CSV of zeros, as to_csv writes it, with x nodes x and t nodes t
+    (those of TimeGrid(1, n_steps) when t is None)."""
     path = tmp_path / "field.csv"
     header = "t\\x," + ",".join(f"{xv:.17g}" for xv in x)
-    rows = np.column_stack([TimeGrid(1.0, n_steps).nodes(), np.zeros((n_steps + 1, len(x)))])
+    t = TimeGrid(1.0, n_steps).nodes() if t is None else np.asarray(t)
+    rows = np.column_stack([t, np.zeros((len(t), len(x)))])
     np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
     return str(path)
 
@@ -964,6 +999,24 @@ class TestSpaceField:
         with pytest.raises(ValueError, match=f"^x must be .*{message}$"):
             TimeSeries.from_csv(write_csv(tmp_path, x))
 
+    @pytest.mark.parametrize("t, message", [
+        ([0.0, 0.9, 0.95, 1.0], "t must be increasing with equal steps"),
+        ([0.0, 0.5, 0.25, 1.0], "t must be increasing with equal steps"),
+        ([0.5, 1.0, 1.5, 2.0], "t must start at 0, got 0.5"),
+        ([0.0, 0.5, 1.0, np.nan], "t must be a 1-D array with at least two nodes, all finite"),
+    ], ids=["unequal", "unsorted", "not_from_0", "nan"])
+    def test_time_nodes_must_start_at_0_and_be_uniform(self, tmp_path, t, message):
+        # the grid was read off the last t alone: [0, 0.9, 0.95, 1] loaded as
+        # TimeGrid(1.0, 3), with nodes [0, 1/3, 2/3, 1]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TimeSeries.from_csv(write_csv(tmp_path, [0.0, 0.5, 1.0], t=t))
+
+    @pytest.mark.parametrize("T, n", [(1.0, 8), (np.pi, 3), (1e-3, 2 ** 12), (1e6, 100)])
+    def test_linspace_time_nodes_accepted(self, tmp_path, T, n):
+        grid = TimeGrid(T, n)
+        u = TimeSeries.from_csv(write_csv(tmp_path, [0.0, 0.5, 1.0], t=grid.nodes()))
+        assert u.grid == grid
+
     @pytest.mark.parametrize("lo, hi, n", [(0.0, np.pi, 8), (-1.0, 1.0, 2 ** 16),
                                            (1e6, 1e6 + 1e-3, 1000), (-7.0, -5.0, 1)])
     def test_linspace_nodes_accepted(self, tmp_path, lo, hi, n):
@@ -1008,39 +1061,19 @@ class TestSpaceField:
         flat = KERNELS[name](TimeSeries(grid, np.cos(t) + t))
         assert flat.x is None and flat.values.ndim == 1
 
-    def test_j_integral_takes_the_x_of_either_factor(self):
-        grid = TimeGrid(1.0, 16)
-        x = SpaceGrid(0.0, 1.0, 4)
-        t = grid.nodes()
-        field = TimeSeries(grid, np.outer(t, 1.0 + x.nodes()), x=x)
-        flat = TimeSeries(grid, np.cos(t))
-        for f, g in ((field, flat), (flat, field)):
-            assert j_integral(f, g, 0.5).x == x
-
-    def test_j_integral_refuses_fields_on_different_space_grids(self):
-        # u on [0, 1] and v on [0, 2], 9 nodes each, once gave a field
+    @pytest.mark.parametrize("case", ["f_one_d", "g_one_d", "other_space_grid", "no_x"])
+    def test_j_integral_refuses_fields_on_different_space_grids(self, case):
+        # u on [0, 1] and v on [0, 2], 9 nodes each, once gave a field; a 1-D
+        # factor once broadcast along the other's space axis; and without x,
+        # a (17, 16) field times a 1-D one on 16 steps gave a (17, 16) field
+        # of wrong values, the 1-D cells broadcast along the 16 columns
         grid = TimeGrid(1.0, 16)
         u, v = (TimeSeries(grid, np.ones((17, 9)), x=SpaceGrid(0.0, hi, 8)) for hi in (1.0, 2.0))
-        with pytest.raises(ValueError, match="different space grids"):
-            j_integral(u, v, 0.5)
-
-    @pytest.mark.parametrize("flat_terms", [(), ((1.3, -0.5, "start"), (0.4, -0.3, "end"))],
-                             ids=["regular", "with_terms"])
-    def test_j_integral_with_a_one_d_factor_matches_columns(self, flat_terms):
-        # a 1-D factor broadcasts along the other's space axis, its terms and
-        # a zero factor too (each of these raised a broadcast error before)
-        grid = TimeGrid(1.0, 16)
-        whole, cols = field_and_columns(grid, -0.4, -0.6)
-        flat = TimeSeries.from_parts(grid, np.sin(grid.nodes()),
-                                     tuple(SingularTerm(*tm) for tm in flat_terms))
-        assert_whole_matches_columns(j_integral(whole, flat, 0.5),
-                                     [j_integral(c, flat, 0.5) for c in cols])
-        assert_whole_matches_columns(j_integral(flat, whole, 0.5),
-                                     [j_integral(flat, c, 0.5) for c in cols])
-        zero = TimeSeries(grid, np.zeros(17))
-        for f, g in ((zero, whole), (whole, zero)):
-            out = j_integral(f, g, 0.5).values
-            assert out.shape == (17, 5) and not out.any()
+        flat = TimeSeries(grid, np.cos(grid.nodes()))
+        f, g = {"f_one_d": (flat, u), "g_one_d": (u, flat), "other_space_grid": (u, v),
+                "no_x": (TimeSeries(grid, np.ones((17, 16))), flat)}[case]
+        with pytest.raises(ValueError, match="^fields are defined on different space grids: "):
+            j_integral(f, g, 0.5)
 
     def test_space_methods_need_x(self, tmp_path):
         f = TimeSeries(TimeGrid(1.0, 8), np.arange(9.0))
