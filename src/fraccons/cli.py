@@ -44,6 +44,7 @@ from .tfde import (
     Diffusivity,
     DiffusivityFamily,
     SolverError,
+    _load_dgtsv,
     exact_linear_separable,
     exact_rl_power_mode,
     exact_rl_separable,
@@ -132,6 +133,8 @@ def parse_config(data: dict) -> ScenarioConfig:
     interval, family, regime and vector ids; their ValueError becomes a
     ConfigError. A vector id listed twice is refused. The
     source must solve the equation of the configured kind and diffusivity.
+    A scenario with the solver source loads the solver's LAPACK routine
+    (scipy.linalg) here, not in its first solve.
     """
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a mapping")
@@ -221,6 +224,8 @@ def parse_config(data: dict) -> ScenarioConfig:
         extra = set(keys) - set(allowed)
         if extra:
             raise ConfigError(f"unknown {where}: {sorted(extra)}; allowed: {', '.join(allowed)}")
+    if sid == "solver":
+        _load_dgtsv()  # a scenario that solves loads LAPACK while it is built
     return ScenarioConfig(
         spec=spec, diffusivity=diffu, vectors=vectors, evaluators=evaluators, source=sid,
         params={k: float(given.get(k, default)) for k, default in defaults.items()},

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -166,8 +167,10 @@ def _noether_fn(name: str, sym_id: str, h: Optional[TimeSeries],
 # Each closed-form vector has a time component c with D_t c = w(t) (k u_x)_x on
 # solutions, so its flux is -w k u_x; its x-moment partner is
 # (x c, w (K - x k u_x)). A core maps (u, spec, start) to (c, w), where
-# start(u) is the initial datum D^{n-1} u(0, x) on u's space grid.
+# start(u) is the initial datum D^{n-1} u(0, x) on u's space grid. The core
+# factories are cached, so a vector and its x-moment share one core object.
 
+@lru_cache(maxsize=None)
 def _rl_moment(j: int, printed_typo: bool = False):
     """Time moment j of the Riemann-Liouville kind, weight t^j.
 
@@ -190,6 +193,7 @@ def _rl_moment(j: int, printed_typo: bool = False):
     return core
 
 
+@lru_cache(maxsize=None)
 def _pole_moment(m: int):
     """Caputo core s^{a-m} I^{m+1-a}(D^m u / s), weight s^{a-m-1}, s = T - t on u's grid.
 
@@ -222,6 +226,13 @@ def _noether_time(u, spec, start):
 def _trivial_caputo(u, spec, start):
     """D^{a-1-n} D^n u = I^{n+1-a} D^n u, weight 1."""
     return rl_left_derivative(time_derivative(u, spec.n), spec.alpha - (spec.n + 1.0)).values, 1.0
+
+
+def _frozen(a) -> np.ndarray:
+    """``a`` (an array, or a float weight such as 1.0) as a float array that cannot be written."""
+    a = np.asarray(a, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
 _RL, _CAP = Kind.RIEMANN_LIOUVILLE, Kind.CAPUTO
@@ -313,13 +324,18 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
         check(initial_velocity is not None or provenance not in _READS_VELOCITY,
               "requires the initial data u_t(0, x)")
 
+        velocity = np.asarray(initial_velocity, dtype=float)
+        # (c, w) depends on the field, the spec and u_t(0, x) alone, so it is
+        # kept on the field, read-only, for every vector with the same core
+        key = ("core", core, spec, velocity.tobytes())
+
         def start(u: TimeSeries) -> np.ndarray:
             if n == 1:
                 return u.values[0]
-            return np.broadcast_to(np.asarray(initial_velocity, dtype=float), (u.x.n_x + 1,))
+            return np.broadcast_to(velocity, (u.x.n_x + 1,))
 
         def fn(u: TimeSeries):
-            c, w = core(u, spec, start)
+            c, w = u._memoized(key, lambda: tuple(map(_frozen, core(u, spec, start))))
             kux = diffusivity.k(u.values) * u.dx_field().values
             if not moment:
                 return c, -w * kux

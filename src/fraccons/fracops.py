@@ -21,6 +21,7 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+import numpy.fft  # numpy 2 loads it lazily: load it here, not in the first convolution
 
 from .specialfn import gamma, hyp2f1, reciprocal_gamma
 

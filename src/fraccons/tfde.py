@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .specialfn import gamma, mittag_leffler
 from .fracops import (
@@ -202,12 +201,24 @@ _TOL = 1e-10
 _MAX_ITER = 50
 
 
+@cache
+def _load_dgtsv():
+    """LAPACK dgtsv, imported on the first call: loading scipy.linalg takes
+    about 0.3 s, which only a call that solves should pay."""
+    from scipy.linalg.lapack import dgtsv
+    return dgtsv
+
+
 def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal system with diagonals dl (sub), d and du (super) by
-    LAPACK dgtsv, overwriting all four arrays; a zero pivot raises SolverError."""
+    LAPACK dgtsv, overwriting all four arrays; a zero pivot raises SolverError.
+
+    dgtsv is loaded from scipy.linalg when a solver scenario is built
+    (``cli.parse_config``), or else by the first solve.
+    """
     if d.size == 1:  # f2py rejects the empty off-diagonals of a 1 x 1 system
         dl = du = np.zeros(1)
-    x, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)[3:]
+    x, info = _load_dgtsv()(dl, d, du, b, 1, 1, 1, 1)[3:]
     if info != 0:
         raise SolverError(f"singular Newton system: LAPACK dgtsv info = {info}")
     return x

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraccons
-from fraccons import cli, fracops, tfde
+from fraccons import cli, conslaw, fracops, tfde
 from fraccons.cli import ConfigError, main, parse_config
 from fraccons.fracops import TimeSeries
 
@@ -788,32 +788,62 @@ class TestSelftestCommand:
             "the criteria are numbered 1 to 12"]
 
 
-def test_cli_import_leaves_scipy_special_unloaded():
-    # hyp2f1 imports scipy.special on first use; a CLI call that needs no
-    # 2F1 (the solver workloads) must not pay for loading it at start-up
-    src = os.path.dirname(os.path.dirname(fraccons.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, fraccons.cli; print('scipy.special' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+# the scipy subpackages fraccons imports, each where it is used: scipy.linalg
+# for the solver's LAPACK routine, scipy.special for 2F1 and scipy.integrate
+# for selftest criterion 6
+_SCIPY_USERS = ("scipy.linalg", "scipy.special", "scipy.integrate")
+_SOLVE_DIRECTLY = (
+    "from fraccons import Diffusivity, FractionalSpec, Kind, SpaceGrid, TimeGrid, solve_nonlinear\n"
+    "d, x = Diffusivity.power(2.0), SpaceGrid(0.0, 1.0, 16)\n"
+    "u0 = d.K_inv(0.1 * x.nodes() + 1.0)\n"
+    "u = solve_nonlinear(FractionalSpec(Kind.CAPUTO, 0.5), d, TimeGrid(1.0, 16), x, u0)\n"
+    "rc = int(abs(u.values - u0).max() > 1e-6)  # stationary data stay stationary")
 
 
-@pytest.mark.parametrize("argv", [["selftest", "--only", "12"],
-                                  ["verify", "--config", "verify_tables.json"]],
-                         ids=["selftest_12", "verify_tables"])
-def test_cli_call_without_2f1_leaves_scipy_special_unloaded(tmp_path, argv):
-    # the endpoint-pole weights of Tables 3 and 5 take no 2F1 call, so
-    # criterion 12 and the bench's verify_tables call never load scipy.special
-    (tmp_path / "verify_tables.json").write_text(
-        json.dumps(_bench_verify_configs()["verify_tables"]), encoding="utf-8")
+# entry point -> (its set-up, the call, the scipy subpackages the call loads);
+# the set-up loads no scipy, and a call needs no scipy it does not list
+@pytest.mark.parametrize("setup, call, loads", [
+    ("", "import fraccons", ()),
+    ("", "import fraccons.cli", ()),
+    ("import fraccons.cli", "rc = fraccons.cli.main(['catalog'])", ()),
+    ("import fraccons.cli", "rc = fraccons.cli.main(['selftest', '--only', '12'])", ()),
+    ("import fraccons.cli",
+     "rc = fraccons.cli.main(['verify', '--config', 'verify_tables.json'])", ()),
+    ("import fraccons.cli",
+     "fraccons.cli.parse_config(json.load(open('verify_solver.json')))", ("scipy.linalg",)),
+    ("import fraccons", _SOLVE_DIRECTLY, ("scipy.linalg",)),
+], ids=["import", "import_cli", "catalog", "selftest_12", "verify_tables",
+        "parse_solver_config", "solve_directly"])
+def test_entry_point_loads_only_the_scipy_it_uses(tmp_path, setup, call, loads):
+    for name in ("verify_tables", "verify_solver"):
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps(_bench_verify_configs()[name]), encoding="utf-8")
     src = os.path.dirname(os.path.dirname(fraccons.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, fraccons.cli; rc = fraccons.cli.main(sys.argv[1:]); "
-            "print(rc, 'scipy.special' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=tmp_path,
+    scipy_now = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+    code = (f"import json, sys\nrc = 0\n{setup}\nbefore = {scipy_now}\n{call}\n"
+            f"print(json.dumps([rc, before, {scipy_now}]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip().splitlines()[-1] == "0 False"
+    rc, before, after = json.loads(out.strip().splitlines()[-1])
+    assert rc == 0
+    assert before == []
+    if not loads:
+        assert after == []
+    assert [m for m in _SCIPY_USERS if m in after] == list(loads)
+
+
+def test_verify_tables_makes_one_endpoint_pole_call_per_core_and_grid(monkeypatch):
+    # Table5_v1/v4 share _pole_moment(2) and v2/v5 _pole_moment(1): two
+    # distinct pole cores on each of the three grids, each computed once
+    calls = []
+    real = conslaw.left_integral_endpoint_pole
+    monkeypatch.setattr(conslaw, "left_integral_endpoint_pole",
+                        lambda *args: calls.append(1) or real(*args))
+    cfg = parse_config(_bench_verify_configs()["verify_tables"])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run_verify(cfg, None) == 0
+    assert len(calls) == 6
 
 
 def test_package_exports_match_module_all():

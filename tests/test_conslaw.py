@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fraccons import conslaw
 from fraccons.conslaw import (
     _CORRESPONDENCE,
     CSV_HEADER,
@@ -238,6 +239,42 @@ class TestClosedFormVectors:
         spec, d, u = exact_field(CAP, 2, 64)
         ct, _ = catalog_vector(pid, spec, d).components(u)
         assert np.array_equal(ct, np.broadcast_to(ct[0], ct.shape))
+
+    @pytest.mark.parametrize("pid, moment", [("Table5_v1", "Table5_v4"),
+                                             ("Table5_v2", "Table5_v5"),
+                                             ("Table5_v3", "Table5_v6")])
+    def test_x_moment_reuses_the_read_only_core(self, monkeypatch, pid, moment):
+        # a vector and its x-moment share one core, computed once per field
+        # and kept read-only, so that x c cannot write the shared c in place
+        spec = FractionalSpec(CAP, 1.5)
+        d = Diffusivity.constant(1.0)
+        u = exact_linear_separable(spec, 1.0, TimeGrid(1.0, 32), SpaceGrid(0.0, np.pi, 16))
+        fresh = [catalog_vector(p, spec, d, initial_velocity=0.0).components(
+            exact_linear_separable(spec, 1.0, u.grid, u.x))[0] for p in (pid, moment)]
+        calls = []
+        real = conslaw.time_derivative
+        monkeypatch.setattr(conslaw, "time_derivative",
+                            lambda *args: calls.append(1) or real(*args))
+        ct, _ = catalog_vector(pid, spec, d, initial_velocity=0.0).components(u)
+        built = len(calls)
+        xct, _ = catalog_vector(moment, spec, d, initial_velocity=0.0).components(u)
+        assert built > 0 and len(calls) == built
+        assert not ct.flags.writeable
+        with pytest.raises(ValueError):
+            ct += 1.0
+        # bit for bit those of a fresh field (the end row t = T is not finite)
+        assert np.array_equal(ct, fresh[0], equal_nan=True)
+        assert np.array_equal(xct, fresh[1], equal_nan=True)
+
+    def test_core_memo_keeps_initial_velocities_apart(self):
+        # Table5_v2 reads u_t(0, x): another velocity on the same field is another core
+        spec = FractionalSpec(CAP, 1.5)
+        d = Diffusivity.constant(1.0)
+        u = exact_linear_separable(spec, 1.0, TimeGrid(1.0, 32), SpaceGrid(0.0, np.pi, 16))
+        cts = [catalog_vector("Table5_v2", spec, d, initial_velocity=v).components(u)[0]
+               for v in (0.0, 1.0, 0.0)]
+        assert not np.array_equal(cts[0], cts[1])
+        assert cts[2] is cts[0]
 
     @pytest.mark.parametrize("pid", sorted(_CLOSED_FORMS))
     def test_wrong_kind_or_order_names_the_id(self, pid):
