@@ -14,7 +14,8 @@ Exit codes, each failure with a one-line message on stderr:
     before the first solve), or a ``selftest --only`` number that names no
     criterion (checked before any criterion runs);
   3 solver failure (including a Newton iterate outside the domain of
-    k and a singular Newton system), or a special-function series that did not converge or cannot
+    k, a singular Newton system, and a Newton tolerance that overflows
+    float64), or a special-function series that did not converge or cannot
     reach float64 accuracy (the Mittag-Leffler series of an exact
     solution at large lam^2 t^alpha), or a float64 overflow in the
     numerics (a horizon T near 1e308), or an array too large for the

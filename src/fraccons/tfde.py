@@ -14,6 +14,7 @@ sampling through them.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable
@@ -243,33 +244,42 @@ def _flux_jacobian(k_prime: Callable, mid: tuple, hx2: float):
             (kh[1:-1] + s[1:-1]) / hx2)
 
 
+def _max_abs(v: np.ndarray) -> float:
+    """max |v| as a float, NaN when v holds a NaN: argmax stops at the first
+    NaN, and it costs less than a ufunc reduce on the solver's short rows."""
+    a = np.abs(v)
+    return float(a[a.argmax()])
+
+
 def _newton_step_solve(k: Callable, k_prime: Callable, c0: float, rhs: np.ndarray,
                        base_row: np.ndarray, w: np.ndarray, hx2: float) -> np.ndarray:
-    """Solve c0 * w - flux(base_row + w) = rhs at the interior nodes (hx2 = hx^2).
+    """Solve c0 * w - flux(base_row + w) = rhs at the interior nodes (hx2 = hx^2),
+    and return the interior of the solution w.
 
     ``k`` and ``k_prime`` take float arrays (the diffusivity's row, bound once per solve).
-    ``w`` is the start guess with the Dirichlet values in its end entries;
-    it may be overwritten.
+    ``w`` is the start guess with the Dirichlet values in its end entries; it
+    is not written. The iterate is held as its interior, and the row
+    u = base_row + w is updated in place.
     Every residual evaluation keeps its midpoint values; the Jacobian is built
     from them only when Newton steps, once per banded solve.
-    A non-finite residual or Jacobian (an iterate outside the domain of k), a
-    singular system, a stalled line search or the iteration cap raise SolverError.
+    A tolerance that overflows, a non-finite residual or Jacobian (an iterate
+    outside the domain of k), a singular system, a stalled line search or the
+    iteration cap raise SolverError.
     """
-
-    def residual(v, u):
-        f, mid = _flux(k, u, hx2)
-        g = c0 * v[1:-1] - f - rhs
-        return g, np.abs(g).max(), mid
-
     with np.errstate(all="ignore"):
         # residual tolerance relative to the magnitude of the balanced terms;
         # the flux difference cancels catastrophically when the field carries
         # an initial-time singularity, so the roundoff floor scales with k*u/hx^2
-        u0 = base_row + w
-        term_mag = float((np.abs(k(u0)) * np.abs(u0)).max()) / hx2
-        tol_eff = max(_TOL * max(1.0, float(np.abs(rhs).max())), 1e-12 * term_mag)
-        g, gn, mid = residual(w, u0)
-        trial = w.copy()
+        u = base_row + w
+        term_mag = _max_abs(k(u) * u) / hx2
+        tol_eff = max(_TOL * max(1.0, _max_abs(rhs)), 1e-12 * term_mag)
+        if not math.isfinite(tol_eff):
+            raise SolverError("Newton tolerance is not finite: the step's terms "
+                              "exceed the float64 range")
+        base_in, u_in, w = base_row[1:-1], u[1:-1], w[1:-1]
+        f, mid = _flux(k, u, hx2)
+        g = c0 * w - f - rhs
+        gn = _max_abs(g)
         for _ in range(_MAX_ITER):
             if gn <= tol_eff:
                 return w
@@ -277,21 +287,24 @@ def _newton_step_solve(k: Callable, k_prime: Callable, c0: float, rhs: np.ndarra
             # so its being finite covers the off-diagonals too
             sub, main, sup = _flux_jacobian(k_prime, mid, hx2)
             d = main - c0
-            if not (np.isfinite(gn) and np.isfinite(d).all()):
+            if not (math.isfinite(gn) and math.isfinite(_max_abs(d))):
                 raise SolverError("Newton iterate outside the domain of k: "
                                   "non-finite residual or Jacobian")
             delta = solve_banded(sub, d, sup, g)
             # damped update: halve the step until the residual decreases
-            lam = 1.0
+            trial, lam = w + delta, 1.0
             while True:
-                trial[1:-1] = w[1:-1] + lam * delta
-                g_try, gn_try, mid_try = residual(trial, base_row + trial)
+                np.add(base_in, trial, out=u_in)
+                f, mid = _flux(k, u, hx2)
+                g_try = c0 * trial - f - rhs
+                gn_try = _max_abs(g_try)
                 if gn_try < gn:
                     break
                 lam *= 0.5
                 if lam < 1e-6:
                     raise SolverError("Newton line search stalled")
-            w, trial, g, gn, mid = trial, w, g_try, gn_try, mid_try
+                trial = w + lam * delta
+            w, g, gn = trial, g_try, gn_try
         if gn <= tol_eff:
             return w
     raise SolverError("nonlinear iteration did not converge")
@@ -321,16 +334,25 @@ def solve_nonlinear(spec: FractionalSpec, diffusivity: Diffusivity, grid: TimeGr
     Dirichlet data: the ends of w keep their t = 0 values, so u at x_lo and
     x_hi is held at u0 there (Caputo kind) or is the singular modes alone,
     e.g. c1 t^{alpha-1} (RL kind).
-    Raises SolverError when a Newton step fails, including an iterate
-    outside the domain of k.
+    Raises ValueError when x has no interior node (n_x < 2) or when the
+    initial data it uses are not finite, and SolverError when a Newton step
+    fails, including an iterate outside the domain of k and a step whose
+    terms overflow the float64 range.
     """
     alpha = spec.alpha
     n = spec.n
     if n == 2 and initial_velocity is None:
         raise ValueError("second-order time regime requires initial_velocity data")
+    if x.n_x < 2:
+        raise ValueError(f"the solver needs n_x >= 2 space cells (an interior node), "
+                         f"got n_x = {x.n_x}")
     cols = x.n_x + 1
     u0, v0 = (np.broadcast_to(np.asarray(d, dtype=float), (cols,))
               for d in (initial, 0.0 if initial_velocity is None else initial_velocity))
+    # initial_velocity is read only when n = 2
+    for name, data in (("initial", u0), ("initial_velocity", v0))[:n]:
+        if not np.isfinite(data).all():
+            raise ValueError(f"{name} must be finite at every node of x")
     hx2 = x.h ** 2
     h = grid.h
     n_t = grid.n_steps
@@ -346,6 +368,7 @@ def solve_nonlinear(spec: FractionalSpec, diffusivity: Diffusivity, grid: TimeGr
         W[0] = u0
         if n == 2:
             y = v0
+    W[1:, 0], W[1:, -1] = W[0, 0], W[0, -1]  # the held end values of w
 
     # the singular modes; row 0 (never evaluated) is 0
     base = sum((term.sample(grid) for term in terms), np.zeros((n_t + 1, cols)))
@@ -363,9 +386,7 @@ def solve_nonlinear(spec: FractionalSpec, diffusivity: Diffusivity, grid: TimeGr
         # c_l1 (y_m - y_{m-1}) + hist = flux, with y_m = (w_m - w_prev) / h^(n-1)
         w_prev = W[m - 1, 1:-1] if n == 2 else 0.0
         rhs = c0 * w_prev + c_l1 * y[1:-1] - hist[1:-1]
-        # the start guess carries the held end values of w
-        w = W[m - 1].copy()
-        W[m] = _newton_step_solve(k, k_prime, c0, rhs, base[m], w, hx2)
+        W[m, 1:-1] = _newton_step_solve(k, k_prime, c0, rhs, base[m], W[m - 1], hx2)
         y_m = W[m] if n == 1 else (W[m] - W[m - 1]) / h
         dY[m] = y_m - y
         y = y_m

@@ -444,6 +444,28 @@ def test_bad_config_exits_with_one_line(tmp_path, capsys, monkeypatch, case):
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+# the same for solve: one bad value per config, its exit code and the start of its line
+BAD_SOLVE_CONFIGS = {
+    # u = log(a x + b) is near 706, where k(u) u / hx^2 = e^u u / hx^2
+    # overflows: the Newton tolerance was inf, and every row was the start guess
+    "newton_tolerance_overflows": (dict(diffusivity={"family": "exponential"}, n_x=8,
+                                        source={"id": "solver",
+                                                "params": {"a": 1e305, "b": 4e306}}),
+                                   3, "solver failure: Newton tolerance is not finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SOLVE_CONFIGS))
+def test_bad_solve_config_exits_with_one_line(tmp_path, capsys, case):
+    overrides, code, start = BAD_SOLVE_CONFIGS[case]
+    out = tmp_path / "field.csv"
+    rc = main(["solve", "--config", write_config(tmp_path, base_config(**overrides)),
+               "--out", str(out)])
+    assert rc == code
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith(start)
+
+
 @pytest.mark.parametrize("T", [0.0, -1.0])
 def test_non_positive_horizon_exits_2_before_solving(tmp_path, capsys, monkeypatch, T):
     # the horizon is the time grid's, and the grid's check names it
