@@ -4,23 +4,22 @@ Exit codes, each failure with a one-line message on stderr:
   0 success;
   2 configuration/validation error, found before any solve: a non-finite
     number, a grid or n_x with a fraction, a largest grid whose field has
-    more than 2^25 nodes (n + 1) * (n_x + 1), grids whose dense weights
-    (endpoint-pole and J start-power) would exceed the 1 GiB budget
-    _DENSE_WEIGHT_BUDGET, an unknown key in a config
-    mapping, a vector listed twice, a vector or substitution that does not
-    fit the equation, a source that does not solve it (of another kind or
-    diffusivity), a
-    --config or --out path that cannot be read or written (--out is opened
-    before the first solve), or a ``selftest --only`` number that names no
-    criterion (checked before any criterion runs);
+    more than 2^25 nodes (n + 1) * (n_x + 1), grids whose dense endpoint-pole
+    weights would exceed the 1 GiB budget _DENSE_WEIGHT_BUDGET, an unknown
+    key in a config mapping, a vector listed twice, a vector or substitution
+    that does not fit the equation, a source that does not solve it (of
+    another kind or diffusivity), a --config or --out path that cannot be
+    read or written (--out is opened before the first solve; a file the check
+    creates is removed at once), or a ``selftest --only`` number that names
+    no criterion (checked before any criterion runs);
   3 solver failure (including a Newton iterate outside the domain of
     k, a singular Newton system, and a Newton tolerance that overflows
     float64), or a special-function series that did not converge or cannot
     reach float64 accuracy (the Mittag-Leffler series of an exact
     solution at large lam^2 t^alpha), or a float64 overflow in the
     numerics (a horizon T near 1e308), or an array too large for the
-    memory (MemoryError; the dense kernels grow as the square of the grid,
-    and the dense weights are checked against a budget before any solve);
+    memory (MemoryError; the dense endpoint-pole kernels grow as the square of
+    the grid, and their weights are checked against a budget before any solve);
   4 conservation-check (or selftest) failure: a convergence ratio below
     the threshold (the line names the worst vector, its n_steps and
     ratio, and the threshold, and a fixed n_x), or a non-finite residual
@@ -32,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -90,8 +90,8 @@ _DEFAULTS = {"grids": (64, 128, 256), "n_x": None, "substitution": None,
 # the most nodes (n + 1) * (n_x + 1) a field may have: 256 MiB of float64,
 # and a solve or verify holds several fields of that size at once
 _MAX_NODES = 2 ** 25
-# the most bytes the dense endpoint-pole and J weights may take over the grids
-# of a verify: 1 GiB, a largest grid near 10^4 steps
+# the most bytes the dense endpoint-pole weights may take over the grids of a
+# verify: 1 GiB, a largest grid near 10^4 steps
 _DENSE_WEIGHT_BUDGET = 2 ** 30
 
 
@@ -210,12 +210,11 @@ def parse_config(data: dict) -> ScenarioConfig:
                       for vid in vectors}
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # the Caputo exact_linear field carries the terms t^(k alpha), k = 1..3
-    dense = dense_weight_bytes(vectors, grids, substitution, 3 if sid == "exact_linear" else 0)
+    dense = dense_weight_bytes(vectors, grids)
     if dense > _DENSE_WEIGHT_BUDGET:
-        raise ConfigError(f"grids: the endpoint-pole weights and J's start-power weights on "
-                          f"grids up to {grids[-1]} steps need {dense / 2 ** 30:.1f} GiB, over "
-                          f"the budget of {_DENSE_WEIGHT_BUDGET / 2 ** 30:g} GiB")
+        raise ConfigError(f"grids: the endpoint-pole weights on grids up to {grids[-1]} steps "
+                          f"need {dense / 2 ** 30:.1f} GiB, over the budget of "
+                          f"{_DENSE_WEIGHT_BUDGET / 2 ** 30:g} GiB")
     # no key is ignored
     for where, keys, allowed in (
             (f"diffusivity keys for {family.value}", diffusivity,
@@ -383,9 +382,12 @@ def main(argv=None) -> int:
         cfg = _load_cfg(args.config, grids=grids, exclude_frac=args.exclude_frac,
                         threshold=args.threshold)
         if args.out:
-            # an unusable --out path fails before the first solve; append mode
-            # leaves an existing file as it is until the run writes it
+            # an unusable --out path fails before the first solve; append mode keeps an
+            # existing file until the run writes it, and a file it creates goes at once
+            new = not os.path.lexists(args.out)
             open(args.out, "a", encoding="utf-8").close()
+            if new:
+                os.remove(args.out)
         # a numpy overflow raises OverflowError, as Python's float arithmetic does
         with np.errstate(over="call", call=_overflow):
             return (run_solve if args.command == "solve" else run_verify)(cfg, args.out)

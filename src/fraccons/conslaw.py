@@ -21,8 +21,6 @@ from .specialfn import gamma
 from .fracops import (
     Kind,
     FractionalSpec,
-    SpaceGrid,
-    TimeGrid,
     TimeSeries,
     _require_same_grid,
     diff1,
@@ -268,20 +266,12 @@ _READS_VELOCITY = ("Table5_v2", "Table5_v5")
 _LINEAR_SYMS = ("X1", "X2", "X3", "Xinf")
 
 
-def dense_weight_bytes(vectors, grids, substitution, start_terms: int) -> int:
+def dense_weight_bytes(vectors, grids) -> int:
     """Bytes of the dense (n+1)^2 float64 weights that ``vectors`` keep over ``grids``:
-    per grid, one matrix per endpoint-pole order m + 1 - alpha of the closed forms and,
-    if a vector reaches J (Table5_v3/v6 with v = (T-t)^(alpha-1), or a Caputo Noether
-    or Linear_* id with ``substitution``; the RL kind's J has D_t^n v = 0), one per
-    end term of v and per power term of D_t^n u (``start_terms``, the source's)."""
+    per grid, one endpoint-pole matrix per order m + 1 - alpha of the closed forms."""
     orders = {getattr(_CLOSED_FORMS[vid][2], "pole_m", None) for vid in vectors
               if vid in _CLOSED_FORMS} - {None}
-    ends = int(bool({"Table5_v3", "Table5_v6"} & set(vectors)))
-    if (substitution is not None and substitution.spec.kind is Kind.CAPUTO
-            and any(vid.startswith(("Noether:", "Linear_")) for vid in vectors)):
-        ends += len(substitution.field(TimeGrid(1.0, 2), SpaceGrid(0.0, 1.0, 1)).singular)
-    matrices = len(orders) + (ends + start_terms if ends else 0)
-    return matrices * sum((n + 1) ** 2 * 8 for n in grids)
+    return len(orders) * sum((n + 1) ** 2 * 8 for n in grids)
 
 
 def catalog_ids() -> list[str]:

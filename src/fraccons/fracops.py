@@ -49,8 +49,7 @@ __all__ = [
 # weights per weight builder, a verify call fewer (counts per workload in
 # CHANGES.md). Entries are O(n) vectors (lag weights, a grid's nodes, its
 # power samples t^p or (T-t)^p) or a 16-node Gauss rule per order, except the
-# dense (n+1)^2 matrices of _endpoint_pole_weight_matrix (Gauss quadrature, no
-# 2F1 call) and _j_start_power_matrix (one _power_integral 2F1 value per entry)
+# dense (n+1)^2 endpoint-pole matrices (Gauss quadrature, no 2F1 call)
 _CACHE_SIZE = 16
 # the t and x steps of a CSV field (from_csv) may differ by this much relative to
 # the largest |t| or |x|: 16 roundoffs, where np.linspace's differ by about 2
@@ -409,21 +408,20 @@ def _pl_weights(n_steps: int, mu: float, h: float) -> tuple[np.ndarray, np.ndarr
     return _read_only(L * scale), _read_only(c * scale)
 
 
-def _power_integral(coeff, q: float, p: float, mu: float, t: np.ndarray, T) -> np.ndarray:
+def _power_integral(coeff, q: float, p: float, mu: float, t: np.ndarray, T: float) -> np.ndarray:
     """Exact samples of I^mu [coeff t^q (T-t)^p] at the times t, where I^mu for mu < 0
-    is D^-mu; T is one horizon, or an array of one horizon per time.
+    is D^-mu.
 
     The binomial series of (T-t)^p, integrated term by term:
       coeff t^(q+mu) T^p Gamma(q+1)/Gamma(q+1+mu) 2F1(-p, q+1; q+1+mu; t/T).
     Where it is infinite (t = 0 when q + mu < 0, t = T when mu + p <= 0) the
     sample is 0, like the anchor value of a term.
     """
-    T = np.broadcast_to(T, t.shape)
     keep = ((t > 0.0) | (q + mu >= 0.0)) & ((t < T) | (mu + p > 0.0))
     col = np.zeros_like(t)
-    tk, Tk = t[keep], T[keep]
-    col[keep] = (tk ** (q + mu) * Tk ** p * gamma(q + 1.0) * reciprocal_gamma(q + 1.0 + mu)
-                 * hyp2f1(-p, q + 1.0, q + 1.0 + mu, tk / Tk))
+    tk = t[keep]
+    col[keep] = (tk ** (q + mu) * T ** p * gamma(q + 1.0) * reciprocal_gamma(q + 1.0 + mu)
+                 * hyp2f1(-p, q + 1.0, q + 1.0 + mu, tk / T))
     return np.multiply.outer(col, coeff)
 
 
@@ -632,43 +630,56 @@ def _j_piecewise_linear(fv: np.ndarray, gv: np.ndarray, grid: TimeGrid, beta: fl
     return out * (grid.h ** (beta + 1.0) / gamma(beta))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _j_start_power_matrix(grid: TimeGrid, p: float, beta: float) -> np.ndarray:
-    """P[i,q] = int_0^{t_i} tau^p (t_q - tau)^{beta-1} dtau for q >= i >= 1: the
-    power-term closed form I^1 [tau^p (T - tau)^{beta-1}] at t_i with T = t_q."""
-    t = grid.nodes()
-    P = np.zeros((grid.n_steps + 1,) * 2)
-    i, q = np.triu_indices(grid.n_steps)  # 0 <= i <= q < n: the entries (i + 1, q + 1)
-    P[1:, 1:][i, q] = _power_integral(1.0, p, beta - 1.0, 1.0, t[i + 1], t[q + 1])
-    return _read_only(P)
+def _start_power_product(grid: TimeGrid, p: float, beta: float,
+                         g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P @ g along axis 0 without P, and diag P, for the upper triangular
+    P[i, q] = int_0^{t_i} tau^p (t_q - tau)^{beta-1} dtau, q >= i >= 1.
 
-
-def _trapz_tail(P: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
-    """out[i] = trapezoid rule over q = i..n of P[i, q] g[q]; P is upper triangular."""
-    diag = _along_time(np.diagonal(P), g.ndim)
-    last = _along_time(P[:, -1], g.ndim)
-    return h * (P @ g - 0.5 * (diag * g + last * g[-1]))
-
-
-def _start_power_cell_weights(grid: TimeGrid, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact moments of tau^p against the two hat functions on each cell."""
-    t = grid.nodes()
-    h = grid.h
-    m0 = np.diff(t ** (p + 1.0)) / (p + 1.0)
-    m1 = np.diff(t ** (p + 2.0)) / (p + 2.0)
-    return (t[1:] * m0 - m1) / h, (m1 - t[:-1] * m0) / h
-
-
-def _power_weighted_head(Q: np.ndarray, p: float, grid: TimeGrid) -> np.ndarray:
-    """out[i] = int_0^{t_i} tau^p * PL(Q[i, .])(tau) dtau.
-
-    Integrates the power weight exactly against the piecewise-linear
-    interpolant of the Q row, so integrable singularities of tau^p at
-    tau = 0 cost no accuracy. Q is lower triangular (J's end-term matrix),
-    so cell j < i pairs Q[i, j] with wl[j] and Q[i, j+1] with wr[j].
+    In units of h, P[i, q] = sum_{j<i} c[j, q-j], c[j, d] = int_0^1 (j + x)^p (d - x)^{beta-1} dx.
+    So passing node i, P @ g gains sum_d c[i, d] g_{i+d} and loses P[i, i] g_i, where
+    P[i, i] = B(p+1, beta) t_i^(p+beta). 16-point Gauss rules sum c: Gauss-Legendre on cells
+    j >= 1 at lags d >= 2 (a lag correlation with g per node), Gauss-Jacobi of weight x^p
+    on cell 0 and of weight (1-x)^(beta-1) at lag 1; c[0, 1] = B(p+1, beta).
     """
-    wl, wr = _start_power_cell_weights(grid, p)
-    return Q[:, :-1] @ wl + Q[:, 1:] @ wr - np.diagonal(Q) * np.append(wl, 0.0)
+    b = gamma(p + 1.0) * gamma(beta) * reciprocal_gamma(p + 1.0 + beta)
+    k = np.arange(grid.n_steps + 1.0)
+    lags, cells = k[2:], k[1:-1]
+    gained = np.zeros_like(g[:-1])  # at the nodes i = 0..n-1
+    for x, w in zip(*_gauss_jacobi01(1.0)):
+        kern = np.append([0.0, 0.0], (lags - x) ** (beta - 1.0))
+        corr = _causal_conv(kern, g[::-1])[::-1]  # corr[i] = sum_d kern[d] g[i+d]
+        gained[1:] += _along_time(w * (cells + x) ** p, g.ndim) * corr[1:-1]
+    x0, w0 = _gauss_jacobi01(p + 1.0)
+    gained[0] += ((lags[:, None] - x0) ** (beta - 1.0) @ w0) @ g[2:]
+    y1, w1 = _gauss_jacobi01(beta)
+    lag1 = np.append(b, (cells[:, None] + 1.0 - y1) ** p @ w1)
+    gained += _along_time(lag1, g.ndim) * g[1:]
+    scale = grid.h ** (p + beta)
+    diag = scale * b * np.power(k, p + beta, out=np.zeros_like(k), where=k > 0.0)
+    out = np.zeros_like(g)
+    np.cumsum(gained * scale - _along_time(diag[:-1], g.ndim) * g[:-1], axis=0, out=out[1:])
+    return out, diag
+
+
+def _trapz_tail(grid: TimeGrid, p: float, beta: float, g: np.ndarray) -> np.ndarray:
+    """out[i] = trapezoid rule over q = i..n of P[i, q] g[q], P of _start_power_product."""
+    Pg, diag = _start_power_product(grid, p, beta, np.concatenate([g[:-1], 0.5 * g[-1:]]))
+    return grid.h * (Pg - 0.5 * _along_time(diag, g.ndim) * g)
+
+
+def _power_weighted_head(grid: TimeGrid, p: float, q: float, beta: float) -> np.ndarray:
+    """out[i] = int_0^{t_i} tau^q PL(Q[i, .])(tau) dtau, Q[i, j] = P[n-i, n-j] of power p.
+
+    tau^q meets each cell's hats exactly (moments wl, wr), so its singularity at 0 costs
+    no accuracy: out is Q @ (wl + wr, node by node) less Q[i, i] wl[i], as cell j < i
+    pairs Q[i, j] with wl[j] and Q[i, j+1] with wr[j]."""
+    t, h = grid.nodes(), grid.h
+    m0 = np.diff(t ** (q + 1.0)) / (q + 1.0)
+    m1 = np.diff(t ** (q + 2.0)) / (q + 2.0)
+    wl = np.append((t[1:] * m0 - m1) / h, 0.0)
+    wr = np.insert((m1 - t[:-1] * m0) / h, 0, 0.0)
+    Pw, diag = _start_power_product(grid, p, beta, (wl + wr)[::-1])
+    return (Pw - diag * wl[::-1])[::-1]
 
 
 def j_integral(f: TimeSeries, g: TimeSeries, alpha: float) -> TimeSeries:
@@ -678,16 +689,15 @@ def j_integral(f: TimeSeries, g: TimeSeries, alpha: float) -> TimeSeries:
     """
     _require_same_grid(f, g)
     beta = _order_and_n(alpha) - alpha
-    grid, h = f.grid, f.grid.h
+    grid = f.grid
     f_start = [tm for tm in f.singular if tm.anchor == "start"]
     g_end = [tm for tm in g.singular if tm.anchor == "end"]
     # f is integrated over [0, t] and g over [t, T], so f's end terms and g's
     # start terms are smooth there and are sampled with the regular parts
     f_lin = f.regular_part() + sum(tm.sample(grid) for tm in f.singular if tm.anchor == "end")
     g_lin = g.regular_part() + sum(tm.sample(grid) for tm in g.singular if tm.anchor == "start")
-    # J is bilinear: skip all of it, the dense singular-term weights too,
-    # when either factor is zero (v_tt of the polynomial substitutions, for
-    # example), and its piecewise-linear part when either regular part is
+    # J is bilinear: skip all of it when either factor is zero (v_tt of the polynomial
+    # substitutions, for example), and its piecewise-linear part when either regular part is
     out = np.zeros_like(f_lin)
     if not (f_start or np.any(f_lin)) or not (g_end or np.any(g_lin)):
         return TimeSeries(grid, out, x=f.x)
@@ -695,15 +705,13 @@ def j_integral(f: TimeSeries, g: TimeSeries, alpha: float) -> TimeSeries:
     if np.any(f_lin) and np.any(g_lin):
         out = _j_piecewise_linear(f_lin, g_lin, grid, beta)
     for term in f_start:
-        P = _j_start_power_matrix(grid, term.power, beta)
-        out += term.coeff * inv_gb * _trapz_tail(P, g_lin, h)
+        out += term.coeff * inv_gb * _trapz_tail(grid, term.power, beta, g_lin)
     for term in g_end:
         # t -> T - t maps g's end term to a start term and [t, T] to [0, T - t]:
         # Q[i, p] = int_{t_i}^T (T-mu)^q (mu - t_p)^{beta-1} dmu = P[n-i, n-p]
-        P = _j_start_power_matrix(grid, term.power, beta)
-        out += term.coeff * inv_gb * _trapz_tail(P, f_lin[::-1], h)[::-1]
+        out += term.coeff * inv_gb * _trapz_tail(grid, term.power, beta, f_lin[::-1])[::-1]
         for t2 in f_start:
-            head = _power_weighted_head(P[::-1, ::-1], t2.power, grid)
+            head = _power_weighted_head(grid, term.power, t2.power, beta)
             out += np.multiply.outer(head, term.coeff * t2.coeff * inv_gb)
     return TimeSeries(grid, out, x=f.x)
 

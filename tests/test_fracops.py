@@ -703,11 +703,13 @@ class TestPowerIntegral:
     @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("p", [-0.7, -0.5, 0.0, 0.5, 1.5])
     def test_j_start_power_matrix_against_mpmath(self, p, beta):
-        # P[i, q] = int_0^{t_i} tau^p (t_q - tau)^(beta-1) dtau = t_q^(p+beta) B(t_i/t_q; p+1, beta)
+        # P[i, q] = int_0^{t_i} tau^p (t_q - tau)^(beta-1) dtau = t_q^(p+beta) B(t_i/t_q; p+1, beta),
+        # which J applies without forming it: P @ I is P
         n = 256
         grid = TimeGrid(1.0, n)
         t = grid.nodes()
-        P = fracops._j_start_power_matrix(grid, p, beta)
+        P, diag = fracops._start_power_product(grid, p, beta, np.eye(n + 1))
+        np.testing.assert_allclose(diag, np.diagonal(P), rtol=1e-13, atol=0.0)
         for i, q in ((1, 1), (1, 2), (1, n), (3, 3), (128, 128), (128, 129), (n - 1, n),
                      (n, n), (17, 200)):
             with mpmath.workdps(40):
@@ -723,14 +725,75 @@ class TestPowerIntegral:
             p + 1.0, 1.0 - beta, p + 2.0, x)
         assert np.max(np.abs(P - old)) <= 1e-13 * np.max(np.abs(P))
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.5, 1.7])
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_j_integral_matches_the_dense_2f1_weights(self, n, alpha):
+        # start and end terms on both factors, on a 3-column field
+        grid = TimeGrid(1.3, n)
+        t, cols = grid.nodes(), np.arange(1.0, 4.0)
+        f = TimeSeries.from_parts(grid, np.cos(np.outer(t, cols)),
+                                  (SingularTerm(cols - 2.5, -0.5), SingularTerm(1.0, 0.7),
+                                   SingularTerm(2.0, 0.3, "end")))
+        g = TimeSeries.from_parts(grid, np.sin(np.outer(t + 0.2, cols)),
+                                  (SingularTerm(cols, -0.4, "end"), SingularTerm(1.5, 1.2, "end"),
+                                   SingularTerm(0.5, 0.5)))
+        want = _dense_j_integral(f, g, alpha)
+        got = j_integral(f, g, alpha).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_hyp2f1_has_one_call_site(self):
-        # every power-term closed form of the kernels, J's start-power weights
-        # among them, goes through _power_integral
+        # every power-term closed form of the kernels goes through
+        # _power_integral; J's power-term sums are Gauss sums, with no 2F1 call
         tree = ast.parse(open(fracops.__file__, encoding="utf-8").read())
         sites = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                  for node in ast.walk(fn) if isinstance(node, ast.Call)
                  and isinstance(node.func, ast.Name) and node.func.id == "hyp2f1"]
         assert sites == ["_power_integral"]
+
+
+def _dense_start_power_matrix(grid, p, beta):
+    """P[i, q] = int_0^{t_i} tau^p (t_q - tau)^(beta-1) dtau for q >= i >= 1, one 2F1 value
+    per entry: the closed form I^1 [tau^p (T - tau)^(beta-1)] at t_i with T = t_q, the
+    dense weights j_integral once kept."""
+    t = grid.nodes()
+    i, q = np.triu_indices(grid.n_steps + 1)
+    i, q = i[i >= 1], q[i >= 1]
+    P = np.zeros((grid.n_steps + 1,) * 2)
+    P[i, q] = (t[i] ** (p + 1.0) * t[q] ** (beta - 1.0) / (p + 1.0)
+               * hyp2f1(1.0 - beta, p + 1.0, p + 2.0, t[i] / t[q]))
+    return P
+
+
+def _dense_j_integral(f, g, alpha):
+    """j_integral with its power terms summed over _dense_start_power_matrix: the
+    trapezoid tail over q >= i of P[i, q] g_q, and the hat moments of f's start
+    powers against the rows of the reversed P."""
+    beta = math.ceil(alpha) - alpha
+    grid, h = f.grid, f.grid.h
+    f_start = [tm for tm in f.singular if tm.anchor == "start"]
+    g_end = [tm for tm in g.singular if tm.anchor == "end"]
+    f_lin = f.regular_part() + sum(tm.sample(grid) for tm in f.singular if tm.anchor == "end")
+    g_lin = g.regular_part() + sum(tm.sample(grid) for tm in g.singular if tm.anchor == "start")
+    out = j_integral(TimeSeries(grid, f_lin), TimeSeries(grid, g_lin), alpha).values.copy()
+
+    def trapz_tail(P, v):
+        return h * (P @ v - 0.5 * (np.diagonal(P)[:, None] * v + P[:, -1:] * v[-1]))
+
+    for term in f_start:
+        out += term.coeff * trapz_tail(_dense_start_power_matrix(grid, term.power, beta),
+                                       g_lin) / G(beta)
+    for term in g_end:
+        P = _dense_start_power_matrix(grid, term.power, beta)
+        out += term.coeff * trapz_tail(P, f_lin[::-1])[::-1] / G(beta)
+        Q = P[::-1, ::-1]
+        for t2 in f_start:
+            tq = grid.nodes()
+            m0 = np.diff(tq ** (t2.power + 1.0)) / (t2.power + 1.0)
+            m1 = np.diff(tq ** (t2.power + 2.0)) / (t2.power + 2.0)
+            wl, wr = (tq[1:] * m0 - m1) / h, (m1 - tq[:-1] * m0) / h
+            head = Q[:, :-1] @ wl + Q[:, 1:] @ wr - np.diagonal(Q) * np.append(wl, 0.0)
+            out += np.multiply.outer(head, term.coeff * t2.coeff) / G(beta)
+    return out
 
 
 def _term(grid, power, anchor):
@@ -1245,7 +1308,7 @@ class TestCausalConv:
 
 
 class TestMemory:
-    """The regular-data paths keep O(n) weights: no (n+1)^2 array is formed.
+    """The regular-data paths and J keep O(n) weights: no (n+1)^2 array is formed.
     The endpoint-pole weights are dense, and the matrix is their peak."""
 
     LIMIT = 16 * 2 ** 20  # a dense W at n = 8192 would be 537 MB
@@ -1272,6 +1335,19 @@ class TestMemory:
         n = 4096
         rng = np.random.default_rng(1)
         f, g = (TimeSeries(TimeGrid(1.0, n), rng.standard_normal((n + 1, 4))) for _ in range(2))
+        assert self.peak_bytes(lambda: j_integral(f, g, 0.5)) < self.LIMIT
+
+    def test_j_integral_with_terms(self):
+        # the power-term sums of both factors are lag correlations: no
+        # (n+1)^2 weights, where the 2F1 matrices peaked near 259 MiB
+        n = 2048
+        grid, x = TimeGrid(1.0, n), SpaceGrid(0.0, 1.0, 3)
+        rng = np.random.default_rng(2)
+        f = TimeSeries.from_parts(grid, rng.standard_normal((n + 1, 4)),
+                                  tuple(SingularTerm(rng.standard_normal(4), p) for p in
+                                        (-0.5, 0.0, 0.5)), x)
+        g = TimeSeries.from_parts(grid, rng.standard_normal((n + 1, 4)),
+                                  (SingularTerm(rng.standard_normal(4), -0.5, "end"),), x)
         assert self.peak_bytes(lambda: j_integral(f, g, 0.5)) < self.LIMIT
 
     def test_endpoint_pole_weights_peak_at_the_matrix(self):

@@ -104,8 +104,10 @@ CALL_SITE_FAMILIES = {
     "end_power_p-0.5": lambda al: (0.5, 1.0, al + 1.0),
     "end_power_p0": lambda al: (0.0, 1.0, al + 1.0),
     "end_power_p1": lambda al: (-1.0, 1.0, al + 1.0),
-    # fracops._power_integral in J's start-power matrix: (1-beta, p+1; p+2), the
-    # same 2F1 as (p+1, 1-beta; p+2), here p = alpha - 1
+    # the incomplete beta of J's start-power weights: (1-beta, p+1; p+2), the
+    # same 2F1 as (p+1, 1-beta; p+2), here p = alpha - 1. No longer a call site
+    # (fracops sums those weights by Gauss quadrature); the tests of J use it as
+    # their oracle
     "incomplete_beta": lambda al: (al, 1.0 - _frac_beta(al), al + 1.0),
     # the closed form E_k of the endpoint-pole cell integrals: (1, 1; nu+1),
     # nu = mu + k, k = 0, 1. No longer a call site (fracops sums the cells by
