@@ -3,7 +3,9 @@
 Exit codes, each failure with a one-line message on stderr:
   0 success;
   2 configuration/validation error, found before any solve: a non-finite
-    number, a grid or n_x with a fraction, a largest grid whose field has
+    number, a grid or n_x with a fraction, an n_x below 6 (each grid's n_x,
+    which is its step count when n_x is not given), an exclude_frac that
+    leaves no interior time node on some grid, a largest grid whose field has
     more than 2^25 nodes (n + 1) * (n_x + 1), grids whose dense endpoint-pole
     weights would exceed the 1 GiB budget _DENSE_WEIGHT_BUDGET, an unknown
     key in a config mapping, a vector listed twice, a vector or substitution
@@ -56,6 +58,7 @@ from .symcat import AdjointSubstitution, list_symmetries, regime_constants, regi
 from .conslaw import (
     CSV_HEADER,
     ConservedVectorEval,
+    _time_window,
     catalog_ids,
     catalog_vector,
     correspondence,
@@ -183,6 +186,9 @@ def parse_config(data: dict) -> ScenarioConfig:
         raise ConfigError("grids must be a strictly increasing list of integers >= 4")
     if n_x is not None and n_x < 6:
         raise ConfigError("n_x must be an integer >= 6")
+    if n_x is None and grids[0] < 6:
+        raise ConfigError(f"grids: without n_x a grid of {grids[0]} steps has n_x = {grids[0]}, "
+                          "and the residual's space window needs n_x >= 6")
     n, cells = grids[-1], (n_x if n_x is not None else grids[-1])
     if (n + 1) * (cells + 1) > _MAX_NODES:
         raise ConfigError(f"grids: a field of {n} time steps and {cells} space cells has "
@@ -203,6 +209,8 @@ def parse_config(data: dict) -> ScenarioConfig:
             raise ValueError(f"source {sid} solves the equation for {want} only")
         TimeGrid(values["T"], grids[-1])
         SpaceGrid(values["x_lo"], values["x_hi"], cells)
+        for n in grids:
+            _time_window(n, values["exclude_frac"])
         substitution = sub and AdjointSubstitution(
             sub["regime"], spec, **{k: float(v) for k, v in sub.items() if k != "regime"})
         evaluators = {vid: catalog_vector(vid, spec, diffu, initial_velocity=0.0,

@@ -22,6 +22,7 @@ from .fracops import (
     Kind,
     FractionalSpec,
     TimeSeries,
+    _read_only,
     _require_same_grid,
     diff1,
     j_integral,
@@ -226,13 +227,6 @@ def _trivial_caputo(u, spec, start):
     return rl_left_derivative(time_derivative(u, spec.n), spec.alpha - (spec.n + 1.0)).values, 1.0
 
 
-def _frozen(a) -> np.ndarray:
-    """``a`` (an array, or a float weight such as 1.0) as a float array that cannot be written."""
-    a = np.asarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 _RL, _CAP = Kind.RIEMANN_LIOUVILLE, Kind.CAPUTO
 _KIND_NAMES = {_RL: "Riemann-Liouville", _CAP: "Caputo"}
 # id -> (kind, n or None for both, core, x-moment)
@@ -325,7 +319,8 @@ def catalog_vector(provenance: str, spec: FractionalSpec, diffusivity: Diffusivi
             return np.broadcast_to(velocity, (u.x.n_x + 1,))
 
         def fn(u: TimeSeries):
-            c, w = u._memoized(key, lambda: tuple(map(_frozen, core(u, spec, start))))
+            c, w = u._memoized(key, lambda: tuple(
+                _read_only(np.asarray(a, dtype=float)) for a in core(u, spec, start)))
             kux = diffusivity.k(u.values) * u.dx_field().values
             if not moment:
                 return c, -w * kux
@@ -445,13 +440,19 @@ class ResidualReport:
                 f"{self.n_x},{self.linf:.12g},{self.l2:.12g},{self.excluded_nodes},{ratio}")
 
 
+def _time_window(n_steps: int, exclude_frac: float) -> tuple[int, int]:
+    """The time rows lo:hi a report measures on ``n_steps`` steps: ``exclude_frac``
+    of the nodes, and at least 2, dropped at each end; ValueError if none is left."""
+    lo = max(2, math.ceil(exclude_frac * (n_steps + 1)))
+    if n_steps + 1 - lo <= lo:
+        raise ValueError(f"exclude_frac = {exclude_frac:g} leaves no time node on {n_steps} steps")
+    return lo, n_steps + 1 - lo
+
+
 def _report(cv: ConservedVectorEval, u: TimeSeries, residual: np.ndarray,
             exclude_frac: float, what: str, space: slice = slice(None)) -> ResidualReport:
     """Norms of ``residual`` on the time window (and the ``space`` columns)."""
-    lo = max(2, math.ceil(exclude_frac * (u.grid.n_steps + 1)))
-    hi = u.grid.n_steps + 1 - lo
-    if hi <= lo:
-        raise ValueError("exclusion window leaves no interior nodes")
+    lo, hi = _time_window(u.grid.n_steps, exclude_frac)
     window = residual[lo:hi][..., space]
     if not np.isfinite(window).all():
         raise FloatingPointError(f"{cv.provenance}: non-finite {what} inside the window")

@@ -384,27 +384,19 @@ def _pl_weights(n_steps: int, mu: float, h: float) -> tuple[np.ndarray, np.ndarr
     """Lag vector L and first column c of the lower-triangular weights W with
     (I^mu f)(t_i) = sum_j W[i,j] f_j, exact for piecewise-linear f.
 
-    W[i,j] = L[i-j] for 1 <= j <= i, W[i,0] = c[i], and row 0 is 0.
-    With p = mu + 1, L[k] = (k+1)^p - 2k^p + (k-1)^p and c[k] = (k-1)^p - k^p + p k^mu
-    lose about k^2 of relative precision as differences, so from k = 4 on they are
-    binomial series in x = 1/k: with S(x) = sum_{j=2}^{31} C(p, j) x^j (remainder
-    about 4^-30 of S), L[k] = k^p (S(x) + S(-x)) and c[k] = k^p S(-x).
+    W[i,j] = L[i-j] for 1 <= j <= i, W[i,0] = c[i], and row 0 is 0. In units of h
+    the cell at lag b covers t_i - tau = b - 1 + x, x in [0, 1], with hats x (far
+    node) and 1 - x (near node): A[b] = int_0^1 (b-1+x)^{mu-1} x dx, B[b] the same
+    with 1 - x, L[0] = B[1], L[k] = A[k] + B[k+1] and c[k] = A[k], times h^mu/Gamma(mu).
+    Gauss rules sum positive terms: weight x^{mu-1} at lag 1, Gauss-Legendre from lag 2 on.
     """
-    p = mu + 1.0
-    k = np.arange(1, n_steps + 1, dtype=float)
-    kp = k ** p
-    L = np.empty(n_steps + 1)
-    L[0] = 1.0
-    L[1:] = (k + 1.0) ** p - 2.0 * kp + (k - 1.0) ** p
-    c = np.zeros(n_steps + 1)
-    c[1:] = (k - 1.0) ** p - kp + p * k ** mu
-    j = np.arange(1.0, 32.0)
-    binom = np.cumprod((p + 1.0 - j) / j)  # C(p, j) for j = 1..31
-    x = 1.0 / k[3:]
-    s_plus, s_minus = (np.polyval(binom[:0:-1], xs) * xs * xs for xs in (x, -x))
-    L[4:] = kp[3:] * (s_plus + s_minus)
-    c[4:] = kp[3:] * s_minus
-    scale = h ** mu / gamma(mu + 2.0)
+    (xj, wj), (xl, wl) = _gauss_jacobi01(mu), _gauss_jacobi01(1.0)
+    shift = np.arange(1.0, n_steps + 1.0)[:, None]  # b - 1 for the lags b = 2..n+1
+    hats = np.stack([wl * xl, wl * (1.0 - xl)], axis=1)
+    A, B = np.vstack([[wj @ xj, wj @ (1.0 - xj)], (shift + xl) ** (mu - 1.0) @ hats]).T
+    L = np.append(B[0], A[:-1] + B[1:])
+    c = np.append(0.0, A[:-1])
+    scale = h ** mu * reciprocal_gamma(mu)
     return _read_only(L * scale), _read_only(c * scale)
 
 
@@ -513,9 +505,7 @@ def diff2(v: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
 def _power_rule(coeff, power: float, anchor: str, n: int):
     """Coefficient of the n-th time derivative of coeff t^power (start anchor)
     or coeff (T - t)^power (end anchor), whose power is power - n."""
-    falling = 1.0
-    for k in range(n):
-        falling *= power - k
+    falling = math.prod(power - k for k in range(n))
     return coeff * falling * ((-1.0) ** n if anchor == "end" else 1.0)
 
 

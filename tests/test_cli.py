@@ -366,6 +366,8 @@ _CAPUTO_SUB_LINEAR = dict(kind="caputo", alpha=0.5, x_hi=np.pi,
                           diffusivity={"family": "constant", "k0": 1.0},
                           source={"id": "exact_linear", "params": {"lam": 1.0}},
                           substitution={"regime": "Caputo_sub", "c2": 1.0}, n_x=8)
+_RL_SOLVER = dict(kind="rl", vectors=["NL_RL_sub"],
+                  source={"id": "solver", "params": {"a": 0.1, "b": 1.0}})
 BAD_CONFIGS = {
     "vectors_not_a_list": (dict(vectors=5), 2),
     "vector_id_not_a_string": (dict(vectors=[["Table3_v1"]]), 2),
@@ -408,6 +410,11 @@ BAD_CONFIGS = {
     "x_lo_above_x_hi": (dict(x_lo=2.0, x_hi=1.0), 2),
     "exclude_frac_half": (dict(exclude_frac=0.5), 2),
     "exclude_frac_negative": (dict(exclude_frac=-0.1), 2),
+    # the window is checked on every grid, not after the first solves
+    "exclude_frac_empties_the_first_grid": (dict(_RL_SOLVER, grids=[8, 16], n_x=8,
+                                                 exclude_frac=0.45), 2),
+    # without n_x each grid's n_x is its n_steps, which must be >= 6 too
+    "default_n_x_below_6": (dict(_RL_SOLVER, grids=[4, 5]), 2),
     # a key a mapping does not take is refused, not ignored
     "param_misspelt": (dict(source={"id": "exact_stationary", "params": {"a": 0.1, "bb": 2.0}}), 2),
     "perturb_on_exact_stationary": (dict(source={"id": "exact_stationary",

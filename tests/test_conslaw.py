@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import rgamma
 
 from fraccons import conslaw
 from fraccons.conslaw import (
@@ -18,7 +19,8 @@ from fraccons.conslaw import (
     _linear_prefix,
     _noether_core,
 )
-from fraccons.fracops import FractionalSpec, Kind, SpaceGrid, TimeGrid, TimeSeries, diff1
+from fraccons.fracops import (FractionalSpec, Kind, SingularTerm, SpaceGrid, TimeGrid, TimeSeries,
+                              diff1)
 from fraccons.symcat import (_GENERATORS, _REGIMES, SUBSTITUTION_REGIMES, AdjointSubstitution,
                              Symmetry, characteristic, list_symmetries, regime_constants,
                              regime_of, rl_extra_beta)
@@ -481,6 +483,81 @@ class TestNoetherVectors:
         for vid in ("Noether:Xinf", "Linear_Cap_sub_Xinf"):
             ct, cx = catalog_vector(vid, spec, d, substitution=sub, h=h).components(h)
             assert np.isfinite(ct[1:-1]).all() and np.isfinite(cx[1:-1]).all()
+
+
+# the adjoint field v as parts a g(x) (T-t)^p: (p, a, g, g_xx) on the x nodes
+_GREEN_V = {
+    "constant": lambda x: [(0.0, 1.0, np.cos(x) + 0.2 * x, -np.cos(x))],
+    # 1 + t/2 = 3/2 - (T-t)/2 at T = 1
+    "linear": lambda x: [(0.0, 1.5, np.cos(x), -np.cos(x)), (1.0, -0.5, np.cos(x), -np.cos(x)),
+                         (0.0, 1.0, 0.2 * x, np.zeros_like(x))],
+    # e^-t = e^-1 e^(T-t), its Taylor series past roundoff on the window
+    "decaying": lambda x: [(float(k), math.exp(-1.0) / math.factorial(k), np.cos(x), -np.cos(x))
+                           for k in range(25)],
+}
+
+# At a < 1 the end term's power a - 1 is negative, and a field stores its
+# regular part as 0 at the anchor t = T of such a term. So the right integral
+# and J miss v's regular value at T, and the identity decays at first order.
+_ANCHOR_ZERO = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the regular part is stored as 0 at the anchor of a negative-power term")
+_GREEN_CASES = [pytest.param(alpha, v_case, end,
+                             id=f"{alpha}-{v_case}-{'end_term' if end else 'smooth'}",
+                             marks=[_ANCHOR_ZERO] if end and alpha < 1.0 else [])
+                for alpha in (0.3, 0.5, 1.5, 1.7) for v_case in sorted(_GREEN_V)
+                for end in (False, True)]
+
+
+class TestGreenIdentity:
+    """The Caputo Noether vector against the fractional Green identity
+
+      D_t C^t + D_x C^x = v (cD^a W - W_xx) - W (D^a_{T-} v - v_xx)
+
+    with C^t = _noether_ct(W, v) and C^x = v_x W - v W_x, on fields that solve
+    neither equation, so that an error proportional to a residual shows."""
+
+    @staticmethod
+    def identity_error(alpha, v_case, end, n):
+        """Linf of the identity's residual over t in [1/8, 7/8] and the columns
+        3..-3 that divergence_residual keeps, at T = 1, x in [0, pi], n_x = n/2."""
+        spec = FractionalSpec(CAP, alpha)
+        grid, x = TimeGrid(1.0, n), SpaceGrid(0.0, np.pi, n // 2)
+        t, xs = grid.nodes()[:, None], x.nodes()
+        # W = (1 + t + t^2/2) sin x + 0.3 t cos 2x as parts c(x) t^m: (m, c, c_xx)
+        w_parts = [(0, np.sin(xs), -np.sin(xs)),
+                   (1, np.sin(xs) + 0.3 * np.cos(2.0 * xs), -np.sin(xs) - 1.2 * np.cos(2.0 * xs)),
+                   (2, 0.5 * np.sin(xs), -0.5 * np.sin(xs))]
+        v_parts = _GREEN_V[v_case](xs)
+        W = TimeSeries.from_parts(grid, sum(c * t ** m for m, c, _ in w_parts), x=x)
+        end_terms = (SingularTerm(np.cos(xs), alpha - 1.0, "end"),) if end else ()
+        v = TimeSeries.from_parts(grid, sum(a * g * (1.0 - t) ** p for p, a, g, _ in v_parts),
+                                  end_terms, x)
+        ct = conslaw._noether_ct(W, v, None, spec)
+        cx = v.dx_field().values * W.values - v.values * W.dx_field().values
+        lhs = diff1(ct, grid.h, axis=0) + diff1(cx, x.h, axis=1)
+        rows = slice(n // 8, 7 * n // 8 + 1)
+        t, s = t[rows], 1.0 - t[rows]
+        if end:  # (T-t)^(a-1) is in the kernel of D^a_{T-}
+            v_parts = v_parts + [(alpha - 1.0, 1.0, np.cos(xs), -np.cos(xs))]
+        # cD^a t^m = m!/Gamma(m+1-a) t^(m-a), and 0 for the integers m < n
+        cap_W = sum(c * math.factorial(m) / math.gamma(m + 1.0 - alpha) * t ** (m - alpha)
+                    for m, c, _ in w_parts if m >= spec.n)
+        W_xx = sum(c_xx * t ** m for m, _, c_xx in w_parts)
+        # D^a_{T-} (T-t)^p = Gamma(p+1)/Gamma(p+1-a) (T-t)^(p-a)
+        right_v = sum(a * g * math.gamma(p + 1.0) * rgamma(p + 1.0 - alpha) * s ** (p - alpha)
+                      for p, a, g, _ in v_parts)
+        v_vals = sum(a * g * s ** p for p, a, g, _ in v_parts)
+        v_xx = sum(a * g_xx * s ** p for p, a, _, g_xx in v_parts)
+        rhs = v_vals * (cap_W - W_xx) - W.values[rows] * (right_v - v_xx)
+        return np.max(np.abs(lhs[rows] - rhs)[:, 3:-3])
+
+    @pytest.mark.parametrize("alpha, v_case, end", _GREEN_CASES)
+    def test_identity_decays_at_second_order(self, alpha, v_case, end):
+        # with one edge column dropped, the one-sided x stencils make it first order
+        err = [self.identity_error(alpha, v_case, end, n) for n in (64, 128, 256)]
+        ratios = [err[0] / err[1], err[1] / err[2]]
+        assert min(ratios) >= 3.0, (err, ratios)
 
 
 class TestVerifiers:

@@ -308,22 +308,25 @@ class TestLeftIntegral:
         with pytest.raises(ValueError):
             left_frac_integral(series(grid, lambda t: t), 0.0)
 
-    @pytest.mark.parametrize("mu", [0.3, 0.5, 1.5])
+    @pytest.mark.parametrize("mu", [0.05, 0.3, 0.5, 1.5, 1.95])
     def test_weights_against_mpmath(self, mu):
-        # L[k] and c[k] are second differences of k^(mu+1); taken as plain
-        # differences they lose about k^2 of relative precision (1.7e-9 at
-        # k = 2047, mu = 0.5)
+        # the reference is the closed form: L[k] and c[k] as second differences
+        # of k^(mu+1), in 40 digits because in doubles they lose about k^2 of
+        # relative precision (1.7e-9 at k = 2047, mu = 0.5); the Gauss sums
+        # of positive terms stay at roundoff down to small mu
         n = 8192
         L, c = fracops._pl_weights(n, mu, 1.0)
-        lags = sorted(set(range(1, 12)) | set(np.geomspace(1, n, 60).astype(int).tolist()))
+        lags = sorted(set(range(12)) | set(np.geomspace(1, n, 60).astype(int).tolist()))
         with mpmath.workdps(40):
-            p, scale = mpmath.mpf(mu) + 1, mpmath.mpf(1.0 / G(mu + 2.0))
-            for k in lags:
+            p, scale = mpmath.mpf(mu) + 1, 1 / mpmath.gamma(mpmath.mpf(mu) + 2)
+            assert L[0] == pytest.approx(float(scale), rel=1e-14, abs=0.0)
+            assert c[0] == 0.0
+            for k in lags[1:]:
                 K = mpmath.mpf(k)
                 ref_L = ((K + 1) ** p - 2 * K ** p + (K - 1) ** p) * scale
                 ref_c = ((K - 1) ** p - K ** p + p * K ** mu) * scale
-                assert L[k] == pytest.approx(float(ref_L), rel=1e-13, abs=0.0), k
-                assert c[k] == pytest.approx(float(ref_c), rel=1e-13, abs=0.0), k
+                assert L[k] == pytest.approx(float(ref_L), rel=1e-14, abs=0.0), k
+                assert c[k] == pytest.approx(float(ref_c), rel=1e-14, abs=0.0), k
 
 
 class TestRightIntegral:
@@ -749,6 +752,24 @@ class TestPowerIntegral:
                  for node in ast.walk(fn) if isinstance(node, ast.Call)
                  and isinstance(node.func, ast.Name) and node.func.id == "hyp2f1"]
         assert sites == ["_power_integral"]
+
+    def test_every_gauss_rule_comes_from_gauss_jacobi01(self):
+        # no kernel weight comes from a polynomial series or a library rule:
+        # no polyval, no numpy.polynomial (leggauss), no scipy quadrature
+        tree = ast.parse(open(fracops.__file__, encoding="utf-8").read())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                names.update((node.module or "").split("."))
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(part for alias in node.names for part in alias.name.split("."))
+        banned = {"polyval", "polynomial", "leggauss", "integrate", "quad", "fixed_quad"}
+        assert not names & banned
+        assert not [name for name in names if name.startswith("roots_")]
 
 
 def _dense_start_power_matrix(grid, p, beta):
