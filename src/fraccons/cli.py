@@ -7,7 +7,9 @@ Exit codes, each failure with a one-line message on stderr:
     which is its step count when n_x is not given), an exclude_frac that
     leaves no interior time node on some grid, a largest grid whose field has
     more than 2^25 nodes (n + 1) * (n_x + 1), grids whose dense endpoint-pole
-    weights would exceed the 1 GiB budget _DENSE_WEIGHT_BUDGET, an unknown
+    weights would exceed the 1 GiB budget _DENSE_WEIGHT_BUDGET, a solver source
+    on grids whose L1 history sums, n^2 (n_x + 1) / 2 per grid, would exceed the
+    1e11 multiply-adds of _SOLVER_WORK_BUDGET, an unknown
     key in a config mapping, a vector listed twice, a vector or substitution
     that does not fit the equation, a source that does not solve it (of
     another kind or diffusivity), a --config or --out path that cannot be
@@ -52,6 +54,7 @@ from .tfde import (
     exact_rl_power_mode,
     exact_rl_separable,
     exact_stationary_caputo,
+    l1_history_work,
     solve_nonlinear,
 )
 from .symcat import AdjointSubstitution, list_symmetries, regime_constants, regime_of
@@ -96,6 +99,10 @@ _MAX_NODES = 2 ** 25
 # the most bytes the dense endpoint-pole weights may take over the grids of a
 # verify: 1 GiB, a largest grid near 10^4 steps
 _DENSE_WEIGHT_BUDGET = 2 ** 30
+# the most multiply-adds the solver's L1 history sums may take over the grids of
+# a verify: about 20 s at 5e9 a second on one core (verify_solver's grids take
+# 1.8e8); with n_x = 64, one grid of up to about 55,000 steps
+_SOLVER_WORK_BUDGET = 1e11
 
 
 @dataclass(frozen=True)
@@ -137,8 +144,9 @@ def parse_config(data: dict) -> ScenarioConfig:
     interval, family, regime and vector ids; their ValueError becomes a
     ConfigError. A vector id listed twice is refused. The
     source must solve the equation of the configured kind and diffusivity.
-    A scenario with the solver source loads the solver's LAPACK routine
-    (scipy.linalg) here, not in its first solve.
+    A scenario with the solver source must keep its L1 history work within
+    _SOLVER_WORK_BUDGET, and loads the solver's LAPACK routine (scipy.linalg)
+    here, not in its first solve.
     """
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a mapping")
@@ -223,6 +231,12 @@ def parse_config(data: dict) -> ScenarioConfig:
         raise ConfigError(f"grids: the endpoint-pole weights on grids up to {grids[-1]} steps "
                           f"need {dense / 2 ** 30:.1f} GiB, over the budget of "
                           f"{_DENSE_WEIGHT_BUDGET / 2 ** 30:g} GiB")
+    work = (sum(l1_history_work(n, n_x if n_x is not None else n) for n in grids)
+            if sid == "solver" else 0)
+    if work > _SOLVER_WORK_BUDGET:
+        raise ConfigError(f"grids: the solver's L1 history on grids up to {grids[-1]} steps "
+                          f"needs {work:.2g} multiply-adds, over the budget of "
+                          f"{_SOLVER_WORK_BUDGET:g}")
     # no key is ignored
     for where, keys, allowed in (
             (f"diffusivity keys for {family.value}", diffusivity,

@@ -17,7 +17,6 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Callable
 
 import numpy as np
 
@@ -225,25 +224,6 @@ def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -
     return x
 
 
-def _flux(k: Callable, u: np.ndarray, hx2: float):
-    """Conservative (k(u) u_x)_x at interior nodes, and the midpoint values
-    (um, k(um), du) it was built from, which :func:`_flux_jacobian` reuses."""
-    um = 0.5 * (u[1:] + u[:-1])
-    kh = k(um)
-    du = u[1:] - u[:-1]
-    q = kh * du
-    return (q[1:] - q[:-1]) / hx2, (um, kh, du)
-
-
-def _flux_jacobian(k_prime: Callable, mid: tuple, hx2: float):
-    """The flux Jacobian's sub-, main and super-diagonals (w.r.t. u_{j-1}, u_j,
-    u_{j+1}) from the midpoint values ``mid`` of :func:`_flux`."""
-    um, kh, du = mid
-    s = 0.5 * k_prime(um) * du
-    return ((kh[1:-1] - s[1:-1]) / hx2, (s[1:] - kh[1:] - s[:-1] - kh[:-1]) / hx2,
-            (kh[1:-1] + s[1:-1]) / hx2)
-
-
 def _max_abs(v: np.ndarray) -> float:
     """max |v| as a float, NaN when v holds a NaN: argmax stops at the first
     NaN, and it costs less than a ufunc reduce on the solver's short rows."""
@@ -251,63 +231,10 @@ def _max_abs(v: np.ndarray) -> float:
     return float(a[a.argmax()])
 
 
-def _newton_step_solve(k: Callable, k_prime: Callable, c0: float, rhs: np.ndarray,
-                       base_row: np.ndarray, w: np.ndarray, hx2: float) -> np.ndarray:
-    """Solve c0 * w - flux(base_row + w) = rhs at the interior nodes (hx2 = hx^2),
-    and return the interior of the solution w.
-
-    ``k`` and ``k_prime`` take float arrays (the diffusivity's row, bound once per solve).
-    ``w`` is the start guess with the Dirichlet values in its end entries; it
-    is not written. The iterate is held as its interior, and the row
-    u = base_row + w is updated in place.
-    Every residual evaluation keeps its midpoint values; the Jacobian is built
-    from them only when Newton steps, once per banded solve.
-    A tolerance that overflows, a non-finite residual or Jacobian (an iterate
-    outside the domain of k), a singular system, a stalled line search or the
-    iteration cap raise SolverError.
-    """
-    with np.errstate(all="ignore"):
-        # residual tolerance relative to the magnitude of the balanced terms;
-        # the flux difference cancels catastrophically when the field carries
-        # an initial-time singularity, so the roundoff floor scales with k*u/hx^2
-        u = base_row + w
-        term_mag = _max_abs(k(u) * u) / hx2
-        tol_eff = max(_TOL * max(1.0, _max_abs(rhs)), 1e-12 * term_mag)
-        if not math.isfinite(tol_eff):
-            raise SolverError("Newton tolerance is not finite: the step's terms "
-                              "exceed the float64 range")
-        base_in, u_in, w = base_row[1:-1], u[1:-1], w[1:-1]
-        f, mid = _flux(k, u, hx2)
-        g = c0 * w - f - rhs
-        gn = _max_abs(g)
-        for _ in range(_MAX_ITER):
-            if gn <= tol_eff:
-                return w
-            # (J - c0) delta = g; main holds every midpoint value of k and k',
-            # so its being finite covers the off-diagonals too
-            sub, main, sup = _flux_jacobian(k_prime, mid, hx2)
-            d = main - c0
-            if not (math.isfinite(gn) and math.isfinite(_max_abs(d))):
-                raise SolverError("Newton iterate outside the domain of k: "
-                                  "non-finite residual or Jacobian")
-            delta = solve_banded(sub, d, sup, g)
-            # damped update: halve the step until the residual decreases
-            trial, lam = w + delta, 1.0
-            while True:
-                np.add(base_in, trial, out=u_in)
-                f, mid = _flux(k, u, hx2)
-                g_try = c0 * trial - f - rhs
-                gn_try = _max_abs(g_try)
-                if gn_try < gn:
-                    break
-                lam *= 0.5
-                if lam < 1e-6:
-                    raise SolverError("Newton line search stalled")
-                trial = w + lam * delta
-            w, g, gn = trial, g_try, gn_try
-        if gn <= tol_eff:
-            return w
-    raise SolverError("nonlinear iteration did not converge")
+def l1_history_work(n_steps: int, n_x: int) -> float:
+    """Multiply-adds of the L1 history sums of one solve: step m sums m - 1
+    rows of n_x + 1 entries, about n_steps^2 (n_x + 1) / 2 in all."""
+    return n_steps * n_steps * (n_x + 1) / 2
 
 
 def solve_nonlinear(spec: FractionalSpec, diffusivity: Diffusivity, grid: TimeGrid,
@@ -334,10 +261,20 @@ def solve_nonlinear(spec: FractionalSpec, diffusivity: Diffusivity, grid: TimeGr
     Dirichlet data: the ends of w keep their t = 0 values, so u at x_lo and
     x_hi is held at u0 there (Caputo kind) or is the singular modes alone,
     e.g. c1 t^{alpha-1} (RL kind).
+    Each step m solves c0 w - (k(u) u_x)_x = rhs at the interior nodes, with
+    u = base[m] + w and the conservative flux on midpoint values, by damped
+    Newton from w = W[m-1]: the residual tolerance is relative to max(1, |rhs|),
+    with a floor of 1e-12 |k(u) u| / hx^2 for the cancellation in the flux
+    difference; the tridiagonal Jacobian is built from the midpoint values of
+    the last residual, only when Newton steps, and solved by the module's
+    ``solve_banded``; a step whose residual does not fall is halved.
+    The loop runs under one ``np.errstate(all="ignore")``: a non-finite value
+    reaches the tolerance, the residual or the Jacobian, whose checks raise.
     Raises ValueError when x has no interior node (n_x < 2) or when the
     initial data it uses are not finite, and SolverError when a Newton step
-    fails, including an iterate outside the domain of k and a step whose
-    terms overflow the float64 range.
+    fails: a tolerance that is not finite (the step's terms overflow the
+    float64 range), a non-finite residual or Jacobian (an iterate outside the
+    domain of k), a singular system, a stalled line search or the iteration cap.
     """
     alpha = spec.alpha
     n = spec.n
@@ -380,16 +317,69 @@ def solve_nonlinear(spec: FractionalSpec, diffusivity: Diffusivity, grid: TimeGr
     c0 = c_l1 / h ** (n - 1)
     dY = np.zeros((n_t + 1, cols))  # dY[j] = y_j - y_{j-1}
     k, k_prime = (partial(f, diffusivity) for f in _FAMILY_ROWS[diffusivity.family][:2])
-    for m in range(1, n_t + 1):
-        # L1 history: sum_{j=1}^{m-1} a_{m-j} (y_j - y_{j-1})
-        hist = c_l1 * (a_rev[n_t - m + 1: n_t] @ dY[1:m])
-        # c_l1 (y_m - y_{m-1}) + hist = flux, with y_m = (w_m - w_prev) / h^(n-1)
-        w_prev = W[m - 1, 1:-1] if n == 2 else 0.0
-        rhs = c0 * w_prev + c_l1 * y[1:-1] - hist[1:-1]
-        W[m, 1:-1] = _newton_step_solve(k, k_prime, c0, rhs, base[m], W[m - 1], hx2)
-        y_m = W[m] if n == 1 else (W[m] - W[m - 1]) / h
-        dY[m] = y_m - y
-        y = y_m
+    u = np.empty(cols)  # the row base[m] + w of the Newton iterate
+    u_r, u_l, u_in = u[1:], u[:-1], u[1:-1]
+    with np.errstate(all="ignore"):
+        for m in range(1, n_t + 1):
+            # L1 history: sum_{j=1}^{m-1} a_{m-j} (y_j - y_{j-1})
+            hist = c_l1 * (a_rev[n_t - m + 1: n_t] @ dY[1:m])
+            # c_l1 (y_m - y_{m-1}) + hist = flux, with y_m = (w_m - w_prev) / h^(n-1)
+            if n == 1:
+                rhs = c_l1 * y[1:-1] - hist[1:-1]
+            else:
+                rhs = c0 * W[m - 1, 1:-1] + c_l1 * y[1:-1] - hist[1:-1]
+            base_row = base[m]
+            np.add(base_row, W[m - 1], out=u)
+            # the flux difference cancels catastrophically when the field carries
+            # an initial-time singularity, so the roundoff floor scales with k*u/hx^2
+            term_mag = _max_abs(k(u) * u) / hx2
+            tol_eff = max(_TOL * max(1.0, _max_abs(rhs)), 1e-12 * term_mag)
+            if not math.isfinite(tol_eff):
+                raise SolverError("Newton tolerance is not finite: the step's terms "
+                                  "exceed the float64 range")
+            base_in, w = base_row[1:-1], W[m - 1, 1:-1]
+            um = 0.5 * (u_r + u_l)
+            kh = k(um)
+            du = u_r - u_l
+            q = kh * du
+            g = c0 * w - (q[1:] - q[:-1]) / hx2 - rhs
+            gn = _max_abs(g)
+            for _ in range(_MAX_ITER):
+                if gn <= tol_eff:
+                    break
+                # (J - c0) delta = g; d holds every midpoint value of k and k',
+                # so its being finite covers the off-diagonals too
+                s = 0.5 * k_prime(um) * du
+                d = (s[1:] - kh[1:] - s[:-1] - kh[:-1]) / hx2 - c0
+                if not (math.isfinite(gn) and math.isfinite(_max_abs(d))):
+                    raise SolverError("Newton iterate outside the domain of k: "
+                                      "non-finite residual or Jacobian")
+                delta = solve_banded((kh[1:-1] - s[1:-1]) / hx2, d,
+                                     (kh[1:-1] + s[1:-1]) / hx2, g)
+                # damped update: halve the step until the residual decreases
+                trial, lam = w + delta, 1.0
+                while True:
+                    np.add(base_in, trial, out=u_in)
+                    um = 0.5 * (u_r + u_l)
+                    kh = k(um)
+                    du = u_r - u_l
+                    q = kh * du
+                    g_try = c0 * trial - (q[1:] - q[:-1]) / hx2 - rhs
+                    gn_try = _max_abs(g_try)
+                    if gn_try < gn:
+                        break
+                    lam *= 0.5
+                    if lam < 1e-6:
+                        raise SolverError("Newton line search stalled")
+                    trial = w + lam * delta
+                w, g, gn = trial, g_try, gn_try
+            else:
+                if not gn <= tol_eff:
+                    raise SolverError("nonlinear iteration did not converge")
+            W[m, 1:-1] = w
+            y_m = W[m] if n == 1 else (W[m] - W[m - 1]) / h
+            dY[m] = y_m - y
+            y = y_m
 
     return TimeSeries.from_parts(grid, W, terms, x)
 

@@ -84,7 +84,8 @@ class TestParseConfig:
     def test_grid_node_limit(self):
         # (2^20 - 1 + 1) * (31 + 1) = 2^25 nodes is the largest field admitted;
         # only parsed here, never allocated. A vector without dense weights:
-        # Table3_v1's would need 8 TiB there (the endpoint-pole budget)
+        # Table3_v1's would need 8 TiB there (the endpoint-pole budget). An
+        # exact source runs no L1 history, so the solver's budget passes it
         parse_config(base_config(grids=[16, 2 ** 20 - 1], n_x=31, vectors=["Trivial_Caputo"]))
         with pytest.raises(ConfigError, match=r"^grids: .* 1048576 time steps .* over the limit"):
             parse_config(base_config(grids=[16, 2 ** 20], n_x=31))
@@ -430,6 +431,9 @@ BAD_CONFIGS = {
     # within the node limit at n_x = 8, but about 7 TiB of endpoint-pole weights
     "pole_weights_over_budget": (dict(alpha=1.5, vectors=["Table5_v1"], grids=[16, 1000000],
                                       n_x=8), 2),
+    # at the node limit, but about 1.8e13 multiply-adds of L1 history: hours of
+    # solving; never run without the budget
+    "solver_history_over_budget": (dict(_RL_SOLVER, grids=[1048575], n_x=31), 2),
 }
 
 
@@ -498,6 +502,27 @@ def test_endpoint_pole_budget_counts_one_matrix_per_order(vectors, accepted):
         parse_config(cfg)
 
 
+@pytest.mark.parametrize("grids, n_x, accepted", [
+    ([1048575], 31, False),  # 1.8e13 multiply-adds, at the node limit
+    ([512, 1024, 2048], 64, True),  # verify_solver's grids: 1.8e8
+    ([16, 55000], 64, True),  # 9.8e10
+    ([16, 56000], 64, False),  # 1.02e11
+    # without n_x each grid's n_x is its step count: 9.3e10 for the last grid
+    # alone, and 1.9e11 summed over the three
+    ([5700], None, True),
+    ([4096, 5000, 5700], None, False),
+])
+def test_solver_history_budget(grids, n_x, accepted):
+    cfg = base_config(**{**_RL_SOLVER, "grids": grids, "n_x": n_x})
+    if accepted:
+        parse_config(cfg)
+        return
+    with pytest.raises(ConfigError, match=rf"^grids: the solver's L1 history on grids up to "
+                                          rf"{grids[-1]} steps needs .* multiply-adds, "
+                                          r"over the budget of 1e\+11$"):
+        parse_config(cfg)
+
+
 @pytest.mark.parametrize("overrides", [
     # one end term of v and three power terms of u_t
     {},
@@ -552,16 +577,26 @@ def _holder(cfg, dotted):
     return cfg, last
 
 
-def _bench_verify_configs():
-    """Variant 0 of each bench verify workload, by name."""
+def _bench_verify_configs(variant=0):
+    """The given variant of each bench verify workload, by name."""
     configs = {}
     for path in sorted((Path(__file__).resolve().parents[1] / "bench" / "workloads").glob("verify_*.json")):
         spec = json.loads(path.read_text(encoding="utf-8"))
-        for dotted, value in spec["variants"][0].items():
+        for dotted, value in spec["variants"][variant].items():
             node, last = _holder(spec["config"], dotted)
             node[last] = value
         configs[path.stem] = spec["config"]
     return configs
+
+
+@pytest.mark.parametrize("variant", range(8))
+def test_every_bench_verify_variant_is_accepted(variant):
+    # within the node limit and both budgets: verify_solver's L1 history
+    # work is about 1.8e8 multiply-adds, under _SOLVER_WORK_BUDGET
+    configs = _bench_verify_configs(variant)
+    assert len(configs) == 3
+    for cfg in configs.values():
+        parse_config(cfg)
 
 
 # on grids 16/32 and n_x = 8

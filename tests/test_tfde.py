@@ -1,6 +1,7 @@
 
 import json
-from functools import partial
+from functools import partial, wraps
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,26 +32,50 @@ def perturbed_profile(d, x):
     return d.K_inv(0.5 * xx + 1.0) * (1.0 + 0.1 * np.sin(np.pi * xx))
 
 
+def _flux(k, u, hx2):
+    """Conservative (k(u) u_x)_x at interior nodes, and the midpoint values
+    (um, k(um), du) it was built from, which :func:`_flux_jacobian` reuses."""
+    um = 0.5 * (u[1:] + u[:-1])
+    kh = k(um)
+    du = u[1:] - u[:-1]
+    q = kh * du
+    return (q[1:] - q[:-1]) / hx2, (um, kh, du)
+
+
+def _flux_jacobian(k_prime, mid, hx2):
+    """The flux Jacobian's sub-, main and super-diagonals (w.r.t. u_{j-1}, u_j,
+    u_{j+1}) from the midpoint values ``mid`` of :func:`_flux`."""
+    um, kh, du = mid
+    s = 0.5 * k_prime(um) * du
+    return ((kh[1:-1] - s[1:-1]) / hx2, (s[1:] - kh[1:] - s[:-1] - kh[:-1]) / hx2,
+            (kh[1:-1] + s[1:-1]) / hx2)
+
+
+# the solver's Newton tolerance and iteration cap, written out so that a
+# change to tfde._TOL or tfde._MAX_ITER shows against the oracle
+_REF_TOL, _REF_MAX_ITER = 1e-10, 50
+
+
 def _reference_newton_step(k, k_prime, c0, rhs, base_row, w, hx2):
     """One implicit step as the solver took it before its step loop was
     rewritten for fewer numpy calls: a residual closure, a copied trial row,
     and |k(u)| |u| in the tolerance. Returns the whole row w."""
 
     def residual(v, u):
-        f, mid = tfde._flux(k, u, hx2)
+        f, mid = _flux(k, u, hx2)
         g = c0 * v[1:-1] - f - rhs
         return g, np.abs(g).max(), mid
 
     with np.errstate(all="ignore"):
         u0 = base_row + w
         term_mag = float((np.abs(k(u0)) * np.abs(u0)).max()) / hx2
-        tol_eff = max(tfde._TOL * max(1.0, float(np.abs(rhs).max())), 1e-12 * term_mag)
+        tol_eff = max(_REF_TOL * max(1.0, float(np.abs(rhs).max())), 1e-12 * term_mag)
         g, gn, mid = residual(w, u0)
         trial = w.copy()
-        for _ in range(tfde._MAX_ITER):
+        for _ in range(_REF_MAX_ITER):
             if gn <= tol_eff:
                 return w
-            sub, main, sup = tfde._flux_jacobian(k_prime, mid, hx2)
+            sub, main, sup = _flux_jacobian(k_prime, mid, hx2)
             d = main - c0
             if not (np.isfinite(gn) and np.isfinite(d).all()):
                 raise SolverError("Newton iterate outside the domain of k: "
@@ -119,30 +144,44 @@ def assert_same_bits(u: TimeSeries, ref: TimeSeries) -> None:
         assert np.array_equal(term.coeff, want.coeff)
 
 
-def count_newton(monkeypatch):
-    """Count the solver's steps, residuals and banded solves, and keep the
-    banded solves of each step; a trial the line search refuses costs a
-    residual beyond the step's first and one per solve."""
-    counts = {"steps": 0, "_flux": 0, "solve_banded": 0, "solves_per_step": []}
+def count_newton(monkeypatch, cols):
+    """Count the steps, residuals, Jacobians and banded solves of solves on
+    rows of ``cols`` nodes, through what the step loop looks up on the module:
+    the k and k' of ``tfde._FAMILY_ROWS`` and ``tfde.solve_banded``. k runs on
+    the whole row once per step (its tolerance) and on the cells' midpoints
+    once per residual; k' runs once per Jacobian. Keeps the banded solves of
+    each step; a trial the line search refuses costs a residual beyond the
+    step's first and one per solve."""
+    counts = {"steps": 0, "residuals": 0, "jacobians": 0, "solve_banded": 0,
+              "solves_per_step": []}
 
-    def counted(name, real):
-        def call(*args):
-            counts[name] += 1
-            return real(*args)
+    def k_counted(real):
+        def call(d, u):
+            if u.size == cols:
+                counts["steps"] += 1
+                counts["solves_per_step"].append(0)
+            else:
+                counts["residuals"] += 1
+            return real(d, u)
         return call
 
-    real_step = tfde._newton_step_solve
+    def k_prime_counted(real):
+        def call(d, u):
+            counts["jacobians"] += 1
+            return real(d, u)
+        return call
 
-    def step(*args):
-        before = counts["solve_banded"]
-        counts["steps"] += 1
-        out = real_step(*args)
-        counts["solves_per_step"].append(counts["solve_banded"] - before)
-        return out
+    real_solve = tfde.solve_banded
 
-    for name in ("_flux", "solve_banded"):
-        monkeypatch.setattr(tfde, name, counted(name, getattr(tfde, name)))
-    monkeypatch.setattr(tfde, "_newton_step_solve", step)
+    def solve(*args):
+        counts["solve_banded"] += 1
+        counts["solves_per_step"][-1] += 1
+        return real_solve(*args)
+
+    rows = {family: (k_counted(k), k_prime_counted(k_prime), *rest)
+            for family, (k, k_prime, *rest) in tfde._FAMILY_ROWS.items()}
+    monkeypatch.setattr(tfde, "_FAMILY_ROWS", rows)
+    monkeypatch.setattr(tfde, "solve_banded", solve)
     return counts
 
 
@@ -389,8 +428,8 @@ class TestSolver:
                                                           name, bad):
         # an inf at an end leaked a RuntimeWarning and failed late, naming
         # neither the argument nor the cause; a NaN failed as a SolverError
-        counts = count_newton(monkeypatch)
         x = SpaceGrid(0.0, 1.0, 8)
+        counts = count_newton(monkeypatch, x.n_x + 1)
         data = {"initial": np.ones(9), "initial_velocity": np.zeros(9)}
         data[name][-1] = bad
         with pytest.raises(ValueError, match=f"^{name} must be finite at every node of x$"):
@@ -440,12 +479,30 @@ class TestSolverMatchesReference:
         u0 = d.K_inv(0.5 * x.nodes() + 1.0) * (1.0 + eps * np.sin(np.pi * x.nodes()))
         args = (FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5), d, TimeGrid(1.0, 32), x, u0)
         ref = reference_solve_nonlinear(*args)
-        counts = count_newton(monkeypatch)
+        counts = count_newton(monkeypatch, x.n_x + 1)
         assert_same_bits(solve_nonlinear(*args), ref)
         assert counts["steps"] == 32
         assert max(counts["solves_per_step"]) >= 3
-        halvings = counts["_flux"] - counts["steps"] - counts["solve_banded"]
+        halvings = counts["residuals"] - counts["steps"] - counts["solve_banded"]
         assert (halvings > 0) is (path == "halving")
+
+    @pytest.mark.parametrize("variant", range(8))
+    def test_bench_variants_bitwise(self, monkeypatch, variant):
+        # the data of each verify_solver variant (RL, alpha = 0.5, k = u^2) as
+        # the CLI builds them, on 64 steps and 16 cells
+        workload = json.loads((Path(__file__).resolve().parents[1] / "bench" / "workloads"
+                               / "verify_solver.json").read_text(encoding="utf-8"))
+        config = json.loads(json.dumps(workload["config"]))
+        for dotted, value in workload["variants"][variant].items():
+            *path, last = dotted.split(".")
+            node = config
+            for key in path:
+                node = node[key]
+            node[last] = value
+        cfg = cli.parse_config({**config, "grids": [64], "n_x": 16})
+        u = cli._solution(cfg, 64)
+        monkeypatch.setattr(cli, "solve_nonlinear", reference_solve_nonlinear)
+        assert_same_bits(u, cli._solution(cfg, 64))
 
     def test_verify_report_rows_match_reference(self, tmp_path, capsys, monkeypatch):
         # the bench's verify_solver scenario (variant 0) at its first grid
@@ -479,8 +536,8 @@ class TestNewtonJacobian:
         x = np.linspace(0.0, 1.0, 17)
         u = 1.0 + 0.2 * x + 0.3 * np.sin(3.0 * x)
         hx2 = (x[1] - x[0]) ** 2
-        _, mid = tfde._flux(d.k, u, hx2)
-        sub, main, sup = tfde._flux_jacobian(d.k_prime, mid, hx2)
+        _, mid = _flux(d.k, u, hx2)
+        sub, main, sup = _flux_jacobian(d.k_prime, mid, hx2)
         jac = np.diag(main) + np.diag(sub, -1) + np.diag(sup, 1)
         # column j - 1: the flux at the interior nodes against u_j
         fd = np.empty_like(jac)
@@ -489,7 +546,7 @@ class TestNewtonJacobian:
             up, down = u.copy(), u.copy()
             up[j] += step
             down[j] -= step
-            fd[:, j - 1] = (tfde._flux(d.k, up, hx2)[0] - tfde._flux(d.k, down, hx2)[0]) / (2 * step)
+            fd[:, j - 1] = (_flux(d.k, up, hx2)[0] - _flux(d.k, down, hx2)[0]) / (2 * step)
         assert np.max(np.abs(fd - jac)) <= 1e-6 * np.max(np.abs(jac))
 
     @given(hnp.arrays(float, st.integers(1, 80),
@@ -502,19 +559,35 @@ class TestNewtonJacobian:
         assert got == want or (np.isnan(got) and np.isnan(want))
 
     def test_one_jacobian_per_banded_solve(self, monkeypatch):
-        counts = {"_flux": 0, "_flux_jacobian": 0, "solve_banded": 0}
-        for name in counts:
-            real = getattr(tfde, name)
-            monkeypatch.setattr(tfde, name, lambda *args, _name=name, _real=real:
-                                counts.__setitem__(_name, counts[_name] + 1) or _real(*args))
         d = Diffusivity.power(2.0)
         x = SpaceGrid(0.0, 1.0, 16)
-        solve_nonlinear(FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5), d, TimeGrid(1.0, 64), x,
-                        perturbed_profile(d, x))
+        u0 = perturbed_profile(d, x)
+        counts = count_newton(monkeypatch, x.n_x + 1)
+        solve_nonlinear(FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5), d, TimeGrid(1.0, 64), x, u0)
         assert counts["solve_banded"] >= 64
-        assert counts["_flux_jacobian"] == counts["solve_banded"]
+        assert counts["jacobians"] == counts["solve_banded"]
         # each step's accepted residual needs no Jacobian
-        assert counts["_flux"] >= counts["_flux_jacobian"] + 64
+        assert counts["residuals"] >= counts["jacobians"] + 64
+
+    def test_tracer_probe_on_solve_banded_sees_every_solve(self, monkeypatch):
+        # the bench tracer rebinds tfde.solve_banded after import to a
+        # functools.wraps counter (bench/child.py, LayerTracer.install); the
+        # step loop must look the name up at each solve, not bind it once
+        d = Diffusivity.power(2.0)
+        x = SpaceGrid(0.0, 1.0, 16)
+        u0 = perturbed_profile(d, x)
+        counts = count_newton(monkeypatch, x.n_x + 1)
+        calls = {"tfde.banded_solves": 0}
+        real = tfde.solve_banded
+
+        @wraps(real)
+        def counted(*args, **kwargs):
+            calls["tfde.banded_solves"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tfde, "solve_banded", counted)
+        solve_nonlinear(FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5), d, TimeGrid(1.0, 64), x, u0)
+        assert calls["tfde.banded_solves"] == counts["jacobians"] == counts["solve_banded"] >= 64
 
 
 class TestBandedSolve:
