@@ -22,6 +22,7 @@ from .fracops import (
     Kind,
     FractionalSpec,
     TimeSeries,
+    _power_samples,
     _read_only,
     _require_same_grid,
     diff1,
@@ -119,9 +120,9 @@ class ConservedVectorEval:
     _fn: Callable[[TimeSeries], tuple[np.ndarray, np.ndarray]]
 
     def components(self, u: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
-        # the vectors themselves may be infinite at an end row: the weights
-        # (T-t)^{alpha-k} at t = T, and k(u) = u^beta with beta < 0 at u = 0;
-        # the verifiers exclude those rows and reject non-finite interior values
+        # k(u), k'(u) and L may be infinite where an anchor value is stored as
+        # 0 (u = c t^{alpha-1} with k = u^{-4/3} on row 0); the verifiers read
+        # no such row and reject non-finite values inside their window
         with np.errstate(divide="ignore", invalid="ignore"):
             ct, cx = self._fn(u)
         return np.asarray(ct, dtype=float), np.asarray(cx, dtype=float)
@@ -194,7 +195,7 @@ def _rl_moment(j: int, printed_typo: bool = False):
 
 @lru_cache(maxsize=None)
 def _pole_moment(m: int):
-    """Caputo core s^{a-m} I^{m+1-a}(D^m u / s), weight s^{a-m-1}, s = T - t on u's grid.
+    """Caputo core s^{a-m} I^{m+1-a}(D^m u / s), weight s^{a-m-1}, s = T - t by the anchor rule.
 
     For m = n - 1 it carries the initial term f0 Phi(t), f0 = D^m u(0, x), whose
     weight Phi = Gamma(a-m) - s^{a-m} I^{m+1-a}(1/s) is the same kernel on f0:
@@ -203,13 +204,13 @@ def _pole_moment(m: int):
 
     def core(u, spec, start):
         a = spec.alpha
-        s = (u.grid.T - u.grid.nodes())[:, None]
         f, f0 = (time_derivative(u, m) if m else u), 0.0
         if m == spec.n - 1:
             f0 = start(u)[None, :]
             f = TimeSeries.from_parts(u.grid, f.regular_part() - f0, f.singular, u.x)
-        c = gamma(a - m) * f0 + s ** (a - m) * left_integral_endpoint_pole(f, m + 1.0 - a).values
-        return c, s ** (a - m - 1.0)
+        pole = left_integral_endpoint_pole(f, m + 1.0 - a).values
+        c = gamma(a - m) * f0 + _power_samples(u.grid, a - m, "end")[:, None] * pole
+        return c, _power_samples(u.grid, a - m - 1.0, "end")[:, None]
 
     core.pole_m = m  # read by dense_weight_bytes
     return core
@@ -217,9 +218,9 @@ def _pole_moment(m: int):
 
 def _noether_time(u, spec, start):
     """Caputo n = 2 core: the Noether C^t of W = u and v = s^{a-1} (Caputo_wave,
-    c2 = 1), Gamma(a) (u + s u_t) - J(u_tt, v), weight s^{a-1}, s = T - t."""
+    c2 = 1), Gamma(a) (u + s u_t) - J(u_tt, v), weight s^{a-1}, s = T - t (0 at t = T)."""
     v = AdjointSubstitution("Caputo_wave", spec, c2=1.0).field(u.grid, u.x)
-    return _noether_ct(u, v, None, spec), (u.grid.T - u.grid.nodes())[:, None] ** (spec.alpha - 1.0)
+    return _noether_ct(u, v, None, spec), _power_samples(u.grid, spec.alpha - 1.0, "end")[:, None]
 
 
 def _trivial_caputo(u, spec, start):
@@ -449,11 +450,9 @@ def _time_window(n_steps: int, exclude_frac: float) -> tuple[int, int]:
     return lo, n_steps + 1 - lo
 
 
-def _report(cv: ConservedVectorEval, u: TimeSeries, residual: np.ndarray,
-            exclude_frac: float, what: str, space: slice = slice(None)) -> ResidualReport:
-    """Norms of ``residual`` on the time window (and the ``space`` columns)."""
-    lo, hi = _time_window(u.grid.n_steps, exclude_frac)
-    window = residual[lo:hi][..., space]
+def _report(cv: ConservedVectorEval, u: TimeSeries, window: np.ndarray, lo: int,
+            what: str) -> ResidualReport:
+    """Norms of ``window``, a residual on the time rows lo:hi of ``_time_window``."""
     if not np.isfinite(window).all():
         raise FloatingPointError(f"{cv.provenance}: non-finite {what} inside the window")
     linf = float(np.max(np.abs(window)))
@@ -468,32 +467,32 @@ def divergence_residual(cv: ConservedVectorEval, u: TimeSeries,
                         ) -> ResidualReport:
     """Pointwise residual D_t C^t + D_x C^x on the interior region.
 
-    Norms exclude ``exclude_frac`` of the time nodes at each end (initial and
-    final boundary layers, where the catalog weights may be singular) and
-    three space columns at each side: the one-sided edge stencils leave a
-    kink in the discretization error that spreads one column per repeated
-    differentiation, and the divergence stencil amplifies it by 1/h.
+    Only the window's time rows are computed, D_t from rows lo-1..hi, so the
+    ``exclude_frac`` of the nodes at each end (initial and final boundary
+    layers, where the catalog weights may be singular) never enter. Norms
+    also drop three space columns at each side: the one-sided edge stencils
+    leave a kink in the discretization error that spreads one column per
+    repeated differentiation, and the divergence stencil amplifies it by 1/h.
     ``components`` is ``cv.components(u)`` when the caller has it already.
     """
     if u.x.n_x < 6:
         raise ValueError("the residual's space window drops 3 columns at each side "
                          f"and needs n_x >= 6, got n_x = {u.x.n_x}")
+    lo, hi = _time_window(u.grid.n_steps, exclude_frac)
     ct, cx = cv.components(u) if components is None else components
-    with np.errstate(invalid="ignore"):
-        res = diff1(ct, u.grid.h, axis=0) + diff1(cx, u.hx, axis=1)
-    return _report(cv, u, res, exclude_frac, "residual", slice(3, -3))
+    res = diff1(ct[lo - 1:hi + 1], u.grid.h, axis=0)[1:-1] + diff1(cx[lo:hi], u.hx, axis=1)
+    return _report(cv, u, res[:, 3:-3], lo, "residual")
 
 
 def flux_balance(cv: ConservedVectorEval, u: TimeSeries,
                  exclude_frac: float = 0.05,
                  components: Optional[tuple[np.ndarray, np.ndarray]] = None) -> ResidualReport:
-    """Integrated residual d/dt (integral of C^t dx) + [C^x] at the space ends.
+    """Integrated residual d/dt (int C^t dx) + [C^x] at the space ends, on the window's rows.
 
     ``components`` is ``cv.components(u)`` when the caller has it already.
     """
+    lo, hi = _time_window(u.grid.n_steps, exclude_frac)
     ct, cx = cv.components(u) if components is None else components
-    # C^t and C^x may be infinite at the end rows, which the window excludes
-    with np.errstate(invalid="ignore"):
-        mass = np.trapezoid(ct, dx=u.hx, axis=1)
-        bal = diff1(mass, u.grid.h) + (cx[:, -1] - cx[:, 0])
-    return _report(cv, u, bal, exclude_frac, "balance")
+    mass = np.trapezoid(ct[lo - 1:hi + 1], dx=u.hx, axis=1)
+    bal = diff1(mass, u.grid.h)[1:-1] + (cx[lo:hi, -1] - cx[lo:hi, 0])
+    return _report(cv, u, bal, lo, "balance")

@@ -424,13 +424,14 @@ def _gauss_jacobi01(mu: float) -> tuple[np.ndarray, np.ndarray]:
     Golub-Welsch (Math. Comp. 23 (1969) 221): the nodes are the eigenvalues of
     the Jacobi matrix of the monic Jacobi polynomials P^(0, mu-1) mapped to
     [0, 1], and the weights are the squared first eigenvector components,
-    scaled to sum to int_0^1 x^{mu-1} dx = 1/mu. mu = 1 is Gauss-Legendre.
+    scaled to sum to int_0^1 x^{mu-1} dx = 1/mu. mu = 1 is Gauss-Legendre. The
+    entries s - 1, s + 1, b + 2 and k + b (s = 2k + b) are written in mu, so none cancels.
     """
     b = mu - 1.0
     k = np.arange(1.0, 16.0)
     s = 2.0 * k + b
-    diag = np.append(b / (b + 2.0), b * b / (s * (s + 2.0)))
-    off = 2.0 * k * (k + b) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    diag = np.append(b / (mu + 1.0), b * b / (s * (s + 2.0)))
+    off = 2.0 * k * (k - 1.0 + mu) / (s * np.sqrt((2.0 * k + mu) * (2.0 * (k - 1.0) + mu)))
     z, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     w = vecs[0] ** 2
     return _read_only(0.5 * (z + 1.0)), _read_only(w / (mu * w.sum()))

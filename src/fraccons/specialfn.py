@@ -42,7 +42,7 @@ _ML_CANCEL_TOL = 1e-10
 
 
 def _is_nonpositive_integer(z: float) -> bool:
-    return z <= _INT_EPS and abs(z - round(z)) < _INT_EPS
+    return z <= 0.0 and abs(z - round(z)) < _INT_EPS
 
 
 def gamma(z: float) -> float:

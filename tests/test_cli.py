@@ -639,6 +639,12 @@ def test_mutated_bench_config_exits_with_a_code_and_one_line(case, value):
         assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
 
 
+def test_verify_at_alpha_one_ulp_below_one_exits_0(tmp_path, capsys):
+    # the pole weights' order 1 - alpha is 2^-53, where the Gauss rule once divided by 0
+    cfg = write_config(tmp_path, base_config(alpha=0.9999999999999999))
+    assert main(["verify", "--config", cfg]) == 0
+
+
 def test_nan_threshold_flag_exits_2(tmp_path, capsys):
     rc = main(["verify", "--config", write_config(tmp_path, base_config()), "--threshold", "nan"])
     assert rc == 2

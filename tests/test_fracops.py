@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import dblquad, quad
 
-from fraccons import fracops
+from fraccons import conslaw, fracops
 from fraccons.fracops import (
     FractionalSpec,
     Kind,
@@ -328,6 +328,19 @@ class TestLeftIntegral:
                 assert L[k] == pytest.approx(float(ref_L), rel=1e-14, abs=0.0), k
                 assert c[k] == pytest.approx(float(ref_c), rel=1e-14, abs=0.0), k
 
+    @pytest.mark.parametrize("mu", [1e-16, 1e-20, 1e-300])
+    def test_tiny_order_gives_the_field(self, mu):
+        # I^mu f -> f as mu -> 0; the Gauss rule's entries must not cancel there
+        f = series(TimeGrid(1.0, 64), lambda t: t ** 2)
+        assert np.max(np.abs(left_frac_integral(f, mu).values - f.values)) <= 1e-12
+
+    def test_gauss_rule_at_tiny_order(self):
+        # s - 1 = 2(k-1) + mu is mu at k = 1, not (1 + (mu - 1)) - 1 = 0
+        mu = 1e-20
+        z, w = fracops._gauss_jacobi01(mu)
+        assert np.isfinite(z).all() and np.isfinite(w).all()
+        assert abs(w.sum() * mu - 1.0) <= 1e-14
+
 
 class TestRightIntegral:
     def test_constant_closed_form(self):
@@ -350,6 +363,13 @@ class TestRightIntegral:
 
 
 class TestDerivatives:
+    def test_caputo_order_within_1e12_of_one(self):
+        # the integral order 1 - alpha = 1e-12 is no pole of Gamma:
+        # cD^alpha t^2 = 2 t^(2-alpha) / Gamma(3-alpha), at t = 1
+        alpha = 1.0 - 1e-12
+        out = caputo_left_derivative(series(TimeGrid(1.0, 64), lambda t: t ** 2), alpha)
+        assert out.values[-1] == pytest.approx(2.0 / math.gamma(3.0 - alpha), rel=1e-12)
+
     def test_caputo_power_rule_exact_on_linear(self):
         # Caputo D^{0.5} t = I^{0.5} 1 = t^{0.5}/Gamma(1.5), exact here
         # because differentiation of a linear function is exact and the
@@ -752,6 +772,21 @@ class TestPowerIntegral:
                  for node in ast.walk(fn) if isinstance(node, ast.Call)
                  and isinstance(node.func, ast.Name) and node.func.id == "hyp2f1"]
         assert sites == ["_power_integral"]
+
+    def test_verifiers_mask_nothing_and_conslaw_takes_no_raw_end_power(self):
+        # the verifiers compute only their window's rows, so no end row enters
+        # their arithmetic; every (T - t)^p of conslaw is a _power_samples one
+        tree = ast.parse(open(conslaw.__file__, encoding="utf-8").read())
+        fns = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+        masks = [fn.name for fn in fns if fn.name in ("divergence_residual", "flux_balance")
+                 for node in ast.walk(fn)
+                 if isinstance(node, ast.Attribute) and node.attr == "errstate"]
+        raw = [fn.name for fn in fns for node in ast.walk(fn)
+               if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+               and isinstance(node.left, ast.Attribute) and node.left.attr == "T"
+               and isinstance(node.right, ast.Call)
+               and isinstance(node.right.func, ast.Attribute) and node.right.func.attr == "nodes"]
+        assert masks == [] and raw == []
 
     def test_every_gauss_rule_comes_from_gauss_jacobi01(self):
         # no kernel weight comes from a polynomial series or a library rule:

@@ -42,6 +42,11 @@ class TestGamma:
         assert reciprocal_gamma(-3.0) == 0.0
         assert reciprocal_gamma(2.5) == pytest.approx(1.0 / math.gamma(2.5), rel=1e-13)
 
+    def test_tiny_positive_argument_is_no_pole(self):
+        # only z <= 0 is taken for a pole: an order below 1e-12 is an order
+        assert reciprocal_gamma(1e-13) == 1.0 / math.gamma(1e-13)
+        assert gamma(1e-13) == math.gamma(1e-13)
+
 
 class TestMittagLeffler:
     def test_exponential_special_case(self):

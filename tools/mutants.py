@@ -4,8 +4,9 @@ Kept out of the default test run. Run it by hand from the root of a checkout:
 
     python3 tools/mutants.py
 
-It copies ``src/``, ``tests/``, ``pyproject.toml`` and the workload configs
-the tests read (``bench/workloads/``) to a temporary directory and first runs every catching test there unmutated; they must
+It copies ``src/``, ``tests/``, ``pyproject.toml`` and ``bench/`` (the
+workload configs, references and runner the tests read) to a temporary
+directory and first runs every catching test there unmutated; they must
 pass. Then, for each row of ``MUTANTS`` in turn, it replaces the row's old
 text (which must occur exactly once in its file) with the new text, runs the
 row's catching test, and restores the file. A mutant whose test still passes
@@ -53,6 +54,9 @@ MUTANTS = (
     ("errstate dropped from the step loop", _TFDE,
      'with np.errstate(all="ignore"):', "if True:",
      _SOLVER_TESTS + "TestSolver::test_overflowing_tolerance_raises"),
+    ("divergence_residual's D_t rows shifted by one", "src/fraccons/conslaw.py",
+     "diff1(ct[lo - 1:hi + 1]", "diff1(ct[lo:hi + 2]",
+     "tests/test_acceptance.py::test_verify_matches_bench_reference[verify_solver-0]"),
     ("solver history budget 1e14", "src/fraccons/cli.py",
      "_SOLVER_WORK_BUDGET = 1e11", "_SOLVER_WORK_BUDGET = 1e14",
      "tests/test_cli.py::test_solver_history_budget"),
@@ -73,7 +77,7 @@ def main() -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="fraccons-mutants-") as tmp:
         workdir = Path(tmp)
-        for name in ("src", "tests", "bench/workloads"):
+        for name in ("src", "tests", "bench"):
             shutil.copytree(ROOT / name, workdir / name,
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "pyproject.toml", workdir / "pyproject.toml")
