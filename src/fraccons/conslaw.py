@@ -25,7 +25,6 @@ from .fracops import (
     _power_samples,
     _read_only,
     _require_same_grid,
-    diff1,
     j_integral,
     left_integral_endpoint_pole,
     rl_left_derivative,
@@ -467,12 +466,12 @@ def divergence_residual(cv: ConservedVectorEval, u: TimeSeries,
                         ) -> ResidualReport:
     """Pointwise residual D_t C^t + D_x C^x on the interior region.
 
-    Only the window's time rows are computed, D_t from rows lo-1..hi, so the
-    ``exclude_frac`` of the nodes at each end (initial and final boundary
-    layers, where the catalog weights may be singular) never enter. Norms
-    also drop three space columns at each side: the one-sided edge stencils
-    leave a kink in the discretization error that spreads one column per
-    repeated differentiation, and the divergence stencil amplifies it by 1/h.
+    Only the window, rows lo..hi-1 by columns 3..n_x-3, is computed, D_t and D_x
+    by central differences, so the ``exclude_frac`` of the nodes at each end
+    (initial and final boundary layers, where the catalog weights may be
+    singular) never enter. Three space columns drop at each side: the one-sided
+    edge stencils leave a kink in the discretization error that spreads one column
+    per repeated differentiation, and the divergence stencil amplifies it by 1/h.
     ``components`` is ``cv.components(u)`` when the caller has it already.
     """
     if u.x.n_x < 6:
@@ -480,8 +479,9 @@ def divergence_residual(cv: ConservedVectorEval, u: TimeSeries,
                          f"and needs n_x >= 6, got n_x = {u.x.n_x}")
     lo, hi = _time_window(u.grid.n_steps, exclude_frac)
     ct, cx = cv.components(u) if components is None else components
-    res = diff1(ct[lo - 1:hi + 1], u.grid.h, axis=0)[1:-1] + diff1(cx[lo:hi], u.hx, axis=1)
-    return _report(cv, u, res[:, 3:-3], lo, "residual")
+    res = ((ct[lo + 1:hi + 1, 3:-3] - ct[lo - 1:hi - 1, 3:-3]) / (2.0 * u.grid.h)
+           + (cx[lo:hi, 4:-2] - cx[lo:hi, 2:-4]) / (2.0 * u.hx))
+    return _report(cv, u, res, lo, "residual")
 
 
 def flux_balance(cv: ConservedVectorEval, u: TimeSeries,
@@ -494,5 +494,5 @@ def flux_balance(cv: ConservedVectorEval, u: TimeSeries,
     lo, hi = _time_window(u.grid.n_steps, exclude_frac)
     ct, cx = cv.components(u) if components is None else components
     mass = np.trapezoid(ct[lo - 1:hi + 1], dx=u.hx, axis=1)
-    bal = diff1(mass, u.grid.h)[1:-1] + (cx[lo:hi, -1] - cx[lo:hi, 0])
+    bal = (mass[2:] - mass[:-2]) / (2.0 * u.grid.h) + (cx[lo:hi, -1] - cx[lo:hi, 0])
     return _report(cv, u, bal, lo, "balance")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -54,6 +55,8 @@ _CACHE_SIZE = 16
 # the t and x steps of a CSV field (from_csv) may differ by this much relative to
 # the largest |t| or |x|: 16 roundoffs, where np.linspace's differ by about 2
 _X_RTOL = 16 * float(np.finfo(float).eps)
+# the log of the largest lag power the I^mu weights take: a sum of two stays finite
+_LOG_MAX = math.log(sys.float_info.max / 2.0)
 
 
 class Kind(enum.Enum):
@@ -389,14 +392,19 @@ def _pl_weights(n_steps: int, mu: float, h: float) -> tuple[np.ndarray, np.ndarr
     node) and 1 - x (near node): A[b] = int_0^1 (b-1+x)^{mu-1} x dx, B[b] the same
     with 1 - x, L[0] = B[1], L[k] = A[k] + B[k+1] and c[k] = A[k], times h^mu/Gamma(mu).
     Gauss rules sum positive terms: weight x^{mu-1} at lag 1, Gauss-Legendre from lag 2 on.
+    ValueError where the scale underflows or a pair of lag powers, up to (n+1)^(mu-1),
+    overflows.
     """
+    scale = h ** mu * reciprocal_gamma(mu)
+    if not scale >= sys.float_info.min or (mu - 1.0) * math.log(n_steps + 1.0) >= _LOG_MAX:
+        raise ValueError(f"the weights of I^mu leave the float range at mu = {mu} "
+                         f"on {n_steps} steps of {h:g}")
     (xj, wj), (xl, wl) = _gauss_jacobi01(mu), _gauss_jacobi01(1.0)
     shift = np.arange(1.0, n_steps + 1.0)[:, None]  # b - 1 for the lags b = 2..n+1
     hats = np.stack([wl * xl, wl * (1.0 - xl)], axis=1)
     A, B = np.vstack([[wj @ xj, wj @ (1.0 - xj)], (shift + xl) ** (mu - 1.0) @ hats]).T
     L = np.append(B[0], A[:-1] + B[1:])
     c = np.append(0.0, A[:-1])
-    scale = h ** mu * reciprocal_gamma(mu)
     return _read_only(L * scale), _read_only(c * scale)
 
 
@@ -481,26 +489,26 @@ def right_frac_integral(f: TimeSeries, mu: float) -> TimeSeries:
 
 def diff1(v: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     """Second-order first derivative: central interior, one-sided ends."""
-    v = np.moveaxis(np.asarray(v, dtype=float), axis, 0)
+    v = np.asarray(v, dtype=float).swapaxes(0, axis)
     if v.shape[0] < 3:
         raise ValueError(f"diff1 needs at least 3 nodes along the axis, got {v.shape[0]}")
     out = np.empty_like(v)
     out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
     out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
+    return out.swapaxes(0, axis)
 
 
 def diff2(v: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     """Second-order second derivative: central interior, one-sided ends."""
-    v = np.moveaxis(np.asarray(v, dtype=float), axis, 0)
+    v = np.asarray(v, dtype=float).swapaxes(0, axis)
     if v.shape[0] < 4:
         raise ValueError(f"diff2 needs at least 4 nodes along the axis, got {v.shape[0]}")
     out = np.empty_like(v)
     out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h ** 2
     out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h ** 2
     out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h ** 2
-    return np.moveaxis(out, 0, axis)
+    return out.swapaxes(0, axis)
 
 
 def _power_rule(coeff, power: float, anchor: str, n: int):

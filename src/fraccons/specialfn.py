@@ -8,6 +8,7 @@ argument.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -53,10 +54,17 @@ def gamma(z: float) -> float:
 
 
 def reciprocal_gamma(z: float) -> float:
-    """1/Gamma(z), with the value 0 at the poles of Gamma."""
+    """1/Gamma(z), with the value 0 at the poles of Gamma. From z = 171.6 on (Gamma
+    overflows at 171.62) it is exp(-lgamma(z)), 0 once that underflows; ValueError
+    where |1/Gamma(z)| exceeds the float range (z below about -171)."""
     if _is_nonpositive_integer(z):
         return 0.0
-    return 1.0 / gamma(z)
+    if z >= 171.6:
+        return math.exp(-math.lgamma(z)) if z < 1e300 else 0.0
+    g = gamma(z)
+    if abs(g) <= 1.0 / sys.float_info.max:
+        raise ValueError(f"|1/Gamma(z)| exceeds the float range at z = {z}")
+    return 1.0 / g
 
 
 def mittag_leffler(alpha: float, beta: float, z: float) -> float:

@@ -32,6 +32,7 @@ from fraccons.tfde import (
     exact_rl_power_mode,
     exact_rl_separable,
     exact_stationary_caputo,
+    solve_nonlinear,
 )
 
 RL = Kind.RIEMANN_LIOUVILLE
@@ -659,3 +660,54 @@ class TestVerifiers:
         cv, u = self._trivial_setup()
         rep = flux_balance(cv, u)
         assert rep.linf < 1e-10
+
+
+def _verifier_field(kind, n_x, n=64):
+    """(spec, diffusivity, u, vector ids) of a field the verifiers read: a
+    solver field of RL k = u^2 (verify_solver's equation) or the exact Caputo
+    mode E_alpha(-t^alpha) sin x, on n steps and n_x cells."""
+    if kind is RL:
+        spec, d, x = FractionalSpec(RL, 0.5), Diffusivity.power(2.0), SpaceGrid(0.0, 1.0, n_x)
+        xs = x.nodes()
+        u0 = d.K_inv(0.5 * xs + 1.0) * (1.0 + 0.1 * np.sin(np.pi * xs))
+        u = solve_nonlinear(spec, d, TimeGrid(1.0, n), x, u0, initial_velocity=0.0)
+        return spec, d, u, ("NL_RL_sub", "NL_RL_sub_t1", "NL_RL_sub_t2", "Trivial_RL")
+    spec, d = FractionalSpec(CAP, 0.5), Diffusivity.constant(1.0)
+    u = exact_linear_separable(spec, 1.0, TimeGrid(1.0, n), SpaceGrid(0.0, np.pi, n_x))
+    return spec, d, u, ("Trivial_Caputo", "Table3_v1", "Table3_v3")
+
+
+class TestVerifiersMatchFullStencils:
+    """The verifiers difference only their window; the oracle is the full-stencil
+    form they replaced: diff1 over rows lo-1..hi and every column, then sliced."""
+
+    @staticmethod
+    def full_stencil_windows(ct, cx, u, lo, hi):
+        res = diff1(ct[lo - 1:hi + 1], u.grid.h, axis=0)[1:-1] + diff1(cx[lo:hi], u.hx, axis=1)
+        mass = np.trapezoid(ct[lo - 1:hi + 1], dx=u.hx, axis=1)
+        bal = diff1(mass, u.grid.h)[1:-1] + (cx[lo:hi, -1] - cx[lo:hi, 0])
+        return {"residual": res[:, 3:-3], "balance": bal}
+
+    @pytest.mark.parametrize("kind", [RL, CAP], ids=["rl-solver", "caputo-exact"])
+    @pytest.mark.parametrize("n_x", [6, 64])
+    def test_windows_bitwise(self, monkeypatch, kind, n_x):
+        spec, d, u, ids = _verifier_field(kind, n_x)
+        windows = {}
+        report = conslaw._report
+
+        def record(cv, u, window, lo, what):
+            windows[what] = window
+            return report(cv, u, window, lo, what)
+
+        monkeypatch.setattr(conslaw, "_report", record)
+        lo, hi = conslaw._time_window(u.grid.n_steps, 0.05)
+        for pid in ids:
+            cv = catalog_vector(pid, spec, d)
+            ct, cx = cv.components(u)
+            divergence_residual(cv, u, components=(ct, cx))
+            flux_balance(cv, u, components=(ct, cx))
+            want = self.full_stencil_windows(ct, cx, u, lo, hi)
+            for what in ("residual", "balance"):
+                got = windows[what]
+                assert got.shape == want[what].shape and got.tobytes() == want[what].tobytes(), \
+                    (pid, what)

@@ -334,6 +334,19 @@ class TestLeftIntegral:
         f = series(TimeGrid(1.0, 64), lambda t: t ** 2)
         assert np.max(np.abs(left_frac_integral(f, mu).values - f.values)) <= 1e-12
 
+    @pytest.mark.parametrize("n, mu", [(4, 180.0), (64, 100.0), (2048, 100.0), (8, 400.0)])
+    def test_order_past_the_float_range_names_mu(self, n, mu):
+        # Gamma(180) overflows, h^mu/Gamma(mu) underflows at n = 64, mu = 100 (where the
+        # weights gave 0 for I^100 1 = 1e-158), and the lag powers 2049^99 overflow
+        f = series(TimeGrid(1.0, n), lambda t: 1.0 + t)
+        with pytest.raises(ValueError, match=f"at mu = {mu}"):
+            left_frac_integral(f, mu)
+
+    def test_large_order_inside_the_float_range(self):
+        # I^100 1 = t^100 / Gamma(101): piecewise-linear input, so exact
+        f = series(TimeGrid(1.0, 4), lambda t: np.ones_like(t))
+        assert left_frac_integral(f, 100.0).values[-1] == pytest.approx(1.0 / G(101.0), rel=1e-12)
+
     def test_gauss_rule_at_tiny_order(self):
         # s - 1 = 2(k-1) + mu is mu at k = 1, not (1 + (mu - 1)) - 1 = 0
         mu = 1e-20
@@ -467,6 +480,30 @@ class TestFiniteDifferences:
     def test_too_few_nodes_rejected(self, fn, nodes):
         with pytest.raises(ValueError, match="at least"):
             fn(np.ones((4, nodes)), 0.1, axis=1)
+
+    @staticmethod
+    def moveaxis_form(v, h, axis, order):
+        """The stencils as written with np.moveaxis to and from axis 0."""
+        v = np.moveaxis(np.asarray(v, dtype=float), axis, 0)
+        out = np.empty_like(v)
+        if order == 1:
+            out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+            out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+            out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+        else:
+            out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h ** 2
+            out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h ** 2
+            out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h ** 2
+        return np.moveaxis(out, 0, axis)
+
+    @pytest.mark.parametrize("shape, axis", [((9,), 0), ((9, 7), 0), ((9, 7), 1), ((9, 7), -1),
+                                             ((5, 6, 7), 0), ((5, 6, 7), 1), ((5, 6, 7), 2)])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_stencils_match_the_moveaxis_form_bitwise(self, shape, axis, order):
+        v = np.random.default_rng(7).standard_normal(shape)
+        got = (diff1 if order == 1 else diff2)(v, 0.1, axis=axis)
+        want = self.moveaxis_form(v, 0.1, axis, order)
+        assert got.shape == shape and got.tobytes() == want.tobytes()
 
     def test_second_time_derivative_on_two_steps_rejected(self):
         with pytest.raises(ValueError, match="at least 4 nodes"):

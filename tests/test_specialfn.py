@@ -47,6 +47,26 @@ class TestGamma:
         assert reciprocal_gamma(1e-13) == 1.0 / math.gamma(1e-13)
         assert gamma(1e-13) == math.gamma(1e-13)
 
+    @pytest.mark.parametrize("z", [171.6, 171.7, 175.0, 177.7])
+    def test_reciprocal_gamma_where_gamma_overflows(self, z):
+        # exp(-lgamma(z)), subnormal here: within its roundoff of the 30-digit value
+        with mpmath.workdps(30):
+            ref = float(mpmath.rgamma(mpmath.mpf(z)))
+        assert reciprocal_gamma(z) == pytest.approx(ref, rel=1e-12, abs=1e-322)
+
+    @pytest.mark.parametrize("z", [200.0, 1e308, math.inf])
+    def test_reciprocal_gamma_underflows_to_zero(self, z):
+        assert reciprocal_gamma(z) == 0.0
+
+    @pytest.mark.parametrize("z", [-171.1, -171.5, -180.5])
+    def test_reciprocal_gamma_past_the_float_range_names_z(self, z):
+        with pytest.raises(ValueError, match=f"z = {z}"):
+            reciprocal_gamma(z)
+
+    @pytest.mark.parametrize("z", [170.5, 171.5, -170.5, 0.5, -0.5])
+    def test_reciprocal_gamma_below_171_6_is_one_over_gamma(self, z):
+        assert reciprocal_gamma(z) == 1.0 / math.gamma(z)
+
 
 class TestMittagLeffler:
     def test_exponential_special_case(self):

@@ -28,6 +28,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 _TFDE = "src/fraccons/tfde.py"
 _SOLVER_TESTS = "tests/test_tfde.py::"
+_CONSLAW = "src/fraccons/conslaw.py"
+_VERIFY_SOLVER = "tests/test_acceptance.py::test_verify_matches_bench_reference[verify_solver-0]"
 # (name, file, old text, new text, the test that must fail on the mutant)
 MUTANTS = (
     ("line search quarters lambda", _TFDE,
@@ -54,9 +56,12 @@ MUTANTS = (
     ("errstate dropped from the step loop", _TFDE,
      'with np.errstate(all="ignore"):', "if True:",
      _SOLVER_TESTS + "TestSolver::test_overflowing_tolerance_raises"),
-    ("divergence_residual's D_t rows shifted by one", "src/fraccons/conslaw.py",
-     "diff1(ct[lo - 1:hi + 1]", "diff1(ct[lo:hi + 2]",
-     "tests/test_acceptance.py::test_verify_matches_bench_reference[verify_solver-0]"),
+    ("divergence_residual's D_t rows shifted by one", _CONSLAW,
+     "(ct[lo + 1:hi + 1, 3:-3] - ct[lo - 1:hi - 1, 3:-3])",
+     "(ct[lo + 2:hi + 2, 3:-3] - ct[lo:hi, 3:-3])", _VERIFY_SOLVER),
+    ("divergence_residual's D_x columns shifted by one", _CONSLAW,
+     "(cx[lo:hi, 4:-2] - cx[lo:hi, 2:-4])", "(cx[lo:hi, 5:-1] - cx[lo:hi, 3:-3])",
+     _VERIFY_SOLVER),
     ("solver history budget 1e14", "src/fraccons/cli.py",
      "_SOLVER_WORK_BUDGET = 1e11", "_SOLVER_WORK_BUDGET = 1e14",
      "tests/test_cli.py::test_solver_history_budget"),
