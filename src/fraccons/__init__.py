@@ -5,7 +5,7 @@ Subpackages:
   fracops    fractional integrals/derivatives and the J double integral
   tfde       problem definitions, exact solutions, nonlinear solver
   symcat     symmetry catalog and adjoint-equation substitutions
-  conslaw    Noether operators, conserved-vector catalog, verifiers
+  conslaw    Noether operators, conserved-vector catalog, verifier
   cli        command-line interface
 """
 
@@ -58,9 +58,8 @@ from .conslaw import (
     ResidualReport,
     catalog_ids,
     catalog_vector,
+    conservation_residuals,
     correspondence,
-    divergence_residual,
-    flux_balance,
     formal_lagrangian,
 )
 

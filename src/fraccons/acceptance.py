@@ -40,8 +40,8 @@ from .symcat import (AdjointSubstitution, adjoint_residual, regime_constants, re
                      rl_extra_beta)
 from .conslaw import (
     catalog_vector,
+    conservation_residuals,
     correspondence,
-    divergence_residual,
 )
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
@@ -205,7 +205,7 @@ def criterion_6() -> CriterionResult:
 
 def _decay_ratios(pid: str, spec, diffu, make_u, grids=(64, 128, 256), **kw) -> list[float]:
     cv = catalog_vector(pid, spec, diffu, **kw)
-    linfs = [divergence_residual(cv, make_u(n)).linf for n in grids]
+    linfs = [conservation_residuals(cv, make_u(n))[0].linf for n in grids]
     return [linfs[i] / linfs[i + 1] for i in range(len(linfs) - 1)]
 
 
@@ -232,10 +232,12 @@ def criterion_8() -> CriterionResult:
     diffu = Diffusivity.power(1.0)
     u = exact_stationary_caputo(diffu, 0.1, 1.0, TimeGrid(1.0, 512), SpaceGrid(0.0, 1.0, 512))
     spec3, spec5 = FractionalSpec(Kind.CAPUTO, 0.5), FractionalSpec(Kind.CAPUTO, 1.5)
-    worst3 = max(divergence_residual(catalog_vector(f"Table3_v{i}", spec3, diffu), u).linf
-                 for i in range(1, 5))
-    worst5 = max(divergence_residual(catalog_vector(f"Table5_v{i}", spec5, diffu,
-                                                    initial_velocity=0.0), u).linf
+
+    def linf(cv):
+        return conservation_residuals(cv, u)[0].linf
+
+    worst3 = max(linf(catalog_vector(f"Table3_v{i}", spec3, diffu)) for i in range(1, 5))
+    worst5 = max(linf(catalog_vector(f"Table5_v{i}", spec5, diffu, initial_velocity=0.0))
                  for i in range(1, 7))
     ratios = []
     for table, spec, ids in (("Table3", spec3, range(1, 5)), ("Table5", spec5, range(1, 7))):
@@ -262,7 +264,7 @@ def criterion_9() -> CriterionResult:
     ct, _ = cv.components(u)
     t = tg.nodes()
     dev = float(np.max(np.abs(ct[t >= 0.1] - c * gamma(alpha))))
-    div = divergence_residual(cv, u).linf
+    div = conservation_residuals(cv, u)[0].linf
     ok = dev <= 1e-8 and div <= 1e-8
     return CriterionResult(9, "RL power mode", ok,
                            f"C^t deviation from c*Gamma(a) {dev:.2e}, divergence {div:.2e} (<=1e-8)")
@@ -281,7 +283,7 @@ def criterion_10() -> CriterionResult:
         u = solve_nonlinear(spec, diffu, TimeGrid(1.0, n), x, c1)
         for pid in linfs:
             cv = catalog_vector(pid, spec, diffu)
-            linfs[pid].append(divergence_residual(cv, u).linf)
+            linfs[pid].append(conservation_residuals(cv, u)[0].linf)
     orders = {pid: math.log2(v[0] / v[1]) for pid, v in linfs.items()}
     ok = all(o >= 1.0 for o in orders.values())
     detail = ", ".join(f"{pid} order {o:.2f}" for pid, o in orders.items())
@@ -320,7 +322,7 @@ def criterion_12() -> CriterionResult:
             # reading established by the adjudication criterion
             pid = "Table1_v6_alt"
         cv = catalog_vector(pid, spec, diffu, initial_velocity=0.0)
-        linfs = [divergence_residual(cv, make_u(n)).linf for n in (64, 128)]
+        linfs = [conservation_residuals(cv, make_u(n))[0].linf for n in (64, 128)]
         # decay by >= 1.4 per halving, or already at the numerical floor
         if not (linfs[1] <= 1e-10 or linfs[0] / linfs[1] >= 1.4):
             failures.append(f"{pid} ratio {linfs[0] / max(linfs[1], 1e-300):.2f}")
@@ -334,7 +336,7 @@ def criterion_12() -> CriterionResult:
         checked += 1
         sub = AdjointSubstitution(regime, spec, **{const: 1.0})
         cv = catalog_vector(f"Noether:{sym_id}", spec, diffu, substitution=sub)
-        linfs = [divergence_residual(cv, make_u(n)).linf for n in (64, 128)]
+        linfs = [conservation_residuals(cv, make_u(n))[0].linf for n in (64, 128)]
         ok_here = linfs[1] <= 1e-8 or (linfs[0] / linfs[1] >= 1.4 and linfs[1] <= 1e-3)
         if not ok_here:
             failures.append(f"{sym_id}/{const} {regime} zero-entry linf {linfs[1]:.2e} "

@@ -64,10 +64,9 @@ from .conslaw import (
     _time_window,
     catalog_ids,
     catalog_vector,
+    conservation_residuals,
     correspondence,
-    divergence_residual,
     dense_weight_bytes,
-    flux_balance,
 )
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "main"]
@@ -310,17 +309,14 @@ def run_verify(cfg: ScenarioConfig, out: Optional[str]) -> int:
     for gi, n in enumerate(cfg.grids):
         u = _solution(cfg, n)
         for vid in sorted(cfg.vectors):
-            cv = cfg.evaluators[vid]
-            comps = cv.components(u)
-            rep = divergence_residual(cv, u, cfg.exclude_frac, comps)
+            rep, fb = conservation_residuals(cfg.evaluators[vid], u, cfg.exclude_frac)
             nested = gi > 0 and cfg.grids[gi] == 2 * cfg.grids[gi - 1]
-            if nested and (vid, "div") in last and rep.linf > 0:
-                rep.convergence_ratio = last[(vid, "div")] / rep.linf
+            if nested and vid in last and rep.linf > 0:
+                rep.convergence_ratio = last[vid] / rep.linf
                 if rep.convergence_ratio < cfg.threshold:
                     below.append((rep.convergence_ratio, vid, n))
-            last[(vid, "div")] = rep.linf
+            last[vid] = rep.linf
             rows.append(rep.csv_row())
-            fb = flux_balance(cv, u, cfg.exclude_frac, comps)
             fb.provenance = f"{vid}[flux]"
             rows.append(fb.csv_row())
     text = _report_text(rows)
@@ -380,13 +376,15 @@ def main(argv=None) -> int:
         description="Conservation-law construction and verification for "
                     "time-fractional diffusion equations")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "verify"):
-        p = subs.add_parser(name)
+    p_solve, p_verify = subs.add_parser("solve"), subs.add_parser("verify")
+    for p in (p_solve, p_verify):
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--grids", default=None, help="comma-separated, e.g. 64,128,256")
-        p.add_argument("--exclude-frac", type=float, default=None)
-        p.add_argument("--threshold", type=float, default=None)
+    # solve solves on the last grid alone and takes neither verify setting
+    p_verify.add_argument("--exclude-frac", type=float, default=None)
+    p_verify.add_argument("--threshold", type=float, default=None)
+    p_solve.set_defaults(exclude_frac=None, threshold=None)
     p_cat = subs.add_parser("catalog")
     p_cat.add_argument("--config", default=None)
     p_self = subs.add_parser("selftest")

@@ -1,11 +1,10 @@
-"""Conserved vectors for the time-fractional diffusion equation and verifiers.
+"""Conserved vectors for the time-fractional diffusion equation and their verifier.
 
 ``catalog_vector`` builds every vector from its id: ``Noether:<symmetry>``
 ids apply the fractional Noether operators to the formal Lagrangian, for a
 symmetry the equation admits; a ``Linear_<regime>_<symmetry>`` id is the same
 vector of the linear case under its own id; the other ids are closed forms.
-``divergence_residual`` and ``flux_balance`` check D_t C^t + D_x C^x = 0 on
-solution fields.
+``conservation_residuals`` checks D_t C^t + D_x C^x = 0 on solution fields.
 """
 
 from __future__ import annotations
@@ -44,8 +43,7 @@ __all__ = [
     "catalog_ids",
     "dense_weight_bytes",
     "correspondence",
-    "divergence_residual",
-    "flux_balance",
+    "conservation_residuals",
 ]
 
 
@@ -120,8 +118,8 @@ class ConservedVectorEval:
 
     def components(self, u: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
         # k(u), k'(u) and L may be infinite where an anchor value is stored as
-        # 0 (u = c t^{alpha-1} with k = u^{-4/3} on row 0); the verifiers read
-        # no such row and reject non-finite values inside their window
+        # 0 (u = c t^{alpha-1} with k = u^{-4/3} on row 0); the verifier reads
+        # no such row and rejects non-finite values inside its windows
         with np.errstate(divide="ignore", invalid="ignore"):
             ct, cx = self._fn(u)
         return np.asarray(ct, dtype=float), np.asarray(cx, dtype=float)
@@ -414,7 +412,7 @@ def correspondence(sym_id: str, constant: str, regime: str) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# verifiers
+# verifier
 # ---------------------------------------------------------------------------
 
 CSV_HEADER = "provenance_id,kind,alpha,n_steps,n_x,Linf,L2,excluded_nodes,convergence_ratio"
@@ -460,39 +458,27 @@ def _report(cv: ConservedVectorEval, u: TimeSeries, window: np.ndarray, lo: int,
                           u.grid.n_steps, u.x.n_x, linf, l2, 2 * lo)
 
 
-def divergence_residual(cv: ConservedVectorEval, u: TimeSeries,
-                        exclude_frac: float = 0.05,
-                        components: Optional[tuple[np.ndarray, np.ndarray]] = None,
-                        ) -> ResidualReport:
-    """Pointwise residual D_t C^t + D_x C^x on the interior region.
+def conservation_residuals(cv: ConservedVectorEval, u: TimeSeries, exclude_frac: float = 0.05,
+                           ) -> tuple[ResidualReport, ResidualReport]:
+    """Reports of D_t C^t + D_x C^x = 0 on one evaluation of the vector: the
+    pointwise residual and the integrated balance d/dt (int C^t dx) + [C^x].
 
-    Only the window, rows lo..hi-1 by columns 3..n_x-3, is computed, D_t and D_x
-    by central differences, so the ``exclude_frac`` of the nodes at each end
-    (initial and final boundary layers, where the catalog weights may be
-    singular) never enter. Three space columns drop at each side: the one-sided
-    edge stencils leave a kink in the discretization error that spreads one column
-    per repeated differentiation, and the divergence stencil amplifies it by 1/h.
-    ``components`` is ``cv.components(u)`` when the caller has it already.
+    Both are computed on the time rows lo..hi-1 alone, D_t by central
+    differences, so the ``exclude_frac`` of the nodes at each end (initial and
+    final boundary layers, where the catalog weights may be singular) never
+    enter. The residual, D_x by central differences too, drops three space
+    columns at each side: the one-sided edge stencils leave a kink in the
+    discretization error that spreads one column per repeated differentiation,
+    and the divergence stencil amplifies it by 1/h.
     """
     if u.x.n_x < 6:
         raise ValueError("the residual's space window drops 3 columns at each side "
                          f"and needs n_x >= 6, got n_x = {u.x.n_x}")
     lo, hi = _time_window(u.grid.n_steps, exclude_frac)
-    ct, cx = cv.components(u) if components is None else components
+    ct, cx = cv.components(u)
     res = ((ct[lo + 1:hi + 1, 3:-3] - ct[lo - 1:hi - 1, 3:-3]) / (2.0 * u.grid.h)
            + (cx[lo:hi, 4:-2] - cx[lo:hi, 2:-4]) / (2.0 * u.hx))
-    return _report(cv, u, res, lo, "residual")
-
-
-def flux_balance(cv: ConservedVectorEval, u: TimeSeries,
-                 exclude_frac: float = 0.05,
-                 components: Optional[tuple[np.ndarray, np.ndarray]] = None) -> ResidualReport:
-    """Integrated residual d/dt (int C^t dx) + [C^x] at the space ends, on the window's rows.
-
-    ``components`` is ``cv.components(u)`` when the caller has it already.
-    """
-    lo, hi = _time_window(u.grid.n_steps, exclude_frac)
-    ct, cx = cv.components(u) if components is None else components
+    residual = _report(cv, u, res, lo, "residual")
     mass = np.trapezoid(ct[lo - 1:hi + 1], dx=u.hx, axis=1)
     bal = (mass[2:] - mass[:-2]) / (2.0 * u.grid.h) + (cx[lo:hi, -1] - cx[lo:hi, 0])
-    return _report(cv, u, bal, lo, "balance")
+    return residual, _report(cv, u, bal, lo, "balance")

@@ -392,11 +392,12 @@ def _pl_weights(n_steps: int, mu: float, h: float) -> tuple[np.ndarray, np.ndarr
     node) and 1 - x (near node): A[b] = int_0^1 (b-1+x)^{mu-1} x dx, B[b] the same
     with 1 - x, L[0] = B[1], L[k] = A[k] + B[k+1] and c[k] = A[k], times h^mu/Gamma(mu).
     Gauss rules sum positive terms: weight x^{mu-1} at lag 1, Gauss-Legendre from lag 2 on.
-    ValueError where the scale underflows or a pair of lag powers, up to (n+1)^(mu-1),
-    overflows.
+    ValueError where the scale underflows, or h^mu or a pair of lag powers, up to
+    (n+1)^(mu-1), overflows; both are checked in logs, before a power is taken.
     """
-    scale = h ** mu * reciprocal_gamma(mu)
-    if not scale >= sys.float_info.min or (mu - 1.0) * math.log(n_steps + 1.0) >= _LOG_MAX:
+    big = max(mu * math.log(h), (mu - 1.0) * math.log(n_steps + 1.0)) >= _LOG_MAX
+    scale = 0.0 if big else h ** mu * reciprocal_gamma(mu)
+    if not scale >= sys.float_info.min:
         raise ValueError(f"the weights of I^mu leave the float range at mu = {mu} "
                          f"on {n_steps} steps of {h:g}")
     (xj, wj), (xl, wl) = _gauss_jacobi01(mu), _gauss_jacobi01(1.0)

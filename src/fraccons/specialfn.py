@@ -47,20 +47,29 @@ def _is_nonpositive_integer(z: float) -> bool:
 
 
 def gamma(z: float) -> float:
-    """Gamma function (``math.gamma``), raising GammaPoleError at its poles."""
+    """Gamma function (``math.gamma``), raising GammaPoleError at its poles and
+    ValueError where Gamma(z) exceeds the float range (z above 171.62, or z
+    below 5.6e-309 and positive)."""
     if _is_nonpositive_integer(z):
         raise GammaPoleError(f"gamma pole at z={z}")
-    return math.gamma(z)
+    try:
+        return math.gamma(z)
+    except OverflowError:
+        raise ValueError(f"Gamma(z) exceeds the float range at z = {z}") from None
 
 
 def reciprocal_gamma(z: float) -> float:
     """1/Gamma(z), with the value 0 at the poles of Gamma. From z = 171.6 on (Gamma
-    overflows at 171.62) it is exp(-lgamma(z)), 0 once that underflows; ValueError
-    where |1/Gamma(z)| exceeds the float range (z below about -171)."""
+    overflows at 171.62) it is exp(-lgamma(z)), 0 once that underflows; below
+    z = 1e-300 and positive it is z / Gamma(1 + z) = z, where Gamma(z) overflows
+    from 5.6e-309 down; ValueError where |1/Gamma(z)| exceeds the float range
+    (z below about -171)."""
     if _is_nonpositive_integer(z):
         return 0.0
     if z >= 171.6:
         return math.exp(-math.lgamma(z)) if z < 1e300 else 0.0
+    if 0.0 < z < 1e-300:
+        return z
     g = gamma(z)
     if abs(g) <= 1.0 / sys.float_info.max:
         raise ValueError(f"|1/Gamma(z)| exceeds the float range at z = {z}")

@@ -77,17 +77,19 @@ def test_verify_matches_bench_reference(bench_run, tmp_path, capsys, workload, v
 
 
 def _norms_falling(monkeypatch, rate, noether_rate):
-    """Patch the criteria's divergence_residual: its L-infinity norm falls by
-    ``noether_rate`` per halving of the time step for a Noether vector (the
-    zero entries of criterion 12) and by ``rate`` for the others, and is tiny
-    on the n = 512 field (criterion 8's stationary one)."""
+    """Patch the criteria's conservation_residuals: the residual's L-infinity
+    norm falls by ``noether_rate`` per halving of the time step for a Noether
+    vector (the zero entries of criterion 12) and by ``rate`` for the others,
+    and is tiny on the n = 512 field (criterion 8's stationary one). The
+    balance, which no criterion reads, is NaN."""
 
-    def residual(cv, u, *args, **kwargs):
+    def residuals(cv, u, *args, **kwargs):
         n = u.grid.n_steps
         r = noether_rate if cv.provenance.startswith("NoetherDerived") else rate
-        return SimpleNamespace(linf=1e-12 if n == 512 else 1e-4 * r ** -math.log2(n))
+        residual = SimpleNamespace(linf=1e-12 if n == 512 else 1e-4 * r ** -math.log2(n))
+        return residual, SimpleNamespace(linf=math.nan)
 
-    monkeypatch.setattr(acceptance, "divergence_residual", residual)
+    monkeypatch.setattr(acceptance, "conservation_residuals", residuals)
 
 
 @pytest.mark.parametrize("criterion, rate, noether_rate, passed", [

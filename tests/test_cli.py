@@ -261,7 +261,7 @@ class TestVerifyCommand:
         def nonfinite(cv, *args, **kwargs):
             raise FloatingPointError(f"{cv.provenance}: non-finite residual inside the window")
 
-        monkeypatch.setattr("fraccons.cli.divergence_residual", nonfinite)
+        monkeypatch.setattr("fraccons.cli.conservation_residuals", nonfinite)
         rc = main(["verify", "--config", write_config(tmp_path, base_config())])
         assert rc == 4
         err = capsys.readouterr().err
@@ -831,6 +831,13 @@ class TestCatalogCommand:
         # catalog reads neither the grids nor the verify settings
         with pytest.raises(SystemExit) as exc:
             main(["catalog", "--config", write_config(tmp_path, base_config()), flag, "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--exclude-frac", "--threshold"])
+    def test_solve_has_no_verify_flags(self, tmp_path, flag):
+        # solve solves on the last grid and reads neither verify setting
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", write_config(tmp_path, base_config()), flag, "0.1"])
         assert exc.value.code == 2
 
 

@@ -12,9 +12,8 @@ from fraccons.conslaw import (
     ConservedVectorEval,
     catalog_ids,
     catalog_vector,
+    conservation_residuals,
     correspondence,
-    divergence_residual,
-    flux_balance,
     formal_lagrangian,
     _CLOSED_FORMS,
     _linear_prefix,
@@ -197,7 +196,7 @@ class TestClosedFormVectors:
         cv = catalog_vector("Trivial_RL", spec, Diffusivity.constant(1.0))
         ct, cx = cv.components(u)
         assert np.max(np.abs(ct[1:, :] - c * math.gamma(alpha))) < 1e-12
-        rep = divergence_residual(cv, u)
+        rep = conservation_residuals(cv, u)[0]
         assert rep.linf < 1e-10
 
     def test_trivial_caputo_divergence_decays(self):
@@ -209,7 +208,7 @@ class TestClosedFormVectors:
             tgrid = TimeGrid(1.0, n)
             x = SpaceGrid(0.0, np.pi, n // 2)
             u = exact_linear_separable(spec, 1.0, tgrid, x)
-            linfs.append(divergence_residual(cv, u).linf)
+            linfs.append(conservation_residuals(cv, u)[0].linf)
         assert linfs[1] < linfs[0]
 
     @pytest.mark.parametrize("pid, n, moving, T", CLOSED_FORM_CASES + MOVING_CASES)
@@ -221,7 +220,7 @@ class TestClosedFormVectors:
         for steps in ((32, 64, 128) if moving else (32, 64)):
             spec, d, u = exact_field(_CLOSED_FORMS[pid][0], n, steps, moving, T)
             cv = catalog_vector(pid, spec, d, initial_velocity=0.0)
-            linfs.append(divergence_residual(cv, u).linf)
+            linfs.append(conservation_residuals(cv, u)[0].linf)
         rate = 1.4 if moving else 2.0
         assert all(a > rate * b for a, b in zip(linfs, linfs[1:])), f"{pid}: {linfs}"
 
@@ -312,7 +311,7 @@ class TestClosedFormVectors:
         d = Diffusivity.power(-0.5)
         u = exact_rl_separable(d, 0.5, 0.5, 1.0, TimeGrid(1.0, 32), SpaceGrid(0.0, 1.0, 32))
         cv = catalog_vector("NL_RL_sub_t2", FractionalSpec(RL, 0.5), d)
-        assert divergence_residual(cv, u).linf < 1e-12
+        assert conservation_residuals(cv, u)[0].linf < 1e-12
 
     def test_nl_rl_sub_t2_flux_is_the_printed_one_at_the_extra_power(self):
         alpha = 0.5
@@ -336,10 +335,8 @@ class TestClosedFormVectors:
             tgrid = TimeGrid(1.0, n)
             x = SpaceGrid(0.0, 1.0, n)
             u = exact_rl_separable(d, alpha, 0.5, 1.0, tgrid, x)
-            printed.append(divergence_residual(
-                catalog_vector("Table1_v6", spec, d), u).linf)
-            alt.append(divergence_residual(
-                catalog_vector("Table1_v6_alt", spec, d), u).linf)
+            printed.append(conservation_residuals(catalog_vector("Table1_v6", spec, d), u)[0].linf)
+            alt.append(conservation_residuals(catalog_vector("Table1_v6_alt", spec, d), u)[0].linf)
         assert alt[1] < 0.5 * alt[0]
         assert printed[1] > 0.9 * printed[0]
 
@@ -448,7 +445,7 @@ class TestNoetherVectors:
         sub = AdjointSubstitution("Caputo_sub", spec, c1=1.0)
         nv = catalog_vector("Noether:X1", spec, d, substitution=sub)
         assert nv.provenance == "NoetherDerived(X1,Caputo_sub)"
-        rep = divergence_residual(nv, u)
+        rep = conservation_residuals(nv, u)[0]
         assert rep.linf < 1e-3
 
     def test_noether_id_validation(self):
@@ -561,7 +558,7 @@ class TestGreenIdentity:
     @staticmethod
     def identity_error(alpha, v_case, end, n):
         """Linf of the identity's residual over t in [1/8, 7/8] and the columns
-        3..-3 that divergence_residual keeps, at T = 1, x in [0, pi], n_x = n/2."""
+        3..-3 that the residual keeps, at T = 1, x in [0, pi], n_x = n/2."""
         spec = FractionalSpec(CAP, alpha)
         grid, x = TimeGrid(1.0, n), SpaceGrid(0.0, np.pi, n // 2)
         t, xs = grid.nodes()[:, None], x.nodes()
@@ -612,7 +609,7 @@ class TestVerifiers:
 
     def test_report_fields_and_csv_row(self):
         cv, u = self._trivial_setup()
-        rep = divergence_residual(cv, u, exclude_frac=0.1)
+        rep = conservation_residuals(cv, u, exclude_frac=0.1)[0]
         row = rep.csv_row()
         parts = row.split(",")
         assert len(parts) == len(CSV_HEADER.split(","))
@@ -626,14 +623,14 @@ class TestVerifiers:
 
     def test_exclusion_window_scales(self):
         cv, u = self._trivial_setup()
-        rep1 = divergence_residual(cv, u, exclude_frac=0.05)
-        rep2 = divergence_residual(cv, u, exclude_frac=0.2)
+        rep1 = conservation_residuals(cv, u, exclude_frac=0.05)[0]
+        rep2 = conservation_residuals(cv, u, exclude_frac=0.2)[0]
         assert rep2.excluded_nodes > rep1.excluded_nodes
 
     def test_empty_window_rejected(self):
         cv, u = self._trivial_setup(n=8)
         with pytest.raises(ValueError):
-            divergence_residual(cv, u, exclude_frac=0.5)
+            conservation_residuals(cv, u, exclude_frac=0.5)
 
     def test_nonfinite_interior_rejected(self):
         spec = FractionalSpec(RL, 0.5)
@@ -645,21 +642,49 @@ class TestVerifiers:
         cv = ConservedVectorEval("bad", spec, bad)
         _, u = self._trivial_setup()
         with pytest.raises(FloatingPointError):
-            divergence_residual(cv, u)
+            conservation_residuals(cv, u)
 
-    @pytest.mark.parametrize("verifier, what", [(divergence_residual, "residual"),
-                                                 (flux_balance, "balance")])
-    def test_nonfinite_window_names_the_vector(self, verifier, what):
-        cv, u = self._trivial_setup()
-        ct = np.zeros_like(u.values)
-        ct[u.grid.n_steps // 2] = np.inf
+    @pytest.mark.parametrize("comp, index, what", [
+        (0, np.s_[32], "residual"),
+        # C^x on the end columns enters the boundary flux, not the residual's D_x
+        (1, np.s_[:, 0], "balance"),
+        (1, np.s_[:, -1], "balance"),
+    ], ids=["ct-row", "cx-first-column", "cx-last-column"])
+    def test_nonfinite_window_names_the_vector(self, comp, index, what):
+        _, u = self._trivial_setup()
+
+        def bad(u):
+            comps = (np.zeros_like(u.values), np.zeros_like(u.values))
+            comps[comp][index] = np.inf
+            return comps
+
+        cv = ConservedVectorEval("Trivial_RL", FractionalSpec(RL, 0.5), bad)
         with pytest.raises(FloatingPointError, match=f"^Trivial_RL: non-finite {what} inside"):
-            verifier(cv, u, components=(ct, np.zeros_like(ct)))
+            conservation_residuals(cv, u)
 
     def test_flux_balance_on_trivial_vector(self):
         cv, u = self._trivial_setup()
-        rep = flux_balance(cv, u)
+        rep = conservation_residuals(cv, u)[1]
         assert rep.linf < 1e-10
+
+    def test_components_evaluated_once(self):
+        cv, u = self._trivial_setup()
+        calls = []
+
+        def counted(u):
+            calls.append(u)
+            return cv._fn(u)
+
+        reports = conservation_residuals(ConservedVectorEval(cv.provenance, cv.spec, counted), u)
+        assert len(calls) == 1 and calls[0] is u
+        assert reports == conservation_residuals(cv, u)
+
+    @pytest.mark.parametrize("n_x", [4, 5])
+    def test_narrow_space_grid_rejected(self, n_x):
+        cv = catalog_vector("Trivial_RL", FractionalSpec(RL, 0.5), Diffusivity.constant(1.0))
+        u = exact_rl_power_mode(0.5, 0.7, TimeGrid(1.0, 16), SpaceGrid(0.0, 1.0, n_x))
+        with pytest.raises(ValueError, match=f"needs n_x >= 6, got n_x = {n_x}$"):
+            conservation_residuals(cv, u)
 
 
 def _verifier_field(kind, n_x, n=64):
@@ -678,8 +703,8 @@ def _verifier_field(kind, n_x, n=64):
 
 
 class TestVerifiersMatchFullStencils:
-    """The verifiers difference only their window; the oracle is the full-stencil
-    form they replaced: diff1 over rows lo-1..hi and every column, then sliced."""
+    """The verifier differences only its windows; the oracle is the full-stencil
+    form it replaced: diff1 over rows lo-1..hi and every column, then sliced."""
 
     @staticmethod
     def full_stencil_windows(ct, cx, u, lo, hi):
@@ -702,10 +727,14 @@ class TestVerifiersMatchFullStencils:
         monkeypatch.setattr(conslaw, "_report", record)
         lo, hi = conslaw._time_window(u.grid.n_steps, 0.05)
         for pid in ids:
-            cv = catalog_vector(pid, spec, d)
-            ct, cx = cv.components(u)
-            divergence_residual(cv, u, components=(ct, cx))
-            flux_balance(cv, u, components=(ct, cx))
+            cv, seen = catalog_vector(pid, spec, d), []
+
+            def recorded(u, cv=cv, seen=seen):
+                seen.append(cv.components(u))
+                return seen[-1]
+
+            conservation_residuals(ConservedVectorEval(pid, spec, recorded), u)
+            (ct, cx), = seen
             want = self.full_stencil_windows(ct, cx, u, lo, hi)
             for what in ("residual", "balance"):
                 got = windows[what]

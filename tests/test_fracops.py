@@ -342,6 +342,17 @@ class TestLeftIntegral:
         with pytest.raises(ValueError, match=f"at mu = {mu}"):
             left_frac_integral(f, mu)
 
+    def test_step_power_past_the_float_range_names_mu(self):
+        # h^1.5 = 5e299^1.5 overflows; it is checked in logs before the power is taken
+        f = series(TimeGrid(1e300, 2), np.ones_like)
+        with pytest.raises(ValueError, match="leave the float range at mu = 1.5 "):
+            left_frac_integral(f, 1.5)
+        # at mu = 0.5 the weights stay in range, bit for bit as before the check:
+        # I^0.5 1 = 2 sqrt(t / pi)
+        got = left_frac_integral(f, 0.5).values
+        assert got.tolist() == [0.0, 7.978845608028654e149, 1.1283791670955123e150]
+        assert got == pytest.approx(2.0 * np.sqrt(f.grid.nodes() / np.pi), rel=1e-15)
+
     def test_large_order_inside_the_float_range(self):
         # I^100 1 = t^100 / Gamma(101): piecewise-linear input, so exact
         f = series(TimeGrid(1.0, 4), lambda t: np.ones_like(t))
@@ -811,12 +822,12 @@ class TestPowerIntegral:
         assert sites == ["_power_integral"]
 
     def test_verifiers_mask_nothing_and_conslaw_takes_no_raw_end_power(self):
-        # the verifiers compute only their window's rows, so no end row enters
-        # their arithmetic; every (T - t)^p of conslaw is a _power_samples one
+        # the verifier computes only its window's rows, so no end row enters
+        # its arithmetic; every (T - t)^p of conslaw is a _power_samples one
         tree = ast.parse(open(conslaw.__file__, encoding="utf-8").read())
         fns = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
-        masks = [fn.name for fn in fns if fn.name in ("divergence_residual", "flux_balance")
-                 for node in ast.walk(fn)
+        verifier, = [fn for fn in fns if fn.name == "conservation_residuals"]
+        masks = [node for node in ast.walk(verifier)
                  if isinstance(node, ast.Attribute) and node.attr == "errstate"]
         raw = [fn.name for fn in fns for node in ast.walk(fn)
                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -66,6 +67,17 @@ class TestGamma:
     @pytest.mark.parametrize("z", [170.5, 171.5, -170.5, 0.5, -0.5])
     def test_reciprocal_gamma_below_171_6_is_one_over_gamma(self, z):
         assert reciprocal_gamma(z) == 1.0 / math.gamma(z)
+
+    @pytest.mark.parametrize("z", [171.7, 200.0, 1e300, 1e-310, 5e-324])
+    def test_gamma_past_the_float_range_names_z(self, z):
+        # Gamma overflows above 171.62 and below 5.6e-309
+        with pytest.raises(ValueError, match=re.escape(f"at z = {z}") + "$"):
+            gamma(z)
+
+    @pytest.mark.parametrize("z", [5e-324, 1e-310, 1e-305, 3e-301])
+    def test_reciprocal_gamma_at_tiny_order_is_z(self, z):
+        # 1/Gamma(z) = z / Gamma(1 + z), and Gamma(1 + z) rounds to 1
+        assert reciprocal_gamma(z) == z
 
 
 class TestMittagLeffler:

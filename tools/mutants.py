@@ -56,12 +56,14 @@ MUTANTS = (
     ("errstate dropped from the step loop", _TFDE,
      'with np.errstate(all="ignore"):', "if True:",
      _SOLVER_TESTS + "TestSolver::test_overflowing_tolerance_raises"),
-    ("divergence_residual's D_t rows shifted by one", _CONSLAW,
+    ("conservation_residuals' D_t rows shifted by one", _CONSLAW,
      "(ct[lo + 1:hi + 1, 3:-3] - ct[lo - 1:hi - 1, 3:-3])",
      "(ct[lo + 2:hi + 2, 3:-3] - ct[lo:hi, 3:-3])", _VERIFY_SOLVER),
-    ("divergence_residual's D_x columns shifted by one", _CONSLAW,
+    ("conservation_residuals' D_x columns shifted by one", _CONSLAW,
      "(cx[lo:hi, 4:-2] - cx[lo:hi, 2:-4])", "(cx[lo:hi, 5:-1] - cx[lo:hi, 3:-3])",
      _VERIFY_SOLVER),
+    ("sign of the boundary flux flipped in the balance", _CONSLAW,
+     "(cx[lo:hi, -1] - cx[lo:hi, 0])", "(cx[lo:hi, 0] - cx[lo:hi, -1])", _VERIFY_SOLVER),
     ("solver history budget 1e14", "src/fraccons/cli.py",
      "_SOLVER_WORK_BUDGET = 1e11", "_SOLVER_WORK_BUDGET = 1e14",
      "tests/test_cli.py::test_solver_history_budget"),
