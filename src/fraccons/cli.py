@@ -17,13 +17,14 @@ Exit codes, each failure with a one-line message on stderr:
     creates is removed at once), or a ``selftest --only`` number that names
     no criterion (checked before any criterion runs);
   3 solver failure (including a Newton iterate outside the domain of
-    k, a singular Newton system, and a Newton tolerance that overflows
-    float64), or a special-function series that did not converge or cannot
-    reach float64 accuracy (the Mittag-Leffler series of an exact
-    solution at large lam^2 t^alpha), or a float64 overflow in the
-    numerics (a horizon T near 1e308), or an array too large for the
-    memory (MemoryError; the dense endpoint-pole kernels grow as the square of
-    the grid, and their weights are checked against a budget before any solve);
+    k, a singular Newton system, a Newton tolerance that overflows float64,
+    and a LAPACK dgtsv that cannot be found), or a special-function series
+    that did not converge or cannot reach float64 accuracy (the
+    Mittag-Leffler series of an exact solution at large lam^2 t^alpha), or
+    a float64 overflow in the numerics (a horizon T near 1e308), or an
+    array too large for the memory (MemoryError; the dense endpoint-pole
+    kernels grow as the square of the grid, and their weights are checked
+    against a budget before any solve);
   4 conservation-check (or selftest) failure: a convergence ratio below
     the threshold (the line names the worst vector, its n_steps and
     ratio, and the threshold, and a fixed n_x), or a non-finite residual
@@ -144,8 +145,9 @@ def parse_config(data: dict) -> ScenarioConfig:
     ConfigError. A vector id listed twice is refused. The
     source must solve the equation of the configured kind and diffusivity.
     A scenario with the solver source must keep its L1 history work within
-    _SOLVER_WORK_BUDGET, and loads the solver's LAPACK routine (scipy.linalg)
-    here, not in its first solve.
+    _SOLVER_WORK_BUDGET, and loads the solver's LAPACK routine (dgtsv, from
+    scipy's _flapack extension without importing scipy.linalg) here, not in
+    its first solve.
     """
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a mapping")

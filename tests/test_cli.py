@@ -860,11 +860,6 @@ class TestSelftestCommand:
             "the criteria are numbered 1 to 12"]
 
 
-# the scipy subpackages fraccons imports, each where it is used: scipy.linalg
-# for the solver's LAPACK routine, scipy.special for 2F1 (the power-term closed
-# form; J's power-term sums make no 2F1 call) and scipy.integrate for selftest
-# criterion 6
-_SCIPY_USERS = ("scipy.linalg", "scipy.special", "scipy.integrate")
 _SOLVE_DIRECTLY = (
     "from fraccons import Diffusivity, FractionalSpec, Kind, SpaceGrid, TimeGrid, solve_nonlinear\n"
     "d, x = Diffusivity.power(2.0), SpaceGrid(0.0, 1.0, 16)\n"
@@ -873,40 +868,42 @@ _SOLVE_DIRECTLY = (
     "rc = int(abs(u.values - u0).max() > 1e-6)  # stationary data stay stationary")
 
 
-# entry point -> (its set-up, the call, the scipy subpackages the call loads);
-# the set-up loads no scipy, and a call needs no scipy it does not list
-@pytest.mark.parametrize("setup, call, loads", [
-    ("", "import fraccons", ()),
-    ("", "import fraccons.cli", ()),
-    ("import fraccons.cli", "rc = fraccons.cli.main(['catalog'])", ()),
-    ("import fraccons.cli", "rc = fraccons.cli.main(['selftest', '--only', '12'])", ()),
+# entry point -> (its set-up, the call, whether the call loads the solver's
+# LAPACK routine). None loads a scipy module: scipy.special is imported on the
+# first 2F1 call, scipy.integrate (and scipy.linalg through it) in selftest
+# criterion 6, and the solver's dgtsv comes from the file of scipy's _flapack
+# extension, which imports no scipy module
+@pytest.mark.parametrize("setup, call, lapack", [
+    ("", "import fraccons", False),
+    ("", "import fraccons.cli", False),
+    ("import fraccons.cli", "rc = fraccons.cli.main(['catalog'])", False),
+    ("import fraccons.cli", "rc = fraccons.cli.main(['selftest', '--only', '12'])", False),
     ("import fraccons.cli",
-     "rc = fraccons.cli.main(['verify', '--config', 'verify_tables.json'])", ()),
+     "rc = fraccons.cli.main(['verify', '--config', 'verify_tables.json'])", False),
     # its convergence check fails (exit 4) at n_x = 8: threshold 0 keeps rc at 0
     ("import fraccons.cli",
-     "rc = fraccons.cli.main(['verify', '--config', 'verify_j.json', '--threshold', '0'])", ()),
+     "rc = fraccons.cli.main(['verify', '--config', 'verify_j.json', '--threshold', '0'])", False),
     ("import fraccons.cli",
-     "fraccons.cli.parse_config(json.load(open('verify_solver.json')))", ("scipy.linalg",)),
-    ("import fraccons", _SOLVE_DIRECTLY, ("scipy.linalg",)),
+     "fraccons.cli.parse_config(json.load(open('verify_solver.json')))", True),
+    ("import fraccons", _SOLVE_DIRECTLY, True),
 ], ids=["import", "import_cli", "catalog", "selftest_12", "verify_tables", "verify_j",
         "parse_solver_config", "solve_directly"])
-def test_entry_point_loads_only_the_scipy_it_uses(tmp_path, setup, call, loads):
+def test_entry_point_loads_only_the_scipy_it_uses(tmp_path, setup, call, lapack):
     for name in ("verify_tables", "verify_j", "verify_solver"):
         (tmp_path / f"{name}.json").write_text(
             json.dumps(_bench_verify_configs()[name]), encoding="utf-8")
     src = os.path.dirname(os.path.dirname(fraccons.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     scipy_now = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+    cached = "sys.modules['fraccons.tfde']._load_dgtsv.cache_info().currsize"
     code = (f"import json, sys\nrc = 0\n{setup}\nbefore = {scipy_now}\n{call}\n"
-            f"print(json.dumps([rc, before, {scipy_now}]))")
+            f"print(json.dumps([rc, before, {scipy_now}, {cached}]))")
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                          capture_output=True, text=True, check=True).stdout
-    rc, before, after = json.loads(out.strip().splitlines()[-1])
+    rc, before, after, cached = json.loads(out.strip().splitlines()[-1])
     assert rc == 0
-    assert before == []
-    if not loads:
-        assert after == []
-    assert [m for m in _SCIPY_USERS if m in after] == list(loads)
+    assert before == after == []
+    assert cached == int(lapack)
 
 
 def test_verify_tables_makes_one_endpoint_pole_call_per_core_and_grid(monkeypatch):

@@ -1,6 +1,11 @@
 
 import json
+import os
+import re
+import subprocess
+import sys
 from functools import partial, wraps
+from importlib.machinery import ModuleSpec
 from pathlib import Path
 
 import numpy as np
@@ -613,3 +618,90 @@ class TestBandedSolve:
     def test_zero_pivot_raises_solver_error(self, dl, main, du):
         with pytest.raises(SolverError, match="singular"):
             tfde.solve_banded(np.array(dl), np.array(main), np.array(du), np.ones(len(main)))
+
+
+def _dgtsv_outputs(dgtsv, dl, d, du, b):
+    """The bytes of each output of ``dgtsv`` on copies of the system, and its info."""
+    *arrays, info = dgtsv(dl.copy(), d.copy(), du.copy(), b.copy(), 1, 1, 1, 1)
+    return [a.tobytes() for a in arrays], info
+
+
+class TestLapackLoader:
+    @given(st.data(), st.integers(2, 80))
+    def test_bitwise_equal_to_scipy_dgtsv(self, data, m):
+        def draw(size):
+            return data.draw(hnp.arrays(float, size, elements=st.floats(-10.0, 10.0)))
+
+        dl, d, du, b = draw(m - 1), draw(m), draw(m - 1), draw(m)
+        # |dl| > |d| in the first row, so dgtsv interchanges rows there; the
+        # other rows are drawn at random, singular ones included
+        dl[0] = np.copysign(2.0 * abs(d[0]) + 1.0, dl[0])
+        ours = _dgtsv_outputs(tfde._load_dgtsv(), dl, d, du, b)
+        assert ours == _dgtsv_outputs(scipy.linalg.lapack.dgtsv, dl, d, du, b)
+
+    @pytest.mark.parametrize("dl, d, du", [
+        ([0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0]),
+        ([1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0]),
+        ([2.0, 3.0, 1.0], [1.0, 2.0, 3.0, 0.0], [4.0, 1.5, 0.0]),
+    ], ids=["zero_column", "equal_rows", "zero_last_row"])
+    def test_singular_system_same_info(self, dl, d, du):
+        dl, d, du = np.array(dl), np.array(d), np.array(du)
+        b = np.arange(1.0, d.size + 1)
+        ours = _dgtsv_outputs(tfde._load_dgtsv(), dl, d, du, b)
+        assert ours[1] > 0
+        assert ours == _dgtsv_outputs(scipy.linalg.lapack.dgtsv, dl, d, du, b)
+
+    def test_loaded_before_scipy_linalg_in_one_process(self):
+        # fraccons' copy of the extension first, then scipy's own under its
+        # own name: two modules of one .so, which solve alike
+        code = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from fraccons import tfde\n"
+            "ours = tfde._load_dgtsv()\n"
+            "alone = sorted(m for m in sys.modules if 'scipy' in m or 'flapack' in m)\n"
+            "import scipy.linalg.lapack\n"
+            "rng = np.random.default_rng(7)\n"
+            "same = []\n"
+            "for m in (2, 9, 80):\n"
+            "    dl, d, du, b = (rng.standard_normal(n) for n in (m - 1, m, m - 1, m))\n"
+            "    got, ref = ([np.asarray(o).tobytes() for o in f(dl, d, du, b)]\n"
+            "                for f in (ours, scipy.linalg.lapack.dgtsv))\n"
+            "    same.append(got == ref)\n"
+            "print(json.dumps([alone, same, ours is scipy.linalg.lapack.dgtsv]))")
+        src = os.path.dirname(os.path.dirname(tfde.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        alone, same, identical = json.loads(out.strip().splitlines()[-1])
+        assert alone == []
+        assert same == [True, True, True]
+        assert not identical
+
+    @pytest.mark.parametrize("found", ["no_scipy", "scipy_module", "no_flapack"])
+    def test_missing_lapack_is_a_solver_failure(self, tmp_path, capsys, monkeypatch, found):
+        if found == "no_scipy":
+            spec, where = None, "no scipy package on sys.path"
+        elif found == "scipy_module":  # a scipy.py, with no directory to search
+            spec, where = ModuleSpec("scipy", None), "no scipy package on sys.path"
+        else:
+            spec = ModuleSpec("scipy", None, is_package=True)
+            spec.submodule_search_locations = [str(tmp_path)]
+            where = f"no _flapack extension in {tmp_path / 'linalg'}"
+        monkeypatch.setattr(tfde, "find_spec", lambda name: spec)
+        tfde._load_dgtsv.cache_clear()
+        with pytest.raises(SolverError, match=re.escape(where)):
+            tfde._load_dgtsv()
+        config = {
+            "kind": "rl", "alpha": 0.5, "T": 1.0, "x_lo": 0.0, "x_hi": 1.0,
+            "diffusivity": {"family": "power", "beta": 2.0},
+            "source": {"id": "solver", "params": {"a": 0.5, "b": 1.0, "perturb": 0.1}},
+            "vectors": ["NL_RL_sub"], "grids": [16], "n_x": 8,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["verify", "--config", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"solver failure: LAPACK dgtsv: {where}")

@@ -67,6 +67,9 @@ MUTANTS = (
     ("solver history budget 1e14", "src/fraccons/cli.py",
      "_SOLVER_WORK_BUDGET = 1e11", "_SOLVER_WORK_BUDGET = 1e14",
      "tests/test_cli.py::test_solver_history_budget"),
+    ("parse_config not loading LAPACK", "src/fraccons/cli.py",
+     "        _load_dgtsv()  # a scenario that solves", "        pass  # a scenario that solves",
+     "tests/test_cli.py::test_entry_point_loads_only_the_scipy_it_uses[parse_solver_config]"),
 )
 
 
