@@ -732,10 +732,18 @@ def _endpoint_pole_weight_matrix(grid: TimeGrid, mu: float) -> np.ndarray:
     pole and branch point lies at x <= -1, and a 16-point Gauss rule sums
     positive terms to roundoff: Gauss-Jacobi of weight x^{mu-1} at lag 1,
     Gauss-Legendre from lag 2 on. Each lag fills two subdiagonals in place;
-    row n (kernel pole inside the interval) stays 0.
+    row n (kernel pole inside the interval) stays 0. ValueError where the scale
+    h^(mu-1)/Gamma(mu), a lag power up to (n-1)^(mu-1) or the lag-1 weights'
+    1/mu leaves the float range, checked in logs as in :func:`_pl_weights`.
     """
     n = grid.n_steps
     N = n + 1
+    big = max((mu - 1.0) * math.log(grid.h), (mu - 1.0) * math.log(n - 1.0),
+              -math.log(mu)) >= _LOG_MAX
+    scale = 0.0 if big else grid.h ** (mu - 1.0) * reciprocal_gamma(mu)
+    if not scale >= sys.float_info.min:
+        raise ValueError(f"the endpoint-pole weights of I^mu leave the float range at "
+                         f"mu = {mu} on {n} steps of {grid.h:g}")
     V = np.zeros((N, N))
     flat = V.ravel()
     r = np.arange(n - 1.0, 0.0, -1.0)[:, None]  # r_p of the cells p = 0..n-2 of rows i < n
@@ -748,7 +756,7 @@ def _endpoint_pole_weight_matrix(grid: TimeGrid, mu: float) -> np.ndarray:
         hats = over_r[:n - b] @ np.stack([lag * x, lag * (1.0 - x)], axis=1)
         flat[b * N::N + 1][:n - b] += hats[:, 0]
         flat[b * N + 1::N + 1][:n - b] += hats[:, 1]
-    V *= grid.h ** (mu - 1.0) * reciprocal_gamma(mu)
+    V *= scale
     return _read_only(V)
 
 
@@ -757,10 +765,11 @@ def left_integral_endpoint_pole(f: TimeSeries, mu: float) -> TimeSeries:
 
     A term t^q of f enters as t^q (T-t)^-1 and a term (T-t)^p as (T-t)^(p-1),
     both in closed form. The final node t = T has the kernel pole inside the
-    integration interval and is returned as 0; callers must exclude it.
+    integration interval and is returned as 0; callers must exclude it. ValueError
+    unless mu is positive and finite and the weights stay in the float range.
     """
-    if mu <= 0:
-        raise ValueError("order mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"order mu must be positive and finite, got mu = {mu}")
     grid = f.grid
     vals = _endpoint_pole_weight_matrix(grid, mu) @ f.regular_part()
     for term in f.singular:

@@ -242,10 +242,11 @@ def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -
     return x
 
 
-def _max_abs(v: np.ndarray) -> float:
+def _max_abs(v: np.ndarray, out=None) -> float:
     """max |v| as a float, NaN when v holds a NaN: argmax stops at the first
-    NaN, and it costs less than a ufunc reduce on the solver's short rows."""
-    a = np.abs(v)
+    NaN, and it costs less than a ufunc reduce on the solver's short rows.
+    |v| goes to ``out`` when given, which may be v itself."""
+    a = np.abs(v, out)
     return float(a[a.argmax()])
 
 
@@ -286,6 +287,12 @@ def solve_nonlinear(spec: FractionalSpec, diffusivity: Diffusivity, grid: TimeGr
     difference; the tridiagonal Jacobian is built from the midpoint values of
     the last residual, only when Newton steps, and solved by the module's
     ``solve_banded``; a step whose residual does not fall is halved.
+    Each row the loop writes (u, um, du, q, s, the flux difference, the three
+    diagonals, rhs and a |.| scratch) is allocated once per solve and written
+    by ufuncs with ``out``, bit for bit as on fresh arrays; the residual and the
+    trial alternate between two rows each, as dgtsv returns delta in the
+    residual's row. 0.5, c0, c_l1 and hx^2 are 0-d arrays, since a ufunc
+    converts a Python float operand on every call.
     The loop runs under one ``np.errstate(all="ignore")``: a non-finite value
     reaches the tolerance, the residual or the Jacobian, whose checks raise.
     Raises ValueError when x has no interior node (n_x < 2) or when the
@@ -335,68 +342,90 @@ def solve_nonlinear(spec: FractionalSpec, diffusivity: Diffusivity, grid: TimeGr
     c0 = c_l1 / h ** (n - 1)
     dY = np.zeros((n_t + 1, cols))  # dY[j] = y_j - y_{j-1}
     k, k_prime = (partial(f, diffusivity) for f in _FAMILY_ROWS[diffusivity.family][:2])
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    half, c0, c_l1, hx2 = (np.array(v, dtype=float) for v in (0.5, c0, c_l1, hx2))
     u = np.empty(cols)  # the row base[m] + w of the Newton iterate
     u_r, u_l, u_in = u[1:], u[:-1], u[1:-1]
+    um, du, q, s = (np.empty(cols - 1) for _ in range(4))  # on the cells' midpoints
+    q_r, q_l, s_r, s_l, s_in = q[1:], q[:-1], s[1:], s[:-1], s[1:-1]
+    flux, d, rhs = (np.empty(cols - 2) for _ in range(3))
+    sub, sup = np.empty(cols - 3), np.empty(cols - 3)
+    # dgtsv returns delta in g's row, so the residual and the trial each alternate
+    # between two rows, and w starts as a view of W[m - 1]
+    g, g_try = np.empty(cols - 2), np.empty(cols - 2)
+    trial, spare = np.empty(cols - 2), np.empty(cols - 2)
+    scratch = np.empty(cols)  # |.| of _max_abs, or a term of the n = 2 rhs
+    scratch_in = scratch[1:-1]
+
+    def residual(v, out):
+        """The residual c0 v - (q[1:] - q[:-1]) / hx2 - rhs, q = k(um) du, of the row u
+        into ``out``; returns k(um)."""
+        multiply(half, add(u_r, u_l, um), um)
+        kh = k(um)
+        multiply(kh, subtract(u_r, u_l, du), q)
+        divide(subtract(q_r, q_l, flux), hx2, flux)
+        subtract(subtract(multiply(c0, v, out), flux, out), rhs, out)
+        return kh
+
     with np.errstate(all="ignore"):
         for m in range(1, n_t + 1):
             # L1 history: sum_{j=1}^{m-1} a_{m-j} (y_j - y_{j-1})
-            hist = c_l1 * (a_rev[n_t - m + 1: n_t] @ dY[1:m])
+            hist = a_rev[n_t - m + 1: n_t] @ dY[1:m]
+            hist_in = multiply(c_l1, hist, hist)[1:-1]
             # c_l1 (y_m - y_{m-1}) + hist = flux, with y_m = (w_m - w_prev) / h^(n-1)
             if n == 1:
-                rhs = c_l1 * y[1:-1] - hist[1:-1]
+                subtract(multiply(c_l1, y[1:-1], rhs), hist_in, rhs)
             else:
-                rhs = c0 * W[m - 1, 1:-1] + c_l1 * y[1:-1] - hist[1:-1]
+                add(multiply(c0, W[m - 1, 1:-1], rhs), multiply(c_l1, y[1:-1], scratch_in), rhs)
+                subtract(rhs, hist_in, rhs)
             base_row = base[m]
-            np.add(base_row, W[m - 1], out=u)
+            add(base_row, W[m - 1], u)
             # the flux difference cancels catastrophically when the field carries
             # an initial-time singularity, so the roundoff floor scales with k*u/hx^2
-            term_mag = _max_abs(k(u) * u) / hx2
-            tol_eff = max(_TOL * max(1.0, _max_abs(rhs)), 1e-12 * term_mag)
+            term_mag = _max_abs(multiply(k(u), u, scratch), scratch) / hx2
+            tol_eff = max(_TOL * max(1.0, _max_abs(rhs, scratch_in)), 1e-12 * term_mag)
             if not math.isfinite(tol_eff):
                 raise SolverError("Newton tolerance is not finite: the step's terms "
                                   "exceed the float64 range")
             base_in, w = base_row[1:-1], W[m - 1, 1:-1]
-            um = 0.5 * (u_r + u_l)
-            kh = k(um)
-            du = u_r - u_l
-            q = kh * du
-            g = c0 * w - (q[1:] - q[:-1]) / hx2 - rhs
-            gn = _max_abs(g)
+            kh = residual(w, g)
+            gn = _max_abs(g, scratch_in)
             for _ in range(_MAX_ITER):
                 if gn <= tol_eff:
                     break
                 # (J - c0) delta = g; d holds every midpoint value of k and k',
                 # so its being finite covers the off-diagonals too
-                s = 0.5 * k_prime(um) * du
-                d = (s[1:] - kh[1:] - s[:-1] - kh[:-1]) / hx2 - c0
-                if not (math.isfinite(gn) and math.isfinite(_max_abs(d))):
+                multiply(multiply(half, k_prime(um), s), du, s)
+                subtract(subtract(subtract(s_r, kh[1:], d), s_l, d), kh[:-1], d)
+                subtract(divide(d, hx2, d), c0, d)
+                if not (math.isfinite(gn) and math.isfinite(_max_abs(d, scratch_in))):
                     raise SolverError("Newton iterate outside the domain of k: "
                                       "non-finite residual or Jacobian")
-                delta = solve_banded((kh[1:-1] - s[1:-1]) / hx2, d,
-                                     (kh[1:-1] + s[1:-1]) / hx2, g)
+                kh_in = kh[1:-1]
+                delta = solve_banded(divide(subtract(kh_in, s_in, sub), hx2, sub), d,
+                                     divide(add(kh_in, s_in, sup), hx2, sup), g)
                 # damped update: halve the step until the residual decreases
-                trial, lam = w + delta, 1.0
+                add(w, delta, trial)
+                lam = 1.0
                 while True:
-                    np.add(base_in, trial, out=u_in)
-                    um = 0.5 * (u_r + u_l)
-                    kh = k(um)
-                    du = u_r - u_l
-                    q = kh * du
-                    g_try = c0 * trial - (q[1:] - q[:-1]) / hx2 - rhs
-                    gn_try = _max_abs(g_try)
+                    add(base_in, trial, u_in)
+                    kh = residual(trial, g_try)
+                    gn_try = _max_abs(g_try, scratch_in)
                     if gn_try < gn:
                         break
                     lam *= 0.5
                     if lam < 1e-6:
                         raise SolverError("Newton line search stalled")
-                    trial = w + lam * delta
-                w, g, gn = trial, g_try, gn_try
+                    add(w, multiply(lam, delta, trial), trial)
+                # the accepted trial is w, and the next trial goes to the pair's other row
+                w, trial, spare = trial, spare, trial
+                g, g_try, gn = g_try, g, gn_try
             else:
                 if not gn <= tol_eff:
                     raise SolverError("nonlinear iteration did not converge")
             W[m, 1:-1] = w
             y_m = W[m] if n == 1 else (W[m] - W[m - 1]) / h
-            dY[m] = y_m - y
+            subtract(y_m, y, dY[m])
             y = y_m
 
     return TimeSeries.from_parts(grid, W, terms, x)

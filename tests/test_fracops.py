@@ -995,6 +995,23 @@ class TestEndpointWeightedIntegrals:
         np.testing.assert_allclose(got[1:-1], want, rtol=1e-12, atol=0.0)
         assert got[-1] == 0.0
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, 180.0, 1e-320, 100.0])
+    def test_order_outside_the_float_range_names_mu(self, mu):
+        # unchecked, NaN fails in the Gauss rule's eigensolver; inf, 180 (62^179
+        # overflows) and 1e-320 (1/mu overflows) give NaN; at 100, h^99/Gamma(100)
+        # underflows and row n - 1 reads 0 for a value of about 1e-159
+        f = series(TimeGrid(1.0, 64), lambda t: 1.0 + t)
+        with pytest.raises(ValueError, match=f"mu = {mu}"):
+            left_integral_endpoint_pole(f, mu)
+
+    @pytest.mark.parametrize("mu", [5.0, 50.0])
+    def test_large_order_inside_the_float_range(self, mu):
+        # the range check refuses neither order; their weights against 40 digits
+        grid = TimeGrid(1.0, 64)
+        V = fracops._endpoint_pole_weight_matrix(grid, mu)
+        for i, j in [(63, 0), (63, 62), (63, 63), (2, 1)]:
+            assert V[i, j] == pytest.approx(_mp_pole_weight(grid, mu, i, j), rel=1e-13, abs=0.0)
+
 
 def field_and_columns(grid, start_power, end_power):
     """Five-column field with per-column start and end terms, and its columns.

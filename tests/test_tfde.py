@@ -475,21 +475,66 @@ class TestSolverMatchesReference:
             assert len(u.singular) == args[0].n
         assert_same_bits(u, reference_solve_nonlinear(*args))
 
-    @pytest.mark.parametrize("eps, path", [(0.9, "halving"), (0.1, "three_iterations")])
-    def test_newton_paths_bitwise(self, monkeypatch, eps, path):
-        # eps = 0.9: a full Newton step raises the residual once, and the
-        # line search halves it; every run here takes 3 or more solves in a step
+    @pytest.mark.parametrize("kind, alpha, velocity, T, eps, path", [
+        (Kind.RIEMANN_LIOUVILLE, 0.5, None, 1.0, 0.9, "halving"),
+        (Kind.RIEMANN_LIOUVILLE, 0.5, None, 1.0, 0.1, "three_iterations"),
+        (Kind.CAPUTO, 1.5, 30.0, 8.0, 0.1, "halving"),
+        (Kind.CAPUTO, 1.5, 0.3, 1.0, 0.9, "three_iterations"),
+        (Kind.RIEMANN_LIOUVILLE, 1.5, 1.0, 1.0, 0.1, "halving"),
+        (Kind.RIEMANN_LIOUVILLE, 1.5, 0.3, 1.0, 0.9, "three_iterations"),
+    ], ids=["0.9-halving", "0.1-three_iterations", "caputo_wave-halving",
+            "caputo_wave-three_iterations", "rl_wave-halving", "rl_wave-three_iterations"])
+    def test_newton_paths_bitwise(self, monkeypatch, kind, alpha, velocity, T, eps, path):
+        # "halving": a full Newton step raises the residual, and the line search
+        # halves it; every run here takes 3 or more solves in a step. The wave
+        # cases step the n = 2 rhs, and at RL a nonzero velocity adds t^(alpha-2);
+        # rl_wave-halving also halves a trial after a Newton step was accepted
         d = Diffusivity.power(2.0)
         x = SpaceGrid(0.0, 1.0, 16)
         u0 = d.K_inv(0.5 * x.nodes() + 1.0) * (1.0 + eps * np.sin(np.pi * x.nodes()))
-        args = (FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5), d, TimeGrid(1.0, 32), x, u0)
+        v0 = None if velocity is None else velocity * np.sin(np.pi * x.nodes())
+        args = (FractionalSpec(kind, alpha), d, TimeGrid(T, 32), x, u0, v0)
         ref = reference_solve_nonlinear(*args)
         counts = count_newton(monkeypatch, x.n_x + 1)
-        assert_same_bits(solve_nonlinear(*args), ref)
+        u = solve_nonlinear(*args)
+        assert_same_bits(u, ref)
+        assert len(u.singular) == (args[0].n if kind is Kind.RIEMANN_LIOUVILLE else 0)
         assert counts["steps"] == 32
         assert max(counts["solves_per_step"]) >= 3
         halvings = counts["residuals"] - counts["steps"] - counts["solve_banded"]
         assert (halvings > 0) is (path == "halving")
+
+    @pytest.mark.parametrize("kind, alpha", [(Kind.CAPUTO, 1.5), (Kind.RIEMANN_LIOUVILLE, 0.5),
+                                             (Kind.RIEMANN_LIOUVILLE, 1.5)],
+                             ids=["caputo_wave", "rl_sub", "rl_wave"])
+    def test_two_cells_bitwise(self, monkeypatch, kind, alpha):
+        # one interior node: zero-length off-diagonal rows, and the 1 x 1
+        # system that solve_banded hands to dgtsv with padded off-diagonals;
+        # TestSolver::test_two_cells_solve_one_interior_node is the Caputo alpha < 1 case
+        d = Diffusivity.power(2.0)
+        x = SpaceGrid(0.0, 1.0, 2)
+        args = (FractionalSpec(kind, alpha), d, TimeGrid(1.0, 16), x, perturbed_profile(d, x),
+                0.3 * np.sin(np.pi * x.nodes()))
+        ref = reference_solve_nonlinear(*args)
+        counts = count_newton(monkeypatch, x.n_x + 1)
+        assert_same_bits(solve_nonlinear(*args), ref)
+        assert counts["solve_banded"] >= 16
+
+    def test_two_solves_share_no_memory(self):
+        # the rows of the step loop are the solve's own: a second solve in the
+        # same process writes into none of the first field's arrays
+        d = Diffusivity.power(2.0)
+        x = SpaceGrid(0.0, 1.0, 16)
+        args = (FractionalSpec(Kind.RIEMANN_LIOUVILLE, 0.5), d, TimeGrid(1.0, 32), x,
+                perturbed_profile(d, x))
+        u = solve_nonlinear(*args)
+        before = u.values.copy()
+        v = solve_nonlinear(*args)
+        assert_same_bits(u, v)
+        assert np.array_equal(u.values, before)
+        for a in (u.values, u.regular_part(), u.singular[0].coeff):
+            for b in (v.values, v.regular_part(), v.singular[0].coeff):
+                assert not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("variant", range(8))
     def test_bench_variants_bitwise(self, monkeypatch, variant):

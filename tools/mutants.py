@@ -42,17 +42,26 @@ MUTANTS = (
      "_TOL = 1e-10", "_TOL = 1e-11",
      _SOLVER_TESTS + "TestSolverMatchesReference::test_fields_bitwise"),
     ("_max_abs by np.fmax.reduce, which skips a NaN", _TFDE,
-     "    a = np.abs(v)\n    return float(a[a.argmax()])",
-     "    return float(np.fmax.reduce(np.abs(v)))",
+     "    a = np.abs(v, out)\n    return float(a[a.argmax()])",
+     "    return float(np.fmax.reduce(np.abs(v, out)))",
      _SOLVER_TESTS + "TestNewtonJacobian::test_max_abs_is_the_max_of_abs_nan_included"),
     ("n = 2 rhs summed in another order", _TFDE,
-     "rhs = c0 * W[m - 1, 1:-1] + c_l1 * y[1:-1] - hist[1:-1]",
-     "rhs = c0 * W[m - 1, 1:-1] + (c_l1 * y[1:-1] - hist[1:-1])",
+     "add(multiply(c0, W[m - 1, 1:-1], rhs), multiply(c_l1, y[1:-1], scratch_in), rhs)\n"
+     "                subtract(rhs, hist_in, rhs)",
+     "subtract(multiply(c_l1, y[1:-1], scratch_in), hist_in, scratch_in)\n"
+     "                add(multiply(c0, W[m - 1, 1:-1], rhs), scratch_in, rhs)",
      _SOLVER_TESTS + "TestSolverMatchesReference::test_fields_bitwise"),
     ("sign of s flipped in the Jacobian's main diagonal", _TFDE,
-     "d = (s[1:] - kh[1:] - s[:-1] - kh[:-1]) / hx2 - c0",
-     "d = (-s[1:] - kh[1:] + s[:-1] - kh[:-1]) / hx2 - c0",
+     "subtract(subtract(subtract(s_r, kh[1:], d), s_l, d), kh[:-1], d)",
+     "subtract(subtract(subtract(s_l, kh[1:], d), s_r, d), kh[:-1], d)",
      _SOLVER_TESTS + "TestSolverMatchesReference::test_fields_bitwise"),
+    ("the two trial rows one object", _TFDE,
+     "trial, spare = np.empty(cols - 2), np.empty(cols - 2)",
+     "trial = spare = np.empty(cols - 2)",
+     _SOLVER_TESTS + "TestSolverMatchesReference::test_newton_paths_bitwise[rl_wave-halving]"),
+    ("the two residual rows one object", _TFDE,
+     "g, g_try = np.empty(cols - 2), np.empty(cols - 2)", "g = g_try = np.empty(cols - 2)",
+     _SOLVER_TESTS + "TestSolverMatchesReference::test_newton_paths_bitwise[0.9-halving]"),
     ("errstate dropped from the step loop", _TFDE,
      'with np.errstate(all="ignore"):', "if True:",
      _SOLVER_TESTS + "TestSolver::test_overflowing_tolerance_raises"),
