@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 import numpy.fft  # numpy 2 loads it lazily: load it here, not in the first convolution
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .specialfn import gamma, hyp2f1, reciprocal_gamma
 
@@ -48,10 +49,23 @@ __all__ = [
 
 # entries kept per cached builder; a full selftest builds at most 9 distinct
 # weights per weight builder, a verify call fewer (counts per workload in
-# CHANGES.md). Entries are O(n) vectors (lag weights, a grid's nodes, its
-# power samples t^p or (T-t)^p) or a 16-node Gauss rule per order, except the
-# dense (n+1)^2 endpoint-pole matrices (Gauss quadrature, no 2F1 call)
+# CHANGES.md). Entries are O(n) vectors (lag weights, a grid's nodes) or a
+# 16-node Gauss rule per order, except the dense (n+1)^2 endpoint-pole
+# matrices (Gauss quadrature, no 2F1 call)
 _CACHE_SIZE = 16
+# entries kept of the power samples t^p or (T-t)^p, each an (n+1)-vector: a full
+# selftest asks for 74 distinct (grid, power, anchor) keys, which 16 entries
+# evicted and rebuilt (355 misses against 937 hits); 128 hold them all
+_SAMPLES_CACHE_SIZE = 8 * _CACHE_SIZE
+# the most rows _causal_conv convolves by a dense lower-triangular Toeplitz
+# product (n_steps <= 256); longer inputs go by FFT. Dense (matrix built in the
+# call) against FFT, in ms, at 33/65/129 columns, one BLAS thread, 2 vCPUs:
+# 129 rows 0.04/0.06/0.10 against 0.09/0.16/0.28; 257 rows 0.15/0.21/0.35
+# against 0.17/0.30/0.64; 385 rows 0.29/0.47/0.77 against 0.26/0.49/0.96, about
+# even; 513 rows 0.56/0.83/1.34 against 0.35/0.75/1.51. (One column: 0.05
+# against 0.03 at 257 rows.) So the 65- and 129-row grids of selftest
+# criterion 12 take the product, and verify grids of 513 rows and more the FFT
+_DENSE_ROWS = 257
 # the t and x steps of a CSV field (from_csv) may differ by this much relative to
 # the largest |t| or |x|: 16 roundoffs, where np.linspace's differ by about 2
 _X_RTOL = 16 * float(np.finfo(float).eps)
@@ -143,7 +157,7 @@ def _space_nodes(grid: SpaceGrid) -> np.ndarray:
     return _read_only(np.linspace(grid.x_lo, grid.x_hi, grid.n_x + 1))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=_SAMPLES_CACHE_SIZE)
 def _power_samples(grid: TimeGrid, power: float, anchor: str) -> np.ndarray:
     """t^power ('start') or (T-t)^power ('end') at the nodes, read-only; 0 where
     the base is 0 and power < 0."""
@@ -369,14 +383,21 @@ def _smooth_length(n: int) -> int:
 
 
 def _causal_conv(k: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """out[i] = sum_{j <= i} k[i-j] F[j] along axis 0 for every row i of F, by FFT.
+    """out[i] = sum_{j <= i} k[i-j] F[j] along axis 0 for every row i of F.
 
-    ``k`` holds at least one lag per row of F. The transform length is the
-    least 5-smooth number >= 2 * rows - 1, so the circular product does not
-    wrap; for the usual rows = 2^m + 1 it is about half the next power of two
-    (4320 against 8192 at rows = 2049).
+    ``k`` holds at least one lag per row of F. Up to _DENSE_ROWS rows, out is
+    T @ F for the lower-triangular Toeplitz T[i, j] = k[i-j], a strided view of
+    the reversed lags followed by rows - 1 zeros (the product may copy it: at
+    most 0.5 MiB). Longer F goes by FFT, whose length is the least 5-smooth
+    number >= 2 * rows - 1, so the circular product does not wrap; for the
+    usual rows = 2^m + 1 it is about half the next power of two (4320 against
+    8192 at rows = 2049).
     """
     rows = F.shape[0]
+    if rows <= _DENSE_ROWS:
+        # window s holds k[rows - 1 - s - j] at column j: row i of T is window rows - 1 - i
+        lags = np.concatenate([k[rows - 1::-1], np.zeros(rows - 1)])
+        return sliding_window_view(lags, rows)[::-1] @ F
     size = _smooth_length(2 * rows - 1)
     k_hat = _along_time(np.fft.rfft(k[:rows], size), F.ndim)
     return np.fft.irfft(k_hat * np.fft.rfft(F, size, axis=0), size, axis=0)[:rows]
@@ -416,11 +437,18 @@ def _power_integral(coeff, q: float, p: float, mu: float, t: np.ndarray, T: floa
     The binomial series of (T-t)^p, integrated term by term:
       coeff t^(q+mu) T^p Gamma(q+1)/Gamma(q+1+mu) 2F1(-p, q+1; q+1+mu; t/T).
     Where it is infinite (t = 0 when q + mu < 0, t = T when mu + p <= 0) the
-    sample is 0, like the anchor value of a term.
+    sample is 0, like the anchor value of a term. ValueError where T^p or
+    t^(q+mu) at a kept time overflows, checked in logs before a power is taken,
+    as in :func:`_pl_weights`.
     """
     keep = ((t > 0.0) | (q + mu >= 0.0)) & ((t < T) | (mu + p > 0.0))
     col = np.zeros_like(t)
     tk = t[keep]
+    # t^(q+mu) is largest at the least or the greatest kept time (t = 0 is kept only for q + mu >= 0)
+    logs = [(q + mu) * math.log(s) for s in (tk.min(), tk.max()) if s > 0.0]
+    if max(logs + [p * math.log(T)]) >= _LOG_MAX:
+        raise ValueError(f"the power terms of I^mu leave the float range at mu = {mu} "
+                         f"on [0, {T:g}]")
     col[keep] = (tk ** (q + mu) * T ** p * gamma(q + 1.0) * reciprocal_gamma(q + 1.0 + mu)
                  * hyp2f1(-p, q + 1.0, q + 1.0 + mu, tk / T))
     return np.multiply.outer(col, coeff)

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from fraccons import acceptance
+from fraccons import acceptance, fracops
 from fraccons.acceptance import CRITERIA, run_all
 from fraccons.cli import main
 
@@ -38,6 +38,15 @@ def test_sweep_line_matches_bench_reference(results):
     ref = BENCH / "refs" / "selftest_sweep.json"
     (variant,) = json.loads(ref.read_text(encoding="utf-8"))["variants"]
     assert [results[12].line()] == variant["lines"]
+
+
+def test_selftest_rebuilds_no_power_samples():
+    # every (grid, power, anchor) key of a full selftest fits the cache: none is
+    # evicted and built again, so each miss is a distinct key still held
+    fracops._power_samples.cache_clear()
+    run_all()
+    info = fracops._power_samples.cache_info()
+    assert info.misses == info.currsize
 
 
 @pytest.fixture(scope="module")

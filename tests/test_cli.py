@@ -321,7 +321,7 @@ class TestVerifyCommand:
 
     def test_vectors_share_the_fields_integrals(self, tmp_path, capsys, monkeypatch):
         # the four vectors of the bench's solver workload read I^(1/2) u and
-        # I^(3/2) u: one FFT convolution each per grid, not one per vector
+        # I^(3/2) u: one convolution each per grid, not one per vector
         calls = []
         conv = fracops._causal_conv
         monkeypatch.setattr(fracops, "_causal_conv", lambda k, F: calls.append(1) or conv(k, F))

@@ -30,6 +30,8 @@ _TFDE = "src/fraccons/tfde.py"
 _SOLVER_TESTS = "tests/test_tfde.py::"
 _CONSLAW = "src/fraccons/conslaw.py"
 _VERIFY_SOLVER = "tests/test_acceptance.py::test_verify_matches_bench_reference[verify_solver-0]"
+_FRACOPS = "src/fraccons/fracops.py"
+_CONV_TESTS = "tests/test_fracops.py::TestCausalConv::"
 # (name, file, old text, new text, the test that must fail on the mutant)
 MUTANTS = (
     ("line search quarters lambda", _TFDE,
@@ -73,6 +75,12 @@ MUTANTS = (
      _VERIFY_SOLVER),
     ("sign of the boundary flux flipped in the balance", _CONSLAW,
      "(cx[lo:hi, -1] - cx[lo:hi, 0])", "(cx[lo:hi, 0] - cx[lo:hi, -1])", _VERIFY_SOLVER),
+    ("the dense convolution's Toeplitz shifted by one lag", _FRACOPS,
+     "k[rows - 1::-1], np.zeros(rows - 1)", "k[rows - 2::-1], np.zeros(rows)",
+     _CONV_TESTS + "test_matches_direct_sum"),
+    ("the convolution's size test inverted", _FRACOPS,
+     "if rows <= _DENSE_ROWS:", "if rows > _DENSE_ROWS:",
+     _CONV_TESTS + "test_dense_up_to_257_rows_fft_bitwise_above"),
     ("solver history budget 1e14", "src/fraccons/cli.py",
      "_SOLVER_WORK_BUDGET = 1e11", "_SOLVER_WORK_BUDGET = 1e14",
      "tests/test_cli.py::test_solver_history_budget"),
