@@ -112,7 +112,6 @@ class ScenarioConfig:
 
     spec: FractionalSpec
     diffusivity: Diffusivity
-    vectors: tuple[str, ...]                   # in config order
     evaluators: dict[str, ConservedVectorEval]  # vector id -> evaluator, in config order
     source: str                                # the source id
     params: dict[str, float]                   # its params, the defaults filled in
@@ -227,7 +226,7 @@ def parse_config(data: dict) -> ScenarioConfig:
                       for vid in vectors}
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    dense = dense_weight_bytes(vectors, grids)
+    dense = dense_weight_bytes(evaluators, grids)
     if dense > _DENSE_WEIGHT_BUDGET:
         raise ConfigError(f"grids: the endpoint-pole weights on grids up to {grids[-1]} steps "
                           f"need {dense / 2 ** 30:.1f} GiB, over the budget of "
@@ -250,7 +249,7 @@ def parse_config(data: dict) -> ScenarioConfig:
     if sid == "solver":
         _load_dgtsv()  # a scenario that solves loads LAPACK while it is built
     return ScenarioConfig(
-        spec=spec, diffusivity=diffu, vectors=vectors, evaluators=evaluators, source=sid,
+        spec=spec, diffusivity=diffu, evaluators=evaluators, source=sid,
         params={k: float(given.get(k, default)) for k, default in defaults.items()},
         T=values["T"], x_lo=values["x_lo"], x_hi=values["x_hi"], grids=grids, n_x=n_x,
         exclude_frac=values["exclude_frac"], threshold=values["threshold"])
@@ -285,12 +284,10 @@ def _solution(cfg: ScenarioConfig, n_steps: int) -> TimeSeries:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _load_cfg(path: str, **overrides) -> ScenarioConfig:
-    """The scenario of the JSON file ``path``, with the overrides that are not None."""
+def _load_cfg(path: str) -> ScenarioConfig:
+    """The scenario of the JSON file ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if isinstance(data, dict):
-        data.update({k: v for k, v in overrides.items() if v is not None})
     return parse_config(data)
 
 
@@ -310,7 +307,7 @@ def run_verify(cfg: ScenarioConfig, out: Optional[str]) -> int:
     last = {}
     for gi, n in enumerate(cfg.grids):
         u = _solution(cfg, n)
-        for vid in sorted(cfg.vectors):
+        for vid in sorted(cfg.evaluators):
             rep, fb = conservation_residuals(cfg.evaluators[vid], u, cfg.exclude_frac)
             nested = gi > 0 and cfg.grids[gi] == 2 * cfg.grids[gi - 1]
             if nested and vid in last and rep.linf > 0:
@@ -382,11 +379,6 @@ def main(argv=None) -> int:
     for p in (p_solve, p_verify):
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--grids", default=None, help="comma-separated, e.g. 64,128,256")
-    # solve solves on the last grid alone and takes neither verify setting
-    p_verify.add_argument("--exclude-frac", type=float, default=None)
-    p_verify.add_argument("--threshold", type=float, default=None)
-    p_solve.set_defaults(exclude_frac=None, threshold=None)
     p_cat = subs.add_parser("catalog")
     p_cat.add_argument("--config", default=None)
     p_self = subs.add_parser("selftest")
@@ -400,9 +392,7 @@ def main(argv=None) -> int:
             return run_selftest(numbers)
         if args.command == "catalog":
             return run_catalog(_load_cfg(args.config) if args.config else None)
-        grids = [_whole(g, "every grid") for g in args.grids.split(",")] if args.grids else None
-        cfg = _load_cfg(args.config, grids=grids, exclude_frac=args.exclude_frac,
-                        threshold=args.threshold)
+        cfg = _load_cfg(args.config)
         if args.out:
             # an unusable --out path fails before the first solve; append mode keeps an
             # existing file until the run writes it, and a file it creates goes at once

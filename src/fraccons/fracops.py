@@ -412,7 +412,8 @@ def _pl_weights(n_steps: int, mu: float, h: float) -> tuple[np.ndarray, np.ndarr
     the cell at lag b covers t_i - tau = b - 1 + x, x in [0, 1], with hats x (far
     node) and 1 - x (near node): A[b] = int_0^1 (b-1+x)^{mu-1} x dx, B[b] the same
     with 1 - x, L[0] = B[1], L[k] = A[k] + B[k+1] and c[k] = A[k], times h^mu/Gamma(mu).
-    Gauss rules sum positive terms: weight x^{mu-1} at lag 1, Gauss-Legendre from lag 2 on.
+    At lag 1 they are A[1] = 1/(mu+1) and B[1] = 1/(mu(mu+1)); from lag 2 on a
+    Gauss-Legendre rule sums positive terms.
     ValueError where the scale underflows, or h^mu or a pair of lag powers, up to
     (n+1)^(mu-1), overflows; both are checked in logs, before a power is taken.
     """
@@ -421,10 +422,11 @@ def _pl_weights(n_steps: int, mu: float, h: float) -> tuple[np.ndarray, np.ndarr
     if not scale >= sys.float_info.min:
         raise ValueError(f"the weights of I^mu leave the float range at mu = {mu} "
                          f"on {n_steps} steps of {h:g}")
-    (xj, wj), (xl, wl) = _gauss_jacobi01(mu), _gauss_jacobi01(1.0)
+    xl, wl = _gauss_jacobi01(1.0)
     shift = np.arange(1.0, n_steps + 1.0)[:, None]  # b - 1 for the lags b = 2..n+1
     hats = np.stack([wl * xl, wl * (1.0 - xl)], axis=1)
-    A, B = np.vstack([[wj @ xj, wj @ (1.0 - xj)], (shift + xl) ** (mu - 1.0) @ hats]).T
+    lag1 = [1.0 / (mu + 1.0), 1.0 / (mu * (mu + 1.0))]
+    A, B = np.vstack([lag1, (shift + xl) ** (mu - 1.0) @ hats]).T
     L = np.append(B[0], A[:-1] + B[1:])
     c = np.append(0.0, A[:-1])
     return _read_only(L * scale), _read_only(c * scale)
@@ -437,20 +439,21 @@ def _power_integral(coeff, q: float, p: float, mu: float, t: np.ndarray, T: floa
     The binomial series of (T-t)^p, integrated term by term:
       coeff t^(q+mu) T^p Gamma(q+1)/Gamma(q+1+mu) 2F1(-p, q+1; q+1+mu; t/T).
     Where it is infinite (t = 0 when q + mu < 0, t = T when mu + p <= 0) the
-    sample is 0, like the anchor value of a term. ValueError where T^p or
-    t^(q+mu) at a kept time overflows, checked in logs before a power is taken,
-    as in :func:`_pl_weights`.
+    sample is 0, like the anchor value of a term. t^(q+mu) T^p is taken as
+    (t/T)^(q+mu) T^(q+mu+p), so a tiny or huge T does not underflow one factor
+    that the other makes up for. ValueError where either factor at a kept time
+    overflows, checked in logs before a power is taken, as in :func:`_pl_weights`.
     """
     keep = ((t > 0.0) | (q + mu >= 0.0)) & ((t < T) | (mu + p > 0.0))
     col = np.zeros_like(t)
-    tk = t[keep]
-    # t^(q+mu) is largest at the least or the greatest kept time (t = 0 is kept only for q + mu >= 0)
-    logs = [(q + mu) * math.log(s) for s in (tk.min(), tk.max()) if s > 0.0]
-    if max(logs + [p * math.log(T)]) >= _LOG_MAX:
+    s = t[keep] / T
+    # (t/T)^(q+mu) is largest at the least or the greatest kept time (t = 0 is kept only for q + mu >= 0)
+    logs = [(q + mu) * math.log(v) for v in (s.min(), s.max()) if v > 0.0]
+    if max(logs + [(q + mu + p) * math.log(T)]) >= _LOG_MAX:
         raise ValueError(f"the power terms of I^mu leave the float range at mu = {mu} "
                          f"on [0, {T:g}]")
-    col[keep] = (tk ** (q + mu) * T ** p * gamma(q + 1.0) * reciprocal_gamma(q + 1.0 + mu)
-                 * hyp2f1(-p, q + 1.0, q + 1.0 + mu, tk / T))
+    col[keep] = (s ** (q + mu) * T ** (q + mu + p) * gamma(q + 1.0)
+                 * reciprocal_gamma(q + 1.0 + mu) * hyp2f1(-p, q + 1.0, q + 1.0 + mu, s))
     return np.multiply.outer(col, coeff)
 
 
@@ -758,8 +761,10 @@ def _endpoint_pole_weight_matrix(grid: TimeGrid, mu: float) -> np.ndarray:
       V[i, p] += h^{mu-1}/Gamma(mu) int_0^1 (b-1+x)^{mu-1} x / (r_p + x) dx,
     and the same with 1 - x for V[i, p+1]. Rows i < n have r_p >= 1, so every
     pole and branch point lies at x <= -1, and a 16-point Gauss rule sums
-    positive terms to roundoff: Gauss-Jacobi of weight x^{mu-1} at lag 1,
-    Gauss-Legendre from lag 2 on. Each lag fills two subdiagonals in place;
+    positive terms to roundoff: at lag 1 Gauss-Jacobi of weight x^{mu-1} for
+    the near hat and of weight x^mu for the far one (the rule of weight
+    x^{mu-1} loses its x-moment at tiny mu), Gauss-Legendre from lag 2 on.
+    Each lag fills two subdiagonals in place;
     row n (kernel pole inside the interval) stays 0. ValueError where the scale
     h^(mu-1)/Gamma(mu), a lag power up to (n-1)^(mu-1) or the lag-1 weights'
     1/mu leaves the float range, checked in logs as in :func:`_pl_weights`.
@@ -775,13 +780,16 @@ def _endpoint_pole_weight_matrix(grid: TimeGrid, mu: float) -> np.ndarray:
     V = np.zeros((N, N))
     flat = V.ravel()
     r = np.arange(n - 1.0, 0.0, -1.0)[:, None]  # r_p of the cells p = 0..n-2 of rows i < n
-    (xl, wl), (xj, wj) = _gauss_jacobi01(1.0), _gauss_jacobi01(mu)
-    over_r_j, over_r_l = 1.0 / (r + xj), 1.0 / (r + xl)
+    (xl, wl), (xj, wj), (xk, wk) = (_gauss_jacobi01(1.0), _gauss_jacobi01(mu),
+                                    _gauss_jacobi01(mu + 1.0))
+    over_r_l = 1.0 / (r + xl)
+    # lag 1: the far hat x x^(mu-1) = x^mu by the rule of weight x^mu
+    hats = np.stack([(1.0 / (r + xk)) @ wk, (1.0 / (r + xj)) @ (wj * (1.0 - xj))], axis=1)
     for b in range(1, n):
-        x, over_r = (xj, over_r_j) if b == 1 else (xl, over_r_l)
-        lag = wj if b == 1 else wl * (b - 1.0 + xl) ** (mu - 1.0)
         # cells p = 0..n-b-1, rows i = p + b < n: V[i, p] and V[i, p+1]
-        hats = over_r[:n - b] @ np.stack([lag * x, lag * (1.0 - x)], axis=1)
+        if b > 1:
+            lag = wl * (b - 1.0 + xl) ** (mu - 1.0)
+            hats = over_r_l[:n - b] @ np.stack([lag * xl, lag * (1.0 - xl)], axis=1)
         flat[b * N::N + 1][:n - b] += hats[:, 0]
         flat[b * N + 1::N + 1][:n - b] += hats[:, 1]
     V *= scale

@@ -334,6 +334,14 @@ class TestLeftIntegral:
         f = series(TimeGrid(1.0, 64), lambda t: t ** 2)
         assert np.max(np.abs(left_frac_integral(f, mu).values - f.values)) <= 1e-12
 
+    @pytest.mark.parametrize("mu", [1e-8, 1e-20])
+    def test_lag1_moment_at_tiny_order(self, mu):
+        # c[1] = A[1] h^mu / Gamma(mu) with A[1] = int_0^1 x^(mu-1) x dx = 1/(mu+1); the
+        # Gauss rule of weight x^(mu-1) gave 1 - 1.4e-8 at mu = 1e-8 and -3.3e4 at 1e-20
+        L, c = fracops._pl_weights(8, mu, 1.0)
+        scale = 1.0 / float(mpmath.gamma(mu))
+        assert abs(c[1] * (mu + 1.0) / scale - 1.0) <= 1e-15
+
     @pytest.mark.parametrize("n, mu", [(4, 180.0), (64, 100.0), (2048, 100.0), (8, 400.0)])
     def test_order_past_the_float_range_names_mu(self, n, mu):
         # Gamma(180) overflows, h^mu/Gamma(mu) underflows at n = 64, mu = 100 (where the
@@ -347,10 +355,10 @@ class TestLeftIntegral:
         f = series(TimeGrid(1e300, 2), np.ones_like)
         with pytest.raises(ValueError, match="leave the float range at mu = 1.5 "):
             left_frac_integral(f, 1.5)
-        # at mu = 0.5 the weights stay in range, bit for bit as before the check:
-        # I^0.5 1 = 2 sqrt(t / pi); row 1 is c[1] + L[0], correctly rounded (at 40 digits)
+        # at mu = 0.5 the weights stay in range: I^0.5 1 = 2 sqrt(t / pi); row 1 is
+        # c[1] + L[0], correctly rounded (at 40 digits)
         got = left_frac_integral(f, 0.5).values
-        assert got.tolist() == [0.0, 7.978845608028652e149, 1.1283791670955123e150]
+        assert got.tolist() == [0.0, 7.978845608028654e149, 1.1283791670955127e150]
         assert got == pytest.approx(2.0 * np.sqrt(f.grid.nodes() / np.pi), rel=1e-15)
 
     def test_large_order_inside_the_float_range(self):
@@ -1014,21 +1022,30 @@ class TestEndpointWeightedIntegrals:
         with pytest.raises(ValueError, match=f"mu = {mu}"):
             left_integral_endpoint_pole(f, mu)
 
-    @pytest.mark.parametrize("T, mu, power, anchor", [(1e300, 1.5, 0.5, "start"),
-                                                      (1e-300, 0.5, -0.5, "end")])
+    @pytest.mark.parametrize("T, mu, power, anchor", [(1e200, 1.5, 1.5, "start"),
+                                                      (1e-300, 0.3, -0.5, "end")])
     def test_power_term_outside_the_float_range_names_mu(self, T, mu, power, anchor):
-        # unchecked, t^(q+mu) = t^2 overflows on [0, 1e300] (a RuntimeWarning), and
-        # T^(p-1) = T^-1.5 on [0, 1e-300] (a bare OverflowError); the weights stay in range
+        # the values scale as T^(mu + power - 1): T^2 = 1e400 on [0, 1e200] and
+        # T^-1.2 = 1e360 on [0, 1e-300] overflow; the weights stay in range
         f = _term(TimeGrid(T, 4), power, anchor)
         fracops._endpoint_pole_weight_matrix(f.grid, mu)
         with pytest.raises(ValueError, match=f"at mu = {mu} "):
             left_integral_endpoint_pole(f, mu)
 
-    @pytest.mark.parametrize("mu", [
-        pytest.param(mu, marks=pytest.mark.xfail(strict=True, reason=(
-            "the lag-1 Gauss-Jacobi rule of weight x^(mu-1) loses its x-moments at tiny "
-            "mu: V[63, 62] is 80% low at mu = 1e-300 and 1.6e-8 low at 1e-8")))
-        for mu in (1e-300, 1e-8)] + [5.0, 50.0])
+    @pytest.mark.parametrize("T, mu, power, anchor", [(1e-200, 0.5, 1.5, "start"),
+                                                      (1e300, 1.5, 0.5, "start"),
+                                                      (1e-300, 0.5, -0.5, "end")])
+    def test_power_term_scales_as_a_power_of_T(self, T, mu, power, anchor):
+        # t = T s, so the values on [0, T] are T^(mu + power - 1) times those on
+        # [0, 1]: 1e-200, 1e300 and 1e300 here. Taken apart, t^(q+mu) = t^2 read 0 on
+        # [0, 1e-200] (for about 1e-201) and overflowed on [0, 1e300], and T^p = T^-1.5
+        # overflowed on [0, 1e-300]
+        got = left_integral_endpoint_pole(_term(TimeGrid(T, 4), power, anchor), mu).values
+        unit = left_integral_endpoint_pole(_term(TimeGrid(1.0, 4), power, anchor), mu).values
+        np.testing.assert_allclose(got, T ** (mu + power - 1.0) * unit, rtol=1e-13, atol=0.0)
+        assert np.all(got[1:-1] != 0.0)
+
+    @pytest.mark.parametrize("mu", [1e-300, 1e-8, 5.0, 50.0])
     def test_large_order_inside_the_float_range(self, mu):
         # the range check refuses none of these orders, tiny or large; their
         # weights against 40 digits

@@ -32,6 +32,7 @@ _CONSLAW = "src/fraccons/conslaw.py"
 _VERIFY_SOLVER = "tests/test_acceptance.py::test_verify_matches_bench_reference[verify_solver-0]"
 _FRACOPS = "src/fraccons/fracops.py"
 _CONV_TESTS = "tests/test_fracops.py::TestCausalConv::"
+_POLE_TESTS = "tests/test_fracops.py::TestEndpointWeightedIntegrals::"
 # (name, file, old text, new text, the test that must fail on the mutant)
 MUTANTS = (
     ("line search quarters lambda", _TFDE,
@@ -81,6 +82,12 @@ MUTANTS = (
     ("the convolution's size test inverted", _FRACOPS,
      "if rows <= _DENSE_ROWS:", "if rows > _DENSE_ROWS:",
      _CONV_TESTS + "test_dense_up_to_257_rows_fft_bitwise_above"),
+    ("the pole's lag-1 far hat back on the rule of weight x^(mu-1)", _FRACOPS,
+     "hats = np.stack([(1.0 / (r + xk)) @ wk,", "hats = np.stack([(1.0 / (r + xj)) @ (wj * xj),",
+     _POLE_TESTS + "test_large_order_inside_the_float_range[1e-08]"),
+    ("_power_integral taking t^(q+mu) and T^p apart", _FRACOPS,
+     "s ** (q + mu) * T ** (q + mu + p)", "(s * T) ** (q + mu) * T ** p",
+     _POLE_TESTS + "test_power_term_scales_as_a_power_of_T[1e-200-0.5-1.5-start]"),
     ("solver history budget 1e14", "src/fraccons/cli.py",
      "_SOLVER_WORK_BUDGET = 1e11", "_SOLVER_WORK_BUDGET = 1e14",
      "tests/test_cli.py::test_solver_history_budget"),
