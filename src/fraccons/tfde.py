@@ -17,7 +17,7 @@ import enum
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
@@ -61,6 +61,13 @@ def _invertible(w):
     return w
 
 
+def _filled(u, value, out):
+    if out is None:
+        return np.full_like(u, value)
+    out.fill(value)
+    return out
+
+
 def _power_K(d, u):
     return np.log(u) if d.beta == -1.0 else u ** (d.beta + 1.0) / (d.beta + 1.0)
 
@@ -71,14 +78,18 @@ def _power_K_inv(d, w):
     return _invertible((d.beta + 1.0) * w) ** (1.0 / (d.beta + 1.0))
 
 
-# family -> (k, k', K, K^{-1}), each taking the Diffusivity and a float array
+# family -> (k, k', K, K^{-1}), each taking the Diffusivity and a float array; k
+# and k' also take a row ``out`` that they write and return, as a ufunc does
 _FAMILY_ROWS = {
-    DiffusivityFamily.CONSTANT: (lambda d, u: np.full_like(u, d.k0),
-                                 lambda d, u: np.zeros_like(u),
+    DiffusivityFamily.CONSTANT: (lambda d, u, out=None: _filled(u, d.k0, out),
+                                 lambda d, u, out=None: _filled(u, 0.0, out),
                                  lambda d, u: d.k0 * u, lambda d, w: w / d.k0),
-    DiffusivityFamily.POWER: (lambda d, u: u ** d.beta,
-                              lambda d, u: d.beta * u ** (d.beta - 1.0), _power_K, _power_K_inv),
-    DiffusivityFamily.EXPONENTIAL: (lambda d, u: np.exp(u), lambda d, u: np.exp(u),
+    DiffusivityFamily.POWER: (lambda d, u, out=None: np.power(u, d._exponents[0], out),
+                              lambda d, u, out=None: np.multiply(
+                                  d._exponents[0], np.power(u, d._exponents[1], out), out),
+                              _power_K, _power_K_inv),
+    DiffusivityFamily.EXPONENTIAL: (lambda d, u, out=None: np.exp(u, out),
+                                    lambda d, u, out=None: np.exp(u, out),
                                     lambda d, u: np.exp(u),
                                     lambda d, w: np.log(_invertible(w))),
 }
@@ -91,11 +102,24 @@ class Diffusivity:
     Families: constant k(u) = k0; power k(u) = u^beta; exponential k(u) = e^u.
     K(u) -> 0 as u -> 0 for the constant and power families (K = log u for
     beta = -1), and K = e^u for the exponential one.
+
+    Domain: k, k' and K take every float u and return numpy's values, without
+    raising. For the power family, whose exponents are beta (k), beta - 1 (k')
+    and beta + 1 (K), u < 0 gives NaN where the exponent is not an integer,
+    and u = 0 gives +-inf where it is negative (K = log u gives -inf). The
+    conserved vectors evaluate k on anchor rows, where an RL field stores 0 and
+    k = u^(-4/3) is inf; the verifiers read no such row. The constant family
+    gives k0 and 0, and the exponential one e^u, at every u. K_inv raises
+    ValueError outside its invertibility range: (beta + 1) w <= 0 for the power
+    family with beta != -1, and w <= 0 for the exponential family.
     """
 
     family: DiffusivityFamily
     k0: float = 1.0
     beta: float = 0.0
+    # beta and beta - 1 as 0-d float64 arrays, the power family's exponents of k
+    # and k': a ufunc converts a Python float operand on every call
+    _exponents: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not np.isfinite([self.k0, self.beta]).all():
@@ -104,6 +128,8 @@ class Diffusivity:
             raise ValueError("constant diffusivity requires k0 > 0")
         if self.family is DiffusivityFamily.POWER and self.beta == 0:
             raise ValueError("power diffusivity requires beta != 0; use constant()")
+        object.__setattr__(self, "_exponents",
+                           tuple(np.array(e, dtype=float) for e in (self.beta, self.beta - 1.0)))
 
     @classmethod
     def constant(cls, k0: float = 1.0) -> "Diffusivity":
@@ -243,11 +269,12 @@ def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -
 
 
 def _max_abs(v: np.ndarray, out=None) -> float:
-    """max |v| as a float, NaN when v holds a NaN: argmax stops at the first
-    NaN, and it costs less than a ufunc reduce on the solver's short rows.
-    |v| goes to ``out`` when given, which may be v itself."""
+    """max |v| as a Python float, NaN when v holds a NaN: argmax stops at the
+    first NaN, and it costs less than a ufunc reduce on the solver's short rows;
+    ``item`` reads the entry without making a numpy scalar. |v| goes to ``out``
+    when given, which may be v itself."""
     a = np.abs(v, out)
-    return float(a[a.argmax()])
+    return a.item(a.argmax())
 
 
 def l1_history_work(n_steps: int, n_x: int) -> float:
@@ -287,12 +314,14 @@ def solve_nonlinear(spec: FractionalSpec, diffusivity: Diffusivity, grid: TimeGr
     difference; the tridiagonal Jacobian is built from the midpoint values of
     the last residual, only when Newton steps, and solved by the module's
     ``solve_banded``; a step whose residual does not fall is halved.
-    Each row the loop writes (u, um, du, q, s, the flux difference, the three
-    diagonals, rhs and a |.| scratch) is allocated once per solve and written
-    by ufuncs with ``out``, bit for bit as on fresh arrays; the residual and the
-    trial alternate between two rows each, as dgtsv returns delta in the
-    residual's row. 0.5, c0, c_l1 and hx^2 are 0-d arrays, since a ufunc
-    converts a Python float operand on every call.
+    Each row the loop writes (the L1 history, u, k(u), um, k(um), k'(um), du,
+    q, s, the flux difference, the three diagonals, rhs and a |.| scratch) is
+    allocated once per solve and written by ufuncs with ``out``, bit for bit as
+    on fresh arrays; k and k' of ``_FAMILY_ROWS`` write their ``out`` row. The
+    residual and the trial alternate between two rows each, as dgtsv returns
+    delta in the residual's row. 0.5, c0, c_l1, hx^2 and the power family's
+    exponents are 0-d arrays, since a ufunc converts a Python float operand on
+    every call.
     The loop runs under one ``np.errstate(all="ignore")``: a non-finite value
     reaches the tolerance, the residual or the Jacobian, whose checks raise.
     Raises ValueError when x has no interior node (n_x < 2) or when the
@@ -315,7 +344,7 @@ def solve_nonlinear(spec: FractionalSpec, diffusivity: Diffusivity, grid: TimeGr
     for name, data in (("initial", u0), ("initial_velocity", v0))[:n]:
         if not np.isfinite(data).all():
             raise ValueError(f"{name} must be finite at every node of x")
-    hx2 = x.h ** 2
+    hx2 = hx2_float = x.h ** 2  # hx2 turns 0-d below; the tolerance divides by the float
     h = grid.h
     n_t = grid.n_steps
 
@@ -344,9 +373,12 @@ def solve_nonlinear(spec: FractionalSpec, diffusivity: Diffusivity, grid: TimeGr
     k, k_prime = (partial(f, diffusivity) for f in _FAMILY_ROWS[diffusivity.family][:2])
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     half, c0, c_l1, hx2 = (np.array(v, dtype=float) for v in (0.5, c0, c_l1, hx2))
-    u = np.empty(cols)  # the row base[m] + w of the Newton iterate
+    hist = np.empty(cols)  # the L1 history sum of the step
+    u, ku = np.empty(cols), np.empty(cols)  # the row base[m] + w of the iterate, k(u)
     u_r, u_l, u_in = u[1:], u[:-1], u[1:-1]
-    um, du, q, s = (np.empty(cols - 1) for _ in range(4))  # on the cells' midpoints
+    # on the cells' midpoints; kh = k(um) is the last residual's, as um and du are
+    um, kh, kp, du, q, s = (np.empty(cols - 1) for _ in range(6))
+    kh_r, kh_l, kh_in = kh[1:], kh[:-1], kh[1:-1]
     q_r, q_l, s_r, s_l, s_in = q[1:], q[:-1], s[1:], s[:-1], s[1:-1]
     flux, d, rhs = (np.empty(cols - 2) for _ in range(3))
     sub, sup = np.empty(cols - 3), np.empty(cols - 3)
@@ -359,18 +391,17 @@ def solve_nonlinear(spec: FractionalSpec, diffusivity: Diffusivity, grid: TimeGr
 
     def residual(v, out):
         """The residual c0 v - (q[1:] - q[:-1]) / hx2 - rhs, q = k(um) du, of the row u
-        into ``out``; returns k(um)."""
+        into ``out``; returns its max |.|."""
         multiply(half, add(u_r, u_l, um), um)
-        kh = k(um)
-        multiply(kh, subtract(u_r, u_l, du), q)
+        multiply(k(um, kh), subtract(u_r, u_l, du), q)
         divide(subtract(q_r, q_l, flux), hx2, flux)
-        subtract(subtract(multiply(c0, v, out), flux, out), rhs, out)
-        return kh
+        return _max_abs(subtract(subtract(multiply(c0, v, out), flux, out), rhs, out),
+                        scratch_in)
 
     with np.errstate(all="ignore"):
         for m in range(1, n_t + 1):
             # L1 history: sum_{j=1}^{m-1} a_{m-j} (y_j - y_{j-1})
-            hist = a_rev[n_t - m + 1: n_t] @ dY[1:m]
+            np.matmul(a_rev[n_t - m + 1: n_t], dY[1:m], hist)
             hist_in = multiply(c_l1, hist, hist)[1:-1]
             # c_l1 (y_m - y_{m-1}) + hist = flux, with y_m = (w_m - w_prev) / h^(n-1)
             if n == 1:
@@ -382,26 +413,24 @@ def solve_nonlinear(spec: FractionalSpec, diffusivity: Diffusivity, grid: TimeGr
             add(base_row, W[m - 1], u)
             # the flux difference cancels catastrophically when the field carries
             # an initial-time singularity, so the roundoff floor scales with k*u/hx^2
-            term_mag = _max_abs(multiply(k(u), u, scratch), scratch) / hx2
+            term_mag = _max_abs(multiply(k(u, ku), u, scratch), scratch) / hx2_float
             tol_eff = max(_TOL * max(1.0, _max_abs(rhs, scratch_in)), 1e-12 * term_mag)
             if not math.isfinite(tol_eff):
                 raise SolverError("Newton tolerance is not finite: the step's terms "
                                   "exceed the float64 range")
             base_in, w = base_row[1:-1], W[m - 1, 1:-1]
-            kh = residual(w, g)
-            gn = _max_abs(g, scratch_in)
+            gn = residual(w, g)
             for _ in range(_MAX_ITER):
                 if gn <= tol_eff:
                     break
                 # (J - c0) delta = g; d holds every midpoint value of k and k',
                 # so its being finite covers the off-diagonals too
-                multiply(multiply(half, k_prime(um), s), du, s)
-                subtract(subtract(subtract(s_r, kh[1:], d), s_l, d), kh[:-1], d)
+                multiply(multiply(half, k_prime(um, kp), s), du, s)
+                subtract(subtract(subtract(s_r, kh_r, d), s_l, d), kh_l, d)
                 subtract(divide(d, hx2, d), c0, d)
                 if not (math.isfinite(gn) and math.isfinite(_max_abs(d, scratch_in))):
                     raise SolverError("Newton iterate outside the domain of k: "
                                       "non-finite residual or Jacobian")
-                kh_in = kh[1:-1]
                 delta = solve_banded(divide(subtract(kh_in, s_in, sub), hx2, sub), d,
                                      divide(add(kh_in, s_in, sup), hx2, sup), g)
                 # damped update: halve the step until the residual decreases
@@ -409,8 +438,7 @@ def solve_nonlinear(spec: FractionalSpec, diffusivity: Diffusivity, grid: TimeGr
                 lam = 1.0
                 while True:
                     add(base_in, trial, u_in)
-                    kh = residual(trial, g_try)
-                    gn_try = _max_abs(g_try, scratch_in)
+                    gn_try = residual(trial, g_try)
                     if gn_try < gn:
                         break
                     lam *= 0.5

@@ -161,19 +161,19 @@ def count_newton(monkeypatch, cols):
               "solves_per_step": []}
 
     def k_counted(real):
-        def call(d, u):
+        def call(d, u, out=None):
             if u.size == cols:
                 counts["steps"] += 1
                 counts["solves_per_step"].append(0)
             else:
                 counts["residuals"] += 1
-            return real(d, u)
+            return real(d, u, out)
         return call
 
     def k_prime_counted(real):
-        def call(d, u):
+        def call(d, u, out=None):
             counts["jacobians"] += 1
-            return real(d, u)
+            return real(d, u, out)
         return call
 
     real_solve = tfde.solve_banded
@@ -190,7 +190,97 @@ def count_newton(monkeypatch, cols):
     return counts
 
 
+# k and k' of each family as plain expressions on fresh arrays: the bitwise
+# oracle of the rows of tfde._FAMILY_ROWS, which write into ``out``
+_EXPRESSION_ROWS = {
+    DiffusivityFamily.CONSTANT: (lambda d, u: np.full_like(u, d.k0),
+                                 lambda d, u: np.zeros_like(u)),
+    DiffusivityFamily.POWER: (lambda d, u: u ** d.beta,
+                              lambda d, u: d.beta * u ** (d.beta - 1.0)),
+    DiffusivityFamily.EXPONENTIAL: (lambda d, u: np.exp(u), lambda d, u: np.exp(u)),
+}
+
+_DIFFUSIVITIES = st.one_of(
+    st.floats(1e-3, 1e3).map(Diffusivity.constant),
+    st.sampled_from([2.0, -4.0 / 3.0, 0.5, 1.5, 3.0, -1.0, -0.5, 7.3, 1.0]).map(Diffusivity.power),
+    st.floats(-8.0, 8.0).filter(lambda b: b != 0.0).map(Diffusivity.power),
+    st.just(Diffusivity.exponential()),
+)
+# tiny, huge, zero, negative and NaN entries among ordinary ones
+_ROWS = hnp.arrays(float, st.integers(2, 80), elements=st.one_of(
+    st.floats(-4.0, 4.0), st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, -1e-300, 1e300, -1e300, 1.7e308, np.nan])))
+
+
+def k_and_k_prime(d, u, out):
+    """k(u) and k'(u) by the Diffusivity's methods (``out`` None), or by the
+    family's rows into two given rows that are returned."""
+    if not out:
+        return d.k(u), d.k_prime(u)
+    k, k_prime = tfde._FAMILY_ROWS[d.family][:2]
+    outs = np.full_like(u, 7.0), np.full_like(u, 7.0)
+    got = k(d, u, outs[0]), k_prime(d, u, outs[1])
+    assert got[0] is outs[0] and got[1] is outs[1]
+    return got
+
+
 class TestDiffusivity:
+    @given(_DIFFUSIVITIES, _ROWS, st.booleans())
+    def test_rows_bitwise_equal_to_expressions(self, d, u, out):
+        with np.errstate(all="ignore"):
+            want = [f(d, u) for f in _EXPRESSION_ROWS[d.family]]
+            got = k_and_k_prime(d, u, out)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("out", [False, True], ids=["new", "out"])
+    def test_power_domain(self, out):
+        # u < 0 with a non-integer exponent gives NaN, u = 0 with a negative one
+        # +-inf (the anchor row of an RL field under k = u^(-4/3)); none raises
+        u = np.array([-1.0, 0.0, -0.0, 1.0])
+        with np.errstate(all="ignore"):
+            for beta, k_want, kp_want in [
+                (-4.0 / 3.0, [np.nan, np.inf, np.inf, 1.0], [np.nan, -np.inf, -np.inf, -4.0 / 3.0]),
+                (0.5, [np.nan, 0.0, 0.0, 1.0], [np.nan, np.inf, np.inf, 0.5]),
+                (2.0, [1.0, 0.0, 0.0, 1.0], [-2.0, 0.0, -0.0, 2.0]),
+                (-1.0, [-1.0, np.inf, -np.inf, 1.0], [-1.0, -np.inf, -np.inf, -1.0]),
+            ]:
+                d = Diffusivity.power(beta)
+                k, kp = k_and_k_prime(d, u, out)
+                np.testing.assert_array_equal(k, k_want)
+                np.testing.assert_array_equal(kp, kp_want)
+            np.testing.assert_array_equal(Diffusivity.power(-4.0 / 3.0).K(u[:2]), [np.nan, -np.inf])
+            np.testing.assert_array_equal(Diffusivity.power(-1.0).K(u[:2]), [np.nan, -np.inf])
+        assert Diffusivity.power(-1.0).K_inv(np.array([-5.0])) == np.exp(-5.0)
+        for beta, w in [(2.0, 0.0), (-4.0 / 3.0, 1.0), (0.5, -1.0)]:
+            with pytest.raises(ValueError, match="outside the invertibility range"):
+                Diffusivity.power(beta).K_inv(np.array([1.0, w]))
+
+    @pytest.mark.parametrize("out", [False, True], ids=["new", "out"])
+    def test_constant_domain(self, out):
+        # k0 and 0 at every u, and K and K_inv linear: nothing is outside the domain
+        d = Diffusivity.constant(2.5)
+        u = np.array([-1.0, 0.0, -np.inf, np.nan, 1e308])
+        with np.errstate(all="ignore"):
+            k, kp = k_and_k_prime(d, u, out)
+        np.testing.assert_array_equal(k, np.full(5, 2.5))
+        np.testing.assert_array_equal(kp, np.zeros(5))
+        np.testing.assert_array_equal(d.K_inv(np.array([-1.0, 0.0])), [-0.4, 0.0])
+
+    @pytest.mark.parametrize("out", [False, True], ids=["new", "out"])
+    def test_exponential_domain(self, out):
+        # e^u at every u; K_inv = log w raises for w <= 0
+        d = Diffusivity.exponential()
+        u = np.array([-800.0, -1.0, 0.0, 800.0, np.nan])
+        with np.errstate(all="ignore"):
+            k, kp = k_and_k_prime(d, u, out)
+        want = [0.0, np.exp(-1.0), 1.0, np.inf, np.nan]
+        np.testing.assert_array_equal(k, want)
+        np.testing.assert_array_equal(kp, want)
+        with pytest.raises(ValueError, match="outside the invertibility range"):
+            d.K_inv(np.array([1.0, -0.0]))
+
     def test_constant_family(self):
         d = Diffusivity.constant(2.0)
         u = np.array([0.5, 1.0, 3.0])

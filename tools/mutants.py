@@ -45,7 +45,7 @@ MUTANTS = (
      "_TOL = 1e-10", "_TOL = 1e-11",
      _SOLVER_TESTS + "TestSolverMatchesReference::test_fields_bitwise"),
     ("_max_abs by np.fmax.reduce, which skips a NaN", _TFDE,
-     "    a = np.abs(v, out)\n    return float(a[a.argmax()])",
+     "    a = np.abs(v, out)\n    return a.item(a.argmax())",
      "    return float(np.fmax.reduce(np.abs(v, out)))",
      _SOLVER_TESTS + "TestNewtonJacobian::test_max_abs_is_the_max_of_abs_nan_included"),
     ("n = 2 rhs summed in another order", _TFDE,
@@ -55,9 +55,16 @@ MUTANTS = (
      "                add(multiply(c0, W[m - 1, 1:-1], rhs), scratch_in, rhs)",
      _SOLVER_TESTS + "TestSolverMatchesReference::test_fields_bitwise"),
     ("sign of s flipped in the Jacobian's main diagonal", _TFDE,
-     "subtract(subtract(subtract(s_r, kh[1:], d), s_l, d), kh[:-1], d)",
-     "subtract(subtract(subtract(s_l, kh[1:], d), s_r, d), kh[:-1], d)",
+     "subtract(subtract(subtract(s_r, kh_r, d), s_l, d), kh_l, d)",
+     "subtract(subtract(subtract(s_l, kh_r, d), s_r, d), kh_l, d)",
      _SOLVER_TESTS + "TestSolverMatchesReference::test_fields_bitwise"),
+    ("kh and kp one buffer", _TFDE,
+     "um, kh, kp, du, q, s = (np.empty(cols - 1) for _ in range(6))",
+     "um, kh, du, q, s = (np.empty(cols - 1) for _ in range(5)); kp = kh",
+     _SOLVER_TESTS + "TestSolverMatchesReference::test_fields_bitwise"),
+    ("k' exponent beta in place of beta - 1", _TFDE,
+     "np.power(u, d._exponents[1], out)", "np.power(u, d._exponents[0], out)",
+     _SOLVER_TESTS + "TestDiffusivity::test_rows_bitwise_equal_to_expressions"),
     ("the two trial rows one object", _TFDE,
      "trial, spare = np.empty(cols - 2), np.empty(cols - 2)",
      "trial = spare = np.empty(cols - 2)",
@@ -80,7 +87,8 @@ MUTANTS = (
      "k[rows - 1::-1], np.zeros(rows - 1)", "k[rows - 2::-1], np.zeros(rows)",
      _CONV_TESTS + "test_matches_direct_sum"),
     ("the convolution's size test inverted", _FRACOPS,
-     "if rows <= _DENSE_ROWS:", "if rows > _DENSE_ROWS:",
+     "if rows <= (_DENSE_ROWS if F.ndim > 1 else _DENSE_ROWS_1D):",
+     "if rows > (_DENSE_ROWS if F.ndim > 1 else _DENSE_ROWS_1D):",
      _CONV_TESTS + "test_dense_up_to_257_rows_fft_bitwise_above"),
     ("the pole's lag-1 far hat back on the rule of weight x^(mu-1)", _FRACOPS,
      "hats = np.stack([(1.0 / (r + xk)) @ wk,", "hats = np.stack([(1.0 / (r + xj)) @ (wj * xj),",
