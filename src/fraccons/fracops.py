@@ -62,14 +62,10 @@ _SAMPLES_CACHE_SIZE = 8 * _CACHE_SIZE
 # call) against FFT, in ms, at 33/65/129 columns, one BLAS thread, 2 vCPUs:
 # 129 rows 0.04/0.06/0.10 against 0.09/0.16/0.28; 257 rows 0.15/0.21/0.35
 # against 0.17/0.30/0.64; 385 rows 0.29/0.47/0.77 against 0.26/0.49/0.96, about
-# even; 513 rows 0.56/0.83/1.34 against 0.35/0.75/1.51. So the 65- and 129-row
-# grids of selftest criterion 12 take the product, and verify grids of 513 rows
-# and more the FFT
+# even; 513 rows 0.56/0.83/1.34 against 0.35/0.75/1.51. (One column: 0.05
+# against 0.03 at 257 rows.) So the 65- and 129-row grids of selftest
+# criterion 12 take the product, and verify grids of 513 rows and more the FFT
 _DENSE_ROWS = 257
-# the same limit for a 1-D F (one column), dense against FFT in ms: 65 rows
-# 0.017 against 0.022, 129 rows 0.024 against 0.025, about even, 161 rows 0.032
-# against 0.028, 257 rows 0.055 against 0.029
-_DENSE_ROWS_1D = 129
 # the t and x steps of a CSV field (from_csv) may differ by this much relative to
 # the largest |t| or |x|: 16 roundoffs, where np.linspace's differ by about 2
 _X_RTOL = 16 * float(np.finfo(float).eps)
@@ -389,16 +385,16 @@ def _smooth_length(n: int) -> int:
 def _causal_conv(k: np.ndarray, F: np.ndarray) -> np.ndarray:
     """out[i] = sum_{j <= i} k[i-j] F[j] along axis 0 for every row i of F.
 
-    ``k`` holds at least one lag per row of F. Up to _DENSE_ROWS rows
-    (_DENSE_ROWS_1D for a 1-D F), out is T @ F for the lower-triangular
-    Toeplitz T[i, j] = k[i-j], a strided view of the reversed lags followed by
-    rows - 1 zeros (the product may copy it: at most 0.5 MiB). Longer F goes
-    by FFT, whose length is the least 5-smooth number >= 2 * rows - 1, so the
-    circular product does not wrap; for the usual rows = 2^m + 1 it is about
-    half the next power of two (4320 against 8192 at rows = 2049).
+    ``k`` holds at least one lag per row of F. Up to _DENSE_ROWS rows, out is
+    T @ F for the lower-triangular Toeplitz T[i, j] = k[i-j], a strided view of
+    the reversed lags followed by rows - 1 zeros (the product may copy it: at
+    most 0.5 MiB). Longer F goes by FFT, whose length is the least 5-smooth
+    number >= 2 * rows - 1, so the circular product does not wrap; for the
+    usual rows = 2^m + 1 it is about half the next power of two (4320 against
+    8192 at rows = 2049).
     """
     rows = F.shape[0]
-    if rows <= (_DENSE_ROWS if F.ndim > 1 else _DENSE_ROWS_1D):
+    if rows <= _DENSE_ROWS:
         # window s holds k[rows - 1 - s - j] at column j: row i of T is window rows - 1 - i
         lags = np.concatenate([k[rows - 1::-1], np.zeros(rows - 1)])
         return sliding_window_view(lags, rows)[::-1] @ F

@@ -344,7 +344,7 @@ def solve_nonlinear(spec: FractionalSpec, diffusivity: Diffusivity, grid: TimeGr
     for name, data in (("initial", u0), ("initial_velocity", v0))[:n]:
         if not np.isfinite(data).all():
             raise ValueError(f"{name} must be finite at every node of x")
-    hx2 = hx2_float = x.h ** 2  # hx2 turns 0-d below; the tolerance divides by the float
+    hx2 = x.h ** 2
     h = grid.h
     n_t = grid.n_steps
 
@@ -413,7 +413,7 @@ def solve_nonlinear(spec: FractionalSpec, diffusivity: Diffusivity, grid: TimeGr
             add(base_row, W[m - 1], u)
             # the flux difference cancels catastrophically when the field carries
             # an initial-time singularity, so the roundoff floor scales with k*u/hx^2
-            term_mag = _max_abs(multiply(k(u, ku), u, scratch), scratch) / hx2_float
+            term_mag = _max_abs(multiply(k(u, ku), u, scratch), scratch) / hx2
             tol_eff = max(_TOL * max(1.0, _max_abs(rhs, scratch_in)), 1e-12 * term_mag)
             if not math.isfinite(tol_eff):
                 raise SolverError("Newton tolerance is not finite: the step's terms "

@@ -1443,8 +1443,7 @@ class TestKernelProperties:
 
 class TestCausalConv:
     """The lag convolution behind the integral and J: a dense Toeplitz product up to
-    257 rows (129 for one column), an FFT above; the FFT's length, and the sums
-    of both."""
+    257 rows, an FFT above; the FFT's length, and the sums of both."""
 
     def test_transform_length_is_the_least_5_smooth_number(self):
         def smooth(m):
@@ -1487,10 +1486,9 @@ class TestCausalConv:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(k[:rows]).sum() * np.abs(F).max()
 
-    @pytest.mark.parametrize("rows", [2, 129, 130, 257, 258, 513])
+    @pytest.mark.parametrize("rows", [2, 129, 257, 258, 513])
     @pytest.mark.parametrize("columns", [None, 3], ids=["1d", "2d"])
     def test_dense_up_to_257_rows_fft_bitwise_above(self, monkeypatch, rows, columns):
-        # one column goes by FFT above 129 rows, where the FFT is the faster
         rng = np.random.default_rng(rows)
         k = rng.standard_normal(rows)
         F = rng.standard_normal(rows if columns is None else (rows, columns))
@@ -1504,7 +1502,7 @@ class TestCausalConv:
             monkeypatch.setattr(np.fft, name, lambda *a, fn=fn, **kw: calls.append(fn) or fn(*a, **kw))
         got = fracops._causal_conv(k, F)
         assert got.shape == want.shape
-        if rows <= (129 if columns is None else 257):
+        if rows <= 257:
             assert not calls
         else:
             assert len(calls) == 3 and got.tobytes() == want.tobytes()

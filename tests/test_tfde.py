@@ -234,8 +234,7 @@ class TestDiffusivity:
             assert g.dtype == w.dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes()
 
-    @pytest.mark.parametrize("out", [False, True], ids=["new", "out"])
-    def test_power_domain(self, out):
+    def test_power_domain(self):
         # u < 0 with a non-integer exponent gives NaN, u = 0 with a negative one
         # +-inf (the anchor row of an RL field under k = u^(-4/3)); none raises
         u = np.array([-1.0, 0.0, -0.0, 1.0])
@@ -247,7 +246,7 @@ class TestDiffusivity:
                 (-1.0, [-1.0, np.inf, -np.inf, 1.0], [-1.0, -np.inf, -np.inf, -1.0]),
             ]:
                 d = Diffusivity.power(beta)
-                k, kp = k_and_k_prime(d, u, out)
+                k, kp = d.k(u), d.k_prime(u)
                 np.testing.assert_array_equal(k, k_want)
                 np.testing.assert_array_equal(kp, kp_want)
             np.testing.assert_array_equal(Diffusivity.power(-4.0 / 3.0).K(u[:2]), [np.nan, -np.inf])
@@ -257,24 +256,22 @@ class TestDiffusivity:
             with pytest.raises(ValueError, match="outside the invertibility range"):
                 Diffusivity.power(beta).K_inv(np.array([1.0, w]))
 
-    @pytest.mark.parametrize("out", [False, True], ids=["new", "out"])
-    def test_constant_domain(self, out):
+    def test_constant_domain(self):
         # k0 and 0 at every u, and K and K_inv linear: nothing is outside the domain
         d = Diffusivity.constant(2.5)
         u = np.array([-1.0, 0.0, -np.inf, np.nan, 1e308])
         with np.errstate(all="ignore"):
-            k, kp = k_and_k_prime(d, u, out)
+            k, kp = d.k(u), d.k_prime(u)
         np.testing.assert_array_equal(k, np.full(5, 2.5))
         np.testing.assert_array_equal(kp, np.zeros(5))
         np.testing.assert_array_equal(d.K_inv(np.array([-1.0, 0.0])), [-0.4, 0.0])
 
-    @pytest.mark.parametrize("out", [False, True], ids=["new", "out"])
-    def test_exponential_domain(self, out):
+    def test_exponential_domain(self):
         # e^u at every u; K_inv = log w raises for w <= 0
         d = Diffusivity.exponential()
         u = np.array([-800.0, -1.0, 0.0, 800.0, np.nan])
         with np.errstate(all="ignore"):
-            k, kp = k_and_k_prime(d, u, out)
+            k, kp = d.k(u), d.k_prime(u)
         want = [0.0, np.exp(-1.0), 1.0, np.inf, np.nan]
         np.testing.assert_array_equal(k, want)
         np.testing.assert_array_equal(kp, want)

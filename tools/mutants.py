@@ -87,8 +87,7 @@ MUTANTS = (
      "k[rows - 1::-1], np.zeros(rows - 1)", "k[rows - 2::-1], np.zeros(rows)",
      _CONV_TESTS + "test_matches_direct_sum"),
     ("the convolution's size test inverted", _FRACOPS,
-     "if rows <= (_DENSE_ROWS if F.ndim > 1 else _DENSE_ROWS_1D):",
-     "if rows > (_DENSE_ROWS if F.ndim > 1 else _DENSE_ROWS_1D):",
+     "if rows <= _DENSE_ROWS:", "if rows > _DENSE_ROWS:",
      _CONV_TESTS + "test_dense_up_to_257_rows_fft_bitwise_above"),
     ("the pole's lag-1 far hat back on the rule of weight x^(mu-1)", _FRACOPS,
      "hats = np.stack([(1.0 / (r + xk)) @ wk,", "hats = np.stack([(1.0 / (r + xj)) @ (wj * xj),",
